@@ -48,7 +48,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "DCS solver seed")
 		small     = flag.Bool("small", false, "only the (140,120) size")
 		scaling   = flag.Bool("scaling", false, "also run the higher-order coupled-cluster scaling study")
-		pipeline  = flag.Bool("pipeline", false, "also measure the pipelined engine: serial vs overlapped I/O critical path")
+		pipeline  = flag.Bool("pipeline", false, "also measure the pipelined schedule: serial vs overlapped I/O critical path")
 		faults    = flag.String("faults", "", "also run the fault-recovery study under this schedule, e.g. 'seed=9,rate=0.02,persistent=50'")
 		faultsOut = flag.String("faults-out", "", "write the fault-recovery study rows as JSON to this file")
 

@@ -47,7 +47,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "solver / data seed")
 		portfolio = flag.Int("portfolio", 1, "race this many independently seeded solver lanes; first feasible convergence wins")
 		workers   = flag.Int("workers", 1, "parallel compute workers")
-		pipeline  = flag.Bool("pipeline", false, "execute through the asynchronous double-buffered engine (prefetch + write-behind)")
+		pipeline  = flag.Bool("pipeline", false, "execute under the asynchronous double-buffered schedule (prefetch + write-behind) instead of the serial one")
 		verifyP   = flag.Bool("verify", false, "run the static plan verifier before executing; a finding aborts the run")
 		quiet     = flag.Bool("quiet", false, "suppress the synthesized code listing")
 		savePlan  = flag.String("saveplan", "", "write the synthesized plan as JSON to this file")

@@ -122,8 +122,8 @@ type Options struct {
 	// (default 200000).
 	MaxEvals int
 	// MaxTime bounds the wall-clock solve time (0: unbounded). It is
-	// implemented as a context deadline layered over the caller's context
-	// (SolveContext); the evaluation budget still applies, and whichever
+	// implemented as a context deadline layered over the caller's context;
+	// the evaluation budget still applies, and whichever
 	// is hit first stops the search.
 	MaxTime time.Duration
 	// Restarts is the number of independent starts (default 8).

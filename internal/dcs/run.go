@@ -1,10 +1,8 @@
 package dcs
 
-// This file is the redesigned entry point of the solver: Run(ctx,
-// Problem, ...Option). One ctx-first call replaces the Solve/SolveContext
-// split, and functional options replace the growing Options struct at
-// call sites. Options remains the internal carrier; every RunOption maps
-// onto it, and the deprecated shims forward unchanged.
+// This file is the entry point of the solver: Run(ctx, Problem,
+// ...Option), one ctx-first call with functional options at call sites.
+// Options remains the internal carrier; every RunOption maps onto it.
 
 import (
 	"context"
@@ -126,18 +124,4 @@ func Run(ctx context.Context, p Problem, opts ...RunOption) (Result, error) {
 		apply(&o)
 	}
 	return solve(ctx, p, o)
-}
-
-// Solve minimizes the problem.
-//
-// Deprecated: use Run with functional options.
-func Solve(p Problem, opt Options) (Result, error) {
-	return solve(context.Background(), p, opt)
-}
-
-// SolveContext minimizes the problem under a context.
-//
-// Deprecated: use Run with functional options.
-func SolveContext(ctx context.Context, p Problem, opt Options) (Result, error) {
-	return solve(ctx, p, opt)
 }

@@ -121,83 +121,97 @@ const (
 	MetricWriteBytes = "disk.write.bytes"
 )
 
-// statsLocked wraps Stats with a mutex shared by a backend's arrays, and
-// optionally mirrors every charge into an attached metrics registry. The
-// backend owns the instruments it created: reset() zeroes only those, so
-// a shared registry's other producers (solver, engine) are untouched by a
-// backend's ResetStats.
-type statsLocked struct {
+// Ledger is the instrumented accounting every backend's Stats come from:
+// integer operation and byte tallies behind a mutex shared by the
+// backend's arrays, optionally mirrored charge by charge into an attached
+// metrics registry. Decorating backends that present their own front-door
+// account (ring.Store) hold a Ledger too, so the counters are only ever
+// mutated here (the diskstats analyzer polices that).
+//
+// Modelled times are not accumulated: the cost model is linear in
+// operations and bytes, so Snapshot derives them from the tallies. Stats
+// therefore do not depend on the order in which concurrently issued
+// operations complete — two runs moving the same sections report
+// identical Stats, float fields included.
+//
+// The ledger owns the registry instruments it created: Reset zeroes only
+// those, so a shared registry's other producers (solver, engine) are
+// untouched by a backend's ResetStats.
+type Ledger struct {
 	mu    sync.Mutex
-	s     Stats
+	s     Stats // ReadTime/WriteTime unused, see Snapshot
 	d     machine.Disk
 	integ IntegrityCounts
 	reg   *obs.Registry
 	owned map[string]*obs.Counter
 }
 
-// setMetrics attaches (or, with nil, detaches) a registry.
-func (sl *statsLocked) setMetrics(reg *obs.Registry) {
-	sl.mu.Lock()
-	sl.reg = reg
-	sl.owned = nil
+// NewLedger returns an empty ledger charging under disk model d.
+func NewLedger(d machine.Disk) *Ledger { return &Ledger{d: d} }
+
+// SetMetrics attaches (or, with nil, detaches) a registry.
+func (l *Ledger) SetMetrics(reg *obs.Registry) {
+	l.mu.Lock()
+	l.reg = reg
+	l.owned = nil
 	if reg != nil {
-		sl.owned = map[string]*obs.Counter{}
+		l.owned = map[string]*obs.Counter{}
 	}
-	sl.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // counterLocked returns the named counter, remembering it as owned by
-// this backend. Callers hold sl.mu.
-func (sl *statsLocked) counterLocked(name string) *obs.Counter {
-	c := sl.owned[name]
+// this ledger. Callers hold l.mu.
+func (l *Ledger) counterLocked(name string) *obs.Counter {
+	c := l.owned[name]
 	if c == nil {
-		c = sl.reg.Counter(name)
-		sl.owned[name] = c
+		c = l.reg.Counter(name)
+		l.owned[name] = c
 	}
 	return c
 }
 
-func (sl *statsLocked) chargeRead(array string, bytes int64) {
-	sl.mu.Lock()
-	sl.s.ReadOps++
-	sl.s.BytesRead += bytes
-	sl.s.ReadTime += sl.d.ReadTime(bytes, 1)
-	if sl.reg != nil {
-		sl.counterLocked(MetricReadOps).Inc()
-		sl.counterLocked(MetricReadBytes).Add(bytes)
-		sl.counterLocked(MetricReadOps + "/" + array).Inc()
-		sl.counterLocked(MetricReadBytes + "/" + array).Add(bytes)
+// ChargeRead accounts one section read of the named array.
+func (l *Ledger) ChargeRead(array string, bytes int64) {
+	l.mu.Lock()
+	l.s.ReadOps++
+	l.s.BytesRead += bytes
+	if l.reg != nil {
+		l.counterLocked(MetricReadOps).Inc()
+		l.counterLocked(MetricReadBytes).Add(bytes)
+		l.counterLocked(MetricReadOps + "/" + array).Inc()
+		l.counterLocked(MetricReadBytes + "/" + array).Add(bytes)
 	}
-	sl.mu.Unlock()
+	l.mu.Unlock()
 }
 
-func (sl *statsLocked) chargeWrite(array string, bytes int64) {
-	sl.mu.Lock()
-	sl.s.WriteOps++
-	sl.s.BytesWritten += bytes
-	sl.s.WriteTime += sl.d.WriteTime(bytes, 1)
-	if sl.reg != nil {
-		sl.counterLocked(MetricWriteOps).Inc()
-		sl.counterLocked(MetricWriteBytes).Add(bytes)
-		sl.counterLocked(MetricWriteOps + "/" + array).Inc()
-		sl.counterLocked(MetricWriteBytes + "/" + array).Add(bytes)
+// ChargeWrite accounts one section write of the named array.
+func (l *Ledger) ChargeWrite(array string, bytes int64) {
+	l.mu.Lock()
+	l.s.WriteOps++
+	l.s.BytesWritten += bytes
+	if l.reg != nil {
+		l.counterLocked(MetricWriteOps).Inc()
+		l.counterLocked(MetricWriteBytes).Add(bytes)
+		l.counterLocked(MetricWriteOps + "/" + array).Inc()
+		l.counterLocked(MetricWriteBytes + "/" + array).Add(bytes)
 	}
-	sl.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // chargeVerify accounts block checksum verifications on a section read.
 // Integrity tallies are lifetime counters: unlike the I/O charges they
-// survive reset(), because recovery restarts ResetStats per attempt but
+// survive Reset, because recovery restarts ResetStats per attempt but
 // corruption accounting must span the whole resilient run. For the same
-// reason the registry mirrors are not backend-owned instruments.
-func (sl *statsLocked) chargeVerify(array string, blocks int64) {
+// reason the registry mirrors are not ledger-owned instruments.
+func (l *Ledger) chargeVerify(array string, blocks int64) {
 	if blocks <= 0 {
 		return
 	}
-	sl.mu.Lock()
-	sl.integ.VerifiedBlocks += blocks
-	reg := sl.reg
-	sl.mu.Unlock()
+	l.mu.Lock()
+	l.integ.VerifiedBlocks += blocks
+	reg := l.reg
+	l.mu.Unlock()
 	if reg != nil {
 		reg.Counter(MetricIntegrityBlocks).Add(blocks)
 		reg.Counter(MetricIntegrityBlocks + "/" + array).Add(blocks)
@@ -205,15 +219,15 @@ func (sl *statsLocked) chargeVerify(array string, blocks int64) {
 }
 
 // chargeDetect accounts blocks that failed checksum verification; like
-// chargeVerify it survives reset().
-func (sl *statsLocked) chargeDetect(array string, blocks int64) {
+// chargeVerify it survives Reset.
+func (l *Ledger) chargeDetect(array string, blocks int64) {
 	if blocks <= 0 {
 		return
 	}
-	sl.mu.Lock()
-	sl.integ.Detected += blocks
-	reg := sl.reg
-	sl.mu.Unlock()
+	l.mu.Lock()
+	l.integ.Detected += blocks
+	reg := l.reg
+	l.mu.Unlock()
 	if reg != nil {
 		reg.Counter(MetricIntegrityDetected).Add(blocks)
 		reg.Counter(MetricIntegrityDetected + "/" + array).Add(blocks)
@@ -221,25 +235,35 @@ func (sl *statsLocked) chargeDetect(array string, blocks int64) {
 }
 
 // integSnapshot copies the integrity tallies.
-func (sl *statsLocked) integSnapshot() IntegrityCounts {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.integ
+func (l *Ledger) integSnapshot() IntegrityCounts {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.integ
 }
 
-func (sl *statsLocked) snapshot() Stats {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.s
+// Snapshot returns the tallies with the modelled times they imply. An
+// idle direction reports zero time whatever the disk model (an unset
+// bandwidth must not turn 0 bytes into NaN).
+func (l *Ledger) Snapshot() Stats {
+	l.mu.Lock()
+	s := l.s
+	l.mu.Unlock()
+	if s.ReadOps > 0 {
+		s.ReadTime = l.d.ReadTime(s.BytesRead, s.ReadOps)
+	}
+	if s.WriteOps > 0 {
+		s.WriteTime = l.d.WriteTime(s.BytesWritten, s.WriteOps)
+	}
+	return s
 }
 
-// reset zeroes the Stats and this backend's own registry instruments —
+// Reset zeroes the tallies and this ledger's own registry instruments —
 // mirroring ResetStats semantics into the metrics view.
-func (sl *statsLocked) reset() {
-	sl.mu.Lock()
-	sl.s = Stats{}
-	for _, c := range sl.owned {
+func (l *Ledger) Reset() {
+	l.mu.Lock()
+	l.s = Stats{}
+	for _, c := range l.owned {
 		c.Reset()
 	}
-	sl.mu.Unlock()
+	l.mu.Unlock()
 }

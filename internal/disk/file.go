@@ -54,7 +54,7 @@ const (
 // the CRC32C of the blocks it covers before returning data.
 type FileStore struct {
 	dir        string
-	sl         statsLocked
+	sl         Ledger
 	blockElems int64
 	arrays     map[string]*fileArray
 	man        *manifest
@@ -98,7 +98,7 @@ func NewFileStore(dir string, d machine.Disk) (*FileStore, error) {
 	}
 	return &FileStore{
 		dir:        dir,
-		sl:         statsLocked{d: d},
+		sl:         Ledger{d: d},
 		blockElems: DefaultBlockElems,
 		arrays:     map[string]*fileArray{},
 		man:        man,
@@ -350,17 +350,17 @@ func (fs *FileStore) sumPath(name string) string {
 // Stats returns the accumulated (modelled) I/O statistics. Checksum
 // verification performs real extra reads but charges nothing: the
 // modelled cost must stay identical to the simulator's.
-func (fs *FileStore) Stats() Stats { return fs.sl.snapshot() }
+func (fs *FileStore) Stats() Stats { return fs.sl.Snapshot() }
 
 // Integrity returns the lifetime checksum-verification tallies (they
-// survive ResetStats; see statsLocked).
+// survive ResetStats; see Ledger).
 func (fs *FileStore) Integrity() IntegrityCounts { return fs.sl.integSnapshot() }
 
 // SetMetrics mirrors every subsequent I/O charge into reg (nil detaches).
-func (fs *FileStore) SetMetrics(reg *obs.Registry) { fs.sl.setMetrics(reg) }
+func (fs *FileStore) SetMetrics(reg *obs.Registry) { fs.sl.SetMetrics(reg) }
 
 // ResetStats zeroes the counters.
-func (fs *FileStore) ResetStats() { fs.sl.reset() }
+func (fs *FileStore) ResetStats() { fs.sl.Reset() }
 
 // Sync makes the store durable and self-consistent: for every array
 // with index changes since the last sync, the data file is fsynced
@@ -595,7 +595,7 @@ func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 		return NewIOError("read", a.name, lo, shape, false,
 			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
 	}
-	a.fs.sl.chargeRead(a.name, n*8)
+	a.fs.sl.ChargeRead(a.name, n*8)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if err := a.verifySectionLocked("read", lo, shape); err != nil {
@@ -626,7 +626,7 @@ func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
 		return NewIOError("write", a.name, lo, shape, false,
 			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
 	}
-	a.fs.sl.chargeWrite(a.name, n*8)
+	a.fs.sl.ChargeWrite(a.name, n*8)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// Read-modify-verify: a block only partially covered by this section
@@ -791,7 +791,7 @@ func (a *fileArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode Si
 		return NewIOError("write", a.name, lo, shape, false,
 			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
 	}
-	a.fs.sl.chargeWrite(a.name, n*8)
+	a.fs.sl.ChargeWrite(a.name, n*8)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := a.markDirtyLocked(); err != nil {

@@ -20,7 +20,7 @@ import (
 // overlaps the positioning (seek) of a queued operation with the transfer
 // of the one in progress. ChannelStats exposes that timeline.
 type Sim struct {
-	sl         statsLocked
+	sl         Ledger
 	withData   bool
 	blockElems int64
 	arrays     map[string]*simArray
@@ -59,7 +59,7 @@ type simOp struct {
 // selects data mode.
 func NewSim(d machine.Disk, withData bool) *Sim {
 	return &Sim{
-		sl:         statsLocked{d: d},
+		sl:         Ledger{d: d},
 		withData:   withData,
 		blockElems: DefaultBlockElems,
 		arrays:     map[string]*simArray{},
@@ -138,18 +138,18 @@ func (s *Sim) Open(name string) (Array, error) {
 }
 
 // Stats returns the accumulated I/O statistics.
-func (s *Sim) Stats() Stats { return s.sl.snapshot() }
+func (s *Sim) Stats() Stats { return s.sl.Snapshot() }
 
 // Integrity returns the lifetime checksum-verification tallies (they
-// survive ResetStats; see statsLocked).
+// survive ResetStats; see Ledger).
 func (s *Sim) Integrity() IntegrityCounts { return s.sl.integSnapshot() }
 
 // SetMetrics mirrors every subsequent I/O charge into reg (nil detaches).
-func (s *Sim) SetMetrics(reg *obs.Registry) { s.sl.setMetrics(reg) }
+func (s *Sim) SetMetrics(reg *obs.Registry) { s.sl.SetMetrics(reg) }
 
 // ResetStats zeroes the counters (channel statistics included).
 func (s *Sim) ResetStats() {
-	s.sl.reset()
+	s.sl.Reset()
 	s.chMu.Lock()
 	s.chst = ChannelStats{}
 	s.chMu.Unlock()
@@ -369,7 +369,7 @@ func (a *simArray) ReadSection(lo, shape []int64, buf []float64) error {
 	if err != nil {
 		return wrapIO("read", a.name, lo, shape, false, err)
 	}
-	a.sim.sl.chargeRead(a.name, n*8)
+	a.sim.sl.ChargeRead(a.name, n*8)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if err := a.verifySectionLocked("read", lo, shape, n); err != nil {
@@ -391,7 +391,7 @@ func (a *simArray) WriteSection(lo, shape []int64, buf []float64) error {
 	if err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}
-	a.sim.sl.chargeWrite(a.name, n*8)
+	a.sim.sl.ChargeWrite(a.name, n*8)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// Read-modify-verify: a block is only partially covered by this
@@ -439,7 +439,7 @@ func (a *simArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode Sil
 	if err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}
-	a.sim.sl.chargeWrite(a.name, n*8)
+	a.sim.sl.ChargeWrite(a.name, n*8)
 	keep := int64(0) // packed elements that genuinely persist
 	if mode == SilentTorn {
 		keep = silentPrefixElems(shape)

@@ -5,12 +5,19 @@
 // dry-run mode it executes only the I/O structure, which scales to the
 // paper's array sizes and yields the "measured" disk I/O times of the
 // evaluation.
+//
+// There is one engine: a walker (this file) resolves loop bases, sections,
+// dry-run pruning and error positions and hands every step, as it is
+// produced, to a scheduler (pipeline.go) that binds, orders, times and
+// runs it. Options.Pipeline only picks the schedule's depth; serial
+// execution is depth 0.
 package exec
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -52,12 +59,13 @@ type Options struct {
 	// not be re-staged: combine with OpenInputs and a backend holding the
 	// interrupted run's state.
 	Resume *Checkpoint
-	// Pipeline enables the asynchronous double-buffered engine: disk reads
+	// Pipeline selects the asynchronous double-buffered schedule: disk reads
 	// are prefetched and writes retired in the background while compute
 	// blocks run, with hazard tracking keeping results bit-identical to the
-	// serial interpreter. A barrier at every top-level work-unit boundary
-	// preserves StopAfter/Resume semantics. Result.Pipeline reports the
-	// modelled serial vs overlapped critical-path times.
+	// serial schedule (depth 0, the default). A barrier at every top-level
+	// work-unit boundary preserves StopAfter/Resume semantics.
+	// Result.Pipeline reports the modelled serial vs overlapped
+	// critical-path times.
 	Pipeline bool
 	// PipelineDepth bounds in-flight asynchronous disk operations
 	// (default 4).
@@ -69,7 +77,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// Retry, if non-nil, retries transient section-I/O faults (typed
 	// *disk.IOError values with Transient() true) with capped exponential
-	// backoff in both engines. Backoff delays and extra attempts are
+	// backoff under either schedule. Backoff delays and extra attempts are
 	// charged to the modelled timeline, so a retried run's trace still
 	// reconciles with the backend's Stats.Time(). Persistent faults are
 	// never retried; they abort the run with a *RunError carrying the
@@ -89,18 +97,21 @@ type Options struct {
 	// work-unit boundary, once the unit's durability sync (SyncUnits)
 	// has happened and the checkpoint has advanced — the hook for
 	// background maintenance that must interleave at safe boundaries
-	// (the health scrub scheduler ticks here). Both engines call it; the
-	// pipelined engine drains its in-flight operations at the barrier
-	// first. An error aborts the run like an I/O failure.
+	// (the health scrub scheduler ticks here). A pipelined run drains its
+	// in-flight operations at the barrier first. An error aborts the run
+	// like an I/O failure.
 	OnUnit func() error
 	// Tracer, if non-nil, receives the run's modelled timeline as spans:
 	// disk operations on the obs "disk" track and compute blocks on the
 	// "compute" track, with instant events marking barriers and hazard
-	// waits. Serial runs place both tracks on one serial clock; pipelined
-	// runs use the two-clock overlapped timeline, so the exported Chrome
-	// trace shows prefetch and write-behind riding alongside compute. The
-	// disk-track span total equals the backend's modelled disk.Stats.Time()
-	// up to floating-point association.
+	// waits. Serial runs place both tracks on one clock; pipelined runs use
+	// the two-clock overlapped timeline, so the exported Chrome trace shows
+	// prefetch and write-behind riding alongside compute. Zero-fills and
+	// compute blocks get a compute-track span whenever the walker reaches
+	// them, dry runs included (an I/O-free loop is descended once, its trip
+	// count folded into the block's duration). The disk-track span total
+	// equals the backend's modelled disk.Stats.Time() up to floating-point
+	// association.
 	Tracer *obs.Tracer
 	// Log, if non-nil, receives the engine's structured events (system
 	// "exec"): io.fault / io.retry per retried operation, and the
@@ -162,8 +173,8 @@ type Result struct {
 	// holds the checkpoint to Resume from. Outputs are not fetched on a
 	// stopped run.
 	Stopped *Checkpoint
-	// Pipeline reports the pipelined engine's modelled timeline (nil unless
-	// Options.Pipeline).
+	// Pipeline reports the pipelined schedule's modelled timeline (nil
+	// unless Options.Pipeline).
 	Pipeline *PipelineStats
 	// Retry tallies the run's transient-fault handling (all zero unless
 	// Options.Retry saw faults).
@@ -230,24 +241,28 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 		ctx = context.Background()
 	}
 	e := &engine{
-		plan:  p,
-		be:    be,
-		opt:   opt,
-		ctx:   ctx,
-		base:  map[string]int64{},
-		bufs:  map[*codegen.Buffer]*bufInst{},
-		arrs:  map[string]disk.Array{},
-		hasIO: map[*codegen.Loop]bool{},
+		plan:     p,
+		be:       be,
+		opt:      opt,
+		ctx:      ctx,
+		base:     map[string]int64{},
+		arrs:     map[string]disk.Array{},
+		hasIO:    map[*codegen.Loop]bool{},
+		computes: !opt.DryRun || opt.Tracer != nil || opt.Pipeline,
 	}
 	if opt.Metrics != nil {
-		e.mBufBytes = opt.Metrics.Gauge("exec.buffer.bytes")
 		e.mFaults = opt.Metrics.Counter("exec.io.faults")
 		e.mRetries = opt.Metrics.Counter("exec.io.retries")
 		e.vRetries = opt.Metrics.CounterVec("exec.io.retries.by_array", "array")
 	}
+	depth := 0
 	if opt.Pipeline {
-		e.pipe = newPipeline(e, opt.PipelineDepth)
+		depth = opt.PipelineDepth
+		if depth <= 0 {
+			depth = defaultPipelineDepth
+		}
 	}
+	e.sched = newScheduler(e, depth)
 	if opt.Resume != nil {
 		// Completed units never regress below the resume point.
 		e.lastCP = *opt.Resume
@@ -270,11 +285,11 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 		return nil, e.failure(err)
 	}
 	if opt.Metrics != nil {
-		opt.Metrics.Gauge("exec.buffer.peak_bytes").Set(float64(e.peakBytes))
+		opt.Metrics.Gauge("exec.buffer.peak_bytes").Set(float64(e.sched.peakBytes))
 	}
-	res := &Result{Stats: be.Stats(), PeakBufferBytes: e.peakBytes, Stopped: stopped, Retry: e.retrySnapshot()}
-	if e.pipe != nil {
-		res.Pipeline = e.pipe.snapshot()
+	res := &Result{Stats: be.Stats(), PeakBufferBytes: e.sched.peakBytes, Stopped: stopped, Retry: e.retrySnapshot()}
+	if opt.Pipeline {
+		res.Pipeline = e.sched.snapshot()
 	}
 	if stopped != nil {
 		return res, nil
@@ -292,54 +307,43 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 			res.Outputs[da.Name] = t
 		}
 		res.Retry = e.retrySnapshot()
-		if e.pipe != nil {
+		if opt.Pipeline {
 			// Fetch reads may have retried; re-fold them into the timeline.
-			res.Pipeline = e.pipe.snapshot()
+			res.Pipeline = e.sched.snapshot()
 		}
 	}
 	return res, nil
 }
 
-type bufInst struct {
-	t    *tensor.Tensor
-	base []int64 // tile base per buffer dim at instantiation
-}
-
+// engine is one run's state: the plan walker, plus the retry, checkpoint
+// and staging bookkeeping around it.
 type engine struct {
 	plan *codegen.Plan
 	be   disk.Backend
 	opt  Options
 	//lint:ignore ctxfield the engine struct is per-Run scratch state, never retained past the call
 	ctx context.Context
-	// pipe is non-nil in pipelined mode; top-level work units are then
-	// executed by the asynchronous engine (pipeline.go) instead of exec.
-	pipe *pipeline
-	base map[string]int64 // current tile base per loop index
+	// sched runs the steps the walker produces (pipeline.go).
+	sched *scheduler
+	base  map[string]int64 // current tile base per loop index
 	// loopStack holds the enclosing loop indices, outermost first, for
 	// error attribution (e.base alone has no deterministic order).
 	loopStack []string
-	bufs      map[*codegen.Buffer]*bufInst
 	arrs      map[string]disk.Array
 	// hasIO caches, per loop node, whether its subtree performs disk I/O;
-	// dry runs skip I/O-free subtrees (their iteration counts are
+	// dry runs do not iterate I/O-free subtrees (their iteration counts are
 	// unconstrained by the cost model and can be astronomical).
 	hasIO map[*codegen.Loop]bool
-	// dryLoops is the stack of I/O-free loops the pipelined step generator
-	// is currently descending once instead of iterating (dry-run only);
-	// their trip counts scale the modelled compute durations beneath.
+	// computes is false when a dry run's compute blocks — never executed —
+	// are not even timed (no tracer, no PipelineStats to fill): the walker
+	// then skips them, and with them every I/O-free loop.
+	computes bool
+	// dryLoops is the stack of I/O-free loops the walker is currently
+	// descending once instead of iterating (dry-run only); their trip
+	// counts scale the modelled compute durations beneath.
 	dryLoops []*codegen.Loop
-	// curBytes/peakBytes track instantiated buffer memory.
-	curBytes  int64
-	peakBytes int64
-	// sClock is the serial engine's modelled clock, advanced by every disk
-	// and compute span it emits (pipelined runs use the pipeline's
-	// two-clock timeline instead).
-	sClock float64
-	// mBufBytes mirrors curBytes into the metrics registry (nil without
-	// Options.Metrics); its high-water mark is the peak watermark.
-	mBufBytes *obs.Gauge
 	// Retry/recovery bookkeeping. retryMu guards the tallies and the
-	// jitter key: the pipelined engine retries on its issue goroutines.
+	// jitter key: pipelined schedules retry on their issue goroutines.
 	retryMu    sync.Mutex
 	retryStats RetryStats
 	retryKey   uint64
@@ -411,10 +415,10 @@ func (e *engine) failure(err error) error {
 // retryOp runs one section-I/O operation under the run's retry policy:
 // transient typed faults are retried with capped exponential backoff.
 // attemptDur is the modelled duration of one attempt; each retry charges
-// attemptDur plus its backoff delay to the engine's timeline (the serial
-// clock, or the pipeline's barrier-folded retry account) so the run
-// still reconciles with the backend's Stats.Time(). Persistent faults
-// and retry-budget exhaustion return the last error unchanged.
+// attemptDur plus its backoff delay to the modelled timeline
+// (scheduler.chargeRetry) so the run still reconciles with the backend's
+// Stats.Time(). Persistent faults and retry-budget exhaustion return the
+// last error unchanged.
 func (e *engine) retryOp(array string, attemptDur float64, fn func() error) error {
 	pol := e.opt.Retry.ForArray(array)
 	attempts := pol.Attempts()
@@ -450,11 +454,7 @@ func (e *engine) retryOp(array string, attemptDur float64, fn func() error) erro
 				obs.F("delay_s", delay),
 				obs.F("error", err))
 		}
-		if e.pipe != nil {
-			e.pipe.addRetryExtra(delay + attemptDur)
-		} else {
-			e.sClock += delay + attemptDur
-		}
+		e.sched.chargeRetry(delay + attemptDur)
 		if pol.WallClock {
 			//lint:ignore walltime opt-in wall-clock pacing: the modelled timeline already advanced above; Sleep runs only when the caller sets RetryPolicy.WallClock.
 			if serr := pol.Sleep(e.ctx, delay); serr != nil {
@@ -488,13 +488,6 @@ func (e *engine) nextRetryKey() uint64 {
 	defer e.retryMu.Unlock()
 	e.retryKey++
 	return e.retryKey
-}
-
-// noteBufBytes publishes the current buffer memory level.
-func (e *engine) noteBufBytes() {
-	if e.mBufBytes != nil {
-		e.mBufBytes.Set(float64(e.curBytes))
-	}
 }
 
 // subtreeHasIO computes the dry-run pruning map.
@@ -620,7 +613,7 @@ func (e *engine) execTop(body []codegen.Node) (*Checkpoint, error) {
 					continue
 				}
 				e.base[l.Index] = b
-				if err := e.execUnit(l.Body); err != nil {
+				if err := e.runUnit(l.Body); err != nil {
 					return nil, err
 				}
 				delete(e.base, l.Index)
@@ -647,7 +640,7 @@ func (e *engine) execTop(body []codegen.Node) (*Checkpoint, error) {
 				continue
 			}
 		}
-		if err := e.execUnit([]codegen.Node{n}); err != nil {
+		if err := e.runUnit(body[i : i+1]); err != nil {
 			return nil, err
 		}
 		if err := e.noteUnit(Checkpoint{Item: item + 1}); err != nil {
@@ -657,16 +650,13 @@ func (e *engine) execTop(body []codegen.Node) (*Checkpoint, error) {
 	return nil, nil
 }
 
-// execUnit executes one top-level work unit: a single iteration of a
-// top-level loop, or a non-loop top-level item. In pipelined mode the unit
-// runs through the asynchronous engine, which drains all in-flight disk
-// operations before returning — the barrier that keeps unit boundaries
-// (and thus StopAfter/Resume checkpoints) safe.
-func (e *engine) execUnit(ns []codegen.Node) error {
-	if e.pipe != nil {
-		return e.pipe.runUnit(ns)
-	}
-	return e.exec(ns)
+// runUnit executes one top-level work unit — a single iteration of a
+// top-level loop, or a non-loop top-level item — and closes it with the
+// scheduler's barrier, which drains whatever the schedule left in flight.
+// That quiescence is what keeps unit boundaries (and thus StopAfter/Resume
+// checkpoints) safe.
+func (e *engine) runUnit(ns []codegen.Node) error {
+	return e.sched.barrier(e.walk(ns))
 }
 
 // ctxErr reports context cancellation as a run error.
@@ -693,57 +683,89 @@ func (e *engine) pos() string {
 	return b.String()
 }
 
-func (e *engine) exec(ns []codegen.Node) error {
+// walk is the plan walker: it resolves loop bases and sections in program
+// order and hands each step to the scheduler as it is reached, stopping at
+// the first error the scheduler returns (at depth 0 that is the step's own
+// failure: nothing past a failed operation is issued).
+func (e *engine) walk(ns []codegen.Node) error {
 	for _, n := range ns {
+		var err error
 		switch n := n.(type) {
 		case *codegen.Loop:
-			if e.opt.DryRun && !e.hasIO[n] {
-				continue
-			}
-			e.loopStack = append(e.loopStack, n.Index)
-			for b := int64(0); b < n.Range; b += n.Tile {
-				if err := e.ctxErr(); err != nil {
-					return err
-				}
-				e.base[n.Index] = b
-				if err := e.exec(n.Body); err != nil {
-					return err
-				}
-			}
-			e.loopStack = e.loopStack[:len(e.loopStack)-1]
-			delete(e.base, n.Index)
+			err = e.walkLoop(n)
 		case *codegen.IO:
-			if err := e.doIO(n); err != nil {
-				return ioErr(n.Read, n.Array, e.pos(), err)
+			lo, shape := e.section(n.Buffer)
+			if n.Read {
+				err = e.sched.read(n, lo, shape)
+			} else {
+				err = e.sched.write(n, lo, shape)
 			}
 		case *codegen.ZeroBuf:
-			if e.opt.DryRun {
-				continue
+			if !e.opt.DryRun {
+				lo, shape := e.section(n.Buffer)
+				err = e.sched.zero(n.Buffer, lo, shape)
 			}
-			e.instantiate(n.Buffer).t.Zero()
 		case *codegen.InitPass:
-			if e.opt.Tracer != nil {
-				bytes, writes := e.initCost(n.Array)
-				e.spanSerial(obs.TrackDisk, "init "+n.Array,
-					e.plan.Cfg.Disk.WriteTime(bytes, writes),
-					map[string]any{"bytes": bytes, "writes": writes})
-			}
-			if err := e.initPass(n.Array); err != nil {
-				return fmt.Errorf("exec: init pass over %q: %w", n.Array, err)
-			}
+			err = e.sched.init(n.Array)
 		case *codegen.Compute:
-			if e.opt.DryRun {
-				continue
+			if e.computes {
+				err = e.sched.compute(n, e.dryMul(n))
 			}
-			if e.opt.Tracer != nil {
-				e.spanSerial(obs.TrackCompute, "compute "+n.Out.Name, e.computeSeconds(n, e.base, 1), nil)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walkLoop iterates a tiling loop. A dry run descends a loop with no disk
+// traffic inside (the subtree holds only compute: InitPass counts as I/O)
+// for a single iteration and folds the remaining trips into the compute
+// multiplier, so the modelled compute time covers the whole subtree
+// without enumerating its (cost-model-unconstrained) iteration space.
+func (e *engine) walkLoop(l *codegen.Loop) error {
+	pruned := e.opt.DryRun && !e.hasIO[l]
+	if pruned && !e.computes {
+		return nil
+	}
+	e.loopStack = append(e.loopStack, l.Index)
+	if pruned {
+		e.base[l.Index] = 0
+		e.dryLoops = append(e.dryLoops, l)
+		if err := e.walk(l.Body); err != nil {
+			return err
+		}
+		e.dryLoops = e.dryLoops[:len(e.dryLoops)-1]
+	} else {
+		for b := int64(0); b < l.Range; b += l.Tile {
+			if err := e.ctxErr(); err != nil {
+				return err
 			}
-			if err := e.compute(n); err != nil {
+			e.base[l.Index] = b
+			if err := e.walk(l.Body); err != nil {
 				return err
 			}
 		}
 	}
+	e.loopStack = e.loopStack[:len(e.loopStack)-1]
+	delete(e.base, l.Index)
 	return nil
+}
+
+// dryMul scales a compute block's modelled duration for the pruned loops
+// around it: an intra dim's extents sum to its full range across the
+// trips; a non-intra dim repeats the same points every trip.
+func (e *engine) dryMul(c *codegen.Compute) float64 {
+	mul := 1.0
+	for _, l := range e.dryLoops {
+		if slices.Contains(c.Intra, l.Index) {
+			mul *= float64(l.Range) / float64(min(l.Tile, l.Range))
+		} else {
+			mul *= float64((l.Range + l.Tile - 1) / l.Tile)
+		}
+	}
+	return mul
 }
 
 // ioErr attributes a disk error to the array and plan position.
@@ -758,8 +780,9 @@ func ioErr(read bool, array, pos string, err error) error {
 // section computes the disk section a buffer maps to at the current tile
 // bases: tile dims clip at the array boundary, full dims span the range.
 func (e *engine) section(buf *codegen.Buffer) (lo, shape []int64) {
-	lo = make([]int64, len(buf.Dims))
-	shape = make([]int64, len(buf.Dims))
+	r := len(buf.Dims)
+	lo = make([]int64, 2*r)
+	lo, shape = lo[:r:r], lo[r:]
 	for i, d := range buf.Dims {
 		n := e.plan.Prog.Ranges[d.Index]
 		switch d.Class {
@@ -779,78 +802,6 @@ func (e *engine) section(buf *codegen.Buffer) (lo, shape []int64) {
 	return lo, shape
 }
 
-// instantiate (re)binds a buffer tensor to the current tile bases.
-func (e *engine) instantiate(buf *codegen.Buffer) *bufInst {
-	lo, shape := e.section(buf)
-	dims := make([]int, len(shape))
-	n := 1
-	for i, s := range shape {
-		dims[i] = int(s)
-		n *= int(s)
-	}
-	inst := e.bufs[buf]
-	if inst == nil {
-		inst = &bufInst{}
-		e.bufs[buf] = inst
-	}
-	if inst.t == nil || inst.t.Size() != n {
-		e.curBytes += int64(n-sizeOf(inst.t)) * 8
-		if e.curBytes > e.peakBytes {
-			e.peakBytes = e.curBytes
-		}
-		e.noteBufBytes()
-		inst.t = tensor.New(dimsOrScalar(dims)...)
-	} else {
-		inst.t = inst.t.Reshape(dimsOrScalar(dims)...)
-	}
-	inst.base = lo
-	return inst
-}
-
-func sizeOf(t *tensor.Tensor) int {
-	if t == nil {
-		return 0
-	}
-	return t.Size()
-}
-
-func dimsOrScalar(dims []int) []int {
-	if len(dims) == 0 {
-		return nil
-	}
-	return dims
-}
-
-func (e *engine) doIO(n *codegen.IO) error {
-	arr := e.arrs[n.Array]
-	lo, shape := e.section(n.Buffer)
-	if e.opt.DryRun {
-		e.spanIO(n.Read, n.Array, shape)
-		return e.retryOp(n.Array, e.ioDur(n.Read, shape), func() error {
-			if n.Read {
-				return arr.ReadSection(lo, shape, nil)
-			}
-			return arr.WriteSection(lo, shape, nil)
-		})
-	}
-	if n.Read {
-		inst := e.instantiate(n.Buffer)
-		e.spanIO(true, n.Array, shape)
-		return e.retryOp(n.Array, e.ioDur(true, shape), func() error {
-			return arr.ReadSection(lo, shape, inst.t.Data())
-		})
-	}
-	inst := e.bufs[n.Buffer]
-	if inst == nil {
-		return fmt.Errorf("write of uninstantiated buffer %q", n.Buffer.Name)
-	}
-	wshape := dimsToInt64(inst.t.Dims())
-	e.spanIO(false, n.Array, wshape)
-	return e.retryOp(n.Array, e.ioDur(false, wshape), func() error {
-		return arr.WriteSection(inst.base, wshape, inst.t.Data())
-	})
-}
-
 // ioDur is the modelled duration of one section operation of the given
 // shape — the same figure the backend charges to Stats.
 func (e *engine) ioDur(read bool, shape []int64) float64 {
@@ -861,60 +812,30 @@ func (e *engine) ioDur(read bool, shape []int64) float64 {
 	return e.plan.Cfg.Disk.WriteTime(bytes, 1)
 }
 
-// spanIO emits a serial-clock disk span matching the backend's charge for
-// one section operation (the shape is the one actually passed to the
-// backend, so span durations sum to the backend's modelled time). Under
-// retries, the span covers the first attempt; retried attempts advance
-// the clock without spans of their own (retryOp), appearing as gaps.
-func (e *engine) spanIO(read bool, array string, shape []int64) {
-	if e.opt.Tracer == nil {
-		return
-	}
-	bytes := size(shape) * 8
-	name := "W " + array
-	if read {
-		name = "R " + array
-	}
-	e.spanSerial(obs.TrackDisk, name, e.ioDur(read, shape), map[string]any{"bytes": bytes})
-}
-
-// spanSerial records one span on the serial engine's single clock.
-func (e *engine) spanSerial(track, name string, dur float64, args map[string]any) {
-	e.opt.Tracer.Span(obs.Span{Track: track, Name: name, Start: e.sClock, Dur: dur, Args: args})
-	e.sClock += dur
-}
-
-// computeSeconds models a compute block's duration at the given bases
+// computeSeconds models a compute block's duration at the current bases
 // under the machine's flop rate (0 without one). mul folds in the trip
-// counts of pruned dry-run loops (pass 1 when not applicable).
-func (e *engine) computeSeconds(c *codegen.Compute, base map[string]int64, mul float64) float64 {
+// counts of pruned dry-run loops (dryMul).
+func (e *engine) computeSeconds(c *codegen.Compute, mul float64) float64 {
 	rate := e.plan.Cfg.FlopRate
 	if rate <= 0 {
 		return 0
 	}
-	flops := float64(e.computePoints(c, base)) * float64(2*len(c.Factors))
-	if mul > 0 {
-		flops *= mul
-	}
-	return flops / rate
+	return float64(e.computePoints(c, e.base)) * float64(2*len(c.Factors)) * mul / rate
 }
 
-// initCost returns the modelled bytes and operation count of an init pass
-// (the tile-by-tile zero-fill initPass performs).
-func (e *engine) initCost(name string) (bytes, writes int64) {
-	for _, da := range e.plan.DiskArrays {
-		if da.Name != name {
-			continue
+// initTiles returns the named disk array and the tile extent per array
+// dim of its init pass (nil for an array the plan does not declare).
+func (e *engine) initTiles(name string) (*codegen.DiskArray, []int64) {
+	for a := range e.plan.DiskArrays {
+		if da := &e.plan.DiskArrays[a]; da.Name == name {
+			tiles := make([]int64, len(da.Dims))
+			for i, idx := range da.Indices {
+				tiles[i] = e.plan.Tiles[idx]
+			}
+			return da, tiles
 		}
-		bytes = size(da.Dims) * 8
-		writes = 1
-		for i, idx := range da.Indices {
-			t := e.plan.Tiles[idx]
-			writes *= (da.Dims[i] + t - 1) / t
-		}
-		return bytes, writes
 	}
-	return 0, 0
+	return nil, nil
 }
 
 func dimsToInt64(dims []int) []int64 {
@@ -926,21 +847,9 @@ func dimsToInt64(dims []int) []int64 {
 }
 
 // initPass zero-fills a disk array tile by tile, charging the writes.
-func (e *engine) initPass(name string) error {
-	var da *codegen.DiskArray
-	for i := range e.plan.DiskArrays {
-		if e.plan.DiskArrays[i].Name == name {
-			da = &e.plan.DiskArrays[i]
-		}
-	}
-	if da == nil {
-		return fmt.Errorf("exec: init pass for unknown disk array %q", name)
-	}
+func (e *engine) initPass(da *codegen.DiskArray, tiles []int64) error {
+	name := da.Name
 	arr := e.arrs[name]
-	tiles := make([]int64, len(da.Dims))
-	for i, idx := range da.Indices {
-		tiles[i] = e.plan.Tiles[idx]
-	}
 	lo := make([]int64, len(da.Dims))
 	shape := make([]int64, len(da.Dims))
 	var zero []float64
@@ -975,181 +884,4 @@ func (e *engine) initPass(name string) error {
 		return nil
 	}
 	return walk(0)
-}
-
-// compute runs a statement's intra-tile block: for every point of the
-// intra-tile index space, out += Π factors.
-func (e *engine) compute(c *codegen.Compute) error {
-	outInst := e.bufs[c.Out]
-	if outInst == nil {
-		return fmt.Errorf("exec: compute into uninstantiated buffer %q at %s", c.Out.Name, e.pos())
-	}
-	facInsts := make([]*bufInst, len(c.Factors))
-	for i, f := range c.Factors {
-		inst := e.bufs[f]
-		if inst == nil {
-			return fmt.Errorf("exec: compute reads uninstantiated buffer %q at %s", f.Name, e.pos())
-		}
-		facInsts[i] = inst
-	}
-	e.computeWith(c, e.base, outInst, facInsts)
-	return nil
-}
-
-// computeWith executes the intra-tile block against explicit buffer
-// instances at the given tile bases — the shared kernel of the serial and
-// pipelined engines (the latter passes snapshots taken at scheduling time).
-func (e *engine) computeWith(c *codegen.Compute, base map[string]int64, outInst *bufInst, facInsts []*bufInst) {
-	// Intra-tile extents at the tile bases.
-	extents := make([]int64, len(c.Intra))
-	bases := make([]int64, len(c.Intra))
-	intraPos := map[string]int{}
-	for i, x := range c.Intra {
-		n := e.plan.Prog.Ranges[x]
-		b := base[x]
-		bases[i] = b
-		extents[i] = min(e.plan.Tiles[x], n-b)
-		intraPos[x] = i
-	}
-
-	// Parallel split: an intra dimension that indexes the output buffer,
-	// so workers touch disjoint output elements.
-	workers := e.opt.Workers
-	splitDim := -1
-	if workers > 1 {
-		for _, d := range c.Out.Dims {
-			if j, ok := intraPos[d.Index]; ok && extents[j] >= 2 {
-				if splitDim < 0 || extents[j] > extents[splitDim] {
-					splitDim = j
-				}
-			}
-		}
-	}
-	if splitDim < 0 || workers <= 1 {
-		e.computeRange(c, base, outInst, facInsts, intraPos, bases, extents, 0, 0, extents0(extents))
-		return
-	}
-	if int64(workers) > extents[splitDim] {
-		workers = int(extents[splitDim])
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := extents[splitDim] * int64(w) / int64(workers)
-		hi := extents[splitDim] * int64(w+1) / int64(workers)
-		if hi == lo {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			e.computeRange(c, base, outInst, facInsts, intraPos, bases, extents, splitDim, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// computePoints returns the number of intra-tile index points of a compute
-// block at the given tile bases (used by the pipelined timeline model).
-func (e *engine) computePoints(c *codegen.Compute, base map[string]int64) int64 {
-	pts := int64(1)
-	for _, x := range c.Intra {
-		n := e.plan.Prog.Ranges[x]
-		pts *= min(e.plan.Tiles[x], n-base[x])
-	}
-	return pts
-}
-
-// extents0 returns the full range of dimension 0 (or 1 for scalar
-// spaces), the default split bounds of a serial run.
-func extents0(extents []int64) int64 {
-	if len(extents) == 0 {
-		return 1
-	}
-	return extents[0]
-}
-
-// computeRange executes the intra-tile block with dimension splitDim
-// restricted to [lo, hi).
-func (e *engine) computeRange(c *codegen.Compute, base map[string]int64, outInst *bufInst, facInsts []*bufInst,
-	intraPos map[string]int, bases, extents []int64, splitDim int, lo, hi int64) {
-
-	idx := make([]int64, len(c.Intra))
-	if len(idx) > 0 {
-		idx[splitDim] = lo
-	}
-
-	// Precompile each reference's addressing against the intra index
-	// vector so the hot loop is free of map lookups.
-	refs := make([]compiledRef, 0, len(c.Factors)+1)
-	compileRef := func(buf *codegen.Buffer, inst *bufInst) compiledRef {
-		cr := compiledRef{data: inst.t.Data()}
-		for i, d := range buf.Dims {
-			dim := inst.t.Dim(i)
-			j, isIntra := intraPos[d.Index]
-			var src *int64
-			var con int64
-			if isIntra {
-				src = &idx[j]
-				con = bases[j] - inst.base[i]
-			} else {
-				con = base[d.Index] - inst.base[i]
-			}
-			cr.dims = append(cr.dims, refDim{size: dim, src: src, con: con})
-		}
-		return cr
-	}
-	out := compileRef(c.Out, outInst)
-	for i, f := range c.Factors {
-		refs = append(refs, compileRef(f, facInsts[i]))
-	}
-
-	for {
-		prod := 1.0
-		for i := range refs {
-			prod *= refs[i].data[refs[i].offset()]
-		}
-		out.data[out.offset()] += prod
-
-		d := len(idx) - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			limit := extents[d]
-			reset := int64(0)
-			if d == splitDim {
-				limit, reset = hi, lo
-			}
-			if idx[d] < limit {
-				break
-			}
-			idx[d] = reset
-		}
-		if d < 0 {
-			break
-		}
-	}
-}
-
-// compiledRef is a buffer reference with addressing resolved to pointers
-// into the intra index vector plus constant offsets.
-type compiledRef struct {
-	data []float64
-	dims []refDim
-}
-
-type refDim struct {
-	size int
-	src  *int64 // intra index source, nil for loop-invariant dims
-	con  int64  // constant offset (global base minus buffer base)
-}
-
-func (r *compiledRef) offset() int {
-	off := int64(0)
-	for i := range r.dims {
-		v := r.dims[i].con
-		if r.dims[i].src != nil {
-			v += *r.dims[i].src
-		}
-		off = off*int64(r.dims[i].size) + v
-	}
-	return int(off)
 }

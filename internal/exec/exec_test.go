@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codegen"
@@ -244,6 +247,76 @@ func TestDryRunAtPaperScale(t *testing.T) {
 	// A's data alone is 12.8 GB; total reads must exceed it.
 	if res.Stats.BytesRead < 40000*40000*8 {
 		t.Fatalf("reads %d below the size of A", res.Stats.BytesRead)
+	}
+}
+
+// heapProbe samples the live heap (after a forced collection) from inside
+// the backend every `every` reads, so a test sees memory mid-run rather
+// than after the engine has let go of it.
+type heapProbe struct {
+	disk.Backend
+	every int64
+	reads atomic.Int64
+	mu    sync.Mutex
+	peak  uint64
+}
+
+func (h *heapProbe) Create(name string, dims []int64) (disk.Array, error) {
+	a, err := h.Backend.Create(name, dims)
+	return &heapProbeArray{Array: a, h: h}, err
+}
+
+type heapProbeArray struct {
+	disk.Array
+	h *heapProbe
+}
+
+func (a *heapProbeArray) ReadSection(lo, shape []int64, buf []float64) error {
+	if a.h.reads.Add(1)%a.h.every == 0 {
+		a.h.mu.Lock()
+		a.h.peak = max(a.h.peak, liveHeap())
+		a.h.mu.Unlock()
+	}
+	return a.Array.ReadSection(lo, shape, buf)
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDryRunLongUnitBoundedMemory runs a dry run whose top-level loop has
+// a single iteration of more than 10^5 steps: the engine streams steps
+// from the walker to the scheduler, so memory held mid-unit stays under a
+// fixed ceiling at depth 0 and at depth 4 instead of growing with the
+// unit's length.
+func TestDryRunLongUnitBoundedMemory(t *testing.T) {
+	n := int64(128)
+	prog := loops.TwoIndexFused(n, n)
+	cfg := machine.Small(1 << 20)
+	p := buildProblem(t, prog, cfg)
+	plan, err := codegen.Generate(p, p.Encode(map[string]int64{"i": n, "j": 1, "m": 1, "n": 1}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 4 << 20
+	for _, opt := range []Options{{DryRun: true}, {DryRun: true, Pipeline: true, PipelineDepth: 4}} {
+		probe := &heapProbe{Backend: disk.NewSim(cfg.Disk, false), every: 20000}
+		before := liveHeap()
+		res, err := Run(plan, probe, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ReadOps < 50000 || res.Pipeline != nil && res.Pipeline.Barriers != 2 {
+			t.Fatalf("depth %d: want one long unit behind the init pass, got %v, %+v", opt.PipelineDepth, res.Stats, res.Pipeline)
+		}
+		if probe.peak > before+ceiling {
+			t.Errorf("depth %d: live heap grew by %d bytes mid-unit over %d section reads, ceiling %d",
+				opt.PipelineDepth, probe.peak-before, res.Stats.ReadOps, ceiling)
+		}
+		probe.Close()
 	}
 }
 

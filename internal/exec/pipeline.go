@@ -1,18 +1,28 @@
 package exec
 
-// This file is the asynchronous double-buffered execution engine. The
-// serial interpreter (exec.go) performs every disk operation inline; here
-// each top-level work unit is first flattened into a program-order step
-// list, then re-executed with reads prefetched and writes retired in the
-// background while compute blocks run on the caller's goroutine. Three
-// mechanisms keep results bit-identical to serial execution:
+// This file is the engine's scheduler. The walker (exec.go) hands it one
+// step at a time, in program order with loop bases resolved; for each step
+// the scheduler binds buffer slots, works out which earlier steps it must
+// wait for, places it on the modelled timeline, emits its span and runs
+// it. How far execution may trail scheduling is the schedule's depth.
+//
+// Depth 0 is serial execution: every step runs to completion on the
+// calling goroutine before the next one is scheduled. No goroutine is
+// started and nothing is ever waited for, so dependency lists are empty by
+// construction; both tracks share one clock, so the trace is the one-clock
+// serial trace; and the walk stops at the first failed operation.
+//
+// Depth d > 0 is the asynchronous double-buffered schedule: up to d disk
+// operations are in flight on their own goroutines while zero-fills,
+// compute blocks and init passes run in program order on the unit's
+// inline executor. Three mechanisms keep results bit-identical to depth 0:
 //
 //   - double-buffered slots: every plan buffer owns up to two instances,
 //     so the next tile's read fills the shadow slot while compute and
 //     write-behind still use the current one. The shadow slot is only
 //     allocated while total buffer memory stays within the machine's
-//     limit; under memory pressure the engine falls back to reusing the
-//     slot in place, which serializes exactly like the serial engine.
+//     limit; under memory pressure the fill reuses the slot in place,
+//     which serializes exactly like depth 0.
 //   - hazard tracking: an operation waits for every earlier operation it
 //     conflicts with — through a buffer slot (fill/use) or through
 //     overlapping disk sections of the same array (RAW/WAR/WAW).
@@ -20,16 +30,16 @@ package exec
 //     work-unit boundary, so StopAfter/Resume checkpoints and backend
 //     Close see quiescent disks.
 //
-// Alongside real execution the scheduler maintains a deterministic
-// two-clock timeline (one I/O channel, one compute engine) under the
-// machine's cost model: an operation starts at max(its channel's clock,
-// its dependencies' finish times). The resulting OverlappedSeconds is the
-// modelled critical path of the pipelined code, against SerialSeconds,
-// the plain sum every operation would cost back to back — the Table 3
-// style serial-vs-overlapped comparison.
+// The timeline is deterministic under the machine's cost model (one I/O
+// channel, one compute engine): an operation starts at max(its channel's
+// clock, its dependencies' finish times). OverlappedSeconds is the
+// resulting critical path, SerialSeconds the plain sum every operation
+// would cost back to back — the Table 3 style serial-vs-overlapped
+// comparison.
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/codegen"
@@ -43,11 +53,18 @@ import (
 // write-behinds without flooding the backend.
 const defaultPipelineDepth = 4
 
-// PipelineStats reports the pipelined engine's modelled timeline and
+// inlineAhead bounds how many inline steps (zero, compute, init) the
+// walker may schedule ahead of their execution. It only has to be large
+// enough for the walker to reach the next tile's reads while the current
+// tile's compute blocks are still queued; being a constant, it keeps the
+// memory a unit holds independent of the unit's length.
+const inlineAhead = 256
+
+// PipelineStats reports the pipelined schedule's modelled timeline and
 // overlap counters.
 type PipelineStats struct {
 	// SerialSeconds is the modelled time with every disk operation and
-	// compute block executed back to back (the serial engine's critical
+	// compute block executed back to back (the serial schedule's critical
 	// path under the same cost model).
 	SerialSeconds float64
 	// OverlappedSeconds is the modelled critical path with prefetch and
@@ -80,125 +97,22 @@ func (s PipelineStats) String() string {
 		s.SerialSeconds, s.OverlappedSeconds, s.Speedup(), s.IOSeconds, s.ComputeSeconds, s.PrefetchedReads, s.WriteBehindWrites)
 }
 
-// stepKind discriminates pstep.
-type stepKind uint8
-
-const (
-	stepRead stepKind = iota
-	stepWrite
-	stepZero
-	stepInit
-	stepCompute
-)
-
-// pstep is one operation of a work unit, flattened into program order with
-// loop bases resolved.
-type pstep struct {
-	kind stepKind
-	// buf, array, lo, shape describe I/O and zero steps (section resolved
-	// at generation time).
-	buf       *codegen.Buffer
-	array     string
-	lo, shape []int64
-	// comp and base describe compute steps (base is a snapshot of the loop
-	// bases, owned by the step).
-	comp *codegen.Compute
-	base map[string]int64
-	// mul scales the modelled compute duration in dry-run mode: an
-	// I/O-free enclosing loop is descended once with the remaining trip
-	// count folded in here (0 means 1).
-	mul float64
-	// pos is the loop position for error attribution.
-	pos string
-}
-
-// genSteps flattens a unit's node list into program-order steps, applying
-// the same dry-run pruning as the serial interpreter. Compute steps are
-// generated even in dry-run mode: their execution is skipped but their
-// modelled duration feeds the timeline.
-func (e *engine) genSteps(ns []codegen.Node, steps []pstep) []pstep {
-	for _, n := range ns {
-		switch n := n.(type) {
-		case *codegen.Loop:
-			if e.opt.DryRun && !e.hasIO[n] {
-				// No disk traffic inside (the subtree holds only compute:
-				// InitPass counts as I/O): descend a single iteration and
-				// fold the remaining trips into the compute multiplier, so
-				// the modelled compute time covers the whole subtree without
-				// enumerating its (cost-model-unconstrained) iteration space.
-				e.loopStack = append(e.loopStack, n.Index)
-				e.base[n.Index] = 0
-				e.dryLoops = append(e.dryLoops, n)
-				steps = e.genSteps(n.Body, steps)
-				e.dryLoops = e.dryLoops[:len(e.dryLoops)-1]
-				e.loopStack = e.loopStack[:len(e.loopStack)-1]
-				delete(e.base, n.Index)
-				continue
-			}
-			e.loopStack = append(e.loopStack, n.Index)
-			for b := int64(0); b < n.Range; b += n.Tile {
-				e.base[n.Index] = b
-				steps = e.genSteps(n.Body, steps)
-			}
-			e.loopStack = e.loopStack[:len(e.loopStack)-1]
-			delete(e.base, n.Index)
-		case *codegen.IO:
-			k := stepWrite
-			if n.Read {
-				k = stepRead
-			}
-			lo, shape := e.section(n.Buffer)
-			steps = append(steps, pstep{kind: k, buf: n.Buffer, array: n.Array, lo: lo, shape: shape, pos: e.pos()})
-		case *codegen.ZeroBuf:
-			if e.opt.DryRun {
-				continue
-			}
-			lo, shape := e.section(n.Buffer)
-			steps = append(steps, pstep{kind: stepZero, buf: n.Buffer, lo: lo, shape: shape, pos: e.pos()})
-		case *codegen.InitPass:
-			steps = append(steps, pstep{kind: stepInit, array: n.Array, pos: e.pos()})
-		case *codegen.Compute:
-			base := make(map[string]int64, len(e.base))
-			for k, v := range e.base {
-				base[k] = v
-			}
-			// Scale the modelled duration for enclosing pruned loops: an
-			// intra dim's extents sum to its full range across the trips; a
-			// non-intra dim repeats the same points every trip.
-			mul := 1.0
-			for _, l := range e.dryLoops {
-				if containsIndex(n.Intra, l.Index) {
-					mul *= float64(l.Range) / float64(min(l.Tile, l.Range))
-				} else {
-					mul *= float64((l.Range + l.Tile - 1) / l.Tile)
-				}
-			}
-			steps = append(steps, pstep{kind: stepCompute, comp: n, base: base, mul: mul, pos: e.pos()})
-		}
-	}
-	return steps
-}
-
-// containsIndex reports whether the index list names x.
-func containsIndex(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// pop is one scheduled pipeline operation.
+// pop is a scheduled operation that may still be in flight while later
+// steps are scheduled. Depth 0 never creates one: a nil *pop stands for an
+// operation that has already finished, in real and in modelled time.
 type pop struct {
-	// deps are the earlier operations this one must wait for.
+	// seq is the operation's program-order number within the run.
+	seq int64
+	// deps are the earlier operations this one must wait for; the
+	// executing goroutine drops them once they have finished.
 	deps []*pop
 	done chan struct{}
 	err  error
 	// inline is non-nil for steps executed in program order on the unit's
-	// goroutine (zero, compute, init pass); disk I/O runs asynchronously.
+	// inline executor (zero, compute, init pass); disk I/O runs on its own
+	// goroutine.
 	inline func() error
-	// end is the modelled completion time on the pipeline timeline.
+	// end is the modelled completion time on the timeline.
 	end float64
 	// lo/shape is the disk section for hazard tracking (nil lo on an init
 	// pass: the whole array); write marks disk-mutating operations.
@@ -206,272 +120,379 @@ type pop struct {
 	write     bool
 }
 
-// pslot is one instance of a double-buffered plan buffer.
-type pslot struct {
+// await blocks until the operation's dependencies have finished and
+// returns the first of their errors: a failed dependency fails its
+// dependents without running them.
+func (op *pop) await() error {
+	var err error
+	for _, d := range op.deps {
+		<-d.done
+		if d.err != nil && err == nil {
+			err = d.err
+		}
+	}
+	// Finished dependencies are of no further use; holding them would keep
+	// every earlier operation of the unit reachable.
+	op.deps = nil
+	return err
+}
+
+// binding is a buffer instance: its tensor (nil in dry-run mode) and the
+// tile base per buffer dim it was bound at.
+type binding struct {
 	t    *tensor.Tensor
 	base []int64
+}
+
+// pslot is one instance of a double-buffered plan buffer.
+type pslot struct {
+	binding
 	// filler is the last operation producing the slot's contents; users
 	// are the operations consuming them since then.
 	filler *pop
 	users  []*pop
 }
 
-// pipeBuf is the double-buffer state of one plan buffer.
+// deps returns every operation still tied to the slot's current contents.
+func (sl *pslot) deps() []*pop {
+	var deps []*pop
+	if sl.filler != nil {
+		deps = append(deps, sl.filler)
+	}
+	return append(deps, sl.users...)
+}
+
+// pipeBuf is the double-buffer state of one plan buffer; a slot exists
+// from its first fill on.
 type pipeBuf struct {
 	slots [2]*pslot
 	cur   int
 }
 
-// pipeline is the asynchronous engine's state. All fields are owned by the
-// scheduling goroutine during a unit; the executing goroutine touches only
-// operation payloads, and the engine reads aggregate state between units
-// (the barrier join orders those accesses).
-type pipeline struct {
-	e      *engine
-	sem    chan struct{}
-	budget int64
-	aarrs  map[string]disk.AsyncArray
-	bufs   map[*codegen.Buffer]*pipeBuf
+// scheduler is the run's schedule state. All fields are owned by the
+// walking goroutine; executing goroutines touch only operation payloads,
+// the retry account and the error record (each behind its mutex), and the
+// barrier join orders everything else.
+type scheduler struct {
+	e *engine
+	// depth bounds in-flight disk operations; 0 is the serial schedule.
+	depth int
+	sem   chan struct{}
+	bufs  map[*codegen.Buffer]*pipeBuf
 	// pending tracks outstanding disk operations per array for section
 	// hazard detection; completed entries are pruned on the fly.
 	pending map[string][]*pop
+	// void absorbs the fills of a serial dry run (see fillSlot).
+	void pslot
+	// curBytes/peakBytes track instantiated buffer memory; mBufBytes
+	// mirrors curBytes into the metrics registry (nil without
+	// Options.Metrics), its high-water mark being the peak watermark.
+	curBytes, peakBytes int64
+	mBufBytes           *obs.Gauge
 
-	ioClock, compClock float64
-	stats              PipelineStats
+	// clock[0] is the I/O channel's modelled clock, clock[comp] the compute
+	// engine's. At depth 0 comp is 0: one clock, advanced by every span.
+	clock [2]float64
+	comp  int
+	stats PipelineStats
 
-	// retryMu/retryExtra accumulate the modelled seconds of retried
-	// disk attempts and their backoff delays (charged by the issue
-	// goroutines' retryOp); the unit barrier folds them into the I/O
-	// clock, keeping the overlapped timeline consistent with the
-	// backend's per-attempt Stats charges.
+	// retryMu/retryExtra accumulate the modelled seconds of retried disk
+	// attempts and their backoff delays charged from issue goroutines; the
+	// unit barrier folds them into the I/O clock, keeping the overlapped
+	// timeline consistent with the backend's per-attempt Stats charges.
 	retryMu    sync.Mutex
 	retryExtra float64
 
-	// Cached metrics instruments (nil without Options.Metrics).
+	// The unit's in-flight machinery, started by the first operation a
+	// unit hands off and torn down by its barrier: inlineQ feeds the inline
+	// executor, inflight counts issued disk operations.
+	inlineQ    chan *pop
+	inlineDone chan struct{}
+	inflight   sync.WaitGroup
+	seq        int64
+	// errMu guards the unit's earliest failure in program order.
+	errMu  sync.Mutex
+	err    error
+	errSeq int64
+
+	// Cached metrics instruments (nil without Options.Metrics, and at
+	// depth 0, which has no pipeline to report on).
 	mShadow, mInplace, mWriteBehind, mBarriers, mHazards *obs.Counter
 	mDepth                                               *obs.Gauge
 	mStall                                               *obs.Histogram
 }
 
-func newPipeline(e *engine, depth int) *pipeline {
-	if depth <= 0 {
-		depth = defaultPipelineDepth
-	}
-	p := &pipeline{
+func newScheduler(e *engine, depth int) *scheduler {
+	s := &scheduler{
 		e:     e,
-		sem:   make(chan struct{}, depth),
-		aarrs: map[string]disk.AsyncArray{},
+		depth: depth,
 		bufs:  map[*codegen.Buffer]*pipeBuf{},
 	}
-	if reg := e.opt.Metrics; reg != nil {
-		p.mShadow = reg.Counter("exec.pipeline.prefetch.shadow")
-		p.mInplace = reg.Counter("exec.pipeline.prefetch.inplace")
-		p.mWriteBehind = reg.Counter("exec.pipeline.writebehind")
-		p.mBarriers = reg.Counter("exec.pipeline.barriers")
-		p.mHazards = reg.Counter("exec.pipeline.hazards")
-		p.mDepth = reg.Gauge("exec.pipeline.inflight.depth")
-		p.mStall = reg.Histogram("exec.pipeline.barrier.stall_seconds")
+	reg := e.opt.Metrics
+	if reg != nil {
+		s.mBufBytes = reg.Gauge("exec.buffer.bytes")
 	}
-	return p
-}
-
-// noteHazard marks a section-hazard wait (an operation blocked on n
-// earlier conflicting disk operations) at its start time ts.
-func (p *pipeline) noteHazard(array string, ts float64, n int) {
-	if n == 0 {
-		return
+	if depth == 0 {
+		return s
 	}
-	if p.mHazards != nil {
-		p.mHazards.Inc()
+	s.comp = 1
+	s.sem = make(chan struct{}, depth)
+	s.pending = map[string][]*pop{}
+	if reg != nil {
+		s.mShadow = reg.Counter("exec.pipeline.prefetch.shadow")
+		s.mInplace = reg.Counter("exec.pipeline.prefetch.inplace")
+		s.mWriteBehind = reg.Counter("exec.pipeline.writebehind")
+		s.mBarriers = reg.Counter("exec.pipeline.barriers")
+		s.mHazards = reg.Counter("exec.pipeline.hazards")
+		s.mDepth = reg.Gauge("exec.pipeline.inflight.depth")
+		s.mStall = reg.Histogram("exec.pipeline.barrier.stall_seconds")
 	}
-	if tr := p.e.opt.Tracer; tr != nil {
-		tr.Instant(obs.Instant{Track: obs.TrackDisk, Name: "hazard " + array, TS: ts,
-			Args: map[string]any{"waits_on": n}})
-	}
+	return s
 }
 
 // snapshot finalizes the stats (the overlapped critical path is the later
 // of the two clocks).
-func (p *pipeline) snapshot() *PipelineStats {
+func (s *scheduler) snapshot() *PipelineStats {
 	// Retries charged after the last unit barrier (output fetch, staging
 	// of a unit-less plan) have no barrier left to fold them; reconcile
 	// the residue here so the timeline never undercounts retry time.
-	p.retryMu.Lock()
-	extra := p.retryExtra
-	p.retryExtra = 0
-	p.retryMu.Unlock()
-	p.ioClock += extra
-	p.stats.IOSeconds += extra
-	p.stats.SerialSeconds += extra
-	st := p.stats
-	st.OverlappedSeconds = p.ioClock
-	if p.compClock > st.OverlappedSeconds {
-		st.OverlappedSeconds = p.compClock
-	}
+	s.foldRetries()
+	st := s.stats
+	st.OverlappedSeconds = max(s.clock[0], s.clock[s.comp])
 	return &st
 }
 
-// runUnit executes one top-level work unit through the pipeline and drains
-// it (the unit barrier). The scheduling goroutine walks the step list,
-// resolving hazards and issuing disk operations bounded by the in-flight
-// semaphore; the calling goroutine executes the inline steps (zero,
-// compute, init) in program order.
-func (p *pipeline) runUnit(ns []codegen.Node) error {
-	steps := p.e.genSteps(ns, nil)
-	if len(steps) == 0 {
-		return nil
+// chargeRetry adds the modelled seconds of one retried attempt (backoff
+// delay + repeat I/O) to the I/O clock: at once at depth 0, where the
+// caller is the walking goroutine and the next span must start after the
+// gap; otherwise into the account the next barrier folds, because issue
+// goroutines must not touch the clocks.
+func (s *scheduler) chargeRetry(seconds float64) {
+	if s.depth == 0 {
+		s.addIO(seconds)
+		return
 	}
-	if p.budget == 0 {
-		p.budget = p.e.plan.Cfg.MemoryLimit
-		if mb := p.e.plan.MemoryBytes(); mb > p.budget {
-			// Never refuse a plan the serial engine would run: an
-			// over-budget plan gets no shadow slots but still executes.
-			p.budget = mb
-		}
+	s.retryMu.Lock()
+	s.retryExtra += seconds
+	s.retryMu.Unlock()
+}
+
+// foldRetries moves the retry account into the I/O clock.
+func (s *scheduler) foldRetries() {
+	s.retryMu.Lock()
+	extra := s.retryExtra
+	s.retryExtra = 0
+	s.retryMu.Unlock()
+	if extra > 0 {
+		s.addIO(extra)
 	}
-	p.pending = map[string][]*pop{}
-	// Full capacity: the scheduler never blocks sending inline steps, only
-	// on the in-flight I/O semaphore.
-	inlineQ := make(chan *pop, len(steps))
-	var ops []*pop
-	var genErr error
-	schedDone := make(chan struct{})
-	go func() {
-		defer close(schedDone)
-		defer close(inlineQ)
-		for i := range steps {
-			if err := p.e.ctxErr(); err != nil {
-				genErr = err
-				return
-			}
-			op, err := p.schedule(&steps[i])
-			if err != nil {
-				genErr = err
-				return
-			}
-			ops = append(ops, op)
-			if op.inline != nil {
-				inlineQ <- op
-			}
-		}
-	}()
-	for op := range inlineQ {
-		var err error
-		for _, d := range op.deps {
-			<-d.done
-			if d.err != nil && err == nil {
-				err = d.err
-			}
-		}
+}
+
+// addIO advances the I/O clock by time no span covers (retried attempts
+// appear as gaps on the disk track).
+func (s *scheduler) addIO(seconds float64) {
+	s.clock[0] += seconds
+	s.stats.IOSeconds += seconds
+	s.stats.SerialSeconds += seconds
+}
+
+// place puts a step of modelled duration dur on a track's clock, after its
+// dependencies, and with a tracer attached emits it as a span named
+// verb+what. It returns the step's modelled end.
+func (s *scheduler) place(track string, deps []*pop, dur float64, verb, what string, args map[string]any) float64 {
+	clk, total := &s.clock[0], &s.stats.IOSeconds
+	if track == obs.TrackCompute {
+		clk, total = &s.clock[s.comp], &s.stats.ComputeSeconds
+	}
+	start := *clk
+	for _, d := range deps {
+		start = max(start, d.end)
+	}
+	*clk = start + dur
+	*total += dur
+	s.stats.SerialSeconds += dur
+	if tr := s.e.opt.Tracer; tr != nil {
+		tr.Span(obs.Span{Track: track, Name: verb + what, Start: start, Dur: dur, Args: args})
+	}
+	return start + dur
+}
+
+// newOp records a step that is handed off rather than run on the spot,
+// starting the unit's inline executor if this is the unit's first.
+func (s *scheduler) newOp(deps []*pop, end float64) *pop {
+	if s.inlineQ == nil {
+		s.inlineQ = make(chan *pop, inlineAhead)
+		s.inlineDone = make(chan struct{})
+		go s.runInline(s.inlineQ, s.inlineDone)
+	}
+	s.seq++
+	return &pop{seq: s.seq, deps: deps, end: end, done: make(chan struct{})}
+}
+
+// runInline is the unit's inline executor: it runs zero-fills, compute
+// blocks and init passes in program order, each after its dependencies.
+func (s *scheduler) runInline(q <-chan *pop, done chan<- struct{}) {
+	defer close(done)
+	for op := range q {
+		err := op.await()
 		if err == nil {
 			err = op.inline()
 		}
-		op.err = err
-		close(op.done)
+		op.inline = nil
+		s.complete(op, err)
 	}
-	<-schedDone
-	for _, op := range ops {
-		<-op.done
-	}
-	// Fold retried attempts into the I/O clock before the barrier: the
-	// schedule charged each operation once, retries charged the backend
-	// again, and the difference lives in retryExtra.
-	p.retryMu.Lock()
-	extra := p.retryExtra
-	p.retryExtra = 0
-	p.retryMu.Unlock()
-	if extra > 0 {
-		p.ioClock += extra
-		p.stats.IOSeconds += extra
-		p.stats.SerialSeconds += extra
-	}
-	// Barrier: both engines are idle; synchronize the timeline clocks.
-	// The stall is the idle time the faster engine spends waiting.
-	stall := p.ioClock - p.compClock
-	if stall < 0 {
-		stall = -stall
-	}
-	if p.compClock > p.ioClock {
-		p.ioClock = p.compClock
-	} else {
-		p.compClock = p.ioClock
-	}
-	p.stats.Barriers++
-	if p.mBarriers != nil {
-		p.mBarriers.Inc()
-		p.mStall.Observe(stall)
-	}
-	if tr := p.e.opt.Tracer; tr != nil {
-		tr.Instant(obs.Instant{Track: obs.TrackDisk, Name: "barrier", TS: p.ioClock,
-			Args: map[string]any{"stall_s": stall}})
-	}
-	for _, op := range ops {
-		if op.err != nil {
-			return op.err
-		}
-	}
-	return genErr
 }
 
-// schedule does the program-order bookkeeping for one step: slot and
-// hazard resolution, timeline accounting, and (for disk steps) issuing the
-// asynchronous operation.
-func (p *pipeline) schedule(s *pstep) (*pop, error) {
-	op := &pop{done: make(chan struct{})}
-	switch s.kind {
-	case stepRead:
-		p.scheduleRead(s, op)
-	case stepWrite:
-		if err := p.scheduleWrite(s, op); err != nil {
-			return nil, err
+// complete resolves an operation, recording a failure if it is the
+// earliest in program order so far (so a failure inherited from a
+// dependency never displaces the dependency's own).
+func (s *scheduler) complete(op *pop, err error) {
+	if err != nil {
+		s.errMu.Lock()
+		if s.err == nil || op.seq < s.errSeq {
+			s.err, s.errSeq = err, op.seq
 		}
-	case stepZero:
-		p.scheduleZero(s, op)
-	case stepInit:
-		p.scheduleInit(s, op)
-	case stepCompute:
-		if err := p.scheduleCompute(s, op); err != nil {
-			return nil, err
-		}
+		s.errMu.Unlock()
 	}
+	op.err = err
+	close(op.done)
+}
+
+// inline runs a zero-fill, compute block or init pass under the schedule:
+// on the spot at depth 0, otherwise queued for the inline executor. The
+// returned op is nil once the step has finished.
+func (s *scheduler) inline(deps []*pop, end float64, fn func() error) (*pop, error) {
+	if s.depth == 0 {
+		return nil, fn()
+	}
+	op := s.newOp(deps, end)
+	op.inline = fn
+	s.inlineQ <- op
 	return op, nil
 }
 
-// buf returns the double-buffer state of a plan buffer.
-func (p *pipeline) buf(b *codegen.Buffer) *pipeBuf {
-	pb := p.bufs[b]
+// issue performs one section operation — under the run's retry policy,
+// its failure attributed to array and plan position — the single place
+// section I/O leaves the engine. At depth 0 it is the synchronous backend
+// call, made now. Otherwise the operation gets its own goroutine, which
+// waits for the hazards and then drives the asynchronous contract; the
+// in-flight semaphore is taken here, on the walking goroutine, bounding
+// how far issue runs ahead, and a failure surfaces at the unit barrier.
+// dur is the operation's modelled duration, which retried attempts charge
+// again. The returned op is nil once the operation has finished.
+func (s *scheduler) issue(read bool, array string, lo, shape []int64, data []float64, deps []*pop, end, dur float64) (*pop, error) {
+	if s.depth == 0 {
+		arr := s.e.arrs[array]
+		err := s.e.retryOp(array, dur, func() error {
+			if read {
+				return arr.ReadSection(lo, shape, data)
+			}
+			return arr.WriteSection(lo, shape, data)
+		})
+		if err != nil {
+			return nil, ioErr(read, array, s.e.pos(), err)
+		}
+		return nil, nil
+	}
+	op := s.newOp(deps, end)
+	aa := disk.AsAsync(s.e.arrs[array])
+	pos := s.e.pos() // the walker will have moved on when a failure surfaces
+	s.sem <- struct{}{}
+	s.inflight.Add(1)
+	if s.mDepth != nil {
+		s.mDepth.Add(1)
+	}
+	go func() {
+		defer func() {
+			<-s.sem
+			if s.mDepth != nil {
+				s.mDepth.Add(-1)
+			}
+			s.inflight.Done()
+		}()
+		err := op.await()
+		if err == nil {
+			err = s.e.retryOp(array, dur, func() error {
+				if read {
+					return aa.ReadAsync(lo, shape, data).Await()
+				}
+				return aa.WriteAsync(lo, shape, data).Await()
+			})
+			if err != nil {
+				err = ioErr(read, array, pos, err)
+			}
+		}
+		s.complete(op, err)
+	}()
+	return op, nil
+}
+
+// barrier closes a top-level work unit. If the unit handed anything off it
+// drains it, folds the retry account, synchronizes the two clocks and
+// reports the unit's earliest failure in program order; a unit that ran
+// entirely on the calling goroutine (every unit at depth 0) has nothing in
+// flight and nothing to synchronize, and walkErr is its outcome.
+func (s *scheduler) barrier(walkErr error) error {
+	if s.inlineQ == nil {
+		return walkErr
+	}
+	close(s.inlineQ)
+	<-s.inlineDone
+	s.inflight.Wait()
+	s.inlineQ = nil
+	clear(s.pending)
+	// The schedule charged each operation once, retries charged the
+	// backend again, and the difference lives in the retry account.
+	s.foldRetries()
+	// Both engines are idle; the stall is the idle time the faster one
+	// spends waiting.
+	io, comp := s.clock[0], s.clock[1]
+	stall := max(io-comp, comp-io)
+	s.clock[0], s.clock[1] = max(io, comp), max(io, comp)
+	s.stats.Barriers++
+	if s.mBarriers != nil {
+		s.mBarriers.Inc()
+		s.mStall.Observe(stall)
+	}
+	if tr := s.e.opt.Tracer; tr != nil {
+		tr.Instant(obs.Instant{Track: obs.TrackDisk, Name: "barrier", TS: s.clock[0],
+			Args: map[string]any{"stall_s": stall}})
+	}
+	if err := s.err; err != nil {
+		s.err = nil
+		return err
+	}
+	return walkErr
+}
+
+// fillSlot picks the slot a fill (read or zero) targets and binds it to
+// the section: the shadow slot when the schedule overlaps and memory
+// allows (so the fill can run alongside the previous instance's
+// consumers), otherwise the current slot in place. shadow reports whether
+// the fill flipped away from a live instance.
+func (s *scheduler) fillSlot(buf *codegen.Buffer, lo, shape []int64) (slot *pslot, shadow bool) {
+	if s.depth == 0 && s.e.opt.DryRun {
+		// No tensor to bind and no later step to order after this one:
+		// the buffer needs no instance (dry-run writes and compute blocks
+		// cope with buffers that have none).
+		return &s.void, false
+	}
+	pb := s.bufs[buf]
 	if pb == nil {
 		pb = &pipeBuf{}
-		p.bufs[b] = pb
+		s.bufs[buf] = pb
 	}
-	return pb
-}
-
-// arr returns the asynchronous view of a disk array.
-func (p *pipeline) arr(name string) disk.AsyncArray {
-	aa, ok := p.aarrs[name]
-	if !ok {
-		aa = disk.AsAsync(p.e.arrs[name])
-		p.aarrs[name] = aa
-	}
-	return aa
-}
-
-// fillSlot picks the slot a fill (read or zero) targets and binds its
-// tensor: the shadow slot when memory allows (enabling overlap with the
-// previous instance's consumers), otherwise the current slot in place.
-// shadow reports whether the fill flipped away from a live instance.
-func (p *pipeline) fillSlot(s *pstep) (slot *pslot, shadow bool) {
-	pb := p.buf(s.buf)
-	n := int64(1)
-	for _, x := range s.shape {
-		n *= x
-	}
+	n := size(shape)
+	dryRun := s.e.opt.DryRun
 	want := 1 - pb.cur
-	if pb.slots[pb.cur] == nil {
-		want = pb.cur // first use: no live instance to shadow
-	} else if pb.slots[want] == nil && !p.e.opt.DryRun && p.e.curBytes+n*8 > p.budget {
-		want = pb.cur // no headroom for a shadow slot: reuse in place
+	if s.depth == 0 || pb.slots[pb.cur] == nil {
+		want = pb.cur // nothing to overlap with, or no live instance to shadow
+	} else if plan := s.e.plan; pb.slots[want] == nil && !dryRun &&
+		s.curBytes+n*8 > max(plan.Cfg.MemoryLimit, plan.MemoryBytes()) {
+		// No headroom for a shadow slot: reuse in place. (A plan whose
+		// static footprint is over the limit is never refused; it runs
+		// within that footprint.)
+		want = pb.cur
 	}
 	shadow = want != pb.cur
 	pb.cur = want
@@ -480,47 +501,52 @@ func (p *pipeline) fillSlot(s *pstep) (slot *pslot, shadow bool) {
 		slot = &pslot{}
 		pb.slots[want] = slot
 	}
-	if !p.e.opt.DryRun {
-		dims := make([]int, len(s.shape))
-		for i, x := range s.shape {
+	slot.base = lo
+	if !dryRun {
+		dims := make([]int, len(shape))
+		for i, x := range shape {
 			dims[i] = int(x)
 		}
 		if slot.t == nil || slot.t.Size() != int(n) {
 			// A fresh tensor, never a resize in place: already-issued
 			// operations keep the instance they captured at scheduling
 			// time.
-			p.e.curBytes += (n - int64(sizeOf(slot.t))) * 8
-			if p.e.curBytes > p.e.peakBytes {
-				p.e.peakBytes = p.e.curBytes
+			if slot.t != nil {
+				s.curBytes -= int64(slot.t.Size()) * 8
 			}
-			p.e.noteBufBytes()
-			slot.t = tensor.New(dimsOrScalar(dims)...)
+			s.curBytes += n * 8
+			s.peakBytes = max(s.peakBytes, s.curBytes)
+			if s.mBufBytes != nil {
+				s.mBufBytes.Set(float64(s.curBytes))
+			}
+			slot.t = tensor.New(dims...)
 		} else {
-			slot.t = slot.t.Reshape(dimsOrScalar(dims)...)
+			slot.t = slot.t.Reshape(dims...)
 		}
 	}
 	return slot, shadow
 }
 
-// slotDeps returns every operation still tied to a slot's current
-// contents.
-func slotDeps(slot *pslot) []*pop {
-	var deps []*pop
-	if slot.filler != nil {
-		deps = append(deps, slot.filler)
+// cur returns the buffer's live instance, nil before its first fill.
+func (s *scheduler) cur(b *codegen.Buffer) *pslot {
+	if pb := s.bufs[b]; pb != nil {
+		return pb.slots[pb.cur]
 	}
-	deps = append(deps, slot.users...)
-	return deps
+	return nil
 }
 
 // conflicts returns the outstanding operations on an array that a new
 // operation over [lo, lo+shape) must wait for: a reader conflicts with
 // pending writes, a writer with everything overlapping. Completed entries
 // are pruned in passing. nil lo means the whole array.
-func (p *pipeline) conflicts(array string, lo, shape []int64, isWrite bool) []*pop {
+func (s *scheduler) conflicts(array string, lo, shape []int64, isWrite bool) []*pop {
+	ops := s.pending[array]
+	if len(ops) == 0 {
+		return nil
+	}
 	var out []*pop
-	live := p.pending[array][:0]
-	for _, op := range p.pending[array] {
+	live := ops[:0]
+	for _, op := range ops {
 		select {
 		case <-op.done:
 			continue
@@ -531,7 +557,8 @@ func (p *pipeline) conflicts(array string, lo, shape []int64, isWrite bool) []*p
 			out = append(out, op)
 		}
 	}
-	p.pending[array] = live
+	clear(ops[len(live):])
+	s.pending[array] = live
 	return out
 }
 
@@ -550,274 +577,199 @@ func boxesOverlap(alo, ash, blo, bsh []int64) bool {
 }
 
 // track registers an outstanding disk operation for hazard detection.
-func (p *pipeline) track(array string, op *pop) {
-	p.pending[array] = append(p.pending[array], op)
+func (s *scheduler) track(array string, op *pop, lo, shape []int64, write bool) {
+	if op == nil {
+		return
+	}
+	op.lo, op.shape, op.write = lo, shape, write
+	s.pending[array] = append(s.pending[array], op)
 }
 
-// ioTime places an operation on the I/O-channel timeline and, with a
-// tracer attached, emits it as a disk-track span.
-func (p *pipeline) ioTime(op *pop, dur float64, name string, args map[string]any) {
-	start := p.ioClock
-	for _, d := range op.deps {
-		if d.end > start {
-			start = d.end
-		}
+// noteHazard marks a section-hazard wait (an operation blocked on n
+// earlier conflicting disk operations) at its start time ts.
+func (s *scheduler) noteHazard(array string, ts float64, n int) {
+	if n == 0 {
+		return
 	}
-	op.end = start + dur
-	p.ioClock = op.end
-	p.stats.IOSeconds += dur
-	p.stats.SerialSeconds += dur
-	if tr := p.e.opt.Tracer; tr != nil {
-		tr.Span(obs.Span{Track: obs.TrackDisk, Name: name, Start: start, Dur: dur, Args: args})
+	if s.mHazards != nil {
+		s.mHazards.Inc()
 	}
-}
-
-// compTime places an operation on the compute timeline and, with a
-// tracer attached, emits it as a compute-track span.
-func (p *pipeline) compTime(op *pop, dur float64, name string, args map[string]any) {
-	start := p.compClock
-	for _, d := range op.deps {
-		if d.end > start {
-			start = d.end
-		}
-	}
-	op.end = start + dur
-	p.compClock = op.end
-	p.stats.ComputeSeconds += dur
-	p.stats.SerialSeconds += dur
-	if tr := p.e.opt.Tracer; tr != nil {
-		tr.Span(obs.Span{Track: obs.TrackCompute, Name: name, Start: start, Dur: dur, Args: args})
+	if tr := s.e.opt.Tracer; tr != nil {
+		tr.Instant(obs.Instant{Track: obs.TrackDisk, Name: "hazard " + array, TS: ts,
+			Args: map[string]any{"waits_on": n}})
 	}
 }
 
-// issue runs a disk operation asynchronously: wait for the hazards, then
-// perform the backend call — under the run's retry policy — and resolve
-// the completion. attemptDur is the operation's modelled duration, which
-// retried attempts charge through the pipeline's retry account. The
-// semaphore is taken on the scheduling goroutine, bounding how far issue
-// runs ahead. A failure is attributed (array + position) here, so it
-// surfaces typed and located at the unit barrier.
-func (p *pipeline) issue(op *pop, read bool, array, pos string, attemptDur float64, run func() error) {
-	p.sem <- struct{}{}
-	if p.mDepth != nil {
-		p.mDepth.Add(1)
-	}
-	go func() {
-		defer func() {
-			<-p.sem
-			if p.mDepth != nil {
-				p.mDepth.Add(-1)
-			}
-		}()
-		for _, d := range op.deps {
-			<-d.done
-			if d.err != nil {
-				op.err = d.err
-				close(op.done)
-				return
-			}
-		}
-		if err := p.e.retryOp(array, attemptDur, run); err != nil {
-			op.err = ioErr(read, array, pos, err)
-		}
-		close(op.done)
-	}()
-}
-
-// addRetryExtra charges the modelled seconds of one retried attempt
-// (backoff delay + repeat I/O); the next unit barrier folds the total
-// into the I/O clock.
-func (p *pipeline) addRetryExtra(seconds float64) {
-	p.retryMu.Lock()
-	p.retryExtra += seconds
-	p.retryMu.Unlock()
-}
-
-func (p *pipeline) scheduleRead(s *pstep, op *pop) {
-	slot, shadow := p.fillSlot(s)
-	deps := slotDeps(slot)
-	hazards := p.conflicts(s.array, s.lo, s.shape, false)
+// sectionOp orders one section operation after deps and after the array's
+// outstanding operations it conflicts with, places it on the disk track,
+// issues it and registers it for later hazards.
+func (s *scheduler) sectionOp(read bool, array string, lo, shape []int64, data []float64, deps []*pop, args map[string]any) (*pop, error) {
+	hazards := s.conflicts(array, lo, shape, !read)
 	deps = append(deps, hazards...)
-	op.deps = deps
-	op.lo, op.shape = s.lo, s.shape
-	slot.filler = op
-	slot.users = nil
-	slot.base = s.lo
-	p.track(s.array, op)
-	n := int64(1)
-	for _, x := range s.shape {
-		n *= x
+	dur := s.e.ioDur(read, shape)
+	verb := "W "
+	if read {
+		verb = "R "
 	}
-	dur := p.e.plan.Cfg.Disk.ReadTime(n*8, 1)
-	var args map[string]any
-	if p.e.opt.Tracer != nil {
-		args = map[string]any{"bytes": n * 8, "shadow": shadow}
-	}
-	p.ioTime(op, dur, "R "+s.array, args)
-	p.noteHazard(s.array, op.end-dur, len(hazards))
+	end := s.place(obs.TrackDisk, deps, dur, verb, array, args)
+	s.noteHazard(array, end-dur, len(hazards))
+	op, err := s.issue(read, array, lo, shape, data, deps, end, dur)
+	s.track(array, op, lo, shape, !read)
+	return op, err
+}
+
+// read fills the buffer's next slot from the section.
+func (s *scheduler) read(n *codegen.IO, lo, shape []int64) error {
+	slot, shadow := s.fillSlot(n.Buffer, lo, shape)
 	if shadow {
-		p.stats.PrefetchedReads++
-		if p.mShadow != nil {
-			p.mShadow.Inc()
+		s.stats.PrefetchedReads++
+		if s.mShadow != nil {
+			s.mShadow.Inc()
 		}
-	} else if p.mInplace != nil {
-		p.mInplace.Inc()
+	} else if s.mInplace != nil {
+		s.mInplace.Inc()
+	}
+	var args map[string]any
+	if s.e.opt.Tracer != nil {
+		args = map[string]any{"bytes": size(shape) * 8, "shadow": shadow}
 	}
 	var data []float64
 	if slot.t != nil {
 		data = slot.t.Data()
 	}
-	aa := p.arr(s.array)
-	lo, shape := s.lo, s.shape
-	p.issue(op, true, s.array, s.pos, dur, func() error {
-		return aa.ReadAsync(lo, shape, data).Await()
-	})
+	op, err := s.sectionOp(true, n.Array, lo, shape, data, slot.deps(), args)
+	slot.filler, slot.users = op, nil // the waited-for users are spent
+	return err
 }
 
-func (p *pipeline) scheduleWrite(s *pstep, op *pop) error {
-	pb := p.bufs[s.buf]
-	var slot *pslot
-	if pb != nil {
-		slot = pb.slots[pb.cur]
-	}
-	lo, shape := s.lo, s.shape
+// write retires the buffer's live instance to disk: the section it was
+// bound at, not the walker's current one. Dry-run plans skip zero-fills,
+// so a dry-run write may target a buffer with no instance; the walker's
+// section stands in.
+func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
+	slot := s.cur(n.Buffer)
+	var deps []*pop
 	var data []float64
-	if slot == nil {
-		// Dry-run plans skip zero-fills, so a write may target a buffer
-		// with no instance; the generation-time section stands in.
-		if !p.e.opt.DryRun {
-			return fmt.Errorf("exec: write to %q at %s: write of uninstantiated buffer %q", s.array, s.pos, s.buf.Name)
-		}
-	} else {
+	if slot != nil {
 		if slot.t != nil {
-			lo = slot.base
-			shape = dimsToInt64(slot.t.Dims())
-			data = slot.t.Data()
+			lo, shape, data = slot.base, dimsToInt64(slot.t.Dims()), slot.t.Data()
 		}
-		op.deps = slotDeps(slot)
+		deps = slot.deps()
+	} else if !s.e.opt.DryRun {
+		return ioErr(false, n.Array, s.e.pos(), fmt.Errorf("write of uninstantiated buffer %q", n.Buffer.Name))
+	}
+	s.stats.WriteBehindWrites++
+	if s.mWriteBehind != nil {
+		s.mWriteBehind.Inc()
+	}
+	var args map[string]any
+	if s.e.opt.Tracer != nil {
+		args = map[string]any{"bytes": size(shape) * 8}
+	}
+	op, err := s.sectionOp(false, n.Array, lo, shape, data, deps, args)
+	if slot != nil && op != nil {
 		slot.users = append(slot.users, op)
 	}
-	hazards := p.conflicts(s.array, lo, shape, true)
-	op.deps = append(op.deps, hazards...)
-	op.lo, op.shape = lo, shape
-	op.write = true
-	p.track(s.array, op)
-	n := int64(1)
-	for _, x := range shape {
-		n *= x
-	}
-	dur := p.e.plan.Cfg.Disk.WriteTime(n*8, 1)
-	var args map[string]any
-	if p.e.opt.Tracer != nil {
-		args = map[string]any{"bytes": n * 8}
-	}
-	p.ioTime(op, dur, "W "+s.array, args)
-	p.noteHazard(s.array, op.end-dur, len(hazards))
-	p.stats.WriteBehindWrites++
-	if p.mWriteBehind != nil {
-		p.mWriteBehind.Inc()
-	}
-	aa := p.arr(s.array)
-	p.issue(op, false, s.array, s.pos, dur, func() error {
-		return aa.WriteAsync(lo, shape, data).Await()
-	})
-	return nil
+	return err
 }
 
-func (p *pipeline) scheduleZero(s *pstep, op *pop) {
-	slot, _ := p.fillSlot(s)
-	op.deps = slotDeps(slot)
-	slot.filler = op
-	slot.users = nil
-	slot.base = s.lo
+// zero fills the buffer's next slot with zeros (data mode only).
+func (s *scheduler) zero(buf *codegen.Buffer, lo, shape []int64) error {
+	slot, _ := s.fillSlot(buf, lo, shape)
+	deps := slot.deps()
+	end := s.place(obs.TrackCompute, deps, 0, "zero ", buf.Name, nil)
 	t := slot.t // captured: a later fill re-binds the slot, not this tensor
-	op.inline = func() error {
-		if t != nil {
-			t.Zero()
-		}
+	op, err := s.inline(deps, end, func() error {
+		t.Zero()
 		return nil
-	}
-	p.compTime(op, 0, "zero "+s.buf.Name, nil)
+	})
+	slot.filler, slot.users = op, nil
+	return err
 }
 
-func (p *pipeline) scheduleInit(s *pstep, op *pop) {
-	op.deps = p.conflicts(s.array, nil, nil, true)
-	op.write = true
-	p.track(s.array, op)
-	name := s.array
-	op.inline = func() error {
-		if err := p.e.initPass(name); err != nil {
-			return fmt.Errorf("exec: init pass over %q: %w", name, err)
-		}
-		return nil
+// init zero-fills a whole disk array, tile by tile; its span is the closed
+// form of the writes the pass will charge.
+func (s *scheduler) init(array string) error {
+	da, tiles := s.e.initTiles(array)
+	if da == nil {
+		return fmt.Errorf("exec: init pass over %q: exec: init pass for unknown disk array %q", array, array)
 	}
-	bytes, writes := p.e.initCost(name)
+	bytes, writes := size(da.Dims)*8, int64(1)
+	for i, t := range tiles {
+		writes *= (da.Dims[i] + t - 1) / t
+	}
+	deps := s.conflicts(array, nil, nil, true)
 	var args map[string]any
-	if p.e.opt.Tracer != nil {
+	if s.e.opt.Tracer != nil {
 		args = map[string]any{"bytes": bytes, "writes": writes}
 	}
-	p.ioTime(op, p.e.plan.Cfg.Disk.WriteTime(bytes, writes), "init "+name, args)
-}
-
-// scheduleCompute binds the compute block to the current buffer instances
-// and queues it for in-order inline execution. In data mode a missing
-// instance is a plan error (as in the serial engine); in dry-run mode the
-// block is timeline-only and missing instances simply contribute no
-// dependencies.
-func (p *pipeline) scheduleCompute(s *pstep, op *pop) error {
-	c := s.comp
-	curSlot := func(b *codegen.Buffer) *pslot {
-		if pb := p.bufs[b]; pb != nil {
-			return pb.slots[pb.cur]
+	end := s.place(obs.TrackDisk, deps, s.e.plan.Cfg.Disk.WriteTime(bytes, writes), "init ", array, args)
+	op, err := s.inline(deps, end, func() error {
+		if err := s.e.initPass(da, tiles); err != nil {
+			return fmt.Errorf("exec: init pass over %q: %w", array, err)
 		}
 		return nil
-	}
-	outSlot := curSlot(c.Out)
-	if outSlot == nil && !p.e.opt.DryRun {
-		return fmt.Errorf("exec: compute into uninstantiated buffer %q at %s", c.Out.Name, s.pos)
+	})
+	s.track(array, op, nil, nil, true)
+	return err
+}
+
+// compute binds a compute block to the live buffer instances and runs it
+// after their producers. In data mode a missing instance is a plan error;
+// in dry-run mode the block is timeline-only (mul scales its modelled
+// duration for pruned loops) and missing instances simply contribute no
+// dependencies.
+func (s *scheduler) compute(c *codegen.Compute, mul float64) error {
+	e := s.e
+	dryRun := e.opt.DryRun
+	outSlot := s.cur(c.Out)
+	if outSlot == nil && !dryRun {
+		return fmt.Errorf("exec: compute into uninstantiated buffer %q at %s", c.Out.Name, e.pos())
 	}
 	var deps []*pop
-	var outInst *bufInst
+	var out binding
 	if outSlot != nil {
-		deps = append(deps, slotDeps(outSlot)...)
-		outInst = &bufInst{t: outSlot.t, base: outSlot.base}
+		deps = outSlot.deps()
+		out = outSlot.binding
 	}
-	facInsts := make([]*bufInst, len(c.Factors))
+	facs := make([]binding, len(c.Factors))
 	for i, f := range c.Factors {
-		slot := curSlot(f)
+		slot := s.cur(f)
 		if slot == nil {
-			if !p.e.opt.DryRun {
-				return fmt.Errorf("exec: compute reads uninstantiated buffer %q at %s", f.Name, s.pos)
+			if !dryRun {
+				return fmt.Errorf("exec: compute reads uninstantiated buffer %q at %s", f.Name, e.pos())
 			}
 			continue
 		}
 		if slot.filler != nil {
 			deps = append(deps, slot.filler)
 		}
-		slot.users = append(slot.users, op)
-		facInsts[i] = &bufInst{t: slot.t, base: slot.base}
+		facs[i] = slot.binding
+	}
+	end := s.place(obs.TrackCompute, deps, e.computeSeconds(c, mul), "compute ", c.Out.Name, nil)
+	run := func() error { return nil }
+	if !dryRun {
+		base := e.base
+		if s.depth > 0 {
+			// The block runs after the walker has moved on: it owns a
+			// snapshot of the loop bases.
+			base = maps.Clone(e.base)
+		}
+		run = func() error {
+			e.computeWith(c, base, out, facs)
+			return nil
+		}
+	}
+	op, err := s.inline(deps, end, run)
+	for _, f := range c.Factors {
+		if slot := s.cur(f); slot != nil && op != nil {
+			slot.users = append(slot.users, op)
+		}
 	}
 	if outSlot != nil {
 		// The block mutates the output instance: it becomes the contents'
-		// producer, and the waited-for users are spent.
-		outSlot.filler = op
-		outSlot.users = nil
+		// producer.
+		outSlot.filler, outSlot.users = op, nil
 	}
-	op.deps = deps
-	dryRun := p.e.opt.DryRun
-	e := p.e
-	base := s.base
-	op.inline = func() error {
-		if dryRun {
-			return nil
-		}
-		e.computeWith(c, base, outInst, facInsts)
-		return nil
-	}
-	mul := s.mul
-	if mul <= 0 {
-		mul = 1
-	}
-	p.compTime(op, p.e.computeSeconds(c, base, mul), "compute "+c.Out.Name, nil)
-	return nil
+	return err
 }

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/codegen"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/loops"
 	"repro/internal/machine"
+	"repro/internal/progen"
 	"repro/internal/tensor"
 )
 
@@ -47,11 +50,20 @@ func sameIO(t *testing.T, got, want disk.Stats, ctx string) {
 	}
 }
 
-// TestPipelineMatchesSerialAllPlacements is the pipelined engine's central
-// property: for EVERY placement combination and several tile shapes of the
-// fused two-index transform, pipelined execution is bit-identical to
-// serial execution and moves exactly the same disk bytes and operations.
-func TestPipelineMatchesSerialAllPlacements(t *testing.T) {
+// schedCase is one plan of the differential schedule test.
+type schedCase struct {
+	name   string
+	group  string // cases of one group share a recorded depth-0 watermark total
+	resume bool   // also stop at every unit boundary and resume, at every depth
+	plan   *codegen.Plan
+	cfg    machine.Config
+	inputs map[string]*tensor.Tensor
+	out    string
+}
+
+// twoIndexCases enumerates EVERY placement combination of the fused
+// two-index transform under several tile shapes.
+func twoIndexCases(t *testing.T) []schedCase {
 	nmn, nij := int64(6), int64(8)
 	prog := loops.TwoIndexFused(nmn, nij)
 	cfg := machine.Small(1 << 20)
@@ -68,7 +80,8 @@ func TestPipelineMatchesSerialAllPlacements(t *testing.T) {
 	for ci := 0; ci < p.NumChoices(); ci++ {
 		nCombos *= p.NumCandidates(ci)
 	}
-	for _, tiles := range tileSets {
+	var cases []schedCase
+	for ti, tiles := range tileSets {
 		for combo := 0; combo < nCombos; combo++ {
 			sel := map[string]int{}
 			rest := combo
@@ -81,25 +94,162 @@ func TestPipelineMatchesSerialAllPlacements(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(opt Options) *Result {
-				be := disk.NewSim(cfg.Disk, true)
-				defer be.Close()
-				res, err := Run(plan, be, inputs, opt)
-				if err != nil {
-					t.Fatalf("tiles %v combo %d: %v", tiles, combo, err)
+			cases = append(cases, schedCase{
+				name:  fmt.Sprintf("tiles %v combo %d", tiles, combo),
+				group: fmt.Sprintf("two-index/tiles%d", ti),
+				plan:  plan, cfg: cfg, inputs: inputs, out: "B",
+				// One tile shape (the one with partial tiles in every
+				// dimension) keeps the stop/resume sweep affordable.
+				resume: ti == 2,
+			})
+		}
+	}
+	return cases
+}
+
+// progenCases builds plans for generated programs (random contraction
+// chains, fused and unfused, single- and multi-term outputs): half-range
+// tiles, so most dimensions end in a partial tile, under the default
+// placement and a seed-derived one.
+func progenCases(t *testing.T) []schedCase {
+	cfg := machine.Small(1 << 20)
+	var cases []schedCase
+	for seed := int64(0); seed < 8; seed++ {
+		prog := progen.Generate(rand.New(rand.NewSource(seed)), progen.Options{Fuse: seed%2 == 0, MultiTerm: seed%3 == 0})
+		inputs := progen.InputTensors(prog, rand.New(rand.NewSource(seed+2000)))
+		p := buildProblem(t, prog, cfg)
+		tiles := map[string]int64{}
+		for x, n := range prog.Ranges {
+			tiles[x] = (n + 1) / 2
+		}
+		mixed := map[string]int{}
+		for ci := 0; ci < p.NumChoices(); ci++ {
+			mixed[p.Choices[ci].Name] = int(seed+int64(ci)) % p.NumCandidates(ci)
+		}
+		for si, sel := range []map[string]int{nil, mixed} {
+			plan, err := codegen.Generate(p, p.Encode(tiles, sel))
+			if err != nil {
+				t.Fatalf("progen seed %d sel %d: %v", seed, si, err)
+			}
+			name := fmt.Sprintf("progen seed %d sel %d", seed, si)
+			cases = append(cases, schedCase{name: name, group: name, resume: true, plan: plan, cfg: cfg, inputs: inputs, out: "Out"})
+		}
+	}
+	return cases
+}
+
+// serialPeakBytes holds, per case group, the summed PeakBufferBytes of
+// serial data-mode runs as the tree-walking serial interpreter reported
+// them at commit 1ad8369, the last one that had it: the depth-0 schedule
+// must bind buffers exactly as that engine instantiated them (no shadow
+// slot, same re-allocation points).
+var serialPeakBytes = map[string]int64{
+	"progen seed 0 sel 0": 384,
+	"progen seed 0 sel 1": 864,
+	"progen seed 1 sel 0": 176,
+	"progen seed 1 sel 1": 264,
+	"progen seed 2 sel 0": 368,
+	"progen seed 2 sel 1": 704,
+	"progen seed 3 sel 0": 232,
+	"progen seed 3 sel 1": 568,
+	"progen seed 4 sel 0": 264,
+	"progen seed 4 sel 1": 536,
+	"progen seed 5 sel 0": 128,
+	"progen seed 5 sel 1": 240,
+	"progen seed 6 sel 0": 528,
+	"progen seed 6 sel 1": 2176,
+	"progen seed 7 sel 0": 616,
+	"progen seed 7 sel 1": 2640,
+	"two-index/tiles0":    347328,
+	"two-index/tiles1":    171504,
+	"two-index/tiles2":    187384,
+	"two-index/tiles3":    100440,
+}
+
+// integerStats projects the order-independent part of the statistics.
+func integerStats(s disk.Stats) [4]int64 {
+	return [4]int64{s.ReadOps, s.WriteOps, s.BytesRead, s.BytesWritten}
+}
+
+// TestPipelineMatchesSerialAllPlacements is the engine's central
+// property: for EVERY placement combination and several tile shapes of the
+// fused two-index transform, and for generated programs, every schedule —
+// serial (depth 0), PipelineDepth 1 and PipelineDepth 4, plus the default
+// pipelined depth — is bit-identical to serial execution and moves exactly
+// the same disk bytes and operations; the depth-0 watermark is the old
+// serial interpreter's; and stopping at any unit boundary and resuming
+// lands on the same bytes at every depth.
+func TestPipelineMatchesSerialAllPlacements(t *testing.T) {
+	cases := append(twoIndexCases(t), progenCases(t)...)
+	peaks := map[string]int64{}
+	for _, tc := range cases {
+		run := func(be disk.Backend, inputs map[string]*tensor.Tensor, opt Options) *Result {
+			res, err := Run(tc.plan, be, inputs, opt)
+			if err != nil {
+				t.Fatalf("%s (%+v): %v", tc.name, opt, err)
+			}
+			return res
+		}
+		fresh := func(opt Options) *Result {
+			be := disk.NewSim(tc.cfg.Disk, true)
+			defer be.Close()
+			return run(be, tc.inputs, opt)
+		}
+		serial := fresh(Options{})
+		piped := fresh(Options{Pipeline: true})
+		bitIdentical(t, piped.Outputs[tc.out], serial.Outputs[tc.out], "pipelined output")
+		sameIO(t, piped.Stats, serial.Stats, "all-placements")
+		if piped.Pipeline == nil {
+			t.Fatal("pipelined run must report PipelineStats")
+		}
+		if o, s := piped.Pipeline.OverlappedSeconds, piped.Pipeline.SerialSeconds; o > s+1e-12 {
+			t.Fatalf("%s: overlapped %.9f exceeds serial %.9f", tc.name, o, s)
+		}
+		if serial.Pipeline != nil {
+			t.Fatalf("%s: serial run reports PipelineStats", tc.name)
+		}
+		peaks[tc.group] += serial.PeakBufferBytes
+
+		schedules := []Options{{}, {Pipeline: true, PipelineDepth: 1}, {Pipeline: true, PipelineDepth: 4}}
+		for _, opt := range schedules {
+			ctx := fmt.Sprintf("%s depth %d", tc.name, opt.PipelineDepth)
+			got := serial
+			if opt.Pipeline {
+				got = fresh(opt)
+			}
+			bitIdentical(t, got.Outputs[tc.out], serial.Outputs[tc.out], ctx)
+			if integerStats(got.Stats) != integerStats(serial.Stats) {
+				t.Fatalf("%s: I/O counts %v != serial %v", ctx, got.Stats, serial.Stats)
+			}
+			if !tc.resume || !Checkpointable(tc.plan) {
+				continue
+			}
+			// Stop after every possible number of units, resume on the same
+			// backend, and land on the uninterrupted bytes.
+			for stop := int64(1); ; stop++ {
+				be := disk.NewSim(tc.cfg.Disk, true)
+				so := opt
+				so.StopAfter = stop
+				first := run(be, tc.inputs, so)
+				if first.Stopped == nil {
+					bitIdentical(t, first.Outputs[tc.out], serial.Outputs[tc.out], ctx+" unstopped")
+					be.Close()
+					break
 				}
-				return res
+				ro := opt
+				ro.Resume = first.Stopped
+				second := run(be, nil, ro)
+				if second.Stopped != nil {
+					t.Fatalf("%s stop %d: resumed run should complete", ctx, stop)
+				}
+				bitIdentical(t, second.Outputs[tc.out], serial.Outputs[tc.out], fmt.Sprintf("%s resumed after %d units", ctx, stop))
+				be.Close()
 			}
-			serial := run(Options{})
-			piped := run(Options{Pipeline: true})
-			bitIdentical(t, piped.Outputs["B"], serial.Outputs["B"], "pipelined output")
-			sameIO(t, piped.Stats, serial.Stats, "all-placements")
-			if piped.Pipeline == nil {
-				t.Fatal("pipelined run must report PipelineStats")
-			}
-			if o, s := piped.Pipeline.OverlappedSeconds, piped.Pipeline.SerialSeconds; o > s+1e-12 {
-				t.Fatalf("tiles %v combo %d: overlapped %.9f exceeds serial %.9f", tiles, combo, o, s)
-			}
+		}
+	}
+	for group, got := range peaks {
+		if want, ok := serialPeakBytes[group]; !ok || got != want {
+			t.Errorf("%s: depth-0 PeakBufferBytes total %d, serial interpreter recorded %d (known: %v)", group, got, want, ok)
 		}
 	}
 }

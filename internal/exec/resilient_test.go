@@ -468,3 +468,60 @@ func TestRetryTimelineAndMetrics(t *testing.T) {
 		t.Fatal("retried attempts not charged to backend stats")
 	}
 }
+
+// TestDepthZeroFailsFast pins the serial schedule's failure contract: with
+// a persistent fault window opening at injector ordinal k (staging
+// included), the run touches the backend exactly k times, stops at the
+// first failed operation — no later step is issued — and reports the same
+// attributed error text and last completed checkpoint as the tree-walking
+// serial interpreter did at commit 1ad8369 (strings recorded there).
+func TestDepthZeroFailsFast(t *testing.T) {
+	cfg := machine.Small(4 << 10)
+	plan := crashResumePlan(t, cfg)
+	inputs := expr.RandomInputs(expr.TwoIndexTransform(12, 16), 9)
+	staging := int64(0)
+	for _, da := range plan.DiskArrays {
+		if da.Kind == loops.Input {
+			staging++
+		}
+	}
+	for _, tc := range []struct {
+		k      int64
+		err    string
+		item   int64
+		iter   int64
+		wasted float64
+	}{
+		{4, `exec: init pass over "B": tile at lo=[0 6]: disk: write "B" section lo=[0 6] shape=[5 6] (persistent): fault: injected persistent fault`, 0, 0, 0.001003},
+		{9, `exec: read of "A" at i=0,n=0,j=0: disk: read "A" section lo=[0 0] shape=[3 4] (persistent): fault: injected persistent fault`, 1, 0, 0},
+		{17, `exec: read of "C1" at i=0,n=0,m=0: disk: read "C1" section lo=[0 0] shape=[5 3] (persistent): fault: injected persistent fault`, 1, 0, 0.00801152},
+		{41, `exec: read of "B" at i=0,n=6,m=10: disk: read "B" section lo=[10 6] shape=[2 6] (persistent): fault: injected persistent fault`, 1, 0, 0.03205256},
+		{60, `exec: read of "A" at i=3,n=6,j=0: disk: read "A" section lo=[3 0] shape=[3 4] (persistent): fault: injected persistent fault`, 1, 1, 0.01702736},
+		{200, `exec: read of "A" at i=15,n=6,j=8: disk: read "A" section lo=[15 8] shape=[1 4] (persistent): fault: injected persistent fault`, 1, 5, 0.02102736},
+	} {
+		inj := fault.Wrap(disk.NewSim(cfg.Disk, true), fault.Config{Seed: 2, PersistentAfter: tc.k, PersistentOps: 1 << 30})
+		_, err := Run(plan, inj, inputs, Options{Retry: disk.DefaultRetryPolicy()})
+		var re *RunError
+		if !errors.As(err, &re) || re.Checkpoint == nil {
+			t.Fatalf("k=%d: want a RunError with a checkpoint, got %v", tc.k, err)
+		}
+		if c := inj.Counts(); c.Ops != tc.k+1 || c.Persistent != 1 {
+			t.Errorf("k=%d: injector saw %d ops, %d persistent faults; a fail-fast run issues k+1 and draws 1", tc.k, c.Ops, c.Persistent)
+		}
+		if got := re.Stats.ReadOps + re.Stats.WriteOps; got != tc.k-staging {
+			t.Errorf("k=%d: backend served %d section ops after staging, want %d", tc.k, got, tc.k-staging)
+		}
+		if err.Error() != tc.err {
+			t.Errorf("k=%d: error %q, serial interpreter reported %q", tc.k, err.Error(), tc.err)
+		}
+		if *re.Checkpoint != (Checkpoint{Item: tc.item, Iter: tc.iter}) {
+			t.Errorf("k=%d: checkpoint %+v, serial interpreter reported {%d %d}", tc.k, *re.Checkpoint, tc.item, tc.iter)
+		}
+		if !closeRel(re.WastedSeconds, tc.wasted) {
+			t.Errorf("k=%d: wasted %.9g modelled seconds past the checkpoint, serial interpreter reported %.9g", tc.k, re.WastedSeconds, tc.wasted)
+		}
+		if !errors.Is(err, fault.ErrPersistent) || re.Retry.Retries != 0 {
+			t.Errorf("k=%d: persistent fault must not be retried: %v, %+v", tc.k, err, re.Retry)
+		}
+	}
+}

@@ -1,11 +1,12 @@
 package lint
 
-// DeprecatedUse: the repo keeps deprecated shims compiling (dcs.Solve,
-// dcs.SolveContext carry "// Deprecated:" docs pointing at dcs.Run)
-// but new code must not grow onto them. The facts layer indexes every
-// module declaration with a Deprecated: paragraph; this analyzer flags
-// uses from any *other* package — the declaring package may keep using
-// its own shims (the shim body, its tests-of-record).
+// DeprecatedUse: a declaration documented "// Deprecated:" may keep
+// compiling for a while, but new code must not grow onto it (the module
+// declares none today; the analyzer's testdata carries its own). The facts
+// layer indexes every module declaration with a Deprecated: paragraph;
+// this analyzer flags uses from any *other* package — the declaring
+// package may keep using its own shims (the shim body, its
+// tests-of-record).
 
 import (
 	"go/ast"

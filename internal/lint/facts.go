@@ -84,7 +84,7 @@ func emptyFacts() *Facts {
 }
 
 // funcKey returns the symbolic key of a function or method, stable
-// across type-checker instances ("repro/internal/dcs.Solve",
+// across type-checker instances ("repro/internal/dcs.Run",
 // "(*repro/internal/obs.CounterVec).With").
 func funcKey(fn *types.Func) string { return fn.FullName() }
 

@@ -313,9 +313,9 @@ func (a *Array) collective(lo, shape []int64, buf []float64, read bool) error {
 	// the figure the execution engine's spans and metrics reconcile
 	// against (failed attempts and replication live in the shard stats).
 	if read {
-		a.st.front.chargeRead(a.name, n*8)
+		a.st.front.ChargeRead(a.name, n*8)
 	} else {
-		a.st.front.chargeWrite(a.name, n*8)
+		a.st.front.ChargeWrite(a.name, n*8)
 	}
 	lo0, n0 := int64(0), int64(1)
 	if len(shape) > 0 {

@@ -181,7 +181,7 @@ func (s *Store) TailWriteSeconds() float64 {
 // modelled single-disk-equivalent read seconds plus the read tail. This
 // is the figure the gray-chaos bound (≤ 1.25× fault-free) is stated in.
 func (s *Store) FrontReadSeconds() float64 {
-	return s.front.snapshot().ReadTime + s.TailReadSeconds()
+	return s.front.Snapshot().ReadTime + s.TailReadSeconds()
 }
 
 // HedgeCounts returns the hedged-read tallies since the last ResetStats.
@@ -352,7 +352,7 @@ func (hp *healthPlane) setMetrics(reg *obs.Registry) {
 // now is the modelled clock the health plane runs on: the front door's
 // accumulated modelled time. Deterministic for a given plan.
 func (hp *healthPlane) now() float64 {
-	return hp.st.front.snapshot().Time()
+	return hp.st.front.Snapshot().Time()
 }
 
 // addPending is the injector latency sink: spike seconds accumulate per

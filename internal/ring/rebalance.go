@@ -234,7 +234,7 @@ func (s *Store) moveArrayLocked(a *Array, oldC, newC [][]int, drainID int, rep *
 	// its cooldown reads half-open and is admitted as a probe.
 	openSrc := func(id int) bool { return false }
 	if s.hp != nil {
-		now := s.front.snapshot().Time()
+		now := s.front.Snapshot().Time()
 		openSrc = func(id int) bool { return s.hp.tr.StateAt(id, now) == health.Open }
 	}
 	for b := int64(0); b < a.blocks; b++ {

@@ -132,7 +132,7 @@ type Store struct {
 	arrays map[string]*Array
 	closed bool
 
-	front frontStats // front-door (single-disk-equivalent) accounting
+	front *disk.Ledger // front-door (single-disk-equivalent) accounting
 
 	fmu              sync.Mutex
 	failoverSeconds  float64 // modelled backoff spent inside failover retries
@@ -176,10 +176,10 @@ func New(opt Options) (*Store, error) {
 		opt:       opt,
 		withData:  opt.WithData || opt.Open != nil,
 		arrays:    map[string]*Array{},
+		front:     disk.NewLedger(opt.Disk),
 		log:       opt.Log,
 		demotions: map[int]*[numDemotionReasons]int64{},
 	}
-	s.front.d = opt.Disk
 	if opt.Health != nil {
 		s.hp = newHealthPlane(s, *opt.Health)
 	}
@@ -374,7 +374,7 @@ func (s *Store) Open(name string) (disk.Array, error) {
 // charge per section operation, the figure the execution engine's spans
 // and metrics reconcile against. Replication and failover costs live in
 // the per-shard accounting (ShardStats, AggregateStats, Time).
-func (s *Store) Stats() disk.Stats { return s.front.snapshot() }
+func (s *Store) Stats() disk.Stats { return s.front.Snapshot() }
 
 // ShardStats returns shard i's accumulated statistics.
 func (s *Store) ShardStats(i int) disk.Stats {
@@ -432,7 +432,7 @@ func (s *Store) FailoverSeconds() float64 {
 // ResetStats zeroes the front door, every shard's counters, and the
 // failover backoff account.
 func (s *Store) ResetStats() {
-	s.front.reset()
+	s.front.Reset()
 	s.mu.Lock()
 	for _, sh := range s.shards {
 		if sh.live {
@@ -454,7 +454,7 @@ func (s *Store) ResetStats() {
 // its health families (ring.replica.failover, ring.repair.*,
 // ring.degraded.blocks).
 func (s *Store) SetMetrics(reg *obs.Registry) {
-	s.front.setMetrics(reg)
+	s.front.SetMetrics(reg)
 	if s.hp != nil {
 		s.hp.setMetrics(reg)
 	}
@@ -590,77 +590,4 @@ func hashString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// frontStats is the ring's single-disk-equivalent accounting, mirroring
-// the backends' statsLocked behaviour (including metric ownership:
-// reset() zeroes only the instruments this store created).
-type frontStats struct {
-	mu    sync.Mutex
-	s     disk.Stats
-	d     machine.Disk
-	reg   *obs.Registry
-	owned map[string]*obs.Counter
-}
-
-func (f *frontStats) setMetrics(reg *obs.Registry) {
-	f.mu.Lock()
-	f.reg = reg
-	f.owned = nil
-	if reg != nil {
-		f.owned = map[string]*obs.Counter{}
-	}
-	f.mu.Unlock()
-}
-
-func (f *frontStats) counterLocked(name string) *obs.Counter {
-	c := f.owned[name]
-	if c == nil {
-		c = f.reg.Counter(name)
-		f.owned[name] = c
-	}
-	return c
-}
-
-func (f *frontStats) chargeRead(array string, bytes int64) {
-	f.mu.Lock()
-	f.s.ReadOps++
-	f.s.BytesRead += bytes
-	f.s.ReadTime += f.d.ReadTime(bytes, 1)
-	if f.reg != nil {
-		f.counterLocked(disk.MetricReadOps).Inc()
-		f.counterLocked(disk.MetricReadBytes).Add(bytes)
-		f.counterLocked(disk.MetricReadOps + "/" + array).Inc()
-		f.counterLocked(disk.MetricReadBytes + "/" + array).Add(bytes)
-	}
-	f.mu.Unlock()
-}
-
-func (f *frontStats) chargeWrite(array string, bytes int64) {
-	f.mu.Lock()
-	f.s.WriteOps++
-	f.s.BytesWritten += bytes
-	f.s.WriteTime += f.d.WriteTime(bytes, 1)
-	if f.reg != nil {
-		f.counterLocked(disk.MetricWriteOps).Inc()
-		f.counterLocked(disk.MetricWriteBytes).Add(bytes)
-		f.counterLocked(disk.MetricWriteOps + "/" + array).Inc()
-		f.counterLocked(disk.MetricWriteBytes + "/" + array).Add(bytes)
-	}
-	f.mu.Unlock()
-}
-
-func (f *frontStats) snapshot() disk.Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.s
-}
-
-func (f *frontStats) reset() {
-	f.mu.Lock()
-	f.s = disk.Stats{}
-	for _, c := range f.owned {
-		c.Reset()
-	}
-	f.mu.Unlock()
 }
