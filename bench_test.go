@@ -378,14 +378,19 @@ func BenchmarkOutOfCoreTranspose(b *testing.B) {
 
 // ---- Kernel micro-benchmarks ----
 
-func BenchmarkGEMM256(b *testing.B) {
-	x := tensor.New(256, 256)
-	y := tensor.New(256, 256)
+// gemmOperands returns 256×256 factors without a single zero (the kernel
+// has no zero-skip to flatter) and a zeroed product.
+func gemmOperands() (c, x, y *tensor.Tensor) {
+	x, y = tensor.New(256, 256), tensor.New(256, 256)
 	for i := range x.Data() {
-		x.Data()[i] = float64(i % 7)
-		y.Data()[i] = float64(i % 5)
+		x.Data()[i] = float64(1 + i%7)
+		y.Data()[i] = float64(1 + i%5)
 	}
-	c := tensor.New(256, 256)
+	return tensor.New(256, 256), x, y
+}
+
+func BenchmarkGEMM256(b *testing.B) {
+	c, x, y := gemmOperands()
 	b.SetBytes(256 * 256 * 8 * 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -394,9 +399,7 @@ func BenchmarkGEMM256(b *testing.B) {
 }
 
 func BenchmarkGEMM256Parallel(b *testing.B) {
-	x := tensor.New(256, 256)
-	y := tensor.New(256, 256)
-	c := tensor.New(256, 256)
+	c, x, y := gemmOperands()
 	b.SetBytes(256 * 256 * 8 * 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -200,6 +200,42 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileSectionAllocsIndependentOfRuns pins the section paths' scratch
+// discipline: one run buffer per call, not one per contiguous run. Both
+// sections lie in one checksum block, so only the run count (200 vs 2)
+// differs between them.
+func TestFileSectionAllocsIndependentOfRuns(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir(), testDisk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	a, err := fs.Create("A", []int64{200, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rows int64) (read, write float64) {
+		lo, shape := []int64{0, 0}, []int64{rows, 4}
+		buf := make([]float64, rows*4)
+		write = testing.AllocsPerRun(10, func() {
+			if err := a.WriteSection(lo, shape, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		read = testing.AllocsPerRun(10, func() {
+			if err := a.ReadSection(lo, shape, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return read, write
+	}
+	r2, w2 := allocs(2)
+	r200, w200 := allocs(200)
+	if r200 != r2 || w200 != w2 {
+		t.Fatalf("allocations grow with the run count: read %v -> %v, write %v -> %v", r2, r200, w2, w200)
+	}
+}
+
 func TestFileAndSimAgree(t *testing.T) {
 	// Property: a random sequence of section writes yields identical reads
 	// from both backends.

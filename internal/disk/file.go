@@ -601,8 +601,8 @@ func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 	if err := a.verifySectionLocked("read", lo, shape); err != nil {
 		return err
 	}
+	raw := runScratch(shape) // per call: concurrent readers never share it
 	err = eachRun(a.dims, lo, shape, func(off, bufOff, run int64) error {
-		raw := make([]byte, run*8)
 		if _, err := a.f.ReadAt(raw, a.header+off*8); err != nil {
 			return err
 		}
@@ -615,6 +615,16 @@ func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 		return wrapIO("read", a.name, lo, shape, transientOS(err), err)
 	}
 	return nil
+}
+
+// runScratch returns the byte buffer one contiguous run of the section
+// occupies on disk; every run eachRun visits has this length.
+func runScratch(shape []int64) []byte {
+	run := int64(1)
+	if len(shape) > 0 {
+		run = shape[len(shape)-1]
+	}
+	return make([]byte, run*8)
 }
 
 func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
@@ -638,8 +648,8 @@ func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
 	if err := a.markDirtyLocked(); err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}
+	raw := runScratch(shape)
 	err = eachRun(a.dims, lo, shape, func(off, bufOff, run int64) error {
-		raw := make([]byte, run*8)
 		for i := int64(0); i < run; i++ {
 			binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(buf[bufOff+i]))
 		}

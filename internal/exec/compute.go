@@ -1,165 +1,139 @@
 package exec
 
 import (
-	"sync"
+	"slices"
 
 	"repro/internal/codegen"
+	"repro/internal/tensor"
 )
 
-// computeWith runs a statement's intra-tile block — for every point of the
-// intra-tile index space, out += Π factors — against the buffer bindings
-// and tile bases the scheduler captured when it scheduled the block.
-func (e *engine) computeWith(c *codegen.Compute, base map[string]int64, outInst binding, facInsts []binding) {
-	// Intra-tile extents at the tile bases.
-	extents := make([]int64, len(c.Intra))
-	bases := make([]int64, len(c.Intra))
-	intraPos := map[string]int{}
-	for i, x := range c.Intra {
-		n := e.plan.Prog.Ranges[x]
-		b := base[x]
-		bases[i] = b
-		extents[i] = min(e.plan.Tiles[x], n-b)
-		intraPos[x] = i
-	}
+// kernel is a statement's intra-tile block — for every point of the
+// intra-tile index space, out += Π factors — lowered once per run onto
+// tensor.Contraction: which loop of the nest each dimension of the output
+// and factor buffers follows. Per block only extents, strides and origins
+// change; clip and bind fill them into a tensor.Block. The timeline model
+// reads the same Block, so it cannot disagree with the kernel about a
+// block's size.
+type kernel struct {
+	c   *codegen.Compute
+	con *tensor.Contraction
+	// rng and tile are each intra index's full range and tile size, at the
+	// tile base the walker stood at when clip last ran.
+	rng, tile, at []int64
+	// loop gives, per operand (the output, then the factors) and buffer
+	// dim, the position of the dim's index in c.Intra, -1 if it is not an
+	// intra index.
+	loop [][]int
+	// blk is the block the serial schedule runs in place; a schedule that
+	// queues blocks gives each its own.
+	blk *tensor.Block
+}
 
-	// Parallel split: an intra dimension that indexes the output buffer,
-	// so workers touch disjoint output elements.
-	workers := e.opt.Workers
-	splitDim := -1
-	if workers > 1 {
-		for _, d := range c.Out.Dims {
-			if j, ok := intraPos[d.Index]; ok && extents[j] >= 2 {
-				if splitDim < 0 || extents[j] > extents[splitDim] {
-					splitDim = j
-				}
+// lower builds the kernels of every compute block under ns.
+func (e *engine) lower(ns []codegen.Node) {
+	for _, n := range ns {
+		switch n := n.(type) {
+		case *codegen.Loop:
+			e.lower(n.Body)
+		case *codegen.Compute:
+			e.kernels[n] = e.newKernel(n)
+		}
+	}
+}
+
+func (e *engine) newKernel(c *codegen.Compute) *kernel {
+	nd := len(c.Intra)
+	k := &kernel{c: c, rng: make([]int64, nd), tile: make([]int64, nd), at: make([]int64, nd)}
+	free := make([]bool, nd)
+	for j, x := range c.Intra {
+		k.rng[j], k.tile[j] = e.plan.Prog.Ranges[x], e.plan.Tiles[x]
+	}
+	for r := 0; r <= len(c.Factors); r++ {
+		dims := k.operand(r).Dims
+		loop := make([]int, len(dims))
+		for i, d := range dims {
+			loop[i] = slices.Index(c.Intra, d.Index)
+			if r == 0 && loop[i] >= 0 {
+				free[loop[i]] = true
 			}
 		}
+		k.loop = append(k.loop, loop)
 	}
-	if splitDim < 0 || workers <= 1 {
-		e.computeRange(c, base, outInst, facInsts, intraPos, bases, extents, 0, 0, extents0(extents))
-		return
-	}
-	if int64(workers) > extents[splitDim] {
-		workers = int(extents[splitDim])
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := extents[splitDim] * int64(w) / int64(workers)
-		hi := extents[splitDim] * int64(w+1) / int64(workers)
-		if hi == lo {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			e.computeRange(c, base, outInst, facInsts, intraPos, bases, extents, splitDim, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	k.con = tensor.NewContraction(free, len(c.Factors))
+	k.blk = k.con.NewBlock()
+	return k
 }
 
-// computePoints returns the number of intra-tile index points of a compute
-// block at the given tile bases (used by the timeline model).
-func (e *engine) computePoints(c *codegen.Compute, base map[string]int64) int64 {
-	pts := int64(1)
-	for _, x := range c.Intra {
-		n := e.plan.Prog.Ranges[x]
-		pts *= min(e.plan.Tiles[x], n-base[x])
+// operand returns the buffer of operand r: the output, then the factors.
+func (k *kernel) operand(r int) *codegen.Buffer {
+	if r == 0 {
+		return k.c.Out
 	}
-	return pts
+	return k.c.Factors[r-1]
 }
 
-// extents0 returns the full range of dimension 0 (or 1 for scalar
-// spaces), the default split bounds of a serial run.
-func extents0(extents []int64) int64 {
-	if len(extents) == 0 {
-		return 1
+// block returns the Block to describe the next block in: the kernel's own,
+// or a fresh one for a block that is queued to run after the walker has
+// moved on to the next.
+func (k *kernel) block(queued bool) *tensor.Block {
+	if queued {
+		return k.con.NewBlock()
 	}
-	return extents[0]
+	return k.blk
 }
 
-// computeRange executes the intra-tile block with dimension splitDim
-// restricted to [lo, hi).
-func (e *engine) computeRange(c *codegen.Compute, base map[string]int64, outInst binding, facInsts []binding,
-	intraPos map[string]int, bases, extents []int64, splitDim int, lo, hi int64) {
-
-	idx := make([]int64, len(c.Intra))
-	if len(idx) > 0 {
-		idx[splitDim] = lo
-	}
-
-	// Precompile each reference's addressing against the intra index
-	// vector so the hot loop is free of map lookups.
-	refs := make([]compiledRef, 0, len(c.Factors)+1)
-	compileRef := func(buf *codegen.Buffer, inst binding) compiledRef {
-		cr := compiledRef{data: inst.t.Data()}
-		for i, d := range buf.Dims {
-			dim := inst.t.Dim(i)
-			j, isIntra := intraPos[d.Index]
-			var src *int64
-			var con int64
-			if isIntra {
-				src = &idx[j]
-				con = bases[j] - inst.base[i]
-			} else {
-				con = base[d.Index] - inst.base[i]
-			}
-			cr.dims = append(cr.dims, refDim{size: dim, src: src, con: con})
-		}
-		return cr
-	}
-	out := compileRef(c.Out, outInst)
-	for i, f := range c.Factors {
-		refs = append(refs, compileRef(f, facInsts[i]))
-	}
-
-	for {
-		prod := 1.0
-		for i := range refs {
-			prod *= refs[i].data[refs[i].offset()]
-		}
-		out.data[out.offset()] += prod
-
-		d := len(idx) - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			limit := extents[d]
-			reset := int64(0)
-			if d == splitDim {
-				limit, reset = hi, lo
-			}
-			if idx[d] < limit {
-				break
-			}
-			idx[d] = reset
-		}
-		if d < 0 {
-			break
-		}
+// clip sets blk's extents to the intra-tile extents at the walker's tile
+// bases: the tile, cut at the end of the range.
+func (k *kernel) clip(blk *tensor.Block, base map[string]int64) {
+	for j, x := range k.c.Intra {
+		k.at[j] = base[x]
+		blk.Ext[j] = int(min(k.tile[j], k.rng[j]-k.at[j]))
 	}
 }
 
-// compiledRef is a buffer reference with addressing resolved to pointers
-// into the intra index vector plus constant offsets.
-type compiledRef struct {
-	data []float64
-	dims []refDim
-}
-
-type refDim struct {
-	size int
-	src  *int64 // intra index source, nil for loop-invariant dims
-	con  int64  // constant offset (global base minus buffer base)
-}
-
-func (r *compiledRef) offset() int {
-	off := int64(0)
-	for i := range r.dims {
-		v := r.dims[i].con
-		if r.dims[i].src != nil {
-			v += *r.dims[i].src
+// bind points operand r of blk at a buffer instance: strides from the
+// instance's actual dims (a partial tile is a smaller tensor), origin at
+// the walker's tile bases (clip ran) relative to the instance's.
+func (k *kernel) bind(blk *tensor.Block, r int, base map[string]int64, b binding) {
+	nd, buf := len(k.at), k.operand(r)
+	strides := blk.Stride[r*nd : (r+1)*nd]
+	clear(strides)
+	start, s := 0, 1
+	for i := len(buf.Dims) - 1; i >= 0; i-- {
+		if j := k.loop[r][i]; j >= 0 {
+			strides[j] += s
+			start += int(k.at[j]-b.base[i]) * s
+		} else {
+			start += int(base[buf.Dims[i].Index]-b.base[i]) * s
 		}
-		off = off*int64(r.dims[i].size) + v
+		s *= b.t.Dim(i)
 	}
-	return int(off)
+	blk.Start[r] = start
+	blk.Data[r] = b.t.Data()
+}
+
+// dryMul scales a compute block's modelled duration for the pruned loops
+// around it (clip ran, at their base 0): an intra dim's extents sum to its
+// full range across the trips; a non-intra dim repeats the same points
+// every trip.
+func (e *engine) dryMul(k *kernel, blk *tensor.Block) float64 {
+	mul := 1.0
+	for _, l := range e.dryLoops {
+		if j := slices.Index(k.c.Intra, l.Index); j >= 0 {
+			mul *= float64(l.Range) / float64(blk.Ext[j])
+		} else {
+			mul *= float64((l.Range + l.Tile - 1) / l.Tile)
+		}
+	}
+	return mul
+}
+
+// computeSeconds models the clipped block's duration under the machine's
+// flop rate (0 without one), pruned dry-run loops folded in.
+func (e *engine) computeSeconds(k *kernel, blk *tensor.Block) float64 {
+	rate := e.plan.Cfg.FlopRate
+	if rate <= 0 {
+		return 0
+	}
+	return float64(blk.Points()) * float64(2*len(k.c.Factors)) * e.dryMul(k, blk) / rate
 }

@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -37,9 +36,11 @@ type Options struct {
 	// Workers > 1 parallelizes intra-tile compute blocks across
 	// goroutines (the engine's stand-in for the collective in-memory
 	// kernels of the paper's GA-based code). Results are bit-identical to
-	// serial execution: the split dimension always indexes the output
-	// buffer, so workers write disjoint elements, and per-element
-	// accumulation order is unchanged.
+	// serial execution: the kernel splits the longest free loop — one whose
+	// index addresses the output buffer — so workers own disjoint output
+	// elements, and its summation rule (tensor.Contraction) fixes each
+	// element's accumulation order by the contracted loops alone, which a
+	// split of a free loop leaves whole inside every worker.
 	Workers int
 	// OpenInputs opens the plan's input arrays on the backend instead of
 	// creating and staging them — the library-adoption path where data
@@ -240,29 +241,7 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := &engine{
-		plan:     p,
-		be:       be,
-		opt:      opt,
-		ctx:      ctx,
-		base:     map[string]int64{},
-		arrs:     map[string]disk.Array{},
-		hasIO:    map[*codegen.Loop]bool{},
-		computes: !opt.DryRun || opt.Tracer != nil || opt.Pipeline,
-	}
-	if opt.Metrics != nil {
-		e.mFaults = opt.Metrics.Counter("exec.io.faults")
-		e.mRetries = opt.Metrics.Counter("exec.io.retries")
-		e.vRetries = opt.Metrics.CounterVec("exec.io.retries.by_array", "array")
-	}
-	depth := 0
-	if opt.Pipeline {
-		depth = opt.PipelineDepth
-		if depth <= 0 {
-			depth = defaultPipelineDepth
-		}
-	}
-	e.sched = newScheduler(e, depth)
+	e := newEngine(ctx, p, be, opt)
 	if opt.Resume != nil {
 		// Completed units never regress below the resume point.
 		e.lastCP = *opt.Resume
@@ -334,6 +313,9 @@ type engine struct {
 	// dry runs do not iterate I/O-free subtrees (their iteration counts are
 	// unconstrained by the cost model and can be astronomical).
 	hasIO map[*codegen.Loop]bool
+	// kernels holds every compute block of the plan, lowered once for the
+	// run (compute.go).
+	kernels map[*codegen.Compute]*kernel
 	// computes is false when a dry run's compute blocks — never executed —
 	// are not even timed (no tracer, no PipelineStats to fill): the walker
 	// then skips them, and with them every I/O-free loop.
@@ -360,6 +342,39 @@ type engine struct {
 	// vRetries breaks retries down per array (labeled family
 	// exec.io.retries.by_array); nil without Options.Metrics.
 	vRetries *obs.CounterVec
+}
+
+// newEngine sets up a run's state: the walker, the scheduler at the depth
+// the options select, and the plan's compute blocks lowered to kernels.
+func newEngine(ctx context.Context, p *codegen.Plan, be disk.Backend, opt Options) *engine {
+	e := &engine{
+		plan:     p,
+		be:       be,
+		opt:      opt,
+		ctx:      ctx,
+		base:     map[string]int64{},
+		arrs:     map[string]disk.Array{},
+		hasIO:    map[*codegen.Loop]bool{},
+		kernels:  map[*codegen.Compute]*kernel{},
+		computes: !opt.DryRun || opt.Tracer != nil || opt.Pipeline,
+	}
+	if e.computes {
+		e.lower(p.Body)
+	}
+	if opt.Metrics != nil {
+		e.mFaults = opt.Metrics.Counter("exec.io.faults")
+		e.mRetries = opt.Metrics.Counter("exec.io.retries")
+		e.vRetries = opt.Metrics.CounterVec("exec.io.retries.by_array", "array")
+	}
+	depth := 0
+	if opt.Pipeline {
+		depth = opt.PipelineDepth
+		if depth <= 0 {
+			depth = defaultPipelineDepth
+		}
+	}
+	e.sched = newScheduler(e, depth)
+	return e
 }
 
 // retrySnapshot copies the retry tallies.
@@ -709,7 +724,7 @@ func (e *engine) walk(ns []codegen.Node) error {
 			err = e.sched.init(n.Array)
 		case *codegen.Compute:
 			if e.computes {
-				err = e.sched.compute(n, e.dryMul(n))
+				err = e.sched.compute(n)
 			}
 		}
 		if err != nil {
@@ -751,21 +766,6 @@ func (e *engine) walkLoop(l *codegen.Loop) error {
 	e.loopStack = e.loopStack[:len(e.loopStack)-1]
 	delete(e.base, l.Index)
 	return nil
-}
-
-// dryMul scales a compute block's modelled duration for the pruned loops
-// around it: an intra dim's extents sum to its full range across the
-// trips; a non-intra dim repeats the same points every trip.
-func (e *engine) dryMul(c *codegen.Compute) float64 {
-	mul := 1.0
-	for _, l := range e.dryLoops {
-		if slices.Contains(c.Intra, l.Index) {
-			mul *= float64(l.Range) / float64(min(l.Tile, l.Range))
-		} else {
-			mul *= float64((l.Range + l.Tile - 1) / l.Tile)
-		}
-	}
-	return mul
 }
 
 // ioErr attributes a disk error to the array and plan position.
@@ -810,17 +810,6 @@ func (e *engine) ioDur(read bool, shape []int64) float64 {
 		return e.plan.Cfg.Disk.ReadTime(bytes, 1)
 	}
 	return e.plan.Cfg.Disk.WriteTime(bytes, 1)
-}
-
-// computeSeconds models a compute block's duration at the current bases
-// under the machine's flop rate (0 without one). mul folds in the trip
-// counts of pruned dry-run loops (dryMul).
-func (e *engine) computeSeconds(c *codegen.Compute, mul float64) float64 {
-	rate := e.plan.Cfg.FlopRate
-	if rate <= 0 {
-		return 0
-	}
-	return float64(e.computePoints(c, e.base)) * float64(2*len(c.Factors)) * mul / rate
 }
 
 // initTiles returns the named disk array and the tile extent per array

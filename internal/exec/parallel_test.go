@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/codegen"
@@ -55,9 +56,7 @@ func TestParallelComputeMatchesSerial(t *testing.T) {
 				serial = out
 				continue
 			}
-			if d := tensor.MaxAbsDiff(out, serial); d != 0 {
-				t.Fatalf("%s workers=%d: differs from serial by %g (must be bit-identical)", tc.name, workers, d)
-			}
+			bitIdentical(t, out, serial, fmt.Sprintf("%s workers=%d vs serial", tc.name, workers))
 		}
 	}
 }

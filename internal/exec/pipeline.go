@@ -39,7 +39,6 @@ package exec
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 
 	"repro/internal/codegen"
@@ -716,23 +715,26 @@ func (s *scheduler) init(array string) error {
 
 // compute binds a compute block to the live buffer instances and runs it
 // after their producers. In data mode a missing instance is a plan error;
-// in dry-run mode the block is timeline-only (mul scales its modelled
-// duration for pruned loops) and missing instances simply contribute no
-// dependencies.
-func (s *scheduler) compute(c *codegen.Compute, mul float64) error {
+// in dry-run mode the block is timeline-only and missing instances simply
+// contribute no dependencies. At depth 0 the block is bound in the kernel's
+// own scratch and run on the spot, allocating nothing; a queued block runs
+// after the walker has moved on, so it owns its Block.
+func (s *scheduler) compute(c *codegen.Compute) error {
 	e := s.e
 	dryRun := e.opt.DryRun
+	k := e.kernels[c]
+	blk := k.block(s.depth > 0 && !dryRun)
+	k.clip(blk, e.base)
 	outSlot := s.cur(c.Out)
-	if outSlot == nil && !dryRun {
-		return fmt.Errorf("exec: compute into uninstantiated buffer %q at %s", c.Out.Name, e.pos())
-	}
 	var deps []*pop
-	var out binding
 	if outSlot != nil {
 		deps = outSlot.deps()
-		out = outSlot.binding
+		if !dryRun {
+			k.bind(blk, 0, e.base, outSlot.binding)
+		}
+	} else if !dryRun {
+		return fmt.Errorf("exec: compute into uninstantiated buffer %q at %s", c.Out.Name, e.pos())
 	}
-	facs := make([]binding, len(c.Factors))
 	for i, f := range c.Factors {
 		slot := s.cur(f)
 		if slot == nil {
@@ -744,23 +746,24 @@ func (s *scheduler) compute(c *codegen.Compute, mul float64) error {
 		if slot.filler != nil {
 			deps = append(deps, slot.filler)
 		}
-		facs[i] = slot.binding
-	}
-	end := s.place(obs.TrackCompute, deps, e.computeSeconds(c, mul), "compute ", c.Out.Name, nil)
-	run := func() error { return nil }
-	if !dryRun {
-		base := e.base
-		if s.depth > 0 {
-			// The block runs after the walker has moved on: it owns a
-			// snapshot of the loop bases.
-			base = maps.Clone(e.base)
+		if !dryRun {
+			k.bind(blk, i+1, e.base, slot.binding)
 		}
-		run = func() error {
-			e.computeWith(c, base, out, facs)
+	}
+	end := s.place(obs.TrackCompute, deps, e.computeSeconds(k, blk), "compute ", c.Out.Name, nil)
+	var op *pop
+	var err error
+	switch {
+	case dryRun:
+		op, err = s.inline(deps, end, func() error { return nil })
+	case s.depth == 0:
+		k.con.Run(blk, e.opt.Workers) // not through inline: a closure over blk would allocate
+	default:
+		op, err = s.inline(deps, end, func() error {
+			k.con.Run(blk, e.opt.Workers)
 			return nil
-		}
+		})
 	}
-	op, err := s.inline(deps, end, run)
 	for _, f := range c.Factors {
 		if slot := s.cur(f); slot != nil && op != nil {
 			slot.users = append(slot.users, op)

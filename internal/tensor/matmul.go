@@ -3,49 +3,32 @@ package tensor
 import (
 	"fmt"
 	"runtime"
-	"sync"
 )
 
-// gemmBlock is the cache-blocking factor for the in-memory kernel. The
-// paper performs all in-memory tile products with BLAS matrix-matrix
-// kernels; this blocked dgemm plays that role.
-const gemmBlock = 64
-
 // MatMulAcc computes C += A × B for 2-D tensors with compatible shapes
-// (A: m×k, B: k×n, C: m×n) using a cache-blocked kernel.
+// (A: m×k, B: k×n, C: m×n): the three-index nest (i, k, j) of the shared
+// Contraction kernel.
 func MatMulAcc(c, a, b *Tensor) {
-	m, k, n := checkGemmShapes(c, a, b)
-	gemmRange(c.data, a.data, b.data, m, k, n, 0, m)
+	MatMulAccParallel(c, a, b, 1)
 }
 
-// MatMulAccParallel is MatMulAcc with the row range of C split across
+// MatMulAccParallel is MatMulAcc with a free loop of the nest split across
 // workers goroutines (workers<=0 uses GOMAXPROCS).
 func MatMulAccParallel(c, a, b *Tensor, workers int) {
 	m, k, n := checkGemmShapes(c, a, b)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 {
-		gemmRange(c.data, a.data, b.data, m, k, n, 0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmRange(c.data, a.data, b.data, m, k, n, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	con := NewContraction([]bool{true, false, true}, 2)
+	blk := con.NewBlock()
+	copy(blk.Ext, []int{m, k, n})
+	copy(blk.Stride, []int{
+		n, 0, 1, // C[i,j]
+		k, 1, 0, // A[i,k]
+		0, n, 1, // B[k,j]
+	})
+	blk.Data[0], blk.Data[1], blk.Data[2] = c.data, a.data, b.data
+	con.Run(blk, workers)
 }
 
 func checkGemmShapes(c, a, b *Tensor) (m, k, n int) {
@@ -61,32 +44,4 @@ func checkGemmShapes(c, a, b *Tensor) (m, k, n int) {
 		panic(fmt.Sprintf("tensor: output shape %v does not match %dx%d", c.dims, m, n))
 	}
 	return m, k, n
-}
-
-// gemmRange computes rows [rlo,rhi) of C += A×B with i-k-j loop order and
-// square blocking; the inner j loop is stride-1 over both B and C.
-func gemmRange(c, a, b []float64, m, k, n, rlo, rhi int) {
-	for ii := rlo; ii < rhi; ii += gemmBlock {
-		iMax := min(ii+gemmBlock, rhi)
-		for kk := 0; kk < k; kk += gemmBlock {
-			kMax := min(kk+gemmBlock, k)
-			for jj := 0; jj < n; jj += gemmBlock {
-				jMax := min(jj+gemmBlock, n)
-				for i := ii; i < iMax; i++ {
-					arow := a[i*k : i*k+k]
-					crow := c[i*n : i*n+n]
-					for l := kk; l < kMax; l++ {
-						av := arow[l]
-						if av == 0 {
-							continue
-						}
-						brow := b[l*n : l*n+n]
-						for j := jj; j < jMax; j++ {
-							crow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
 }

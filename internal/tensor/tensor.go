@@ -1,9 +1,9 @@
 // Package tensor provides the dense multi-dimensional array substrate used
 // throughout the synthesis system: row-major tensors, block extraction and
-// insertion (the unit of out-of-core I/O), index permutation, a blocked
-// matrix-multiply kernel, and a reference einsum used to verify that
-// synthesized out-of-core plans compute the same values as the abstract
-// specification.
+// insertion (the unit of out-of-core I/O), index permutation, the strided
+// multiply-accumulate kernel every in-memory tile product runs through
+// (Contraction), and a reference einsum used to verify that synthesized
+// out-of-core plans compute the same values as the abstract specification.
 package tensor
 
 import (

@@ -340,6 +340,34 @@ func TestMatMulAccParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestContractionMatchesEinsum runs a three-factor nest with two contracted
+// loops (the second longer than the blocking factor) through Contraction,
+// serially and split across workers, against the reference einsum.
+func TestContractionMatchesEinsum(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const ni, nk, nl, nj = 5, 3, 70, 6
+	a, b, v := randomTensor(rng, ni, nk, nl), randomTensor(rng, nl, nj), randomTensor(rng, nk)
+	want := MustEinsum([]string{"i", "j"},
+		Operand{a, []string{"i", "k", "l"}}, Operand{b, []string{"l", "j"}}, Operand{v, []string{"k"}})
+	for _, workers := range []int{1, 3} {
+		con := NewContraction([]bool{true, false, false, true}, 3) // i k l j
+		blk := con.NewBlock()
+		copy(blk.Ext, []int{ni, nk, nl, nj})
+		copy(blk.Stride, []int{
+			nj, 0, 0, 1, // out[i,j]
+			nk * nl, nl, 1, 0, // a[i,k,l]
+			0, 0, nj, 1, // b[l,j]
+			0, 1, 0, 0, // v[k]
+		})
+		out := New(ni, nj)
+		blk.Data[0], blk.Data[1], blk.Data[2], blk.Data[3] = out.data, a.data, b.data, v.data
+		con.Run(blk, workers)
+		if d := MaxAbsDiff(out, want); d > 1e-9 {
+			t.Fatalf("workers %d: contraction differs from einsum by %g", workers, d)
+		}
+	}
+}
+
 func TestMatMulShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
