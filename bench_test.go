@@ -55,13 +55,12 @@ func synthesize(b *testing.B, strat core.Strategy, n, v int64, mem int64, combos
 	if mem > 0 {
 		cfg.MemoryLimit = mem
 	}
-	s, err := core.Synthesize(core.Request{
-		Program:  loops.FourIndexAbstract(n, v),
-		Machine:  cfg,
-		Strategy: strat,
-		Seed:     1,
-		Sampling: sampling.Options{MaxCombos: combos},
-	})
+	s, err := core.SynthesizeOpts(context.Background(), loops.FourIndexAbstract(n, v),
+		core.WithMachine(cfg),
+		core.WithStrategy(strat),
+		core.WithSeed(1),
+		core.WithSampling(sampling.Options{MaxCombos: combos}),
+	)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,12 +329,7 @@ func BenchmarkScalingCCTriples_DCS(b *testing.B) {
 	b.ResetTimer()
 	var pred float64
 	for i := 0; i < b.N; i++ {
-		s, err := core.Synthesize(core.Request{
-			Program:  prog.Clone(),
-			Machine:  machine.OSCItanium2(),
-			Strategy: core.DCS,
-			Seed:     1,
-		})
+		s, err := core.SynthesizeOpts(context.Background(), prog.Clone(), core.WithSeed(1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func main() {
 	if err != nil {
 		obsFlags.Fatal(err)
 	}
-	prog = s.Request.Program // reflects fusion
+	prog = s.Model.Prog // reflects fusion
 
 	if *jsonOut {
 		raw, err := s.JSON()
@@ -147,6 +147,8 @@ func main() {
 			fmt.Printf("block %s: cache tiles %v, memory traffic %.4f s/instance\n",
 				r.Statement, r.Tiles, r.TrafficSeconds)
 		}
+		fmt.Println("\n== modelled time per memory-hierarchy level ==")
+		fmt.Print(cachetile.Breakdown(s, results))
 	}
 	if *measure {
 		obsFlags.SetPhase("measure")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,14 +47,12 @@ func main() {
 	fmt.Println("abstract program (three terms accumulate into R):")
 	fmt.Print(prog.String())
 
-	s, err := core.Synthesize(core.Request{
-		Program:  prog,
-		Machine:  machine.Small(24 << 10),
-		Strategy: core.DCS,
-		Seed:     3,
-		MaxEvals: 60000,
-		AutoFuse: true,
-	})
+	s, err := core.SynthesizeOpts(context.Background(), prog,
+		core.WithMachine(machine.Small(24<<10)),
+		core.WithSeed(3),
+		core.WithMaxEvals(60000),
+		core.WithAutoFuse(),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,13 +52,11 @@ func main() {
 
 	// Give the machine so little memory that intermediates must spill.
 	cfg := machine.Small(24 << 10)
-	s, err := core.Synthesize(core.Request{
-		Program:  prog,
-		Machine:  cfg,
-		Strategy: core.DCS,
-		Seed:     7,
-		MaxEvals: 60000,
-	})
+	s, err := core.SynthesizeOpts(context.Background(), prog,
+		core.WithMachine(cfg),
+		core.WithSeed(7),
+		core.WithMaxEvals(60000),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,15 +28,14 @@ func main() {
 		float64(v*n*n*n*8)/float64(machine.GB))
 
 	for _, strat := range []core.Strategy{core.UniformSampling, core.DCS} {
-		s, err := core.Synthesize(core.Request{
-			Program:  loops.FourIndexAbstract(n, v),
-			Machine:  cfg,
-			Strategy: strat,
-			Seed:     1,
+		s, err := core.SynthesizeOpts(context.Background(), loops.FourIndexAbstract(n, v),
+			core.WithMachine(cfg),
+			core.WithStrategy(strat),
+			core.WithSeed(1),
 			// Cap the baseline's grid so the example finishes promptly;
 			// cmd/oocbench runs the full grid.
-			Sampling: sampling.Options{MaxCombos: 300000},
-		})
+			core.WithSampling(sampling.Options{MaxCombos: 300000}),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

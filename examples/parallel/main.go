@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,12 +32,8 @@ func main() {
 	for _, procs := range []int{1, 2, 4} {
 		cfg := perNode
 		cfg.MemoryLimit = perNode.MemoryLimit * int64(procs)
-		s, err := core.Synthesize(core.Request{
-			Program:  loops.FourIndexAbstract(n, v),
-			Machine:  cfg,
-			Strategy: core.DCS,
-			Seed:     1,
-		})
+		s, err := core.SynthesizeOpts(context.Background(), loops.FourIndexAbstract(n, v),
+			core.WithMachine(cfg), core.WithSeed(1))
 		if err != nil {
 			log.Fatal(err)
 		}

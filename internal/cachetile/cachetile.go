@@ -7,11 +7,15 @@
 // optimization of the Cociorva et al. lineage the paper extends). The
 // block is lowered to a one-statement abstract program whose "disk" is
 // main memory and whose "memory limit" is the cache, and the same
-// placement/NLP/DCS pipeline solves it.
+// placement/NLP/DCS pipeline solves it. Together with the disk-level
+// synthesis and the compute-time model this gives the full hierarchy's
+// time breakdown (Breakdown): disk I/O, memory↔cache traffic, arithmetic.
 package cachetile
 
 import (
+	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
@@ -139,20 +143,26 @@ type BlockResult struct {
 	// TrafficSeconds is the modelled memory→cache time per execution of
 	// the block at full tile extents.
 	TrafficSeconds float64
+	// Executions is the number of times the block runs (the product of
+	// its enclosing tiling-loop trip counts); TotalSeconds is Executions ×
+	// TrafficSeconds.
+	Executions   int64
+	TotalSeconds float64
 	// Synthesis carries the full lower-level artifact.
 	Synthesis *core.Synthesis
 }
 
 // OptimizePlan chooses cache tiles for every compute block of a concrete
-// plan.
+// plan, in plan order.
 func OptimizePlan(plan *codegen.Plan, cache CacheConfig, seed int64) ([]BlockResult, error) {
 	var out []BlockResult
-	var walk func(ns []codegen.Node) error
-	walk = func(ns []codegen.Node) error {
+	var walk func(ns []codegen.Node, execs int64) error
+	walk = func(ns []codegen.Node, execs int64) error {
 		for _, n := range ns {
 			switch n := n.(type) {
 			case *codegen.Loop:
-				if err := walk(n.Body); err != nil {
+				trips := (n.Range + n.Tile - 1) / n.Tile
+				if err := walk(n.Body, execs*trips); err != nil {
 					return err
 				}
 			case *codegen.Compute:
@@ -160,13 +170,12 @@ func OptimizePlan(plan *codegen.Plan, cache CacheConfig, seed int64) ([]BlockRes
 				if err != nil {
 					return err
 				}
-				s, err := core.Synthesize(core.Request{
-					Program:  prog,
-					Machine:  cache.machineFor(),
-					Strategy: core.DCS,
-					Seed:     seed,
-					MaxEvals: 40000,
-				})
+				s, err := core.SynthesizeOpts(context.Background(), prog,
+					core.WithMachine(cache.machineFor()),
+					core.WithStrategy(core.DCS),
+					core.WithSeed(seed),
+					core.WithMaxEvals(40000),
+				)
 				if err != nil {
 					return fmt.Errorf("cachetile: block %v: %w", n.Stmt.Out, err)
 				}
@@ -174,14 +183,41 @@ func OptimizePlan(plan *codegen.Plan, cache CacheConfig, seed int64) ([]BlockRes
 					Statement:      n.Stmt.Out.Name,
 					Tiles:          s.Assign.Tiles,
 					TrafficSeconds: s.Predicted(),
+					Executions:     execs,
+					TotalSeconds:   float64(execs) * s.Predicted(),
 					Synthesis:      s,
 				})
 			}
 		}
 		return nil
 	}
-	if err := walk(plan.Body); err != nil {
+	if err := walk(plan.Body, 1); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Breakdown renders the modelled time of each memory-hierarchy level for a
+// disk-level synthesis whose compute blocks OptimizePlan tiled: disk I/O
+// (the paper's cost model), memory↔cache traffic summed over every block
+// execution, and arithmetic — and names the dominant level.
+func Breakdown(s *core.Synthesis, blocks []BlockResult) string {
+	diskS, computeS := s.Predicted(), s.ComputeSeconds()
+	memoryS := 0.0
+	for _, b := range blocks {
+		memoryS += b.TotalSeconds
+	}
+	dominant, m := "disk I/O", diskS
+	if memoryS > m {
+		dominant, m = "memory traffic", memoryS
+	}
+	if computeS > m {
+		dominant = "arithmetic"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "  disk I/O:       %10.1f s\n", diskS)
+	fmt.Fprintf(&b, "  memory↔cache:   %10.1f s\n", memoryS)
+	fmt.Fprintf(&b, "  arithmetic:     %10.1f s\n", computeS)
+	fmt.Fprintf(&b, "  dominant level: %s\n", dominant)
+	return b.String()
 }

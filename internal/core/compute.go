@@ -26,10 +26,10 @@ func Flops(p *loops.Program) float64 {
 // ComputeSeconds returns the modelled in-memory compute time of the
 // synthesized program (0 if the machine has no flop rate).
 func (s *Synthesis) ComputeSeconds() float64 {
-	if s.Request.Machine.FlopRate <= 0 {
+	if s.Model.Cfg.FlopRate <= 0 {
 		return 0
 	}
-	return Flops(s.Request.Program) / s.Request.Machine.FlopRate
+	return Flops(s.Model.Prog) / s.Model.Cfg.FlopRate
 }
 
 // Balance classifies the synthesized code against the machine: the ratio

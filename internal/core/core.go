@@ -17,7 +17,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/exec"
 	"repro/internal/loops"
-	"repro/internal/machine"
 	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -81,43 +80,19 @@ func (s Strategy) SolverStrategy() (dcs.Strategy, bool) {
 	return sp.solver, true
 }
 
-// Request describes one synthesis task.
-type Request struct {
-	Program  *loops.Program
-	Machine  machine.Config
-	Strategy Strategy
-	// Seed makes solver-based strategies deterministic.
-	Seed int64
-	// MaxEvals bounds the solver budget (DCS strategies); 0 uses the
-	// solver default.
-	MaxEvals int
-	// MaxTime bounds the solver wall clock (0: unbounded).
-	MaxTime time.Duration
-	// Sampling configures the uniform-sampling strategy.
-	Sampling sampling.Options
-	// Placement configures candidate enumeration.
-	Placement placement.Options
-	// AutoFuse applies greedy loop fusion (contracting intermediates, as
-	// in Fig. 1) before tiling. The paper's workloads arrive pre-fused;
-	// programs lowered from arbitrary contraction specs benefit from it.
-	AutoFuse bool
-	// AlignTiles, when positive, applies the spatial-locality adjustment
-	// of the synthesis lineage after solving: the tile size of every loop
-	// indexing the fastest-varying dimension of an array is raised to at
-	// least this many elements (when the assignment stays feasible), so
-	// disk sections occupy long contiguous runs.
-	AlignTiles int64
-}
-
 // Synthesis is the result of a synthesis run.
 type Synthesis struct {
-	Request Request
-	Tree    *tiling.Tree
-	Model   *placement.Model
-	Problem *nlp.Problem
-	X       []int64
-	Assign  nlp.Assignment
-	Plan    *codegen.Plan
+	// Strategy and Seed are the search configuration that produced the
+	// plan. The synthesized program (after any fusion) is Model.Prog and
+	// the target machine Model.Cfg.
+	Strategy Strategy
+	Seed     int64
+	Tree     *tiling.Tree
+	Model    *placement.Model
+	Problem  *nlp.Problem
+	X        []int64
+	Assign   nlp.Assignment
+	Plan     *codegen.Plan
 	// GenTime is the code-generation (search) time — the quantity Table 2
 	// compares across approaches.
 	GenTime time.Duration
@@ -155,82 +130,48 @@ type Synthesis struct {
 	Verify *verify.Report
 }
 
-// synthExtras carries the observability wiring of SynthesizeOpts that the
-// frozen Request struct cannot express.
-type synthExtras struct {
-	observer dcs.Observer
-	metrics  *obs.Registry
-	log      *obs.Log
-	curve    *obs.Convergence
-	verify   bool
-	// portfolio races k solver lanes; patience stops a search once the
-	// best feasible point stalls; start seeds the solver directly; warm
-	// seeds it from a previous synthesis (and prunes candidates against
-	// its objective as an incumbent bound).
-	portfolio int
-	patience  int
-	start     []int64
-	warm      *Synthesis
-}
-
 // solverObserver composes the user observer and the convergence curve
 // into the single callback the solver accepts (nil when neither is set).
-func (x synthExtras) solverObserver() dcs.Observer {
-	if x.observer == nil && x.curve == nil {
+func (c *config) solverObserver() dcs.Observer {
+	if c.observer == nil && c.curve == nil {
 		return nil
 	}
 	return func(e dcs.Event) {
-		x.curve.Record(obs.SolveEvent{
+		c.curve.Record(obs.SolveEvent{
 			Kind: e.Kind, Lane: e.Lane, Restart: e.Restart, Evals: e.Evals,
 			Best: e.Best, Feasible: e.Feasible,
 			MaxViolation: e.MaxViolation, MuNorm: e.MuNorm,
 		})
-		if x.observer != nil {
-			x.observer(e)
+		if c.observer != nil {
+			c.observer(e)
 		}
 	}
 }
 
-// Synthesize runs the full pipeline. It is the frozen Request-struct
-// compatibility path; new call sites should prefer SynthesizeOpts.
-func Synthesize(req Request) (*Synthesis, error) {
-	return SynthesizeContext(context.Background(), req)
-}
-
-// SynthesizeContext runs the full pipeline under a context. Cancellation
-// during the solve aborts the synthesis with the context's error; the
-// solver itself treats the context as a budget signal (Request.MaxTime is
-// layered on the context as a deadline and still returns the best point
-// found).
-func SynthesizeContext(ctx context.Context, req Request) (*Synthesis, error) {
-	return synthesizeWith(ctx, req, synthExtras{})
-}
-
-// synthesizeWith is the shared implementation behind SynthesizeContext
-// and SynthesizeOpts: the Request carries the frozen surface, extras the
-// observability wiring only the options API exposes.
-func synthesizeWith(ctx context.Context, req Request, extras synthExtras) (*Synthesis, error) {
+// synthesize is the synthesis pipeline behind SynthesizeOpts: fuse, tile,
+// enumerate placements, build the NLP, solve, generate code.
+func synthesize(ctx context.Context, prog *loops.Program, c *config) (*Synthesis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if req.Program == nil {
+	if prog == nil {
 		return nil, fmt.Errorf("core: no program")
 	}
-	if err := req.Machine.Validate(); err != nil {
+	if err := c.machine.Validate(); err != nil {
 		return nil, err
 	}
-	sp, known := strategySpecs[req.Strategy]
+	sp, known := strategySpecs[c.strategy]
 	if !known {
-		return nil, fmt.Errorf("core: unknown strategy %v", req.Strategy)
+		return nil, fmt.Errorf("core: unknown strategy %v", c.strategy)
 	}
-	if req.AutoFuse {
-		req.Program = loops.FuseGreedy(req.Program)
+	if c.autoFuse {
+		prog = loops.FuseGreedy(prog)
 	}
-	tree, err := tiling.Tile(req.Program)
+	tree, err := tiling.Tile(prog)
 	if err != nil {
 		return nil, err
 	}
-	model, err := placement.Enumerate(tree, req.Machine, req.Placement)
+	model, err := placement.Enumerate(tree, c.machine, placement.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -242,16 +183,15 @@ func synthesizeWith(ctx context.Context, req Request, extras synthExtras) (*Synt
 	// the cross-product candidate space, and remap the start into the
 	// pruned problem (the incumbent's own candidates always survive the
 	// filter, so the remap stays complete and feasible).
-	solveStart := extras.start
-	if extras.warm != nil && sp.solverBased {
-		if x0, matched := prob.EncodeAssignment(extras.warm.Assign); matched > 0 {
+	var solveStart []int64
+	if c.warm != nil && sp.solverBased {
+		if x0, matched := prob.EncodeAssignment(c.warm.Assign); matched > 0 {
 			solveStart = x0
 			if prob.Feasible(x0) {
-				popt := req.Placement
-				popt.BoundIncumbent = prob.Objective(x0)
-				if m2, err2 := placement.Enumerate(tree, req.Machine, popt); err2 == nil && m2.BoundPruned > 0 {
+				popt := placement.Options{BoundIncumbent: prob.Objective(x0)}
+				if m2, err2 := placement.Enumerate(tree, c.machine, popt); err2 == nil && m2.BoundPruned > 0 {
 					p2 := nlp.Build(m2)
-					if x2, matched2 := p2.EncodeAssignment(extras.warm.Assign); matched2 == matched && p2.Feasible(x2) {
+					if x2, matched2 := p2.EncodeAssignment(c.warm.Assign); matched2 == matched && p2.Feasible(x2) {
 						model, prob, solveStart = m2, p2, x2
 					}
 				}
@@ -266,15 +206,15 @@ func synthesizeWith(ctx context.Context, req Request, extras synthExtras) (*Synt
 	if sp.solverBased {
 		res, err := dcs.Run(ctx, prob,
 			dcs.WithStrategy(sp.solver),
-			dcs.WithSeed(req.Seed),
-			dcs.WithBudget(req.MaxEvals),
-			dcs.WithMaxTime(req.MaxTime),
+			dcs.WithSeed(c.seed),
+			dcs.WithBudget(c.maxEvals),
+			dcs.WithMaxTime(c.maxTime),
 			dcs.WithStart(solveStart),
-			dcs.WithPatience(extras.patience),
-			dcs.WithPortfolio(extras.portfolio),
-			dcs.WithObserver(extras.solverObserver()),
-			dcs.WithMetrics(extras.metrics),
-			dcs.WithLog(extras.log),
+			dcs.WithPatience(c.patience),
+			dcs.WithPortfolio(c.portfolio),
+			dcs.WithObserver(c.solverObserver()),
+			dcs.WithMetrics(c.metrics),
+			dcs.WithLog(c.log),
 		)
 		if err != nil {
 			return nil, err
@@ -286,13 +226,13 @@ func synthesizeWith(ctx context.Context, req Request, extras synthExtras) (*Synt
 			return nil, fmt.Errorf("core: synthesis cancelled: %w", err)
 		}
 		if !res.Feasible {
-			return nil, fmt.Errorf("core: %v found no feasible configuration (memory limit %d too tight?)", req.Strategy, req.Machine.MemoryLimit)
+			return nil, fmt.Errorf("core: %v found no feasible configuration (memory limit %d too tight?)", c.strategy, c.machine.MemoryLimit)
 		}
 		x = res.X
 		evals = int64(res.Evals)
 		race = res
 	} else {
-		res, err := sampling.Search(prob, req.Sampling)
+		res, err := sampling.Search(prob, c.sampling)
 		if err != nil {
 			return nil, err
 		}
@@ -302,19 +242,16 @@ func synthesizeWith(ctx context.Context, req Request, extras synthExtras) (*Synt
 		x = res.X
 		evals = res.Combos
 	}
-	if req.AlignTiles > 0 {
-		x = AlignLastDimTiles(prob, x, req.AlignTiles)
-	}
 	genTime := time.Since(start)
-	if extras.metrics != nil {
+	if c.metrics != nil {
 		// Self-describing BENCH rows: the snapshot carries the solve's
 		// wall clock, eval count, and race outcome alongside the counters.
-		extras.metrics.Gauge("core.gen_seconds").Set(genTime.Seconds())
-		extras.metrics.Gauge("dcs.result.evals").Set(float64(evals))
+		c.metrics.Gauge("core.gen_seconds").Set(genTime.Seconds())
+		c.metrics.Gauge("dcs.result.evals").Set(float64(evals))
 		if sp.solverBased {
-			extras.metrics.Gauge("dcs.portfolio.lanes").Set(float64(race.Lanes))
-			extras.metrics.Gauge("dcs.portfolio.winner_lane").Set(float64(race.WinnerLane))
-			extras.metrics.Gauge("dcs.portfolio.winner_seed").Set(float64(race.WinnerSeed))
+			c.metrics.Gauge("dcs.portfolio.lanes").Set(float64(race.Lanes))
+			c.metrics.Gauge("dcs.portfolio.winner_lane").Set(float64(race.WinnerLane))
+			c.metrics.Gauge("dcs.portfolio.winner_seed").Set(float64(race.WinnerSeed))
 		}
 	}
 
@@ -323,14 +260,15 @@ func synthesizeWith(ctx context.Context, req Request, extras synthExtras) (*Synt
 		return nil, err
 	}
 	var rep *verify.Report
-	if extras.verify {
+	if c.verify {
 		rep = verify.Check(plan)
 		if err := rep.Err(); err != nil {
 			return nil, fmt.Errorf("core: synthesized plan failed verification: %w", err)
 		}
 	}
 	syn := &Synthesis{
-		Request:          req,
+		Strategy:         c.strategy,
+		Seed:             c.seed,
 		Tree:             tree,
 		Model:            model,
 		Problem:          prob,
@@ -340,6 +278,11 @@ func synthesizeWith(ctx context.Context, req Request, extras synthExtras) (*Synt
 		GenTime:          genTime,
 		SolverEvals:      evals,
 		CandidatesPruned: model.BoundPruned,
+		Pipeline:         c.pipeline,
+		PipelineDepth:    c.pipelineDepth,
+		Metrics:          c.metrics,
+		Tracer:           c.tracer,
+		Log:              c.log,
 		Verify:           rep,
 	}
 	if sp.solverBased {
@@ -400,7 +343,7 @@ func (s *Synthesis) MeasureSim() (disk.Stats, error) {
 // WithPipeline, Result.Pipeline holds the modelled serial-vs-overlapped
 // critical-path times.
 func (s *Synthesis) MeasureSimFull() (*exec.Result, error) {
-	be := disk.NewSim(s.Request.Machine.Disk, false)
+	be := disk.NewSim(s.Model.Cfg.Disk, false)
 	defer be.Close()
 	s.attachObs(be)
 	return exec.Run(s.Plan, be, nil, s.execOptions(exec.Options{DryRun: true}))
@@ -410,7 +353,7 @@ func (s *Synthesis) MeasureSimFull() (*exec.Result, error) {
 // and returns the outputs and measured statistics. Suitable for small
 // (test-scale) problems only.
 func (s *Synthesis) RunSim(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, disk.Stats, error) {
-	be := disk.NewSim(s.Request.Machine.Disk, true)
+	be := disk.NewSim(s.Model.Cfg.Disk, true)
 	defer be.Close()
 	s.attachObs(be)
 	res, err := exec.Run(s.Plan, be, inputs, s.execOptions(exec.Options{}))
@@ -422,7 +365,7 @@ func (s *Synthesis) RunSim(inputs map[string]*tensor.Tensor) (map[string]*tensor
 
 // RunFiles executes the plan against real files under dir.
 func (s *Synthesis) RunFiles(dir string, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, disk.Stats, error) {
-	be, err := disk.NewFileStore(dir, s.Request.Machine.Disk)
+	be, err := disk.NewFileStore(dir, s.Model.Cfg.Disk)
 	if err != nil {
 		return nil, disk.Stats{}, err
 	}
@@ -439,9 +382,9 @@ func (s *Synthesis) RunFiles(dir string, inputs map[string]*tensor.Tensor) (map[
 // placement, buffer size, predicted bytes moved and I/O time.
 func (s *Synthesis) Report() string {
 	var b strings.Builder
-	ranges := s.Request.Program.Ranges
+	ranges := s.Model.Prog.Ranges
 	tiles := s.Assign.Tiles
-	d := s.Request.Machine.Disk
+	d := s.Model.Cfg.Disk
 	fmt.Fprintf(&b, "%-10s %-38s %14s %14s %14s %10s\n",
 		"array", "placement", "buffer bytes", "read bytes", "write bytes", "io secs")
 	names := make([]string, 0, len(s.Model.Choices))
@@ -482,11 +425,11 @@ func (s *Synthesis) Report() string {
 // Summary renders a human-readable synthesis report.
 func (s *Synthesis) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "synthesis of %q via %v\n", s.Request.Program.Name, s.Request.Strategy)
+	fmt.Fprintf(&b, "synthesis of %q via %v\n", s.Model.Prog.Name, s.Strategy)
 	fmt.Fprintf(&b, "  code generation time: %v (%d cost evaluations)\n", s.GenTime, s.SolverEvals)
 	fmt.Fprintf(&b, "  predicted disk I/O time: %.1f s\n", s.Predicted())
-	fmt.Fprintf(&b, "  buffer memory: %d bytes (limit %d)\n", s.Plan.MemoryBytes(), s.Request.Machine.MemoryLimit)
-	if s.Request.Machine.FlopRate > 0 {
+	fmt.Fprintf(&b, "  buffer memory: %d bytes (limit %d)\n", s.Plan.MemoryBytes(), s.Model.Cfg.MemoryLimit)
+	if s.Model.Cfg.FlopRate > 0 {
 		fmt.Fprintf(&b, "  balance: %s\n", s.Balance())
 	}
 	b.WriteString(s.Assign.Describe())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,26 +13,24 @@ import (
 	"repro/internal/tensor"
 )
 
-func fig4Request(strategy Strategy) Request {
+// synthFig4 synthesizes the paper's Fig. 4 running example (two-index
+// transform, 1 GB memory) with seed 1; extra options apply last.
+func synthFig4(strategy Strategy, extra ...Option) (*Synthesis, error) {
 	cfg := machine.OSCItanium2()
 	cfg.MemoryLimit = 1 * machine.GB
-	return Request{
-		Program:  loops.TwoIndexFused(35000, 40000),
-		Machine:  cfg,
-		Strategy: strategy,
-		Seed:     1,
-	}
+	opts := append([]Option{WithMachine(cfg), WithStrategy(strategy), WithSeed(1)}, extra...)
+	return SynthesizeOpts(context.Background(), loops.TwoIndexFused(35000, 40000), opts...)
 }
 
 func TestSynthesizeDCSFig4(t *testing.T) {
-	s, err := Synthesize(fig4Request(DCS))
+	s, err := synthFig4(DCS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Problem.Feasible(s.X) {
 		t.Fatal("DCS synthesis returned infeasible assignment")
 	}
-	if s.Plan.MemoryBytes() > s.Request.Machine.MemoryLimit {
+	if s.Plan.MemoryBytes() > s.Model.Cfg.MemoryLimit {
 		t.Fatalf("plan memory %d exceeds limit", s.Plan.MemoryBytes())
 	}
 	// The paper's Fig. 4 solution keeps T in memory.
@@ -44,11 +43,11 @@ func TestSynthesizeDCSFig4(t *testing.T) {
 }
 
 func TestSynthesizeDeterministic(t *testing.T) {
-	a, err := Synthesize(fig4Request(DCS))
+	a, err := synthFig4(DCS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Synthesize(fig4Request(DCS))
+	b, err := synthFig4(DCS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +66,7 @@ func TestPredictedMatchesMeasuredFig4(t *testing.T) {
 	// agree (our simulator shares the cost model modulo partial-tile
 	// padding, so within a few percent).
 	for _, strat := range []Strategy{DCS, UniformSampling} {
-		req := fig4Request(strat)
-		req.Sampling = sampling.Options{MaxCombos: 100000}
-		s, err := Synthesize(req)
+		s, err := synthFig4(strat, WithSampling(sampling.Options{MaxCombos: 100000}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,13 +86,11 @@ func TestPredictedMatchesMeasuredFig4(t *testing.T) {
 }
 
 func TestDCSBeatsUniformSamplingOnFig4(t *testing.T) {
-	dcsS, err := Synthesize(fig4Request(DCS))
+	dcsS, err := synthFig4(DCS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := fig4Request(UniformSampling)
-	req.Sampling = sampling.Options{MaxCombos: 1000000}
-	us, err := Synthesize(req)
+	us, err := synthFig4(UniformSampling, WithSampling(sampling.Options{MaxCombos: 1000000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +110,8 @@ func TestSynthesizedCodeComputesCorrectResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strat := range []Strategy{DCS, UniformSampling, DCSConstrainedAnnealing, RandomSearch} {
-		s, err := Synthesize(Request{
-			Program:  prog.Clone(),
-			Machine:  machine.Small(4 << 10),
-			Strategy: strat,
-			Seed:     2,
-			MaxEvals: 20000,
-		})
+		s, err := SynthesizeOpts(context.Background(), prog.Clone(),
+			WithMachine(machine.Small(4<<10)), WithStrategy(strat), WithSeed(2), WithMaxEvals(20000))
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -146,13 +136,8 @@ func TestRunFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Synthesize(Request{
-		Program:  prog.Clone(),
-		Machine:  machine.Small(4 << 10),
-		Strategy: DCS,
-		Seed:     3,
-		MaxEvals: 20000,
-	})
+	s, err := SynthesizeOpts(context.Background(), prog.Clone(),
+		WithMachine(machine.Small(4<<10)), WithSeed(3), WithMaxEvals(20000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +153,7 @@ func TestRunFiles(t *testing.T) {
 func TestFourIndexSynthesis(t *testing.T) {
 	// The paper's experimental workload at (140,120): T1 must spill to
 	// disk; the synthesis must be feasible under 2 GB.
-	s, err := Synthesize(Request{
-		Program:  loops.FourIndexAbstract(140, 120),
-		Machine:  machine.OSCItanium2(),
-		Strategy: DCS,
-		Seed:     4,
-	})
+	s, err := SynthesizeOpts(context.Background(), loops.FourIndexAbstract(140, 120), WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +173,7 @@ func TestFourIndexSynthesis(t *testing.T) {
 }
 
 func TestAMPLAndSummary(t *testing.T) {
-	s, err := Synthesize(fig4Request(DCS))
+	s, err := synthFig4(DCS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,22 +189,20 @@ func TestAMPLAndSummary(t *testing.T) {
 }
 
 func TestSynthesizeErrors(t *testing.T) {
-	if _, err := Synthesize(Request{}); err == nil {
+	if _, err := SynthesizeOpts(context.Background(), nil); err == nil {
 		t.Error("nil program must error")
 	}
-	req := fig4Request(DCS)
-	req.Machine.MemoryLimit = 0
-	if _, err := Synthesize(req); err == nil {
+	cfg := machine.OSCItanium2()
+	cfg.MemoryLimit = 0
+	if _, err := synthFig4(DCS, WithMachine(cfg)); err == nil {
 		t.Error("invalid machine must error")
 	}
-	req = fig4Request(Strategy(99))
-	if _, err := Synthesize(req); err == nil {
+	if _, err := synthFig4(Strategy(99)); err == nil {
 		t.Error("unknown strategy must error")
 	}
 	// Memory so tight no placement exists.
-	req = fig4Request(DCS)
-	req.Machine.MemoryLimit = 16
-	if _, err := Synthesize(req); err == nil {
+	cfg.MemoryLimit = 16
+	if _, err := synthFig4(DCS, WithMachine(cfg)); err == nil {
 		t.Error("impossible memory limit must error")
 	}
 	if Strategy(99).String() == "" || DCS.String() != "DCS" {
@@ -239,13 +217,8 @@ func TestInfeasibleBudgetReported(t *testing.T) {
 	cfg := machine.Small(1 << 20)
 	cfg.Disk.MinReadBlock = 16 * machine.MB
 	cfg.Disk.MinWriteBlock = 16 * machine.MB
-	_, err := Synthesize(Request{
-		Program:  loops.TwoIndexFused(2000, 2000),
-		Machine:  cfg,
-		Strategy: DCS,
-		Seed:     5,
-		MaxEvals: 5000,
-	})
+	_, err := SynthesizeOpts(context.Background(), loops.TwoIndexFused(2000, 2000),
+		WithMachine(cfg), WithSeed(5), WithMaxEvals(5000))
 	if err == nil {
 		t.Fatal("expected infeasibility error")
 	}

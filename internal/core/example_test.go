@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -9,17 +10,16 @@ import (
 	"repro/internal/machine"
 )
 
-// ExampleSynthesize synthesizes out-of-core code for the paper's running
-// example and prints the chosen strategy for the intermediate T.
-func ExampleSynthesize() {
+// ExampleSynthesizeOpts synthesizes out-of-core code for the paper's
+// running example and prints the chosen strategy for the intermediate T.
+func ExampleSynthesizeOpts() {
 	cfg := machine.OSCItanium2()
 	cfg.MemoryLimit = 1 * machine.GB
-	s, err := core.Synthesize(core.Request{
-		Program:  loops.TwoIndexFused(35000, 40000),
-		Machine:  cfg,
-		Strategy: core.DCS,
-		Seed:     1,
-	})
+	s, err := core.SynthesizeOpts(context.Background(), loops.TwoIndexFused(35000, 40000),
+		core.WithMachine(cfg),
+		core.WithStrategy(core.DCS),
+		core.WithSeed(1),
+	)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -31,17 +31,14 @@ func ExampleSynthesize() {
 	// feasible: true
 }
 
-// ExampleSynthesize_verify runs synthesized code on the simulated disk
-// and verifies it against a direct evaluation.
-func ExampleSynthesize_verify() {
-	prog := loops.TwoIndexFused(12, 16)
-	s, err := core.Synthesize(core.Request{
-		Program:  prog,
-		Machine:  machine.Small(4 << 10),
-		Strategy: core.DCS,
-		Seed:     1,
-		MaxEvals: 20000,
-	})
+// ExampleSynthesizeOpts_verify runs synthesized code on the simulated
+// disk and verifies it against a direct evaluation.
+func ExampleSynthesizeOpts_verify() {
+	s, err := core.SynthesizeOpts(context.Background(), loops.TwoIndexFused(12, 16),
+		core.WithMachine(machine.Small(4<<10)),
+		core.WithSeed(1),
+		core.WithMaxEvals(20000),
+	)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

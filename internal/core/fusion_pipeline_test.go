@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/expr"
@@ -28,14 +29,11 @@ func TestAutoFusePipeline(t *testing.T) {
 	}
 
 	for _, fuse := range []bool{false, true} {
-		s, err := Synthesize(Request{
-			Program:  prog.Clone(),
-			Machine:  machine.Small(2 << 10),
-			Strategy: DCS,
-			Seed:     9,
-			MaxEvals: 40000,
-			AutoFuse: fuse,
-		})
+		opts := []Option{WithMachine(machine.Small(2 << 10)), WithSeed(9), WithMaxEvals(40000)}
+		if fuse {
+			opts = append(opts, WithAutoFuse())
+		}
+		s, err := SynthesizeOpts(context.Background(), prog.Clone(), opts...)
 		if err != nil {
 			t.Fatalf("fuse=%v: %v", fuse, err)
 		}
@@ -61,11 +59,12 @@ func TestAutoFuseReducesCost(t *testing.T) {
 	cfg.Disk.MinReadBlock = 0
 	cfg.Disk.MinWriteBlock = 0
 
-	base, err := Synthesize(Request{Program: prog.Clone(), Machine: cfg, Strategy: DCS, Seed: 3, MaxEvals: 80000})
+	opts := []Option{WithMachine(cfg), WithSeed(3), WithMaxEvals(80000)}
+	base, err := SynthesizeOpts(context.Background(), prog.Clone(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := Synthesize(Request{Program: prog.Clone(), Machine: cfg, Strategy: DCS, Seed: 3, MaxEvals: 80000, AutoFuse: true})
+	fused, err := SynthesizeOpts(context.Background(), prog.Clone(), append(opts, WithAutoFuse())...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,16 +36,16 @@ type DiskArrayJSON struct {
 // Export builds the JSON view.
 func (s *Synthesis) Export() SynthesisJSON {
 	out := SynthesisJSON{
-		Program:             s.Request.Program.Name,
-		Strategy:            s.Request.Strategy.String(),
-		Seed:                s.Request.Seed,
+		Program:             s.Model.Prog.Name,
+		Strategy:            s.Strategy.String(),
+		Seed:                s.Seed,
 		GenTimeSeconds:      s.GenTime.Seconds(),
 		SolverEvals:         s.SolverEvals,
 		PredictedSeconds:    s.Predicted(),
 		PredictedReadBytes:  s.Plan.PredictedReadBytes,
 		PredictedWriteBytes: s.Plan.PredictedWriteBytes,
 		MemoryBytes:         s.Plan.MemoryBytes(),
-		MemoryLimit:         s.Request.Machine.MemoryLimit,
+		MemoryLimit:         s.Model.Cfg.MemoryLimit,
 		Tiles:               s.Assign.Tiles,
 		Placements:          map[string]string{},
 		ConcreteCode:        s.Plan.String(),

@@ -7,7 +7,7 @@ import (
 )
 
 func TestJSONExportRoundTrips(t *testing.T) {
-	s, err := Synthesize(fig4Request(DCS))
+	s, err := synthFig4(DCS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package core
 
-// This file is the redesigned public entry point of the synthesis system:
-// SynthesizeOpts(ctx, program, ...Option). Functional options replace the
-// ever-growing Request struct at call sites, carry cross-cutting concerns
-// (context, pipelined execution) that the struct predates, and leave
-// Request itself frozen as the compatibility path — Synthesize(Request)
-// keeps working unchanged, and every option maps onto it.
+// This file is the entry point of the synthesis system:
+// SynthesizeOpts(ctx, program, ...Option). Every setting reaches the
+// pipeline through an Option; there is no other way in.
 
 import (
 	"context"
@@ -15,16 +12,36 @@ import (
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/sampling"
 )
 
-// config collects the effect of the options over a Request.
+// config collects the effect of the options: the synthesis inputs, the
+// solver's observability wiring, and the execution settings attached to
+// the result.
 type config struct {
-	req           Request
+	machine  machine.Config
+	strategy Strategy
+	seed     int64
+	maxEvals int
+	maxTime  time.Duration
+	sampling sampling.Options
+	autoFuse bool
+
+	observer dcs.Observer
+	metrics  *obs.Registry
+	log      *obs.Log
+	curve    *obs.Convergence
+	verify   bool
+	// portfolio races k solver lanes; patience stops a search once the
+	// best feasible point stalls; warm seeds the solver from a previous
+	// synthesis (and prunes candidates against its objective as an
+	// incumbent bound).
+	portfolio int
+	patience  int
+	warm      *Synthesis
+
 	pipeline      bool
 	pipelineDepth int
-	extras        synthExtras
 	tracer        *obs.Tracer
 }
 
@@ -34,52 +51,41 @@ type Option func(*config)
 // WithMachine targets the synthesis at a machine model (default:
 // machine.OSCItanium2, the paper's evaluation node).
 func WithMachine(m machine.Config) Option {
-	return func(c *config) { c.req.Machine = m }
+	return func(c *config) { c.machine = m }
 }
 
 // WithStrategy selects the search algorithm (default DCS).
 func WithStrategy(s Strategy) Option {
-	return func(c *config) { c.req.Strategy = s }
+	return func(c *config) { c.strategy = s }
 }
 
 // WithSeed makes solver-based strategies deterministic.
 func WithSeed(seed int64) Option {
-	return func(c *config) { c.req.Seed = seed }
+	return func(c *config) { c.seed = seed }
 }
 
 // WithMaxEvals bounds the solver's cost-model evaluation budget.
 func WithMaxEvals(n int) Option {
-	return func(c *config) { c.req.MaxEvals = n }
+	return func(c *config) { c.maxEvals = n }
 }
 
 // WithMaxTime bounds the solver wall clock; it is layered on the caller's
 // context as a deadline, so expiry returns the best point found rather
 // than an error.
 func WithMaxTime(d time.Duration) Option {
-	return func(c *config) { c.req.MaxTime = d }
+	return func(c *config) { c.maxTime = d }
 }
 
 // WithSampling configures the uniform-sampling strategy.
 func WithSampling(o sampling.Options) Option {
-	return func(c *config) { c.req.Sampling = o }
-}
-
-// WithPlacement configures candidate I/O placement enumeration.
-func WithPlacement(o placement.Options) Option {
-	return func(c *config) { c.req.Placement = o }
+	return func(c *config) { c.sampling = o }
 }
 
 // WithAutoFuse applies greedy loop fusion before tiling (programs lowered
 // from arbitrary contraction specs; the paper's workloads arrive
 // pre-fused).
 func WithAutoFuse() Option {
-	return func(c *config) { c.req.AutoFuse = true }
-}
-
-// WithTileAlignment raises last-dimension tile sizes to at least n
-// elements after solving (the spatial-locality adjustment).
-func WithTileAlignment(n int64) Option {
-	return func(c *config) { c.req.AlignTiles = n }
+	return func(c *config) { c.autoFuse = true }
 }
 
 // WithPipeline makes the synthesis execute through the asynchronous
@@ -97,7 +103,7 @@ func WithPipeline(depth int) Option {
 // per-improvement telemetry) to the callback during solver-based
 // synthesis. The observer is invoked synchronously from the solver loop.
 func WithObserver(o Observer) Option {
-	return func(c *config) { c.extras.observer = o }
+	return func(c *config) { c.observer = o }
 }
 
 // WithMetrics publishes solver counters (dcs.evals, dcs.restarts,
@@ -106,7 +112,7 @@ func WithObserver(o Observer) Option {
 // MeasureSim/RunSim/RunFiles report I/O and pipeline instrumentation into
 // the same snapshot.
 func WithMetrics(reg *obs.Registry) Option {
-	return func(c *config) { c.extras.metrics = reg }
+	return func(c *config) { c.metrics = reg }
 }
 
 // WithTracer records the execution helpers' modelled timelines
@@ -120,7 +126,7 @@ func WithTracer(tr *obs.Tracer) Option {
 // solve, and the execution helpers' retry and recovery events
 // afterwards (nil disables).
 func WithLog(l *obs.Log) Option {
-	return func(c *config) { c.extras.log = l }
+	return func(c *config) { c.log = l }
 }
 
 // WithPortfolio races k independently seeded solver lanes (cycling the
@@ -130,15 +136,7 @@ func WithLog(l *obs.Log) Option {
 // lanes, so total work never exceeds a single-seed solve (k ≤ 1 keeps
 // the plain search).
 func WithPortfolio(k int) Option {
-	return func(c *config) { c.extras.portfolio = k }
-}
-
-// WithStart seeds the solver's first restart with a raw decision vector
-// (clamped to the problem bounds). Most callers want WithWarmStart,
-// which remaps a previous synthesis instead of assuming an identical
-// encoding.
-func WithStart(x []int64) Option {
-	return func(c *config) { c.extras.start = x }
+	return func(c *config) { c.portfolio = k }
 }
 
 // WithWarmStart seeds the solver from a previous synthesis of the same
@@ -150,7 +148,7 @@ func WithStart(x []int64) Option {
 // bound already exceeds it. This is what lets a sweep over memory limits
 // or machine models re-solve incrementally instead of cold.
 func WithWarmStart(prev *Synthesis) Option {
-	return func(c *config) { c.extras.warm = prev }
+	return func(c *config) { c.warm = prev }
 }
 
 // WithPatience stops a solver-based synthesis once a feasible point
@@ -158,7 +156,7 @@ func WithWarmStart(prev *Synthesis) Option {
 // deterministic early stop that makes warm-started re-solves finish far
 // under budget (0 disables).
 func WithPatience(n int) Option {
-	return func(c *config) { c.extras.patience = n }
+	return func(c *config) { c.patience = n }
 }
 
 // WithVerify runs the static plan verifier (internal/verify) over the
@@ -168,42 +166,30 @@ func WithPatience(n int) Option {
 // finding fails the synthesis; a clean report is attached as
 // Synthesis.Verify.
 func WithVerify() Option {
-	return func(c *config) { c.extras.verify = true }
+	return func(c *config) { c.verify = true }
 }
 
 // WithConvergence records the solver's convergence curve (restart,
 // improvement, and final events) into curve for later export. It composes
 // with WithObserver: both receive every event.
 func WithConvergence(curve *obs.Convergence) Option {
-	return func(c *config) { c.extras.curve = curve }
+	return func(c *config) { c.curve = curve }
 }
 
 // SynthesizeOpts runs the full synthesis pipeline for a program under a
-// context, configured by functional options. It is equivalent to building
-// a Request by hand and calling SynthesizeContext, plus the
-// execution-engine selection and observability wiring Request cannot
-// express.
+// context, configured by functional options. Cancellation during the
+// solve aborts the synthesis with the context's error; the solver itself
+// treats the context as a budget signal (WithMaxTime is layered on the
+// context as a deadline and still returns the best point found).
 func SynthesizeOpts(ctx context.Context, prog *loops.Program, opts ...Option) (*Synthesis, error) {
-	c := config{req: Request{Program: prog, Machine: machine.OSCItanium2()}}
+	c := config{machine: machine.OSCItanium2()}
 	for _, o := range opts {
 		o(&c)
 	}
-	s, err := synthesizeWith(ctx, c.req, c.extras)
-	if err != nil {
-		return nil, err
-	}
-	s.Pipeline = c.pipeline
-	s.PipelineDepth = c.pipelineDepth
-	s.Metrics = c.extras.metrics
-	s.Tracer = c.tracer
-	s.Log = c.extras.log
-	return s, nil
+	return synthesize(ctx, prog, &c)
 }
 
 // Observer receives solver convergence events during synthesis (the
 // solver package's event stream, re-exported so call sites need only
 // core).
 type Observer = dcs.Observer
-
-// SolverEvent is the solver's convergence event type, re-exported.
-type SolverEvent = dcs.Event

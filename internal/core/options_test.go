@@ -11,34 +11,6 @@ import (
 	"repro/internal/machine"
 )
 
-// TestSynthesizeOptsMatchesRequest checks the functional-options entry
-// point is a faithful mapping onto the frozen Request path.
-func TestSynthesizeOptsMatchesRequest(t *testing.T) {
-	prog := loops.TwoIndexFused(40, 60)
-	cfg := machine.Small(256 << 10)
-	req := Request{Program: prog, Machine: cfg, Strategy: DCS, Seed: 7, MaxEvals: 4000}
-	want, err := Synthesize(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SynthesizeOpts(context.Background(), prog,
-		WithMachine(cfg), WithStrategy(DCS), WithSeed(7), WithMaxEvals(4000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Predicted() != want.Predicted() {
-		t.Fatalf("options path predicted %.6f, request path %.6f", got.Predicted(), want.Predicted())
-	}
-	if len(got.X) != len(want.X) {
-		t.Fatalf("solution lengths differ: %d vs %d", len(got.X), len(want.X))
-	}
-	for i := range got.X {
-		if got.X[i] != want.X[i] {
-			t.Fatalf("solutions diverge at %d: %v vs %v", i, got.X, want.X)
-		}
-	}
-}
-
 // TestSynthesizeOptsPipelineBitIdentical checks WithPipeline switches the
 // run helpers to the asynchronous engine without changing a single bit of
 // the result.

@@ -51,12 +51,8 @@ func TestMoreMemoryNeverHurts(t *testing.T) {
 	for _, gb := range []int64{1, 2, 4, 8} {
 		c := cfg
 		c.MemoryLimit = gb * machine.GB
-		s, err := Synthesize(Request{
-			Program:  loops.FourIndexAbstract(140, 120),
-			Machine:  c,
-			Strategy: DCS,
-			Seed:     1,
-		})
+		s, err := SynthesizeOpts(context.Background(), loops.FourIndexAbstract(140, 120),
+			WithMachine(c), WithSeed(1))
 		if err != nil {
 			t.Fatalf("%dGB: %v", gb, err)
 		}
@@ -74,7 +70,7 @@ func TestMoreMemoryNeverHurts(t *testing.T) {
 func TestPredictedAboveIOLowerBound(t *testing.T) {
 	prog := loops.FourIndexAbstract(140, 120)
 	cfg := machine.OSCItanium2()
-	s, err := Synthesize(Request{Program: prog, Machine: cfg, Strategy: DCS, Seed: 2})
+	s, err := SynthesizeOpts(context.Background(), prog, WithMachine(cfg), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +87,7 @@ func TestPredictedAboveIOLowerBound(t *testing.T) {
 }
 
 func TestReportBreakdown(t *testing.T) {
-	s, err := Synthesize(fig4Request(DCS))
+	s, err := synthFig4(DCS)
 	if err != nil {
 		t.Fatal(err)
 	}

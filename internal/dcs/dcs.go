@@ -113,8 +113,9 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
-// Options configure a solve.
-type Options struct {
+// options is the internal carrier of a solve's configuration; every
+// RunOption maps onto it.
+type options struct {
 	Strategy Strategy
 	// Seed makes the search deterministic.
 	Seed int64
@@ -128,8 +129,6 @@ type Options struct {
 	MaxTime time.Duration
 	// Restarts is the number of independent starts (default 8).
 	Restarts int
-	// MuGrowth scales multiplier ascent steps (default 1.5).
-	MuGrowth float64
 	// Start, if non-nil, seeds the first restart.
 	Start []int64
 	// Patience, when positive, stops the search once a feasible point
@@ -177,18 +176,18 @@ type laneLog struct {
 	events  []Event
 }
 
-func (o Options) withDefaults() Options {
+func (o options) withDefaults() options {
 	if o.MaxEvals <= 0 {
 		o.MaxEvals = 200000
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 8
 	}
-	if o.MuGrowth <= 0 {
-		o.MuGrowth = 1.5
-	}
 	return o
 }
+
+// muGrowth scales the multiplier ascent steps of DLM and CSA.
+const muGrowth = 1.5
 
 // Result is the outcome of a solve.
 type Result struct {
@@ -215,8 +214,8 @@ type Result struct {
 // solve minimizes the problem under a context. Cancellation and deadline
 // expiry stop the search gracefully: the best point found so far is
 // returned, never an error — a budget signal, exactly like MaxEvals.
-// Options.MaxTime is layered on the context as a deadline.
-func solve(ctx context.Context, p Problem, opt Options) (Result, error) {
+// The MaxTime option is layered on the context as a deadline.
+func solve(ctx context.Context, p Problem, opt options) (Result, error) {
 	opt = opt.withDefaults()
 	if p.Dim() == 0 {
 		return Result{}, fmt.Errorf("dcs: empty problem")
@@ -271,9 +270,9 @@ func solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	return res, nil
 }
 
-// newSolver builds the per-solve scratch state. Options must already have
+// newSolver builds the per-solve scratch state. opt must already have
 // defaults applied.
-func newSolver(ctx context.Context, p Problem, opt Options) *solver {
+func newSolver(ctx context.Context, p Problem, opt options) *solver {
 	s := &solver{
 		p:   p,
 		opt: opt,
@@ -318,7 +317,7 @@ func maxOf(vs []float64) float64 {
 
 type solver struct {
 	p   Problem
-	opt Options
+	opt options
 	//lint:ignore ctxfield the solver struct is per-Solve scratch state, never retained past the call
 	ctx    context.Context
 	rng    *rand.Rand
@@ -327,7 +326,7 @@ type solver struct {
 	evals    int
 	restarts int
 	// lastImprove is the eval count of the most recent best-feasible
-	// improvement (for Options.Patience).
+	// improvement (for the Patience option).
 	lastImprove int
 	// stopped is set when a gate callback vetoes continuing; the search
 	// unwinds at the next budget check and emits no further events.

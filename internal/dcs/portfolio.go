@@ -1,6 +1,6 @@
 package dcs
 
-// This file implements the racing portfolio behind Options.Portfolio: K
+// This file implements the racing portfolio behind WithPortfolio: K
 // independently seeded lanes (cycling the DLM, CSA, and random
 // strategies) run concurrently on a goroutine pool, but advance in
 // lockstep rounds of gateEvery evaluations. At each round boundary the
@@ -70,7 +70,7 @@ func laneStrategy(base Strategy, i int) Strategy {
 }
 
 // solvePortfolio races opt.Portfolio lanes. opt has defaults applied.
-func solvePortfolio(ctx context.Context, p Problem, opt Options) (Result, error) {
+func solvePortfolio(ctx context.Context, p Problem, opt options) (Result, error) {
 	k := opt.Portfolio
 	laneBudget := opt.MaxEvals / k
 	if laneBudget < 1 {
@@ -90,7 +90,7 @@ func solvePortfolio(ctx context.Context, p Problem, opt Options) (Result, error)
 	reports := make(chan laneMsg, k)
 	cont := make([]chan bool, k)
 	var obsMu sync.Mutex
-	lanes := make([]Options, k)
+	lanes := make([]options, k)
 	bufs := make([]*laneLog, k)
 	for i := 0; i < k; i++ {
 		lo := opt
@@ -288,7 +288,7 @@ func solvePortfolio(ctx context.Context, p Problem, opt Options) (Result, error)
 
 // emitPortfolioFinal delivers the race's single "final" event. All lanes
 // have been joined, so the raw observer is safe to call directly.
-func emitPortfolioFinal(opt Options, res Result, maxViol float64) {
+func emitPortfolioFinal(opt options, res Result, maxViol float64) {
 	e := Event{
 		Kind:         "final",
 		Lane:         res.WinnerLane,

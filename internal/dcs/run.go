@@ -2,7 +2,7 @@ package dcs
 
 // This file is the entry point of the solver: Run(ctx, Problem,
 // ...Option), one ctx-first call with functional options at call sites.
-// Options remains the internal carrier; every RunOption maps onto it.
+// options remains the internal carrier; every RunOption maps onto it.
 
 import (
 	"context"
@@ -12,16 +12,16 @@ import (
 )
 
 // RunOption configures a Run call.
-type RunOption func(*Options)
+type RunOption func(*options)
 
 // WithStrategy selects the search algorithm (default DLM).
 func WithStrategy(s Strategy) RunOption {
-	return func(o *Options) { o.Strategy = s }
+	return func(o *options) { o.Strategy = s }
 }
 
 // WithSeed makes the search deterministic.
 func WithSeed(seed int64) RunOption {
-	return func(o *Options) { o.Seed = seed }
+	return func(o *options) { o.Seed = seed }
 }
 
 // WithBudget bounds the number of objective/constraint evaluations
@@ -29,7 +29,7 @@ func WithSeed(seed int64) RunOption {
 // budget is split across lanes, so the total work never exceeds a
 // single-lane solve.
 func WithBudget(maxEvals int) RunOption {
-	return func(o *Options) {
+	return func(o *options) {
 		if maxEvals > 0 {
 			o.MaxEvals = maxEvals
 		}
@@ -39,25 +39,15 @@ func WithBudget(maxEvals int) RunOption {
 // WithMaxTime bounds the wall-clock solve time, layered on the caller's
 // context as a deadline (0: unbounded).
 func WithMaxTime(d time.Duration) RunOption {
-	return func(o *Options) { o.MaxTime = d }
+	return func(o *options) { o.MaxTime = d }
 }
 
 // WithRestarts sets the number of independent starts per lane
 // (non-positive keeps the default of 8).
 func WithRestarts(n int) RunOption {
-	return func(o *Options) {
+	return func(o *options) {
 		if n > 0 {
 			o.Restarts = n
-		}
-	}
-}
-
-// WithMuGrowth scales multiplier ascent steps (non-positive keeps the
-// default of 1.5).
-func WithMuGrowth(g float64) RunOption {
-	return func(o *Options) {
-		if g > 0 {
-			o.MuGrowth = g
 		}
 	}
 }
@@ -66,7 +56,7 @@ func WithMuGrowth(g float64) RunOption {
 // under a portfolio). The solver clamps it to the problem bounds; a nil
 // start is ignored.
 func WithStart(x []int64) RunOption {
-	return func(o *Options) {
+	return func(o *options) {
 		if x != nil {
 			o.Start = append([]int64(nil), x...)
 		}
@@ -78,7 +68,7 @@ func WithStart(x []int64) RunOption {
 // stop that lets warm-started re-solves finish far under budget
 // (non-positive disables).
 func WithPatience(n int) RunOption {
-	return func(o *Options) {
+	return func(o *options) {
 		if n > 0 {
 			o.Patience = n
 		}
@@ -90,7 +80,7 @@ func WithPatience(n int) RunOption {
 // to converge on a feasible point stops the race (k ≤ 1 keeps the plain
 // single search).
 func WithPortfolio(k int) RunOption {
-	return func(o *Options) { o.Portfolio = k }
+	return func(o *options) { o.Portfolio = k }
 }
 
 // WithObserver streams per-restart, per-improvement, and final events to
@@ -98,20 +88,20 @@ func WithPortfolio(k int) RunOption {
 // callback is serialized across lanes and Event.Lane identifies the
 // source.
 func WithObserver(obs Observer) RunOption {
-	return func(o *Options) { o.Observer = obs }
+	return func(o *options) { o.Observer = obs }
 }
 
 // WithMetrics publishes dcs.evals / dcs.restarts / dcs.improvements
 // counters into the registry (nil disables).
 func WithMetrics(reg *obs.Registry) RunOption {
-	return func(o *Options) { o.Metrics = reg }
+	return func(o *options) { o.Metrics = reg }
 }
 
 // WithLog streams the solver's structured events (restarts,
 // improvements, lane wins, the final point) into the event log (nil
 // disables).
 func WithLog(l *obs.Log) RunOption {
-	return func(o *Options) { o.Log = l }
+	return func(o *options) { o.Log = l }
 }
 
 // Run minimizes the problem under a context, configured by functional
@@ -119,7 +109,7 @@ func WithLog(l *obs.Log) RunOption {
 // the best point found so far is returned, never an error — a budget
 // signal, exactly like WithBudget.
 func Run(ctx context.Context, p Problem, opts ...RunOption) (Result, error) {
-	var o Options
+	var o options
 	for _, apply := range opts {
 		apply(&o)
 	}

@@ -90,7 +90,7 @@ func (s *solver) dlmOnce(start []int64) {
 			// Multiplier ascent on violated constraints.
 			for i, v := range g {
 				if v > 0 {
-					mu[i] += s.opt.MuGrowth * muBase * (1 + v)
+					mu[i] += muGrowth * muBase * (1 + v)
 				}
 			}
 			stale++
@@ -136,7 +136,7 @@ func (s *solver) csaOnce(start []int64) {
 			_, g = s.eval(x)
 			for i, v := range g {
 				if v > 0 {
-					mu[i] += s.opt.MuGrowth * muBase * v
+					mu[i] += muGrowth * muBase * v
 				}
 			}
 			curL = lagrangian(s.p.Objective(x), g, mu)

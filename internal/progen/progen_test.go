@@ -1,6 +1,7 @@
 package progen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -68,13 +69,8 @@ func TestPipelinePropertyOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		s, err := core.Synthesize(core.Request{
-			Program:  prog,
-			Machine:  machine.Small(1 << 10),
-			Strategy: core.DCS,
-			Seed:     seed,
-			MaxEvals: 15000,
-		})
+		s, err := core.SynthesizeOpts(context.Background(), prog,
+			core.WithMachine(machine.Small(1<<10)), core.WithSeed(seed), core.WithMaxEvals(15000))
 		if err != nil {
 			t.Fatalf("seed %d: synthesize: %v\n%s", seed, err, prog)
 		}

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -15,13 +16,8 @@ func TestNaivePagingFarWorseThanSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.Synthesize(core.Request{
-		Program:  prog,
-		Machine:  cfg,
-		Strategy: core.DCS,
-		Seed:     1,
-		MaxEvals: 60000,
-	})
+	s, err := core.SynthesizeOpts(context.Background(), prog,
+		core.WithMachine(cfg), core.WithSeed(1), core.WithMaxEvals(60000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +28,8 @@ func TestNaivePagingFarWorseThanSynthesis(t *testing.T) {
 }
 
 func TestBalanceClassification(t *testing.T) {
-	s, err := core.Synthesize(core.Request{
-		Program:  loops.FourIndexAbstract(140, 120),
-		Machine:  machine.OSCItanium2(),
-		Strategy: core.DCS,
-		Seed:     1,
-		MaxEvals: 60000,
-	})
+	s, err := core.SynthesizeOpts(context.Background(), loops.FourIndexAbstract(140, 120),
+		core.WithSeed(1), core.WithMaxEvals(60000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -74,13 +75,8 @@ func ScalingStudy(workloads []ScalingWorkload, opt Options) ([]ScalingRow, error
 			}
 			row.GridSize *= points
 		}
-		s, err := core.Synthesize(core.Request{
-			Program:  w.Prog,
-			Machine:  opt.Machine,
-			Strategy: core.DCS,
-			Seed:     opt.Seed,
-			MaxEvals: opt.DCSEvals,
-		})
+		s, err := core.SynthesizeOpts(context.Background(), w.Prog,
+			append(opt.coreOptions(), core.WithMachine(opt.Machine))...)
 		if err != nil {
 			// Record the failure rather than aborting the study.
 			rows = append(rows, row)

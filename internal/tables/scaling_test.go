@@ -3,6 +3,9 @@ package tables
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/loops"
+	"repro/internal/obs"
 )
 
 func TestScalingStudy(t *testing.T) {
@@ -44,5 +47,23 @@ func TestScalingStudy(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("format missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestScalingStudyRecordsMetrics: the scaling study's syntheses publish
+// into Options.Metrics like every other table's, so oocbench -scaling
+// with -metrics-out records its solver work.
+func TestScalingStudyRecordsMetrics(t *testing.T) {
+	opt := capped()
+	opt.Metrics = obs.NewRegistry()
+	rows, err := ScalingStudy([]ScalingWorkload{{Name: "four-index", Prog: loops.FourIndexAbstract(24, 24)}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || !rows[0].Feasible {
+		t.Fatalf("rows = %+v", rows)
+	}
+	if got := opt.Metrics.Counter("dcs.evals").Value(); got <= 0 || got != rows[0].DCSEvals {
+		t.Fatalf("dcs.evals = %d, want the study's %d evals", got, rows[0].DCSEvals)
 	}
 }

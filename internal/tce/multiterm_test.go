@@ -1,6 +1,7 @@
 package tce
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,14 +83,11 @@ func TestMultiTermEndToEnd(t *testing.T) {
 
 	// Full synthesis + out-of-core execution, fused and unfused.
 	for _, fuse := range []bool{false, true} {
-		syn, err := core.Synthesize(core.Request{
-			Program:  prog.Clone(),
-			Machine:  machine.Small(3 << 10),
-			Strategy: core.DCS,
-			Seed:     6,
-			MaxEvals: 40000,
-			AutoFuse: fuse,
-		})
+		opts := []core.Option{core.WithMachine(machine.Small(3 << 10)), core.WithSeed(6), core.WithMaxEvals(40000)}
+		if fuse {
+			opts = append(opts, core.WithAutoFuse())
+		}
+		syn, err := core.SynthesizeOpts(context.Background(), prog.Clone(), opts...)
 		if err != nil {
 			t.Fatalf("fuse=%v: %v", fuse, err)
 		}

@@ -1,6 +1,7 @@
 package tce
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -161,14 +162,11 @@ Y[i,l] = X[i,k] * C[k,l];
 		t.Fatal(err)
 	}
 	for _, fuse := range []bool{false, true} {
-		syn, err := core.Synthesize(core.Request{
-			Program:  prog.Clone(),
-			Machine:  machine.Small(2 << 10),
-			Strategy: core.DCS,
-			Seed:     4,
-			MaxEvals: 40000,
-			AutoFuse: fuse,
-		})
+		opts := []core.Option{core.WithMachine(machine.Small(2 << 10)), core.WithSeed(4), core.WithMaxEvals(40000)}
+		if fuse {
+			opts = append(opts, core.WithAutoFuse())
+		}
+		syn, err := core.SynthesizeOpts(context.Background(), prog.Clone(), opts...)
 		if err != nil {
 			t.Fatalf("fuse=%v: %v", fuse, err)
 		}
@@ -193,13 +191,7 @@ func TestLowerFourIndexSynthesizesAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := core.Synthesize(core.Request{
-		Program:  prog,
-		Machine:  machine.OSCItanium2(),
-		Strategy: core.DCS,
-		Seed:     1,
-		AutoFuse: true,
-	})
+	syn, err := core.SynthesizeOpts(context.Background(), prog, core.WithSeed(1), core.WithAutoFuse())
 	if err != nil {
 		t.Fatal(err)
 	}
