@@ -201,9 +201,11 @@ func TestFileStoreRoundTrip(t *testing.T) {
 }
 
 // TestFileSectionAllocsIndependentOfRuns pins the section paths' scratch
-// discipline: one run buffer per call, not one per contiguous run. Both
-// sections lie in one checksum block, so only the run count (200 vs 2)
-// differs between them.
+// discipline: window scratch comes from the store's pool and windows are
+// iterated, so a call allocates the same whatever its run or window
+// count. The first pair of sections lies in one checksum block, so only
+// the run count (200 vs 2) differs; the second pair is one run each, in
+// 1 vs 50 windows of one-element blocks.
 func TestFileSectionAllocsIndependentOfRuns(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir(), testDisk())
 	if err != nil {
@@ -214,9 +216,14 @@ func TestFileSectionAllocsIndependentOfRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(rows int64) (read, write float64) {
-		lo, shape := []int64{0, 0}, []int64{rows, 4}
-		buf := make([]float64, rows*4)
+	fs.SetBlockElems(1)
+	v, err := fs.Create("V", []int64{2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(a Array, lo, shape []int64) (read, write float64) {
+		n, _ := checkSection(a.Dims(), lo, shape)
+		buf := make([]float64, n)
 		write = testing.AllocsPerRun(10, func() {
 			if err := a.WriteSection(lo, shape, buf); err != nil {
 				t.Fatal(err)
@@ -229,10 +236,15 @@ func TestFileSectionAllocsIndependentOfRuns(t *testing.T) {
 		})
 		return read, write
 	}
-	r2, w2 := allocs(2)
-	r200, w200 := allocs(200)
+	r2, w2 := allocs(a, []int64{0, 0}, []int64{2, 4})
+	r200, w200 := allocs(a, []int64{0, 0}, []int64{200, 4})
 	if r200 != r2 || w200 != w2 {
 		t.Fatalf("allocations grow with the run count: read %v -> %v, write %v -> %v", r2, r200, w2, w200)
+	}
+	r1, w1 := allocs(v, []int64{0}, []int64{16})
+	r50, w50 := allocs(v, []int64{0}, []int64{1600})
+	if r50 != r1 || w50 != w1 {
+		t.Fatalf("allocations grow with the window count: read %v -> %v, write %v -> %v", r1, r50, w1, w50)
 	}
 }
 

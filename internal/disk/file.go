@@ -3,7 +3,6 @@ package disk
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,8 +49,14 @@ const (
 // created by earlier runs, and a MANIFEST.json catalogue lets Reopen
 // validate what it finds. The store charges the same modelled I/O
 // statistics as the simulator, so tests can compare backends, while
-// also performing real reads and writes; every section read verifies
-// the CRC32C of the blocks it covers before returning data.
+// also performing real reads and writes. Section I/O moves in windows of
+// up to 32 consecutive checksum blocks the section touches, one ReadAt
+// per window: the CRC32C check of every covered block and the data the
+// caller gets share those bytes, so a read returns nothing from a block
+// that failed verification (on any error the buffer's contents are
+// unspecified). A write verifies every window before its first mutation,
+// then overlays, re-indexes from memory and writes each window with one
+// WriteAt.
 type FileStore struct {
 	dir        string
 	sl         Ledger
@@ -62,6 +67,8 @@ type FileStore struct {
 	// safe to issue concurrently on one *os.File, so a small worker pool
 	// overlaps real file I/O with the caller's compute.
 	pool *ioPool
+	// sieves lends section calls their window scratch (sieve.go).
+	sieves sievePool
 }
 
 // fileAsyncWorkers is the FileStore pool size: enough to keep a prefetch
@@ -475,17 +482,15 @@ func (fs *FileStore) VerifyArray(name string) ([]ScrubDefect, int64, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var defects []ScrubDefect
-	blocks := int64(len(a.sums))
-	for b := int64(0); b < blocks; b++ {
-		crc, err := a.blockCRCLocked(b)
-		if err != nil {
-			return nil, 0, err
-		}
+	err = a.blockCRCs(func(b int64, crc uint32) {
 		if crc != a.sums[b] {
 			defects = append(defects, ScrubDefect{Array: name, Block: b, Stored: a.sums[b], Computed: crc})
 		}
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("disk: %w", err)
 	}
-	return defects, blocks, nil
+	return defects, int64(len(a.sums)), nil
 }
 
 // RebuildChecksums recomputes the array's checksum index from its
@@ -519,73 +524,6 @@ func (a *fileArray) WriteAsync(lo, shape []int64, buf []float64) Completion {
 	return a.fs.pool.submit(func() error { return a.WriteSection(lo, shape, buf) })
 }
 
-// blockCRCLocked reads block b from the file and returns its CRC32C.
-// The caller holds a.mu (read or write).
-func (a *fileArray) blockCRCLocked(b int64) (uint32, error) {
-	lo, hi := blockSpan(b, a.blockElems, a.n)
-	raw := make([]byte, (hi-lo)*8)
-	if _, err := a.f.ReadAt(raw, a.header+lo*8); err != nil {
-		return 0, fmt.Errorf("disk: %w", err)
-	}
-	return crcBytes(raw), nil
-}
-
-// verifySectionLocked verifies every block the section covers before
-// any data is handed out (reads) or mutated (writes), charging the
-// verification tallies and returning the wrapped non-retryable
-// integrity error on a mismatch. The verification reads are real I/O
-// but charge no modelled statistics — the modelled cost must match the
-// simulator's. The caller holds a.mu (read or write).
-func (a *fileArray) verifySectionLocked(op string, lo, shape []int64) error {
-	var (
-		last    = int64(-1)
-		checked int64
-		ie      *IntegrityError
-	)
-	err := eachRun(a.dims, lo, shape, func(off, bufOff, run int64) error {
-		return a.verifyRangeLocked(off, run, &last, &checked, &ie)
-	})
-	a.fs.sl.chargeVerify(a.name, checked)
-	if err != nil {
-		return wrapIO(op, a.name, lo, shape, transientOS(err), err)
-	}
-	if ie != nil {
-		a.fs.sl.chargeDetect(a.name, ie.Blocks)
-		// Rotten data re-reads identically: never retryable in place.
-		return wrapIO(op, a.name, lo, shape, false, ie)
-	}
-	return nil
-}
-
-// verifyRangeLocked verifies the checksum of every block covering
-// element range [off, off+run) that has ordinal > *last, advancing
-// *last and tallying into *checked and *ie (first failure wins the
-// error detail, Blocks counts all failures). The caller holds a.mu.
-func (a *fileArray) verifyRangeLocked(off, run int64, last *int64, checked *int64, ie **IntegrityError) error {
-	first := off / a.blockElems
-	if first <= *last {
-		first = *last + 1
-	}
-	lastB := (off + run - 1) / a.blockElems
-	for b := first; b <= lastB; b++ {
-		crc, err := a.blockCRCLocked(b)
-		if err != nil {
-			return err
-		}
-		*checked++
-		if crc != a.sums[b] {
-			if *ie == nil {
-				*ie = &IntegrityError{Array: a.name, Block: b, Stored: a.sums[b], Computed: crc}
-			}
-			(*ie).Blocks++
-		}
-	}
-	if lastB > *last {
-		*last = lastB
-	}
-	return nil
-}
-
 func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 	n, err := checkSection(a.dims, lo, shape)
 	if err != nil {
@@ -598,33 +536,20 @@ func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 	a.fs.sl.ChargeRead(a.name, n*8)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if err := a.verifySectionLocked("read", lo, shape); err != nil {
-		return err
-	}
-	raw := runScratch(shape) // per call: concurrent readers never share it
-	err = eachRun(a.dims, lo, shape, func(off, bufOff, run int64) error {
-		if _, err := a.f.ReadAt(raw, a.header+off*8); err != nil {
-			return err
+	s := a.section(lo, shape)
+	defer a.fs.sieves.put(s)
+	for s.next() {
+		if err := s.load(); err != nil {
+			return s.settle("read", lo, shape, err)
 		}
-		for i := int64(0); i < run; i++ {
-			buf[bufOff+i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+		if s.verify(); s.ie != nil {
+			continue // keep tallying the remaining windows; buf is unspecified
 		}
-		return nil
-	})
-	if err != nil {
-		return wrapIO("read", a.name, lo, shape, transientOS(err), err)
+		for at, bufOff, k, ok := s.piece(); ok; at, bufOff, k, ok = s.piece() {
+			decode(buf[bufOff:bufOff+k], s.raw[at*8:])
+		}
 	}
-	return nil
-}
-
-// runScratch returns the byte buffer one contiguous run of the section
-// occupies on disk; every run eachRun visits has this length.
-func runScratch(shape []int64) []byte {
-	run := int64(1)
-	if len(shape) > 0 {
-		run = shape[len(shape)-1]
-	}
-	return make([]byte, run*8)
+	return s.settle("read", lo, shape, nil)
 }
 
 func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
@@ -639,27 +564,28 @@ func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
 	a.fs.sl.ChargeWrite(a.name, n*8)
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	s := a.section(lo, shape)
+	defer a.fs.sieves.put(s)
 	// Read-modify-verify: a block only partially covered by this section
-	// contributes its surviving bytes to the new checksum — verify them
-	// first rather than silently blessing rot into the index.
-	if err := a.verifySectionLocked("write", lo, shape); err != nil {
+	// contributes its surviving bytes to the new checksum — verify every
+	// window before the first mutation rather than silently blessing rot
+	// into the index.
+	windows := 0
+	for err == nil && s.next() {
+		windows++
+		if err = s.load(); err == nil {
+			s.verify()
+		}
+	}
+	if err := s.settle("write", lo, shape, err); err != nil {
 		return err
 	}
 	if err := a.markDirtyLocked(); err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}
-	raw := runScratch(shape)
-	err = eachRun(a.dims, lo, shape, func(off, bufOff, run int64) error {
-		for i := int64(0); i < run; i++ {
-			binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(buf[bufOff+i]))
-		}
-		_, err := a.f.WriteAt(raw, a.header+off*8)
-		return err
-	})
-	if err == nil {
-		err = a.reindexLocked(lo, shape)
-	}
-	if err != nil {
+	s.rewind()
+	// A one-window section's file bytes are still in the scratch.
+	if err := s.store(buf, n, windows == 1); err != nil {
 		return wrapIO("write", a.name, lo, shape, transientOS(err), err)
 	}
 	return nil
@@ -680,44 +606,12 @@ func (a *fileArray) markDirtyLocked() error {
 	return nil
 }
 
-// reindexLocked recomputes the checksum of every block covering the
-// just-written section, reading each block back in full (blocks are not
-// section-aligned, so neighbouring bytes contribute). The caller holds
-// a.mu.
-func (a *fileArray) reindexLocked(lo, shape []int64) error {
-	last := int64(-1)
-	return eachRun(a.dims, lo, shape, func(off, bufOff, run int64) error {
-		first := off / a.blockElems
-		if first <= last {
-			first = last + 1
-		}
-		lastB := (off + run - 1) / a.blockElems
-		for b := first; b <= lastB; b++ {
-			crc, err := a.blockCRCLocked(b)
-			if err != nil {
-				return err
-			}
-			a.sums[b] = crc
-		}
-		if lastB > last {
-			last = lastB
-		}
-		return nil
-	})
-}
-
 // rebuildLocked recomputes the whole checksum index from the file
 // contents. The caller holds a.mu (or has exclusive access).
 func (a *fileArray) rebuildLocked() error {
-	blocks := blockCount(a.n, a.blockElems)
-	sums := make([]uint32, blocks)
-	for b := int64(0); b < blocks; b++ {
-		loE, hiE := blockSpan(b, a.blockElems, a.n)
-		raw := make([]byte, (hiE-loE)*8)
-		if _, err := a.f.ReadAt(raw, a.header+loE*8); err != nil {
-			return fmt.Errorf("disk: checksum %q: %w", a.name, err)
-		}
-		sums[b] = crcBytes(raw)
+	sums := make([]uint32, blockCount(a.n, a.blockElems))
+	if err := a.blockCRCs(func(b int64, crc uint32) { sums[b] = crc }); err != nil {
+		return fmt.Errorf("disk: checksum %q: %w", a.name, err)
 	}
 	a.sums = sums
 	return nil
@@ -811,45 +705,10 @@ func (a *fileArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode Si
 	if mode == SilentTorn {
 		keep = silentPrefixElems(shape)
 	}
-	type revert struct {
-		off int64
-		old []byte
-	}
-	var reverts []revert
-	err = eachRun(a.dims, lo, shape, func(off, bufOff, run int64) error {
-		// Snapshot the bytes the medium will secretly keep.
-		if bufOff+run > keep {
-			rs := keep - bufOff // first reverted packed element of this run
-			if rs < 0 {
-				rs = 0
-			}
-			old := make([]byte, (run-rs)*8)
-			if _, err := a.f.ReadAt(old, a.header+(off+rs)*8); err != nil {
-				return err
-			}
-			reverts = append(reverts, revert{off: off + rs, old: old})
-		}
-		raw := make([]byte, run*8)
-		for i := int64(0); i < run; i++ {
-			binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(buf[bufOff+i]))
-		}
-		_, err := a.f.WriteAt(raw, a.header+off*8)
-		return err
-	})
-	if err == nil {
-		// Index the write as if it fully succeeded...
-		err = a.reindexLocked(lo, shape)
-	}
-	if err == nil {
-		// ...then put the old bytes back underneath it.
-		for _, r := range reverts {
-			if _, werr := a.f.WriteAt(r.old, a.header+r.off*8); werr != nil {
-				err = werr
-				break
-			}
-		}
-	}
-	if err != nil {
+	// Indexed as if the whole write succeeded; only the prefix is written.
+	s := a.section(lo, shape)
+	defer a.fs.sieves.put(s)
+	if err := s.store(buf, keep, false); err != nil {
 		return wrapIO("write", a.name, lo, shape, transientOS(err), err)
 	}
 	return nil

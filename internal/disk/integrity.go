@@ -124,9 +124,9 @@ const (
 // SilentWriter is implemented by backend arrays that can model silent
 // write corruption beneath their own checksum layer, so the fault
 // injector's lies are detectable by the very backend that told them.
-// Both backends implement it identically: the write is performed in
-// full (stats charged, checksums advanced), then the affected data is
-// reverted underneath the index.
+// Both backends leave the same outcome: stats charged and checksums
+// advanced as for a full write, while the stored data past the persisted
+// prefix keeps its previous values.
 type SilentWriter interface {
 	WriteSectionSilent(lo, shape []int64, buf []float64, mode SilentMode) error
 }

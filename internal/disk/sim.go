@@ -267,11 +267,11 @@ func (a *simArray) WriteAsync(lo, shape []int64, buf []float64) Completion {
 	return c
 }
 
-// verifyRangeLocked mirrors fileArray.verifyRangeLocked over the shadow
-// index: it verifies every block covering element range [off, off+run)
-// with ordinal > *last, hashing the same little-endian bytes the file
-// store hashes, so both backends tally identical counts under identical
-// op streams. The caller holds a.mu. Data mode only.
+// verifyRangeLocked verifies, over the shadow index, every block covering
+// element range [off, off+run) with ordinal > *last, hashing the same
+// little-endian bytes the file store hashes, so both backends tally
+// identical counts under identical op streams. The caller holds a.mu.
+// Data mode only.
 func (a *simArray) verifyRangeLocked(off, run int64, last, checked *int64, ie **IntegrityError) {
 	first := off / a.blockElems
 	if first <= *last {
