@@ -85,6 +85,27 @@ type GroupedProblem interface {
 	Groups() []Group
 }
 
+// Evaluator computes f and g for one solver. The solver makes every
+// evaluation of a search through its own Evaluator, so an implementation
+// may keep state between calls (the previous point, cached partial
+// values) and recompute only what the new point changes. Contract:
+//   - Eval(x) returns exactly Objective(x) and Violations(x), to the bit;
+//   - the returned slice is owned by the evaluator and valid only until
+//     its next call: the solver reads it immediately and never retains
+//     it;
+//   - one Evaluator serves one solver goroutine; portfolio lanes each
+//     make their own.
+type Evaluator interface {
+	Eval(x []int64) (f float64, g []float64)
+}
+
+// EvaluatingProblem optionally supplies per-solver evaluators; problems
+// without one are evaluated through Objective and Violations.
+type EvaluatingProblem interface {
+	Problem
+	NewEvaluator() Evaluator
+}
+
 // Strategy selects the search algorithm.
 type Strategy int
 
@@ -282,6 +303,15 @@ func newSolver(ctx context.Context, p Problem, opt options) *solver {
 	if gp, ok := p.(GroupedProblem); ok {
 		s.groups = gp.Groups()
 	}
+	if ep, ok := p.(EvaluatingProblem); ok {
+		s.ev = ep.NewEvaluator()
+	}
+	s.vars = make([]varRange, p.Dim())
+	for i := range s.vars {
+		v := &s.vars[i]
+		v.lo, v.hi = p.Bounds(i)
+		v.llo, v.lhi = math.Log(float64(v.lo)+1), math.Log(float64(v.hi)+1)
+	}
 	if opt.Metrics != nil {
 		// Cache the instrument pointers: eval() is the solver's hot path.
 		s.mEvals = opt.Metrics.Counter("dcs.evals")
@@ -322,6 +352,8 @@ type solver struct {
 	ctx    context.Context
 	rng    *rand.Rand
 	groups []Group
+	ev     Evaluator // nil: evaluate through Objective and Violations
+	vars   []varRange
 
 	evals    int
 	restarts int
@@ -344,6 +376,13 @@ type solver struct {
 	curMu []float64
 
 	mEvals, mRestarts, mImprovements *obs.Counter
+}
+
+// varRange caches a variable's bounds and their log-scale ends, between
+// which randomValue samples wide ranges.
+type varRange struct {
+	lo, hi   int64
+	llo, lhi float64
 }
 
 // emit delivers a progress event to the observer and the structured
@@ -406,14 +445,21 @@ func (s *solver) bestSoFar() (float64, bool) {
 	return s.bestF, true
 }
 
-// eval computes f and g, charging the evaluation budget.
+// eval computes f and g, charging the evaluation budget. g may be the
+// evaluator's buffer: callers use it before the next eval and never keep
+// it.
 func (s *solver) eval(x []int64) (float64, []float64) {
 	s.evals++
 	if s.mEvals != nil {
 		s.mEvals.Inc()
 	}
-	f := s.p.Objective(x)
-	g := s.p.Violations(x)
+	var f float64
+	var g []float64
+	if s.ev != nil {
+		f, g = s.ev.Eval(x)
+	} else {
+		f, g = s.p.Objective(x), s.p.Violations(x)
+	}
 	total := 0.0
 	for _, v := range g {
 		total += v
@@ -491,13 +537,11 @@ func (s *solver) startPoint(r int) []int64 {
 		return x
 	case r <= 0:
 		for i := range x {
-			lo, _ := s.p.Bounds(i)
-			x[i] = lo
+			x[i] = s.vars[i].lo
 		}
 	case r == 1:
 		for i := range x {
-			_, hi := s.p.Bounds(i)
-			x[i] = hi
+			x[i] = s.vars[i].hi
 		}
 	default:
 		for i := range x {
@@ -508,13 +552,13 @@ func (s *solver) startPoint(r int) []int64 {
 }
 
 func (s *solver) randomValue(i int) int64 {
-	lo, hi := s.p.Bounds(i)
+	r := &s.vars[i]
+	lo, hi := r.lo, r.hi
 	if hi-lo <= 1 {
 		return lo + s.rng.Int63n(hi-lo+1)
 	}
 	// Log-uniform over [lo, hi] (tile sizes live on a multiplicative scale).
-	llo, lhi := math.Log(float64(lo)+1), math.Log(float64(hi)+1)
-	v := int64(math.Exp(llo+s.rng.Float64()*(lhi-llo))) - 1
+	v := int64(math.Exp(r.llo+s.rng.Float64()*(r.lhi-r.llo))) - 1
 	if v < lo {
 		v = lo
 	}
@@ -526,7 +570,7 @@ func (s *solver) randomValue(i int) int64 {
 
 func (s *solver) clamp(x []int64) {
 	for i := range x {
-		lo, hi := s.p.Bounds(i)
+		lo, hi := s.vars[i].lo, s.vars[i].hi
 		if x[i] < lo {
 			x[i] = lo
 		}
@@ -540,7 +584,7 @@ func (s *solver) clamp(x []int64) {
 // doubling/halving ladder, unit steps, bound jumps, and the trip-count
 // boundaries ceil(hi/k) that matter for ceil-shaped cost terms.
 func (s *solver) moves(i int, v int64, buf []int64) []int64 {
-	lo, hi := s.p.Bounds(i)
+	lo, hi := s.vars[i].lo, s.vars[i].hi
 	buf = buf[:0]
 	if hi-lo == 1 { // binary: flip
 		if v == lo {

@@ -133,13 +133,13 @@ func (s *solver) csaOnce(start []int64) {
 	for s.budgetLeft() && s.evals-startEvals < budget {
 		if s.rng.Float64() < 0.05 {
 			// Multiplier ascent with probability 5% (the CSA "dual" move).
-			_, g = s.eval(x)
+			f, g = s.eval(x)
 			for i, v := range g {
 				if v > 0 {
 					mu[i] += muGrowth * muBase * v
 				}
 			}
-			curL = lagrangian(s.p.Objective(x), g, mu)
+			curL = lagrangian(f, g, mu)
 			continue
 		}
 		if len(s.groups) > 0 && s.rng.Float64() < 0.2 {

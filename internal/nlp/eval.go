@@ -1,0 +1,220 @@
+package nlp
+
+import "repro/internal/dcs"
+
+// This file is the problem's one evaluation routine. Every candidate is
+// flattened at Build into one slice of terms; Objective, MemoryUsage,
+// Violations and the Candidate* accessors walk those slices with every
+// term recomputed, and the per-solver evaluator walks the same slices
+// recomputing only the terms whose tile variables changed since its
+// previous call. Both sum in the same order with the same operations, so
+// their results are bitwise equal.
+
+// termKind says how a term's raw product becomes its contribution.
+type termKind uint8
+
+const (
+	costDiv  termKind = iota // transferred bytes ÷ bandwidth (seconds)
+	costMul                  // I/O operations × seek time (seconds)
+	memBytes                 // buffer bytes, as is
+	blockBuf                 // relative shortfall of a buffer below the minimum block
+)
+
+// term is a placement.Term flattened for evaluation.
+type term struct {
+	coeff float64 // includes the product of all full-range factors
+	scale float64 // bandwidth (costDiv), seek time (costMul) or minimum block bytes (blockBuf)
+	kind  termKind
+	// idx[:nTiles] multiply by x[i], idx[nTiles:] by ceil(Ranges[i]/x[i]).
+	idx    []int
+	nTiles int
+	mask   uint64 // bit i&63 for every tile variable i in idx
+}
+
+// value is the term's contribution at tile vector x, with trips[i] =
+// ceil(Ranges[i]/x[i]).
+func (t *term) value(x []int64, trips []float64) float64 {
+	v := t.coeff
+	for _, i := range t.idx[:t.nTiles] {
+		v *= float64(x[i])
+	}
+	for _, i := range t.idx[t.nTiles:] {
+		v *= trips[i]
+	}
+	switch t.kind {
+	case costDiv:
+		return v / t.scale
+	case costMul:
+		return v * t.scale
+	case blockBuf:
+		if short := t.scale - v; short > 0 {
+			return short / t.scale
+		}
+		return 0
+	}
+	return v
+}
+
+// candidate is one placement candidate's flattened terms: the cost terms
+// (read bytes, write bytes, read ops, write ops), then the memory terms,
+// then the minimum-block terms.
+type candidate struct {
+	terms       []term
+	nCost, nMem int
+	mask        uint64 // union of the terms' masks
+}
+
+func (c *candidate) cost() []term   { return c.terms[:c.nCost] }
+func (c *candidate) mem() []term    { return c.terms[c.nCost : c.nCost+c.nMem] }
+func (c *candidate) blocks() []term { return c.terms[c.nCost+c.nMem:] }
+
+// accumulate adds the values of ts, in order, to total.
+func accumulate(total float64, ts []term, x []int64, trips []float64) float64 {
+	for j := range ts {
+		total += ts[j].value(x, trips)
+	}
+	return total
+}
+
+// maxStackTiles is the tile count up to which the one-shot evaluations
+// keep their trip table on the stack.
+const maxStackTiles = 64
+
+// tripsOf fills buf with ceil(Ranges[i]/x[i]) for every tile variable.
+func (p *Problem) tripsOf(x []int64, buf []float64) []float64 {
+	for i, n := range p.Ranges {
+		buf = append(buf, float64((n+x[i]-1)/x[i]))
+	}
+	return buf
+}
+
+// code decodes the candidate choice ci selects in x: under one-hot
+// encoding the first set bit wins (candidate 0 if none is set) and
+// oneHot is the exactly-one violation |set−1|; under binary encoding
+// codes ≥ M clamp to the last candidate and oneHot is 0.
+func (p *Problem) code(ci int, x []int64) (k int, oneHot float64) {
+	ch := &p.Choices[ci]
+	bits := x[len(p.TileVars)+ch.BitOffset:][:ch.Bits]
+	if p.Enc == OneHotEncoding {
+		set, first := 0, -1
+		for b, v := range bits {
+			if v != 0 {
+				set++
+				if first < 0 {
+					first = b
+				}
+			}
+		}
+		if first > 0 {
+			k = first
+		}
+		if ch.Bits > 0 && set != 1 {
+			oneHot = float64(abs(set - 1))
+		}
+		return k, oneHot
+	}
+	for b, v := range bits {
+		if v != 0 {
+			k |= 1 << b
+		}
+	}
+	if k >= ch.M {
+		k = ch.M - 1
+	}
+	return k, 0
+}
+
+// evaluator is one solver's incremental view of a Problem. It caches the
+// previous tile vector, its trip counts, each choice's selected
+// candidate and the value of each of that candidate's terms; Eval
+// recomputes only what the new point changes. It is not safe for
+// concurrent use: each solver (each portfolio lane) owns one.
+type evaluator struct {
+	p *Problem
+	// tiles starts at 0, which no tile size takes, and sel at −1, so the
+	// first call recomputes everything.
+	tiles []int64
+	trips []float64
+	sel   []int
+	vals  [][]float64 // vals[ci][j]: term j of choice ci's selected candidate
+	g     []float64
+}
+
+// NewEvaluator returns a fresh incremental evaluator over p
+// (dcs.EvaluatingProblem). Its results are bitwise equal to Objective
+// and Violations; the slice it returns is reused by its next call.
+func (p *Problem) NewEvaluator() dcs.Evaluator {
+	e := &evaluator{
+		p:     p,
+		tiles: make([]int64, len(p.TileVars)),
+		trips: make([]float64, len(p.TileVars)),
+		sel:   make([]int, len(p.Choices)),
+		vals:  make([][]float64, len(p.Choices)),
+		g:     make([]float64, 1+len(p.Choices)),
+	}
+	for ci, cands := range p.cands {
+		e.sel[ci] = -1
+		n := 0
+		for k := range cands {
+			n = max(n, len(cands[k].terms))
+		}
+		e.vals[ci] = make([]float64, n)
+	}
+	return e
+}
+
+// Eval returns Objective(x) and Violations(x). The violation slice is
+// owned by the evaluator and valid until its next call.
+func (e *evaluator) Eval(x []int64) (float64, []float64) {
+	p := e.p
+	var changed uint64
+	for i, t := range x[:len(e.tiles)] {
+		if t != e.tiles[i] {
+			e.tiles[i] = t
+			e.trips[i] = float64((p.Ranges[i] + t - 1) / t)
+			changed |= 1 << (i & 63)
+		}
+	}
+	f, mem := 0.0, 0.0
+	for ci, cands := range p.cands {
+		k, oneHot := p.code(ci, x)
+		c := &cands[k]
+		vals := e.vals[ci][:len(c.terms)]
+		switch {
+		case k != e.sel[ci]:
+			e.sel[ci] = k
+			for j := range c.terms {
+				vals[j] = c.terms[j].value(x, e.trips)
+			}
+		case changed&c.mask != 0:
+			for j := range c.terms {
+				if changed&c.terms[j].mask != 0 {
+					vals[j] = c.terms[j].value(x, e.trips)
+				}
+			}
+		}
+		for _, v := range vals[:c.nCost] {
+			f += v
+		}
+		for _, v := range vals[c.nCost : c.nCost+c.nMem] {
+			mem += v
+		}
+		short := 0.0
+		for _, v := range vals[c.nCost+c.nMem:] {
+			short += v
+		}
+		e.g[1+ci] = short + oneHot
+	}
+	e.g[0] = p.memOverrun(mem)
+	return f, e.g
+}
+
+// memOverrun is the memory-limit violation (relative overrun) of a total
+// buffer size.
+func (p *Problem) memOverrun(mem float64) float64 {
+	limit := float64(p.Model.Cfg.MemoryLimit)
+	if over := mem - limit; over > 0 {
+		return over / limit
+	}
+	return 0
+}

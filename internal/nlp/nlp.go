@@ -42,7 +42,7 @@ type Problem struct {
 	Enc Encoding
 
 	tileIdx map[string]int
-	cands   [][]compiledCandidate
+	cands   [][]candidate
 }
 
 // ChoiceEnc is the binary encoding of one array choice: Bits λ variables
@@ -53,40 +53,6 @@ type ChoiceEnc struct {
 	BitOffset int
 	Bits      int
 	M         int
-}
-
-// compiledTerm is a placement.Term specialized for fast evaluation against
-// the decision vector.
-type compiledTerm struct {
-	coeff   float64 // includes the product of all full-range factors
-	tileIdx []int   // multiply by x[i]
-	tripIdx []int   // multiply by ceil(range/x[i])
-	tripN   []int64
-}
-
-func (t compiledTerm) eval(x []int64) float64 {
-	v := t.coeff
-	for _, i := range t.tileIdx {
-		v *= float64(x[i])
-	}
-	for j, i := range t.tripIdx {
-		v *= float64((t.tripN[j] + x[i] - 1) / x[i])
-	}
-	return v
-}
-
-type compiledBlock struct {
-	buf      compiledTerm
-	minBytes float64
-}
-
-type compiledCandidate struct {
-	readBytes  []compiledTerm
-	writeBytes []compiledTerm
-	readOps    []compiledTerm
-	writeOps   []compiledTerm
-	mem        []compiledTerm
-	blocks     []compiledBlock
 }
 
 // Build compiles a placement model into an optimization problem with the
@@ -114,25 +80,18 @@ func BuildEncoded(m *placement.Model, enc Encoding) *Problem {
 		p.Choices = append(p.Choices, ChoiceEnc{Name: ch.Name, BitOffset: off, Bits: bits, M: len(ch.Candidates)})
 		off += bits
 
-		var cc []compiledCandidate
+		var cc []candidate
 		for i := range ch.Candidates {
 			c := &ch.Candidates[i]
-			var k compiledCandidate
-			for _, t := range c.ReadBytes() {
-				k.readBytes = append(k.readBytes, p.compile(t))
-			}
-			for _, t := range c.WriteBytes() {
-				k.writeBytes = append(k.writeBytes, p.compile(t))
-			}
-			for _, t := range c.ReadOps() {
-				k.readOps = append(k.readOps, p.compile(t))
-			}
-			for _, t := range c.WriteOps() {
-				k.writeOps = append(k.writeOps, p.compile(t))
-			}
-			for _, t := range c.MemBytes() {
-				k.mem = append(k.mem, p.compile(t))
-			}
+			var k candidate
+			d := m.Cfg.Disk
+			k.add(p, c.ReadBytes(), costDiv, d.ReadBandwidth)
+			k.add(p, c.WriteBytes(), costDiv, d.WriteBandwidth)
+			k.add(p, c.ReadOps(), costMul, d.SeekTime)
+			k.add(p, c.WriteOps(), costMul, d.SeekTime)
+			k.nCost = len(k.terms)
+			k.add(p, c.MemBytes(), memBytes, 0)
+			k.nMem = len(k.terms) - k.nCost
 			// The minimum block size amortizes seek time over block
 			// accesses; an array smaller than the minimum block is simply
 			// read or written whole, so the requirement clamps to the
@@ -142,15 +101,15 @@ func BuildEncoded(m *placement.Model, enc Encoding) *Problem {
 				arrBytes *= float64(m.Prog.Ranges[idx])
 			}
 			for _, b := range c.BlockConstraints() {
-				minBytes := float64(m.Cfg.Disk.MinWriteBlock)
+				minBytes := float64(d.MinWriteBlock)
 				if b.IsRead {
-					minBytes = float64(m.Cfg.Disk.MinReadBlock)
+					minBytes = float64(d.MinReadBlock)
 				}
 				if minBytes > arrBytes {
 					minBytes = arrBytes
 				}
 				if minBytes > 0 {
-					k.blocks = append(k.blocks, compiledBlock{buf: p.compile(b.Buf), minBytes: minBytes})
+					k.add(p, []placement.Term{b.Buf}, blockBuf, minBytes)
 				}
 			}
 			cc = append(cc, k)
@@ -172,19 +131,26 @@ func bitsFor(m int) int {
 	return b
 }
 
-func (p *Problem) compile(t placement.Term) compiledTerm {
-	ct := compiledTerm{coeff: t.Coeff}
-	for _, x := range t.Fulls {
-		ct.coeff *= float64(p.Model.Prog.Ranges[x])
+// add appends the flattened terms ts of one kind to the candidate.
+func (c *candidate) add(p *Problem, ts []placement.Term, kind termKind, scale float64) {
+	for _, t := range ts {
+		ft := term{coeff: t.Coeff, scale: scale, kind: kind}
+		for _, x := range t.Fulls {
+			ft.coeff *= float64(p.Model.Prog.Ranges[x])
+		}
+		for _, x := range t.Tiles {
+			ft.idx = append(ft.idx, p.tileIdx[x])
+		}
+		ft.nTiles = len(ft.idx)
+		for _, x := range t.Trips {
+			ft.idx = append(ft.idx, p.tileIdx[x])
+		}
+		for _, i := range ft.idx {
+			ft.mask |= 1 << (i & 63)
+		}
+		c.mask |= ft.mask
+		c.terms = append(c.terms, ft)
 	}
-	for _, x := range t.Tiles {
-		ct.tileIdx = append(ct.tileIdx, p.tileIdx[x])
-	}
-	for _, x := range t.Trips {
-		ct.tripIdx = append(ct.tripIdx, p.tileIdx[x])
-		ct.tripN = append(ct.tripN, p.Model.Prog.Ranges[x])
-	}
-	return ct
 }
 
 // Dim returns the length of the decision vector.
@@ -206,28 +172,8 @@ func (p *Problem) IsBinary(i int) bool { return i >= len(p.TileVars) }
 // under binary encoding codes ≥ M clamp to the last candidate.
 func (p *Problem) Selected(x []int64) []int {
 	out := make([]int, len(p.Choices))
-	for i, ch := range p.Choices {
-		if p.Enc == OneHotEncoding {
-			code := 0
-			for b := 0; b < ch.Bits; b++ {
-				if x[len(p.TileVars)+ch.BitOffset+b] != 0 {
-					code = b
-					break
-				}
-			}
-			out[i] = code
-			continue
-		}
-		code := 0
-		for b := 0; b < ch.Bits; b++ {
-			if x[len(p.TileVars)+ch.BitOffset+b] != 0 {
-				code |= 1 << b
-			}
-		}
-		if code >= ch.M {
-			code = ch.M - 1
-		}
-		out[i] = code
+	for ci := range out {
+		out[ci], _ = p.code(ci, x)
 	}
 	return out
 }
@@ -236,33 +182,24 @@ func (p *Problem) Selected(x []int64) []int {
 // and tile sizes in x: seek time per operation plus transfer time at the
 // read/write bandwidths.
 func (p *Problem) Objective(x []int64) float64 {
-	d := p.Model.Cfg.Disk
+	var buf [maxStackTiles]float64
+	trips := p.tripsOf(x, buf[:0])
 	total := 0.0
-	for ci, sel := range p.Selected(x) {
-		k := &p.cands[ci][sel]
-		for _, t := range k.readBytes {
-			total += t.eval(x) / d.ReadBandwidth
-		}
-		for _, t := range k.writeBytes {
-			total += t.eval(x) / d.WriteBandwidth
-		}
-		for _, t := range k.readOps {
-			total += t.eval(x) * d.SeekTime
-		}
-		for _, t := range k.writeOps {
-			total += t.eval(x) * d.SeekTime
-		}
+	for ci, cands := range p.cands {
+		k, _ := p.code(ci, x)
+		total = accumulate(total, cands[k].cost(), x, trips)
 	}
 	return total
 }
 
 // MemoryUsage returns the total bytes of all selected buffers.
 func (p *Problem) MemoryUsage(x []int64) float64 {
+	var buf [maxStackTiles]float64
+	trips := p.tripsOf(x, buf[:0])
 	total := 0.0
-	for ci, sel := range p.Selected(x) {
-		for _, t := range p.cands[ci][sel].mem {
-			total += t.eval(x)
-		}
+	for ci, cands := range p.cands {
+		k, _ := p.code(ci, x)
+		total = accumulate(total, cands[k].mem(), x, trips)
 	}
 	return total
 }
@@ -270,34 +207,19 @@ func (p *Problem) MemoryUsage(x []int64) float64 {
 // Violations returns the constraint violations of x, each ≥ 0 with 0
 // meaning satisfied: [0] the memory limit (relative overrun), then one
 // entry per choice aggregating its minimum-block-size violations
-// (relative shortfall).
+// (relative shortfall) and, under one-hot encoding, the violation of its
+// exactly-one-bit constraint.
 func (p *Problem) Violations(x []int64) []float64 {
+	var buf [maxStackTiles]float64
+	trips := p.tripsOf(x, buf[:0])
 	out := make([]float64, 1+len(p.Choices))
-	limit := float64(p.Model.Cfg.MemoryLimit)
-	if over := p.MemoryUsage(x) - limit; over > 0 {
-		out[0] = over / limit
+	mem := 0.0
+	for ci, cands := range p.cands {
+		k, oneHot := p.code(ci, x)
+		mem = accumulate(mem, cands[k].mem(), x, trips)
+		out[1+ci] = accumulate(0, cands[k].blocks(), x, trips) + oneHot
 	}
-	for ci, sel := range p.Selected(x) {
-		v := 0.0
-		for _, b := range p.cands[ci][sel].blocks {
-			if short := b.minBytes - b.buf.eval(x); short > 0 {
-				v += short / b.minBytes
-			}
-		}
-		if p.Enc == OneHotEncoding && p.Choices[ci].Bits > 0 {
-			// Exactly one λ bit must be set per choice.
-			set := 0
-			for b := 0; b < p.Choices[ci].Bits; b++ {
-				if x[len(p.TileVars)+p.Choices[ci].BitOffset+b] != 0 {
-					set++
-				}
-			}
-			if set != 1 {
-				v += float64(abs(set - 1))
-			}
-		}
-		out[1+ci] = v
-	}
+	out[0] = p.memOverrun(mem)
 	return out
 }
 
@@ -346,39 +268,25 @@ func (p *Problem) NumCandidates(ci int) int { return len(p.cands[ci]) }
 // CandidateCost returns the modelled I/O time (seconds) of candidate k of
 // choice ci at the tile sizes in x (the λ portion of x is ignored).
 func (p *Problem) CandidateCost(ci, k int, x []int64) float64 {
-	d := p.Model.Cfg.Disk
-	c := &p.cands[ci][k]
-	total := 0.0
-	for _, t := range c.readBytes {
-		total += t.eval(x) / d.ReadBandwidth
-	}
-	for _, t := range c.writeBytes {
-		total += t.eval(x) / d.WriteBandwidth
-	}
-	for _, t := range c.readOps {
-		total += t.eval(x) * d.SeekTime
-	}
-	for _, t := range c.writeOps {
-		total += t.eval(x) * d.SeekTime
-	}
-	return total
+	var buf [maxStackTiles]float64
+	return accumulate(0, p.cands[ci][k].cost(), x, p.tripsOf(x, buf[:0]))
 }
 
 // CandidateMemory returns the buffer bytes candidate k of choice ci
 // allocates at the tile sizes in x.
 func (p *Problem) CandidateMemory(ci, k int, x []int64) float64 {
-	total := 0.0
-	for _, t := range p.cands[ci][k].mem {
-		total += t.eval(x)
-	}
-	return total
+	var buf [maxStackTiles]float64
+	return accumulate(0, p.cands[ci][k].mem(), x, p.tripsOf(x, buf[:0]))
 }
 
 // CandidateBlocksOK reports whether candidate k of choice ci satisfies the
 // minimum I/O block sizes at the tile sizes in x.
 func (p *Problem) CandidateBlocksOK(ci, k int, x []int64) bool {
-	for _, b := range p.cands[ci][k].blocks {
-		if b.buf.eval(x) < b.minBytes {
+	var buf [maxStackTiles]float64
+	trips := p.tripsOf(x, buf[:0])
+	blocks := p.cands[ci][k].blocks()
+	for j := range blocks {
+		if blocks[j].value(x, trips) > 0 {
 			return false
 		}
 	}

@@ -146,12 +146,15 @@ func FormatSolver(rows []SolverRow) string {
 // returning one message per violation (empty: gate green). tol is the
 // allowed relative drift, e.g. 0.25 for ±25%.
 //
-// Deterministic eval counts gate against the baseline's absolute values.
-// Wall-clock gates only two ways that survive a machine change: the
-// within-run invariants (a portfolio race must not take longer than the
-// cold solve it replaces; a warm sweep must evaluate less than a cold
-// sweep), and the within-run ratios portfolio/cold and warm/cold against
-// the baseline's ratios.
+// Deterministic eval counts gate two ways: against the baseline's
+// absolute values, and as within-run invariants (a portfolio race must
+// evaluate less than the cold solve it replaces, and so must a warm
+// sweep against a cold one). Wall-clock gates only as the within-run
+// ratios portfolio/cold and warm/cold against the baseline's ratios,
+// which survive a machine change. The portfolio's wall is not required
+// to beat the cold solve's: a solve of a few tens of milliseconds is
+// dominated by the race's fixed cost (lane goroutines, lockstep
+// handoffs), so that comparison would be a coin toss.
 func SolverRegressions(cur, base []SolverRow, tol float64) []string {
 	var bad []string
 	baseline := map[string]SolverRow{}
@@ -167,9 +170,9 @@ func SolverRegressions(cur, base []SolverRow, tol float64) []string {
 	}
 	for _, r := range cur {
 		// Within-run invariants first: these hold on any machine.
-		if r.PortfolioWallS > r.ColdWallS {
-			bad = append(bad, fmt.Sprintf("%s: portfolio wall %.3fs exceeds cold solve %.3fs",
-				r.Scenario, r.PortfolioWallS, r.ColdWallS))
+		if r.PortfolioEvals >= r.ColdEvals {
+			bad = append(bad, fmt.Sprintf("%s: portfolio evals %d not below cold solve %d",
+				r.Scenario, r.PortfolioEvals, r.ColdEvals))
 		}
 		if r.WarmSweepEvals >= r.ColdSweepEvals {
 			bad = append(bad, fmt.Sprintf("%s: warm sweep evals %d not below cold sweep %d",

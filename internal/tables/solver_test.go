@@ -14,9 +14,9 @@ func solverStudyOnce(t *testing.T) []SolverRow {
 }
 
 // TestSolverStudyInvariants checks the properties the committed baseline
-// promises: the portfolio races the full lane count without exceeding
-// the cold solve's wall-clock or budget, and the warm sweep beats the
-// cold sweep on evaluations while staying feasible.
+// promises: the portfolio races the full lane count on fewer evaluations
+// than the cold solve, and the warm sweep beats the cold sweep on
+// evaluations while staying feasible.
 func TestSolverStudyInvariants(t *testing.T) {
 	rows := solverStudyOnce(t)
 	if len(rows) != 1 {
@@ -29,12 +29,9 @@ func TestSolverStudyInvariants(t *testing.T) {
 	if r.PortfolioLanes != SolverPortfolioLanes {
 		t.Fatalf("lanes = %d, want %d", r.PortfolioLanes, SolverPortfolioLanes)
 	}
-	if r.PortfolioEvals > r.ColdEvals {
-		t.Fatalf("portfolio spent %d evals, cold %d — race exceeded the budget",
+	if r.PortfolioEvals >= r.ColdEvals {
+		t.Fatalf("portfolio spent %d evals, cold %d — race saved nothing",
 			r.PortfolioEvals, r.ColdEvals)
-	}
-	if r.PortfolioWallS > r.ColdWallS {
-		t.Fatalf("portfolio wall %.3fs exceeds cold %.3fs", r.PortfolioWallS, r.ColdWallS)
 	}
 	if r.WarmSweepEvals >= r.ColdSweepEvals {
 		t.Fatalf("warm sweep evals %d not below cold %d", r.WarmSweepEvals, r.ColdSweepEvals)
@@ -86,7 +83,7 @@ func TestSolverRegressions(t *testing.T) {
 		mutate func(*SolverRow)
 	}{
 		{"eval drift", func(r *SolverRow) { r.ColdEvals = 2000 }},
-		{"portfolio slower than cold", func(r *SolverRow) { r.PortfolioWallS = 11 }},
+		{"portfolio evals not below cold", func(r *SolverRow) { r.PortfolioEvals = 1000 }},
 		{"warm sweep no saving", func(r *SolverRow) { r.WarmSweepEvals = 3000 }},
 		{"portfolio ratio regressed", func(r *SolverRow) { r.PortfolioWallS = 9 }},
 		{"warm ratio regressed", func(r *SolverRow) { r.WarmSweepWallS = 29 }},
