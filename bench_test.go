@@ -22,11 +22,11 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/figures"
-	"repro/internal/ga"
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/nlp"
 	"repro/internal/placement"
+	"repro/internal/ring"
 	"repro/internal/sampling"
 	"repro/internal/tables"
 	"repro/internal/tce"
@@ -127,7 +127,7 @@ func BenchmarkTable3_DCS_190x180(b *testing.B)     { benchTable3(b, core.DCS, 19
 func BenchmarkTable3_Uniform_140x120(b *testing.B) { benchTable3(b, core.UniformSampling, 140, 120) }
 func BenchmarkTable3_Uniform_190x180(b *testing.B) { benchTable3(b, core.UniformSampling, 190, 180) }
 
-// ---- Table 4: parallel disk I/O time on the GA/DRA cluster ----
+// ---- Table 4: parallel disk I/O time on the GA/DRA block distribution ----
 
 func benchTable4(b *testing.B, strat core.Strategy, procs int) {
 	perNode := machine.OSCItanium2()
@@ -135,15 +135,15 @@ func benchTable4(b *testing.B, strat core.Strategy, procs int) {
 	b.ResetTimer()
 	var wall float64
 	for i := 0; i < b.N; i++ {
-		cluster, err := ga.NewCluster(procs, perNode.Disk, false)
+		st, err := ring.New(ring.Options{Shards: procs, Replicas: 1, Placement: ring.Blocked, Disk: perNode.Disk})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := exec.Run(s.Plan, cluster, nil, exec.Options{DryRun: true}); err != nil {
+		if _, err := exec.Run(s.Plan, st, nil, exec.Options{DryRun: true}); err != nil {
 			b.Fatal(err)
 		}
-		wall = cluster.Time()
-		cluster.Close()
+		wall = st.Time()
+		st.Close()
 	}
 	b.ReportMetric(wall, "parallel-io-s")
 }

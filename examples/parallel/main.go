@@ -1,10 +1,10 @@
-// Parallel out-of-core execution on the simulated Global Arrays / Disk
-// Resident Arrays cluster: synthesize the four-index transform for the
-// aggregate memory of 1, 2, and 4 processes and measure the collective
-// I/O wall-clock on per-process local disks (the Table 4 experiment).
-// Doubling the process count doubles both the aggregate memory (less
-// redundant I/O) and the aggregate disk bandwidth, so the speedup is
-// superlinear.
+// Parallel out-of-core execution on the Global Arrays / Disk Resident
+// Arrays block distribution (a Blocked ring, one local disk per
+// process): synthesize the four-index transform for the aggregate memory
+// of 1, 2, and 4 processes and measure the collective I/O wall-clock
+// (the Table 4 experiment). Doubling the process count doubles both the
+// aggregate memory (less redundant I/O) and the aggregate disk
+// bandwidth, so the speedup is superlinear.
 package main
 
 import (
@@ -14,9 +14,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/ga"
 	"repro/internal/loops"
 	"repro/internal/machine"
+	"repro/internal/ring"
 )
 
 func main() {
@@ -37,15 +37,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cluster, err := ga.NewCluster(procs, perNode.Disk, false)
+		st, err := ring.New(ring.Options{Shards: procs, Replicas: 1, Placement: ring.Blocked, Disk: perNode.Disk})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := exec.Run(s.Plan, cluster, nil, exec.Options{DryRun: true}); err != nil {
+		if _, err := exec.Run(s.Plan, st, nil, exec.Options{DryRun: true}); err != nil {
 			log.Fatal(err)
 		}
-		agg := cluster.Stats()
-		t := cluster.Time()
+		agg := st.AggregateStats()
+		t := st.Time()
 		if procs == 1 {
 			base = t
 		}
@@ -53,7 +53,7 @@ func main() {
 			procs, cfg.MemoryLimit/machine.GB,
 			float64(agg.BytesRead+agg.BytesWritten)/float64(machine.GB),
 			t, base/t)
-		cluster.Close()
+		st.Close()
 	}
 	fmt.Println("\nNote the superlinear scaling: more aggregate memory shrinks the")
 	fmt.Println("I/O volume while more local disks raise aggregate bandwidth.")

@@ -10,10 +10,10 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/disk"
 	"repro/internal/expr"
-	"repro/internal/ga"
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/progen"
+	"repro/internal/ring"
 	"repro/internal/tensor"
 )
 
@@ -335,8 +335,9 @@ func TestPipelineOverlapFourIndex(t *testing.T) {
 	}
 }
 
-// TestPipelineOnCluster runs the pipelined engine against the ga parallel
-// backend (native async collectives) and checks bit-identical results.
+// TestPipelineOnCluster runs the pipelined engine against a Blocked ring
+// (the GA/DRA block distribution, native async collectives) and checks
+// bit-identical results.
 func TestPipelineOnCluster(t *testing.T) {
 	nmn, nij := int64(6), int64(8)
 	prog := loops.TwoIndexFused(nmn, nij)
@@ -348,7 +349,7 @@ func TestPipelineOnCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(opt Options) *Result {
-		cl, err := ga.NewCluster(4, cfg.Disk, true)
+		cl, err := ring.New(ring.Options{Shards: 4, Replicas: 1, Placement: ring.Blocked, Disk: cfg.Disk, WithData: true})
 		if err != nil {
 			t.Fatal(err)
 		}

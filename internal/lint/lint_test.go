@@ -323,7 +323,7 @@ func min64(a, b int64) int64 {
 	wantDiag(t, diags, "minmax", "reimplements a builtin")
 
 	// Shadowing the builtin by name is just as banned.
-	wantDiag(t, check(t, "internal/ga", `package ga
+	wantDiag(t, check(t, "internal/ring", `package ring
 func max(a, b int64) int64 {
 	if a > b {
 		return a

@@ -2,13 +2,14 @@ package ring
 
 // Section I/O over the ring: every operation is split into placement
 // blocks (runs of leading-dimension rows), each of which lives on R
-// shards chosen by the consistent hash. Reads take one replica per block
+// shards chosen by the placement policy. Reads take one replica per block
 // with typed-error failover; writes fan out to every replica and degrade
 // — not fail — when a replica cannot take the write.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/disk"
@@ -17,13 +18,15 @@ import (
 
 // Array is one replicated disk-resident array.
 type Array struct {
-	st        *Store
-	name      string
-	nameHash  uint64
-	dims      []int64
-	rowSize   int64 // elements per leading-dimension row
-	blockRows int64
-	blocks    int64
+	st       *Store
+	name     string
+	nameHash uint64
+	dims     []int64
+	rowSize  int64 // elements per leading-dimension row
+	// bounds are the placement-block boundaries: block b holds rows
+	// [bounds[b], bounds[b+1]). Fixed at Create, whatever the policy.
+	bounds []int64
+	blocks int64 // len(bounds) - 1
 
 	// locals maps shard id → that shard's full-extent local copy.
 	locals map[int]disk.Array
@@ -69,7 +72,7 @@ func (a *Array) blockKey(b int64) uint64 {
 }
 
 // d0 is the leading extent (1 for rank-0 arrays, which occupy a single
-// block like ga's proc-0-owned scalars).
+// block).
 func (a *Array) d0() int64 {
 	if len(a.dims) == 0 {
 		return 1
@@ -228,17 +231,19 @@ func (a *Array) sliceRuns(lo0, n0 int64, ord func(b int64) []int) []run {
 	var runs []run
 	row := lo0
 	end := lo0 + n0
-	for row < end {
-		b := row / a.blockRows
-		bhi := (b + 1) * a.blockRows
-		rhi := min(end, bhi)
-		order := ord(b)
+	b, ok := slices.BinarySearch(a.bounds, row)
+	if !ok {
+		b-- // row lies inside block b-1
+	}
+	for ; row < end; b++ {
+		rhi := min(end, a.bounds[b+1])
+		order := ord(int64(b))
 		if len(runs) > 0 && sameOrder(runs[len(runs)-1].order, order) {
 			last := &runs[len(runs)-1]
 			last.rhi = rhi
 			last.nBlocks++
 		} else {
-			runs = append(runs, run{rlo: row, rhi: rhi, firstBlock: b, nBlocks: 1, order: order})
+			runs = append(runs, run{rlo: row, rhi: rhi, firstBlock: int64(b), nBlocks: 1, order: order})
 		}
 		row = rhi
 	}
@@ -577,9 +582,20 @@ func (a *Array) writeRuns(lo, shape []int64, buf []float64, runs []run) error {
 
 // blockRange returns the row range [rlo, rhi) of placement block b.
 func (a *Array) blockRange(b int64) (int64, int64) {
-	rlo := b * a.blockRows
-	rhi := min(a.d0(), rlo+a.blockRows)
-	return rlo, rhi
+	return a.bounds[b], a.bounds[b+1]
+}
+
+// blockBuf returns a buffer that holds any one block's full-extent
+// section in data mode, nil in cost-only mode.
+func (a *Array) blockBuf() []float64 {
+	if !a.st.withData {
+		return nil
+	}
+	rows := int64(0)
+	for b := int64(0); b < a.blocks; b++ {
+		rows = max(rows, a.bounds[b+1]-a.bounds[b])
+	}
+	return make([]float64, rows*a.rowSize)
 }
 
 // blockCoveredBy reports whether rows [rlo, rhi) include all of block b.

@@ -1,9 +1,10 @@
 package ring
 
 // Shard membership changes. AddShard grows the ring by one shard and
-// DrainShard retires one; both recompute the consistent-hash table,
-// re-derive every array's block → replica assignment, and move the data
-// the new assignment demands. Movement reads the first healthy old
+// DrainShard retires one; both re-derive every array's block → replica
+// assignment over the new live set (recomputing the consistent-hash
+// table, or re-placing the fixed Blocked ranges) and move the data the
+// new assignment demands. Movement reads the first healthy old
 // replica and writes the new one through the shards' base backends, so
 // it is charged to the shards' modelled I/O statistics — rebalancing
 // cost is part of the modelled cost, which tables.RingStudy measures.
@@ -40,8 +41,8 @@ func (r *RebalanceReport) String() string {
 
 // AddShard grows the ring by one fresh shard (wrapped by the fault
 // schedule when it targets the new index), creates local copies of every
-// array on it, and moves onto it the block replicas the updated hash
-// table assigns it.
+// array on it, and moves the block replicas the updated placement
+// assigns.
 func (s *Store) AddShard() (*RebalanceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -53,7 +54,6 @@ func (s *Store) AddShard() (*RebalanceReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh.fresh = true
 	s.shards = append(s.shards, sh)
 
 	names := s.arrayNamesLocked()
@@ -84,7 +84,7 @@ func (s *Store) AddShard() (*RebalanceReport, error) {
 }
 
 // DrainShard retires shard id: its block replicas move to the shards the
-// updated hash table assigns, then its backend is closed. Draining below
+// updated placement assigns, then its backend is closed. Draining below
 // the replication factor is refused.
 func (s *Store) DrainShard(id int) (*RebalanceReport, error) {
 	s.mu.Lock()
@@ -146,36 +146,32 @@ func (s *Store) arrayNamesLocked() []string {
 	return names
 }
 
-// reassignLocked rebuilds the hash table (drainID excluded when >= 0,
-// i.e. a drain; -1 means a shard was just added) and moves every block
-// replica whose assignment changed. Callers hold s.mu.
+// reassignLocked re-places every array over the live shards (drainID
+// excluded when >= 0, i.e. a drain; -1 means a shard was just added) and
+// moves every block replica whose assignment changed. Callers hold s.mu.
 func (s *Store) reassignLocked(names []string, drainID int, rep *RebalanceReport) error {
+	// Exclude the draining shard from placement; it comes back live as a
+	// movement source until its data has new homes.
+	if drainID >= 0 {
+		s.shards[drainID].live = false
+	}
+	s.rebuildTable()
 	old := make(map[string][][]int, len(names))
+	placed := make(map[string][][]int, len(names))
 	for _, name := range names {
 		a := s.arrays[name]
 		a.amu.Lock()
 		old[name] = a.cands
 		a.amu.Unlock()
+		placed[name] = s.placeLocked(a)
 	}
-
 	if drainID >= 0 {
-		// Exclude the draining shard from placement while it is still
-		// live as a movement source.
-		s.shards[drainID].live = false
-		s.rebuildTable()
 		s.shards[drainID].live = true
-	} else {
-		s.rebuildTable()
 	}
 
 	for _, name := range names {
 		a := s.arrays[name]
-		next := make([][]int, a.blocks)
-		for b := int64(0); b < a.blocks; b++ {
-			// The rebuilt table no longer carries the draining shard's
-			// vnodes, so the walk cannot return it.
-			next[b] = s.replicasFor(a.blockKey(b), s.opt.Replicas)
-		}
+		next := placed[name]
 		if err := s.moveArrayLocked(a, old[name], next, drainID, rep); err != nil {
 			return err
 		}
@@ -223,10 +219,7 @@ func (s *Store) moveArrayLocked(a *Array, oldC, newC [][]int, drainID int, rep *
 		bases[id] = arr
 		return arr, nil
 	}
-	var buf []float64
-	if s.withData {
-		buf = make([]float64, a.blockRows*a.rowSize)
-	}
+	buf := a.blockBuf()
 	// Shards whose circuit breaker is open are not used as movement
 	// sources: their copies are current but the shard is gray-failing,
 	// and copying through it would serialize the rebalance behind it.

@@ -237,10 +237,7 @@ func (s *Store) HealArray(name string) (copied, unhealed int64, err error) {
 
 	// Phase 3: rewrite every defective copy from the first healthy
 	// replica in ring order.
-	var buf []float64
-	if s.withData {
-		buf = make([]float64, a.blockRows*a.rowSize)
-	}
+	buf := a.blockBuf()
 	for b := int64(0); b < a.blocks; b++ {
 		cands := a.candidates(b)
 		var sources, targets []int

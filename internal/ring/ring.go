@@ -1,9 +1,9 @@
-// Package ring is the replicated sharded data plane: a consistent-hash
-// ring that places each block of a disk-resident array on N shard
-// backends with R-way replication. It implements disk.Backend (and the
+// Package ring is the replicated sharded data plane: it places each
+// block of a disk-resident array on N shard backends with R-way
+// replication, either by consistent hashing or by the GA/DRA block
+// distribution (see Placement). It implements disk.Backend (and the
 // async contract), so the execution engine, the verifier, and the fault
-// injector run on it unchanged — like ga.Cluster, but with failure as a
-// first-class citizen:
+// injector run on it unchanged, with failure as a first-class citizen:
 //
 //   - Reads try a block's replicas in ring order and fail over on typed
 //     disk.IOError / disk.IntegrityError, with a per-replica retry budget
@@ -43,9 +43,29 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultVNodes is the number of virtual nodes each shard projects onto
-// the hash ring; more vnodes smooth the block distribution.
-const DefaultVNodes = 64
+// vnodes is the number of virtual nodes each shard projects onto the
+// hash ring; more vnodes smooth the block distribution.
+const vnodes = 64
+
+// Placement selects how a Store maps an array's row blocks to shards.
+type Placement int
+
+const (
+	// Hash splits the leading dimension into BlockRows-sized blocks and
+	// places each on the R shards clockwise from its key on a
+	// consistent-hash ring, so AddShard/DrainShard relocate only the
+	// blocks whose replica set changed.
+	Hash Placement = iota
+	// Blocked is the GA/DRA block distribution: at Create the leading
+	// extent d is split over the L live shards into the ranges
+	// [d·k/L, d·(k+1)/L) (empty ranges are dropped), and replica r of
+	// range k lives on the (k+r) mod L-th live shard. A section touching
+	// a shard's range costs that shard exactly one sub-operation, as in a
+	// GA collective. Rank-0 arrays live on the first live shard(s).
+	// Membership changes keep the ranges and re-place each one on the
+	// shard that would own its first row under a fresh split.
+	Blocked
+)
 
 // Metric names published by the ring (see Options.Metrics/SetMetrics).
 const (
@@ -68,8 +88,8 @@ type Options struct {
 	Shards int
 	// Replicas is the replication factor R in [1, Shards].
 	Replicas int
-	// VNodes is the virtual-node count per shard (default DefaultVNodes).
-	VNodes int
+	// Placement selects the block → shard policy (default Hash).
+	Placement Placement
 	// Seed selects the placement hash; the same seed reproduces the same
 	// block → replica assignment.
 	Seed uint64
@@ -79,9 +99,9 @@ type Options struct {
 	// WithData selects numerically verifiable simulator shards (test
 	// scale); cost-only otherwise.
 	WithData bool
-	// BlockRows overrides the placement granularity: a block is this many
-	// leading-dimension rows. 0 derives a per-array granularity that
-	// yields roughly eight blocks per shard.
+	// BlockRows overrides the Hash placement granularity: a block is this
+	// many leading-dimension rows. 0 derives a per-array granularity that
+	// yields roughly eight blocks per shard. Blocked rejects it.
 	BlockRows int64
 	// Open, if non-nil, builds shard i's backend instead of the default
 	// disk.NewSim(Disk, WithData) — e.g. a FileStore per shard directory.
@@ -113,12 +133,11 @@ type Options struct {
 
 // shard is one ring member.
 type shard struct {
-	id    int
-	name  string // bounded metric label, fixed at construction
-	be    disk.Backend
-	live  bool
-	inj   *fault.Injector // non-nil when Faults targets this shard
-	fresh bool            // no array data yet (added after arrays existed)
+	id   int
+	name string // bounded metric label, fixed at construction
+	be   disk.Backend
+	live bool
+	inj  *fault.Injector // non-nil when Faults targets this shard
 }
 
 // Store is the replicated sharded backend.
@@ -169,8 +188,11 @@ func New(opt Options) (*Store, error) {
 	if opt.Replicas < 1 || opt.Replicas > opt.Shards {
 		return nil, fmt.Errorf("ring: replication factor %d outside [1, %d]", opt.Replicas, opt.Shards)
 	}
-	if opt.VNodes <= 0 {
-		opt.VNodes = DefaultVNodes
+	switch {
+	case opt.Placement != Hash && opt.Placement != Blocked:
+		return nil, fmt.Errorf("ring: unknown placement %d", opt.Placement)
+	case opt.Placement == Blocked && opt.BlockRows != 0:
+		return nil, fmt.Errorf("ring: BlockRows %d with Blocked placement (its blocks are the per-shard ranges)", opt.BlockRows)
 	}
 	s := &Store{
 		opt:       opt,
@@ -236,7 +258,7 @@ func (s *Store) rebuildTable() {
 		if !sh.live {
 			continue
 		}
-		for v := 0; v < s.opt.VNodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			h := mix(s.opt.Seed ^ mix(uint64(sh.id)+0x5851f42d4c957f2d) ^ uint64(v)*0x14057b7ef767814f)
 			s.table = append(s.table, vnode{h: h, shard: sh.id})
 		}
@@ -328,19 +350,8 @@ func (s *Store) Create(name string, dims []int64) (disk.Array, error) {
 			a.rowSize *= d
 		}
 	}
-	d0 := int64(1)
-	if len(dims) > 0 {
-		d0 = dims[0]
-	}
-	a.blockRows = s.opt.BlockRows
-	if a.blockRows <= 0 {
-		// Roughly eight placement blocks per shard, at least one row each.
-		a.blockRows = max(int64(1), d0/int64(8*s.liveCount()))
-	}
-	a.blocks = (d0 + a.blockRows - 1) / a.blockRows
-	if a.blocks < 1 {
-		a.blocks = 1
-	}
+	a.bounds = s.splitRows(a.d0())
+	a.blocks = int64(len(a.bounds) - 1)
 	for _, sh := range s.shards {
 		if !sh.live {
 			continue
@@ -351,12 +362,63 @@ func (s *Store) Create(name string, dims []int64) (disk.Array, error) {
 		}
 		a.locals[sh.id] = la
 	}
-	a.cands = make([][]int, a.blocks)
-	for b := int64(0); b < a.blocks; b++ {
-		a.cands[b] = s.replicasFor(a.blockKey(b), s.opt.Replicas)
-	}
+	a.cands = s.placeLocked(a)
 	s.arrays[name] = a
 	return a, nil
+}
+
+// splitRows returns the block boundaries 0 = b[0] < b[1] < … < b[n] = d0
+// of a leading extent d0 under the placement policy: BlockRows-sized
+// blocks for Hash (roughly eight per live shard by default), the
+// non-empty floor-split ranges over the live shards for Blocked. Callers
+// hold s.mu.
+func (s *Store) splitRows(d0 int64) []int64 {
+	live := int64(s.liveCount())
+	rows := s.opt.BlockRows
+	if rows <= 0 {
+		rows = max(1, d0/(8*live))
+	}
+	bounds := []int64{0}
+	for k := int64(1); bounds[len(bounds)-1] < d0; k++ {
+		hi := min(d0, k*rows)
+		if s.opt.Placement == Blocked {
+			hi = d0 * k / live
+		}
+		if hi > bounds[len(bounds)-1] {
+			bounds = append(bounds, hi)
+		}
+	}
+	return bounds
+}
+
+// placeLocked computes every block's replica list over the live shards
+// under the placement policy. Callers hold s.mu.
+func (s *Store) placeLocked(a *Array) [][]int {
+	cands := make([][]int, a.blocks)
+	if s.opt.Placement == Hash {
+		for b := range cands {
+			cands[b] = s.replicasFor(a.blockKey(int64(b)), s.opt.Replicas)
+		}
+		return cands
+	}
+	live := s.liveShards()
+	for b := range cands {
+		k := 0 // rank-0 arrays live on the first live shard, like GA's proc 0
+		if len(a.dims) > 0 {
+			k = splitOwner(a.bounds[b], a.dims[0], len(live))
+		}
+		cands[b] = make([]int, s.opt.Replicas)
+		for r := range cands[b] {
+			cands[b][r] = live[(k+r)%len(live)].id
+		}
+	}
+	return cands
+}
+
+// splitOwner returns the k whose floor-split range [d·k/n, d·(k+1)/n)
+// holds row: the smallest k with d·(k+1)/n > row.
+func splitOwner(row, d int64, n int) int {
+	return int(((row+1)*int64(n) - 1) / d)
 }
 
 // Open returns an existing replicated array.

@@ -15,10 +15,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/ga"
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 // Point is one sweep sample: an x value and named y values.
@@ -163,7 +163,8 @@ func MemoryLimit(build func() *loops.Program, limits []int64, opt Options) (Seri
 	return s, nil
 }
 
-// Processors sweeps the GA/DRA cluster size for the four-index transform,
+// Processors sweeps the shard count of a Blocked ring (the GA/DRA block
+// distribution, one local disk per processor) for the four-index transform,
 // synthesizing for the aggregate memory of each processor count (the
 // Table 4 mechanism as a curve).
 func Processors(n, v int64, procCounts []int, opt Options) (Series, error) {
@@ -176,23 +177,23 @@ func Processors(n, v int64, procCounts []int, opt Options) (Series, error) {
 		if err != nil {
 			return s, err
 		}
-		cluster, err := ga.NewCluster(p, perNode.Disk, false)
+		st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Placement: ring.Blocked, Disk: perNode.Disk})
 		if err != nil {
 			return s, err
 		}
-		if _, err := exec.Run(syn.Plan, cluster, nil, exec.Options{DryRun: true}); err != nil {
-			cluster.Close()
+		if _, err := exec.Run(syn.Plan, st, nil, exec.Options{DryRun: true}); err != nil {
+			st.Close()
 			return s, err
 		}
-		agg := cluster.Stats()
+		agg := st.AggregateStats()
 		s.Points = append(s.Points, Point{
 			X: float64(p),
 			Values: map[string]float64{
-				"wallclock_s": cluster.Time(),
+				"wallclock_s": st.Time(),
 				"volume_gb":   float64(agg.BytesRead+agg.BytesWritten) / float64(machine.GB),
 			},
 		})
-		cluster.Close()
+		st.Close()
 	}
 	return s, nil
 }

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/loops"
 	"repro/internal/machine"
+	"repro/internal/ring"
 )
 
 func opt() Options { return Options{Seed: 1, Evals: 60000} }
@@ -116,6 +118,44 @@ func TestProcessorsSweep(t *testing.T) {
 		if s.Points[i].Values["volume_gb"] > s.Points[i-1].Values["volume_gb"]*1.05 {
 			t.Fatalf("volume rose with procs: %+v", s.Points)
 		}
+	}
+
+	// Pinned to the bit to what the former GA/DRA cluster simulator
+	// (internal/ga) measured: a Blocked ring is the same block
+	// distribution, so it costs the same, shard by shard.
+	o := opt()
+	for i, pin := range []struct {
+		procs         int
+		wall, volume  float64
+		reads, writes int64 // sub-operations on every shard
+	}{
+		{1, 337.619552, 14.629864692687988, 184, 14},
+		{2, 51.604175999999995, 4.407668113708496, 8, 5},
+		{4, 25.797088000000002, 4.407668113708496, 5, 1},
+	} {
+		if v := s.Points[i].Values; v["wallclock_s"] != pin.wall || v["volume_gb"] != pin.volume {
+			t.Fatalf("P=%d: point %v, want wallclock %v volume %v", pin.procs, v, pin.wall, pin.volume)
+		}
+		cfg := o.machine()
+		cfg.MemoryLimit *= int64(pin.procs)
+		syn, err := o.synthesize(loops.FourIndexAbstract(140, 120), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ring.New(ring.Options{Shards: pin.procs, Replicas: 1, Placement: ring.Blocked, Disk: cfg.Disk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Run(syn.Plan, st, nil, exec.Options{DryRun: true}); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < pin.procs; k++ {
+			if got := st.ShardStats(k); got.ReadOps != pin.reads || got.WriteOps != pin.writes {
+				t.Fatalf("P=%d: shard %d served %d reads / %d writes, want %d / %d",
+					pin.procs, k, got.ReadOps, got.WriteOps, pin.reads, pin.writes)
+			}
+		}
+		st.Close()
 	}
 }
 

@@ -39,6 +39,14 @@ func TestRingStudyShapeHolds(t *testing.T) {
 		if r.Add.Shards != r.Procs+1 || r.Drain.Shards != r.Procs {
 			t.Fatalf("P=%d: live counts after add/drain: %d/%d", r.Procs, r.Add.Shards, r.Drain.Shards)
 		}
+		// (d) the GA/DRA block distribution never loses to the hash: each
+		// section costs a shard at most one sub-operation.
+		if r.BlockR1Seconds <= 0 || r.BlockR1Seconds > r.Replica1Seconds {
+			t.Fatalf("P=%d: Blocked R=1 %g vs hash R=1 %g", r.Procs, r.BlockR1Seconds, r.Replica1Seconds)
+		}
+		if i > 0 && r.BlockR1Seconds >= rep.Rows[i-1].BlockR1Seconds {
+			t.Fatalf("P=%d: Blocked R=1 time did not fall with P: %+v", r.Procs, rep.Rows)
+		}
 		// (a) Table 4's mechanism at scale: while aggregate memory is the
 		// binding constraint, doubling the shard count improves modelled
 		// I/O time superlinearly (less volume × more disks). Past the
@@ -60,7 +68,7 @@ func TestRingStudyShapeHolds(t *testing.T) {
 	}
 
 	out := FormatRingStudy(rep)
-	for _, want := range []string{"Ring study", "Shards", "R2/R1", "drain move"} {
+	for _, want := range []string{"Ring study", "Shards", "R2/R1", "drain move", "Blocked R=1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("format missing %q:\n%s", want, out)
 		}
@@ -75,7 +83,8 @@ func TestRingStudyShapeHolds(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Rows) != len(rep.Rows) || back.Rows[0].Replica2Seconds != rep.Rows[0].Replica2Seconds {
+	if len(back.Rows) != len(rep.Rows) || back.Rows[0].Replica2Seconds != rep.Rows[0].Replica2Seconds ||
+		back.Rows[0].BlockR1Seconds != rep.Rows[0].BlockR1Seconds {
 		t.Fatalf("JSON round trip lost data: %+v", back.Rows)
 	}
 }

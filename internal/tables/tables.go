@@ -1,8 +1,9 @@
 // Package tables regenerates the paper's evaluation tables: code
 // generation times for the two synthesis approaches (Table 2), measured
 // vs. predicted sequential disk I/O times (Table 3), and parallel disk I/O
-// times on the simulated GA/DRA cluster (Table 4). The same entry points
-// back cmd/oocbench and the repository's benchmark suite.
+// times on the simulated GA/DRA block distribution (Table 4, a Blocked
+// ring). The same entry points back cmd/oocbench and the repository's
+// benchmark suite.
 package tables
 
 import (
@@ -13,12 +14,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/ga"
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/ring"
 	"repro/internal/sampling"
 	"repro/internal/tiling"
 )
@@ -305,7 +306,8 @@ type Table4Row struct {
 }
 
 // Table4 synthesizes for the aggregate memory of each processor count and
-// executes the generated code on the simulated GA/DRA cluster.
+// executes the generated code on a Blocked ring, the GA/DRA block
+// distribution over one local disk per processor.
 func Table4(size Size, procCounts []int, opt Options) ([]Table4Row, error) {
 	opt = opt.withDefaults()
 	var rows []Table4Row
@@ -317,20 +319,20 @@ func Table4(size Size, procCounts []int, opt Options) ([]Table4Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			cluster, err := ga.NewCluster(p, opt.Machine.Disk, false)
+			st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Placement: ring.Blocked, Disk: opt.Machine.Disk})
 			if err != nil {
 				return nil, err
 			}
-			if _, err := exec.Run(s.Plan, cluster, nil, exec.Options{DryRun: true}); err != nil {
-				cluster.Close()
+			if _, err := exec.Run(s.Plan, st, nil, exec.Options{DryRun: true}); err != nil {
+				st.Close()
 				return nil, err
 			}
 			if strat == core.UniformSampling {
-				row.UniformMeasured = cluster.Time()
+				row.UniformMeasured = st.Time()
 			} else {
-				row.DCSMeasured = cluster.Time()
+				row.DCSMeasured = st.Time()
 			}
-			cluster.Close()
+			st.Close()
 		}
 		rows = append(rows, row)
 	}

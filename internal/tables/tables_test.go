@@ -1,9 +1,13 @@
 package tables
 
 import (
-	"repro/internal/fault"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/fault"
+	"repro/internal/ring"
 )
 
 // capped returns options that keep the tests quick: the sampling grid is
@@ -131,6 +135,59 @@ func TestTable4ScalingShapeHolds(t *testing.T) {
 	out := FormatTable4(rows)
 	if !strings.Contains(out, "Table 4") || !strings.Contains(out, "Processors") {
 		t.Fatalf("bad format:\n%s", out)
+	}
+
+	// Pinned to the bit to what the former GA/DRA cluster simulator
+	// (internal/ga) measured for these plans: a Blocked ring is the same
+	// block distribution, so it costs the same, shard by shard.
+	if two.UniformMeasured != 112.594576 || two.DCSMeasured != 51.604175999999995 ||
+		four.UniformMeasured != 25.797088000000002 || four.DCSMeasured != 25.797088000000002 {
+		t.Fatalf("Table 4 times moved: %+v", rows)
+	}
+	opt := capped().withDefaults()
+	each := func(n int, v int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	for _, pin := range []struct {
+		procs         int
+		strat         core.Strategy
+		time          float64
+		reads, writes []int64 // sub-operations per shard
+	}{
+		{2, core.UniformSampling, 112.594576, each(2, 65), each(2, 120)},
+		{2, core.DCS, 51.604175999999995, each(2, 8), each(2, 5)},
+		{3, core.UniformSampling, 34.9124896, each(3, 5), each(3, 40)},
+		{3, core.DCS, 34.5324896, []int64{5, 6, 5}, each(3, 1)},
+		{4, core.UniformSampling, 25.797088000000002, each(4, 5), each(4, 1)},
+		{4, core.DCS, 25.797088000000002, each(4, 5), each(4, 1)},
+		{8, core.DCS, 13.148102399999999, each(8, 5), each(8, 1)},
+		{16, core.DCS, 6.7768512, each(16, 5), each(16, 1)},
+	} {
+		s, err := synthesize(pin.strat, Size{140, 120}, opt, opt.Machine.MemoryLimit*int64(pin.procs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ring.New(ring.Options{Shards: pin.procs, Replicas: 1, Placement: ring.Blocked, Disk: opt.Machine.Disk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Run(s.Plan, st, nil, exec.Options{DryRun: true}); err != nil {
+			t.Fatal(err)
+		}
+		if st.Time() != pin.time {
+			t.Fatalf("P=%d %v: Time %v, want %v", pin.procs, pin.strat, st.Time(), pin.time)
+		}
+		for k := 0; k < pin.procs; k++ {
+			if got := st.ShardStats(k); got.ReadOps != pin.reads[k] || got.WriteOps != pin.writes[k] {
+				t.Fatalf("P=%d %v: shard %d served %d reads / %d writes, want %d / %d",
+					pin.procs, pin.strat, k, got.ReadOps, got.WriteOps, pin.reads[k], pin.writes[k])
+			}
+		}
+		st.Close()
 	}
 }
 
