@@ -143,7 +143,27 @@ type Ledger struct {
 	d     machine.Disk
 	integ IntegrityCounts
 	reg   *obs.Registry
-	owned map[string]*obs.Counter
+	// total holds the unlabelled counters and arrays each array's
+	// "/<array>" ones — the instruments this ledger owns. A direction's
+	// pair is registered on its first charge, so a charge builds no name.
+	total  ledgerCounters
+	arrays map[string]*ledgerCounters
+}
+
+// ledgerCounters are one account's op and byte counters by direction.
+type ledgerCounters struct {
+	ops, bytes [2]*obs.Counter
+}
+
+// The metric names by direction (0 read, 1 write): ops, then bytes.
+var ledgerMetrics = [2][2]string{{MetricReadOps, MetricReadBytes}, {MetricWriteOps, MetricWriteBytes}}
+
+func (c *ledgerCounters) reset() {
+	for _, m := range [...]*obs.Counter{c.ops[0], c.ops[1], c.bytes[0], c.bytes[1]} {
+		if m != nil {
+			m.Reset()
+		}
+	}
 }
 
 // NewLedger returns an empty ledger charging under disk model d.
@@ -153,22 +173,8 @@ func NewLedger(d machine.Disk) *Ledger { return &Ledger{d: d} }
 func (l *Ledger) SetMetrics(reg *obs.Registry) {
 	l.mu.Lock()
 	l.reg = reg
-	l.owned = nil
-	if reg != nil {
-		l.owned = map[string]*obs.Counter{}
-	}
+	l.total, l.arrays = ledgerCounters{}, map[string]*ledgerCounters{}
 	l.mu.Unlock()
-}
-
-// counterLocked returns the named counter, remembering it as owned by
-// this ledger. Callers hold l.mu.
-func (l *Ledger) counterLocked(name string) *obs.Counter {
-	c := l.owned[name]
-	if c == nil {
-		c = l.reg.Counter(name)
-		l.owned[name] = c
-	}
-	return c
 }
 
 // ChargeRead accounts one section read of the named array.
@@ -176,12 +182,7 @@ func (l *Ledger) ChargeRead(array string, bytes int64) {
 	l.mu.Lock()
 	l.s.ReadOps++
 	l.s.BytesRead += bytes
-	if l.reg != nil {
-		l.counterLocked(MetricReadOps).Inc()
-		l.counterLocked(MetricReadBytes).Add(bytes)
-		l.counterLocked(MetricReadOps + "/" + array).Inc()
-		l.counterLocked(MetricReadBytes + "/" + array).Add(bytes)
-	}
+	l.mirrorLocked(array, 0, bytes)
 	l.mu.Unlock()
 }
 
@@ -190,13 +191,34 @@ func (l *Ledger) ChargeWrite(array string, bytes int64) {
 	l.mu.Lock()
 	l.s.WriteOps++
 	l.s.BytesWritten += bytes
-	if l.reg != nil {
-		l.counterLocked(MetricWriteOps).Inc()
-		l.counterLocked(MetricWriteBytes).Add(bytes)
-		l.counterLocked(MetricWriteOps + "/" + array).Inc()
-		l.counterLocked(MetricWriteBytes + "/" + array).Add(bytes)
-	}
+	l.mirrorLocked(array, 1, bytes)
 	l.mu.Unlock()
+}
+
+// mirrorLocked adds one operation moving bytes in direction dir to the
+// attached registry's totals and the array's own counters. Callers hold
+// l.mu.
+func (l *Ledger) mirrorLocked(array string, dir int, bytes int64) {
+	if l.reg == nil {
+		return
+	}
+	c := l.arrays[array]
+	if c == nil {
+		c = &ledgerCounters{}
+		l.arrays[array] = c
+	}
+	if c.ops[dir] == nil {
+		c.ops[dir] = l.reg.Counter(ledgerMetrics[dir][0] + "/" + array)
+		c.bytes[dir] = l.reg.Counter(ledgerMetrics[dir][1] + "/" + array)
+	}
+	if l.total.ops[dir] == nil {
+		l.total.ops[dir] = l.reg.Counter(ledgerMetrics[dir][0])
+		l.total.bytes[dir] = l.reg.Counter(ledgerMetrics[dir][1])
+	}
+	for _, c := range [...]*ledgerCounters{&l.total, c} {
+		c.ops[dir].Inc()
+		c.bytes[dir].Add(bytes)
+	}
 }
 
 // chargeVerify accounts block checksum verifications on a section read.
@@ -262,8 +284,9 @@ func (l *Ledger) Snapshot() Stats {
 func (l *Ledger) Reset() {
 	l.mu.Lock()
 	l.s = Stats{}
-	for _, c := range l.owned {
-		c.Reset()
+	for _, c := range l.arrays {
+		c.reset()
 	}
+	l.total.reset()
 	l.mu.Unlock()
 }

@@ -95,3 +95,28 @@ func TestMetricsMirrorStats(t *testing.T) {
 		})
 	}
 }
+
+// TestLedgerChargeAllocs pins the metrics mirror's hot path: with a
+// registry attached, a charge after an array's first one in each
+// direction reuses its cached counters and allocates nothing.
+func TestLedgerChargeAllocs(t *testing.T) {
+	l := NewLedger(machine.Small(1 << 20).Disk)
+	reg := obs.NewRegistry()
+	l.SetMetrics(reg)
+	for _, name := range []string{"A", "B"} {
+		l.ChargeRead(name, 8)
+		l.ChargeWrite(name, 8)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		l.ChargeRead("A", 64)
+		l.ChargeWrite("B", 64)
+	}); n != 0 {
+		t.Fatalf("%v allocations per read+write charge, want 0", n)
+	}
+	if got := reg.Counter(MetricReadOps + "/A").Value(); got != 101+1 {
+		t.Fatalf("per-array read ops %d, want %d", got, 102)
+	}
+	if got := reg.Counter(MetricWriteBytes).Value(); got != 2*8+101*64 {
+		t.Fatalf("write bytes %d, want %d", got, 2*8+101*64)
+	}
+}

@@ -684,16 +684,35 @@ func (e *engine) ctxErr() error {
 
 // pos describes the current loop position ("i=0,j=128") for error
 // attribution.
-func (e *engine) pos() string {
-	if len(e.loopStack) == 0 {
+func (e *engine) pos() string { return formatPos(e.where()) }
+
+// loopPos is one enclosing loop's index and its current tile base.
+type loopPos struct {
+	index string
+	base  int64
+}
+
+// where snapshots the current loop position, outermost loop first. A
+// pipelined operation keeps the snapshot and formats it only if it fails.
+func (e *engine) where() []loopPos {
+	ps := make([]loopPos, len(e.loopStack))
+	for i, idx := range e.loopStack {
+		ps[i] = loopPos{idx, e.base[idx]}
+	}
+	return ps
+}
+
+// formatPos renders a loop position as pos does.
+func formatPos(ps []loopPos) string {
+	if len(ps) == 0 {
 		return "top level"
 	}
 	var b strings.Builder
-	for i, idx := range e.loopStack {
+	for i, p := range ps {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%d", idx, e.base[idx])
+		fmt.Fprintf(&b, "%s=%d", p.index, p.base)
 	}
 	return b.String()
 }

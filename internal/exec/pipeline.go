@@ -395,7 +395,7 @@ func (s *scheduler) issue(read bool, array string, lo, shape []int64, data []flo
 	}
 	op := s.newOp(deps, end)
 	aa := disk.AsAsync(s.e.arrs[array])
-	pos := s.e.pos() // the walker will have moved on when a failure surfaces
+	where := s.e.where() // the walker will have moved on when a failure surfaces
 	s.sem <- struct{}{}
 	s.inflight.Add(1)
 	if s.mDepth != nil {
@@ -418,7 +418,7 @@ func (s *scheduler) issue(read bool, array string, lo, shape []int64, data []flo
 				return aa.WriteAsync(lo, shape, data).Await()
 			})
 			if err != nil {
-				err = ioErr(read, array, pos, err)
+				err = ioErr(read, array, formatPos(where), err)
 			}
 		}
 		s.complete(op, err)

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -466,6 +467,94 @@ func TestRetryTimelineAndMetrics(t *testing.T) {
 	// ops than the clean run.
 	if res.Stats.ReadOps+res.Stats.WriteOps <= clean.Stats.ReadOps+clean.Stats.WriteOps {
 		t.Fatal("retried attempts not charged to backend stats")
+	}
+}
+
+// failSection fails the section reads (or writes) of one array at one
+// lo, past the first skip of them, with a persistent typed error: a
+// fault keyed on the section, not on arrival order, so it is the same
+// operation at every pipeline depth.
+type failSection struct {
+	disk.Backend
+	array string
+	lo    []int64
+	write bool
+	mu    sync.Mutex
+	skip  int
+}
+
+func (f *failSection) Create(name string, dims []int64) (disk.Array, error) {
+	a, err := f.Backend.Create(name, dims)
+	return &failSectionArray{Array: a, f: f}, err
+}
+
+type failSectionArray struct {
+	disk.Array
+	f *failSection
+}
+
+func (a *failSectionArray) fails(write bool, lo, shape []int64) error {
+	f := a.f
+	if write != f.write || a.Name() != f.array || !slices.Equal(lo, f.lo) {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.skip > 0 {
+		f.skip--
+		return nil
+	}
+	return disk.NewIOError("io", a.Name(), lo, shape, false, fmt.Errorf("simulated device error"))
+}
+
+func (a *failSectionArray) ReadSection(lo, shape []int64, buf []float64) error {
+	if err := a.fails(false, lo, shape); err != nil {
+		return err
+	}
+	return a.Array.ReadSection(lo, shape, buf)
+}
+
+func (a *failSectionArray) WriteSection(lo, shape []int64, buf []float64) error {
+	if err := a.fails(true, lo, shape); err != nil {
+		return err
+	}
+	return a.Array.WriteSection(lo, shape, buf)
+}
+
+// TestPipelinedFailureAttribution pins the failure text, loop position
+// included, of a failed section operation at depths 0, 1 and 4: a
+// pipelined operation captures its position when issued and renders it
+// only when it fails, after the walker has moved on. The strings are the
+// ones the engine reported when it formatted the position at issue.
+func TestPipelinedFailureAttribution(t *testing.T) {
+	cfg := machine.Small(4 << 10)
+	plan := crashResumePlan(t, cfg)
+	inputs := expr.RandomInputs(expr.TwoIndexTransform(12, 16), 9)
+	for _, tc := range []struct {
+		array string
+		lo    []int64
+		write bool
+		skip  int
+		err   string
+	}{
+		{"A", []int64{15, 8}, false, 0, `exec: read of "A" at i=15,n=0,j=8: disk: io "A" section lo=[15 8] shape=[1 4] (persistent): simulated device error`},
+		{"C1", []int64{5, 0}, false, 0, `exec: read of "C1" at i=0,n=0,m=5: disk: io "C1" section lo=[5 0] shape=[5 3] (persistent): simulated device error`},
+		{"C2", []int64{6, 12}, false, 1, `exec: read of "C2" at i=3,n=6,j=12: disk: io "C2" section lo=[6 12] shape=[6 4] (persistent): simulated device error`},
+		// The first write of each B section is the init pass's.
+		{"B", []int64{5, 6}, true, 1, `exec: write to "B" at i=0,n=6,m=5: disk: io "B" section lo=[5 6] shape=[5 6] (persistent): simulated device error`},
+		{"B", []int64{10, 6}, true, 3, `exec: write to "B" at i=6,n=6,m=10: disk: io "B" section lo=[10 6] shape=[2 6] (persistent): simulated device error`},
+	} {
+		for _, depth := range []int{0, 1, 4} {
+			be := &failSection{Backend: disk.NewSim(cfg.Disk, true), array: tc.array, lo: tc.lo, write: tc.write, skip: tc.skip}
+			_, err := Run(plan, be, inputs, Options{Pipeline: depth > 0, PipelineDepth: depth})
+			var ioe *disk.IOError
+			if !errors.As(err, &ioe) || ioe.Array != tc.array {
+				t.Fatalf("%s%v depth %d: want a typed error on %s, got %v", tc.array, tc.lo, depth, tc.array, err)
+			}
+			if err.Error() != tc.err {
+				t.Errorf("%s%v depth %d: error %q, want %q", tc.array, tc.lo, depth, err.Error(), tc.err)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package ring
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -39,6 +40,10 @@ type Array struct {
 	// cands caches each block's replica list in ring order; the
 	// rebalancer rewrites it on membership changes.
 	cands [][]int
+
+	// smu guards free, the collective scratch kept for reuse.
+	smu  sync.Mutex
+	free []*scratch
 }
 
 // BlockError is the typed, attributed error for a block none of whose
@@ -124,7 +129,8 @@ func (a *Array) readOrder(b int64) []int {
 // whose breaker is open at modelled time now are demoted behind the
 // healthy candidates but ahead of stale ones — an open shard is slow
 // yet its copy is current, a stale copy is not. Half-open shards keep
-// their natural position: their reads are the breaker's probes.
+// their natural position: their reads are the breaker's probes. When
+// every candidate is healthy it returns the cached list itself.
 func (a *Array) readOrderAt(b int64, now float64) []int {
 	hp := a.st.hp
 	if hp == nil {
@@ -132,18 +138,22 @@ func (a *Array) readOrderAt(b int64, now float64) []int {
 	}
 	a.amu.Lock()
 	cands := a.cands[b]
-	st := a.stale[b]
 	var staleOf map[int]bool
-	if len(st) > 0 {
-		staleOf = make(map[int]bool, len(st))
-		for id := range st {
-			staleOf[id] = true
-		}
+	if st := a.stale[b]; len(st) > 0 {
+		staleOf = maps.Clone(st)
 	}
 	a.amu.Unlock()
-	healthy := make([]int, 0, len(cands))
+	k := 0 // cands[:k] are healthy
+	for k < len(cands) && !staleOf[cands[k]] && !hp.tripped(cands[k], now) {
+		k++
+	}
+	if k == len(cands) {
+		return cands
+	}
+	// tripped is idempotent at a fixed now, so cands[k] may be asked again.
+	healthy := append(make([]int, 0, len(cands)), cands[:k]...)
 	var tripped, stl []int
-	for _, id := range cands {
+	for _, id := range cands[k:] {
 		switch {
 		case staleOf[id]:
 			stl = append(stl, id)
@@ -152,9 +162,6 @@ func (a *Array) readOrderAt(b int64, now float64) []int {
 		default:
 			healthy = append(healthy, id)
 		}
-	}
-	if len(tripped) == 0 && len(stl) == 0 {
-		return cands
 	}
 	if len(healthy) > 0 {
 		for _, id := range tripped {
@@ -222,13 +229,50 @@ type run struct {
 	order      []int // replica shards in preference order
 }
 
-// sliceRuns splits section rows [lo0, lo0+n0) into runs, coalescing
+// scratch is one collective's working memory: its runs and the
+// sub-section of the run in hand. Arrays lend it from a bounded free
+// list, so a section call allocates nothing per run or per block.
+type scratch struct {
+	runs        []run
+	slo, sshape []int64
+}
+
+// scratchFree bounds an array's free list: a few collectives in flight
+// at once (the pipelined engine's overlap) reuse theirs, more allocate.
+const scratchFree = 4
+
+func (a *Array) getScratch() *scratch {
+	var sc *scratch
+	a.smu.Lock()
+	if k := len(a.free); k > 0 {
+		sc, a.free = a.free[k-1], a.free[:k-1]
+	}
+	a.smu.Unlock()
+	if sc == nil {
+		sc = &scratch{slo: make([]int64, len(a.dims)), sshape: make([]int64, len(a.dims))}
+	}
+	return sc
+}
+
+func (a *Array) putScratch(sc *scratch) {
+	clear(sc.runs) // drop the replica lists a rebalance may replace
+	sc.runs = sc.runs[:0]
+	a.smu.Lock()
+	if len(a.free) < scratchFree {
+		a.free = append(a.free, sc)
+	}
+	a.smu.Unlock()
+}
+
+// sliceRuns splits section rows [lo0, lo0+n0) into sc.runs, coalescing
 // consecutive blocks with an identical replica order (so a single-shard
 // ring issues a single sub-operation per section and the sub-operation
-// count stays near the shard count, not the block count). order is
-// computed by ord, which sees each block once, in ascending order.
-func (a *Array) sliceRuns(lo0, n0 int64, ord func(b int64) []int) []run {
-	var runs []run
+// count stays near the shard count, not the block count). Reads order
+// each block's replicas by readOrderAt at modelled time now, writes take
+// the placement's; either way each block is asked once, in ascending
+// order.
+func (a *Array) sliceRuns(sc *scratch, lo0, n0 int64, read bool, now float64) {
+	runs := sc.runs[:0]
 	row := lo0
 	end := lo0 + n0
 	b, ok := slices.BinarySearch(a.bounds, row)
@@ -237,8 +281,13 @@ func (a *Array) sliceRuns(lo0, n0 int64, ord func(b int64) []int) []run {
 	}
 	for ; row < end; b++ {
 		rhi := min(end, a.bounds[b+1])
-		order := ord(int64(b))
-		if len(runs) > 0 && sameOrder(runs[len(runs)-1].order, order) {
+		var order []int
+		if read {
+			order = a.readOrderAt(int64(b), now)
+		} else {
+			order = a.candidates(int64(b))
+		}
+		if len(runs) > 0 && slices.Equal(runs[len(runs)-1].order, order) {
 			last := &runs[len(runs)-1]
 			last.rhi = rhi
 			last.nBlocks++
@@ -247,25 +296,14 @@ func (a *Array) sliceRuns(lo0, n0 int64, ord func(b int64) []int) []run {
 		}
 		row = rhi
 	}
-	return runs
-}
-
-func sameOrder(x, y []int) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
+	sc.runs = runs
 }
 
 // subSection returns the lo/shape/buffer triple of a run's slice of the
-// section. The buffer is packed by the section shape, so sub-buffers
-// stride by the section's row size, not the array's.
-func (a *Array) subSection(lo, shape []int64, buf []float64, r run) (slo, sshape []int64, sbuf []float64) {
+// section, lo and shape in sc (valid until the next call). The buffer is
+// packed by the section shape, so sub-buffers stride by the section's
+// row size, not the array's.
+func (a *Array) subSection(sc *scratch, lo, shape []int64, buf []float64, r run) (slo, sshape []int64, sbuf []float64) {
 	if len(shape) == 0 {
 		return lo, shape, buf
 	}
@@ -273,9 +311,10 @@ func (a *Array) subSection(lo, shape []int64, buf []float64, r run) (slo, sshape
 	for _, s := range shape[1:] {
 		secRow *= s
 	}
-	slo = append([]int64(nil), lo...)
+	slo, sshape = sc.slo, sc.sshape
+	copy(slo, lo)
+	copy(sshape, shape)
 	slo[0] = r.rlo
-	sshape = append([]int64(nil), shape...)
 	sshape[0] = r.rhi - r.rlo
 	if buf != nil {
 		sbuf = buf[(r.rlo-lo[0])*secRow : (r.rhi-lo[0])*secRow]
@@ -294,8 +333,8 @@ func (a *Array) WriteSection(lo, shape []int64, buf []float64) error {
 	return a.collective(lo, shape, buf, false)
 }
 
-// ReadAsync starts the collective read in the background; the per-shard
-// transfers already run concurrently.
+// ReadAsync starts the collective read in the background: the whole
+// collective, its per-shard sub-operations in turn, runs detached.
 func (a *Array) ReadAsync(lo, shape []int64, buf []float64) disk.Completion {
 	return disk.Go(func() error { return a.collective(lo, shape, buf, true) })
 }
@@ -326,19 +365,25 @@ func (a *Array) collective(lo, shape []int64, buf []float64, read bool) error {
 	if len(shape) > 0 {
 		lo0, n0 = lo[0], shape[0]
 	}
-	if read {
-		ord := a.readOrder
-		if a.st.hp != nil {
-			// One modelled "now" per section keeps the replica order (and
-			// hence run coalescing) consistent across the section's blocks.
-			now := a.st.hp.now()
-			ord = func(b int64) []int { return a.readOrderAt(b, now) }
-		}
-		runs := a.sliceRuns(lo0, n0, ord)
-		return a.readRuns(lo, shape, buf, runs)
+	// One modelled "now" per section keeps the replica order (and hence
+	// run coalescing) consistent across the section's blocks, and stamps
+	// every health observation the section makes.
+	var now float64
+	if a.st.hp != nil {
+		now = a.st.hp.now()
 	}
-	runs := a.sliceRuns(lo0, n0, a.candidates)
-	return a.writeRuns(lo, shape, buf, runs)
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	a.sliceRuns(sc, lo0, n0, read, now)
+	for _, r := range sc.runs {
+		if len(r.order) == 0 {
+			return disk.NewIOError(op, a.name, lo, shape, false, &BlockError{Array: a.name, Block: r.firstBlock})
+		}
+	}
+	if read {
+		return a.readRuns(sc, lo, shape, buf, now)
+	}
+	return a.writeRuns(sc, lo, shape, buf, now)
 }
 
 // checkSection validates the section against the array extents.
@@ -356,46 +401,28 @@ func (a *Array) checkSection(lo, shape []int64) (int64, error) {
 	return n, nil
 }
 
-// readRuns serves each run from its first reachable replica. Runs are
-// grouped by their preferred shard and each group is executed serially
-// by one goroutine, so the sub-operation order every shard sees is
-// deterministic for a given plan (failover traffic excepted).
-func (a *Array) readRuns(lo, shape []int64, buf []float64, runs []run) error {
-	groups := map[int][]int{} // preferred shard → run indices, ascending
-	var order []int
-	for i, r := range runs {
-		if len(r.order) == 0 {
-			return disk.NewIOError("read", a.name, lo, shape, false,
-				&BlockError{Array: a.name, Block: r.firstBlock})
+// readRuns serves each run from its first reachable replica, one run
+// after another on the caller's goroutine, so every shard sees its
+// sub-operations in ascending run order and the whole collective —
+// failover, retry jitter and health observations included — repeats
+// exactly for a given plan. The modelled parallel time is unaffected:
+// each shard charges only what it served, and Time() is the slowest.
+func (a *Array) readRuns(sc *scratch, lo, shape []int64, buf []float64, now float64) error {
+	var errs []error
+	for _, r := range sc.runs {
+		if err := a.readRun(sc, lo, shape, buf, r, now); err != nil {
+			errs = append(errs, err)
 		}
-		p := r.order[0]
-		if _, ok := groups[p]; !ok {
-			order = append(order, p)
-		}
-		groups[p] = append(groups[p], i)
 	}
-	errs := make([]error, len(runs))
-	var wg sync.WaitGroup
-	for _, p := range order {
-		idxs := groups[p]
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				errs[i] = a.readRun(lo, shape, buf, runs[i])
-			}
-		}(idxs)
-	}
-	wg.Wait()
 	return errors.Join(errs...)
 }
 
 // readRun reads one run, trying each replica in order under the
 // per-replica retry budget.
-func (a *Array) readRun(lo, shape []int64, buf []float64, r run) error {
-	slo, sshape, sbuf := a.subSection(lo, shape, buf, r)
+func (a *Array) readRun(sc *scratch, lo, shape []int64, buf []float64, r run, now float64) error {
+	slo, sshape, sbuf := a.subSection(sc, lo, shape, buf, r)
 	hp := a.st.hp
-	finals := make([]error, 0, len(r.order))
+	var finals []error
 	for ci, id := range r.order {
 		sh := a.shard(id)
 		if sh == nil {
@@ -410,12 +437,10 @@ func (a *Array) readRun(lo, shape []int64, buf []float64, r run) error {
 		if hp != nil {
 			hp.drain(id) // shed spikes not attributable to this op
 		}
-		err := a.st.attempt(a.name, func() error {
-			return la.ReadSection(slo, sshape, sbuf)
-		})
+		err := a.st.attempt(la, true, slo, sshape, sbuf)
 		if err == nil {
 			if hp != nil {
-				a.hedgeAfterRead(slo, sshape, sbuf, r, ci, id)
+				a.hedgeAfterRead(slo, sshape, sbuf, r, ci, id, now)
 			}
 			if ci > 0 && a.st.log.Enabled(obs.LevelInfo) {
 				a.st.log.Info("ring", "replica.recovered",
@@ -427,49 +452,26 @@ func (a *Array) readRun(lo, shape []int64, buf []float64, r run) error {
 		}
 		if hp != nil {
 			hp.drain(id)
-			hp.observe(id, hp.now(), 1, false)
+			hp.observe(id, now, 1, false)
 		}
 		finals = append(finals, err)
 		a.st.noteFailover(sh, a.name, r.firstBlock, err)
 	}
-	retryable := false
-	for _, err := range finals {
-		if disk.IsTransient(err) {
-			retryable = true
-		}
-	}
-	return disk.NewIOError("read", a.name, slo, sshape, retryable,
-		&BlockError{Array: a.name, Block: r.firstBlock, Shards: append([]int(nil), r.order...), Errs: finals})
+	return a.runError("read", slo, sshape, r, finals)
 }
 
-// writeRuns fans each run out to all its replicas. Sub-writes are
-// grouped per shard and executed serially by one goroutine per shard. A
-// replica that cannot take a write is marked stale for the run's blocks
-// (degraded write); only a run with no successful replica at all fails.
-func (a *Array) writeRuns(lo, shape []int64, buf []float64, runs []run) error {
-	type job struct {
-		runIdx int
-		shard  int
-	}
-	groups := map[int][]job{}
-	var order []int
-	for i, r := range runs {
-		if len(r.order) == 0 {
-			return disk.NewIOError("write", a.name, lo, shape, false,
-				&BlockError{Array: a.name, Block: r.firstBlock})
-		}
-		for _, id := range r.order {
-			if _, ok := groups[id]; !ok {
-				order = append(order, id)
-			}
-			groups[id] = append(groups[id], job{runIdx: i, shard: id})
-		}
-	}
-	okCount := make([]int, len(runs))
-	lastErr := make([][]error, len(runs))
-	for i, r := range runs {
-		lastErr[i] = make([]error, len(r.order))
-	}
+// runError is the typed error of a run no replica could serve: finals
+// holds the last error of each replica tried, in preference order.
+func (a *Array) runError(op string, slo, sshape []int64, r run, finals []error) error {
+	return disk.NewIOError(op, a.name, slo, sshape, slices.ContainsFunc(finals, disk.IsTransient),
+		&BlockError{Array: a.name, Block: r.firstBlock, Shards: slices.Clone(r.order), Errs: finals})
+}
+
+// writeRuns fans each run out to all its replicas, in run order on the
+// caller's goroutine like readRuns. A replica that cannot take a write is
+// marked stale for the run's blocks (degraded write); only a run with no
+// successful replica at all fails.
+func (a *Array) writeRuns(sc *scratch, lo, shape []int64, buf []float64, now float64) error {
 	// A successful write that covers a block completely replaces its
 	// contents, so it clears the block's stale flag on that replica: the
 	// copy is current again. Partial covers stay conservative.
@@ -479,103 +481,67 @@ func (a *Array) writeRuns(lo, shape []int64, buf []float64, runs []run) error {
 			fullRows = false
 		}
 	}
-	var wnow float64
-	if a.st.hp != nil {
-		wnow = a.st.hp.now()
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	degradedNew := false
-	degradedCleared := false
-	for _, id := range order {
-		jobs := groups[id]
-		wg.Add(1)
-		go func(id int, jobs []job) {
-			defer wg.Done()
-			for _, j := range jobs {
-				r := runs[j.runIdx]
-				slo, sshape, sbuf := a.subSection(lo, shape, buf, r)
-				la := a.local(id)
-				var err error
-				if la == nil {
-					err = fmt.Errorf("ring: shard %d holds no copy of %q", id, a.name)
-				} else {
-					err = a.st.attempt(a.name, func() error {
-						return la.WriteSection(slo, sshape, sbuf)
-					})
-				}
-				if hp := a.st.hp; hp != nil {
-					// Writes are observed (they feed scoring and heal the
-					// injector's windows) but never breaker-gated: a write
-					// always fans out to every replica for durability.
-					spikes := hp.drain(id)
-					n := int64(1)
-					for _, d := range sshape {
-						n *= d
-					}
-					hp.observe(id, wnow, ratioOf(a.st.opt.Disk.WriteTime(n*8, 1), spikes), err == nil)
-					hp.addTailWrite(spikes)
-				}
-				mu.Lock()
-				if err == nil {
-					okCount[j.runIdx]++
-					if fullRows {
-						for b := r.firstBlock; b < r.firstBlock+r.nBlocks; b++ {
-							if !a.blockCoveredBy(b, r.rlo, r.rhi) || !a.isStale(b, id) {
-								continue
-							}
-							a.clearStale(b, id)
-							degradedCleared = true
-						}
-					}
-				} else {
-					for ci, cand := range r.order {
-						if cand == id {
-							lastErr[j.runIdx][ci] = err
-						}
-					}
-					for b := r.firstBlock; b < r.firstBlock+r.nBlocks; b++ {
-						if a.markStale(b, id) {
-							degradedNew = true
-						}
-					}
-					if a.st.log.Enabled(obs.LevelWarn) {
-						a.st.log.Warn("ring", "write.degraded",
-							obs.F("array", a.name),
-							obs.F("shard", id),
-							obs.F("block", r.firstBlock),
-							obs.F("blocks", r.nBlocks),
-							obs.F("error", err))
-					}
-				}
-				mu.Unlock()
-			}
-		}(id, jobs)
-	}
-	wg.Wait()
-	if degradedNew || degradedCleared {
-		a.st.recountDegraded()
-	}
+	hp := a.st.hp
+	degraded := false // a stale flag was set or cleared
 	var errs []error
-	for i, r := range runs {
-		if okCount[i] > 0 {
-			continue
-		}
-		finals := make([]error, 0, len(r.order))
-		for _, err := range lastErr[i] {
-			if err != nil {
-				finals = append(finals, err)
+	for _, r := range sc.runs {
+		slo, sshape, sbuf := a.subSection(sc, lo, shape, buf, r)
+		written := false
+		var finals []error
+		for _, id := range r.order {
+			la := a.local(id)
+			var err error
+			if la == nil {
+				err = fmt.Errorf("ring: shard %d holds no copy of %q", id, a.name)
+			} else {
+				err = a.st.attempt(la, false, slo, sshape, sbuf)
+			}
+			if hp != nil {
+				// Writes are observed (they feed scoring and heal the
+				// injector's windows) but never breaker-gated: a write
+				// always fans out to every replica for durability.
+				spikes := hp.drain(id)
+				n := int64(1)
+				for _, d := range sshape {
+					n *= d
+				}
+				hp.observe(id, now, ratioOf(a.st.opt.Disk.WriteTime(n*8, 1), spikes), err == nil)
+				hp.addTailWrite(spikes)
+			}
+			if err == nil {
+				written = true
+				if !fullRows {
+					continue
+				}
+				for b := r.firstBlock; b < r.firstBlock+r.nBlocks; b++ {
+					if a.blockCoveredBy(b, r.rlo, r.rhi) && a.isStale(b, id) {
+						a.clearStale(b, id)
+						degraded = true
+					}
+				}
+				continue
+			}
+			finals = append(finals, err)
+			for b := r.firstBlock; b < r.firstBlock+r.nBlocks; b++ {
+				if a.markStale(b, id) {
+					degraded = true
+				}
+			}
+			if a.st.log.Enabled(obs.LevelWarn) {
+				a.st.log.Warn("ring", "write.degraded",
+					obs.F("array", a.name),
+					obs.F("shard", id),
+					obs.F("block", r.firstBlock),
+					obs.F("blocks", r.nBlocks),
+					obs.F("error", err))
 			}
 		}
-		retryable := false
-		for _, err := range finals {
-			if disk.IsTransient(err) {
-				retryable = true
-			}
+		if !written {
+			errs = append(errs, a.runError("write", slo, sshape, r, finals))
 		}
-		slo, sshape, _ := a.subSection(lo, shape, nil, r)
-		errs = append(errs, disk.NewIOError("write", a.name, slo, sshape, retryable,
-			&BlockError{Array: a.name, Block: r.firstBlock, Shards: append([]int(nil), r.order...), Errs: finals}))
+	}
+	if degraded {
+		a.st.recountDegraded()
 	}
 	return errors.Join(errs...)
 }
@@ -627,17 +593,23 @@ func (a *Array) shard(id int) *shard {
 	return a.st.shards[id]
 }
 
-// attempt runs one sub-operation under the store's per-replica retry
-// budget: transient typed faults are retried with the policy's capped
-// backoff, whose modelled delay is charged to the failover account (the
-// failed attempts themselves are charged by the shard that served
-// them). The final error is returned unchanged for the failover layer
-// to classify.
-func (s *Store) attempt(array string, fn func() error) error {
-	pol := s.opt.Retry.ForArray(array)
+// attempt runs one sub-operation — a read or write of la's section
+// [lo, lo+shape) — under the store's per-replica retry budget: at most
+// Retry.Attempts() tries, transient typed faults retried with the
+// policy's capped backoff, whose modelled delay is charged to the
+// failover account (the failed attempts themselves are charged by the
+// shard that served them). The final error is returned unchanged for the
+// failover layer to classify.
+func (s *Store) attempt(la disk.Array, read bool, lo, shape []int64, buf []float64) error {
+	pol := s.opt.Retry.ForArray(la.Name())
 	attempts := pol.Attempts()
 	for att := 0; ; att++ {
-		err := fn()
+		var err error
+		if read {
+			err = la.ReadSection(lo, shape, buf)
+		} else {
+			err = la.WriteSection(lo, shape, buf)
+		}
 		if err == nil {
 			return nil
 		}

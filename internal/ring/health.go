@@ -364,9 +364,10 @@ func (hp *healthPlane) addPending(id int, sec float64) {
 }
 
 // drain takes the shard's accumulated spike seconds. The injector sink
-// fires synchronously on the op's goroutine, and each shard's ops run
-// serially within a collective, so draining right after an op yields
-// exactly that op's spikes (retried attempts lump together).
+// fires synchronously on the op's goroutine, and a collective runs its
+// sub-operations one at a time on its caller's goroutine, so draining
+// right after an op yields exactly that op's spikes (retried attempts
+// lump together).
 func (hp *healthPlane) drain(id int) float64 {
 	hp.mu.Lock()
 	v := hp.pending[id]
@@ -464,7 +465,7 @@ func (hp *healthPlane) noteHedgeCancelled(array string, block int64, from, to in
 // hedgeAfterRead scores a successful preferred-replica read and, when
 // its observed latency ratio crosses the tracker's hedge threshold,
 // races the same section read against the next usable replica, keeping
-// the modelled winner.
+// the modelled winner. now is the section's modelled issue time.
 //
 // The race is decided on modelled time: the preferred replica finishes
 // at base+spikes; the hedge launches once the wait passes thr×base and
@@ -477,7 +478,7 @@ func (hp *healthPlane) noteHedgeCancelled(array string, block int64, from, to in
 // (stale copies are excluded from hedge targets by construction — a
 // stale shard is ordered last and a read served by it has no further
 // candidates), so taking the hedge copy never changes result bytes.
-func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, id int) {
+func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, id int, now float64) {
 	hp := a.st.hp
 	spikes := hp.drain(id)
 	n := int64(1)
@@ -485,7 +486,6 @@ func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, i
 		n *= d
 	}
 	base := a.st.opt.Disk.ReadTime(n*8, 1)
-	now := hp.now()
 	hp.observe(id, now, ratioOf(base, spikes), true)
 	if spikes <= 0 {
 		return

@@ -319,9 +319,10 @@ func (s *Store) ShardBackend(i int) disk.Backend {
 	return s.shards[i].be
 }
 
-// AsyncCapable reports native disk.AsyncArray support: block transfers
-// already run concurrently across shards, so async section operations
-// only detach the issuing goroutine (the pipelined engine's prefetch).
+// AsyncCapable reports native disk.AsyncArray support: an async section
+// operation detaches the whole collective, whose per-shard
+// sub-operations run in turn, from the issuing goroutine (the pipelined
+// engine's prefetch).
 func (s *Store) AsyncCapable() bool { return true }
 
 // Create allocates a replicated array: every live shard holds a

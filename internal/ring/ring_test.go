@@ -3,6 +3,9 @@ package ring
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -10,6 +13,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/fault"
+	"repro/internal/health"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -102,7 +106,7 @@ func TestRoundTripAcrossBlocks(t *testing.T) {
 				}
 				// Blocked: range k = rows [5k, 5k+5) on shards k and k+1 mod 4.
 				if opt.Placement == Blocked {
-					if lo, hi := ra.blockRange(b); lo != 5*b || hi != 5*b+5 || !sameOrder(cands, []int{int(b), int(b+1) % 4}) {
+					if lo, hi := ra.blockRange(b); lo != 5*b || hi != 5*b+5 || !slices.Equal(cands, []int{int(b), int(b+1) % 4}) {
 						t.Fatalf("Blocked block %d = rows [%d,%d) on %v", b, lo, hi, cands)
 					}
 				}
@@ -240,7 +244,7 @@ func TestScalarArray(t *testing.T) {
 			// Blocked puts a rank-0 array on the first live shards, as GA
 			// puts it on process 0; the rest idle.
 			if pc.opt.Placement == Blocked {
-				if cands := a.(*Array).candidates(0); !sameOrder(cands, []int{0, 1}) {
+				if cands := a.(*Array).candidates(0); !slices.Equal(cands, []int{0, 1}) {
 					t.Fatalf("Blocked scalar placed on %v, want [0 1]", cands)
 				}
 				if st := s.ShardStats(2); st.ReadOps != 0 || st.WriteOps != 0 {
@@ -383,14 +387,14 @@ func TestDeterministicPlacement(t *testing.T) {
 	}
 	x, y := mk(7), mk(7)
 	for b := range x {
-		if !sameOrder(x[b], y[b]) {
+		if !slices.Equal(x[b], y[b]) {
 			t.Fatalf("same seed placed block %d at %v then %v", b, x[b], y[b])
 		}
 	}
 	z := mk(8)
 	differs := false
 	for b := range x {
-		if !sameOrder(x[b], z[b]) {
+		if !slices.Equal(x[b], z[b]) {
 			differs = true
 		}
 	}
@@ -680,52 +684,166 @@ func TestHealArrayUnhealedWithoutHealthyReplica(t *testing.T) {
 	}
 }
 
+// TestRetryAbsorbsTransientFaults drives a faulted R=2 ring through ten
+// write/read rounds. The retries absorb every fault, each fault costs
+// its sub-operation exactly one more attempt, and the whole failover
+// account repeats bit for bit whatever GOMAXPROCS: the collective runs
+// its sub-operations in a fixed order, so retry-jitter keys and injector
+// ordinals are drawn in program order, not scheduling order.
 func TestRetryAbsorbsTransientFaults(t *testing.T) {
-	s := newTestStore(t, 3, 2, Options{
-		BlockRows: 2,
-		Faults:    &fault.Config{Seed: 3, Rate: 0.3, MaxConsecutive: 2},
-		Retry:     disk.DefaultRetryPolicy(),
-	})
-	a, _ := s.Create("X", []int64{12, 3})
-	buf := make([]float64, 36)
-	for i := range buf {
-		buf[i] = float64(i)
+	type outcome struct {
+		failover, time float64
+		stats          []disk.Stats
+		counts         []fault.Counts
 	}
-	for iter := 0; iter < 10; iter++ {
-		if err := a.WriteSection([]int64{0, 0}, []int64{12, 3}, buf); err != nil {
-			t.Fatalf("iter %d write: %v", iter, err)
-		}
-		got := make([]float64, 36)
-		if err := a.ReadSection([]int64{0, 0}, []int64{12, 3}, got); err != nil {
-			t.Fatalf("iter %d read: %v", iter, err)
-		}
+	scenario := func(faults *fault.Config) outcome {
+		s := newTestStore(t, 3, 2, Options{BlockRows: 2, Faults: faults, Retry: disk.DefaultRetryPolicy()})
+		a, _ := s.Create("X", []int64{12, 3})
+		buf := make([]float64, 36)
 		for i := range buf {
-			if got[i] != buf[i] {
-				t.Fatalf("iter %d element %d = %v, want %v", iter, i, got[i], buf[i])
+			buf[i] = float64(i)
+		}
+		for iter := 0; iter < 10; iter++ {
+			if err := a.WriteSection([]int64{0, 0}, []int64{12, 3}, buf); err != nil {
+				t.Fatalf("iter %d write: %v", iter, err)
+			}
+			got := make([]float64, 36)
+			if err := a.ReadSection([]int64{0, 0}, []int64{12, 3}, got); err != nil {
+				t.Fatalf("iter %d read: %v", iter, err)
+			}
+			for i := range buf {
+				if got[i] != buf[i] {
+					t.Fatalf("iter %d element %d = %v, want %v", iter, i, got[i], buf[i])
+				}
 			}
 		}
-	}
-	faulted := int64(0)
-	for i := 0; i < 3; i++ {
-		if inj, ok := s.ShardBackend(i).(*fault.Injector); ok {
-			faulted += inj.Counts().Faults()
+		o := outcome{failover: s.FailoverSeconds(), time: s.Time()}
+		for i := 0; i < 3; i++ {
+			o.stats = append(o.stats, s.ShardStats(i))
+			if inj, ok := s.ShardBackend(i).(*fault.Injector); ok {
+				o.counts = append(o.counts, inj.Counts())
+			}
 		}
+		return o
+	}
+	faults := &fault.Config{Seed: 3, Rate: 0.3, MaxConsecutive: 2}
+	want := scenario(faults)
+	faulted := int64(0)
+	for _, c := range want.counts {
+		faulted += c.Faults()
 	}
 	if faulted == 0 {
 		t.Fatal("schedule injected nothing")
 	}
-	if s.FailoverSeconds() <= 0 {
+	if want.failover <= 0 {
 		t.Fatal("transient retries charged no modelled backoff")
 	}
 	// Time() = slowest shard + the failover backoff account.
 	maxShard := 0.0
-	for i := 0; i < 3; i++ {
-		if st := s.ShardStats(i); st.Time() > maxShard {
-			maxShard = st.Time()
+	for _, st := range want.stats {
+		maxShard = max(maxShard, st.Time())
+	}
+	if want.time != maxShard+want.failover {
+		t.Fatalf("Time() = %g, want max-shard %g + failover %g", want.time, maxShard, want.failover)
+	}
+	// Every attempt is charged by its shard, so a shard's operations
+	// beyond the fault-free run's sub-operations are its retries: one per
+	// injected fault, none past a success and none given up.
+	clean := scenario(nil)
+	for i, c := range want.counts {
+		subOps := clean.stats[i].ReadOps + clean.stats[i].WriteOps
+		if c.Ops != subOps+c.Faults() || want.stats[i].ReadOps+want.stats[i].WriteOps != c.Ops {
+			t.Errorf("shard %d: %d attempts (%d charged) for %d sub-operations and %d faults",
+				i, c.Ops, want.stats[i].ReadOps+want.stats[i].WriteOps, subOps, c.Faults())
 		}
 	}
-	if got, want := s.Time(), maxShard+s.FailoverSeconds(); got != want {
-		t.Fatalf("Time() = %g, want max-shard %g + failover %g", got, maxShard, s.FailoverSeconds())
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 10; rep++ {
+			if got := scenario(faults); !reflect.DeepEqual(got, want) {
+				runtime.GOMAXPROCS(prev)
+				t.Fatalf("GOMAXPROCS=%d run %d: failover %g, time %g, shards %v, injectors %v; first run %g, %g, %v, %v",
+					procs, rep, got.failover, got.time, got.stats, got.counts, want.failover, want.time, want.stats, want.counts)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestRetryAttemptsPerReplica pins the per-replica retry budget: against
+// shards whose every operation fails transiently, each replica of a
+// sub-operation is tried exactly Retry.Attempts() times — no fewer, no
+// more — with Attempts()-1 modelled backoffs, before a read fails over
+// and, with no replica left, the section fails.
+func TestRetryAttemptsPerReplica(t *testing.T) {
+	pol := &disk.RetryPolicy{MaxAttempts: 3, BaseDelay: 1e-3}
+	s := newTestStore(t, 2, 2, Options{
+		Placement: Blocked,
+		Faults:    &fault.Config{Seed: 1, Rate: 1, MaxConsecutive: 1 << 30},
+		Retry:     pol,
+	})
+	a, _ := s.Create("X", []int64{4, 3}) // block 0 = rows [0, 2) on shards 0 and 1
+	backoff := 0.0
+	for att := 0; att+1 < pol.Attempts(); att++ {
+		backoff += pol.Delay(att, 0)
+	}
+	want, wantBackoff := int64(0), 0.0
+	for _, read := range []bool{true, false} {
+		var err error
+		if read {
+			err = a.ReadSection([]int64{0, 0}, []int64{2, 3}, make([]float64, 6))
+		} else {
+			err = a.WriteSection([]int64{0, 0}, []int64{2, 3}, make([]float64, 6))
+		}
+		var be *BlockError
+		if !errors.As(err, &be) || len(be.Errs) != 2 {
+			t.Fatalf("read=%v: want a two-replica BlockError, got %v", read, err)
+		}
+		want += int64(pol.Attempts())
+		wantBackoff += 2 * backoff
+		for id := 0; id < 2; id++ {
+			if got := s.ShardBackend(id).(*fault.Injector).Counts().Ops; got != want {
+				t.Fatalf("read=%v: shard %d tried %d times, want %d (%d per sub-operation)", read, id, got, want, pol.Attempts())
+			}
+		}
+		if got := s.FailoverSeconds(); math.Abs(got-wantBackoff) > 1e-15 {
+			t.Fatalf("read=%v: failover backoff %g, want %g", read, got, wantBackoff)
+		}
+	}
+}
+
+// TestSectionAllocsIndependentOfBlocks pins the collective's scratch: a
+// cost-only ring(4,2) with a health plane allocates the same per section
+// read or write whether the section spans one placement block or
+// sixteen.
+func TestSectionAllocsIndependentOfBlocks(t *testing.T) {
+	s, err := New(Options{Shards: 4, Replicas: 2, Disk: testDisk(), BlockRows: 1, Health: &health.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, err := s.Create("X", []int64{64, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rows int64) (read, write float64) {
+		lo, shape := []int64{8, 0}, []int64{rows, 8}
+		write = testing.AllocsPerRun(20, func() {
+			if err := a.WriteSection(lo, shape, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		read = testing.AllocsPerRun(20, func() {
+			if err := a.ReadSection(lo, shape, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return read, write
+	}
+	r1, w1 := allocs(1)
+	r16, w16 := allocs(16)
+	if r16 != r1 || w16 != w1 {
+		t.Fatalf("allocations grow with the block count: read %v -> %v, write %v -> %v", r1, r16, w1, w16)
 	}
 }
 

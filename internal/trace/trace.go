@@ -5,14 +5,14 @@
 // program's I/O time goes and to cross-check the cost model's per-array
 // predictions.
 //
-// The recorder is a thin adapter over the obs span tracer: every
-// operation becomes one span on the obs "disk" track, so a recorded run
-// exports directly as a Chrome Trace (Recorder.Tracer) while the Op view
-// remains available for the aggregation helpers in this package.
+// The recorder keeps its log as typed Ops for the aggregation helpers in
+// this package; Recorder.Tracer renders it as one span per operation on
+// the obs "disk" track, so a recorded run exports as a Chrome Trace.
 package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,15 +68,9 @@ type Recorder struct {
 	model    machine.Disk
 	hasModel bool
 
-	// tr holds the op log: one "disk"-track span per operation, the Op
-	// in the span's Args. It is private to the recorder — the execution
-	// engines keep their own tracer, so attaching both to a run never
-	// double-counts disk spans.
-	tr *obs.Tracer
-
 	mu    sync.Mutex
+	ops   []Op // the log, in recording (Seq) order
 	clock float64
-	seq   int64
 	epoch time.Time
 }
 
@@ -84,60 +78,61 @@ type Recorder struct {
 // built this way carry zero Duration (the recorder has no disk model to
 // charge); use NewWithDisk when tracing pipelined executions.
 func New(inner disk.Backend) *Recorder {
-	return &Recorder{inner: inner, tr: obs.NewTracer(), epoch: time.Now()}
+	return &Recorder{inner: inner, epoch: time.Now()}
 }
 
 // NewWithDisk wraps a backend and charges asynchronous operations the
 // given disk model's per-section time (seek + transfer), matching the
 // simulator's synchronous accounting.
 func NewWithDisk(inner disk.Backend, d machine.Disk) *Recorder {
-	return &Recorder{inner: inner, model: d, hasModel: true, tr: obs.NewTracer(), epoch: time.Now()}
+	return &Recorder{inner: inner, model: d, hasModel: true, epoch: time.Now()}
 }
 
 // opArgKey carries the Op inside its span's Args.
 const opArgKey = "op"
 
-// add appends one op to the log as a disk-track span.
-func (r *Recorder) add(op Op) {
-	name := "W " + op.Array
-	if op.Read {
-		name = "R " + op.Array
-	}
-	r.tr.Span(obs.Span{
-		Track: obs.TrackDisk,
-		Name:  name,
-		Start: op.Start,
-		Dur:   op.Duration,
-		Args:  map[string]any{opArgKey: op},
-	})
+// addLocked appends one op to the log, numbering it and advancing the
+// serial clock by its duration. Callers hold r.mu.
+func (r *Recorder) addLocked(op Op) {
+	op.Seq = int64(len(r.ops))
+	op.Start = r.clock
+	r.clock += op.Duration
+	r.ops = append(r.ops, op)
 }
 
 // Ops returns a copy of the recorded operations in recording order.
 func (r *Recorder) Ops() []Op {
-	spans := r.tr.Spans()
-	ops := make([]Op, 0, len(spans))
-	for _, s := range spans {
-		if op, ok := s.Args[opArgKey].(Op); ok {
-			ops = append(ops, op)
-		}
-	}
-	return ops
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.ops)
 }
 
-// Tracer exposes the recorder's span log, one "disk"-track span per
-// operation, for Chrome Trace export. The spans sit on the recording-order
-// serial clock (see Op.Start); an overlapped timeline comes from the
-// execution engine's own tracer, not this one.
-func (r *Recorder) Tracer() *obs.Tracer { return r.tr }
+// Tracer renders the op log as a fresh span log, one "disk"-track span
+// per operation with the Op in its Args, for Chrome Trace export. The
+// spans sit on the recording-order serial clock (see Op.Start); an
+// overlapped timeline comes from the execution engine's own tracer,
+// which never sees these spans, so attaching both to a run never
+// double-counts disk time.
+func (r *Recorder) Tracer() *obs.Tracer {
+	tr := obs.NewTracer()
+	for _, op := range r.Ops() {
+		name := "W " + op.Array
+		if op.Read {
+			name = "R " + op.Array
+		}
+		tr.Span(obs.Span{Track: obs.TrackDisk, Name: name, Start: op.Start, Dur: op.Duration,
+			Args: map[string]any{opArgKey: op}})
+	}
+	return tr
+}
 
 // Reset clears the recording and restarts the wall clock.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
+	r.ops = nil
 	r.clock = 0
-	r.seq = 0
 	r.epoch = time.Now()
 	r.mu.Unlock()
-	r.tr.Reset()
 }
 
 // wall returns wall-clock seconds since the recorder's epoch.
@@ -266,22 +261,16 @@ func (r *Recorder) addAsync(array string, lo, shape []int64, read bool, issued f
 	}
 	completed := r.wall()
 	r.mu.Lock()
-	op := Op{
-		Seq:       r.seq,
+	r.addLocked(Op{
 		Array:     array,
 		Read:      read,
 		Lo:        append([]int64(nil), lo...),
 		Shape:     append([]int64(nil), shape...),
 		Bytes:     bytes,
-		Start:     r.clock,
 		Duration:  dur,
 		Issued:    issued,
 		Completed: completed,
-	}
-	r.seq++
-	r.clock += dur
-	// Record under the mutex so span order always matches Seq order.
-	r.add(op)
+	})
 	r.mu.Unlock()
 }
 
@@ -303,21 +292,16 @@ func (a *tracedArray) record(lo, shape []int64, buf []float64, read bool) error 
 	completed := a.rec.wall()
 
 	a.rec.mu.Lock()
-	op := Op{
-		Seq:       a.rec.seq,
+	a.rec.addLocked(Op{
 		Array:     a.inner.Name(),
 		Read:      read,
 		Lo:        append([]int64(nil), lo...),
 		Shape:     append([]int64(nil), shape...),
 		Bytes:     bytes,
-		Start:     a.rec.clock,
 		Duration:  dur,
 		Issued:    issued,
 		Completed: completed,
-	}
-	a.rec.seq++
-	a.rec.clock += dur
-	a.rec.add(op)
+	})
 	a.rec.mu.Unlock()
 	return nil
 }
