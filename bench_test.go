@@ -135,7 +135,7 @@ func benchTable4(b *testing.B, strat core.Strategy, procs int) {
 	b.ResetTimer()
 	var wall float64
 	for i := 0; i < b.N; i++ {
-		st, err := ring.New(ring.Options{Shards: procs, Replicas: 1, Placement: ring.Blocked, Disk: perNode.Disk})
+		st, err := ring.New(ring.Options{Shards: procs, Replicas: 1, Disk: perNode.Disk})
 		if err != nil {
 			b.Fatal(err)
 		}

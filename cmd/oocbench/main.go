@@ -20,7 +20,7 @@
 // baseline (full logarithmic grid, brute force) and the DCS approach;
 // Table 3 compares measured vs. predicted sequential disk I/O times of the
 // generated codes on the simulated disk; Table 4 runs the generated
-// parallel code on the GA/DRA block distribution (a Blocked ring) with 2
+// parallel code on the GA/DRA block distribution (an R=1 ring) with 2
 // and 4 processes.
 package main
 

@@ -102,9 +102,10 @@ func main() {
 	// Backend chain: FileStore -> fault injector (optional) -> trace
 	// recorder, so injected faults exercise the same path real device
 	// errors take and retried attempts appear in the trace. With -ring
-	// the data plane is a replicated consistent-hash ring of simulated
-	// shards instead: faults wrap each shard inside the ring, and reads
-	// fail over to a healthy replica before anything reaches the engine.
+	// the data plane is a replicated ring of simulated shards laid out as
+	// GA/DRA's block distribution instead: faults wrap each shard inside
+	// the ring, and reads fail over to a healthy replica before anything
+	// reaches the engine.
 	var store disk.Backend
 	var inj *fault.Injector
 	var rstore *ring.Store
@@ -117,7 +118,6 @@ func main() {
 		ropt := ring.Options{
 			Shards:   rs.Shards,
 			Replicas: rs.Replicas,
-			Seed:     uint64(*seed),
 			Disk:     cfg.Disk,
 			WithData: true,
 			Retry:    retry,

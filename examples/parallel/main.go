@@ -1,5 +1,5 @@
 // Parallel out-of-core execution on the Global Arrays / Disk Resident
-// Arrays block distribution (a Blocked ring, one local disk per
+// Arrays block distribution (an R=1 ring, one local disk per
 // process): synthesize the four-index transform for the aggregate memory
 // of 1, 2, and 4 processes and measure the collective I/O wall-clock
 // (the Table 4 experiment). Doubling the process count doubles both the
@@ -37,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := ring.New(ring.Options{Shards: procs, Replicas: 1, Placement: ring.Blocked, Disk: perNode.Disk})
+		st, err := ring.New(ring.Options{Shards: procs, Replicas: 1, Disk: perNode.Disk})
 		if err != nil {
 			log.Fatal(err)
 		}

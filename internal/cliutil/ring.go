@@ -9,8 +9,8 @@ import (
 // RingSpec is the parsed form of the -ring flag: the shape of the
 // replicated sharded data plane a run should execute against.
 type RingSpec struct {
-	// Shards is the number of shard backends on the consistent-hash
-	// ring (the flag's P key).
+	// Shards is the number of shard backends the ring distributes each
+	// array's blocks over (the flag's P key).
 	Shards int
 	// Replicas is the replication factor: how many distinct shards
 	// hold a copy of each block (the flag's R key).

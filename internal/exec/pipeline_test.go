@@ -335,7 +335,7 @@ func TestPipelineOverlapFourIndex(t *testing.T) {
 	}
 }
 
-// TestPipelineOnCluster runs the pipelined engine against a Blocked ring
+// TestPipelineOnCluster runs the pipelined engine against an R=1 ring
 // (the GA/DRA block distribution, native async collectives) and checks
 // bit-identical results.
 func TestPipelineOnCluster(t *testing.T) {
@@ -349,7 +349,7 @@ func TestPipelineOnCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(opt Options) *Result {
-		cl, err := ring.New(ring.Options{Shards: 4, Replicas: 1, Placement: ring.Blocked, Disk: cfg.Disk, WithData: true})
+		cl, err := ring.New(ring.Options{Shards: 4, Replicas: 1, Disk: cfg.Disk, WithData: true})
 		if err != nil {
 			t.Fatal(err)
 		}

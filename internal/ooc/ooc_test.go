@@ -342,7 +342,7 @@ func TestContractRingScrubRepair(t *testing.T) {
 	cfg := machine.Small(4 << 10)
 	rot := fault.Config{Seed: 11, BitFlipRate: 1, Shard: 1} // every shard-0 read rots a stored bit
 	st, err := ring.New(ring.Options{
-		Shards: 3, Replicas: 2, Seed: 1,
+		Shards: 3, Replicas: 2,
 		Disk: cfg.Disk, WithData: true, Faults: &rot,
 	})
 	if err != nil {

@@ -2,9 +2,9 @@ package ring
 
 // Section I/O over the ring: every operation is split into placement
 // blocks (runs of leading-dimension rows), each of which lives on R
-// shards chosen by the placement policy. Reads take one replica per block
-// with typed-error failover; writes fan out to every replica and degrade
-// — not fail — when a replica cannot take the write.
+// shards. Reads take one replica per block with typed-error failover;
+// writes fan out to every replica and degrade — not fail — when a
+// replica cannot take the write.
 
 import (
 	"errors"
@@ -19,26 +19,26 @@ import (
 
 // Array is one replicated disk-resident array.
 type Array struct {
-	st       *Store
-	name     string
-	nameHash uint64
-	dims     []int64
-	rowSize  int64 // elements per leading-dimension row
+	st      *Store
+	name    string
+	dims    []int64
+	rowSize int64 // elements per leading-dimension row
 	// bounds are the placement-block boundaries: block b holds rows
-	// [bounds[b], bounds[b+1]). Fixed at Create, whatever the policy.
+	// [bounds[b], bounds[b+1]). Set at Create; a membership change
+	// rewrites bounds, blocks, cands and stale together under amu, and
+	// must not overlap section I/O on the array.
 	bounds []int64
 	blocks int64 // len(bounds) - 1
 
 	// locals maps shard id → that shard's full-extent local copy.
 	locals map[int]disk.Array
 
-	// amu guards the degraded-write state and the placement cache.
+	// amu guards the degraded-write state and the placement.
 	amu sync.Mutex
 	// stale marks replica copies that missed a write or failed a repair:
 	// block → set of shard ids whose copy must not serve reads.
 	stale map[int64]map[int]bool
-	// cands caches each block's replica list in ring order; the
-	// rebalancer rewrites it on membership changes.
+	// cands is each block's replica list in ring order, primary first.
 	cands [][]int
 
 	// smu guards free, the collective scratch kept for reuse.
@@ -70,11 +70,6 @@ func (e *BlockError) Unwrap() []error { return e.Errs }
 
 func (a *Array) Name() string  { return a.name }
 func (a *Array) Dims() []int64 { return append([]int64(nil), a.dims...) }
-
-// blockKey is block b's position on the hash ring.
-func (a *Array) blockKey(b int64) uint64 {
-	return mix(a.st.opt.Seed ^ a.nameHash ^ mix(uint64(b)+0x2545f4914f6cdd1d))
-}
 
 // d0 is the leading extent (1 for rank-0 arrays, which occupy a single
 // block).
@@ -554,7 +549,7 @@ func (a *Array) blockRange(b int64) (int64, int64) {
 // blockBuf returns a buffer that holds any one block's full-extent
 // section in data mode, nil in cost-only mode.
 func (a *Array) blockBuf() []float64 {
-	if !a.st.withData {
+	if !a.st.opt.WithData {
 		return nil
 	}
 	rows := int64(0)
@@ -572,10 +567,14 @@ func (a *Array) blockCoveredBy(b, rlo, rhi int64) bool {
 
 // blockSection returns the full-extent section of placement block b.
 func (a *Array) blockSection(b int64) (lo, shape []int64) {
+	return a.rowSection(a.blockRange(b))
+}
+
+// rowSection returns the full-extent section of rows [rlo, rhi).
+func (a *Array) rowSection(rlo, rhi int64) (lo, shape []int64) {
 	if len(a.dims) == 0 {
 		return []int64{}, []int64{}
 	}
-	rlo, rhi := a.blockRange(b)
 	lo = make([]int64, len(a.dims))
 	shape = append([]int64(nil), a.dims...)
 	lo[0] = rlo

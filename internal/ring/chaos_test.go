@@ -82,7 +82,6 @@ func runChaosScenario(t *testing.T, plan *codegen.Plan, inputs map[string]*tenso
 	st, err := New(Options{
 		Shards:   4,
 		Replicas: 2,
-		Seed:     1,
 		Disk:     cfg.Disk,
 		WithData: true,
 		Faults:   chaosFaults(t),

@@ -25,11 +25,13 @@ import (
 )
 
 // grayFaults is the seeded brownout: every op on shard 1 inside the
-// ordinal window [120, 180) pays one modelled second of extra latency.
-// No error injection — the shard is slow, not broken.
+// ordinal window [60, 100) pays one modelled second of extra latency.
+// No error injection — the shard is slow, not broken. Shard 1 serves
+// about 250 ops, so the window closes with room left for the breaker to
+// probe its way closed.
 func grayFaults(t *testing.T) *fault.Config {
 	t.Helper()
-	cfg, err := cliutil.ParseFaultSpec("seed=11,latsec=1,latwindow=120,latwindowops=60,shard=1")
+	cfg, err := cliutil.ParseFaultSpec("seed=11,latsec=1,latwindow=60,latwindowops=40,shard=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,6 @@ func runGrayScenario(t *testing.T) grayOutcome {
 	st, err := New(Options{
 		Shards:   4,
 		Replicas: 2,
-		Seed:     1,
 		Disk:     cfg.Disk,
 		WithData: true,
 		Faults:   grayFaults(t),
@@ -192,7 +193,6 @@ func TestGrayBrownoutUnmitigated(t *testing.T) {
 	st, err := New(Options{
 		Shards:   4,
 		Replicas: 2,
-		Seed:     1,
 		Disk:     cfg.Disk,
 		WithData: true,
 		Faults:   grayFaults(t),

@@ -1,19 +1,31 @@
 package ring
 
-// Shard membership changes. AddShard grows the ring by one shard and
-// DrainShard retires one; both re-derive every array's block → replica
-// assignment over the new live set (recomputing the consistent-hash
-// table, or re-placing the fixed Blocked ranges) and move the data the
-// new assignment demands. Movement reads the first healthy old
-// replica and writes the new one through the shards' base backends, so
-// it is charged to the shards' modelled I/O statistics — rebalancing
-// cost is part of the modelled cost, which tables.RingStudy measures.
+// Shard membership changes. An array keeps GA/DRA's floor split until
+// the first membership change; each change then edits the array's
+// blocks locally instead of re-splitting, so it moves about 1/P of the
+// data:
+//
+//   - AddShard: the new shard takes the tail of every block, ⌊d/(L+1)⌋
+//     of the d leading rows in all (L live shards before the add), cut
+//     from each block in proportion to its length. It becomes the
+//     primary of those rows, with the block's first R−1 replicas behind
+//     it. Only the tail rows are copied, and only to the new shard.
+//   - DrainShard: every block that lists the drained shard gets that
+//     position filled by the live shard, not already in its list, that
+//     holds the fewest of the array's rows at that position (the lowest
+//     id on a tie). The block is copied to it once.
+//
+// Stale flags follow their rows when a block splits. Movement reads the
+// first healthy old replica and writes the new one through the shards'
+// base backends, so it is charged to the shards' modelled I/O statistics
+// — rebalancing cost is part of the modelled cost, which tables.RingStudy
+// measures. A membership change must not overlap section I/O.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/disk"
 	"repro/internal/health"
 	"repro/internal/obs"
 )
@@ -41,19 +53,16 @@ func (r *RebalanceReport) String() string {
 
 // AddShard grows the ring by one fresh shard (wrapped by the fault
 // schedule when it targets the new index), creates local copies of every
-// array on it, and moves the block replicas the updated placement
-// assigns.
+// array on it, and hands it the tail of every block.
 func (s *Store) AddShard() (*RebalanceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, fmt.Errorf("ring: store closed")
 	}
+	live := s.liveCount()
 	id := len(s.shards)
-	sh, err := s.newShard(id)
-	if err != nil {
-		return nil, err
-	}
+	sh := s.newShard(id)
 	s.shards = append(s.shards, sh)
 
 	names := s.arrayNamesLocked()
@@ -69,9 +78,12 @@ func (s *Store) AddShard() (*RebalanceReport, error) {
 	}
 
 	rep := &RebalanceReport{}
-	if err := s.reassignLocked(names, -1, rep); err != nil {
-		return nil, err
+	for _, name := range names {
+		if err := s.splitTailsLocked(s.arrays[name], id, live, rep); err != nil {
+			return nil, err
+		}
 	}
+	s.recountDegradedLocked()
 	rep.Shards = s.liveCount()
 	if s.log.Enabled(obs.LevelInfo) {
 		s.log.Info("ring", "rebalance.add",
@@ -83,9 +95,9 @@ func (s *Store) AddShard() (*RebalanceReport, error) {
 	return rep, nil
 }
 
-// DrainShard retires shard id: its block replicas move to the shards the
-// updated placement assigns, then its backend is closed. Draining below
-// the replication factor is refused.
+// DrainShard retires shard id: every block it held is copied to a
+// replacement shard, then its backend is closed. Draining below the
+// replication factor is refused.
 func (s *Store) DrainShard(id int) (*RebalanceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -105,8 +117,10 @@ func (s *Store) DrainShard(id int) (*RebalanceReport, error) {
 	rep := &RebalanceReport{}
 	// Movement happens before the shard goes away: the drained shard
 	// stays a valid (last-resort) source until its data has new homes.
-	if err := s.reassignLocked(names, id, rep); err != nil {
-		return nil, err
+	for _, name := range names {
+		if err := s.replaceLocked(s.arrays[name], id, rep); err != nil {
+			return nil, err
+		}
 	}
 
 	sh.live = false
@@ -122,6 +136,7 @@ func (s *Store) DrainShard(id int) (*RebalanceReport, error) {
 		}
 		a.amu.Unlock()
 	}
+	s.recountDegradedLocked()
 	if err := sh.be.Close(); err != nil {
 		return nil, fmt.Errorf("ring: close drained shard %d: %w", id, err)
 	}
@@ -146,171 +161,158 @@ func (s *Store) arrayNamesLocked() []string {
 	return names
 }
 
-// reassignLocked re-places every array over the live shards (drainID
-// excluded when >= 0, i.e. a drain; -1 means a shard was just added) and
-// moves every block replica whose assignment changed. Callers hold s.mu.
-func (s *Store) reassignLocked(names []string, drainID int, rep *RebalanceReport) error {
-	// Exclude the draining shard from placement; it comes back live as a
-	// movement source until its data has new homes.
-	if drainID >= 0 {
-		s.shards[drainID].live = false
-	}
-	s.rebuildTable()
-	old := make(map[string][][]int, len(names))
-	placed := make(map[string][][]int, len(names))
-	for _, name := range names {
-		a := s.arrays[name]
-		a.amu.Lock()
-		old[name] = a.cands
-		a.amu.Unlock()
-		placed[name] = s.placeLocked(a)
-	}
-	if drainID >= 0 {
-		s.shards[drainID].live = true
-	}
-
-	for _, name := range names {
-		a := s.arrays[name]
-		next := placed[name]
-		if err := s.moveArrayLocked(a, old[name], next, drainID, rep); err != nil {
+// splitTailsLocked hands the new shard id the tail of each of a's blocks
+// (see the file comment); live is the live count before the add.
+// Callers hold s.mu.
+func (s *Store) splitTailsLocked(a *Array, id, live int, rep *RebalanceReport) error {
+	a.amu.Lock()
+	bounds, cands, stale := a.bounds, a.cands, a.stale
+	a.amu.Unlock()
+	d0 := a.d0()
+	take := d0 / int64(live+1) // rows the new shard becomes primary for
+	nb, nc, ns := []int64{0}, [][]int(nil), map[int64]map[int]bool{}
+	for b, c := range cands {
+		lo, hi := bounds[b], bounds[b+1]
+		// A floor split of take over the rows: the cuts sum to take exactly.
+		cut := hi - (take*hi/d0 - take*lo/d0)
+		if cut > lo {
+			if set := stale[int64(b)]; len(set) > 0 {
+				ns[int64(len(nc))] = set
+			}
+			nb, nc = append(nb, cut), append(nc, c)
+		}
+		if cut == hi {
+			continue
+		}
+		tail := append([]int{id}, c[:len(c)-1]...)
+		set := map[int]bool{}
+		for _, sid := range tail[1:] {
+			if stale[int64(b)][sid] {
+				set[sid] = true
+			}
+		}
+		ok, err := s.copyRowsLocked(a, int64(b), cut, hi, c, id, rep)
+		if err != nil {
 			return err
 		}
-		a.amu.Lock()
-		a.cands = next
-		// Drop stale flags of shards that stopped being candidates: their
-		// copies are out of the read path entirely now.
-		for b, set := range a.stale {
-			keep := map[int]bool{}
-			for _, id := range next[b] {
-				keep[id] = true
-			}
-			for id := range set {
-				if !keep[id] {
-					delete(set, id)
-				}
-			}
-			if len(set) == 0 {
-				delete(a.stale, b)
-			}
+		if !ok {
+			set[id] = true
 		}
-		a.amu.Unlock()
+		if len(set) > 0 {
+			ns[int64(len(nc))] = set
+		}
+		nb, nc = append(nb, hi), append(nc, tail)
 	}
-	s.recountDegradedLocked()
+	a.amu.Lock()
+	a.bounds, a.blocks, a.cands, a.stale = nb, int64(len(nc)), nc, ns
+	a.amu.Unlock()
 	return nil
 }
 
-// moveArrayLocked copies every block replica that newC assigns to a
-// shard oldC did not. Sources are the old candidates in ring order
-// (probed through the base backends, beneath any fault injector), with
-// the draining shard last. Callers hold s.mu.
-func (s *Store) moveArrayLocked(a *Array, oldC, newC [][]int, drainID int, rep *RebalanceReport) error {
-	bases := map[int]disk.Array{}
-	baseFor := func(id int) (disk.Array, error) {
-		if arr, ok := bases[id]; ok {
-			return arr, nil
-		}
-		if id < 0 || id >= len(s.shards) {
-			return nil, fmt.Errorf("ring: no shard %d", id)
-		}
-		arr, err := baseBackend(s.shards[id].be).Open(a.name)
-		if err != nil {
-			return nil, fmt.Errorf("ring: shard %d: %w", id, err)
-		}
-		bases[id] = arr
-		return arr, nil
+// replaceLocked gives every block of a that lists the draining shard id a
+// replacement in that position (see the file comment). Callers hold s.mu.
+func (s *Store) replaceLocked(a *Array, id int, rep *RebalanceReport) error {
+	a.amu.Lock()
+	cands := slices.Clone(a.cands)
+	a.amu.Unlock()
+	held := make([][]int64, s.opt.Replicas) // rows held per position, per shard
+	for r := range held {
+		held[r] = make([]int64, len(s.shards))
 	}
-	buf := a.blockBuf()
-	// Shards whose circuit breaker is open are not used as movement
-	// sources: their copies are current but the shard is gray-failing,
-	// and copying through it would serialize the rebalance behind it.
-	// StateAt has no side effects, so it is safe under s.mu; a shard past
-	// its cooldown reads half-open and is admitted as a probe.
-	openSrc := func(id int) bool { return false }
-	if s.hp != nil {
-		now := s.front.Snapshot().Time()
-		openSrc = func(id int) bool { return s.hp.tr.StateAt(id, now) == health.Open }
+	for b, c := range cands {
+		lo, hi := a.blockRange(int64(b))
+		for r, sid := range c {
+			held[r][sid] += hi - lo
+		}
 	}
-	for b := int64(0); b < a.blocks; b++ {
-		wasCand := map[int]bool{}
-		for _, id := range oldC[b] {
-			wasCand[id] = true
-		}
-		var added []int
-		for _, id := range newC[b] {
-			if !wasCand[id] {
-				added = append(added, id)
-			}
-		}
-		if len(added) == 0 {
+	for b, c := range cands {
+		pos := slices.Index(c, id)
+		if pos < 0 {
 			continue
 		}
-		// Source preference: surviving old candidates in ring order, the
-		// draining shard (still open) last.
-		var sources []int
-		for _, id := range oldC[b] {
-			if id != drainID && s.shards[id].live && !a.isStale(b, id) && !openSrc(id) {
-				sources = append(sources, id)
+		to := -1
+		for _, sh := range s.shards {
+			if sh.live && sh.id != id && !slices.Contains(c, sh.id) && (to < 0 || held[pos][sh.id] < held[pos][to]) {
+				to = sh.id
 			}
 		}
-		if drainID >= 0 && wasCand[drainID] && !a.isStale(b, drainID) && !openSrc(drainID) {
-			sources = append(sources, drainID)
+		lo, hi := a.blockRange(int64(b))
+		held[pos][to] += hi - lo
+		// Sources: the surviving replicas in ring order, the draining shard
+		// (still open) last.
+		srcs := append(slices.Delete(slices.Clone(c), pos, pos+1), id)
+		ok, err := s.copyRowsLocked(a, int64(b), lo, hi, srcs, to, rep)
+		if err != nil {
+			return err
 		}
-		blo, bshape := a.blockSection(b)
-		n := int64(1)
-		for _, d := range bshape {
-			n *= d
+		if !ok {
+			a.markStale(int64(b), to)
 		}
-		var bbuf []float64
-		if s.withData {
-			bbuf = buf[:n]
+		cands[b] = slices.Clone(c)
+		cands[b][pos] = to
+	}
+	a.amu.Lock()
+	a.cands = cands
+	a.amu.Unlock()
+	return nil
+}
+
+// copyRowsLocked copies a's rows [lo, hi), which lie in block b, to shard
+// to from the first of srcs whose copy is not stale, whose breaker is not
+// open, and which reads cleanly. Sources and target are probed through
+// their base backends, beneath any fault injector. It reports whether
+// the copy landed; one that did not is counted unmoved and must start
+// stale, so reads avoid it until HealArray or a fresh write converges
+// it. Callers hold s.mu.
+func (s *Store) copyRowsLocked(a *Array, b, lo, hi int64, srcs []int, to int, rep *RebalanceReport) (bool, error) {
+	// A gray-failing source is current but would serialize the rebalance
+	// behind it. StateAt has no side effects, so it is safe under s.mu; a
+	// shard past its cooldown reads half-open and is admitted as a probe.
+	now := s.front.Snapshot().Time()
+	open := func(id int) bool { return s.hp != nil && s.hp.tr.StateAt(id, now) == health.Open }
+	sec, shape := a.rowSection(lo, hi)
+	n := (hi - lo) * a.rowSize
+	var buf []float64
+	if s.opt.WithData {
+		buf = make([]float64, n)
+	}
+	read := false
+	for _, sid := range srcs {
+		if a.isStale(b, sid) || open(sid) {
+			continue
 		}
-		read := false
-		for _, sid := range sources {
-			arr, err := baseFor(sid)
-			if err != nil {
-				return err
-			}
-			if arr.ReadSection(blo, bshape, bbuf) == nil {
-				read = true
-				break
-			}
+		arr, err := baseBackend(s.shards[sid].be).Open(a.name)
+		if err != nil {
+			return false, fmt.Errorf("ring: shard %d: %w", sid, err)
 		}
-		for _, id := range added {
-			if !read {
-				// No healthy source: the new copy starts stale so reads
-				// avoid it until HealArray or a fresh write converges it.
-				a.markStale(b, id)
-				rep.Unmoved++
-				if s.log.Enabled(obs.LevelWarn) {
-					s.log.Warn("ring", "rebalance.unmoved",
-						obs.F("array", a.name),
-						obs.F("block", b),
-						obs.F("shard", id))
-				}
-				continue
-			}
-			arr, err := baseFor(id)
-			if err != nil {
-				return err
-			}
-			if werr := arr.WriteSection(blo, bshape, bbuf); werr != nil {
-				a.markStale(b, id)
-				rep.Unmoved++
-				if s.log.Enabled(obs.LevelWarn) {
-					s.log.Warn("ring", "rebalance.unmoved",
-						obs.F("array", a.name),
-						obs.F("block", b),
-						obs.F("shard", id),
-						obs.F("error", werr))
-				}
-				continue
-			}
-			rep.BlocksMoved++
-			rep.BytesMoved += n * 8
-			rep.Seconds += s.opt.Disk.ReadTime(n*8, 1) + s.opt.Disk.WriteTime(n*8, 1)
+		if arr.ReadSection(sec, shape, buf) == nil {
+			read = true
+			break
 		}
 	}
-	return nil
+	var werr error
+	if read {
+		arr, err := baseBackend(s.shards[to].be).Open(a.name)
+		if err != nil {
+			return false, fmt.Errorf("ring: shard %d: %w", to, err)
+		}
+		werr = arr.WriteSection(sec, shape, buf)
+	}
+	if !read || werr != nil {
+		rep.Unmoved++
+		if s.log.Enabled(obs.LevelWarn) {
+			s.log.Warn("ring", "rebalance.unmoved",
+				obs.F("array", a.name),
+				obs.F("block", b),
+				obs.F("shard", to),
+				obs.F("error", werr))
+		}
+		return false, nil
+	}
+	rep.BlocksMoved++
+	rep.BytesMoved += n * 8
+	rep.Seconds += s.opt.Disk.ReadTime(n*8, 1) + s.opt.Disk.WriteTime(n*8, 1)
+	return true, nil
 }
 
 // recountDegradedLocked is recountDegraded for callers holding s.mu.

@@ -14,8 +14,7 @@ import (
 func rebalanceReadDeltas(t *testing.T, openShards ...int) (map[int]int64, *RebalanceReport, *Store) {
 	t.Helper()
 	s := newTestStore(t, 3, 2, Options{
-		BlockRows: 1,
-		Health:    &health.Config{CooldownSeconds: 1e18},
+		Health: &health.Config{CooldownSeconds: 1e18},
 	})
 	a, err := s.Create("X", []int64{48, 2})
 	if err != nil {

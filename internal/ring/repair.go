@@ -52,12 +52,7 @@ func baseBackend(be disk.Backend) disk.Backend {
 func (s *Store) ArrayNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.arrays))
-	for name := range s.arrays {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return s.arrayNamesLocked()
 }
 
 // VerifyArray sweeps every live shard's copy of the array, returning the
@@ -262,7 +257,7 @@ func (s *Store) HealArray(name string) (copied, unhealed int64, err error) {
 			n *= d
 		}
 		var bbuf []float64
-		if s.withData {
+		if s.opt.WithData {
 			bbuf = buf[:n]
 		}
 		var src int

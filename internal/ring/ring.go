@@ -1,8 +1,15 @@
 // Package ring is the replicated sharded data plane: it places each
 // block of a disk-resident array on N shard backends with R-way
-// replication, either by consistent hashing or by the GA/DRA block
-// distribution (see Placement). It implements disk.Backend (and the
-// async contract), so the execution engine, the verifier, and the fault
+// replication by the GA/DRA block distribution. At Create the leading
+// extent d is split over the L live shards into the ranges
+// [d·k/L, d·(k+1)/L) (empty ranges are dropped), and replica r of range k
+// lives on the (k+r) mod L-th live shard; rank-0 arrays live on the
+// first live shard(s). A section touching a shard's range costs that
+// shard exactly one sub-operation, as in a GA collective. Membership
+// changes edit the ranges locally (see rebalance.go), so placement is a
+// pure function of the creation-time live set and the sequence of
+// membership changes. The store implements disk.Backend (and the async
+// contract), so the execution engine, the verifier, and the fault
 // injector run on it unchanged, with failure as a first-class citizen:
 //
 //   - Reads try a block's replicas in ring order and fail over on typed
@@ -33,7 +40,6 @@ package ring
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/disk"
@@ -41,30 +47,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/machine"
 	"repro/internal/obs"
-)
-
-// vnodes is the number of virtual nodes each shard projects onto the
-// hash ring; more vnodes smooth the block distribution.
-const vnodes = 64
-
-// Placement selects how a Store maps an array's row blocks to shards.
-type Placement int
-
-const (
-	// Hash splits the leading dimension into BlockRows-sized blocks and
-	// places each on the R shards clockwise from its key on a
-	// consistent-hash ring, so AddShard/DrainShard relocate only the
-	// blocks whose replica set changed.
-	Hash Placement = iota
-	// Blocked is the GA/DRA block distribution: at Create the leading
-	// extent d is split over the L live shards into the ranges
-	// [d·k/L, d·(k+1)/L) (empty ranges are dropped), and replica r of
-	// range k lives on the (k+r) mod L-th live shard. A section touching
-	// a shard's range costs that shard exactly one sub-operation, as in a
-	// GA collective. Rank-0 arrays live on the first live shard(s).
-	// Membership changes keep the ranges and re-place each one on the
-	// shard that would own its first row under a fresh split.
-	Blocked
 )
 
 // Metric names published by the ring (see Options.Metrics/SetMetrics).
@@ -88,25 +70,16 @@ type Options struct {
 	Shards int
 	// Replicas is the replication factor R in [1, Shards].
 	Replicas int
-	// Placement selects the block → shard policy (default Hash).
-	Placement Placement
-	// Seed selects the placement hash; the same seed reproduces the same
-	// block → replica assignment.
+	// Seed has no effect: placement is a pure function of the
+	// creation-time live set and the sequence of membership changes.
+	// It remains only so that callers which still set it compile.
 	Seed uint64
-	// Disk is the per-shard disk model used by the default simulator
-	// shards and by the front-door cost accounting.
+	// Disk is the per-shard disk model used by the simulator shards and
+	// by the front-door cost accounting.
 	Disk machine.Disk
 	// WithData selects numerically verifiable simulator shards (test
 	// scale); cost-only otherwise.
 	WithData bool
-	// BlockRows overrides the Hash placement granularity: a block is this
-	// many leading-dimension rows. 0 derives a per-array granularity that
-	// yields roughly eight blocks per shard. Blocked rejects it.
-	BlockRows int64
-	// Open, if non-nil, builds shard i's backend instead of the default
-	// disk.NewSim(Disk, WithData) — e.g. a FileStore per shard directory.
-	// Backends from Open are assumed to hold real data.
-	Open func(i int) (disk.Backend, error)
 	// Retry is the per-replica retry budget for transient faults during
 	// reads, writes, and repair probes. nil means no in-ring retries
 	// (failover still applies).
@@ -114,7 +87,7 @@ type Options struct {
 	// Faults, if non-nil, wraps shard backends with a fault injector.
 	// The schedule's shard selector (fault.Config.TargetsShard) picks
 	// which shards inject; each injecting shard gets its own injector
-	// seeded with Seed+index so schedules are independent.
+	// seeded with fault.Config.Seed+index so schedules are independent.
 	Faults *fault.Config
 	// Health, if non-nil, enables the shard-health plane: per-shard EWMA
 	// latency/error scoring with circuit breakers that demote slow
@@ -142,12 +115,10 @@ type shard struct {
 
 // Store is the replicated sharded backend.
 type Store struct {
-	opt      Options
-	withData bool
+	opt Options
 
 	mu     sync.Mutex
 	shards []*shard
-	table  []vnode
 	arrays map[string]*Array
 	closed bool
 
@@ -174,12 +145,6 @@ type Store struct {
 	retryKey uint64
 }
 
-// vnode is one virtual node on the hash ring.
-type vnode struct {
-	h     uint64
-	shard int
-}
-
 // New builds a Store over opt.Shards fresh shard backends.
 func New(opt Options) (*Store, error) {
 	if opt.Shards <= 0 {
@@ -188,15 +153,8 @@ func New(opt Options) (*Store, error) {
 	if opt.Replicas < 1 || opt.Replicas > opt.Shards {
 		return nil, fmt.Errorf("ring: replication factor %d outside [1, %d]", opt.Replicas, opt.Shards)
 	}
-	switch {
-	case opt.Placement != Hash && opt.Placement != Blocked:
-		return nil, fmt.Errorf("ring: unknown placement %d", opt.Placement)
-	case opt.Placement == Blocked && opt.BlockRows != 0:
-		return nil, fmt.Errorf("ring: BlockRows %d with Blocked placement (its blocks are the per-shard ranges)", opt.BlockRows)
-	}
 	s := &Store{
 		opt:       opt,
-		withData:  opt.WithData || opt.Open != nil,
 		arrays:    map[string]*Array{},
 		front:     disk.NewLedger(opt.Disk),
 		log:       opt.Log,
@@ -206,31 +164,16 @@ func New(opt Options) (*Store, error) {
 		s.hp = newHealthPlane(s, *opt.Health)
 	}
 	for i := 0; i < opt.Shards; i++ {
-		sh, err := s.newShard(i)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, s.newShard(i))
 	}
-	s.rebuildTable()
 	s.SetMetrics(opt.Metrics)
 	return s, nil
 }
 
-// newShard builds shard i's backend, wrapping it with a fault injector
-// when the schedule targets it.
-func (s *Store) newShard(i int) (*shard, error) {
-	var be disk.Backend
-	if s.opt.Open != nil {
-		var err error
-		be, err = s.opt.Open(i)
-		if err != nil {
-			return nil, fmt.Errorf("ring: open shard %d: %w", i, err)
-		}
-	} else {
-		be = disk.NewSim(s.opt.Disk, s.opt.WithData)
-	}
+// newShard builds shard i's simulator backend, wrapping it with a fault
+// injector when the schedule targets it.
+func (s *Store) newShard(i int) *shard {
+	be := disk.NewSim(s.opt.Disk, s.opt.WithData)
 	sh := &shard{id: i, name: fmt.Sprintf("s%d", i), be: be, live: true}
 	if cfg := s.opt.Faults; cfg != nil && cfg.TargetsShard(i) {
 		c := *cfg
@@ -247,47 +190,7 @@ func (s *Store) newShard(i int) (*shard, error) {
 			sh.inj.SetLatencySink(func(sec float64) { s.hp.addPending(id, sec) })
 		}
 	}
-	return sh, nil
-}
-
-// rebuildTable recomputes the vnode table over the live shards. Callers
-// hold s.mu (or have exclusive access during construction).
-func (s *Store) rebuildTable() {
-	s.table = s.table[:0]
-	for _, sh := range s.shards {
-		if !sh.live {
-			continue
-		}
-		for v := 0; v < vnodes; v++ {
-			h := mix(s.opt.Seed ^ mix(uint64(sh.id)+0x5851f42d4c957f2d) ^ uint64(v)*0x14057b7ef767814f)
-			s.table = append(s.table, vnode{h: h, shard: sh.id})
-		}
-	}
-	sort.Slice(s.table, func(i, j int) bool {
-		if s.table[i].h != s.table[j].h {
-			return s.table[i].h < s.table[j].h
-		}
-		return s.table[i].shard < s.table[j].shard
-	})
-}
-
-// replicasFor walks the ring clockwise from key and returns the first r
-// distinct live shards. Callers hold s.mu.
-func (s *Store) replicasFor(key uint64, r int) []int {
-	out := make([]int, 0, r)
-	if len(s.table) == 0 {
-		return out
-	}
-	start := sort.Search(len(s.table), func(i int) bool { return s.table[i].h >= key })
-	seen := map[int]bool{}
-	for i := 0; i < len(s.table) && len(out) < r; i++ {
-		v := s.table[(start+i)%len(s.table)]
-		if !seen[v.shard] {
-			seen[v.shard] = true
-			out = append(out, v.shard)
-		}
-	}
-	return out
+	return sh
 }
 
 // liveCount returns the number of live shards. Callers hold s.mu.
@@ -338,12 +241,11 @@ func (s *Store) Create(name string, dims []int64) (disk.Array, error) {
 		return nil, fmt.Errorf("ring: array %q already exists", name)
 	}
 	a := &Array{
-		st:       s,
-		name:     name,
-		nameHash: hashString(name),
-		dims:     append([]int64(nil), dims...),
-		locals:   make(map[int]disk.Array),
-		stale:    map[int64]map[int]bool{},
+		st:     s,
+		name:   name,
+		dims:   append([]int64(nil), dims...),
+		locals: make(map[int]disk.Array),
+		stale:  map[int64]map[int]bool{},
 	}
 	a.rowSize = 1
 	if len(dims) > 1 {
@@ -351,8 +253,6 @@ func (s *Store) Create(name string, dims []int64) (disk.Array, error) {
 			a.rowSize *= d
 		}
 	}
-	a.bounds = s.splitRows(a.d0())
-	a.blocks = int64(len(a.bounds) - 1)
 	for _, sh := range s.shards {
 		if !sh.live {
 			continue
@@ -363,63 +263,37 @@ func (s *Store) Create(name string, dims []int64) (disk.Array, error) {
 		}
 		a.locals[sh.id] = la
 	}
-	a.cands = s.placeLocked(a)
+	s.splitLocked(a)
 	s.arrays[name] = a
 	return a, nil
 }
 
-// splitRows returns the block boundaries 0 = b[0] < b[1] < … < b[n] = d0
-// of a leading extent d0 under the placement policy: BlockRows-sized
-// blocks for Hash (roughly eight per live shard by default), the
-// non-empty floor-split ranges over the live shards for Blocked. Callers
-// hold s.mu.
-func (s *Store) splitRows(d0 int64) []int64 {
-	live := int64(s.liveCount())
-	rows := s.opt.BlockRows
-	if rows <= 0 {
-		rows = max(1, d0/(8*live))
-	}
-	bounds := []int64{0}
-	for k := int64(1); bounds[len(bounds)-1] < d0; k++ {
-		hi := min(d0, k*rows)
-		if s.opt.Placement == Blocked {
-			hi = d0 * k / live
-		}
-		if hi > bounds[len(bounds)-1] {
-			bounds = append(bounds, hi)
-		}
-	}
-	return bounds
-}
-
-// placeLocked computes every block's replica list over the live shards
-// under the placement policy. Callers hold s.mu.
-func (s *Store) placeLocked(a *Array) [][]int {
-	cands := make([][]int, a.blocks)
-	if s.opt.Placement == Hash {
-		for b := range cands {
-			cands[b] = s.replicasFor(a.blockKey(int64(b)), s.opt.Replicas)
-		}
-		return cands
-	}
+// splitLocked lays a new array out as GA/DRA does: the non-empty
+// floor-split ranges [d·k/L, d·(k+1)/L) of its leading extent over the L
+// live shards, replica r of range k on the (k+r) mod L-th live shard.
+// A rank-0 array is one block on the first live shard(s), like GA's
+// process 0. Callers hold s.mu.
+func (s *Store) splitLocked(a *Array) {
 	live := s.liveShards()
-	for b := range cands {
-		k := 0 // rank-0 arrays live on the first live shard, like GA's proc 0
-		if len(a.dims) > 0 {
-			k = splitOwner(a.bounds[b], a.dims[0], len(live))
+	n, d0 := int64(len(live)), a.d0()
+	a.bounds = []int64{0}
+	for k := int64(0); k < n; k++ {
+		hi := d0 * (k + 1) / n
+		if hi == a.bounds[len(a.bounds)-1] {
+			continue
 		}
-		cands[b] = make([]int, s.opt.Replicas)
-		for r := range cands[b] {
-			cands[b][r] = live[(k+r)%len(live)].id
+		owner := k
+		if len(a.dims) == 0 {
+			owner = 0
 		}
+		c := make([]int, s.opt.Replicas)
+		for r := range c {
+			c[r] = live[(owner+int64(r))%n].id
+		}
+		a.bounds = append(a.bounds, hi)
+		a.cands = append(a.cands, c)
 	}
-	return cands
-}
-
-// splitOwner returns the k whose floor-split range [d·k/n, d·(k+1)/n)
-// holds row: the smallest k with d·(k+1)/n > row.
-func splitOwner(row, d int64, n int) int {
-	return int(((row+1)*int64(n) - 1) / d)
+	a.blocks = int64(len(a.cands))
 }
 
 // Open returns an existing replicated array.
@@ -634,23 +508,4 @@ func (s *Store) nextRetryKey() uint64 {
 	defer s.keyMu.Unlock()
 	s.retryKey++
 	return s.retryKey
-}
-
-// mix is splitmix64's finalizer — the repo's standard deterministic
-// hash (shared with the retry jitter and the fault schedule).
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hashString is FNV-1a 64 over s.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -52,8 +52,6 @@ func TestNewValidates(t *testing.T) {
 		{Shards: 0, Replicas: 1},
 		{Shards: 3, Replicas: 0},
 		{Shards: 3, Replicas: 4},
-		{Shards: 3, Replicas: 1, Placement: Blocked, BlockRows: 2},
-		{Shards: 3, Replicas: 1, Placement: Blocked + 1},
 	} {
 		if _, err := New(opt); err == nil {
 			t.Fatalf("options %+v must be rejected", opt)
@@ -62,83 +60,68 @@ func TestNewValidates(t *testing.T) {
 }
 
 func TestRoundTripAcrossBlocks(t *testing.T) {
-	for _, pc := range []struct {
-		name string
-		opt  Options
-	}{{"hash", Options{BlockRows: 3}}, {"blocked", Options{Placement: Blocked}}} {
-		opt := pc.opt
-		t.Run(pc.name+"/sections", func(t *testing.T) {
-			s := newTestStore(t, 4, 2, opt)
-			a, err := s.Create("X", []int64{20, 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]float64, 100)
-			for i := range buf {
-				buf[i] = float64(i) + 0.5
-			}
-			if err := a.WriteSection([]int64{0, 0}, []int64{20, 5}, buf); err != nil {
-				t.Fatal(err)
-			}
-			// Sections crossing placement-block boundaries with offsets in
-			// both dimensions must come back exactly.
-			got := make([]float64, 7*3)
-			if err := a.ReadSection([]int64{2, 1}, []int64{7, 3}, got); err != nil {
-				t.Fatal(err)
-			}
-			for r := int64(0); r < 7; r++ {
-				for c := int64(0); c < 3; c++ {
-					want := float64((2+r)*5+(1+c)) + 0.5
-					if got[r*3+c] != want {
-						t.Fatalf("element (%d,%d) = %v, want %v", r, c, got[r*3+c], want)
-					}
+	t.Run("blocked/sections", func(t *testing.T) {
+		s := newTestStore(t, 4, 2, Options{})
+		a, err := s.Create("X", []int64{20, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, 100)
+		for i := range buf {
+			buf[i] = float64(i) + 0.5
+		}
+		if err := a.WriteSection([]int64{0, 0}, []int64{20, 5}, buf); err != nil {
+			t.Fatal(err)
+		}
+		// Sections crossing placement-block boundaries with offsets in
+		// both dimensions must come back exactly.
+		got := make([]float64, 7*3)
+		if err := a.ReadSection([]int64{2, 1}, []int64{7, 3}, got); err != nil {
+			t.Fatal(err)
+		}
+		for r := int64(0); r < 7; r++ {
+			for c := int64(0); c < 3; c++ {
+				want := float64((2+r)*5+(1+c)) + 0.5
+				if got[r*3+c] != want {
+					t.Fatalf("element (%d,%d) = %v, want %v", r, c, got[r*3+c], want)
 				}
 			}
-			// Every block has R distinct replicas within the shard range.
-			ra := a.(*Array)
-			for b := int64(0); b < ra.blocks; b++ {
-				cands := ra.candidates(b)
-				if len(cands) != 2 {
-					t.Fatalf("block %d has %d replicas, want 2", b, len(cands))
-				}
-				if cands[0] == cands[1] || cands[0] < 0 || cands[0] >= 4 || cands[1] < 0 || cands[1] >= 4 {
-					t.Fatalf("block %d replicas %v invalid", b, cands)
-				}
-				// Blocked: range k = rows [5k, 5k+5) on shards k and k+1 mod 4.
-				if opt.Placement == Blocked {
-					if lo, hi := ra.blockRange(b); lo != 5*b || hi != 5*b+5 || !slices.Equal(cands, []int{int(b), int(b+1) % 4}) {
-						t.Fatalf("Blocked block %d = rows [%d,%d) on %v", b, lo, hi, cands)
-					}
-				}
+		}
+		// Range k = rows [5k, 5k+5) on shards k and k+1 mod 4.
+		ra := a.(*Array)
+		for b := int64(0); b < ra.blocks; b++ {
+			cands := ra.candidates(b)
+			if lo, hi := ra.blockRange(b); lo != 5*b || hi != 5*b+5 || !slices.Equal(cands, []int{int(b), int(b+1) % 4}) {
+				t.Fatalf("block %d = rows [%d,%d) on %v", b, lo, hi, cands)
 			}
-			// Out-of-bounds sections are typed errors.
-			if err := a.ReadSection([]int64{18, 0}, []int64{5, 5}, got); err == nil {
-				t.Fatal("out-of-bounds read must fail")
-			}
-		})
-		t.Run(pc.name+"/catalog", func(t *testing.T) {
-			s := newTestStore(t, 3, 1, opt)
-			if s.Live() != 3 {
-				t.Fatalf("Live = %d, want 3", s.Live())
-			}
-			a, err := s.Create("X", []int64{9, 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Create("X", nil); err == nil {
-				t.Fatal("duplicate create must fail")
-			}
-			if _, err := s.Open("missing"); err == nil {
-				t.Fatal("opening a missing array must fail")
-			}
-			if d := a.Dims(); len(d) != 2 || d[0] != 9 || d[1] != 4 {
-				t.Fatalf("Dims = %v", d)
-			}
-			if b, err := s.Open("X"); err != nil || b.Dims()[0] != 9 {
-				t.Fatalf("Open(X) = %v, %v", b, err)
-			}
-		})
-	}
+		}
+		// Out-of-bounds sections are typed errors.
+		if err := a.ReadSection([]int64{18, 0}, []int64{5, 5}, got); err == nil {
+			t.Fatal("out-of-bounds read must fail")
+		}
+	})
+	t.Run("blocked/catalog", func(t *testing.T) {
+		s := newTestStore(t, 3, 1, Options{})
+		if s.Live() != 3 {
+			t.Fatalf("Live = %d, want 3", s.Live())
+		}
+		a, err := s.Create("X", []int64{9, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Create("X", nil); err == nil {
+			t.Fatal("duplicate create must fail")
+		}
+		if _, err := s.Open("missing"); err == nil {
+			t.Fatal("opening a missing array must fail")
+		}
+		if d := a.Dims(); len(d) != 2 || d[0] != 9 || d[1] != 4 {
+			t.Fatalf("Dims = %v", d)
+		}
+		if b, err := s.Open("X"); err != nil || b.Dims()[0] != 9 {
+			t.Fatalf("Open(X) = %v, %v", b, err)
+		}
+	})
 }
 
 // TestBlockedSplit pins Blocked to GA/DRA's floor split: shard k owns rows
@@ -168,7 +151,7 @@ func TestBlockedSplit(t *testing.T) {
 		{name: "single_owner", shards: 2, rows: 100, lo: 0, n: 10, wantRows: []int64{10, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newTestStore(t, tc.shards, 1, Options{Placement: Blocked})
+			s := newTestStore(t, tc.shards, 1, Options{})
 			a, err := s.Create("X", []int64{tc.rows, 3})
 			if err != nil {
 				t.Fatal(err)
@@ -221,78 +204,70 @@ func TestBlockedSplit(t *testing.T) {
 }
 
 func TestScalarArray(t *testing.T) {
-	for _, pc := range []struct {
-		name string
-		opt  Options
-	}{{"hash", Options{}}, {"blocked", Options{Placement: Blocked}}} {
-		t.Run(pc.name, func(t *testing.T) {
-			s := newTestStore(t, 3, 2, pc.opt)
-			a, err := s.Create("s", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := a.WriteSection(nil, nil, []float64{2.25}); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]float64, 1)
-			if err := a.ReadSection(nil, nil, got); err != nil {
-				t.Fatal(err)
-			}
-			if got[0] != 2.25 {
-				t.Fatalf("scalar round trip = %v", got[0])
-			}
-			// Blocked puts a rank-0 array on the first live shards, as GA
-			// puts it on process 0; the rest idle.
-			if pc.opt.Placement == Blocked {
-				if cands := a.(*Array).candidates(0); !slices.Equal(cands, []int{0, 1}) {
-					t.Fatalf("Blocked scalar placed on %v, want [0 1]", cands)
-				}
-				if st := s.ShardStats(2); st.ReadOps != 0 || st.WriteOps != 0 {
-					t.Fatalf("shard 2 should idle on scalar ops: %+v", st)
-				}
-			}
-		})
-	}
+	t.Run("blocked", func(t *testing.T) {
+		s := newTestStore(t, 3, 2, Options{})
+		a, err := s.Create("s", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.WriteSection(nil, nil, []float64{2.25}); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, 1)
+		if err := a.ReadSection(nil, nil, got); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 2.25 {
+			t.Fatalf("scalar round trip = %v", got[0])
+		}
+		// A rank-0 array lives on the first live shards, as GA puts it on
+		// process 0; the rest idle.
+		if cands := a.(*Array).candidates(0); !slices.Equal(cands, []int{0, 1}) {
+			t.Fatalf("scalar placed on %v, want [0 1]", cands)
+		}
+		if st := s.ShardStats(2); st.ReadOps != 0 || st.WriteOps != 0 {
+			t.Fatalf("shard 2 should idle on scalar ops: %+v", st)
+		}
+	})
 }
 
 func TestConcurrentSectionReads(t *testing.T) {
 	// Overlapping section reads race across the same shards; under -race
 	// this pins down that the fan-out and the shard stores tolerate
-	// concurrent collectives.
-	for _, opt := range []Options{{BlockRows: 2}, {Placement: Blocked}} {
-		s := newTestStore(t, 3, 1, opt)
-		a, _ := s.Create("X", []int64{12, 4})
-		buf := make([]float64, 48)
-		for i := range buf {
-			buf[i] = float64(i)
-		}
-		if err := a.WriteSection([]int64{0, 0}, []int64{12, 4}, buf); err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, 8)
-		for g := range errs {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				lo := int64(g % 5)
-				got := make([]float64, 7*4)
-				if err := a.ReadSection([]int64{lo, 0}, []int64{7, 4}, got); err != nil {
-					errs[g] = err
+	// concurrent collectives. Six shards give 2-row blocks, so every read
+	// spans several.
+	s := newTestStore(t, 6, 1, Options{})
+	a, _ := s.Create("X", []int64{12, 4})
+	buf := make([]float64, 48)
+	for i := range buf {
+		buf[i] = float64(i)
+	}
+	if err := a.WriteSection([]int64{0, 0}, []int64{12, 4}, buf); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lo := int64(g % 5)
+			got := make([]float64, 7*4)
+			if err := a.ReadSection([]int64{lo, 0}, []int64{7, 4}, got); err != nil {
+				errs[g] = err
+				return
+			}
+			for i, v := range got {
+				if want := float64(int(lo)*4 + i); v != want {
+					errs[g] = fmt.Errorf("goroutine %d: element %d = %v, want %v", g, i, v, want)
 					return
 				}
-				for i, v := range got {
-					if want := float64(int(lo)*4 + i); v != want {
-						errs[g] = fmt.Errorf("goroutine %d: element %d = %v, want %v", g, i, v, want)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			t.Fatalf("placement %d: %v", opt.Placement, err)
-		}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -307,16 +282,12 @@ func (f failClose) Close() error { return fmt.Errorf("disk %d stuck", f.id) }
 func TestCloseAggregatesShardErrors(t *testing.T) {
 	// Every shard is closed even when earlier ones fail, and the joined
 	// error names each failure, not just the first.
-	s, err := New(Options{Shards: 3, Replicas: 1, Placement: Blocked, Disk: testDisk(),
-		Open: func(i int) (disk.Backend, error) {
-			var be disk.Backend = disk.NewSim(testDisk(), true)
-			if i != 1 {
-				be = failClose{Backend: be, id: i}
-			}
-			return be, nil
-		}})
+	s, err := New(Options{Shards: 3, Replicas: 1, Disk: testDisk(), WithData: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		s.shards[i].be = failClose{Backend: s.shards[i].be, id: i}
 	}
 	err = s.Close()
 	if err == nil {
@@ -336,8 +307,8 @@ func TestFrontDoorSingleDiskEquivalent(t *testing.T) {
 	// The front door charges exactly one single-disk-equivalent op per
 	// section call — regardless of replication factor or how many shard
 	// sub-operations served it — while the aggregate accounting carries
-	// the replicated cost.
-	s := newTestStore(t, 4, 3, Options{BlockRows: 2})
+	// the replicated cost. Eight shards give 2-row blocks.
+	s := newTestStore(t, 8, 3, Options{})
 	a, _ := s.Create("X", []int64{16, 4})
 	buf := make([]float64, 64)
 	if err := a.WriteSection([]int64{0, 0}, []int64{16, 4}, buf); err != nil {
@@ -371,41 +342,9 @@ func TestFrontDoorSingleDiskEquivalent(t *testing.T) {
 	}
 }
 
-func TestDeterministicPlacement(t *testing.T) {
-	mk := func(seed uint64) [][]int {
-		s := newTestStore(t, 5, 2, Options{Seed: seed, BlockRows: 1})
-		a, err := s.Create("X", []int64{40, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra := a.(*Array)
-		out := make([][]int, ra.blocks)
-		for b := int64(0); b < ra.blocks; b++ {
-			out[b] = append([]int(nil), ra.candidates(b)...)
-		}
-		return out
-	}
-	x, y := mk(7), mk(7)
-	for b := range x {
-		if !slices.Equal(x[b], y[b]) {
-			t.Fatalf("same seed placed block %d at %v then %v", b, x[b], y[b])
-		}
-	}
-	z := mk(8)
-	differs := false
-	for b := range x {
-		if !slices.Equal(x[b], z[b]) {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Fatal("seeds 7 and 8 produced identical placements for every block")
-	}
-}
-
 func TestReadFailoverMasksIntegrity(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestStore(t, 3, 2, Options{BlockRows: 4, Metrics: reg})
+	s := newTestStore(t, 3, 2, Options{Metrics: reg})
 	a, _ := s.Create("X", []int64{12, 2})
 	buf := make([]float64, 24)
 	for i := range buf {
@@ -465,7 +404,7 @@ func TestReadFailoverMasksIntegrity(t *testing.T) {
 }
 
 func TestQuorumUnreachableTypedError(t *testing.T) {
-	s := newTestStore(t, 2, 1, Options{BlockRows: 4})
+	s := newTestStore(t, 2, 1, Options{})
 	a, _ := s.Create("X", []int64{8, 2})
 	buf := make([]float64, 16)
 	if err := a.WriteSection([]int64{0, 0}, []int64{8, 2}, buf); err != nil {
@@ -512,7 +451,7 @@ func (f failWrites) WriteSection(lo, shape []int64, buf []float64) error {
 
 func TestDegradedWriteMarksStaleAndRecovers(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestStore(t, 3, 2, Options{BlockRows: 2, Metrics: reg})
+	s := newTestStore(t, 4, 2, Options{Metrics: reg})
 	a, _ := s.Create("X", []int64{8, 2})
 	ra := a.(*Array)
 	victim := ra.candidates(0)[0]
@@ -616,7 +555,7 @@ func TestDegradedWriteMarksStaleAndRecovers(t *testing.T) {
 }
 
 func TestHealArrayRepairsStaleCopies(t *testing.T) {
-	s := newTestStore(t, 3, 2, Options{BlockRows: 2})
+	s := newTestStore(t, 4, 2, Options{})
 	a, _ := s.Create("X", []int64{8, 2})
 	ra := a.(*Array)
 	victim := ra.candidates(0)[0]
@@ -660,7 +599,7 @@ func TestHealArrayRepairsStaleCopies(t *testing.T) {
 
 func TestHealArrayUnhealedWithoutHealthyReplica(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestStore(t, 2, 2, Options{BlockRows: 4, Metrics: reg})
+	s := newTestStore(t, 2, 2, Options{Metrics: reg})
 	a, _ := s.Create("X", []int64{4, 2})
 	buf := make([]float64, 8)
 	if err := a.WriteSection([]int64{0, 0}, []int64{4, 2}, buf); err != nil {
@@ -697,7 +636,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 		counts         []fault.Counts
 	}
 	scenario := func(faults *fault.Config) outcome {
-		s := newTestStore(t, 3, 2, Options{BlockRows: 2, Faults: faults, Retry: disk.DefaultRetryPolicy()})
+		s := newTestStore(t, 6, 2, Options{Faults: faults, Retry: disk.DefaultRetryPolicy()})
 		a, _ := s.Create("X", []int64{12, 3})
 		buf := make([]float64, 36)
 		for i := range buf {
@@ -718,7 +657,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 			}
 		}
 		o := outcome{failover: s.FailoverSeconds(), time: s.Time()}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 6; i++ {
 			o.stats = append(o.stats, s.ShardStats(i))
 			if inj, ok := s.ShardBackend(i).(*fault.Injector); ok {
 				o.counts = append(o.counts, inj.Counts())
@@ -778,9 +717,8 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 func TestRetryAttemptsPerReplica(t *testing.T) {
 	pol := &disk.RetryPolicy{MaxAttempts: 3, BaseDelay: 1e-3}
 	s := newTestStore(t, 2, 2, Options{
-		Placement: Blocked,
-		Faults:    &fault.Config{Seed: 1, Rate: 1, MaxConsecutive: 1 << 30},
-		Retry:     pol,
+		Faults: &fault.Config{Seed: 1, Rate: 1, MaxConsecutive: 1 << 30},
+		Retry:  pol,
 	})
 	a, _ := s.Create("X", []int64{4, 3}) // block 0 = rows [0, 2) on shards 0 and 1
 	backoff := 0.0
@@ -813,11 +751,11 @@ func TestRetryAttemptsPerReplica(t *testing.T) {
 }
 
 // TestSectionAllocsIndependentOfBlocks pins the collective's scratch: a
-// cost-only ring(4,2) with a health plane allocates the same per section
-// read or write whether the section spans one placement block or
-// sixteen.
+// cost-only ring(64,2) with a health plane, whose 64-row array has 1-row
+// blocks, allocates the same per section read or write whether the
+// section spans one placement block or sixteen.
 func TestSectionAllocsIndependentOfBlocks(t *testing.T) {
-	s, err := New(Options{Shards: 4, Replicas: 2, Disk: testDisk(), BlockRows: 1, Health: &health.Config{}})
+	s, err := New(Options{Shards: 64, Replicas: 2, Disk: testDisk(), Health: &health.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -862,25 +800,50 @@ func checkStaleFlags(t *testing.T, ra *Array) {
 	}
 }
 
+// layoutOf renders an array's placement — block bounds and replica
+// lists — for comparing two stores.
+func layoutOf(ra *Array) string {
+	ra.amu.Lock()
+	defer ra.amu.Unlock()
+	return fmt.Sprint(ra.bounds, ra.cands)
+}
+
+// primaryRows returns how many of ra's rows each shard is primary for.
+func primaryRows(ra *Array) map[int]int64 {
+	ra.amu.Lock()
+	defer ra.amu.Unlock()
+	out := map[int]int64{}
+	for b, c := range ra.cands {
+		out[c[0]] += ra.bounds[b+1] - ra.bounds[b]
+	}
+	return out
+}
+
+// TestRebalanceAddShard grows a 3-shard R=2 ring whose shard 0 missed
+// the last write. The new shard takes the 4-row tail of each 16-row
+// range as primary, copied from a current replica; the stale flags
+// follow their rows; and a second store with the same options and the
+// same change places identically.
 func TestRebalanceAddShard(t *testing.T) {
-	for _, tc := range []struct {
-		opt       Options
-		blockRows int64
-	}{
-		{Options{BlockRows: 1}, 1},
-		// Blocked keeps its three 16-row ranges; the third one's second
-		// replica moves from shard 0 to the new shard 3.
-		{Options{Placement: Blocked}, 16},
-	} {
-		s := newTestStore(t, 3, 2, tc.opt)
+	var layouts []string
+	for range 2 {
+		s := newTestStore(t, 3, 2, Options{})
 		a, _ := s.Create("X", []int64{48, 2})
+		ra := a.(*Array)
 		buf := make([]float64, 96)
-		for i := range buf {
-			buf[i] = float64(i) * 2
-		}
 		if err := a.WriteSection([]int64{0, 0}, []int64{48, 2}, buf); err != nil {
 			t.Fatal(err)
 		}
+		for i := range buf {
+			buf[i] = float64(i) * 2
+		}
+		good := ra.locals[0]
+		ra.locals[0] = failWrites{Array: good}
+		if err := a.WriteSection([]int64{0, 0}, []int64{48, 2}, buf); err != nil {
+			t.Fatal(err)
+		}
+		ra.locals[0] = good
+
 		rep, err := s.AddShard()
 		if err != nil {
 			t.Fatal(err)
@@ -888,30 +851,23 @@ func TestRebalanceAddShard(t *testing.T) {
 		if rep.Shards != 4 {
 			t.Fatalf("live shards after add = %d, want 4", rep.Shards)
 		}
-		if rep.BlocksMoved == 0 || rep.Unmoved != 0 {
-			t.Fatalf("rebalance moved %d blocks (%d unmoved)", rep.BlocksMoved, rep.Unmoved)
-		}
-		blockBytes := tc.blockRows * 2 * 8
-		if rep.BytesMoved != rep.BlocksMoved*blockBytes {
-			t.Fatalf("moved %d bytes for %d blocks", rep.BytesMoved, rep.BlocksMoved)
+		if rep.BlocksMoved != 3 || rep.Unmoved != 0 || rep.BytesMoved != 12*2*8 {
+			t.Fatalf("rebalance moved %d blocks / %d bytes (%d unmoved), want 3 / %d (0)",
+				rep.BlocksMoved, rep.BytesMoved, rep.Unmoved, 12*2*8)
 		}
 		if rep.Seconds <= 0 {
 			t.Fatal("rebalance charged no modelled time")
 		}
-		// The new shard holds data and placements reference it.
-		ra := a.(*Array)
-		usesNew := false
+		if got := primaryRows(ra); !reflect.DeepEqual(got, map[int]int64{0: 12, 1: 12, 2: 12, 3: 12}) {
+			t.Fatalf("primary rows per shard %v, want 12 each", got)
+		}
+		// Shard 0's copies are stale exactly where it still holds rows.
+		checkStaleFlags(t, ra)
 		for b := int64(0); b < ra.blocks; b++ {
-			for _, id := range ra.candidates(b) {
-				if id == 3 {
-					usesNew = true
-				}
+			if ra.isStale(b, 0) != slices.Contains(ra.candidates(b), 0) {
+				t.Fatalf("block %d on %v: shard 0 stale=%v", b, ra.candidates(b), ra.isStale(b, 0))
 			}
 		}
-		if !usesNew {
-			t.Fatal("no block placed on the added shard")
-		}
-		checkStaleFlags(t, ra)
 		got := make([]float64, 96)
 		if err := a.ReadSection([]int64{0, 0}, []int64{48, 2}, got); err != nil {
 			t.Fatal(err)
@@ -921,15 +877,27 @@ func TestRebalanceAddShard(t *testing.T) {
 				t.Fatalf("element %d = %v, want %v after add", i, got[i], buf[i])
 			}
 		}
-		if defects, _, _ := s.VerifyArray("X"); len(defects) != 0 {
-			t.Fatalf("defects after add: %v", defects)
+		if _, _, err := s.HealArray("X"); err != nil {
+			t.Fatal(err)
 		}
+		if defects, _, _ := s.VerifyArray("X"); len(defects) != 0 {
+			t.Fatalf("defects after add and heal: %v", defects)
+		}
+		layouts = append(layouts, layoutOf(ra))
+	}
+	if layouts[0] != layouts[1] {
+		t.Fatalf("same options and changes placed differently:\n%s\n%s", layouts[0], layouts[1])
 	}
 }
 
+// TestRebalanceDrainShard drains two shards of a 4-shard R=2 ring: each
+// drain copies exactly the rows the shard held, no shard becomes primary
+// for more than twice its fair share, and a second store with the same
+// options and the same changes places identically.
 func TestRebalanceDrainShard(t *testing.T) {
-	for _, opt := range []Options{{BlockRows: 1}, {Placement: Blocked}} {
-		s := newTestStore(t, 4, 2, opt)
+	var layouts []string
+	for range 2 {
+		s := newTestStore(t, 4, 2, Options{})
 		a, _ := s.Create("X", []int64{48, 2})
 		buf := make([]float64, 96)
 		for i := range buf {
@@ -945,8 +913,10 @@ func TestRebalanceDrainShard(t *testing.T) {
 		if rep.Shards != 3 {
 			t.Fatalf("live shards after drain = %d, want 3", rep.Shards)
 		}
-		if rep.BlocksMoved == 0 || rep.Unmoved != 0 {
-			t.Fatalf("drain moved %d blocks (%d unmoved)", rep.BlocksMoved, rep.Unmoved)
+		// Shard 1 held range 1 as primary and range 0 as its replica.
+		if rep.BlocksMoved != 2 || rep.Unmoved != 0 || rep.BytesMoved != 24*2*8 {
+			t.Fatalf("drain moved %d blocks / %d bytes (%d unmoved), want 2 / %d (0)",
+				rep.BlocksMoved, rep.BytesMoved, rep.Unmoved, 24*2*8)
 		}
 		ra := a.(*Array)
 		for b := int64(0); b < ra.blocks; b++ {
@@ -958,6 +928,11 @@ func TestRebalanceDrainShard(t *testing.T) {
 				if id == 1 {
 					t.Fatalf("block %d still placed on drained shard", b)
 				}
+			}
+		}
+		for id, rows := range primaryRows(ra) {
+			if rows > 2*16 {
+				t.Fatalf("shard %d is primary for %d rows, above 2·⌈48/3⌉", id, rows)
 			}
 		}
 		checkStaleFlags(t, ra)
@@ -993,6 +968,10 @@ func TestRebalanceDrainShard(t *testing.T) {
 		if _, err := s.DrainShard(2); err == nil {
 			t.Fatal("draining below the replication factor must fail")
 		}
+		layouts = append(layouts, layoutOf(ra))
+	}
+	if layouts[0] != layouts[1] {
+		t.Fatalf("same options and changes placed differently:\n%s\n%s", layouts[0], layouts[1])
 	}
 }
 

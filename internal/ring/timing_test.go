@@ -58,10 +58,10 @@ func twoIndexPlan(t *testing.T) (*codegen.Plan, map[string]*tensor.Tensor, machi
 	return plan, inputs, cfg
 }
 
-// blockedRing builds a GA/DRA-style ring: p shards, R=1, Blocked.
+// blockedRing builds a GA/DRA-style ring: p shards, R=1.
 func blockedRing(t *testing.T, p int, d machine.Disk, withData bool) *Store {
 	t.Helper()
-	st, err := New(Options{Shards: p, Replicas: 1, Placement: Blocked, Disk: d, WithData: withData})
+	st, err := New(Options{Shards: p, Replicas: 1, Disk: d, WithData: withData})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func blockedRing(t *testing.T, p int, d machine.Disk, withData bool) *Store {
 	return st
 }
 
-// TestBlockedPlanRuns runs generated plans on Blocked rings the way
+// TestBlockedPlanRuns runs generated plans on R=1 rings the way
 // Table 4 does: with data the output matches the reference interpreter
 // at any shard count, a dry run moves exactly the single-disk volume,
 // and the parallel time shrinks as shards are added.
@@ -149,7 +149,6 @@ func TestRingSpanStatsInvariant(t *testing.T) {
 			opt := Options{
 				Shards:   3,
 				Replicas: 2,
-				Seed:     1,
 				Disk:     cfg.Disk,
 				WithData: true,
 				Retry:    disk.DefaultRetryPolicy(),

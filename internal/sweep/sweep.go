@@ -163,7 +163,7 @@ func MemoryLimit(build func() *loops.Program, limits []int64, opt Options) (Seri
 	return s, nil
 }
 
-// Processors sweeps the shard count of a Blocked ring (the GA/DRA block
+// Processors sweeps the shard count of an R=1 ring (the GA/DRA block
 // distribution, one local disk per processor) for the four-index transform,
 // synthesizing for the aggregate memory of each processor count (the
 // Table 4 mechanism as a curve).
@@ -177,7 +177,7 @@ func Processors(n, v int64, procCounts []int, opt Options) (Series, error) {
 		if err != nil {
 			return s, err
 		}
-		st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Placement: ring.Blocked, Disk: perNode.Disk})
+		st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Disk: perNode.Disk})
 		if err != nil {
 			return s, err
 		}

@@ -121,7 +121,7 @@ func TestProcessorsSweep(t *testing.T) {
 	}
 
 	// Pinned to the bit to what the former GA/DRA cluster simulator
-	// (internal/ga) measured: a Blocked ring is the same block
+	// (internal/ga) measured: a ring is the same block
 	// distribution, so it costs the same, shard by shard.
 	o := opt()
 	for i, pin := range []struct {
@@ -142,7 +142,7 @@ func TestProcessorsSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := ring.New(ring.Options{Shards: pin.procs, Replicas: 1, Placement: ring.Blocked, Disk: cfg.Disk})
+		st, err := ring.New(ring.Options{Shards: pin.procs, Replicas: 1, Disk: cfg.Disk})
 		if err != nil {
 			t.Fatal(err)
 		}

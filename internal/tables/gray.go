@@ -98,7 +98,6 @@ func grayRun(scenario string, s *core.Synthesis, opt Options, faults *fault.Conf
 	st, err := ring.New(ring.Options{
 		Shards:   grayShards,
 		Replicas: grayReplicas,
-		Seed:     1,
 		Disk:     opt.Machine.Disk,
 		Faults:   faults,
 		Retry:    disk.DefaultRetryPolicy(),
@@ -153,9 +152,9 @@ func grayRun(scenario string, s *core.Synthesis, opt Options, faults *fault.Conf
 // out, not the few huge transfers the aggregate-memory plan does. The
 // brownout is sized from the fault-free run: each spike is 20× the mean
 // charged section read (far past the hedge threshold), and the window
-// opens an eighth of the way into the victim's op stream and spans
-// another eighth, leaving the rest of the run for the breaker to probe
-// its way closed.
+// opens an eighth of the way into the victim's op stream and spans a
+// sixteenth of it (at least eight ops), leaving the rest of the run for
+// the breaker to probe its way closed.
 func GrayStudy(size Size, opt Options) (*GrayStudyReport, error) {
 	opt = opt.withDefaults()
 	s, err := synthesize(core.DCS, size, opt, opt.Machine.MemoryLimit)
@@ -175,7 +174,7 @@ func GrayStudy(size Size, opt Options) (*GrayStudyReport, error) {
 		Seed:           11,
 		LatencySeconds: 20 * meanRead,
 		BrownoutAfter:  max(1, sizing.victimOps/8),
-		BrownoutOps:    max(8, sizing.victimOps/8),
+		BrownoutOps:    max(8, sizing.victimOps/16),
 		Shard:          grayVictim + 1, // Config stores index+1
 	}
 	rep.Brownout = brown.String()

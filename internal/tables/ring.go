@@ -11,9 +11,7 @@ package tables
 //	(b) the I/O-time overhead of replication factors R=2 and R=3 over
 //	    R=1 (writes fan out R-fold; reads serve from one replica);
 //	(c) the modelled cost of rebalancing when a shard is added to or
-//	    drained from the R=2 ring;
-//	(d) what the consistent hash costs over the GA/DRA block
-//	    distribution: the same plan on a Blocked R=1 ring.
+//	    drained from the R=2 ring.
 //
 // The rows serialize to JSON for the benchmark artifact
 // (BENCH_ring.json in CI) and render as text via FormatRingStudy.
@@ -38,9 +36,6 @@ type RingStudyRow struct {
 	Replica1Seconds float64 `json:"r1_seconds"`
 	Replica2Seconds float64 `json:"r2_seconds"`
 	Replica3Seconds float64 `json:"r3_seconds"`
-	// BlockR1Seconds is the same plan's time on a Blocked R=1 ring, the
-	// GA/DRA block distribution Table 4 runs on.
-	BlockR1Seconds float64 `json:"block_r1_seconds"`
 	// Add and Drain account the rebalancing data movement of growing the
 	// R=2 ring by one shard and draining one of the original shards.
 	Add   *ring.RebalanceReport `json:"add,omitempty"`
@@ -74,8 +69,8 @@ func (r *RingStudyReport) JSON() ([]byte, error) {
 
 // RingStudy synthesizes the four-index transform with DCS for the
 // aggregate memory of each shard count and executes the generated plan
-// on cost-only hash rings at replication factors 1..3 and on a Blocked
-// R=1 ring, then measures one add/drain rebalance on the R=2 hash ring.
+// on cost-only rings at replication factors 1..3, then measures one
+// add/drain rebalance on the R=2 ring.
 func RingStudy(size Size, procCounts []int, opt Options) (*RingStudyReport, error) {
 	opt = opt.withDefaults()
 	rep := &RingStudyReport{Size: size}
@@ -126,27 +121,17 @@ func RingStudy(size Size, procCounts []int, opt Options) (*RingStudyReport, erro
 			}
 			st.Close()
 		}
-		st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Placement: ring.Blocked, Disk: opt.Machine.Disk})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := exec.Run(s.Plan, st, nil, exec.Options{DryRun: true}); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("tables: blocked ring run P=%d: %w", p, err)
-		}
-		row.BlockR1Seconds = st.Time()
-		st.Close()
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
 }
 
 // FormatRingStudy renders the report in the Table 4 layout, extended
-// with the replication, rebalancing and Blocked-placement columns.
+// with the replication and rebalancing columns.
 func FormatRingStudy(rep *RingStudyReport) string {
 	var b strings.Builder
 	b.WriteString("Ring study: modelled parallel disk I/O times on the replicated data plane (s)\n")
-	b.WriteString("Shards  Total memory (GB)      R=1      R=2      R=3  R2/R1  R3/R1  add move (s)  drain move (s)  Blocked R=1\n")
+	b.WriteString("Shards  Total memory (GB)      R=1      R=2      R=3  R2/R1  R3/R1  add move (s)  drain move (s)\n")
 	for _, r := range rep.Rows {
 		addSec, drainSec := 0.0, 0.0
 		if r.Add != nil {
@@ -155,10 +140,10 @@ func FormatRingStudy(rep *RingStudyReport) string {
 		if r.Drain != nil {
 			drainSec = r.Drain.Seconds
 		}
-		fmt.Fprintf(&b, "%6d  %17.0f  %7.1f  %7.1f  %7.1f  %5.2f  %5.2f  %12.1f  %14.1f  %11.1f\n",
+		fmt.Fprintf(&b, "%6d  %17.0f  %7.1f  %7.1f  %7.1f  %5.2f  %5.2f  %12.1f  %14.1f\n",
 			r.Procs, float64(r.TotalMemory)/float64(machine.GB),
 			r.Replica1Seconds, r.Replica2Seconds, r.Replica3Seconds,
-			r.ReplicaOverhead(2), r.ReplicaOverhead(3), addSec, drainSec, r.BlockR1Seconds)
+			r.ReplicaOverhead(2), r.ReplicaOverhead(3), addSec, drainSec)
 	}
 	return b.String()
 }

@@ -1,7 +1,7 @@
 // Package tables regenerates the paper's evaluation tables: code
 // generation times for the two synthesis approaches (Table 2), measured
 // vs. predicted sequential disk I/O times (Table 3), and parallel disk I/O
-// times on the simulated GA/DRA block distribution (Table 4, a Blocked
+// times on the simulated GA/DRA block distribution (Table 4, an R=1
 // ring). The same entry points back cmd/oocbench and the repository's
 // benchmark suite.
 package tables
@@ -306,7 +306,7 @@ type Table4Row struct {
 }
 
 // Table4 synthesizes for the aggregate memory of each processor count and
-// executes the generated code on a Blocked ring, the GA/DRA block
+// executes the generated code on an R=1 ring, the GA/DRA block
 // distribution over one local disk per processor.
 func Table4(size Size, procCounts []int, opt Options) ([]Table4Row, error) {
 	opt = opt.withDefaults()
@@ -319,7 +319,7 @@ func Table4(size Size, procCounts []int, opt Options) ([]Table4Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Placement: ring.Blocked, Disk: opt.Machine.Disk})
+			st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Disk: opt.Machine.Disk})
 			if err != nil {
 				return nil, err
 			}

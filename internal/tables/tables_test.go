@@ -138,7 +138,7 @@ func TestTable4ScalingShapeHolds(t *testing.T) {
 	}
 
 	// Pinned to the bit to what the former GA/DRA cluster simulator
-	// (internal/ga) measured for these plans: a Blocked ring is the same
+	// (internal/ga) measured for these plans: a ring is the same
 	// block distribution, so it costs the same, shard by shard.
 	if two.UniformMeasured != 112.594576 || two.DCSMeasured != 51.604175999999995 ||
 		four.UniformMeasured != 25.797088000000002 || four.DCSMeasured != 25.797088000000002 {
@@ -171,7 +171,7 @@ func TestTable4ScalingShapeHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := ring.New(ring.Options{Shards: pin.procs, Replicas: 1, Placement: ring.Blocked, Disk: opt.Machine.Disk})
+		st, err := ring.New(ring.Options{Shards: pin.procs, Replicas: 1, Disk: opt.Machine.Disk})
 		if err != nil {
 			t.Fatal(err)
 		}
