@@ -41,7 +41,7 @@ func main() {
 	stage(fs, "B", k, n, rng)
 	fmt.Printf("staged A(%dx%d) and B(%dx%d) under %s\n", m, k, k, n, dir)
 
-	rec := trace.New(fs)
+	rec := trace.NewWithDisk(fs, cfg.Disk)
 	res, err := ooc.MatMul(rec, "C", "A", "B", ooc.Options{
 		Machine: cfg,
 		Seed:    1,

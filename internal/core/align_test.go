@@ -92,7 +92,7 @@ func TestAlignmentReducesRunAwareTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := trace.New(disk.NewSim(cfg.Disk, false))
+		rec := trace.NewWithDisk(disk.NewSim(cfg.Disk, false), cfg.Disk)
 		defer rec.Close()
 		if _, err := exec.Run(plan, rec, nil, exec.Options{DryRun: true}); err != nil {
 			t.Fatal(err)

@@ -1,158 +1,60 @@
 package disk
 
-import "sync"
+// This file is bench-only: the rest of the asynchronous section contract,
+// which nothing under internal/ uses (the pipelined engine's issuers call
+// the synchronous Array methods) but bench/timed.go still forwards. Every
+// operation finishes before its handle is returned.
 
-// This file splits the backend contract into an explicit sync/async pair.
-// Backend and Array (disk.go) remain the synchronous contract every
-// consumer can rely on; AsyncArray adds non-blocking section I/O returning
-// completion handles, which is what the pipelined execution engine
-// (internal/exec) uses to overlap a tile's disk traffic with the previous
-// tile's compute. Capability is detected, never assumed: AsAsync upgrades
-// any Array, using the native implementation when the backend has one
-// (Sim's I/O-channel worker, FileStore's worker pool, ga's concurrent
-// collectives) and a goroutine adapter otherwise, so wrappers such as
-// trace.Recorder compose with either kind transparently.
+// Completion is the handle of one section operation.
+type Completion interface{ Await() error }
 
-// Completion is the handle of one asynchronous section operation.
-type Completion interface {
-	// Await blocks until the operation finishes and returns its error.
-	// Await may be called at most once per handle.
-	Await() error
-}
-
-// AsyncArray is an Array whose sections can also be moved asynchronously.
-// The caller owns ordering: overlapping-section operations must be
-// serialized by awaiting the earlier handle first (the execution engine's
-// hazard tracking does exactly this).
+// AsyncArray is an Array whose sections can also be moved through
+// completion handles.
 type AsyncArray interface {
 	Array
-	// ReadAsync starts reading [lo, lo+shape) into buf and returns a
-	// completion handle. buf must stay untouched until Await returns.
 	ReadAsync(lo, shape []int64, buf []float64) Completion
-	// WriteAsync starts writing buf into [lo, lo+shape).
 	WriteAsync(lo, shape []int64, buf []float64) Completion
 }
 
-// AsyncBackend marks a backend whose arrays natively implement
-// AsyncArray. It carries no extra methods: the async capability lives on
-// the arrays; the marker lets callers decide up front whether Create/Open
-// results can be asserted to AsyncArray without per-array probing.
+// AsyncBackend marks a backend whose arrays implement AsyncArray.
 type AsyncBackend interface {
 	Backend
-	// AsyncCapable reports whether arrays from this backend implement
-	// AsyncArray natively.
 	AsyncCapable() bool
 }
 
-// AsAsync returns an asynchronous view of the array: the array itself
-// when it implements AsyncArray natively, otherwise a goroutine-backed
-// adapter over the synchronous contract. The adapter preserves the
-// backend's statistics and data semantics; it merely moves the blocking
-// call off the caller's goroutine.
+// AsAsync returns the array itself when it implements AsyncArray,
+// otherwise a view giving it the AsyncArray methods.
 func AsAsync(a Array) AsyncArray {
 	if aa, ok := a.(AsyncArray); ok {
 		return aa
 	}
-	return &goAsyncArray{Array: a}
+	return syncArray{a}
 }
 
-// IsAsync reports whether the array is natively asynchronous (no adapter
-// needed).
+// IsAsync reports whether the array implements AsyncArray itself.
 func IsAsync(a Array) bool {
 	_, ok := a.(AsyncArray)
 	return ok
 }
 
-// completion is the shared Completion implementation.
-type completion struct {
-	done chan struct{}
-	err  error
+// done is the handle of a finished operation; syncArray gives any Array
+// the AsyncArray methods.
+type done struct{ err error }
+type syncArray struct{ Array }
+
+func (d done) Await() error { return d.err }
+func (a syncArray) ReadAsync(lo, sh []int64, b []float64) Completion {
+	return done{a.ReadSection(lo, sh, b)}
+}
+func (a syncArray) WriteAsync(lo, sh []int64, b []float64) Completion {
+	return done{a.WriteSection(lo, sh, b)}
+}
+func (a *simArray) ReadAsync(lo, sh []int64, b []float64) Completion {
+	return done{a.ReadSection(lo, sh, b)}
+}
+func (a *simArray) WriteAsync(lo, sh []int64, b []float64) Completion {
+	return done{a.WriteSection(lo, sh, b)}
 }
 
-func newCompletion() *completion { return &completion{done: make(chan struct{})} }
-
-func (c *completion) finish(err error) {
-	c.err = err
-	close(c.done)
-}
-
-func (c *completion) Await() error {
-	<-c.done
-	return c.err
-}
-
-// Go runs fn on its own goroutine and returns a completion handle — the
-// building block for backends that implement AsyncArray by delegating to
-// an internally concurrent synchronous path (ga's collectives).
-func Go(fn func() error) Completion {
-	c := newCompletion()
-	go func() { c.finish(fn()) }()
-	return c
-}
-
-// goAsyncArray adapts a synchronous Array with one goroutine per
-// operation. The pipelined engine bounds in-flight operations, so the
-// adapter needs no pool of its own.
-type goAsyncArray struct {
-	Array
-}
-
-func (g *goAsyncArray) ReadAsync(lo, shape []int64, buf []float64) Completion {
-	c := newCompletion()
-	go func() { c.finish(g.Array.ReadSection(lo, shape, buf)) }()
-	return c
-}
-
-func (g *goAsyncArray) WriteAsync(lo, shape []int64, buf []float64) Completion {
-	c := newCompletion()
-	go func() { c.finish(g.Array.WriteSection(lo, shape, buf)) }()
-	return c
-}
-
-// ioPool is a bounded worker pool shared by a backend's asynchronous
-// arrays (FileStore uses it; Sim uses the single-channel variant below).
-type ioPool struct {
-	tasks chan ioTask
-	once  sync.Once
-	size  int
-}
-
-type ioTask struct {
-	run func() error
-	c   *completion
-}
-
-func newIOPool(size int) *ioPool {
-	if size < 1 {
-		size = 1
-	}
-	return &ioPool{size: size}
-}
-
-func (p *ioPool) submit(run func() error) *completion {
-	p.once.Do(func() {
-		tasks := make(chan ioTask)
-		p.tasks = tasks
-		for i := 0; i < p.size; i++ {
-			// Workers range over the local channel: close() nils the
-			// field and must not race their receives.
-			go func() {
-				for t := range tasks {
-					t.c.finish(t.run())
-				}
-			}()
-		}
-	})
-	c := newCompletion()
-	p.tasks <- ioTask{run: run, c: c}
-	return c
-}
-
-// close stops the workers after the queue drains. Pending submissions
-// must have completed (the engine drains at barriers before Close).
-func (p *ioPool) close() {
-	if p.tasks != nil {
-		close(p.tasks)
-		p.tasks = nil
-	}
-}
+// AsyncCapable reports true: Sim arrays implement AsyncArray.
+func (s *Sim) AsyncCapable() bool { return true }

@@ -7,11 +7,12 @@
 // without backing data) and a real file-backed store for small-scale
 // integration tests.
 //
-// The contract is split into an explicit sync/async pair: Backend/Array
-// are the synchronous baseline, AsyncArray/AsyncBackend (async.go) add
-// completion-handle section I/O for the pipelined execution engine, and
-// AsAsync upgrades any array with capability detection, so wrappers need
-// not assume either contract.
+// Backend and Array are synchronous: a section call returns when the
+// section has moved. Both backends, and the wrappers over them (fault
+// injection, tracing, the ring), take concurrent section calls, which is
+// how the pipelined execution engine overlaps I/O with compute — it runs
+// them on its own issuer goroutines. (async.go keeps the names of the
+// former completion-handle contract for the benchmark's wrapper only.)
 package disk
 
 import (

@@ -56,24 +56,17 @@ const (
 // that failed verification (on any error the buffer's contents are
 // unspecified). A write verifies every window before its first mutation,
 // then overlays, re-indexes from memory and writes each window with one
-// WriteAt.
+// WriteAt. Section calls may run concurrently (ReadAt/WriteAt are safe on
+// one *os.File; each array's lock orders them against its index).
 type FileStore struct {
 	dir        string
 	sl         Ledger
 	blockElems int64
 	arrays     map[string]*fileArray
 	man        *manifest
-	// pool serves asynchronous section operations: ReadAt/WriteAt are
-	// safe to issue concurrently on one *os.File, so a small worker pool
-	// overlaps real file I/O with the caller's compute.
-	pool *ioPool
 	// sieves lends section calls their window scratch (sieve.go).
 	sieves sievePool
 }
-
-// fileAsyncWorkers is the FileStore pool size: enough to keep a prefetch
-// and a write-behind in flight alongside the odd metadata operation.
-const fileAsyncWorkers = 4
 
 // NewFileStore creates a store rooted at dir (created if missing). When
 // the directory holds a manifest from a previous instance, every listed
@@ -109,7 +102,6 @@ func NewFileStore(dir string, d machine.Disk) (*FileStore, error) {
 		blockElems: DefaultBlockElems,
 		arrays:     map[string]*fileArray{},
 		man:        man,
-		pool:       newIOPool(fileAsyncWorkers),
 	}, nil
 }
 
@@ -122,9 +114,6 @@ func (fs *FileStore) SetBlockElems(n int64) {
 		fs.blockElems = n
 	}
 }
-
-// AsyncCapable reports native AsyncArray support.
-func (fs *FileStore) AsyncCapable() bool { return true }
 
 type fileArray struct {
 	fs         *FileStore
@@ -438,12 +427,10 @@ func (fs *FileStore) Reopen() (Backend, error) {
 	return nfs, nil
 }
 
-// Close syncs and closes all array files and stops the worker pool.
-// Pending asynchronous operations must have been awaited first. A store
-// abandoned without Close models a crash: un-synced indices stay marked
-// dirty on disk and are rebuilt on the next Open.
+// Close syncs and closes all array files. No section operation may be
+// in flight. A store abandoned without Close models a crash: un-synced
+// indices stay marked dirty on disk and are rebuilt on the next Open.
 func (fs *FileStore) Close() error {
-	fs.pool.close()
 	first := fs.Sync()
 	for _, a := range fs.arrays {
 		if err := a.f.Close(); err != nil && first == nil {
@@ -513,16 +500,6 @@ func (fs *FileStore) RebuildChecksums(name string) error {
 
 func (a *fileArray) Name() string  { return a.name }
 func (a *fileArray) Dims() []int64 { return append([]int64(nil), a.dims...) }
-
-// ReadAsync performs the read on the store's worker pool.
-func (a *fileArray) ReadAsync(lo, shape []int64, buf []float64) Completion {
-	return a.fs.pool.submit(func() error { return a.ReadSection(lo, shape, buf) })
-}
-
-// WriteAsync performs the write on the store's worker pool.
-func (a *fileArray) WriteAsync(lo, shape []int64, buf []float64) Completion {
-	return a.fs.pool.submit(func() error { return a.WriteSection(lo, shape, buf) })
-}
 
 func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 	n, err := checkSection(a.dims, lo, shape)

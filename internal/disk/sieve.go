@@ -25,10 +25,13 @@ import (
 // resident memory.
 const sieveBlocks = 32
 
-// sieveFree bounds the sieves a store keeps between calls: one per pool
-// worker plus the caller's goroutine. Extra concurrent calls allocate
-// their own and drop it afterwards.
-const sieveFree = fileAsyncWorkers + 1
+// sieveFree bounds the sieves a store keeps between calls: one per
+// concurrent caller the pipelined engine makes by default — its four
+// issuers (exec's defaultPipelineDepth) plus one goroutine outside them
+// (the walker staging inputs and fetching outputs, or the inline
+// executor's init pass). Extra concurrent calls allocate their own and
+// drop it afterwards.
+const sieveFree = 4 + 1
 
 // runCursor walks a section's contiguous runs (along the last dimension)
 // in row-major order. skip counts the elements of the current run that

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -235,9 +236,9 @@ func asIntegrity(err error, ie **IntegrityError) bool {
 	return errors.As(err, ie)
 }
 
-// TestFileStoreConcurrentSections runs the pool's workers on overlapping
-// asynchronous reads of one array while a writer keeps rewriting part of
-// it (run it under -race). Each read must see the array either before or
+// TestFileStoreConcurrentSections runs overlapping reads of one array on
+// four goroutines while a writer keeps rewriting part of it (run it under
+// -race). Each read must see the array either before or
 // after any one write, never a mix and never another call's scratch.
 func TestFileStoreConcurrentSections(t *testing.T) {
 	fs, _ := newTestStore(t)
@@ -278,7 +279,6 @@ func TestFileStoreConcurrentSections(t *testing.T) {
 		done <- nil
 	}()
 
-	aa := AsAsync(a)
 	sections := [][2][]int64{
 		{{0, 0}, {40, 50}},
 		{{5, 3}, {30, 40}},
@@ -286,15 +286,23 @@ func TestFileStoreConcurrentSections(t *testing.T) {
 		{{0, 20}, {40, 7}},
 	}
 	for round := 0; round < 25; round++ {
+		// Four plain goroutines read one section each, concurrently with
+		// the writer and with each other.
 		bufs := make([][]float64, len(sections))
-		cs := make([]Completion, len(sections))
+		errs := make([]error, len(sections))
+		var wg sync.WaitGroup
 		for i, sec := range sections {
 			n, _ := checkSection(dims, sec[0], sec[1])
 			bufs[i] = make([]float64, n)
-			cs[i] = aa.ReadAsync(sec[0], sec[1], bufs[i])
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = a.ReadSection(sec[0], sec[1], bufs[i])
+			}()
 		}
+		wg.Wait()
 		for i, sec := range sections {
-			if err := cs[i].Await(); err != nil {
+			if err := errs[i]; err != nil {
 				t.Fatal(err)
 			}
 			gen := -1

@@ -15,44 +15,15 @@ import (
 // mode it stores nothing and merely accounts I/O, which allows paper-scale
 // array extents (terabytes of virtual data).
 //
-// Sim is natively asynchronous: ReadAsync/WriteAsync enqueue the operation
-// on a single background I/O-channel worker, which models a disk that
-// overlaps the positioning (seek) of a queued operation with the transfer
-// of the one in progress. ChannelStats exposes that timeline.
+// Sim is safe for concurrent section operations on distinct or the same
+// arrays (the pipelined engine's issuers make them); Create, Open and
+// Close are not.
 type Sim struct {
 	sl         Ledger
 	withData   bool
 	blockElems int64
 	arrays     map[string]*simArray
 	closed     bool
-
-	chOnce sync.Once
-	ch     chan simOp
-
-	chMu sync.Mutex
-	chst ChannelStats
-}
-
-// ChannelStats is the asynchronous I/O-channel timeline of the simulator.
-type ChannelStats struct {
-	// Ops is the number of operations processed asynchronously.
-	Ops int64
-	// QueuedOps counts operations that arrived while the channel was
-	// busy; their seek overlaps the in-progress transfer.
-	QueuedOps int64
-	// BusySeconds is the modelled busy time of the channel under
-	// overlapped seek+transfer: a queued operation pays only its transfer
-	// time, an operation that finds the channel idle pays seek+transfer.
-	BusySeconds float64
-}
-
-// simOp is one queued asynchronous section operation.
-type simOp struct {
-	a         *simArray
-	read      bool
-	lo, shape []int64
-	buf       []float64
-	c         *completion
 }
 
 // NewSim creates a simulated disk with the given parameters. withData
@@ -147,125 +118,18 @@ func (s *Sim) Integrity() IntegrityCounts { return s.sl.integSnapshot() }
 // SetMetrics mirrors every subsequent I/O charge into reg (nil detaches).
 func (s *Sim) SetMetrics(reg *obs.Registry) { s.sl.SetMetrics(reg) }
 
-// ResetStats zeroes the counters (channel statistics included).
-func (s *Sim) ResetStats() {
-	s.sl.Reset()
-	s.chMu.Lock()
-	s.chst = ChannelStats{}
-	s.chMu.Unlock()
-}
+// ResetStats zeroes the counters.
+func (s *Sim) ResetStats() { s.sl.Reset() }
 
-// AsyncCapable reports native AsyncArray support.
-func (s *Sim) AsyncCapable() bool { return true }
-
-// ChannelStats returns the asynchronous I/O-channel timeline. All pending
-// asynchronous operations must have been awaited first.
-func (s *Sim) ChannelStats() ChannelStats {
-	s.chMu.Lock()
-	defer s.chMu.Unlock()
-	return s.chst
-}
-
-// channel lazily starts the I/O-channel worker and returns its queue.
-func (s *Sim) channel() chan simOp {
-	s.chOnce.Do(func() {
-		s.ch = make(chan simOp, 128)
-		go s.channelWorker(s.ch)
-	})
-	return s.ch
-}
-
-// channelWorker drains the queue serially — the single disk channel. An
-// operation pulled from a non-empty queue had its seek overlapped with
-// the previous transfer; one that finds the channel idle pays the seek.
-// The queue is passed in so Close (which nils the field) never races the
-// worker's receives.
-func (s *Sim) channelWorker(ch chan simOp) {
-	for {
-		op, ok := <-ch
-		if !ok {
-			return
-		}
-		queued := false
-		for {
-			op.c.finish(s.runOp(op, queued))
-			select {
-			case next, ok := <-ch:
-				if !ok {
-					return
-				}
-				op = next
-				queued = true
-			default:
-				queued = false
-			}
-			if !queued {
-				break
-			}
-		}
-	}
-}
-
-// runOp performs one asynchronous operation: the same validation, stats
-// charge, and data movement as the synchronous path, plus the channel
-// timeline accounting.
-func (s *Sim) runOp(op simOp, queued bool) error {
-	var err error
-	if op.read {
-		err = op.a.ReadSection(op.lo, op.shape, op.buf)
-	} else {
-		err = op.a.WriteSection(op.lo, op.shape, op.buf)
-	}
-	if err != nil {
-		return err
-	}
-	n, _ := checkSection(op.a.dims, op.lo, op.shape)
-	transfer := float64(n*8) / s.sl.d.ReadBandwidth
-	if !op.read {
-		transfer = float64(n*8) / s.sl.d.WriteBandwidth
-	}
-	busy := transfer
-	if !queued {
-		busy += s.sl.d.SeekTime
-	}
-	s.chMu.Lock()
-	s.chst.Ops++
-	if queued {
-		s.chst.QueuedOps++
-	}
-	s.chst.BusySeconds += busy
-	s.chMu.Unlock()
-	return nil
-}
-
-// Close releases the backend and stops the channel worker. Pending
-// asynchronous operations must have been awaited first.
+// Close releases the backend.
 func (s *Sim) Close() error {
 	s.closed = true
 	s.arrays = nil
-	if s.ch != nil {
-		close(s.ch)
-		s.ch = nil
-	}
 	return nil
 }
 
 func (a *simArray) Name() string  { return a.name }
 func (a *simArray) Dims() []int64 { return append([]int64(nil), a.dims...) }
-
-// ReadAsync enqueues the read on the simulator's I/O channel.
-func (a *simArray) ReadAsync(lo, shape []int64, buf []float64) Completion {
-	c := newCompletion()
-	a.sim.channel() <- simOp{a: a, read: true, lo: lo, shape: shape, buf: buf, c: c}
-	return c
-}
-
-// WriteAsync enqueues the write on the simulator's I/O channel.
-func (a *simArray) WriteAsync(lo, shape []int64, buf []float64) Completion {
-	c := newCompletion()
-	a.sim.channel() <- simOp{a: a, read: false, lo: lo, shape: shape, buf: buf, c: c}
-	return c
-}
 
 // verifyRangeLocked verifies, over the shadow index, every block covering
 // element range [off, off+run) with ordinal > *last, hashing the same

@@ -20,6 +20,9 @@ type kernel struct {
 	// rng and tile are each intra index's full range and tile size, at the
 	// tile base the walker stood at when clip last ran.
 	rng, tile, at []int64
+	// pos is each intra index's enclosing loop on the walker's loop stack
+	// (-1: none), found by the first clip; the plan's nesting is static.
+	pos []int
 	// loop gives, per operand (the output, then the factors) and buffer
 	// dim, the position of the dim's index in c.Intra, -1 if it is not an
 	// intra index.
@@ -84,9 +87,19 @@ func (k *kernel) block(queued bool) *tensor.Block {
 
 // clip sets blk's extents to the intra-tile extents at the walker's tile
 // bases: the tile, cut at the end of the range.
-func (k *kernel) clip(blk *tensor.Block, base map[string]int64) {
+func (k *kernel) clip(blk *tensor.Block, e *engine) {
+	if k.pos == nil {
+		k.pos = make([]int, len(k.c.Intra))
+		for j, x := range k.c.Intra {
+			k.pos[j] = slices.IndexFunc(e.loopStack, func(p loopPos) bool { return p.index == x })
+		}
+	}
 	for j, x := range k.c.Intra {
-		k.at[j] = base[x]
+		if p := k.pos[j]; p >= 0 {
+			k.at[j] = e.loopStack[p].base
+		} else {
+			k.at[j] = e.base[x]
+		}
 		blk.Ext[j] = int(min(k.tile[j], k.rng[j]-k.at[j]))
 	}
 }

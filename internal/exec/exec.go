@@ -242,6 +242,7 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 		ctx = context.Background()
 	}
 	e := newEngine(ctx, p, be, opt)
+	defer e.sched.stop()
 	if opt.Resume != nil {
 		// Completed units never regress below the resume point.
 		e.lastCP = *opt.Resume
@@ -305,9 +306,10 @@ type engine struct {
 	// sched runs the steps the walker produces (pipeline.go).
 	sched *scheduler
 	base  map[string]int64 // current tile base per loop index
-	// loopStack holds the enclosing loop indices, outermost first, for
-	// error attribution (e.base alone has no deterministic order).
-	loopStack []string
+	// loopStack holds the enclosing loops' indices and tile bases,
+	// outermost first, for error attribution (e.base alone has no
+	// deterministic order).
+	loopStack []loopPos
 	arrs      map[string]disk.Array
 	// hasIO caches, per loop node, whether its subtree performs disk I/O;
 	// dry runs do not iterate I/O-free subtrees (their iteration counts are
@@ -621,13 +623,13 @@ func (e *engine) execTop(body []codegen.Node) (*Checkpoint, error) {
 				continue
 			}
 			var it int64
-			e.loopStack = append(e.loopStack, l.Index)
+			e.loopStack = append(e.loopStack, loopPos{index: l.Index})
 			for b := int64(0); b < l.Range; b += l.Tile {
 				if resume != nil && (item < resume.Item || (item == resume.Item && it < resume.Iter)) {
 					it++
 					continue
 				}
-				e.base[l.Index] = b
+				e.setBase(l.Index, b)
 				if err := e.runUnit(l.Body); err != nil {
 					return nil, err
 				}
@@ -684,7 +686,7 @@ func (e *engine) ctxErr() error {
 
 // pos describes the current loop position ("i=0,j=128") for error
 // attribution.
-func (e *engine) pos() string { return formatPos(e.where()) }
+func (e *engine) pos() string { return formatPos(e.where(nil)) }
 
 // loopPos is one enclosing loop's index and its current tile base.
 type loopPos struct {
@@ -692,14 +694,15 @@ type loopPos struct {
 	base  int64
 }
 
-// where snapshots the current loop position, outermost loop first. A
-// pipelined operation keeps the snapshot and formats it only if it fails.
-func (e *engine) where() []loopPos {
-	ps := make([]loopPos, len(e.loopStack))
-	for i, idx := range e.loopStack {
-		ps[i] = loopPos{idx, e.base[idx]}
-	}
-	return ps
+// where appends the current loop position to dst, outermost loop first.
+// A pipelined operation keeps the snapshot in its ring slot and formats it
+// only if it fails.
+func (e *engine) where(dst []loopPos) []loopPos { return append(dst, e.loopStack...) }
+
+// setBase moves the innermost enclosing loop, over index, to tile base b.
+func (e *engine) setBase(index string, b int64) {
+	e.base[index] = b
+	e.loopStack[len(e.loopStack)-1].base = b
 }
 
 // formatPos renders a loop position as pos does.
@@ -763,7 +766,7 @@ func (e *engine) walkLoop(l *codegen.Loop) error {
 	if pruned && !e.computes {
 		return nil
 	}
-	e.loopStack = append(e.loopStack, l.Index)
+	e.loopStack = append(e.loopStack, loopPos{index: l.Index})
 	if pruned {
 		e.base[l.Index] = 0
 		e.dryLoops = append(e.dryLoops, l)
@@ -776,7 +779,7 @@ func (e *engine) walkLoop(l *codegen.Loop) error {
 			if err := e.ctxErr(); err != nil {
 				return err
 			}
-			e.base[l.Index] = b
+			e.setBase(l.Index, b)
 			if err := e.walk(l.Body); err != nil {
 				return err
 			}

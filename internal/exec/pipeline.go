@@ -39,7 +39,10 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/codegen"
 	"repro/internal/disk"
@@ -96,44 +99,58 @@ func (s PipelineStats) String() string {
 		s.SerialSeconds, s.OverlappedSeconds, s.Speedup(), s.IOSeconds, s.ComputeSeconds, s.PrefetchedReads, s.WriteBehindWrites)
 }
 
-// pop is a scheduled operation that may still be in flight while later
-// steps are scheduled. Depth 0 never creates one: a nil *pop stands for an
-// operation that has already finished, in real and in modelled time.
-type pop struct {
-	// seq is the operation's program-order number within the run.
+// dep refers to a step handed off at depth > 0: the ring slot it was
+// scheduled in, its program-order number and its modelled end. A dep
+// without a slot stands for a step that has already finished in real
+// time (a dry-run compute block has no work, so it only has an end); the
+// zero dep has finished in modelled time too (every step at depth 0).
+type dep struct {
+	op  *pop
 	seq int64
-	// deps are the earlier operations this one must wait for; the
-	// executing goroutine drops them once they have finished.
-	deps []*pop
-	done chan struct{}
-	err  error
-	// inline is non-nil for steps executed in program order on the unit's
-	// inline executor (zero, compute, init pass); disk I/O runs on its own
-	// goroutine.
-	inline func() error
-	// end is the modelled completion time on the timeline.
 	end float64
-	// lo/shape is the disk section for hazard tracking (nil lo on an init
-	// pass: the whole array); write marks disk-mutating operations.
-	lo, shape []int64
-	write     bool
 }
 
-// await blocks until the operation's dependencies have finished and
-// returns the first of their errors: a failed dependency fails its
-// dependents without running them.
-func (op *pop) await() error {
-	var err error
-	for _, d := range op.deps {
-		<-d.done
-		if d.err != nil && err == nil {
-			err = d.err
-		}
+// finished reports whether the step has run. A slot is only refilled once
+// its step has finished, so a dep outlives its slot's reuse.
+func (d dep) finished() bool { return d.op == nil || d.op.done.Load() >= d.seq }
+
+// pop is a slot of the scheduler's ring: the step it holds, or last held.
+// The walker fills a slot only after the slot's previous step finished;
+// from then until the step finishes its fields belong to the executor
+// that runs it. Everything a step needs lives here, so handing one off
+// allocates nothing once the ring has warmed up.
+type pop struct {
+	// seq is the program-order number of the slot's step; done is the
+	// highest seq the slot has finished.
+	seq  int64
+	done atomic.Int64
+	// deps are the earlier steps this one must wait for.
+	deps []dep
+	// inline is the work of a zero-fill, compute block or init pass, run
+	// on the inline executor; a section operation has none and is run by
+	// an issuer from the fields below.
+	inline    func() error
+	read      bool
+	array     string
+	arr       disk.Array
+	lo, shape []int64
+	data      []float64
+	// dur is the modelled duration one attempt charges; where is the
+	// walker's loop position when it issued the operation, formatted only
+	// if the operation fails.
+	dur   float64
+	where []loopPos
+	// io is the slot's section method, bound once so that retrying an
+	// operation takes no closure.
+	io func() error
+}
+
+// section performs the slot's section operation once.
+func (op *pop) section() error {
+	if op.read {
+		return op.arr.ReadSection(op.lo, op.shape, op.data)
 	}
-	// Finished dependencies are of no further use; holding them would keep
-	// every earlier operation of the unit reachable.
-	op.deps = nil
-	return err
+	return op.arr.WriteSection(op.lo, op.shape, op.data)
 }
 
 // binding is a buffer instance: its tensor (nil in dry-run mode) and the
@@ -146,19 +163,39 @@ type binding struct {
 // pslot is one instance of a double-buffered plan buffer.
 type pslot struct {
 	binding
-	// filler is the last operation producing the slot's contents; users
-	// are the operations consuming them since then.
-	filler *pop
-	users  []*pop
+	// filler is the last step producing the slot's contents; users are the
+	// steps consuming them since then, except those that had no work
+	// (dry-run compute blocks), of which usersEnd keeps the latest end.
+	filler   dep
+	users    []dep
+	usersEnd float64
 }
 
-// deps returns every operation still tied to the slot's current contents.
-func (sl *pslot) deps() []*pop {
-	var deps []*pop
-	if sl.filler != nil {
+// appendDeps appends every step still tied to the slot's current
+// contents.
+func (sl *pslot) appendDeps(deps []dep) []dep {
+	if sl.filler != (dep{}) {
 		deps = append(deps, sl.filler)
 	}
+	if sl.usersEnd > 0 {
+		deps = append(deps, dep{end: sl.usersEnd})
+	}
 	return append(deps, sl.users...)
+}
+
+// use records d as a consumer of the slot's current contents.
+func (sl *pslot) use(d dep) {
+	if d.op == nil {
+		sl.usersEnd = max(sl.usersEnd, d.end)
+		return
+	}
+	sl.users = append(sl.users, d)
+}
+
+// refill makes d the producer of the slot's contents; the users it
+// waited for are spent.
+func (sl *pslot) refill(d dep) {
+	sl.filler, sl.users, sl.usersEnd = d, sl.users[:0], 0
 }
 
 // pipeBuf is the double-buffer state of one plan buffer; a slot exists
@@ -168,19 +205,25 @@ type pipeBuf struct {
 	cur   int
 }
 
+// hazard is an outstanding disk operation registered for section
+// conflict detection (nil lo: the whole array).
+type hazard struct {
+	dep
+	lo, shape []int64
+}
+
 // scheduler is the run's schedule state. All fields are owned by the
-// walking goroutine; executing goroutines touch only operation payloads,
-// the retry account and the error record (each behind its mutex), and the
-// barrier join orders everything else.
+// walking goroutine except the ring slots of running steps, the retry
+// account and the failure record (each behind its mutex); the unit
+// barrier orders everything else.
 type scheduler struct {
 	e *engine
-	// depth bounds in-flight disk operations; 0 is the serial schedule.
+	// depth bounds the disk operations in flight; 0 is the serial schedule.
 	depth int
-	sem   chan struct{}
 	bufs  map[*codegen.Buffer]*pipeBuf
 	// pending tracks outstanding disk operations per array for section
-	// hazard detection; completed entries are pruned on the fly.
-	pending map[string][]*pop
+	// hazard detection; finished entries are pruned on the fly.
+	pending map[string]*arrayIO
 	// void absorbs the fills of a serial dry run (see fillSlot).
 	void pslot
 	// curBytes/peakBytes track instantiated buffer memory; mBufBytes
@@ -196,23 +239,48 @@ type scheduler struct {
 	stats PipelineStats
 
 	// retryMu/retryExtra accumulate the modelled seconds of retried disk
-	// attempts and their backoff delays charged from issue goroutines; the
-	// unit barrier folds them into the I/O clock, keeping the overlapped
+	// attempts and their backoff delays charged from the issuers; the unit
+	// barrier folds them into the I/O clock, keeping the overlapped
 	// timeline consistent with the backend's per-attempt Stats charges.
 	retryMu    sync.Mutex
 	retryExtra float64
 
-	// The unit's in-flight machinery, started by the first operation a
-	// unit hands off and torn down by its barrier: inlineQ feeds the inline
-	// executor, inflight counts issued disk operations.
-	inlineQ    chan *pop
-	inlineDone chan struct{}
-	inflight   sync.WaitGroup
-	seq        int64
-	// errMu guards the unit's earliest failure in program order.
-	errMu  sync.Mutex
-	err    error
-	errSeq int64
+	// The run's executors, started by the first step handed off and
+	// stopped with the run. Handed-off steps live in ring, step seq in
+	// slot seq % len(ring), which the walker refills only once the step
+	// before has finished; ioq and inq list the section operations and the
+	// inline steps in program order, the k-th of a kind at k % len(ring).
+	// nIO and nInline count the steps of each kind handed off, ioClaim the
+	// section operations the issuers have taken. seq numbers the steps over
+	// the whole run; drained is the last one a barrier waited for; unwoken
+	// counts steps handed off since the executors were last woken.
+	ring         []pop
+	ioq, inq     []dep
+	nIO, nInline atomic.Int64
+	ioClaim      atomic.Int64
+	closed       atomic.Bool
+	execs        sync.WaitGroup
+	seq, drained int64
+	unwoken      int
+	// oldest is the earliest step that may not have finished: every step
+	// numbered below it has.
+	oldest int64
+	// A goroutine that has looked spins times for what it waits for parks
+	// under mu: an executor with no step to take on idle, any goroutine
+	// waiting for a step to finish on blocked. nIdle and nBlocked count
+	// them, so that waking costs nothing while nobody is parked.
+	mu              sync.Mutex
+	idle, blocked   sync.Cond
+	nIdle, nBlocked atomic.Int32
+	// deps is the walker's scratch for a step's dependency list.
+	deps []dep
+	// errMu guards the unit's failed steps by seq and its earliest failure
+	// in program order; anyFailed lets the common case skip the lock.
+	errMu     sync.Mutex
+	failed    map[int64]error
+	err       error
+	errSeq    int64
+	anyFailed atomic.Bool
 
 	// Cached metrics instruments (nil without Options.Metrics, and at
 	// depth 0, which has no pipeline to report on).
@@ -235,8 +303,7 @@ func newScheduler(e *engine, depth int) *scheduler {
 		return s
 	}
 	s.comp = 1
-	s.sem = make(chan struct{}, depth)
-	s.pending = map[string][]*pop{}
+	s.pending = map[string]*arrayIO{}
 	if reg != nil {
 		s.mShadow = reg.Counter("exec.pipeline.prefetch.shadow")
 		s.mInplace = reg.Counter("exec.pipeline.prefetch.inplace")
@@ -264,8 +331,8 @@ func (s *scheduler) snapshot() *PipelineStats {
 // chargeRetry adds the modelled seconds of one retried attempt (backoff
 // delay + repeat I/O) to the I/O clock: at once at depth 0, where the
 // caller is the walking goroutine and the next span must start after the
-// gap; otherwise into the account the next barrier folds, because issue
-// goroutines must not touch the clocks.
+// gap; otherwise into the account the next barrier folds, because the
+// issuers must not touch the clocks.
 func (s *scheduler) chargeRetry(seconds float64) {
 	if s.depth == 0 {
 		s.addIO(seconds)
@@ -298,7 +365,7 @@ func (s *scheduler) addIO(seconds float64) {
 // place puts a step of modelled duration dur on a track's clock, after its
 // dependencies, and with a tracer attached emits it as a span named
 // verb+what. It returns the step's modelled end.
-func (s *scheduler) place(track string, deps []*pop, dur float64, verb, what string, args map[string]any) float64 {
+func (s *scheduler) place(track string, deps []dep, dur float64, verb, what string, args map[string]any) float64 {
 	clk, total := &s.clock[0], &s.stats.IOSeconds
 	if track == obs.TrackCompute {
 		clk, total = &s.clock[s.comp], &s.stats.ComputeSeconds
@@ -316,24 +383,199 @@ func (s *scheduler) place(track string, deps []*pop, dur float64, verb, what str
 	return start + dur
 }
 
-// newOp records a step that is handed off rather than run on the spot,
-// starting the unit's inline executor if this is the unit's first.
-func (s *scheduler) newOp(deps []*pop, end float64) *pop {
-	if s.inlineQ == nil {
-		s.inlineQ = make(chan *pop, inlineAhead)
-		s.inlineDone = make(chan struct{})
-		go s.runInline(s.inlineQ, s.inlineDone)
+// start launches the run's executors: the inline executor, which runs
+// zero-fills, compute blocks and init passes in program order, and depth
+// issuers, which take section operations in program order and perform
+// them through the synchronous Array contract.
+func (s *scheduler) start() {
+	n := s.depth + inlineAhead
+	s.ring = make([]pop, n)
+	for i := range s.ring {
+		op := &s.ring[i]
+		op.io = op.section
 	}
-	s.seq++
-	return &pop{seq: s.seq, deps: deps, end: end, done: make(chan struct{})}
+	s.ioq, s.inq = make([]dep, n), make([]dep, n)
+	s.idle.L, s.blocked.L = &s.mu, &s.mu
+	s.execs.Add(1 + s.depth)
+	go s.runInline()
+	for range s.depth {
+		go s.runIssuer()
+	}
 }
 
-// runInline is the unit's inline executor: it runs zero-fills, compute
-// blocks and init passes in program order, each after its dependencies.
-func (s *scheduler) runInline(q <-chan *pop, done chan<- struct{}) {
-	defer close(done)
-	for op := range q {
-		err := op.await()
+// stop shuts the executors down; every step handed off has finished (the
+// last unit's barrier waited for them).
+func (s *scheduler) stop() {
+	if s.ring == nil {
+		return
+	}
+	s.closed.Store(true)
+	s.mu.Lock()
+	s.idle.Broadcast()
+	s.mu.Unlock()
+	s.execs.Wait()
+	s.ring, s.ioq, s.inq = nil, nil, nil
+}
+
+// newOp takes the ring slot of the run's next step, waiting for the step
+// it held before to finish, and fills in the step's program-order number
+// and dependencies; the caller fills in its work and hands it off.
+func (s *scheduler) newOp(deps []dep) *pop {
+	if s.ring == nil {
+		s.start()
+	}
+	s.seq++
+	n := int64(len(s.ring))
+	op := &s.ring[s.seq%n]
+	s.walkerWait(dep{op: op, seq: op.seq})
+	for s.oldest < s.seq && s.ring[s.oldest%n].done.Load() >= s.oldest {
+		s.oldest++
+	}
+	op.seq = s.seq
+	op.deps = op.deps[:0]
+	for _, d := range deps {
+		if d.op != nil { // a dep without a slot has nothing to wait for
+			op.deps = append(op.deps, d)
+		}
+	}
+	return op
+}
+
+// wakeBatch is how many steps a dry run hands off before it wakes parked
+// executors. Its steps cost the executors next to nothing, so waking them
+// for each would cost more than the step; a batch amortizes the wakeup.
+// Data-mode steps (real compute and file I/O) wake them at once.
+const wakeBatch = 32
+
+// handOff lists a filled slot as the next step of its kind (queue q,
+// counter n) and returns its dep.
+func (s *scheduler) handOff(q []dep, n *atomic.Int64, op *pop, end float64) dep {
+	k := n.Load()
+	slot := &q[k%int64(len(q))]
+	// The step listed there before has been taken once it has finished.
+	s.walkerWait(*slot)
+	*slot = dep{op: op, seq: op.seq, end: end}
+	n.Store(k + 1)
+	s.unwoken++
+	if !s.e.opt.DryRun || s.unwoken >= wakeBatch {
+		s.wakeExecutors()
+	}
+	return *slot
+}
+
+// wakeExecutors wakes the executors parked for want of a step. An
+// executor counts itself in nIdle before its last look for a step, so
+// either it sees the steps handed off so far or this load sees it.
+func (s *scheduler) wakeExecutors() {
+	s.unwoken = 0
+	if s.nIdle.Load() > 0 {
+		s.mu.Lock()
+		s.idle.Broadcast()
+		s.mu.Unlock()
+	}
+}
+
+// walkerWait is wait for the walker, which first wakes the executors for
+// the steps it has handed off: they may be what it waits for.
+func (s *scheduler) walkerWait(d dep) {
+	if d.finished() {
+		return
+	}
+	if s.unwoken > 0 {
+		s.wakeExecutors()
+	}
+	s.wait(d)
+}
+
+// spins is how many times a goroutine about to block yields and looks
+// again first: a step it waits for is usually running, or runnable on the
+// same processor, and parking and waking cost more than a few yields.
+const spins = 64
+
+// wait blocks until d has finished.
+func (s *scheduler) wait(d dep) {
+	for range spins {
+		if d.finished() {
+			return
+		}
+		runtime.Gosched()
+	}
+	s.mu.Lock()
+	s.nBlocked.Add(1)
+	for !d.finished() {
+		s.blocked.Wait()
+	}
+	s.nBlocked.Add(-1)
+	s.mu.Unlock()
+}
+
+// handedOff waits until the k-th step of a kind has been handed off
+// (*n > k) and reports true, or reports false once the run has ended.
+func (s *scheduler) handedOff(n *atomic.Int64, k int64) bool {
+	if n.Load() > k {
+		return true
+	}
+	s.mu.Lock()
+	s.nIdle.Add(1)
+	for n.Load() <= k && !s.closed.Load() {
+		s.idle.Wait()
+	}
+	s.nIdle.Add(-1)
+	s.mu.Unlock()
+	return n.Load() > k
+}
+
+// await waits for the step's dependencies and returns the first of their
+// errors: a failed dependency fails its dependents without running them.
+func (s *scheduler) await(op *pop) error {
+	for _, d := range op.deps {
+		s.wait(d)
+	}
+	if !s.anyFailed.Load() {
+		return nil
+	}
+	s.errMu.Lock()
+	defer s.errMu.Unlock()
+	for _, d := range op.deps {
+		if err := s.failed[d.seq]; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// complete finishes a step, recording a failure and keeping the earliest
+// in program order (so a failure inherited from a dependency never
+// displaces the dependency's own), and wakes whoever is parked on a step
+// to finish (a waiter counts itself in nBlocked before its last look at
+// done, so either it sees this store or the load here sees it).
+func (s *scheduler) complete(op *pop, err error) {
+	if err != nil {
+		s.errMu.Lock()
+		if s.failed == nil {
+			s.failed = map[int64]error{}
+		}
+		s.failed[op.seq] = err
+		if s.err == nil || op.seq < s.errSeq {
+			s.err, s.errSeq = err, op.seq
+		}
+		s.errMu.Unlock()
+		s.anyFailed.Store(true)
+	}
+	op.done.Store(op.seq)
+	if s.nBlocked.Load() > 0 {
+		s.mu.Lock()
+		s.blocked.Broadcast()
+		s.mu.Unlock()
+	}
+}
+
+// runInline is the run's inline executor.
+func (s *scheduler) runInline() {
+	defer s.execs.Done()
+	for k := int64(0); s.handedOff(&s.nInline, k); k++ {
+		op := s.inq[k%int64(len(s.inq))].op
+		err := s.await(op)
 		if err == nil {
 			err = op.inline()
 		}
@@ -342,46 +584,53 @@ func (s *scheduler) runInline(q <-chan *pop, done chan<- struct{}) {
 	}
 }
 
-// complete resolves an operation, recording a failure if it is the
-// earliest in program order so far (so a failure inherited from a
-// dependency never displaces the dependency's own).
-func (s *scheduler) complete(op *pop, err error) {
-	if err != nil {
-		s.errMu.Lock()
-		if s.err == nil || op.seq < s.errSeq {
-			s.err, s.errSeq = err, op.seq
+// runIssuer is one of the run's issuers: it performs section operations
+// under the run's retry policy, each after its dependencies, its failure
+// attributed to array and plan position.
+func (s *scheduler) runIssuer() {
+	defer s.execs.Done()
+	for {
+		k := s.ioClaim.Add(1) - 1
+		if !s.handedOff(&s.nIO, k) {
+			return
 		}
-		s.errMu.Unlock()
+		op := s.ioq[k%int64(len(s.ioq))].op
+		err := s.await(op)
+		if err == nil {
+			if err = s.e.retryOp(op.array, op.dur, op.io); err != nil {
+				err = ioErr(op.read, op.array, formatPos(op.where), err)
+			}
+		}
+		if s.mDepth != nil {
+			s.mDepth.Add(-1)
+		}
+		s.complete(op, err)
 	}
-	op.err = err
-	close(op.done)
 }
 
 // inline runs a zero-fill, compute block or init pass under the schedule:
-// on the spot at depth 0, otherwise queued for the inline executor. The
-// returned op is nil once the step has finished.
-func (s *scheduler) inline(deps []*pop, end float64, fn func() error) (*pop, error) {
+// on the spot at depth 0, otherwise handed to the inline executor. The
+// returned dep is zero once the step has finished.
+func (s *scheduler) inline(deps []dep, end float64, fn func() error) (dep, error) {
 	if s.depth == 0 {
-		return nil, fn()
+		return dep{}, fn()
 	}
-	op := s.newOp(deps, end)
+	op := s.newOp(deps)
 	op.inline = fn
-	s.inlineQ <- op
-	return op, nil
+	return s.handOff(s.inq, &s.nInline, op, end), nil
 }
 
 // issue performs one section operation — under the run's retry policy,
 // its failure attributed to array and plan position — the single place
 // section I/O leaves the engine. At depth 0 it is the synchronous backend
-// call, made now. Otherwise the operation gets its own goroutine, which
-// waits for the hazards and then drives the asynchronous contract; the
-// in-flight semaphore is taken here, on the walking goroutine, bounding
-// how far issue runs ahead, and a failure surfaces at the unit barrier.
-// dur is the operation's modelled duration, which retried attempts charge
-// again. The returned op is nil once the operation has finished.
-func (s *scheduler) issue(read bool, array string, lo, shape []int64, data []float64, deps []*pop, end, dur float64) (*pop, error) {
+// call, made now. Otherwise it is handed to the issuers, which wait for
+// its hazards and make the same call; a failure surfaces at the unit
+// barrier. dur is the operation's modelled duration, which retried
+// attempts charge again. The returned dep is zero once the operation has
+// finished.
+func (s *scheduler) issue(read bool, array string, lo, shape []int64, data []float64, deps []dep, end, dur float64) (dep, error) {
+	arr := s.e.arrs[array]
 	if s.depth == 0 {
-		arr := s.e.arrs[array]
 		err := s.e.retryOp(array, dur, func() error {
 			if read {
 				return arr.ReadSection(lo, shape, data)
@@ -389,57 +638,38 @@ func (s *scheduler) issue(read bool, array string, lo, shape []int64, data []flo
 			return arr.WriteSection(lo, shape, data)
 		})
 		if err != nil {
-			return nil, ioErr(read, array, s.e.pos(), err)
+			return dep{}, ioErr(read, array, s.e.pos(), err)
 		}
-		return nil, nil
+		return dep{}, nil
 	}
-	op := s.newOp(deps, end)
-	aa := disk.AsAsync(s.e.arrs[array])
-	where := s.e.where() // the walker will have moved on when a failure surfaces
-	s.sem <- struct{}{}
-	s.inflight.Add(1)
+	op := s.newOp(deps)
+	op.read, op.array, op.arr, op.lo, op.shape, op.data, op.dur = read, array, arr, lo, shape, data, dur
+	op.where = s.e.where(op.where[:0]) // the walker will have moved on when a failure surfaces
 	if s.mDepth != nil {
 		s.mDepth.Add(1)
 	}
-	go func() {
-		defer func() {
-			<-s.sem
-			if s.mDepth != nil {
-				s.mDepth.Add(-1)
-			}
-			s.inflight.Done()
-		}()
-		err := op.await()
-		if err == nil {
-			err = s.e.retryOp(array, dur, func() error {
-				if read {
-					return aa.ReadAsync(lo, shape, data).Await()
-				}
-				return aa.WriteAsync(lo, shape, data).Await()
-			})
-			if err != nil {
-				err = ioErr(read, array, formatPos(where), err)
-			}
-		}
-		s.complete(op, err)
-	}()
-	return op, nil
+	return s.handOff(s.ioq, &s.nIO, op, end), nil
 }
 
 // barrier closes a top-level work unit. If the unit handed anything off it
-// drains it, folds the retry account, synchronizes the two clocks and
-// reports the unit's earliest failure in program order; a unit that ran
-// entirely on the calling goroutine (every unit at depth 0) has nothing in
-// flight and nothing to synchronize, and walkErr is its outcome.
+// waits for all of it, folds the retry account, synchronizes the two
+// clocks and reports the unit's earliest failure in program order; a unit
+// that ran entirely on the calling goroutine (every unit at depth 0) has
+// nothing in flight and nothing to synchronize, and walkErr is its
+// outcome.
 func (s *scheduler) barrier(walkErr error) error {
-	if s.inlineQ == nil {
+	if s.seq == s.drained {
 		return walkErr
 	}
-	close(s.inlineQ)
-	<-s.inlineDone
-	s.inflight.Wait()
-	s.inlineQ = nil
-	clear(s.pending)
+	for i := range s.ring {
+		s.walkerWait(dep{op: &s.ring[i], seq: s.ring[i].seq})
+	}
+	s.drained = s.seq
+	for _, io := range s.pending {
+		clear(io.writes)
+		clear(io.reads)
+		io.writes, io.reads = io.writes[:0], io.reads[:0]
+	}
 	// The schedule charged each operation once, retries charged the
 	// backend again, and the difference lives in the retry account.
 	s.foldRetries()
@@ -457,8 +687,13 @@ func (s *scheduler) barrier(walkErr error) error {
 		tr.Instant(obs.Instant{Track: obs.TrackDisk, Name: "barrier", TS: s.clock[0],
 			Args: map[string]any{"stall_s": stall}})
 	}
-	if err := s.err; err != nil {
-		s.err = nil
+	s.errMu.Lock()
+	err := s.err
+	s.err = nil
+	clear(s.failed)
+	s.errMu.Unlock()
+	s.anyFailed.Store(false)
+	if err != nil {
 		return err
 	}
 	return walkErr
@@ -534,31 +769,68 @@ func (s *scheduler) cur(b *codegen.Buffer) *pslot {
 	return nil
 }
 
-// conflicts returns the outstanding operations on an array that a new
-// operation over [lo, lo+shape) must wait for: a reader conflicts with
-// pending writes, a writer with everything overlapping. Completed entries
-// are pruned in passing. nil lo means the whole array.
-func (s *scheduler) conflicts(array string, lo, shape []int64, isWrite bool) []*pop {
-	ops := s.pending[array]
-	if len(ops) == 0 {
+// arrayIO is one array's outstanding disk operations, kept for section
+// hazard detection: writes (init passes included) and reads apart, since a
+// read only conflicts with writes.
+type arrayIO struct {
+	writes, reads []hazard
+}
+
+// pendingIO returns the array's outstanding operations (nil at depth 0,
+// which has none).
+func (s *scheduler) pendingIO(array string) *arrayIO {
+	if s.depth == 0 {
 		return nil
 	}
-	var out []*pop
-	live := ops[:0]
-	for _, op := range ops {
-		select {
-		case <-op.done:
-			continue
-		default:
-		}
-		live = append(live, op)
-		if (isWrite || op.write) && boxesOverlap(lo, shape, op.lo, op.shape) {
-			out = append(out, op)
-		}
+	io := s.pending[array]
+	if io == nil {
+		io = &arrayIO{}
+		s.pending[array] = io
 	}
-	clear(ops[len(live):])
-	s.pending[array] = live
-	return out
+	return io
+}
+
+// conflicts appends to deps the outstanding operations of io that a new
+// operation over [lo, lo+shape) must wait for — a reader conflicts with
+// pending writes, a writer with everything overlapping — and returns how
+// many it appended. nil lo means the whole array.
+func (s *scheduler) conflicts(deps []dep, io *arrayIO, lo, shape []int64, isWrite bool) ([]dep, int) {
+	if io == nil {
+		return deps, 0
+	}
+	n0 := len(deps)
+	io.writes, deps = overlapping(deps, io.writes, lo, shape, s.oldest)
+	if isWrite {
+		io.reads, deps = overlapping(deps, io.reads, lo, shape, s.oldest)
+	}
+	return deps, len(deps) - n0
+}
+
+// overlapping appends to deps the unfinished entries of hs whose boxes
+// overlap [lo, lo+shape), dropping finished entries: all those older than
+// oldest (which costs a comparison), and the overlapping ones found
+// finished (a look at another goroutine's completion costs a cache miss,
+// so the others are not looked at).
+func overlapping(deps []dep, hs []hazard, lo, shape []int64, oldest int64) ([]hazard, []dep) {
+	live := 0
+	for i := range hs {
+		h := &hs[i]
+		if h.seq < oldest {
+			continue
+		}
+		if boxesOverlap(lo, shape, h.lo, h.shape) {
+			if h.finished() {
+				continue
+			}
+			deps = append(deps, h.dep)
+		}
+		if i != live {
+			hs[live] = *h
+		}
+		live++
+	}
+	clear(hs[live:])
+	return hs[:live], deps
 }
 
 // boxesOverlap reports hyper-rectangle intersection; a nil box spans the
@@ -576,12 +848,22 @@ func boxesOverlap(alo, ash, blo, bsh []int64) bool {
 }
 
 // track registers an outstanding disk operation for hazard detection.
-func (s *scheduler) track(array string, op *pop, lo, shape []int64, write bool) {
-	if op == nil {
+// Before a list grows it is pruned of the entries older than oldest, which
+// also bounds a list nobody scans (the reads of an array never written).
+func (s *scheduler) track(io *arrayIO, d dep, lo, shape []int64, write bool) {
+	if d.op == nil {
 		return
 	}
-	op.lo, op.shape, op.write = lo, shape, write
-	s.pending[array] = append(s.pending[array], op)
+	hs := &io.reads
+	if write {
+		hs = &io.writes
+	}
+	if len(*hs) == cap(*hs) {
+		live := slices.DeleteFunc(*hs, func(h hazard) bool { return h.seq < s.oldest })
+		clear((*hs)[len(live):])
+		*hs = live
+	}
+	*hs = append(*hs, hazard{dep: d, lo: lo, shape: shape})
 }
 
 // noteHazard marks a section-hazard wait (an operation blocked on n
@@ -599,22 +881,24 @@ func (s *scheduler) noteHazard(array string, ts float64, n int) {
 	}
 }
 
-// sectionOp orders one section operation after deps and after the array's
-// outstanding operations it conflicts with, places it on the disk track,
-// issues it and registers it for later hazards.
-func (s *scheduler) sectionOp(read bool, array string, lo, shape []int64, data []float64, deps []*pop, args map[string]any) (*pop, error) {
-	hazards := s.conflicts(array, lo, shape, !read)
-	deps = append(deps, hazards...)
+// sectionOp orders one section operation after deps (the walker's
+// scratch list) and after the array's outstanding operations it
+// conflicts with, places it on the disk track, issues it and registers it
+// for later hazards.
+func (s *scheduler) sectionOp(read bool, array string, lo, shape []int64, data []float64, deps []dep, args map[string]any) (dep, error) {
+	io := s.pendingIO(array)
+	deps, hazards := s.conflicts(deps, io, lo, shape, !read)
 	dur := s.e.ioDur(read, shape)
 	verb := "W "
 	if read {
 		verb = "R "
 	}
 	end := s.place(obs.TrackDisk, deps, dur, verb, array, args)
-	s.noteHazard(array, end-dur, len(hazards))
-	op, err := s.issue(read, array, lo, shape, data, deps, end, dur)
-	s.track(array, op, lo, shape, !read)
-	return op, err
+	s.noteHazard(array, end-dur, hazards)
+	d, err := s.issue(read, array, lo, shape, data, deps, end, dur)
+	s.deps = deps[:0]
+	s.track(io, d, lo, shape, !read)
+	return d, err
 }
 
 // read fills the buffer's next slot from the section.
@@ -636,8 +920,8 @@ func (s *scheduler) read(n *codegen.IO, lo, shape []int64) error {
 	if slot.t != nil {
 		data = slot.t.Data()
 	}
-	op, err := s.sectionOp(true, n.Array, lo, shape, data, slot.deps(), args)
-	slot.filler, slot.users = op, nil // the waited-for users are spent
+	d, err := s.sectionOp(true, n.Array, lo, shape, data, slot.appendDeps(s.deps[:0]), args)
+	slot.refill(d)
 	return err
 }
 
@@ -647,13 +931,13 @@ func (s *scheduler) read(n *codegen.IO, lo, shape []int64) error {
 // section stands in.
 func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
 	slot := s.cur(n.Buffer)
-	var deps []*pop
+	deps := s.deps[:0]
 	var data []float64
 	if slot != nil {
 		if slot.t != nil {
 			lo, shape, data = slot.base, dimsToInt64(slot.t.Dims()), slot.t.Data()
 		}
-		deps = slot.deps()
+		deps = slot.appendDeps(deps)
 	} else if !s.e.opt.DryRun {
 		return ioErr(false, n.Array, s.e.pos(), fmt.Errorf("write of uninstantiated buffer %q", n.Buffer.Name))
 	}
@@ -665,9 +949,9 @@ func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
 	if s.e.opt.Tracer != nil {
 		args = map[string]any{"bytes": size(shape) * 8}
 	}
-	op, err := s.sectionOp(false, n.Array, lo, shape, data, deps, args)
-	if slot != nil && op != nil {
-		slot.users = append(slot.users, op)
+	d, err := s.sectionOp(false, n.Array, lo, shape, data, deps, args)
+	if slot != nil && d.op != nil {
+		slot.use(d)
 	}
 	return err
 }
@@ -675,14 +959,15 @@ func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
 // zero fills the buffer's next slot with zeros (data mode only).
 func (s *scheduler) zero(buf *codegen.Buffer, lo, shape []int64) error {
 	slot, _ := s.fillSlot(buf, lo, shape)
-	deps := slot.deps()
+	deps := slot.appendDeps(s.deps[:0])
 	end := s.place(obs.TrackCompute, deps, 0, "zero ", buf.Name, nil)
 	t := slot.t // captured: a later fill re-binds the slot, not this tensor
-	op, err := s.inline(deps, end, func() error {
+	d, err := s.inline(deps, end, func() error {
 		t.Zero()
 		return nil
 	})
-	slot.filler, slot.users = op, nil
+	s.deps = deps[:0]
+	slot.refill(d)
 	return err
 }
 
@@ -697,19 +982,21 @@ func (s *scheduler) init(array string) error {
 	for i, t := range tiles {
 		writes *= (da.Dims[i] + t - 1) / t
 	}
-	deps := s.conflicts(array, nil, nil, true)
+	io := s.pendingIO(array)
+	deps, _ := s.conflicts(s.deps[:0], io, nil, nil, true)
 	var args map[string]any
 	if s.e.opt.Tracer != nil {
 		args = map[string]any{"bytes": bytes, "writes": writes}
 	}
 	end := s.place(obs.TrackDisk, deps, s.e.plan.Cfg.Disk.WriteTime(bytes, writes), "init ", array, args)
-	op, err := s.inline(deps, end, func() error {
+	d, err := s.inline(deps, end, func() error {
 		if err := s.e.initPass(da, tiles); err != nil {
 			return fmt.Errorf("exec: init pass over %q: %w", array, err)
 		}
 		return nil
 	})
-	s.track(array, op, nil, nil, true)
+	s.deps = deps[:0]
+	s.track(io, d, nil, nil, true)
 	return err
 }
 
@@ -724,11 +1011,11 @@ func (s *scheduler) compute(c *codegen.Compute) error {
 	dryRun := e.opt.DryRun
 	k := e.kernels[c]
 	blk := k.block(s.depth > 0 && !dryRun)
-	k.clip(blk, e.base)
+	k.clip(blk, e)
 	outSlot := s.cur(c.Out)
-	var deps []*pop
+	deps := s.deps[:0]
 	if outSlot != nil {
-		deps = outSlot.deps()
+		deps = outSlot.appendDeps(deps)
 		if !dryRun {
 			k.bind(blk, 0, e.base, outSlot.binding)
 		}
@@ -743,7 +1030,7 @@ func (s *scheduler) compute(c *codegen.Compute) error {
 			}
 			continue
 		}
-		if slot.filler != nil {
+		if slot.filler != (dep{}) {
 			deps = append(deps, slot.filler)
 		}
 		if !dryRun {
@@ -751,28 +1038,36 @@ func (s *scheduler) compute(c *codegen.Compute) error {
 		}
 	}
 	end := s.place(obs.TrackCompute, deps, e.computeSeconds(k, blk), "compute ", c.Out.Name, nil)
-	var op *pop
+	var d dep
 	var err error
 	switch {
 	case dryRun:
-		op, err = s.inline(deps, end, func() error { return nil })
+		// A dry-run block has no work, so it is never handed off: it is a
+		// step of the modelled timeline only, which later steps order after.
+		// In real time there is no data to wait for.
+		if s.depth > 0 {
+			d = dep{end: end}
+		}
 	case s.depth == 0:
 		k.con.Run(blk, e.opt.Workers) // not through inline: a closure over blk would allocate
 	default:
-		op, err = s.inline(deps, end, func() error {
+		d, err = s.inline(deps, end, func() error {
 			k.con.Run(blk, e.opt.Workers)
 			return nil
 		})
 	}
-	for _, f := range c.Factors {
-		if slot := s.cur(f); slot != nil && op != nil {
-			slot.users = append(slot.users, op)
+	s.deps = deps[:0]
+	if d != (dep{}) {
+		for _, f := range c.Factors {
+			if slot := s.cur(f); slot != nil {
+				slot.use(d)
+			}
 		}
 	}
 	if outSlot != nil {
 		// The block mutates the output instance: it becomes the contents'
 		// producer.
-		outSlot.filler, outSlot.users = op, nil
+		outSlot.refill(d)
 	}
 	return err
 }

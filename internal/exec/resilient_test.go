@@ -243,8 +243,8 @@ func TestRunResilientExhaustedBudgetFailsTyped(t *testing.T) {
 }
 
 // failNthWrite is a targeted injector for the write-behind regression
-// test: it fails the nth asynchronous write to one array, at completion
-// time — exactly where a real backend error would appear.
+// test: it fails the nth write to one array after the write reached the
+// backend — exactly where a lost acknowledgement would appear.
 type failNthWrite struct {
 	*disk.Sim
 	array string
@@ -272,7 +272,7 @@ func (f *failNthWrite) Create(name string, dims []int64) (disk.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &failNthWriteArray{AsyncArray: disk.AsAsync(a), f: f}, nil
+	return &failNthWriteArray{Array: a, f: f}, nil
 }
 
 func (f *failNthWrite) Open(name string) (disk.Array, error) {
@@ -280,38 +280,27 @@ func (f *failNthWrite) Open(name string) (disk.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &failNthWriteArray{AsyncArray: disk.AsAsync(a), f: f}, nil
+	return &failNthWriteArray{Array: a, f: f}, nil
 }
 
 type failNthWriteArray struct {
-	disk.AsyncArray
+	disk.Array
 	f *failNthWrite
 }
 
-type errAfter struct {
-	inner disk.Completion
-	err   error
-}
-
-func (c *errAfter) Await() error {
-	if err := c.inner.Await(); err != nil {
+func (a *failNthWriteArray) WriteSection(lo, shape []int64, buf []float64) error {
+	if err := a.Array.WriteSection(lo, shape, buf); err != nil {
 		return err
 	}
-	return c.err
-}
-
-func (a *failNthWriteArray) WriteAsync(lo, shape []int64, buf []float64) disk.Completion {
-	c := a.AsyncArray.WriteAsync(lo, shape, buf)
-	if a.AsyncArray.Name() != a.f.array || !a.f.hit() {
-		return c
+	if a.Array.Name() != a.f.array || !a.f.hit() {
+		return nil
 	}
-	return &errAfter{inner: c, err: disk.NewIOError("write", a.f.array, lo, shape, false,
-		fmt.Errorf("simulated device error"))}
+	return disk.NewIOError("write", a.f.array, lo, shape, false, fmt.Errorf("simulated device error"))
 }
 
 // TestWriteBehindFaultSurfacesAtBarrier is the regression test for the
-// async write-behind completion path: a backend error on a write-behind
-// must surface at the next unit barrier — typed, with array and position
+// write-behind completion path: a backend error on a write-behind must
+// surface at the next unit barrier — typed, with array and position
 // attribution — not hang, and not wait for Close.
 func TestWriteBehindFaultSurfacesAtBarrier(t *testing.T) {
 	cfg := machine.Small(4 << 10)
@@ -340,6 +329,10 @@ func TestWriteBehindFaultSurfacesAtBarrier(t *testing.T) {
 	msg := err.Error()
 	if !strings.Contains(msg, `write to "B"`) || !strings.Contains(msg, " at ") {
 		t.Fatalf("write-behind error lacks array+position attribution: %q", msg)
+	}
+	// The failing unit's barrier stopped the run: later units never wrote.
+	if seen := be.total(); seen >= total {
+		t.Fatalf("the run made all %d writes to B; the failure did not stop it at the barrier", seen)
 	}
 	// With retries enabled the same mid-pipeline write fault, made
 	// transient, is absorbed and the run completes bit-identically.

@@ -8,6 +8,9 @@ package fault_test
 // runs these under the race detector (the chaos job selects TestChaos).
 
 import (
+	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -46,6 +49,65 @@ func chaosPlan(t *testing.T) (*codegen.Plan, map[string]*tensor.Tensor, machine.
 	}
 	inputs := expr.RandomInputs(expr.TwoIndexTransform(12, 16), 9)
 	return plan, inputs, cfg
+}
+
+// TestAsyncFaultsSurfaceAtAwait runs the pipelined engine over injected
+// faults, with no retry policy to absorb them: a transient fault and a
+// persistent one each fail the run at the barrier of the unit that holds
+// the faulted operation — typed, classified and attributed to array and
+// plan position — and no later unit starts.
+func TestAsyncFaultsSurfaceAtAwait(t *testing.T) {
+	plan, inputs, cfg := chaosPlan(t)
+	// Inputs are loaded behind the injector's back, so every operation it
+	// sees is one the engine's issuers or inline executor made.
+	staged := func() *disk.Sim {
+		sim := disk.NewSim(cfg.Disk, true)
+		for _, da := range plan.DiskArrays {
+			in, ok := inputs[da.Name]
+			if !ok {
+				continue
+			}
+			if _, err := sim.Create(da.Name, da.Dims); err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.LoadArray(da.Name, in.Data()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sim
+	}
+	opt := exec.Options{Pipeline: true, OpenInputs: true}
+	clean := fault.Wrap(staged(), fault.Config{})
+	if _, err := exec.Run(plan, clean, nil, opt); err != nil {
+		t.Fatal(err)
+	}
+	total := clean.Counts().Ops
+	for _, tc := range []struct {
+		name      string
+		cfg       fault.Config
+		transient bool
+		cause     error
+	}{
+		{"transient", fault.Config{Seed: 1, Rate: 1, MaxConsecutive: 1}, true, fault.ErrInjected},
+		{"persistent", fault.Config{Seed: 1, PersistentAfter: total / 2}, false, fault.ErrPersistent},
+	} {
+		inj := fault.Wrap(staged(), tc.cfg)
+		_, err := exec.Run(plan, inj, nil, opt)
+		var ioe *disk.IOError
+		if !errors.As(err, &ioe) || ioe.Transient() != tc.transient || !errors.Is(err, tc.cause) {
+			t.Fatalf("%s: fault not typed and classified: %v", tc.name, err)
+		}
+		var re *exec.RunError
+		if !errors.As(err, &re) || !re.Staged {
+			t.Fatalf("%s: missing RunError restart state: %v", tc.name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "exec: ") || !strings.Contains(msg, strconv.Quote(ioe.Array)) || !strings.Contains(msg, " at ") {
+			t.Fatalf("%s: fault lacks array+position attribution: %q", tc.name, msg)
+		}
+		if n := inj.Counts().Ops; n >= total {
+			t.Fatalf("%s: the run made %d of a clean run's %d operations: it went on past the failing unit's barrier", tc.name, n, total)
+		}
+	}
 }
 
 // TestChaosTransientBitIdentical sweeps fault schedules over both

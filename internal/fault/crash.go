@@ -75,7 +75,7 @@ func (c *Crash) Create(name string, dims []int64) (disk.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &crashArray{c: c, a: a, aa: disk.AsAsync(a)}, nil
+	return &crashArray{c: c, a: a}, nil
 }
 
 // Open opens the array on the inner backend.
@@ -84,7 +84,7 @@ func (c *Crash) Open(name string) (disk.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &crashArray{c: c, a: a, aa: disk.AsAsync(a)}, nil
+	return &crashArray{c: c, a: a}, nil
 }
 
 // Stats delegates to the inner backend.
@@ -96,9 +96,6 @@ func (c *Crash) ResetStats() { c.inner.ResetStats() }
 // Close delegates to the inner backend. Crash tests abandon the backend
 // instead of closing it — a killed process never runs Close.
 func (c *Crash) Close() error { return c.inner.Close() }
-
-// AsyncCapable reports true: crash arrays implement disk.AsyncArray.
-func (c *Crash) AsyncCapable() bool { return true }
 
 // SetMetrics forwards to the inner backend.
 func (c *Crash) SetMetrics(reg *obs.Registry) { disk.AttachMetrics(c.inner, reg) }
@@ -114,9 +111,8 @@ func (c *Crash) Sync() error {
 
 // crashArray fails section I/O from the crash point on.
 type crashArray struct {
-	c  *Crash
-	a  disk.Array
-	aa disk.AsyncArray
+	c *Crash
+	a disk.Array
 }
 
 func (ca *crashArray) Name() string  { return ca.a.Name() }
@@ -134,20 +130,4 @@ func (ca *crashArray) WriteSection(lo, shape []int64, buf []float64) error {
 		return disk.NewIOError("write", ca.a.Name(), lo, shape, false, ErrCrash)
 	}
 	return ca.a.WriteSection(lo, shape, buf)
-}
-
-func (ca *crashArray) ReadAsync(lo, shape []int64, buf []float64) disk.Completion {
-	if ca.c.step() {
-		ioe := disk.NewIOError("read", ca.a.Name(), lo, shape, false, ErrCrash)
-		return &faultCompletion{apply: func(error) error { return ioe }}
-	}
-	return ca.aa.ReadAsync(lo, shape, buf)
-}
-
-func (ca *crashArray) WriteAsync(lo, shape []int64, buf []float64) disk.Completion {
-	if ca.c.step() {
-		ioe := disk.NewIOError("write", ca.a.Name(), lo, shape, false, ErrCrash)
-		return &faultCompletion{apply: func(error) error { return ioe }}
-	}
-	return ca.aa.WriteAsync(lo, shape, buf)
 }

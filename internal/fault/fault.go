@@ -1,8 +1,8 @@
 // Package fault provides a deterministic, seeded fault-injecting wrapper
 // around any disk.Backend. It composes with both the cost-only/data
-// simulator (disk.Sim) and the real file store (disk.FileStore), and its
-// arrays implement disk.AsyncArray so the pipelined execution engine is
-// covered too.
+// simulator (disk.Sim) and the real file store (disk.FileStore), and it
+// takes concurrent section calls, so the pipelined execution engine's
+// issuers are covered too (the schedule is then drawn in arrival order).
 //
 // Faults follow a reproducible schedule derived from (seed, global
 // operation ordinal): the same configuration over the same operation
@@ -259,7 +259,7 @@ func (in *Injector) Create(name string, dims []int64) (disk.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultArray{in: in, a: a, aa: disk.AsAsync(a)}, nil
+	return &faultArray{in: in, a: a}, nil
 }
 
 // Open opens the array on the inner backend and returns a
@@ -269,7 +269,7 @@ func (in *Injector) Open(name string) (disk.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultArray{in: in, a: a, aa: disk.AsAsync(a)}, nil
+	return &faultArray{in: in, a: a}, nil
 }
 
 // Stats delegates to the inner backend: modelled I/O accounting is not
@@ -300,10 +300,6 @@ func (in *Injector) Reopen() (disk.Backend, error) {
 	in.Swap(nbe)
 	return in, nil
 }
-
-// AsyncCapable reports true: fault arrays implement disk.AsyncArray,
-// upgrading the inner arrays via disk.AsAsync when needed.
-func (in *Injector) AsyncCapable() bool { return true }
 
 // SetMetrics mirrors injection tallies into the registry and forwards
 // the registry to the inner backend when it supports metrics.
@@ -561,7 +557,6 @@ func (in *Injector) pick(ord int64, salt uint64) uint64 {
 type faultArray struct {
 	in *Injector
 	a  disk.Array
-	aa disk.AsyncArray
 }
 
 func (f *faultArray) Name() string  { return f.a.Name() }
@@ -676,98 +671,5 @@ func (f *faultArray) WriteSection(lo, shape []int64, buf []float64) error {
 		return disk.NewIOError("write", f.a.Name(), lo, shape, true, ErrInjected)
 	default:
 		return f.a.WriteSection(lo, shape, buf)
-	}
-}
-
-// faultCompletion defers the injected outcome to Await so asynchronous
-// errors surface exactly where real backend errors do.
-type faultCompletion struct {
-	inner disk.Completion   // nil when the inner op was suppressed
-	apply func(error) error // maps the inner error to the final one
-}
-
-func (c *faultCompletion) Await() error {
-	var err error
-	if c.inner != nil {
-		err = c.inner.Await()
-	}
-	return c.apply(err)
-}
-
-func (f *faultArray) ReadAsync(lo, shape []int64, buf []float64) disk.Completion {
-	kind, ord := f.in.decide(false)
-	f.in.logInject(kind, "read", f.a.Name(), ord)
-	switch kind {
-	case fPersistent:
-		ioe := disk.NewIOError("read", f.a.Name(), lo, shape, false, ErrPersistent)
-		return &faultCompletion{apply: func(error) error { return ioe }}
-	case fBitFlip:
-		f.flipBit(lo, ord)
-		return f.aa.ReadAsync(lo, shape, buf)
-	case fTransient:
-		ioe := disk.NewIOError("read", f.a.Name(), lo, shape, true, ErrInjected)
-		return &faultCompletion{
-			inner: f.aa.ReadAsync(lo, shape, buf),
-			apply: func(err error) error {
-				if err != nil {
-					return err
-				}
-				if len(buf) > 0 {
-					buf[0] = math.NaN()
-				}
-				return ioe
-			},
-		}
-	default:
-		return f.aa.ReadAsync(lo, shape, buf)
-	}
-}
-
-func (f *faultArray) WriteAsync(lo, shape []int64, buf []float64) disk.Completion {
-	kind, ord := f.in.decide(true)
-	f.in.logInject(kind, "write", f.a.Name(), ord)
-	switch kind {
-	case fPersistent:
-		ioe := disk.NewIOError("write", f.a.Name(), lo, shape, false, ErrPersistent)
-		return &faultCompletion{apply: func(error) error { return ioe }}
-	case fLost, fSilentTorn:
-		if _, ok := f.a.(disk.SilentWriter); ok {
-			k := kind
-			return disk.Go(func() error {
-				_, err := f.writeSilent(lo, shape, buf, k)
-				return err
-			})
-		}
-		return f.aa.WriteAsync(lo, shape, buf)
-	case fTorn:
-		ioe := disk.NewIOError("write", f.a.Name(), lo, shape, true, ErrTorn)
-		pre, n := tornPrefix(shape)
-		fc := &faultCompletion{apply: func(err error) error {
-			if err != nil {
-				return err
-			}
-			return ioe
-		}}
-		if n > 0 {
-			var preBuf []float64
-			if int64(len(buf)) >= n {
-				preBuf = buf[:n]
-			}
-			fc.inner = f.aa.WriteAsync(lo, pre, preBuf)
-		}
-		return fc
-	case fTransient:
-		ioe := disk.NewIOError("write", f.a.Name(), lo, shape, true, ErrInjected)
-		return &faultCompletion{
-			inner: f.aa.WriteAsync(lo, shape, buf),
-			apply: func(err error) error {
-				if err != nil {
-					return err
-				}
-				return ioe
-			},
-		}
-	default:
-		return f.aa.WriteAsync(lo, shape, buf)
 	}
 }

@@ -179,39 +179,6 @@ func TestPersistentWindowSkipsBackend(t *testing.T) {
 	}
 }
 
-func TestAsyncFaultsSurfaceAtAwait(t *testing.T) {
-	sim := disk.NewSim(testDisk(), true)
-	in := Wrap(sim, Config{Seed: 1, Rate: 1.0, MaxConsecutive: 1})
-	arr, err := in.Create("A", []int64{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aa, ok := arr.(disk.AsyncArray)
-	if !ok {
-		t.Fatal("fault array should implement disk.AsyncArray")
-	}
-	if !in.AsyncCapable() {
-		t.Fatal("injector should report async capability")
-	}
-	buf := []float64{1, 2, 3, 4}
-	if err := aa.WriteAsync([]int64{0}, []int64{4}, buf).Await(); !disk.IsTransient(err) {
-		t.Fatalf("async write fault not transient: %v", err)
-	}
-	// Streak cap: next op is clean.
-	if err := aa.WriteAsync([]int64{0}, []int64{4}, buf).Await(); err != nil {
-		t.Fatal(err)
-	}
-	rbuf := make([]float64, 4)
-	err = aa.ReadAsync([]int64{0}, []int64{4}, rbuf).Await()
-	var ioe *disk.IOError
-	if !errors.As(err, &ioe) || ioe.Op != "read" || ioe.Array != "A" {
-		t.Fatalf("async read fault lacks attribution: %v", err)
-	}
-	if !math.IsNaN(rbuf[0]) || rbuf[1] != 2 {
-		t.Fatalf("async perform-then-fail semantics broken: %v", rbuf)
-	}
-}
-
 func TestMetricsMirrorCounts(t *testing.T) {
 	reg := obs.NewRegistry()
 	sim := disk.NewSim(testDisk(), false)

@@ -328,17 +328,6 @@ func (a *Array) WriteSection(lo, shape []int64, buf []float64) error {
 	return a.collective(lo, shape, buf, false)
 }
 
-// ReadAsync starts the collective read in the background: the whole
-// collective, its per-shard sub-operations in turn, runs detached.
-func (a *Array) ReadAsync(lo, shape []int64, buf []float64) disk.Completion {
-	return disk.Go(func() error { return a.collective(lo, shape, buf, true) })
-}
-
-// WriteAsync starts the collective write in the background.
-func (a *Array) WriteAsync(lo, shape []int64, buf []float64) disk.Completion {
-	return disk.Go(func() error { return a.collective(lo, shape, buf, false) })
-}
-
 func (a *Array) collective(lo, shape []int64, buf []float64, read bool) error {
 	op := "write"
 	if read {

@@ -222,12 +222,6 @@ func (s *Store) ShardBackend(i int) disk.Backend {
 	return s.shards[i].be
 }
 
-// AsyncCapable reports native disk.AsyncArray support: an async section
-// operation detaches the whole collective, whose per-shard
-// sub-operations run in turn, from the issuing goroutine (the pipelined
-// engine's prefetch).
-func (s *Store) AsyncCapable() bool { return true }
-
 // Create allocates a replicated array: every live shard holds a
 // full-extent local copy, of which it authoritatively owns the blocks
 // the ring places on it.

@@ -8,10 +8,10 @@ import (
 	"repro/internal/obs"
 )
 
-// TestIssueCompletionClocks checks the satellite semantics of Op: both
+// TestIssuedCompletedClocks checks the satellite semantics of Op: both
 // wall clocks populated and ordered, and the span adapter mirroring the
 // op log on the obs disk track.
-func TestIssueCompletionClocks(t *testing.T) {
+func TestIssuedCompletedClocks(t *testing.T) {
 	d := machine.Small(1 << 20).Disk
 	rec := NewWithDisk(disk.NewSim(d, true), d)
 	a, err := rec.Create("A", []int64{16})
@@ -22,9 +22,7 @@ func TestIssueCompletionClocks(t *testing.T) {
 	if err := a.WriteSection([]int64{0}, []int64{16}, buf); err != nil {
 		t.Fatal(err)
 	}
-	// Asynchronous round trip: issue, then await (records at completion).
-	aa := disk.AsAsync(a)
-	if err := aa.ReadAsync([]int64{0}, []int64{8}, buf[:8]).Await(); err != nil {
+	if err := a.ReadSection([]int64{0}, []int64{8}, buf[:8]); err != nil {
 		t.Fatal(err)
 	}
 

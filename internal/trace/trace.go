@@ -35,13 +35,11 @@ type Op struct {
 	Lo, Shape []int64
 	// Bytes moved.
 	Bytes int64
-	// Start and Duration are modelled seconds on this backend's disk,
-	// accumulated in recording order. Synchronous operations are recorded
-	// as they execute, so under the serial engine Start is the serial
-	// I/O clock. Asynchronous operations (the pipelined engine) are
-	// recorded when their completion is awaited: Start is then a
-	// completion-ordered serial clock that preserves per-op durations and
-	// totals but does not express overlap — use Issued/Completed for
+	// Start and Duration are modelled seconds on the recorder's disk
+	// model, accumulated in recording (completion) order: under the serial
+	// engine Start is the serial I/O clock; under the pipelined engine it
+	// is a completion-ordered serial clock that preserves per-op durations
+	// and totals but does not express overlap — use Issued/Completed for
 	// real ordering, or the engine's own tracer for the overlapped
 	// timeline.
 	Start, Duration float64
@@ -54,19 +52,14 @@ type Op struct {
 
 // Recorder wraps a disk backend and records every section operation.
 //
-// The recorder passes the asynchronous contract through: its arrays
-// implement disk.AsyncArray over whatever the inner backend offers
-// (natively or via disk.AsAsync), so the pipelined execution engine runs
-// traced without losing overlap. Asynchronous operations are recorded at
-// completion time with bytes derived from the section shape and duration
-// from the recorder's disk model (NewWithDisk) — the synchronous path's
-// stats-delta attribution would misattribute bytes across concurrently
-// completing operations.
+// An operation's bytes come from its section shape and its duration from
+// the recorder's disk model (seek + transfer, what the simulator charges),
+// never from the inner backend's Stats: the pipelined engine's issuers
+// call the recorder concurrently, and a Stats diff around one call would
+// take in its neighbours' traffic.
 type Recorder struct {
 	inner disk.Backend
-
-	model    machine.Disk
-	hasModel bool
+	model machine.Disk
 
 	mu    sync.Mutex
 	ops   []Op // the log, in recording (Seq) order
@@ -74,18 +67,10 @@ type Recorder struct {
 	epoch time.Time
 }
 
-// New wraps a backend. Asynchronous operations traced through a Recorder
-// built this way carry zero Duration (the recorder has no disk model to
-// charge); use NewWithDisk when tracing pipelined executions.
-func New(inner disk.Backend) *Recorder {
-	return &Recorder{inner: inner, epoch: time.Now()}
-}
-
-// NewWithDisk wraps a backend and charges asynchronous operations the
-// given disk model's per-section time (seek + transfer), matching the
-// simulator's synchronous accounting.
+// NewWithDisk wraps a backend, charging each recorded operation the disk
+// model's per-section time.
 func NewWithDisk(inner disk.Backend, d machine.Disk) *Recorder {
-	return &Recorder{inner: inner, model: d, hasModel: true, epoch: time.Now()}
+	return &Recorder{inner: inner, model: d, epoch: time.Now()}
 }
 
 // opArgKey carries the Op inside its span's Args.
@@ -173,10 +158,6 @@ func (r *Recorder) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// AsyncCapable implements disk.AsyncBackend: traced arrays always carry
-// the asynchronous contract (adapting the inner array when it lacks one).
-func (r *Recorder) AsyncCapable() bool { return true }
-
 // ResetStats implements disk.Backend; it also clears the recording so the
 // trace covers exactly what the statistics cover.
 func (r *Recorder) ResetStats() {
@@ -208,75 +189,9 @@ func (a *tracedArray) WriteSection(lo, shape []int64, buf []float64) error {
 	return a.record(lo, shape, buf, false)
 }
 
-// ReadAsync implements disk.AsyncArray: the inner operation (native or
-// adapted) proceeds concurrently; the op is recorded when awaited, with
-// its issue time captured here.
-func (a *tracedArray) ReadAsync(lo, shape []int64, buf []float64) disk.Completion {
-	issued := a.rec.wall()
-	return &tracedCompletion{
-		inner: disk.AsAsync(a.inner).ReadAsync(lo, shape, buf),
-		rec:   func() { a.rec.addAsync(a.inner.Name(), lo, shape, true, issued) },
-	}
-}
-
-// WriteAsync implements disk.AsyncArray.
-func (a *tracedArray) WriteAsync(lo, shape []int64, buf []float64) disk.Completion {
-	issued := a.rec.wall()
-	return &tracedCompletion{
-		inner: disk.AsAsync(a.inner).WriteAsync(lo, shape, buf),
-		rec:   func() { a.rec.addAsync(a.inner.Name(), lo, shape, false, issued) },
-	}
-}
-
-// tracedCompletion records the operation once it succeeds.
-type tracedCompletion struct {
-	inner disk.Completion
-	rec   func()
-}
-
-func (c *tracedCompletion) Await() error {
-	err := c.inner.Await()
-	if err == nil {
-		c.rec()
-	}
-	return err
-}
-
-// addAsync appends an asynchronous op in completion order. Bytes come
-// from the section shape and duration from the disk model: concurrent
-// completions make the synchronous path's stats-delta attribution
-// unsound.
-func (r *Recorder) addAsync(array string, lo, shape []int64, read bool, issued float64) {
-	bytes := int64(8)
-	for _, s := range shape {
-		bytes *= s
-	}
-	var dur float64
-	if r.hasModel {
-		if read {
-			dur = r.model.ReadTime(bytes, 1)
-		} else {
-			dur = r.model.WriteTime(bytes, 1)
-		}
-	}
-	completed := r.wall()
-	r.mu.Lock()
-	r.addLocked(Op{
-		Array:     array,
-		Read:      read,
-		Lo:        append([]int64(nil), lo...),
-		Shape:     append([]int64(nil), shape...),
-		Bytes:     bytes,
-		Duration:  dur,
-		Issued:    issued,
-		Completed: completed,
-	})
-	r.mu.Unlock()
-}
-
+// record performs one section operation and logs it if it succeeds.
 func (a *tracedArray) record(lo, shape []int64, buf []float64, read bool) error {
 	issued := a.rec.wall()
-	before := a.rec.inner.Stats()
 	var err error
 	if read {
 		err = a.inner.ReadSection(lo, shape, buf)
@@ -286,9 +201,14 @@ func (a *tracedArray) record(lo, shape []int64, buf []float64, read bool) error 
 	if err != nil {
 		return err
 	}
-	after := a.rec.inner.Stats()
-	bytes := (after.BytesRead - before.BytesRead) + (after.BytesWritten - before.BytesWritten)
-	dur := after.Time() - before.Time()
+	bytes := int64(8)
+	for _, s := range shape {
+		bytes *= s
+	}
+	dur := a.rec.model.WriteTime(bytes, 1)
+	if read {
+		dur = a.rec.model.ReadTime(bytes, 1)
+	}
 	completed := a.rec.wall()
 
 	a.rec.mu.Lock()

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/codegen"
@@ -21,7 +23,7 @@ func testDisk() machine.Disk {
 }
 
 func TestRecorderRecordsOps(t *testing.T) {
-	r := New(disk.NewSim(testDisk(), false))
+	r := NewWithDisk(disk.NewSim(testDisk(), false), testDisk())
 	defer r.Close()
 	a, err := r.Create("X", []int64{10, 10})
 	if err != nil {
@@ -60,7 +62,7 @@ func TestRecorderRecordsOps(t *testing.T) {
 }
 
 func TestRecorderOpenWrapsToo(t *testing.T) {
-	r := New(disk.NewSim(testDisk(), false))
+	r := NewWithDisk(disk.NewSim(testDisk(), false), testDisk())
 	defer r.Close()
 	if _, err := r.Create("X", []int64{4}); err != nil {
 		t.Fatal(err)
@@ -89,63 +91,85 @@ func TestRecorderOpenWrapsToo(t *testing.T) {
 	}
 }
 
+// TestRecorderAsyncPassthrough checks the recorder under overlapping
+// callers, as the pipelined engine's issuers drive it: every operation is
+// recorded once, with the bytes of its own section and the disk model's
+// duration, however the calls interleave.
 func TestRecorderAsyncPassthrough(t *testing.T) {
 	d := testDisk()
 	r := NewWithDisk(disk.NewSim(d, true), d)
 	defer r.Close()
-	a, err := r.Create("X", []int64{6, 8})
+	a, err := r.Create("X", []int64{64, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Traced arrays carry the async contract natively: no adapter.
-	if !disk.IsAsync(a) {
-		t.Fatal("traced array must implement AsyncArray")
+	const callers, rounds = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Caller c owns rows [16c, 16c+16) and moves c+1 of them per op.
+			rows := int64(c + 1)
+			buf := make([]float64, rows*8)
+			for i := range buf {
+				buf[i] = float64(c) + 0.5
+			}
+			got := make([]float64, len(buf))
+			for range rounds {
+				lo := []int64{int64(16 * c), 0}
+				shape := []int64{rows, 8}
+				if err := a.WriteSection(lo, shape, buf); err != nil {
+					errs <- err
+					return
+				}
+				if err := a.ReadSection(lo, shape, got); err != nil {
+					errs <- err
+					return
+				}
+				if got[0] != buf[0] {
+					errs <- fmt.Errorf("caller %d read back %v, wrote %v", c, got[0], buf[0])
+					return
+				}
+			}
+		}()
 	}
-	if !r.AsyncCapable() {
-		t.Fatal("recorder must report async capability")
-	}
-	aa := disk.AsAsync(a)
-	buf := make([]float64, 12)
-	for i := range buf {
-		buf[i] = float64(i) + 0.5
-	}
-	if err := aa.WriteAsync([]int64{1, 2}, []int64{3, 4}, buf).Await(); err != nil {
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
-	}
-	got := make([]float64, 12)
-	if err := aa.ReadAsync([]int64{1, 2}, []int64{3, 4}, got).Await(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range buf {
-		if got[i] != buf[i] {
-			t.Fatalf("async round trip lost data at %d: %v != %v", i, got[i], buf[i])
-		}
 	}
 	ops := r.Ops()
-	if len(ops) != 2 {
-		t.Fatalf("recorded %d ops, want 2", len(ops))
+	if len(ops) != 2*callers*rounds {
+		t.Fatalf("recorded %d ops, want %d", len(ops), 2*callers*rounds)
 	}
-	if ops[0].Read || !ops[1].Read {
-		t.Fatalf("directions wrong: %+v", ops)
+	var bytes int64
+	for i, op := range ops {
+		if op.Seq != int64(i) {
+			t.Fatalf("op %d has seq %d", i, op.Seq)
+		}
+		if want := op.Shape[0] * op.Shape[1] * 8; op.Bytes != want {
+			t.Fatalf("op %d: %d bytes, its section holds %d", i, op.Bytes, want)
+		}
+		want := d.WriteTime(op.Bytes, 1)
+		if op.Read {
+			want = d.ReadTime(op.Bytes, 1)
+		}
+		if op.Duration != want {
+			t.Fatalf("op %d: duration %v, model says %v", i, op.Duration, want)
+		}
+		bytes += op.Bytes
 	}
-	if ops[0].Bytes != 12*8 || ops[1].Bytes != 12*8 {
-		t.Fatalf("bytes wrong: %+v", ops)
-	}
-	if w := d.WriteTime(96, 1); ops[0].Duration != w {
-		t.Fatalf("write duration %v, model says %v", ops[0].Duration, w)
-	}
-	if rd := d.ReadTime(96, 1); ops[1].Duration != rd {
-		t.Fatalf("read duration %v, model says %v", ops[1].Duration, rd)
-	}
-	if ops[1].Start != ops[0].Duration {
-		t.Fatal("clock must advance by the modelled duration")
+	if st := r.Stats(); bytes != st.BytesRead+st.BytesWritten {
+		t.Fatalf("traced bytes %d != backend stats %d", bytes, st.BytesRead+st.BytesWritten)
 	}
 	// Failed operations propagate and are not recorded.
-	if err := aa.ReadAsync([]int64{0, 0}, []int64{99, 99}, nil).Await(); err == nil {
-		t.Fatal("out-of-bounds async read must fail")
+	if err := a.ReadSection([]int64{0, 0}, []int64{99, 99}, nil); err == nil {
+		t.Fatal("out-of-bounds read must fail")
 	}
-	if len(r.Ops()) != 2 {
-		t.Fatal("failed async op must not be recorded")
+	if len(r.Ops()) != len(ops) {
+		t.Fatal("failed op must not be recorded")
 	}
 }
 
@@ -166,7 +190,7 @@ func TestSummarizeAndPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := New(disk.NewSim(cfg.Disk, true))
+	rec := NewWithDisk(disk.NewSim(cfg.Disk, true), cfg.Disk)
 	defer rec.Close()
 	inputs := expr.RandomInputs(expr.TwoIndexTransform(12, 16), 5)
 	res, err := exec.Run(plan, rec, inputs, exec.Options{})
@@ -250,7 +274,7 @@ func TestTracedExecutionNumericallyUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := New(disk.NewSim(cfg.Disk, true))
+	rec := NewWithDisk(disk.NewSim(cfg.Disk, true), cfg.Disk)
 	b, err := exec.Run(plan, rec, inputs, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
