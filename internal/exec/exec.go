@@ -60,16 +60,16 @@ type Options struct {
 	// not be re-staged: combine with OpenInputs and a backend holding the
 	// interrupted run's state.
 	Resume *Checkpoint
-	// Pipeline selects the asynchronous double-buffered schedule: disk reads
-	// are prefetched and writes retired in the background while compute
-	// blocks run, with hazard tracking keeping results bit-identical to the
+	// Pipeline selects the double-buffered schedule: disk reads are
+	// prefetched and writes retired on the engine's issuer goroutines while
+	// compute blocks run, with hazard tracking keeping results bit-identical to the
 	// serial schedule (depth 0, the default). A barrier at every top-level
 	// work-unit boundary preserves StopAfter/Resume semantics.
 	// Result.Pipeline reports the modelled serial vs overlapped
 	// critical-path times.
 	Pipeline bool
-	// PipelineDepth bounds in-flight asynchronous disk operations
-	// (default 4).
+	// PipelineDepth is the number of issuer goroutines, which bounds the
+	// disk operations in flight (default 4).
 	PipelineDepth int
 	// Metrics, if non-nil, receives engine instrumentation: prefetch and
 	// write-behind counters, in-flight depth, barrier stalls, and buffer

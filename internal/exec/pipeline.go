@@ -12,10 +12,16 @@ package exec
 // construction; both tracks share one clock, so the trace is the one-clock
 // serial trace; and the walk stops at the first failed operation.
 //
-// Depth d > 0 is the asynchronous double-buffered schedule: up to d disk
-// operations are in flight on their own goroutines while zero-fills,
-// compute blocks and init passes run in program order on the unit's
-// inline executor. Three mechanisms keep results bit-identical to depth 0:
+// Depth d > 0 is the double-buffered schedule. The run starts d issuer
+// goroutines, which perform section operations in program order through
+// the synchronous Array contract, up to d at once, and one inline
+// executor, which runs zero-fills, compute blocks and init passes in
+// program order. A handed-off step lives in a slot of a fixed ring,
+// reused once its step has finished, that also holds its dependency list,
+// loop position and I/O arguments; a dependency names a slot and a
+// sequence number, and completion is a counter on the slot. So handing a
+// step off creates no goroutine, channel or closure. Three mechanisms keep
+// results bit-identical to depth 0:
 //
 //   - double-buffered slots: every plan buffer owns up to two instances,
 //     so the next tile's read fills the shadow slot while compute and
@@ -50,16 +56,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// defaultPipelineDepth bounds in-flight asynchronous disk operations when
-// Options.PipelineDepth is zero: enough for a prefetch and a couple of
-// write-behinds without flooding the backend.
+// defaultPipelineDepth is the number of issuers, and so of disk operations
+// in flight, when Options.PipelineDepth is zero: enough for a prefetch and
+// a couple of write-behinds without flooding the backend.
 const defaultPipelineDepth = 4
 
-// inlineAhead bounds how many inline steps (zero, compute, init) the
-// walker may schedule ahead of their execution. It only has to be large
-// enough for the walker to reach the next tile's reads while the current
-// tile's compute blocks are still queued; being a constant, it keeps the
-// memory a unit holds independent of the unit's length.
+// inlineAhead, plus the depth, is the capacity of the ring of handed-off
+// steps: how far the walker may schedule ahead of execution. It only has
+// to be large enough for the walker to reach the next tile's reads while
+// the current tile's compute blocks are still queued; being a constant,
+// it keeps the memory a unit holds independent of the unit's length.
 const inlineAhead = 256
 
 // PipelineStats reports the pipelined schedule's modelled timeline and
@@ -249,15 +255,11 @@ type scheduler struct {
 	// stopped with the run. Handed-off steps live in ring, step seq in
 	// slot seq % len(ring), which the walker refills only once the step
 	// before has finished; ioq and inq list the section operations and the
-	// inline steps in program order, the k-th of a kind at k % len(ring).
-	// nIO and nInline count the steps of each kind handed off, ioClaim the
-	// section operations the issuers have taken. seq numbers the steps over
-	// the whole run; drained is the last one a barrier waited for; unwoken
-	// counts steps handed off since the executors were last woken.
+	// inline steps. seq numbers the steps over the whole run; drained is
+	// the last one a barrier waited for; unwoken counts steps handed off
+	// since the executors last heard of any.
 	ring         []pop
-	ioq, inq     []dep
-	nIO, nInline atomic.Int64
-	ioClaim      atomic.Int64
+	ioq, inq     *queue
 	closed       atomic.Bool
 	execs        sync.WaitGroup
 	seq, drained int64
@@ -394,7 +396,7 @@ func (s *scheduler) start() {
 		op := &s.ring[i]
 		op.io = op.section
 	}
-	s.ioq, s.inq = make([]dep, n), make([]dep, n)
+	s.ioq, s.inq = &queue{steps: make([]dep, n)}, &queue{steps: make([]dep, n)}
 	s.idle.L, s.blocked.L = &s.mu, &s.mu
 	s.execs.Add(1 + s.depth)
 	go s.runInline()
@@ -425,14 +427,13 @@ func (s *scheduler) newOp(deps []dep) *pop {
 		s.start()
 	}
 	s.seq++
-	n := int64(len(s.ring))
-	op := &s.ring[s.seq%n]
+	op := &s.ring[s.seq%int64(len(s.ring))]
 	s.walkerWait(dep{op: op, seq: op.seq})
-	for s.oldest < s.seq && s.ring[s.oldest%n].done.Load() >= s.oldest {
-		s.oldest++
-	}
 	op.seq = s.seq
 	op.deps = op.deps[:0]
+	if s.e.opt.DryRun {
+		return op // no data: nothing to wait for (see conflicts)
+	}
 	for _, d := range deps {
 		if d.op != nil { // a dep without a slot has nothing to wait for
 			op.deps = append(op.deps, d)
@@ -441,33 +442,56 @@ func (s *scheduler) newOp(deps []dep) *pop {
 	return op
 }
 
-// wakeBatch is how many steps a dry run hands off before it wakes parked
-// executors. Its steps cost the executors next to nothing, so waking them
-// for each would cost more than the step; a batch amortizes the wakeup.
-// Data-mode steps (real compute and file I/O) wake them at once.
+// wakeBatch is how many steps a dry run hands off before it publishes
+// them to the executors and wakes those parked. Its steps cost the
+// executors next to nothing, so publishing each would cost more than the
+// step (the count's cache line moves between cores every time); a batch
+// amortizes that and the wakeup. Data-mode steps (real compute and file
+// I/O) are published at once.
 const wakeBatch = 32
 
-// handOff lists a filled slot as the next step of its kind (queue q,
-// counter n) and returns its dep.
-func (s *scheduler) handOff(q []dep, n *atomic.Int64, op *pop, end float64) dep {
-	k := n.Load()
-	slot := &q[k%int64(len(q))]
+// queue lists the handed-off steps of one kind in program order, the k-th
+// in steps[k % len(steps)]. The walker counts them in n and publishes the
+// count to the executors in avail; take counts the steps issuers have
+// claimed. The atomics sit on cache lines of their own: they are written
+// on different cores.
+type queue struct {
+	steps  []dep
+	n, pub int64
+	_      [64]byte
+	avail  atomic.Int64
+	_      [56]byte
+	take   atomic.Int64
+	_      [56]byte
+}
+
+// handOff lists a filled slot as the next step of queue q and returns its
+// dep.
+func (s *scheduler) handOff(q *queue, op *pop, end float64) dep {
+	slot := &q.steps[q.n%int64(len(q.steps))]
 	// The step listed there before has been taken once it has finished.
 	s.walkerWait(*slot)
 	*slot = dep{op: op, seq: op.seq, end: end}
-	n.Store(k + 1)
+	q.n++
 	s.unwoken++
 	if !s.e.opt.DryRun || s.unwoken >= wakeBatch {
-		s.wakeExecutors()
+		s.publish()
 	}
 	return *slot
 }
 
-// wakeExecutors wakes the executors parked for want of a step. An
-// executor counts itself in nIdle before its last look for a step, so
-// either it sees the steps handed off so far or this load sees it.
-func (s *scheduler) wakeExecutors() {
+// publish makes the steps handed off so far visible to the executors and
+// wakes those parked for want of one. An executor counts itself in nIdle
+// before its last look at avail, so either it sees the new count or the
+// load here sees it.
+func (s *scheduler) publish() {
 	s.unwoken = 0
+	for _, q := range [2]*queue{s.ioq, s.inq} {
+		if q.pub != q.n {
+			q.pub = q.n
+			q.avail.Store(q.n)
+		}
+	}
 	if s.nIdle.Load() > 0 {
 		s.mu.Lock()
 		s.idle.Broadcast()
@@ -475,14 +499,14 @@ func (s *scheduler) wakeExecutors() {
 	}
 }
 
-// walkerWait is wait for the walker, which first wakes the executors for
-// the steps it has handed off: they may be what it waits for.
+// walkerWait is wait for the walker, which first publishes the steps it
+// has handed off: they may be what it waits for.
 func (s *scheduler) walkerWait(d dep) {
 	if d.finished() {
 		return
 	}
 	if s.unwoken > 0 {
-		s.wakeExecutors()
+		s.publish()
 	}
 	s.wait(d)
 }
@@ -509,20 +533,20 @@ func (s *scheduler) wait(d dep) {
 	s.mu.Unlock()
 }
 
-// handedOff waits until the k-th step of a kind has been handed off
-// (*n > k) and reports true, or reports false once the run has ended.
-func (s *scheduler) handedOff(n *atomic.Int64, k int64) bool {
-	if n.Load() > k {
+// handedOff waits until the k-th step of queue q has been published and
+// reports true, or reports false once the run has ended.
+func (s *scheduler) handedOff(q *queue, k int64) bool {
+	if q.avail.Load() > k {
 		return true
 	}
 	s.mu.Lock()
 	s.nIdle.Add(1)
-	for n.Load() <= k && !s.closed.Load() {
+	for q.avail.Load() <= k && !s.closed.Load() {
 		s.idle.Wait()
 	}
 	s.nIdle.Add(-1)
 	s.mu.Unlock()
-	return n.Load() > k
+	return q.avail.Load() > k
 }
 
 // await waits for the step's dependencies and returns the first of their
@@ -573,8 +597,8 @@ func (s *scheduler) complete(op *pop, err error) {
 // runInline is the run's inline executor.
 func (s *scheduler) runInline() {
 	defer s.execs.Done()
-	for k := int64(0); s.handedOff(&s.nInline, k); k++ {
-		op := s.inq[k%int64(len(s.inq))].op
+	for k := int64(0); s.handedOff(s.inq, k); k++ {
+		op := s.inq.steps[k%int64(len(s.inq.steps))].op
 		err := s.await(op)
 		if err == nil {
 			err = op.inline()
@@ -590,11 +614,11 @@ func (s *scheduler) runInline() {
 func (s *scheduler) runIssuer() {
 	defer s.execs.Done()
 	for {
-		k := s.ioClaim.Add(1) - 1
-		if !s.handedOff(&s.nIO, k) {
+		k := s.ioq.take.Add(1) - 1
+		if !s.handedOff(s.ioq, k) {
 			return
 		}
-		op := s.ioq[k%int64(len(s.ioq))].op
+		op := s.ioq.steps[k%int64(len(s.ioq.steps))].op
 		err := s.await(op)
 		if err == nil {
 			if err = s.e.retryOp(op.array, op.dur, op.io); err != nil {
@@ -617,7 +641,7 @@ func (s *scheduler) inline(deps []dep, end float64, fn func() error) (dep, error
 	}
 	op := s.newOp(deps)
 	op.inline = fn
-	return s.handOff(s.inq, &s.nInline, op, end), nil
+	return s.handOff(s.inq, op, end), nil
 }
 
 // issue performs one section operation — under the run's retry policy,
@@ -648,7 +672,7 @@ func (s *scheduler) issue(read bool, array string, lo, shape []int64, data []flo
 	if s.mDepth != nil {
 		s.mDepth.Add(1)
 	}
-	return s.handOff(s.ioq, &s.nIO, op, end), nil
+	return s.handOff(s.ioq, op, end), nil
 }
 
 // barrier closes a top-level work unit. If the unit handed anything off it
@@ -776,10 +800,14 @@ type arrayIO struct {
 	writes, reads []hazard
 }
 
-// pendingIO returns the array's outstanding operations (nil at depth 0,
-// which has none).
+// pendingIO returns the array's outstanding operations, or nil where
+// nothing is tracked: at depth 0, which has none outstanding, and in a dry
+// run, which moves no data. A section hazard only orders real time — every
+// section operation and init pass is on the disk track, whose clock is
+// already past the end of each earlier one — so a dry run's steps, handed
+// off without dependencies, have nothing to wait for.
 func (s *scheduler) pendingIO(array string) *arrayIO {
-	if s.depth == 0 {
+	if s.depth == 0 || s.e.opt.DryRun {
 		return nil
 	}
 	io := s.pending[array]
@@ -797,6 +825,10 @@ func (s *scheduler) pendingIO(array string) *arrayIO {
 func (s *scheduler) conflicts(deps []dep, io *arrayIO, lo, shape []int64, isWrite bool) ([]dep, int) {
 	if io == nil {
 		return deps, 0
+	}
+	n := int64(len(s.ring))
+	for s.oldest < s.seq && s.ring[s.oldest%n].done.Load() >= s.oldest {
+		s.oldest++
 	}
 	n0 := len(deps)
 	io.writes, deps = overlapping(deps, io.writes, lo, shape, s.oldest)
@@ -851,7 +883,7 @@ func boxesOverlap(alo, ash, blo, bsh []int64) bool {
 // Before a list grows it is pruned of the entries older than oldest, which
 // also bounds a list nobody scans (the reads of an array never written).
 func (s *scheduler) track(io *arrayIO, d dep, lo, shape []int64, write bool) {
-	if d.op == nil {
+	if io == nil || d.op == nil {
 		return
 	}
 	hs := &io.reads
