@@ -62,9 +62,10 @@ type Options struct {
 	Resume *Checkpoint
 	// Pipeline selects the double-buffered schedule: disk reads are
 	// prefetched and writes retired on the engine's issuer goroutines while
-	// compute blocks run, with hazard tracking keeping results bit-identical to the
-	// serial schedule (depth 0, the default). A barrier at every top-level
-	// work-unit boundary preserves StopAfter/Resume semantics.
+	// compute blocks run, with hazard tracking keeping results
+	// bit-identical to the serial schedule (depth 0, the default). A
+	// barrier at every top-level work-unit boundary preserves
+	// StopAfter/Resume semantics.
 	// Result.Pipeline reports the modelled serial vs overlapped
 	// critical-path times.
 	Pipeline bool

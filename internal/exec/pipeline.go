@@ -267,10 +267,10 @@ type scheduler struct {
 	// oldest is the earliest step that may not have finished: every step
 	// numbered below it has.
 	oldest int64
-	// A goroutine that has looked spins times for what it waits for parks
-	// under mu: an executor with no step to take on idle, any goroutine
-	// waiting for a step to finish on blocked. nIdle and nBlocked count
-	// them, so that waking costs nothing while nobody is parked.
+	// Parked goroutines wait under mu: an executor with no step to take on
+	// idle, any goroutine waiting (spins times in vain) for a step to
+	// finish on blocked. nIdle and nBlocked count them, so that waking
+	// costs nothing while nobody is parked.
 	mu              sync.Mutex
 	idle, blocked   sync.Cond
 	nIdle, nBlocked atomic.Int32
@@ -432,7 +432,7 @@ func (s *scheduler) newOp(deps []dep) *pop {
 	op.seq = s.seq
 	op.deps = op.deps[:0]
 	if s.e.opt.DryRun {
-		return op // no data: nothing to wait for (see conflicts)
+		return op // no data: nothing to wait for (see pendingIO)
 	}
 	for _, d := range deps {
 		if d.op != nil { // a dep without a slot has nothing to wait for
@@ -648,7 +648,7 @@ func (s *scheduler) inline(deps []dep, end float64, fn func() error) (dep, error
 // its failure attributed to array and plan position — the single place
 // section I/O leaves the engine. At depth 0 it is the synchronous backend
 // call, made now. Otherwise it is handed to the issuers, which wait for
-// its hazards and make the same call; a failure surfaces at the unit
+// its dependencies and make the same call; a failure surfaces at the unit
 // barrier. dur is the operation's modelled duration, which retried
 // attempts charge again. The returned dep is zero once the operation has
 // finished.
