@@ -431,13 +431,8 @@ func (s *scheduler) newOp(deps []dep) *pop {
 	s.walkerWait(dep{op: op, seq: op.seq})
 	op.seq = s.seq
 	op.deps = op.deps[:0]
-	if s.e.opt.DryRun {
-		return op // no data: nothing to wait for (see pendingIO)
-	}
-	for _, d := range deps {
-		if d.op != nil { // a dep without a slot has nothing to wait for
-			op.deps = append(op.deps, d)
-		}
+	if !s.e.opt.DryRun { // a dry run has no data to wait for (see pendingIO)
+		op.deps = append(op.deps, deps...)
 	}
 	return op
 }
@@ -621,12 +616,15 @@ func (s *scheduler) runIssuer() {
 		op := s.ioq.steps[k%int64(len(s.ioq.steps))].op
 		err := s.await(op)
 		if err == nil {
+			if s.mDepth != nil {
+				s.mDepth.Add(1)
+			}
 			if err = s.e.retryOp(op.array, op.dur, op.io); err != nil {
 				err = ioErr(op.read, op.array, formatPos(op.where), err)
 			}
-		}
-		if s.mDepth != nil {
-			s.mDepth.Add(-1)
+			if s.mDepth != nil {
+				s.mDepth.Add(-1)
+			}
 		}
 		s.complete(op, err)
 	}
@@ -669,9 +667,6 @@ func (s *scheduler) issue(read bool, array string, lo, shape []int64, data []flo
 	op := s.newOp(deps)
 	op.read, op.array, op.arr, op.lo, op.shape, op.data, op.dur = read, array, arr, lo, shape, data, dur
 	op.where = s.e.where(op.where[:0]) // the walker will have moved on when a failure surfaces
-	if s.mDepth != nil {
-		s.mDepth.Add(1)
-	}
 	return s.handOff(s.ioq, op, end), nil
 }
 
