@@ -148,7 +148,8 @@ func BenchmarkDryRunEngines(b *testing.B) {
 			var ops int64
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			for b.Loop() {
+			b.ResetTimer()
+			for range b.N {
 				be := disk.NewSim(cfg.Disk, false)
 				res, err := Run(plan, be, nil, eng.opt)
 				if err != nil {
@@ -157,6 +158,7 @@ func BenchmarkDryRunEngines(b *testing.B) {
 				be.Close()
 				ops = res.Stats.ReadOps + res.Stats.WriteOps
 			}
+			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			n := float64(int64(b.N) * ops)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/section-op")

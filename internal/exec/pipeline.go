@@ -886,9 +886,7 @@ func (s *scheduler) track(io *arrayIO, d dep, lo, shape []int64, write bool) {
 		hs = &io.writes
 	}
 	if len(*hs) == cap(*hs) {
-		live := slices.DeleteFunc(*hs, func(h hazard) bool { return h.seq < s.oldest })
-		clear((*hs)[len(live):])
-		*hs = live
+		*hs = slices.DeleteFunc(*hs, func(h hazard) bool { return h.seq < s.oldest })
 	}
 	*hs = append(*hs, hazard{dep: d, lo: lo, shape: shape})
 }
