@@ -151,6 +151,16 @@ func UnmarshalPlan(data []byte) (*Plan, error) {
 	prog := loops.NewProgram(in.ProgramName, in.Ranges)
 	prog.ElemSize = in.ElemSize
 	for _, a := range in.Arrays {
+		// DeclareArray panics on both, but a saved plan comes from
+		// outside the program.
+		if _, dup := prog.Arrays[a.Name]; dup {
+			return nil, fmt.Errorf("codegen: array %q declared twice", a.Name)
+		}
+		for _, x := range a.OrigIndices {
+			if _, ok := in.Ranges[x]; !ok {
+				return nil, fmt.Errorf("codegen: index %q of array %q has no range", x, a.Name)
+			}
+		}
 		da := prog.DeclareArray(a.Name, loops.Kind(a.Kind), a.OrigIndices...)
 		da.Indices = a.Indices
 	}

@@ -185,6 +185,19 @@ func Check(p *codegen.Plan) *Report { return CheckOpts(p, Options{}) }
 // CheckOpts verifies a plan: dataflow (DF), resource (R), and schedule (S)
 // legality, independently re-derived from the plan itself.
 func CheckOpts(p *codegen.Plan, opt Options) *Report {
+	c := newChecker(p, opt)
+	c.resource()
+	c.structural()
+	c.lca()
+	c.schedule()
+	c.resume()
+	c.producers()
+	return c.rep
+}
+
+// newChecker applies the option defaults and indexes the plan's disk
+// arrays.
+func newChecker(p *codegen.Plan, opt Options) *checker {
 	if opt.MaxSteps <= 0 {
 		opt.MaxSteps = defaultMaxSteps
 	}
@@ -197,17 +210,12 @@ func CheckOpts(p *codegen.Plan, opt Options) *Report {
 		rep:    &Report{Checkpointable: exec.Checkpointable(p)},
 		arrays: map[string]codegen.DiskArray{},
 		seen:   map[string]bool{},
+		badIO:  map[*codegen.IO]bool{},
 	}
 	for _, da := range p.DiskArrays {
 		c.arrays[da.Name] = da
 	}
-	c.resource()
-	c.structural()
-	c.lca()
-	c.schedule()
-	c.resume()
-	c.producers()
-	return c.rep
+	return c
 }
 
 // producers enforces S5: every non-input disk array the plan reads must
@@ -329,6 +337,9 @@ type checker struct {
 	// seen dedupes (rule, array, pos) so iterative walks report each
 	// violation site once.
 	seen map[string]bool
+	// badIO holds the I/O whose buffer does not match its disk array
+	// (DF1); the schedule walk leaves them out.
+	badIO map[*codegen.IO]bool
 
 	// structural-walk collections, consumed by lca().
 	prodPaths map[string][][]*codegen.Loop // array -> producer compute loop paths
@@ -528,6 +539,11 @@ func (c *checker) structural() {
 				if !declared {
 					c.diag("DF1", n.Array, pos, "I/O on undeclared disk array %q", n.Array)
 				}
+				if declared && !bufferMatches(n.Buffer, da) {
+					c.badIO[n] = true
+					c.diag("DF1", n.Array, pos, "I/O moves buffer %q (array %s, indices %v) through disk array %q (indices %v)",
+						n.Buffer.Name, n.Buffer.Array, bufIndices(n.Buffer), n.Array, da.Indices)
+				}
 				checkDims(n.Buffer, "I/O")
 				c.ioPaths[n.Array] = append(c.ioPaths[n.Array], ioSite{
 					path: append([]*codegen.Loop(nil), path...),
@@ -592,6 +608,29 @@ func (c *checker) structural() {
 		}
 	}
 	walk(c.p.Body, true)
+}
+
+// bufferMatches reports whether b buffers disk array da: the same array,
+// and per dimension the array's own index, so its sections are boxes of
+// the array.
+func bufferMatches(b *codegen.Buffer, da codegen.DiskArray) bool {
+	if b.Array != da.Name || len(b.Dims) != len(da.Dims) || len(b.Dims) != len(da.Indices) {
+		return false
+	}
+	for i, d := range b.Dims {
+		if d.Index != da.Indices[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func bufIndices(b *codegen.Buffer) []string {
+	out := make([]string, len(b.Dims))
+	for i, d := range b.Dims {
+		out[i] = d.Index
+	}
+	return out
 }
 
 // checkBlock enforces R3, mirroring the NLP encoding's block constraints:

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/codegen"
@@ -629,5 +630,75 @@ func TestVerifyProducerOrdering(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("S5 diagnostic does not name the orphaned array:\n%s", rep)
+	}
+}
+
+// TestVerifyRejectsMismatchedIOBuffer corrupts the buffer a disk
+// intermediate is read into, so the read no longer moves a box of its disk
+// array, and expects DF1 (and no schedule findings from the malformed
+// read). The first case is a saved plan with the read buffer's last
+// dimension deleted from its JSON.
+func TestVerifyRejectsMismatchedIOBuffer(t *testing.T) {
+	readBuf := func(plan *codegen.Plan) *codegen.Buffer {
+		parent, idx := findIO(plan.Body, "T", true)
+		if parent == nil {
+			t.Fatal("no read of intermediate T")
+		}
+		return parent[idx].(*codegen.IO).Buffer
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, plan *codegen.Plan) *codegen.Plan
+	}{
+		{"rank", func(t *testing.T, plan *codegen.Plan) *codegen.Plan {
+			raw, err := json.Marshal(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			name := readBuf(plan).Name
+			for _, b := range doc["buffers"].([]any) {
+				b := b.(map[string]any)
+				if b["name"] == name {
+					dims, classes := b["dims"].([]any), b["classes"].([]any)
+					b["dims"], b["classes"] = dims[:len(dims)-1], classes[:len(classes)-1]
+				}
+			}
+			if raw, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+			back, err := codegen.UnmarshalPlan(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return back
+		}},
+		{"array", func(t *testing.T, plan *codegen.Plan) *codegen.Plan {
+			readBuf(plan).Array = "A"
+			return plan
+		}},
+		{"index", func(t *testing.T, plan *codegen.Plan) *codegen.Plan {
+			dims := readBuf(plan).Dims
+			dims[0], dims[len(dims)-1] = dims[len(dims)-1], dims[0]
+			return plan
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := twoIndexDiskIntermediatePlan(t)
+			if rep := Check(plan); !rep.OK() {
+				t.Fatalf("baseline plan not clean:\n%s", rep)
+			}
+			rep := Check(tc.corrupt(t, plan))
+			found := false
+			for _, d := range rep.Diags {
+				found = found || d.Rule == "DF1" && d.Array == "T"
+			}
+			if !found || rep.Has("S2") || rep.Has("S3") {
+				t.Fatalf("expected DF1 on T and no schedule findings, got:\n%s", rep)
+			}
+		})
 	}
 }
