@@ -29,13 +29,13 @@ func main() {
 	fmt.Println("Abstract code (Fig. 1(c)):")
 	fmt.Print(prog.String())
 
-	// The functional-options entry point; WithPipeline executes through
-	// the asynchronous double-buffered engine (bit-identical to serial).
+	// The functional-options entry point; WithPipeline adds the modelled
+	// double-buffered timeline to runs (execution is bit-identical).
 	s, err := core.SynthesizeOpts(context.Background(), prog,
 		core.WithMachine(cfg),
 		core.WithSeed(1),
 		core.WithMaxEvals(40000),
-		core.WithPipeline(0),
+		core.WithPipeline(),
 	)
 	if err != nil {
 		log.Fatal(err)

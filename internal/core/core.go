@@ -110,11 +110,10 @@ type Synthesis struct {
 	// warm-start incumbent lower bound before the solve (0 without
 	// WithWarmStart).
 	CandidatesPruned int
-	// Pipeline selects the asynchronous double-buffered execution engine
-	// for MeasureSim/RunSim/RunFiles (set via WithPipeline);
-	// PipelineDepth bounds its in-flight disk operations.
-	Pipeline      bool
-	PipelineDepth int
+	// Pipeline models the double-buffered schedule in
+	// MeasureSim/RunSim/RunFiles (set via WithPipeline; see
+	// exec.Options.Pipeline).
+	Pipeline bool
 	// Metrics and Tracer, when non-nil (set via WithMetrics/WithTracer),
 	// are attached to the execution helpers: the disk backend publishes
 	// its I/O counters into Metrics, and the engine records its modelled
@@ -279,7 +278,6 @@ func synthesize(ctx context.Context, prog *loops.Program, c *config) (*Synthesis
 		SolverEvals:      evals,
 		CandidatesPruned: model.BoundPruned,
 		Pipeline:         c.pipeline,
-		PipelineDepth:    c.pipelineDepth,
 		Metrics:          c.metrics,
 		Tracer:           c.tracer,
 		Log:              c.log,
@@ -313,7 +311,6 @@ func (s *Synthesis) Predicted() float64 { return s.Plan.Predicted }
 // merged in.
 func (s *Synthesis) execOptions(opt exec.Options) exec.Options {
 	opt.Pipeline = s.Pipeline
-	opt.PipelineDepth = s.PipelineDepth
 	opt.Metrics = s.Metrics
 	opt.Tracer = s.Tracer
 	opt.Log = s.Log

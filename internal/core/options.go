@@ -40,9 +40,8 @@ type config struct {
 	patience  int
 	warm      *Synthesis
 
-	pipeline      bool
-	pipelineDepth int
-	tracer        *obs.Tracer
+	pipeline bool
+	tracer   *obs.Tracer
 }
 
 // Option configures SynthesizeOpts.
@@ -88,15 +87,12 @@ func WithAutoFuse() Option {
 	return func(c *config) { c.autoFuse = true }
 }
 
-// WithPipeline makes the synthesis execute through the asynchronous
-// double-buffered engine: MeasureSim/RunSim/RunFiles prefetch reads and
-// retire writes in the background while compute runs, bit-identically to
-// serial execution. depth bounds in-flight disk operations (0: default).
-func WithPipeline(depth int) Option {
-	return func(c *config) {
-		c.pipeline = true
-		c.pipelineDepth = depth
-	}
+// WithPipeline makes MeasureSim/RunSim/RunFiles model the double-buffered
+// schedule (exec.Options.Pipeline): execution and results are the serial
+// run's, and Result.Pipeline reports the modelled serial vs overlapped
+// timeline, with reads prefetched and writes retired behind compute.
+func WithPipeline() Option {
+	return func(c *config) { c.pipeline = true }
 }
 
 // WithObserver streams solver convergence events (per-restart and

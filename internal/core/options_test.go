@@ -12,7 +12,7 @@ import (
 )
 
 // TestSynthesizeOptsPipelineBitIdentical checks WithPipeline switches the
-// run helpers to the asynchronous engine without changing a single bit of
+// run helpers to the pipelined schedule without changing a single bit of
 // the result.
 func TestSynthesizeOptsPipelineBitIdentical(t *testing.T) {
 	nmn, nij := int64(6), int64(8)
@@ -26,7 +26,7 @@ func TestSynthesizeOptsPipelineBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	piped, err := SynthesizeOpts(context.Background(), prog,
-		WithMachine(cfg), WithSeed(3), WithMaxEvals(3000), WithPipeline(0))
+		WithMachine(cfg), WithSeed(3), WithMaxEvals(3000), WithPipeline())
 	if err != nil {
 		t.Fatal(err)
 	}

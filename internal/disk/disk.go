@@ -9,10 +9,10 @@
 //
 // Backend and Array are synchronous: a section call returns when the
 // section has moved. Both backends, and the wrappers over them (fault
-// injection, tracing, the ring), take concurrent section calls, which is
-// how the pipelined execution engine overlaps I/O with compute — it runs
-// them on its own issuer goroutines. (async.go keeps the names of the
-// former completion-handle contract for the benchmark's wrapper only.)
+// injection, tracing, the ring), take concurrent section calls; the
+// execution engine makes one at a time, in program order. (async.go keeps
+// the names of the former completion-handle contract for the benchmark's
+// wrapper only.)
 package disk
 
 import (

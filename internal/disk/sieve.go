@@ -25,13 +25,15 @@ import (
 // resident memory.
 const sieveBlocks = 32
 
-// sieveFree bounds the sieves a store keeps between calls: one per
-// concurrent caller the pipelined engine makes by default — its four
-// issuers (exec's defaultPipelineDepth) plus one goroutine outside them
-// (the walker staging inputs and fetching outputs, or the inline
-// executor's init pass). Extra concurrent calls allocate their own and
-// drop it afterwards.
-const sieveFree = 4 + 1
+// sieveFree bounds the sieves a store keeps between calls. Every caller in
+// this module makes one section call at a time: exec runs staging, plan
+// steps, init passes and output fetches on the run's goroutine under both
+// schedules, the ring runs its sub-operations in turn on the caller's
+// goroutine, and the health scrub ticks at exec's unit boundaries. So one
+// kept sieve serves them all without reallocating. The store still takes
+// concurrent calls; each extra one allocates its own sieve and drops it
+// afterwards.
+const sieveFree = 1
 
 // runCursor walks a section's contiguous runs (along the last dimension)
 // in row-major order. skip counts the elements of the current run that

@@ -16,8 +16,7 @@ import (
 // array extents (terabytes of virtual data).
 //
 // Sim is safe for concurrent section operations on distinct or the same
-// arrays (the pipelined engine's issuers make them); Create, Open and
-// Close are not.
+// arrays; Create, Open and Close are not.
 type Sim struct {
 	sl         Ledger
 	withData   bool

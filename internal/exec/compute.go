@@ -27,8 +27,7 @@ type kernel struct {
 	// dim, the position of the dim's index in c.Intra, -1 if it is not an
 	// intra index.
 	loop [][]int
-	// blk is the block the serial schedule runs in place; a schedule that
-	// queues blocks gives each its own.
+	// blk is the block every compute step is described in and run from.
 	blk *tensor.Block
 }
 
@@ -73,16 +72,6 @@ func (k *kernel) operand(r int) *codegen.Buffer {
 		return k.c.Out
 	}
 	return k.c.Factors[r-1]
-}
-
-// block returns the Block to describe the next block in: the kernel's own,
-// or a fresh one for a block that is queued to run after the walker has
-// moved on to the next.
-func (k *kernel) block(queued bool) *tensor.Block {
-	if queued {
-		return k.con.NewBlock()
-	}
-	return k.blk
 }
 
 // clip sets blk's extents to the intra-tile extents at the walker's tile

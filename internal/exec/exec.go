@@ -6,11 +6,13 @@
 // paper's array sizes and yields the "measured" disk I/O times of the
 // evaluation.
 //
-// There is one engine: a walker (this file) resolves loop bases, sections,
-// dry-run pruning and error positions and hands every step, as it is
-// produced, to a scheduler (pipeline.go) that binds, orders, times and
-// runs it. Options.Pipeline only picks the schedule's depth; serial
-// execution is depth 0.
+// There is one engine and one execution order: a walker (this file)
+// resolves loop bases, sections, dry-run pruning and error positions and
+// hands every step, as it is produced, to a scheduler (pipeline.go) that
+// binds, times and runs it on the calling goroutine, in program order,
+// stopping at the first failure. Options.Pipeline changes only the
+// modelled timeline: a second clock on which prefetch and write-behind
+// overlap compute.
 package exec
 
 import (
@@ -18,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/disk"
@@ -60,21 +61,18 @@ type Options struct {
 	// not be re-staged: combine with OpenInputs and a backend holding the
 	// interrupted run's state.
 	Resume *Checkpoint
-	// Pipeline selects the double-buffered schedule: disk reads are
-	// prefetched and writes retired on the engine's issuer goroutines while
-	// compute blocks run, with hazard tracking keeping results
-	// bit-identical to the serial schedule (depth 0, the default). A
-	// barrier at every top-level work-unit boundary preserves
-	// StopAfter/Resume semantics.
+	// Pipeline models the double-buffered schedule: the run executes
+	// exactly as a serial one (same operations, same order, same bytes),
+	// but buffers may take a shadow instance within the memory limit and
+	// the modelled timeline keeps separate I/O and compute clocks, so disk
+	// reads are prefetched and writes retired behind compute blocks on the
+	// model. The clocks meet at every top-level work-unit boundary.
 	// Result.Pipeline reports the modelled serial vs overlapped
 	// critical-path times.
 	Pipeline bool
-	// PipelineDepth is the number of issuer goroutines, which bounds the
-	// disk operations in flight (default 4).
-	PipelineDepth int
 	// Metrics, if non-nil, receives engine instrumentation: prefetch and
-	// write-behind counters, in-flight depth, barrier stalls, and buffer
-	// memory watermarks. Attach the same registry to the disk backend
+	// write-behind counters, barrier stalls, and buffer memory
+	// watermarks. Attach the same registry to the disk backend
 	// (disk.AttachMetrics) for a combined snapshot.
 	Metrics *obs.Registry
 	// Retry, if non-nil, retries transient section-I/O faults (typed
@@ -99,16 +97,15 @@ type Options struct {
 	// work-unit boundary, once the unit's durability sync (SyncUnits)
 	// has happened and the checkpoint has advanced — the hook for
 	// background maintenance that must interleave at safe boundaries
-	// (the health scrub scheduler ticks here). A pipelined run drains its
-	// in-flight operations at the barrier first. An error aborts the run
-	// like an I/O failure.
+	// (the health scrub scheduler ticks here). An error aborts the run like
+	// an I/O failure.
 	OnUnit func() error
 	// Tracer, if non-nil, receives the run's modelled timeline as spans:
 	// disk operations on the obs "disk" track and compute blocks on the
-	// "compute" track, with instant events marking barriers and hazard
-	// waits. Serial runs place both tracks on one clock; pipelined runs use
-	// the two-clock overlapped timeline, so the exported Chrome trace shows
-	// prefetch and write-behind riding alongside compute. Zero-fills and
+	// "compute" track, with instant events marking barriers. Serial runs
+	// place both tracks on one clock; pipelined runs use the two-clock
+	// overlapped timeline, so the exported Chrome trace shows prefetch and
+	// write-behind riding alongside compute. Zero-fills and
 	// compute blocks get a compute-track span whenever the walker reaches
 	// them, dry runs included (an I/O-free loop is descended once, its trip
 	// count folded into the block's duration). The disk-track span total
@@ -233,8 +230,8 @@ func Run(p *codegen.Plan, be disk.Backend, inputs map[string]*tensor.Tensor, opt
 }
 
 // RunContext is Run under a context: cancellation or deadline expiry aborts
-// the run at the next node boundary (pipelined runs drain in-flight disk
-// operations first) and returns the context's error.
+// the run at the next top-level item or loop iteration and returns the
+// context's error.
 func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs map[string]*tensor.Tensor, opt Options) (*Result, error) {
 	if (opt.StopAfter > 0 || opt.Resume != nil) && !Checkpointable(p) {
 		return nil, fmt.Errorf("exec: plan holds buffer state across top-level iterations; not checkpointable")
@@ -243,7 +240,6 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 		ctx = context.Background()
 	}
 	e := newEngine(ctx, p, be, opt)
-	defer e.sched.stop()
 	if opt.Resume != nil {
 		// Completed units never regress below the resume point.
 		e.lastCP = *opt.Resume
@@ -268,7 +264,7 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 	if opt.Metrics != nil {
 		opt.Metrics.Gauge("exec.buffer.peak_bytes").Set(float64(e.sched.peakBytes))
 	}
-	res := &Result{Stats: be.Stats(), PeakBufferBytes: e.sched.peakBytes, Stopped: stopped, Retry: e.retrySnapshot()}
+	res := &Result{Stats: be.Stats(), PeakBufferBytes: e.sched.peakBytes, Stopped: stopped, Retry: e.retryStats}
 	if opt.Pipeline {
 		res.Pipeline = e.sched.snapshot()
 	}
@@ -287,9 +283,9 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 			}
 			res.Outputs[da.Name] = t
 		}
-		res.Retry = e.retrySnapshot()
+		res.Retry = e.retryStats
 		if opt.Pipeline {
-			// Fetch reads may have retried; re-fold them into the timeline.
+			// Fetch reads may have retried, which advanced the I/O clock.
 			res.Pipeline = e.sched.snapshot()
 		}
 	}
@@ -327,9 +323,7 @@ type engine struct {
 	// descending once instead of iterating (dry-run only); their trip
 	// counts scale the modelled compute durations beneath.
 	dryLoops []*codegen.Loop
-	// Retry/recovery bookkeeping. retryMu guards the tallies and the
-	// jitter key: pipelined schedules retry on their issue goroutines.
-	retryMu    sync.Mutex
+	// Retry/recovery bookkeeping: the tallies and the backoff jitter key.
 	retryStats RetryStats
 	retryKey   uint64
 	// staged flips once input staging completes — the point after which
@@ -347,8 +341,8 @@ type engine struct {
 	vRetries *obs.CounterVec
 }
 
-// newEngine sets up a run's state: the walker, the scheduler at the depth
-// the options select, and the plan's compute blocks lowered to kernels.
+// newEngine sets up a run's state: the walker, the scheduler, and the
+// plan's compute blocks lowered to kernels.
 func newEngine(ctx context.Context, p *codegen.Plan, be disk.Backend, opt Options) *engine {
 	e := &engine{
 		plan:     p,
@@ -369,22 +363,8 @@ func newEngine(ctx context.Context, p *codegen.Plan, be disk.Backend, opt Option
 		e.mRetries = opt.Metrics.Counter("exec.io.retries")
 		e.vRetries = opt.Metrics.CounterVec("exec.io.retries.by_array", "array")
 	}
-	depth := 0
-	if opt.Pipeline {
-		depth = opt.PipelineDepth
-		if depth <= 0 {
-			depth = defaultPipelineDepth
-		}
-	}
-	e.sched = newScheduler(e, depth)
+	e.sched = newScheduler(e)
 	return e
-}
-
-// retrySnapshot copies the retry tallies.
-func (e *engine) retrySnapshot() RetryStats {
-	e.retryMu.Lock()
-	defer e.retryMu.Unlock()
-	return e.retryStats
 }
 
 // noteUnit records a completed unit boundary, keeping lastCP monotonic
@@ -418,7 +398,7 @@ func (e *engine) failure(err error) error {
 		Err:    err,
 		Staged: e.staged,
 		Stats:  e.be.Stats(),
-		Retry:  e.retrySnapshot(),
+		Retry:  e.retryStats,
 	}
 	if Checkpointable(e.plan) {
 		cp := e.lastCP
@@ -433,8 +413,8 @@ func (e *engine) failure(err error) error {
 // retryOp runs one section-I/O operation under the run's retry policy:
 // transient typed faults are retried with capped exponential backoff.
 // attemptDur is the modelled duration of one attempt; each retry charges
-// attemptDur plus its backoff delay to the modelled timeline
-// (scheduler.chargeRetry) so the run still reconciles with the backend's
+// attemptDur plus its backoff delay to the modelled I/O clock at once
+// (scheduler.addIO) so the run still reconciles with the backend's
 // Stats.Time(). Persistent faults and retry-budget exhaustion return the
 // last error unchanged.
 func (e *engine) retryOp(array string, attemptDur float64, fn func() error) error {
@@ -459,7 +439,8 @@ func (e *engine) retryOp(array string, attemptDur float64, fn func() error) erro
 		if pol == nil || !disk.IsTransient(err) || attempt+1 >= attempts || e.ctx.Err() != nil {
 			return err
 		}
-		delay := pol.Delay(attempt, e.nextRetryKey())
+		e.retryKey++
+		delay := pol.Delay(attempt, e.retryKey)
 		e.noteRetry(delay + attemptDur)
 		if e.vRetries != nil {
 			e.vRetries.With(array).Inc()
@@ -472,7 +453,7 @@ func (e *engine) retryOp(array string, attemptDur float64, fn func() error) erro
 				obs.F("delay_s", delay),
 				obs.F("error", err))
 		}
-		e.sched.chargeRetry(delay + attemptDur)
+		e.sched.addIO(delay + attemptDur)
 		if pol.WallClock {
 			//lint:ignore walltime opt-in wall-clock pacing: the modelled timeline already advanced above; Sleep runs only when the caller sets RetryPolicy.WallClock.
 			if serr := pol.Sleep(e.ctx, delay); serr != nil {
@@ -483,29 +464,18 @@ func (e *engine) retryOp(array string, attemptDur float64, fn func() error) erro
 }
 
 func (e *engine) noteFault() {
-	e.retryMu.Lock()
 	e.retryStats.FaultsSeen++
-	e.retryMu.Unlock()
 	if e.mFaults != nil {
 		e.mFaults.Inc()
 	}
 }
 
 func (e *engine) noteRetry(seconds float64) {
-	e.retryMu.Lock()
 	e.retryStats.Retries++
 	e.retryStats.RetrySeconds += seconds
-	e.retryMu.Unlock()
 	if e.mRetries != nil {
 		e.mRetries.Inc()
 	}
-}
-
-func (e *engine) nextRetryKey() uint64 {
-	e.retryMu.Lock()
-	defer e.retryMu.Unlock()
-	e.retryKey++
-	return e.retryKey
 }
 
 // subtreeHasIO computes the dry-run pruning map.
@@ -670,9 +640,7 @@ func (e *engine) execTop(body []codegen.Node) (*Checkpoint, error) {
 
 // runUnit executes one top-level work unit — a single iteration of a
 // top-level loop, or a non-loop top-level item — and closes it with the
-// scheduler's barrier, which drains whatever the schedule left in flight.
-// That quiescence is what keeps unit boundaries (and thus StopAfter/Resume
-// checkpoints) safe.
+// scheduler's barrier, where a pipelined run's two modelled clocks meet.
 func (e *engine) runUnit(ns []codegen.Node) error {
 	return e.sched.barrier(e.walk(ns))
 }
@@ -687,32 +655,12 @@ func (e *engine) ctxErr() error {
 
 // pos describes the current loop position ("i=0,j=128") for error
 // attribution.
-func (e *engine) pos() string { return formatPos(e.where(nil)) }
-
-// loopPos is one enclosing loop's index and its current tile base.
-type loopPos struct {
-	index string
-	base  int64
-}
-
-// where appends the current loop position to dst, outermost loop first.
-// A pipelined operation keeps the snapshot in its ring slot and formats it
-// only if it fails.
-func (e *engine) where(dst []loopPos) []loopPos { return append(dst, e.loopStack...) }
-
-// setBase moves the innermost enclosing loop, over index, to tile base b.
-func (e *engine) setBase(index string, b int64) {
-	e.base[index] = b
-	e.loopStack[len(e.loopStack)-1].base = b
-}
-
-// formatPos renders a loop position as pos does.
-func formatPos(ps []loopPos) string {
-	if len(ps) == 0 {
+func (e *engine) pos() string {
+	if len(e.loopStack) == 0 {
 		return "top level"
 	}
 	var b strings.Builder
-	for i, p := range ps {
+	for i, p := range e.loopStack {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -721,10 +669,22 @@ func formatPos(ps []loopPos) string {
 	return b.String()
 }
 
+// loopPos is one enclosing loop's index and its current tile base.
+type loopPos struct {
+	index string
+	base  int64
+}
+
+// setBase moves the innermost enclosing loop, over index, to tile base b.
+func (e *engine) setBase(index string, b int64) {
+	e.base[index] = b
+	e.loopStack[len(e.loopStack)-1].base = b
+}
+
 // walk is the plan walker: it resolves loop bases and sections in program
 // order and hands each step to the scheduler as it is reached, stopping at
-// the first error the scheduler returns (at depth 0 that is the step's own
-// failure: nothing past a failed operation is issued).
+// the first error the scheduler returns: nothing past a failed operation
+// is issued.
 func (e *engine) walk(ns []codegen.Node) error {
 	for _, n := range ns {
 		var err error

@@ -290,8 +290,8 @@ func liveHeap() uint64 {
 // TestDryRunLongUnitBoundedMemory runs a dry run whose top-level loop has
 // a single iteration of more than 10^5 steps: the engine streams steps
 // from the walker to the scheduler, so memory held mid-unit stays under a
-// fixed ceiling at depth 0 and at depth 4 instead of growing with the
-// unit's length.
+// fixed ceiling under both schedules instead of growing with the unit's
+// length.
 func TestDryRunLongUnitBoundedMemory(t *testing.T) {
 	n := int64(128)
 	prog := loops.TwoIndexFused(n, n)
@@ -302,7 +302,7 @@ func TestDryRunLongUnitBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ceiling = 4 << 20
-	for _, opt := range []Options{{DryRun: true}, {DryRun: true, Pipeline: true, PipelineDepth: 4}} {
+	for _, opt := range []Options{{DryRun: true}, {DryRun: true, Pipeline: true}} {
 		probe := &heapProbe{Backend: disk.NewSim(cfg.Disk, false), every: 20000}
 		before := liveHeap()
 		res, err := Run(plan, probe, nil, opt)
@@ -310,11 +310,11 @@ func TestDryRunLongUnitBoundedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Stats.ReadOps < 50000 || res.Pipeline != nil && res.Pipeline.Barriers != 2 {
-			t.Fatalf("depth %d: want one long unit behind the init pass, got %v, %+v", opt.PipelineDepth, res.Stats, res.Pipeline)
+			t.Fatalf("pipeline=%v: want one long unit behind the init pass, got %v, %+v", opt.Pipeline, res.Stats, res.Pipeline)
 		}
 		if probe.peak > before+ceiling {
-			t.Errorf("depth %d: live heap grew by %d bytes mid-unit over %d section reads, ceiling %d",
-				opt.PipelineDepth, probe.peak-before, res.Stats.ReadOps, ceiling)
+			t.Errorf("pipeline=%v: live heap grew by %d bytes mid-unit over %d section reads, ceiling %d",
+				opt.Pipeline, probe.peak-before, res.Stats.ReadOps, ceiling)
 		}
 		probe.Close()
 	}

@@ -207,14 +207,14 @@ func TestKernelMatchesPointLoopOnPlans(t *testing.T) {
 	for _, tc := range cases {
 		want := refRun(tc.plan, tc.inputs)[tc.out]
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, depth := range []int{0, 1, 4} {
+			for _, pipeline := range []bool{false, true} {
 				be := disk.NewSim(tc.cfg.Disk, true)
-				res, err := Run(tc.plan, be, tc.inputs, Options{Workers: workers, Pipeline: depth > 0, PipelineDepth: depth})
+				res, err := Run(tc.plan, be, tc.inputs, Options{Workers: workers, Pipeline: pipeline})
 				if err != nil {
-					t.Fatalf("%s workers %d depth %d: %v", tc.name, workers, depth, err)
+					t.Fatalf("%s workers %d pipeline=%v: %v", tc.name, workers, pipeline, err)
 				}
 				be.Close()
-				bitIdentical(t, res.Outputs[tc.out], want, fmt.Sprintf("%s workers %d depth %d vs point loop", tc.name, workers, depth))
+				bitIdentical(t, res.Outputs[tc.out], want, fmt.Sprintf("%s workers %d pipeline=%v vs point loop", tc.name, workers, pipeline))
 			}
 		}
 	}
@@ -230,7 +230,7 @@ type blockSpec struct {
 	operands  []string // the output, then the factors
 }
 
-// blockFixture is a depth-0 engine positioned at the last tile of every
+// blockFixture is a serial engine positioned at the last tile of every
 // loop (partial wherever the tile does not divide the range) with the
 // block's buffers bound to random data.
 type blockFixture struct {

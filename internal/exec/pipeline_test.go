@@ -2,9 +2,14 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -12,6 +17,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/loops"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/progen"
 	"repro/internal/ring"
 	"repro/internal/tensor"
@@ -53,8 +59,8 @@ func sameIO(t *testing.T, got, want disk.Stats, ctx string) {
 // schedCase is one plan of the differential schedule test.
 type schedCase struct {
 	name   string
-	group  string // cases of one group share a recorded depth-0 watermark total
-	resume bool   // also stop at every unit boundary and resume, at every depth
+	group  string // cases of one group share recorded watermark totals and model digests
+	resume bool   // also stop at every unit boundary and resume, under both schedules
 	plan   *codegen.Plan
 	cfg    machine.Config
 	inputs map[string]*tensor.Tensor
@@ -140,7 +146,7 @@ func progenCases(t *testing.T) []schedCase {
 
 // serialPeakBytes holds, per case group, the summed PeakBufferBytes of
 // serial data-mode runs as the tree-walking serial interpreter reported
-// them at commit 1ad8369, the last one that had it: the depth-0 schedule
+// them at commit 1ad8369, the last one that had it: the serial schedule
 // must bind buffers exactly as that engine instantiated them (no shadow
 // slot, same re-allocation points).
 var serialPeakBytes = map[string]int64{
@@ -171,17 +177,130 @@ func integerStats(s disk.Stats) [4]int64 {
 	return [4]int64{s.ReadOps, s.WriteOps, s.BytesRead, s.BytesWritten}
 }
 
+// modelPin is the modelled timeline of a group of fault-free runs: FNV-64a
+// digests of every pipelined run's PipelineStats (all seven fields, floats
+// by their bits) and of every serial and pipelined run's trace, plus the
+// pipelined runs' summed PeakBufferBytes.
+type modelPin struct {
+	stats, trace uint64
+	peak         int64
+}
+
+// pipelineModel holds, per case group of TestPipelineMatchesSerialAllPlacements,
+// the modelPin recorded with the goroutine-issuer engine at commit cec96b6,
+// the last one that had it: modelling the overlapped timeline from a serial
+// walk must reproduce it to the bit.
+var pipelineModel = map[string]modelPin{
+	"progen seed 0 sel 0": {stats: 0x88cb35c23a2911ff, trace: 0xa9c0cc46513fca81, peak: 768},
+	"progen seed 0 sel 1": {stats: 0xe8e0d3abb40d478e, trace: 0xc14f30645784f4c, peak: 1344},
+	"progen seed 1 sel 0": {stats: 0xa8d4d29270d25617, trace: 0xbe9cb170ea576771, peak: 256},
+	"progen seed 1 sel 1": {stats: 0x3bdd5ac7f9fbedf9, trace: 0x89b2f15564850e74, peak: 344},
+	"progen seed 2 sel 0": {stats: 0xa03d8bea1113d210, trace: 0x311a00876eaac42b, peak: 736},
+	"progen seed 2 sel 1": {stats: 0x11d4cd3bc0d92404, trace: 0x4c50760bace42f90, peak: 1280},
+	"progen seed 3 sel 0": {stats: 0x9dfbf859685f2511, trace: 0xdcbcb0c9e0ca88a1, peak: 456},
+	"progen seed 3 sel 1": {stats: 0xc763b901c238de83, trace: 0x1274e690863f7a00, peak: 792},
+	"progen seed 4 sel 0": {stats: 0x160f7e9b53cf0657, trace: 0x1261e51a6e0befee, peak: 536},
+	"progen seed 4 sel 1": {stats: 0x427c2d337df0b367, trace: 0x47b6a14f59e9b751, peak: 760},
+	"progen seed 5 sel 0": {stats: 0x86a43da95894eeaf, trace: 0x458460458a0d9789, peak: 192},
+	"progen seed 5 sel 1": {stats: 0x2cf5126d4d8a2929, trace: 0xe79640560b0d4b72, peak: 288},
+	"progen seed 6 sel 0": {stats: 0x4dcb802f9a9e8ae0, trace: 0xeecb83ce6fa5954b, peak: 1056},
+	"progen seed 6 sel 1": {stats: 0x7980d63622220b9d, trace: 0xbffabd17be519aa4, peak: 2784},
+	"progen seed 7 sel 0": {stats: 0x958f1823b098d8c4, trace: 0x80821b86b9100761, peak: 1128},
+	"progen seed 7 sel 1": {stats: 0x6d8724978f4c937f, trace: 0x6e6c86a041cc9d62, peak: 3288},
+	"two-index/tiles0":    {stats: 0x7df5c37a686fe23e, trace: 0xa473a7fa29c0c898, peak: 347328},
+	"two-index/tiles1":    {stats: 0x60a711b558b2ab92, trace: 0x23083bf6820d5875, peak: 258336},
+	"two-index/tiles2":    {stats: 0x5153f2431832ffe0, trace: 0xd5e9ed38ca2fe965, peak: 240624},
+	"two-index/tiles3":    {stats: 0xf183989b953415fd, trace: 0xe71365d55b85023, peak: 116208},
+}
+
+// digest folds 64-bit words into an FNV-64a hash.
+type digest struct{ h hash.Hash64 }
+
+func newDigest() digest { return digest{fnv.New64a()} }
+
+func (d digest) word(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	d.h.Write(b[:])
+}
+
+func (d digest) float(f float64) { d.word(math.Float64bits(f)) }
+
+func (d digest) str(s string) {
+	d.word(uint64(len(s)))
+	d.h.Write([]byte(s))
+}
+
+// args hashes span or instant arguments in key order.
+func (d digest) args(args map[string]any) {
+	keys := make([]string, 0, len(args))
+	for k := range args {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	d.word(uint64(len(keys)))
+	for _, k := range keys {
+		d.str(k)
+		switch v := args[k].(type) {
+		case float64:
+			d.float(v)
+		case int64:
+			d.word(uint64(v))
+		case bool:
+			d.str(fmt.Sprint(v))
+		default:
+			d.str(fmt.Sprintf("%T %v", v, v))
+		}
+	}
+}
+
+// stats hashes every PipelineStats field.
+func (d digest) stats(ps *PipelineStats) {
+	for _, f := range []float64{ps.SerialSeconds, ps.OverlappedSeconds, ps.IOSeconds, ps.ComputeSeconds} {
+		d.float(f)
+	}
+	for _, n := range []int64{ps.PrefetchedReads, ps.WriteBehindWrites, ps.Barriers} {
+		d.word(uint64(n))
+	}
+}
+
+// trace hashes every span (track, name, start, duration, args) and every
+// instant but section-hazard waits, which only the goroutine-issuer engine
+// emitted.
+func (d digest) trace(tr *obs.Tracer) {
+	spans := tr.Spans()
+	d.word(uint64(len(spans)))
+	for _, s := range spans {
+		d.str(s.Track)
+		d.str(s.Name)
+		d.float(s.Start)
+		d.float(s.Dur)
+		d.args(s.Args)
+	}
+	for _, in := range tr.Instants() {
+		if strings.HasPrefix(in.Name, "hazard ") {
+			continue
+		}
+		d.str(in.Track)
+		d.str(in.Name)
+		d.float(in.TS)
+		d.args(in.Args)
+	}
+}
+
 // TestPipelineMatchesSerialAllPlacements is the engine's central
 // property: for EVERY placement combination and several tile shapes of the
-// fused two-index transform, and for generated programs, every schedule —
-// serial (depth 0), PipelineDepth 1 and PipelineDepth 4, plus the default
-// pipelined depth — is bit-identical to serial execution and moves exactly
-// the same disk bytes and operations; the depth-0 watermark is the old
-// serial interpreter's; and stopping at any unit boundary and resuming
-// lands on the same bytes at every depth.
+// fused two-index transform, and for generated programs, the serial and
+// the pipelined schedule are bit-identical and move exactly the same disk
+// bytes and operations; the serial watermark is the old serial
+// interpreter's; the pipelined run's modelled timeline, watermark and
+// trace are the goroutine-issuer engine's to the bit; and stopping at any
+// unit boundary and resuming lands on the same bytes under both.
 func TestPipelineMatchesSerialAllPlacements(t *testing.T) {
 	cases := append(twoIndexCases(t), progenCases(t)...)
 	peaks := map[string]int64{}
+	statsSums, traceSums := map[string]digest{}, map[string]digest{}
+	models := map[string]modelPin{}
 	for _, tc := range cases {
 		run := func(be disk.Backend, inputs map[string]*tensor.Tensor, opt Options) *Result {
 			res, err := Run(tc.plan, be, inputs, opt)
@@ -195,8 +314,12 @@ func TestPipelineMatchesSerialAllPlacements(t *testing.T) {
 			defer be.Close()
 			return run(be, tc.inputs, opt)
 		}
-		serial := fresh(Options{})
-		piped := fresh(Options{Pipeline: true})
+		if _, ok := statsSums[tc.group]; !ok {
+			statsSums[tc.group], traceSums[tc.group] = newDigest(), newDigest()
+		}
+		serialTrace, pipedTrace := obs.NewTracer(), obs.NewTracer()
+		serial := fresh(Options{Tracer: serialTrace})
+		piped := fresh(Options{Pipeline: true, Tracer: pipedTrace})
 		bitIdentical(t, piped.Outputs[tc.out], serial.Outputs[tc.out], "pipelined output")
 		sameIO(t, piped.Stats, serial.Stats, "all-placements")
 		if piped.Pipeline == nil {
@@ -209,15 +332,19 @@ func TestPipelineMatchesSerialAllPlacements(t *testing.T) {
 			t.Fatalf("%s: serial run reports PipelineStats", tc.name)
 		}
 		peaks[tc.group] += serial.PeakBufferBytes
+		statsSums[tc.group].stats(piped.Pipeline)
+		traceSums[tc.group].trace(serialTrace)
+		traceSums[tc.group].trace(pipedTrace)
+		m := models[tc.group]
+		m.peak += piped.PeakBufferBytes
+		models[tc.group] = m
 
-		schedules := []Options{{}, {Pipeline: true, PipelineDepth: 1}, {Pipeline: true, PipelineDepth: 4}}
-		for _, opt := range schedules {
-			ctx := fmt.Sprintf("%s depth %d", tc.name, opt.PipelineDepth)
+		for _, opt := range []Options{{}, {Pipeline: true}} {
+			ctx := fmt.Sprintf("%s pipeline=%v", tc.name, opt.Pipeline)
 			got := serial
 			if opt.Pipeline {
-				got = fresh(opt)
+				got = piped
 			}
-			bitIdentical(t, got.Outputs[tc.out], serial.Outputs[tc.out], ctx)
 			if integerStats(got.Stats) != integerStats(serial.Stats) {
 				t.Fatalf("%s: I/O counts %v != serial %v", ctx, got.Stats, serial.Stats)
 			}
@@ -249,7 +376,20 @@ func TestPipelineMatchesSerialAllPlacements(t *testing.T) {
 	}
 	for group, got := range peaks {
 		if want, ok := serialPeakBytes[group]; !ok || got != want {
-			t.Errorf("%s: depth-0 PeakBufferBytes total %d, serial interpreter recorded %d (known: %v)", group, got, want, ok)
+			t.Errorf("%s: serial PeakBufferBytes total %d, serial interpreter recorded %d (known: %v)", group, got, want, ok)
+		}
+	}
+	groups := make([]string, 0, len(models))
+	for group := range models {
+		groups = append(groups, group)
+	}
+	sort.Strings(groups)
+	for _, group := range groups {
+		got := models[group]
+		got.stats, got.trace = statsSums[group].h.Sum64(), traceSums[group].h.Sum64()
+		if want, ok := pipelineModel[group]; !ok || got != want {
+			t.Errorf("%q: {stats: %#x, trace: %#x, peak: %d}, recorded %+v (known: %v)",
+				group, got.stats, got.trace, got.peak, want, ok)
 		}
 	}
 }
@@ -284,10 +424,25 @@ func TestPipelineWatermarkWithinLimit(t *testing.T) {
 	}
 }
 
+// fourIndexOverlap is TestPipelineOverlapFourIndex's pipelined dry run as
+// the goroutine-issuer engine reported it at commit cec96b6: its
+// PipelineStats float fields by their bits, its counters, and the digest of
+// its trace (see digest.trace).
+var fourIndexOverlap = struct {
+	serial, overlapped, io, compute         uint64
+	prefetched, writeBehind, barriers, peak int64
+	trace                                   uint64
+}{
+	serial: 0x403103c27b1d90e1, overlapped: 0x4030bfc18bfbf715, io: 0x40308f700a7f09cd, compute: 0x3fdd149c27a1be17,
+	prefetched: 659, writeBehind: 178, barriers: 5, peak: 0,
+	trace: 0x98a61a8829851344,
+}
+
 // TestPipelineOverlapFourIndex runs the four-index transform dry-run at a
 // scale where compute time is significant (OSC Itanium-2 model) and
 // requires the pipelined critical path to be strictly shorter than the
-// serial one, with identical I/O totals.
+// serial one, with identical I/O totals, and the modelled timeline and
+// trace to be the goroutine-issuer engine's to the bit.
 func TestPipelineOverlapFourIndex(t *testing.T) {
 	n, v := int64(48), int64(32)
 	prog := loops.FourIndexAbstract(n, v)
@@ -311,7 +466,8 @@ func TestPipelineOverlapFourIndex(t *testing.T) {
 		return res
 	}
 	serial := run(Options{})
-	piped := run(Options{Pipeline: true})
+	tr := obs.NewTracer()
+	piped := run(Options{Pipeline: true, Tracer: tr})
 	sameIO(t, piped.Stats, serial.Stats, "four-index dry run")
 	ps := piped.Pipeline
 	if ps == nil {
@@ -332,6 +488,16 @@ func TestPipelineOverlapFourIndex(t *testing.T) {
 	}
 	if ps.WriteBehindWrites == 0 {
 		t.Fatal("expected write-behind writes")
+	}
+	d := newDigest()
+	d.trace(tr)
+	got := fourIndexOverlap
+	got.serial, got.overlapped = math.Float64bits(ps.SerialSeconds), math.Float64bits(ps.OverlappedSeconds)
+	got.io, got.compute = math.Float64bits(ps.IOSeconds), math.Float64bits(ps.ComputeSeconds)
+	got.prefetched, got.writeBehind, got.barriers = ps.PrefetchedReads, ps.WriteBehindWrites, ps.Barriers
+	got.peak, got.trace = piped.PeakBufferBytes, d.h.Sum64()
+	if got != fourIndexOverlap {
+		t.Errorf("modelled timeline moved: %#v (%v), recorded %#v", got, ps, fourIndexOverlap)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/codegen"
 	"repro/internal/disk"
@@ -57,13 +58,12 @@ func TestFourIndexTransientFaultsBitIdentical(t *testing.T) {
 			LatencyRate:    0.02,
 			LatencySeconds: 0.01,
 		})
-		// Depth 1 keeps the injector stream in program order so
-		// MaxConsecutive caps what one op's retries can draw; plain Run
-		// must absorb the schedule deterministically (no restart net).
+		// The injector stream is in program order under both schedules,
+		// so MaxConsecutive caps what one op's retries can draw; plain
+		// Run must absorb the schedule deterministically (no restart net).
 		res, err := Run(plan, inj, inputs, Options{
-			Pipeline:      pipeline,
-			PipelineDepth: 1,
-			Retry:         disk.DefaultRetryPolicy(),
+			Pipeline: pipeline,
+			Retry:    disk.DefaultRetryPolicy(),
 		})
 		if err != nil {
 			t.Fatalf("pipeline=%v: faulted run failed: %v", pipeline, err)
@@ -298,10 +298,10 @@ func (a *failNthWriteArray) WriteSection(lo, shape []int64, buf []float64) error
 	return disk.NewIOError("write", a.f.array, lo, shape, false, fmt.Errorf("simulated device error"))
 }
 
-// TestWriteBehindFaultSurfacesAtBarrier is the regression test for the
-// write-behind completion path: a backend error on a write-behind must
-// surface at the next unit barrier — typed, with array and position
-// attribution — not hang, and not wait for Close.
+// TestWriteBehindFaultSurfacesAtBarrier checks a pipelined run fails fast
+// on a write-behind: a backend error on a write the model retires behind
+// compute surfaces at once — typed, with array and position attribution —
+// and stops the run before any later unit, not at Close.
 func TestWriteBehindFaultSurfacesAtBarrier(t *testing.T) {
 	cfg := machine.Small(4 << 10)
 	plan := crashResumePlan(t, cfg)
@@ -330,7 +330,7 @@ func TestWriteBehindFaultSurfacesAtBarrier(t *testing.T) {
 	if !strings.Contains(msg, `write to "B"`) || !strings.Contains(msg, " at ") {
 		t.Fatalf("write-behind error lacks array+position attribution: %q", msg)
 	}
-	// The failing unit's barrier stopped the run: later units never wrote.
+	// The failed write stopped the run: later units never wrote.
 	if seen := be.total(); seen >= total {
 		t.Fatalf("the run made all %d writes to B; the failure did not stop it at the barrier", seen)
 	}
@@ -340,13 +340,11 @@ func TestWriteBehindFaultSurfacesAtBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Depth 1 keeps the injector's op stream in program order: an op's
-	// retries are consecutive injector ops, so MaxConsecutive bounds the
-	// faults one op can draw and recovery is guaranteed, not probabilistic.
-	// (At depth >1 interleaved successes reset the consecutive counter and
-	// an unlucky op can fault on every retry attempt.)
+	// The injector's op stream is in program order: an op's retries are
+	// consecutive injector ops, so MaxConsecutive bounds the faults one op
+	// can draw and recovery is guaranteed, not probabilistic.
 	inj := fault.Wrap(disk.NewSim(cfg.Disk, true), fault.Config{Seed: 8, TornRate: 0.3})
-	res, err := Run(plan, inj, inputs, Options{Pipeline: true, PipelineDepth: 1, Retry: disk.DefaultRetryPolicy()})
+	res, err := Run(plan, inj, inputs, Options{Pipeline: true, Retry: disk.DefaultRetryPolicy()})
 	if err != nil {
 		t.Fatalf("retried torn writes should recover: %v", err)
 	}
@@ -427,15 +425,14 @@ func TestRetryTimelineAndMetrics(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	// Depth 1: see TestWriteBehindFaultSurfacesAtBarrier — a serial op
+	// See TestWriteBehindFaultSurfacesAtBarrier: a program-order op
 	// stream lets MaxConsecutive guarantee that retries absorb the
 	// schedule (plain Run has no restart net behind it).
 	inj := fault.Wrap(disk.NewSim(cfg.Disk, true), fault.Config{Seed: 6, Rate: 0.2, TornRate: 0.1})
 	res, err := Run(plan, inj, inputs, Options{
-		Pipeline:      true,
-		PipelineDepth: 1,
-		Retry:         disk.DefaultRetryPolicy(),
-		Metrics:       reg,
+		Pipeline: true,
+		Retry:    disk.DefaultRetryPolicy(),
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -448,9 +445,10 @@ func TestRetryTimelineAndMetrics(t *testing.T) {
 		snap.Counters["exec.io.retries"] != res.Retry.Retries {
 		t.Fatalf("metrics mirror mismatch: %+v vs %v", res.Retry, snap.Counters)
 	}
-	// The pipelined timeline folds the retry seconds in at barriers:
-	// the faulted run's modelled I/O exceeds the clean run's by at
-	// least the retried attempts' time (backoff delays included).
+	// The pipelined timeline charges the retry seconds to the I/O clock
+	// as they happen: the faulted run's modelled I/O exceeds the clean
+	// run's by at least the retried attempts' time (backoff delays
+	// included).
 	extra := res.Pipeline.IOSeconds - clean.Pipeline.IOSeconds
 	if extra < res.Retry.RetrySeconds-1e-9 {
 		t.Fatalf("timeline missing retry charge: extra I/O %.6f < retry seconds %.6f",
@@ -465,8 +463,8 @@ func TestRetryTimelineAndMetrics(t *testing.T) {
 
 // failSection fails the section reads (or writes) of one array at one
 // lo, past the first skip of them, with a persistent typed error: a
-// fault keyed on the section, not on arrival order, so it is the same
-// operation at every pipeline depth.
+// fault keyed on the section, not on an operation count, so it is the
+// same operation under both schedules.
 type failSection struct {
 	disk.Backend
 	array string
@@ -515,10 +513,9 @@ func (a *failSectionArray) WriteSection(lo, shape []int64, buf []float64) error 
 }
 
 // TestPipelinedFailureAttribution pins the failure text, loop position
-// included, of a failed section operation at depths 0, 1 and 4: a
-// pipelined operation captures its position when issued and renders it
-// only when it fails, after the walker has moved on. The strings are the
-// ones the engine reported when it formatted the position at issue.
+// included, of a failed section operation under both schedules. The
+// strings are the ones the engine reported when it formatted the position
+// at issue.
 func TestPipelinedFailureAttribution(t *testing.T) {
 	cfg := machine.Small(4 << 10)
 	plan := crashResumePlan(t, cfg)
@@ -537,15 +534,15 @@ func TestPipelinedFailureAttribution(t *testing.T) {
 		{"B", []int64{5, 6}, true, 1, `exec: write to "B" at i=0,n=6,m=5: disk: io "B" section lo=[5 6] shape=[5 6] (persistent): simulated device error`},
 		{"B", []int64{10, 6}, true, 3, `exec: write to "B" at i=6,n=6,m=10: disk: io "B" section lo=[10 6] shape=[2 6] (persistent): simulated device error`},
 	} {
-		for _, depth := range []int{0, 1, 4} {
+		for _, pipeline := range []bool{false, true} {
 			be := &failSection{Backend: disk.NewSim(cfg.Disk, true), array: tc.array, lo: tc.lo, write: tc.write, skip: tc.skip}
-			_, err := Run(plan, be, inputs, Options{Pipeline: depth > 0, PipelineDepth: depth})
+			_, err := Run(plan, be, inputs, Options{Pipeline: pipeline})
 			var ioe *disk.IOError
 			if !errors.As(err, &ioe) || ioe.Array != tc.array {
-				t.Fatalf("%s%v depth %d: want a typed error on %s, got %v", tc.array, tc.lo, depth, tc.array, err)
+				t.Fatalf("%s%v pipeline=%v: want a typed error on %s, got %v", tc.array, tc.lo, pipeline, tc.array, err)
 			}
 			if err.Error() != tc.err {
-				t.Errorf("%s%v depth %d: error %q, want %q", tc.array, tc.lo, depth, err.Error(), tc.err)
+				t.Errorf("%s%v pipeline=%v: error %q, want %q", tc.array, tc.lo, pipeline, err.Error(), tc.err)
 			}
 		}
 	}
@@ -604,6 +601,74 @@ func TestDepthZeroFailsFast(t *testing.T) {
 		}
 		if !errors.Is(err, fault.ErrPersistent) || re.Retry.Retries != 0 {
 			t.Errorf("k=%d: persistent fault must not be retried: %v, %+v", tc.k, err, re.Retry)
+		}
+	}
+}
+
+// TestPipelineFaultsDeterministic is the same-seed determinism gate for
+// faulted pipelined runs: the fault injector keys its schedule on the
+// operation ordinal, and a pipelined run issues the serial run's
+// operations in the serial run's order, so under transient faults and
+// retries it draws the same faults — the same injector counts, backend
+// Stats, retry tallies and failure text as the serial run — and two runs
+// write byte-identical event logs under a pinned clock.
+func TestPipelineFaultsDeterministic(t *testing.T) {
+	cfg := machine.Small(4 << 10)
+	plan := crashResumePlan(t, cfg)
+	inputs := expr.RandomInputs(expr.TwoIndexTransform(12, 16), 9)
+	type outcome struct {
+		counts fault.Counts
+		stats  disk.Stats
+		retry  RetryStats
+		err    string
+		log    string
+	}
+	run := func(fc fault.Config, pipeline bool) outcome {
+		var buf strings.Builder
+		log := obs.NewLogAt(obs.LevelDebug, obs.NewWriterSink(&buf), func() time.Time { return time.Unix(0, 0) })
+		inj := fault.Wrap(disk.NewSim(cfg.Disk, true), fc)
+		inj.SetLog(log)
+		defer inj.Close()
+		res, err := Run(plan, inj, inputs, Options{Pipeline: pipeline, Retry: disk.DefaultRetryPolicy(), Log: log})
+		o := outcome{counts: inj.Counts(), log: buf.String()}
+		var re *RunError
+		switch {
+		case err == nil:
+			o.stats, o.retry = res.Stats, res.Retry
+		case errors.As(err, &re):
+			o.stats, o.retry, o.err = re.Stats, re.Retry, err.Error()
+		default:
+			t.Fatalf("%s pipeline=%v: untyped failure %v", fc, pipeline, err)
+		}
+		return o
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  fault.Config
+		fail bool // the schedule exhausts a retry budget
+	}{
+		{"absorbed", fault.Config{Seed: 5, Rate: 0.2, TornRate: 0.1, LatencyRate: 0.05, LatencySeconds: 0.002}, false},
+		{"exhausted", fault.Config{Seed: 6, Rate: 0.4, MaxConsecutive: 8}, true},
+	} {
+		serial := run(tc.cfg, false)
+		first, second := run(tc.cfg, true), run(tc.cfg, true)
+		if (serial.err != "") != tc.fail || serial.counts.Faults() == 0 || serial.retry.Retries == 0 {
+			t.Fatalf("%s: schedule did not exercise retries as intended: %+v, error %q", tc.name, serial.counts, serial.err)
+		}
+		if first.counts != serial.counts {
+			t.Errorf("%s: pipelined injector counts %+v, serial %+v", tc.name, first.counts, serial.counts)
+		}
+		if first.stats != serial.stats || first.retry != serial.retry {
+			t.Errorf("%s: pipelined stats %v / %+v, serial %v / %+v", tc.name, first.stats, first.retry, serial.stats, serial.retry)
+		}
+		if first.err != serial.err {
+			t.Errorf("%s: pipelined failure %q, serial %q", tc.name, first.err, serial.err)
+		}
+		if first.log == "" || first.log != second.log {
+			t.Errorf("%s: event logs of two same-seed pipelined runs differ (%d vs %d bytes)", tc.name, len(first.log), len(second.log))
+		}
+		if first.log != serial.log {
+			t.Errorf("%s: pipelined event log differs from the serial run's", tc.name)
 		}
 	}
 }

@@ -51,15 +51,15 @@ func chaosPlan(t *testing.T) (*codegen.Plan, map[string]*tensor.Tensor, machine.
 	return plan, inputs, cfg
 }
 
-// TestAsyncFaultsSurfaceAtAwait runs the pipelined engine over injected
+// TestAsyncFaultsSurfaceAtAwait runs the pipelined schedule over injected
 // faults, with no retry policy to absorb them: a transient fault and a
-// persistent one each fail the run at the barrier of the unit that holds
-// the faulted operation — typed, classified and attributed to array and
-// plan position — and no later unit starts.
+// persistent one each fail the run fast, at the faulted operation itself
+// — typed, classified and attributed to array and plan position — and no
+// later unit starts.
 func TestAsyncFaultsSurfaceAtAwait(t *testing.T) {
 	plan, inputs, cfg := chaosPlan(t)
 	// Inputs are loaded behind the injector's back, so every operation it
-	// sees is one the engine's issuers or inline executor made.
+	// sees is one the plan's steps made.
 	staged := func() *disk.Sim {
 		sim := disk.NewSim(cfg.Disk, true)
 		for _, da := range plan.DiskArrays {
@@ -133,16 +133,13 @@ func TestChaosTransientBitIdentical(t *testing.T) {
 				LatencyRate:    0.03,
 				LatencySeconds: 0.005,
 			})
-			// PipelineDepth 1 keeps the injector's op stream in program
-			// order so MaxConsecutive caps the faults any one op's retries
-			// can draw — plain Run has no restart net, so absorption must
-			// be guaranteed, not probabilistic. The RunResilient tests
-			// below keep the default depth (a rare exhausted retry budget
-			// there just spends one more restart).
+			// Both schedules issue operations in program order, so
+			// MaxConsecutive caps the faults any one op's retries can draw
+			// — plain Run has no restart net, so absorption must be
+			// guaranteed, not probabilistic.
 			res, err := exec.Run(plan, inj, inputs, exec.Options{
-				Pipeline:      pipeline,
-				PipelineDepth: 1,
-				Retry:         disk.DefaultRetryPolicy(),
+				Pipeline: pipeline,
+				Retry:    disk.DefaultRetryPolicy(),
 			})
 			if err != nil {
 				t.Fatalf("seed %d pipeline=%v: %v", seed, pipeline, err)

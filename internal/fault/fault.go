@@ -1,8 +1,9 @@
 // Package fault provides a deterministic, seeded fault-injecting wrapper
 // around any disk.Backend. It composes with both the cost-only/data
-// simulator (disk.Sim) and the real file store (disk.FileStore), and it
-// takes concurrent section calls, so the pipelined execution engine's
-// issuers are covered too (the schedule is then drawn in arrival order).
+// simulator (disk.Sim) and the real file store (disk.FileStore). It takes
+// concurrent section calls, drawing the schedule in arrival order; the
+// execution engine makes one call at a time in program order under either
+// schedule, so its fault schedule repeats exactly.
 //
 // Faults follow a reproducible schedule derived from (seed, global
 // operation ordinal): the same configuration over the same operation

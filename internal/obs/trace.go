@@ -23,7 +23,7 @@ type Span struct {
 	Args map[string]any
 }
 
-// Instant is a zero-duration marker event (barriers, hazards).
+// Instant is a zero-duration marker event (e.g. barriers).
 type Instant struct {
 	Track string
 	Name  string

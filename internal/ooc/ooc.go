@@ -37,12 +37,10 @@ type Options struct {
 	Workers int
 	// KeepUnfused disables the greedy fusion pass.
 	KeepUnfused bool
-	// Pipeline executes through the asynchronous double-buffered engine:
-	// reads are prefetched and writes retired in the background while
-	// compute runs, bit-identically to serial execution. PipelineDepth
-	// bounds in-flight disk operations (0: engine default).
-	Pipeline      bool
-	PipelineDepth int
+	// Pipeline models the double-buffered schedule (exec.Options.Pipeline):
+	// the contraction executes exactly as a serial one, and
+	// Result.Pipeline reports the modelled serial vs overlapped timeline.
+	Pipeline bool
 	// Metrics, if non-nil, receives the run's instrumentation: solver
 	// counters from the synthesis and I/O + pipeline counters from the
 	// execution (the backend is attached via disk.AttachMetrics when it
@@ -106,8 +104,8 @@ type Result struct {
 	Synthesis *core.Synthesis
 	// Stats are the I/O statistics of the execution.
 	Stats disk.Stats
-	// Pipeline holds the pipelined engine's modelled serial-vs-overlapped
-	// timeline (nil unless Options.Pipeline).
+	// Pipeline holds the modelled serial-vs-overlapped timeline (nil
+	// unless Options.Pipeline).
 	Pipeline *exec.PipelineStats
 	// Retry tallies faults seen and retries spent during execution.
 	Retry exec.RetryStats
@@ -174,15 +172,14 @@ func Contract(be disk.Backend, spec string, opt Options) (*Result, error) {
 		disk.AttachMetrics(be, opt.Metrics)
 	}
 	xopt := exec.Options{
-		OpenInputs:    true,
-		NoFetch:       true, // results stay disk-resident
-		Workers:       opt.Workers,
-		Pipeline:      opt.Pipeline,
-		PipelineDepth: opt.PipelineDepth,
-		Metrics:       opt.Metrics,
-		Tracer:        opt.Tracer,
-		Log:           opt.Log,
-		Retry:         opt.Retry,
+		OpenInputs: true,
+		NoFetch:    true, // results stay disk-resident
+		Workers:    opt.Workers,
+		Pipeline:   opt.Pipeline,
+		Metrics:    opt.Metrics,
+		Tracer:     opt.Tracer,
+		Log:        opt.Log,
+		Retry:      opt.Retry,
 	}
 	var sched *health.ScrubScheduler
 	if opt.ScrubSchedule > 0 {

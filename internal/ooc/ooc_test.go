@@ -270,11 +270,10 @@ func TestContractWithFaultsAndRecovery(t *testing.T) {
 		stage(t, be, "A", 36, 30)
 		stage(t, be, "B", 30, 33)
 		opt := smallOpt()
-		opt.Pipeline = true
-		// Depth 1: serialize the injector's op stream so MaxConsecutive
+		// The engine issues operations in program order, so MaxConsecutive
 		// caps the faults one op's retries can draw; the no-recovery leg
 		// must absorb its schedule deterministically.
-		opt.PipelineDepth = 1
+		opt.Pipeline = true
 		opt.Retry = disk.DefaultRetryPolicy()
 		opt.Recovery = rec
 		inj := fault.Wrap(be, cfg)

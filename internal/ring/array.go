@@ -232,8 +232,8 @@ type scratch struct {
 	slo, sshape []int64
 }
 
-// scratchFree bounds an array's free list: a few collectives in flight
-// at once (the pipelined engine's overlap) reuse theirs, more allocate.
+// scratchFree bounds an array's free list: a few concurrent collectives
+// (the store takes concurrent section calls) reuse theirs, more allocate.
 const scratchFree = 4
 
 func (a *Array) getScratch() *scratch {

@@ -8,8 +8,8 @@
 // shard exactly one sub-operation, as in a GA collective. Membership
 // changes edit the ranges locally (see rebalance.go), so placement is a
 // pure function of the creation-time live set and the sequence of
-// membership changes. The store implements disk.Backend (and the async
-// contract), so the execution engine, the verifier, and the fault
+// membership changes. The store implements disk.Backend, so the execution
+// engine, the verifier, and the fault
 // injector run on it unchanged, with failure as a first-class citizen:
 //
 //   - Reads try a block's replicas in ring order and fail over on typed

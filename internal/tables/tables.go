@@ -194,8 +194,8 @@ func FormatTable3(rows []Table3Row) string {
 
 // TablePipelineRow is one row of the pipelined-execution study: the
 // modelled I/O-critical-path time of the DCS-synthesized code executed
-// serially vs. through the asynchronous double-buffered engine (prefetch
-// + write-behind overlapping compute).
+// serially vs. under the modelled double-buffered schedule (prefetch +
+// write-behind overlapping compute).
 type TablePipelineRow struct {
 	Size Size
 	// SerialSeconds is the modelled time with every operation on the

@@ -54,9 +54,8 @@ type Op struct {
 //
 // An operation's bytes come from its section shape and its duration from
 // the recorder's disk model (seek + transfer, what the simulator charges),
-// never from the inner backend's Stats: the pipelined engine's issuers
-// call the recorder concurrently, and a Stats diff around one call would
-// take in its neighbours' traffic.
+// never from the inner backend's Stats: with concurrent callers a Stats
+// diff around one call would take in its neighbours' traffic.
 type Recorder struct {
 	inner disk.Backend
 	model machine.Disk

@@ -6,10 +6,9 @@ package verify
 // re-derived from scratch: S2 requires every read section to be covered by
 // earlier writes (or the input staging / a zero-init pass), S3 requires
 // overlapping writes to be separated by a read-back into the writing
-// buffer (otherwise the later write clobbers accumulated data). Nothing
-// here consults the execution engine's own hazard tracking; the walk is an
-// independent model of the same program order the serial engine executes
-// and the pipelined engine must preserve across its barriers.
+// buffer (otherwise the later write clobbers accumulated data). The walk
+// is an independent model of the program order the execution engine
+// runs, under either schedule.
 //
 // Each array's write events, read events and coverage fragments are
 // bucketed on a grid whose cell is, per dimension, the largest extent any
@@ -82,32 +81,35 @@ func containsMeet(outer, a, b sbox) bool {
 }
 
 // cutBox appends b \ c to dst as up to 2·rank disjoint boxes (slab
-// decomposition, one dimension at a time). When they overlap, b itself is
-// narrowed to the overlap as the slabs are cut off.
+// decomposition, one dimension at a time: the slabs cut along dimension i
+// span the overlap in every dimension before it). b itself is left as it
+// is — it may be a stored event box.
 func cutBox(dst []sbox, b, c sbox) []sbox {
 	if !overlaps(b, c) {
 		return append(dst, b)
 	}
 	r := len(b.lo)
-	slab := func() sbox {
+	slab := func(i int) sbox {
 		m := make([]int64, 2*r)
 		copy(m, b.lo)
 		copy(m[r:], b.hi)
+		for j := range i {
+			m[j], m[r+j] = max(b.lo[j], c.lo[j]), min(b.hi[j], c.hi[j])
+		}
 		return sbox{lo: m[:r:r], hi: m[r:]}
 	}
 	for i := range b.lo {
 		lo, hi := max(b.lo[i], c.lo[i]), min(b.hi[i], c.hi[i])
 		if b.lo[i] < lo {
-			below := slab()
+			below := slab(i)
 			below.hi[i] = lo
 			dst = append(dst, below)
 		}
 		if hi < b.hi[i] {
-			above := slab()
+			above := slab(i)
 			above.lo[i] = hi
 			dst = append(dst, above)
 		}
-		b.lo[i], b.hi[i] = lo, hi
 	}
 	return dst
 }

@@ -45,14 +45,15 @@ func contains(outer, inner sbox) bool {
 }
 
 // subtractBox returns b \ c as up to 2·rank disjoint boxes (slab
-// decomposition, one dimension at a time), narrowing b to the overlap.
+// decomposition, one dimension at a time, on a copy of b narrowed to the
+// overlap as the slabs are cut off).
 func subtractBox(b, c sbox) []sbox {
 	ov, ok := intersect(b, c)
 	if !ok {
 		return []sbox{b}
 	}
 	var out []sbox
-	cur := b
+	cur := sbox{lo: append([]int64(nil), b.lo...), hi: append([]int64(nil), b.hi...)}
 	for i := range b.lo {
 		if cur.lo[i] < ov.lo[i] {
 			below := sbox{lo: append([]int64(nil), cur.lo...), hi: append([]int64(nil), cur.hi...)}

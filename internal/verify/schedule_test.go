@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/codegen"
@@ -126,5 +127,56 @@ func TestScheduleWalkLinearInEvents(t *testing.T) {
 	}
 	if max(c, f) > 1.5*min(c, f) {
 		t.Fatalf("allocations per event move from %.3f to %.3f (> 1.5×) between %d and %d events", c, f, nc, nf)
+	}
+}
+
+// TestScheduleKeepsEventBoxes runs a hand-built schedule over a 1-D disk
+// array T of 6 elements (tile 2) in which a whole-array write is recorded
+// after the tile writes have covered T in three fragments. Subtracting the
+// coverage from a box must leave the box itself as it is: if the stored
+// whole-array write shrank to the first fragment it met, [0:2], the later
+// writes of tiles [2:4] and [4:6] — whose only read-backs into their
+// buffer happened before the whole-array write — would escape S3, and the
+// whole-array read before that write would shrink too, inventing an S3 on
+// the write it reads back for. Both walks must report exactly the two
+// clobbers. (The plan breaks rules outside the schedule walk; only S2 and
+// S3 are checked.)
+func TestScheduleKeepsEventBoxes(t *testing.T) {
+	prog := loops.NewProgram("clobber", map[string]int64{"i": 6})
+	prog.DeclareArray("T", loops.Output, "i")
+	tile := &codegen.Buffer{Name: "T.t", Array: "T", Dims: []placement.BufDim{{Index: "i", Class: placement.ExtTile}}, MaxElems: 2}
+	full := &codegen.Buffer{Name: "T.f", Array: "T", Dims: []placement.BufDim{{Index: "i", Class: placement.ExtFull}}, MaxElems: 6}
+	tiles := func(n codegen.Node) *codegen.Loop {
+		return &codegen.Loop{Index: "i", Range: 6, Tile: 2, Body: []codegen.Node{n}}
+	}
+	plan := &codegen.Plan{
+		Prog:       prog,
+		Cfg:        machine.Small(1 << 20),
+		Tiles:      map[string]int64{"i": 2},
+		Buffers:    []*codegen.Buffer{tile, full},
+		DiskArrays: []codegen.DiskArray{{Name: "T", Indices: []string{"i"}, Dims: []int64{6}, Kind: loops.Output}},
+		Body: []codegen.Node{
+			tiles(&codegen.IO{Array: "T", Buffer: tile}),             // writes [0:2], [2:4], [4:6]
+			tiles(&codegen.IO{Read: true, Array: "T", Buffer: tile}), // reads them back
+			&codegen.IO{Read: true, Array: "T", Buffer: full},        // reads back [0:6]
+			&codegen.IO{Array: "T", Buffer: full},                    // writes [0:6]
+			&codegen.IO{Read: true, Array: "T", Buffer: tile},        // reads back [0:2] only
+			tiles(&codegen.IO{Array: "T", Buffer: tile}),             // [2:4] and [4:6] clobber the [0:6] write
+		},
+	}
+	want := []Diagnostic{
+		{Rule: "S3", Array: "T", Pos: "i=2", Detail: `write of [2:4] to "T" overlaps an earlier write of [0:6] with no read-back in between`},
+		{Rule: "S3", Array: "T", Pos: "i=4", Detail: `write of [4:6] to "T" overlaps an earlier write of [0:6] with no read-back in between`},
+	}
+	for name, rep := range map[string]*Report{"indexed": Check(plan), "linear": refCheckOpts(plan, Options{})} {
+		var got []Diagnostic
+		for _, d := range rep.Diags {
+			if d.Rule == "S2" || d.Rule == "S3" {
+				got = append(got, d)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s walk: schedule findings %+v, want exactly %+v; report:\n%s", name, got, want, rep)
+		}
 	}
 }
