@@ -151,9 +151,11 @@ type Ledger struct {
 	arrays map[string]*ledgerCounters
 }
 
-// ledgerCounters are one account's op and byte counters by direction.
+// ledgerCounters are one account's op and byte counters by direction,
+// and its verified-blocks counter (a lifetime mirror, see chargeVerify).
 type ledgerCounters struct {
 	ops, bytes [2]*obs.Counter
+	verified   *obs.Counter
 }
 
 // The metric names by direction (0 read, 1 write): ops, then bytes.
@@ -203,11 +205,7 @@ func (l *Ledger) mirrorLocked(array string, dir int, bytes int64) {
 	if l.reg == nil {
 		return
 	}
-	c := l.arrays[array]
-	if c == nil {
-		c = &ledgerCounters{}
-		l.arrays[array] = c
-	}
+	c := l.arrayLocked(array)
 	if c.ops[dir] == nil {
 		c.ops[dir] = l.reg.Counter(ledgerMetrics[dir][0] + "/" + array)
 		c.bytes[dir] = l.reg.Counter(ledgerMetrics[dir][1] + "/" + array)
@@ -222,6 +220,16 @@ func (l *Ledger) mirrorLocked(array string, dir int, bytes int64) {
 	}
 }
 
+// arrayLocked returns the array's counters. Callers hold l.mu.
+func (l *Ledger) arrayLocked(array string) *ledgerCounters {
+	c := l.arrays[array]
+	if c == nil {
+		c = &ledgerCounters{}
+		l.arrays[array] = c
+	}
+	return c
+}
+
 // chargeVerify accounts block checksum verifications on a section read.
 // Integrity tallies are lifetime counters: unlike the I/O charges they
 // survive Reset, because recovery restarts ResetStats per attempt but
@@ -232,13 +240,20 @@ func (l *Ledger) chargeVerify(array string, blocks int64) {
 		return
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.integ.VerifiedBlocks += blocks
-	reg := l.reg
-	l.mu.Unlock()
-	if reg != nil {
-		reg.Counter(MetricIntegrityBlocks).Add(blocks)
-		reg.Counter(MetricIntegrityBlocks + "/" + array).Add(blocks)
+	if l.reg == nil {
+		return
 	}
+	c := l.arrayLocked(array)
+	if c.verified == nil {
+		c.verified = l.reg.Counter(MetricIntegrityBlocks + "/" + array)
+	}
+	if l.total.verified == nil {
+		l.total.verified = l.reg.Counter(MetricIntegrityBlocks)
+	}
+	l.total.verified.Add(blocks)
+	c.verified.Add(blocks)
 }
 
 // chargeDetect accounts blocks that failed checksum verification; like

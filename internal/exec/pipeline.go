@@ -138,6 +138,36 @@ type scheduler struct {
 	// serial run, which has no pipeline to report on).
 	mShadow, mInplace, mWriteBehind, mBarriers *obs.Counter
 	mStall                                     *obs.Histogram
+	// keys holds the tracer's interned strings (nil without Options.Tracer).
+	keys *traceKeys
+}
+
+// traceKeys are the tracer's keys for the scheduler's tracks, span names
+// and arguments, each interned once per run.
+type traceKeys struct {
+	tr                                                   *obs.Tracer
+	disk, compute, barrier, bytes, shadow, writes, stall obs.Key
+	// names holds the span names interned so far.
+	names map[spanName]obs.Key
+}
+
+// spanName is a span's name, verb + what, before interning.
+type spanName struct{ verb, what string }
+
+func newTraceKeys(tr *obs.Tracer) *traceKeys {
+	return &traceKeys{tr: tr, disk: tr.Key(obs.TrackDisk), compute: tr.Key(obs.TrackCompute),
+		barrier: tr.Key("barrier"), bytes: tr.Key("bytes"), shadow: tr.Key("shadow"),
+		writes: tr.Key("writes"), stall: tr.Key("stall_s"), names: map[spanName]obs.Key{}}
+}
+
+// name returns the key of the span named verb + what.
+func (k *traceKeys) name(verb, what string) obs.Key {
+	key, ok := k.names[spanName{verb, what}]
+	if !ok {
+		key = k.tr.Key(verb + what)
+		k.names[spanName{verb, what}] = key
+	}
+	return key
 }
 
 func newScheduler(e *engine) *scheduler {
@@ -145,6 +175,9 @@ func newScheduler(e *engine) *scheduler {
 	reg := e.opt.Metrics
 	if reg != nil {
 		s.mBufBytes = reg.Gauge("exec.buffer.bytes")
+	}
+	if tr := e.opt.Tracer; tr != nil {
+		s.keys = newTraceKeys(tr)
 	}
 	if !e.opt.Pipeline {
 		return s
@@ -177,20 +210,24 @@ func (s *scheduler) addIO(seconds float64) {
 	s.stats.SerialSeconds += seconds
 }
 
-// place puts a step of modelled duration dur on a track's clock, no
-// earlier than after, and with a tracer attached emits it as a span named
-// verb+what. It returns the step's modelled end.
-func (s *scheduler) place(track string, after, dur float64, verb, what string, args map[string]any) float64 {
+// place puts a step of modelled duration dur on the disk or compute
+// track's clock, no earlier than after, and with a tracer attached emits
+// it as a span named verb + what. It returns the step's modelled end.
+func (s *scheduler) place(compute bool, after, dur float64, verb, what string, args ...obs.Arg) float64 {
 	clk, total := &s.clock[0], &s.stats.IOSeconds
-	if track == obs.TrackCompute {
+	if compute {
 		clk, total = &s.clock[s.comp], &s.stats.ComputeSeconds
 	}
 	start := max(*clk, after)
 	*clk = start + dur
 	*total += dur
 	s.stats.SerialSeconds += dur
-	if tr := s.e.opt.Tracer; tr != nil {
-		tr.Span(obs.Span{Track: track, Name: verb + what, Start: start, Dur: dur, Args: args})
+	if k := s.keys; k != nil {
+		track := k.disk
+		if compute {
+			track = k.compute
+		}
+		k.tr.Record(track, k.name(verb, what), start, dur, args...)
 	}
 	return start + dur
 }
@@ -211,9 +248,8 @@ func (s *scheduler) barrier(walkErr error) error {
 		s.mBarriers.Inc()
 		s.mStall.Observe(stall)
 	}
-	if tr := s.e.opt.Tracer; tr != nil {
-		tr.Instant(obs.Instant{Track: obs.TrackDisk, Name: "barrier", TS: s.clock[0],
-			Args: map[string]any{"stall_s": stall}})
+	if k := s.keys; k != nil {
+		k.tr.Mark(k.disk, k.barrier, s.clock[0], obs.Float(k.stall, stall))
 	}
 	return walkErr
 }
@@ -289,13 +325,13 @@ func (s *scheduler) cur(b *codegen.Buffer) *pslot {
 // than after and performs it — under the run's retry policy, its failure
 // attributed to array and plan position — the single place section I/O
 // leaves the engine. It returns the operation's modelled end.
-func (s *scheduler) sectionOp(read bool, array string, lo, shape []int64, data []float64, after float64, args map[string]any) (float64, error) {
+func (s *scheduler) sectionOp(read bool, array string, lo, shape []int64, data []float64, after float64, args ...obs.Arg) (float64, error) {
 	dur := s.e.ioDur(read, shape)
 	verb := "W "
 	if read {
 		verb = "R "
 	}
-	end := s.place(obs.TrackDisk, after, dur, verb, array, args)
+	end := s.place(false, after, dur, verb, array, args...)
 	s.worked = true
 	arr := s.e.arrs[array]
 	err := s.e.retryOp(array, dur, func() error {
@@ -321,15 +357,15 @@ func (s *scheduler) read(n *codegen.IO, lo, shape []int64) error {
 	} else if s.mInplace != nil {
 		s.mInplace.Inc()
 	}
-	var args map[string]any
-	if s.e.opt.Tracer != nil {
-		args = map[string]any{"bytes": size(shape) * 8, "shadow": shadow}
+	var args []obs.Arg
+	if k := s.keys; k != nil {
+		args = []obs.Arg{obs.Int(k.bytes, size(shape)*8), obs.Bool(k.shadow, shadow)}
 	}
 	var data []float64
 	if slot.t != nil {
 		data = slot.t.Data()
 	}
-	end, err := s.sectionOp(true, n.Array, lo, shape, data, slot.free(), args)
+	end, err := s.sectionOp(true, n.Array, lo, shape, data, slot.free(), args...)
 	slot.refill(end)
 	return err
 }
@@ -354,11 +390,11 @@ func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
 	if s.mWriteBehind != nil {
 		s.mWriteBehind.Inc()
 	}
-	var args map[string]any
-	if s.e.opt.Tracer != nil {
-		args = map[string]any{"bytes": size(shape) * 8}
+	var args []obs.Arg
+	if k := s.keys; k != nil {
+		args = []obs.Arg{obs.Int(k.bytes, size(shape)*8)}
 	}
-	end, err := s.sectionOp(false, n.Array, lo, shape, data, after, args)
+	end, err := s.sectionOp(false, n.Array, lo, shape, data, after, args...)
 	if slot != nil {
 		slot.use(end)
 	}
@@ -368,7 +404,7 @@ func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
 // zero fills the buffer's next slot with zeros (data mode only).
 func (s *scheduler) zero(buf *codegen.Buffer, lo, shape []int64) error {
 	slot, _ := s.fillSlot(buf, lo, shape)
-	end := s.place(obs.TrackCompute, slot.free(), 0, "zero ", buf.Name, nil)
+	end := s.place(true, slot.free(), 0, "zero ", buf.Name)
 	s.worked = true
 	slot.t.Zero()
 	slot.refill(end)
@@ -386,11 +422,11 @@ func (s *scheduler) init(array string) error {
 	for i, t := range tiles {
 		writes *= (da.Dims[i] + t - 1) / t
 	}
-	var args map[string]any
-	if s.e.opt.Tracer != nil {
-		args = map[string]any{"bytes": bytes, "writes": writes}
+	var args []obs.Arg
+	if k := s.keys; k != nil {
+		args = []obs.Arg{obs.Int(k.bytes, bytes), obs.Int(k.writes, writes)}
 	}
-	s.place(obs.TrackDisk, 0, s.e.plan.Cfg.Disk.WriteTime(bytes, writes), "init ", array, args)
+	s.place(false, 0, s.e.plan.Cfg.Disk.WriteTime(bytes, writes), "init ", array, args...)
 	s.worked = true
 	if err := s.e.initPass(da, tiles); err != nil {
 		return fmt.Errorf("exec: init pass over %q: %w", array, err)
@@ -432,7 +468,7 @@ func (s *scheduler) compute(c *codegen.Compute) error {
 			k.bind(blk, i+1, e.base, slot.binding)
 		}
 	}
-	end := s.place(obs.TrackCompute, after, e.computeSeconds(k, blk), "compute ", c.Out.Name, nil)
+	end := s.place(true, after, e.computeSeconds(k, blk), "compute ", c.Out.Name)
 	if !dryRun {
 		s.worked = true
 		k.con.Run(blk, e.opt.Workers)

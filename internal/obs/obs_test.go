@@ -225,3 +225,51 @@ func TestHistogramUnderflowBucket(t *testing.T) {
 		t.Fatalf(`ambiguous "0" bucket key resurfaced: %v`, hv.Buckets)
 	}
 }
+
+// TestTracerReadsAreFresh checks that Spans and Instants hand out values
+// of their own: editing a returned span's or instant's Args, typed or
+// verbatim, leaves the recording as it was.
+func TestTracerReadsAreFresh(t *testing.T) {
+	tr := NewTracer()
+	bytes := tr.Key("bytes")
+	tr.Record(tr.Key(TrackDisk), tr.Key("R A"), 0, 1, Int(bytes, 800), Bool(tr.Key("shadow"), true))
+	verbatim := map[string]any{"bytes": 64}
+	tr.Span(Span{Track: TrackDisk, Name: "W A", Start: 1, Dur: 1, Args: verbatim})
+	verbatim["bytes"] = 65
+	tr.Mark(tr.Key(TrackDisk), tr.Key("barrier"), 2, Float(tr.Key("stall_s"), 0.5))
+
+	spans, instants := tr.Spans(), tr.Instants()
+	if len(spans) != 2 || len(instants) != 1 {
+		t.Fatalf("%d spans, %d instants, want 2 and 1", len(spans), len(instants))
+	}
+	if spans[0].Args["bytes"] != int64(800) || spans[0].Args["shadow"] != true || spans[1].Args["bytes"] != 64 {
+		t.Fatalf("span args %v, %v", spans[0].Args, spans[1].Args)
+	}
+	if instants[0].Args["stall_s"] != 0.5 {
+		t.Fatalf("instant args %v", instants[0].Args)
+	}
+	spans[0].Args["bytes"] = int64(1)
+	spans[1].Args["bytes"] = 1
+	instants[0].Args["stall_s"] = 1.0
+	if got := tr.Spans(); got[0].Args["bytes"] != int64(800) || got[1].Args["bytes"] != 64 {
+		t.Fatalf("editing Spans() changed the recording: %v, %v", got[0].Args, got[1].Args)
+	}
+	if got := tr.Instants(); got[0].Args["stall_s"] != 0.5 {
+		t.Fatalf("editing Instants() changed the recording: %v", got[0].Args)
+	}
+}
+
+// TestTracerTypedArgsOverflow checks that more typed arguments than a
+// record holds inline are all kept.
+func TestTracerTypedArgsOverflow(t *testing.T) {
+	tr := NewTracer()
+	a, b, c := tr.Key("a"), tr.Key("b"), tr.Key("c")
+	tr.Record(tr.Key(TrackCompute), tr.Key("x"), 0, 1, Int(a, 1), Bool(b, false), Float(c, 2.5))
+	got := tr.Spans()[0].Args
+	if len(got) != 3 || got["a"] != int64(1) || got["b"] != false || got["c"] != 2.5 {
+		t.Fatalf("args %v", got)
+	}
+	if tr.TrackSeconds(TrackCompute) != 1 || tr.TrackSeconds("absent") != 0 {
+		t.Fatal("track seconds wrong")
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"sort"
 	"sync"
 )
@@ -32,72 +34,173 @@ type Instant struct {
 	Args map[string]any
 }
 
+// Arg is a typed span or instant argument, carried inline in the
+// tracer's record; it exports as an int64, bool or float64.
+type Arg struct {
+	key  Key
+	kind uint8 // 1 int64, 2 bool, 3 float64
+	bits uint64
+}
+
+// Int makes an int64 argument under a key from Tracer.Key.
+func Int(k Key, v int64) Arg { return Arg{k, 1, uint64(v)} }
+
+// Bool makes a bool argument.
+func Bool(k Key, v bool) Arg {
+	if v {
+		return Arg{k, 2, 1}
+	}
+	return Arg{k, 2, 0}
+}
+
+// Float makes a float64 argument.
+func Float(k Key, v float64) Arg { return Arg{k, 3, math.Float64bits(v)} }
+
+func (a Arg) value() any {
+	switch a.kind {
+	case 1:
+		return int64(a.bits)
+	case 2:
+		return a.bits != 0
+	}
+	return math.Float64frombits(a.bits)
+}
+
+// event is the tracer's fixed-size, pointer-free record of a span or an
+// instant (whose timestamp is start).
+type event struct {
+	start, dur  float64
+	track, name Key
+	instant     bool
+	nargs       uint8
+	// verbatim is 1 + the index in Tracer.verbatim of the event's Args
+	// map, 0 if its arguments are all inline.
+	verbatim int32
+	args     [2]Arg
+}
+
 // Tracer collects spans and instants concurrently. The zero value is not
 // usable; construct with NewTracer. A nil *Tracer is safe to pass around:
 // every recording method no-ops on nil, so call sites need no guards.
+//
+// The recording is a Chunks log of events: a span recorded with Record
+// or Mark under keys from Key allocates nothing beyond an occasional
+// chunk. Spans, Instants and ChromeTrace build their values on read.
 type Tracer struct {
 	mu       sync.Mutex
-	spans    []Span
-	instants []Instant
+	strs     Strings
+	events   Chunks[event]
+	verbatim []map[string]any
 }
 
 // NewTracer creates an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Span records a duration event.
-func (t *Tracer) Span(s Span) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, s)
-	t.mu.Unlock()
-}
-
-// Instant records a marker event.
-func (t *Tracer) Instant(i Instant) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.instants = append(t.instants, i)
-	t.mu.Unlock()
-}
-
-// Spans returns a copy of the recorded spans in recording order.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
-
-// Instants returns a copy of the recorded instants in recording order.
-func (t *Tracer) Instants() []Instant {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Instant(nil), t.instants...)
-}
-
-// TrackSeconds sums the span durations of one track — e.g. the total
-// modelled disk time of the "disk" track, comparable to disk.Stats.Time().
-func (t *Tracer) TrackSeconds(track string) float64 {
+// Key interns s as a track, name or argument key of this tracer; a key
+// means nothing to another tracer.
+func (t *Tracer) Key(s string) Key {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	total := 0.0
-	for _, s := range t.spans {
-		if s.Track == track {
-			total += s.Dur
+	return t.strs.Key(s)
+}
+
+// Record records a duration event with typed arguments.
+func (t *Tracer) Record(track, name Key, start, dur float64, args ...Arg) {
+	t.add(event{start: start, dur: dur, track: track, name: name}, args, nil)
+}
+
+// Mark records a marker event with typed arguments.
+func (t *Tracer) Mark(track, name Key, ts float64, args ...Arg) {
+	t.add(event{start: ts, track: track, name: name, instant: true}, args, nil)
+}
+
+// Span records a duration event, keeping a copy of its Args verbatim.
+func (t *Tracer) Span(s Span) {
+	t.add(event{start: s.Start, dur: s.Dur, track: t.Key(s.Track), name: t.Key(s.Name)}, nil, s.Args)
+}
+
+// Instant records a marker event, keeping a copy of its Args verbatim.
+func (t *Tracer) Instant(i Instant) {
+	t.add(event{start: i.TS, track: t.Key(i.Track), name: t.Key(i.Name), instant: true}, nil, i.Args)
+}
+
+// add appends ev with its arguments: typed ones inline unless they do not
+// fit, a map (or the typed ones that do not fit) into the verbatim table.
+func (t *Tracer) add(ev event, args []Arg, m map[string]any) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(args) > len(ev.args) {
+		m = map[string]any{}
+		for _, a := range args {
+			m[t.strs.String(a.key)] = a.value()
 		}
 	}
+	if m != nil {
+		t.verbatim = append(t.verbatim, maps.Clone(m))
+		ev.verbatim = int32(len(t.verbatim))
+	} else {
+		ev.nargs = uint8(copy(ev.args[:], args))
+	}
+	t.events.Append(ev)
+}
+
+// each calls fn on every span (instant false) or every instant, in
+// recording order, with its strings and its Args built afresh.
+func (t *Tracer) each(instant bool, fn func(ev event, track, name string, args map[string]any)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.events.Len() {
+		ev := t.events.At(i)
+		if ev.instant != instant {
+			continue
+		}
+		var args map[string]any
+		if ev.verbatim > 0 {
+			args = maps.Clone(t.verbatim[ev.verbatim-1])
+		} else if ev.nargs > 0 {
+			args = make(map[string]any, ev.nargs)
+			for _, a := range ev.args[:ev.nargs] {
+				args[t.strs.String(a.key)] = a.value()
+			}
+		}
+		fn(ev, t.strs.String(ev.track), t.strs.String(ev.name), args)
+	}
+}
+
+// Spans returns the recorded spans in recording order, built afresh.
+func (t *Tracer) Spans() (out []Span) {
+	t.each(false, func(ev event, track, name string, args map[string]any) {
+		out = append(out, Span{Track: track, Name: name, Start: ev.start, Dur: ev.dur, Args: args})
+	})
+	return out
+}
+
+// Instants returns the recorded instants in recording order, built
+// afresh.
+func (t *Tracer) Instants() (out []Instant) {
+	t.each(true, func(ev event, track, name string, args map[string]any) {
+		out = append(out, Instant{Track: track, Name: name, TS: ev.start, Args: args})
+	})
+	return out
+}
+
+// TrackSeconds sums the span durations of one track — e.g. the total
+// modelled disk time of the "disk" track, comparable to disk.Stats.Time().
+func (t *Tracer) TrackSeconds(track string) (total float64) {
+	t.each(false, func(ev event, tr, _ string, _ map[string]any) {
+		if tr == track {
+			total += ev.dur
+		}
+	})
 	return total
 }
 
@@ -107,7 +210,8 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.spans, t.instants = nil, nil
+	t.events.Reset()
+	t.verbatim = nil
 	t.mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/machine"
@@ -80,5 +81,72 @@ func TestIssuedCompletedClocks(t *testing.T) {
 	}
 	if ops := rec.Ops(); len(ops) != 1 || ops[0].Seq != 0 || ops[0].Start != 0 {
 		t.Fatalf("post-reset op = %+v", ops)
+	}
+}
+
+// TestRecorderOpsAreFresh checks that Ops hands out values of its own:
+// editing a returned op's section leaves the log as it was.
+func TestRecorderOpsAreFresh(t *testing.T) {
+	d := machine.Small(1 << 20).Disk
+	rec := NewWithDisk(disk.NewSim(d, false), d)
+	a, err := rec.Create("A", []int64{16, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ReadSection([]int64{2, 0}, []int64{8, 4}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ops := rec.Ops()
+	ops[0].Lo[0], ops[0].Shape[0] = 99, 99
+	ops[0].Lo = append(ops[0].Lo, 7)
+	if got := rec.Ops()[0]; got.Lo[0] != 2 || got.Shape[0] != 8 || len(got.Lo) != 2 {
+		t.Fatalf("editing Ops() changed the log: lo %v shape %v", got.Lo, got.Shape)
+	}
+}
+
+// resettingArray calls the recorder's Reset from inside a read, as a
+// concurrent ResetStats landing mid-operation would.
+type resettingArray struct {
+	disk.Array
+	rec *Recorder
+}
+
+func (a resettingArray) ReadSection(lo, shape []int64, buf []float64) error {
+	// The Reset's clock reading must come after the read was issued.
+	time.Sleep(time.Millisecond)
+	a.rec.Reset()
+	return a.Array.ReadSection(lo, shape, buf)
+}
+
+// TestRecorderResetDuringOp checks that an operation a Reset overtakes
+// never lands in the fresh log with clocks from two epochs: every
+// recorded op has Completed ≥ Issued, and the log restarts at Seq 0.
+func TestRecorderResetDuringOp(t *testing.T) {
+	d := machine.Small(1 << 20).Disk
+	rec := NewWithDisk(disk.NewSim(d, false), d)
+	inner, err := rec.Create("A", []int64{16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta := inner.(*tracedArray)
+	ta.inner = resettingArray{Array: ta.inner, rec: rec}
+	// Let the old epoch age, so clocks mixed across the Reset would show.
+	time.Sleep(2 * time.Millisecond)
+	for range 3 {
+		if err := ta.ReadSection([]int64{0}, []int64{8}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := ta.WriteSection([]int64{8}, []int64{8}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops := rec.Ops()
+	if len(ops) != 1 || ops[0].Seq != 0 || ops[0].Read || ops[0].Start != 0 {
+		t.Fatalf("after the last Reset the log holds %+v, want the one write", ops)
+	}
+	for _, op := range ops {
+		if op.Completed < op.Issued {
+			t.Fatalf("op %d completed at %g, before it was issued at %g", op.Seq, op.Completed, op.Issued)
+		}
 	}
 }

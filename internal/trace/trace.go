@@ -5,14 +5,15 @@
 // program's I/O time goes and to cross-check the cost model's per-array
 // predictions.
 //
-// The recorder keeps its log as typed Ops for the aggregation helpers in
-// this package; Recorder.Tracer renders it as one span per operation on
-// the obs "disk" track, so a recorded run exports as a Chrome Trace.
+// The recorder logs each operation as a pointer-free record in an
+// obs.Chunks store, as obs.Tracer logs spans. Ops builds the typed log on
+// read for the aggregation helpers in this package; Recorder.Tracer
+// renders it as one span per operation on the obs "disk" track, so a
+// recorded run exports as a Chrome Trace.
 package trace
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,14 +57,29 @@ type Op struct {
 // the recorder's disk model (seek + transfer, what the simulator charges),
 // never from the inner backend's Stats: with concurrent callers a Stats
 // diff around one call would take in its neighbours' traffic.
+// Array names are interned once per Create/Open and every section goes
+// into one shared int64 arena, so logging an operation takes the mutex
+// once and allocates nothing beyond an occasional chunk.
 type Recorder struct {
 	inner disk.Backend
 	model machine.Disk
 
 	mu    sync.Mutex
-	ops   []Op // the log, in recording (Seq) order
+	names obs.Strings
+	ops   obs.Chunks[opRec] // the log, in recording (Seq) order
+	ints  obs.Chunks[int64] // every op's Lo, then its Shape
 	clock float64
 	epoch time.Time
+}
+
+// opRec is one logged operation: an Op with its array interned and its
+// Lo and Shape the two halves of ints[at:end].
+type opRec struct {
+	array                         obs.Key
+	read                          bool
+	at, end                       int
+	bytes                         int64
+	start, dur, issued, completed float64
 }
 
 // NewWithDisk wraps a backend, charging each recorded operation the disk
@@ -75,20 +91,23 @@ func NewWithDisk(inner disk.Backend, d machine.Disk) *Recorder {
 // opArgKey carries the Op inside its span's Args.
 const opArgKey = "op"
 
-// addLocked appends one op to the log, numbering it and advancing the
-// serial clock by its duration. Callers hold r.mu.
-func (r *Recorder) addLocked(op Op) {
-	op.Seq = int64(len(r.ops))
-	op.Start = r.clock
-	r.clock += op.Duration
-	r.ops = append(r.ops, op)
-}
-
-// Ops returns a copy of the recorded operations in recording order.
+// Ops returns the recorded operations in recording order, built afresh.
 func (r *Recorder) Ops() []Op {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return slices.Clone(r.ops)
+	ints := make([]int64, r.ints.Len())
+	for i := range ints {
+		ints[i] = r.ints.At(i)
+	}
+	ops := make([]Op, r.ops.Len())
+	for i := range ops {
+		o := r.ops.At(i)
+		mid := (o.at + o.end) / 2
+		ops[i] = Op{Seq: int64(i), Array: r.names.String(o.array), Read: o.read,
+			Lo: ints[o.at:mid:mid], Shape: ints[mid:o.end:o.end],
+			Bytes: o.bytes, Start: o.start, Duration: o.dur, Issued: o.issued, Completed: o.completed}
+	}
+	return ops
 }
 
 // Tracer renders the op log as a fresh span log, one "disk"-track span
@@ -110,21 +129,15 @@ func (r *Recorder) Tracer() *obs.Tracer {
 	return tr
 }
 
-// Reset clears the recording and restarts the wall clock.
+// Reset clears the recording and restarts the wall clock. An operation
+// in flight across a Reset is not recorded.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
-	r.ops = nil
+	r.ops.Reset()
+	r.ints.Reset()
 	r.clock = 0
 	r.epoch = time.Now()
 	r.mu.Unlock()
-}
-
-// wall returns wall-clock seconds since the recorder's epoch.
-func (r *Recorder) wall() float64 {
-	r.mu.Lock()
-	e := r.epoch
-	r.mu.Unlock()
-	return time.Since(e).Seconds()
 }
 
 // Create implements disk.Backend.
@@ -133,7 +146,7 @@ func (r *Recorder) Create(name string, dims []int64) (disk.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tracedArray{rec: r, inner: a}, nil
+	return r.wrap(a), nil
 }
 
 // Open implements disk.Backend.
@@ -142,7 +155,7 @@ func (r *Recorder) Open(name string) (disk.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tracedArray{rec: r, inner: a}, nil
+	return r.wrap(a), nil
 }
 
 // Stats implements disk.Backend.
@@ -175,6 +188,13 @@ func (r *Recorder) Inner() disk.Backend { return r.inner }
 type tracedArray struct {
 	rec   *Recorder
 	inner disk.Array
+	name  obs.Key
+}
+
+func (r *Recorder) wrap(a disk.Array) *tracedArray {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &tracedArray{rec: r, inner: a, name: r.names.Key(a.Name())}
 }
 
 func (a *tracedArray) Name() string  { return a.inner.Name() }
@@ -188,9 +208,11 @@ func (a *tracedArray) WriteSection(lo, shape []int64, buf []float64) error {
 	return a.record(lo, shape, buf, false)
 }
 
-// record performs one section operation and logs it if it succeeds.
+// record performs one section operation and logs it if it succeeds and
+// no Reset came after it was issued.
 func (a *tracedArray) record(lo, shape []int64, buf []float64, read bool) error {
-	issued := a.rec.wall()
+	r := a.rec
+	issued := time.Now()
 	var err error
 	if read {
 		err = a.inner.ReadSection(lo, shape, buf)
@@ -204,24 +226,27 @@ func (a *tracedArray) record(lo, shape []int64, buf []float64, read bool) error 
 	for _, s := range shape {
 		bytes *= s
 	}
-	dur := a.rec.model.WriteTime(bytes, 1)
+	dur := r.model.WriteTime(bytes, 1)
 	if read {
-		dur = a.rec.model.ReadTime(bytes, 1)
+		dur = r.model.ReadTime(bytes, 1)
 	}
-	completed := a.rec.wall()
+	completed := time.Now()
 
-	a.rec.mu.Lock()
-	a.rec.addLocked(Op{
-		Array:     a.inner.Name(),
-		Read:      read,
-		Lo:        append([]int64(nil), lo...),
-		Shape:     append([]int64(nil), shape...),
-		Bytes:     bytes,
-		Duration:  dur,
-		Issued:    issued,
-		Completed: completed,
-	})
-	a.rec.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if issued.Before(r.epoch) {
+		return nil
+	}
+	at := r.ints.Len()
+	for _, x := range lo {
+		r.ints.Append(x)
+	}
+	for _, x := range shape {
+		r.ints.Append(x)
+	}
+	r.ops.Append(opRec{array: a.name, read: read, at: at, end: r.ints.Len(), bytes: bytes,
+		start: r.clock, dur: dur, issued: issued.Sub(r.epoch).Seconds(), completed: completed.Sub(r.epoch).Seconds()})
+	r.clock += dur
 	return nil
 }
 
