@@ -21,45 +21,67 @@ type kernel struct {
 	// tile base the walker stood at when clip last ran.
 	rng, tile, at []int64
 	// pos is each intra index's enclosing loop on the walker's loop stack
-	// (-1: none), found by the first clip; the plan's nesting is static.
+	// (-1: none; its base is then read from e.base), found at lowering: the
+	// plan's nesting is static.
 	pos []int
 	// loop gives, per operand (the output, then the factors) and buffer
 	// dim, the position of the dim's index in c.Intra, -1 if it is not an
-	// intra index.
-	loop [][]int
+	// intra index; outer gives a non-intra dim's enclosing loop as pos does.
+	loop, outer [][]int
+	// bufs is each operand's double-buffer state, looked up on the first
+	// block that finds it instantiated; slots holds the live instances of
+	// the block being computed.
+	bufs  []*pipeBuf
+	slots []*pslot
 	// blk is the block every compute step is described in and run from.
 	blk *tensor.Block
 }
 
-// lower builds the kernels of every compute block under ns.
-func (e *engine) lower(ns []codegen.Node) {
+// lower builds the kernels of every compute block under ns, whose
+// enclosing loops' indices are stack, outermost first.
+func (e *engine) lower(ns []codegen.Node, stack []string) {
 	for _, n := range ns {
 		switch n := n.(type) {
 		case *codegen.Loop:
-			e.lower(n.Body)
+			e.lower(n.Body, append(stack, n.Index))
 		case *codegen.Compute:
-			e.kernels[n] = e.newKernel(n)
+			e.kernels[n] = e.newKernel(n, stack)
 		}
 	}
 }
 
-func (e *engine) newKernel(c *codegen.Compute) *kernel {
-	nd := len(c.Intra)
-	k := &kernel{c: c, rng: make([]int64, nd), tile: make([]int64, nd), at: make([]int64, nd)}
+func (e *engine) newKernel(c *codegen.Compute, stack []string) *kernel {
+	nd, refs := len(c.Intra), len(c.Factors)+1
+	k := &kernel{c: c, loop: make([][]int, refs), outer: make([][]int, refs),
+		bufs: make([]*pipeBuf, refs), slots: make([]*pslot, refs)}
+	n := nd
+	for r := 0; r < refs; r++ {
+		n += 2 * len(k.operand(r).Dims)
+	}
+	i64, ints := make([]int64, 3*nd), make([]int, n)
+	carve := func(n int) []int {
+		s := ints[:n:n]
+		ints = ints[n:]
+		return s
+	}
+	k.rng, k.tile, k.at, k.pos = i64[:nd:nd], i64[nd:2*nd:2*nd], i64[2*nd:], carve(nd)
 	free := make([]bool, nd)
 	for j, x := range c.Intra {
 		k.rng[j], k.tile[j] = e.plan.Prog.Ranges[x], e.plan.Tiles[x]
+		k.pos[j] = slices.Index(stack, x)
 	}
-	for r := 0; r <= len(c.Factors); r++ {
+	for r := 0; r < refs; r++ {
 		dims := k.operand(r).Dims
-		loop := make([]int, len(dims))
+		loop, outer := carve(len(dims)), carve(len(dims))
 		for i, d := range dims {
-			loop[i] = slices.Index(c.Intra, d.Index)
-			if r == 0 && loop[i] >= 0 {
+			loop[i], outer[i] = slices.Index(c.Intra, d.Index), -1
+			if loop[i] < 0 {
+				outer[i] = slices.Index(stack, d.Index)
+			} else if r == 0 {
 				free[loop[i]] = true
 			}
 		}
-		k.loop = append(k.loop, loop)
+		k.loop[r], k.outer[r] = loop, outer
 	}
 	k.con = tensor.NewContraction(free, len(c.Factors))
 	k.blk = k.con.NewBlock()
@@ -74,21 +96,32 @@ func (k *kernel) operand(r int) *codegen.Buffer {
 	return k.c.Factors[r-1]
 }
 
+// slot returns operand r's live instance, nil before its first fill.
+func (k *kernel) slot(s *scheduler, r int) *pslot {
+	pb := k.bufs[r]
+	if pb == nil {
+		if pb = s.bufs[k.operand(r)]; pb == nil {
+			return nil
+		}
+		k.bufs[r] = pb
+	}
+	return pb.slots[pb.cur]
+}
+
+// tileBase is the walker's tile base of index x, whose enclosing loop is
+// at position p of the loop stack (-1: none).
+func (e *engine) tileBase(p int, x string) int64 {
+	if p >= 0 {
+		return e.loopStack[p].base
+	}
+	return e.base[x]
+}
+
 // clip sets blk's extents to the intra-tile extents at the walker's tile
 // bases: the tile, cut at the end of the range.
 func (k *kernel) clip(blk *tensor.Block, e *engine) {
-	if k.pos == nil {
-		k.pos = make([]int, len(k.c.Intra))
-		for j, x := range k.c.Intra {
-			k.pos[j] = slices.IndexFunc(e.loopStack, func(p loopPos) bool { return p.index == x })
-		}
-	}
 	for j, x := range k.c.Intra {
-		if p := k.pos[j]; p >= 0 {
-			k.at[j] = e.loopStack[p].base
-		} else {
-			k.at[j] = e.base[x]
-		}
+		k.at[j] = e.tileBase(k.pos[j], x)
 		blk.Ext[j] = int(min(k.tile[j], k.rng[j]-k.at[j]))
 	}
 }
@@ -96,7 +129,7 @@ func (k *kernel) clip(blk *tensor.Block, e *engine) {
 // bind points operand r of blk at a buffer instance: strides from the
 // instance's actual dims (a partial tile is a smaller tensor), origin at
 // the walker's tile bases (clip ran) relative to the instance's.
-func (k *kernel) bind(blk *tensor.Block, r int, base map[string]int64, b binding) {
+func (k *kernel) bind(blk *tensor.Block, r int, e *engine, b binding) {
 	nd, buf := len(k.at), k.operand(r)
 	strides := blk.Stride[r*nd : (r+1)*nd]
 	clear(strides)
@@ -106,7 +139,7 @@ func (k *kernel) bind(blk *tensor.Block, r int, base map[string]int64, b binding
 			strides[j] += s
 			start += int(k.at[j]-b.base[i]) * s
 		} else {
-			start += int(base[buf.Dims[i].Index]-b.base[i]) * s
+			start += int(e.tileBase(k.outer[r][i], buf.Dims[i].Index)-b.base[i]) * s
 		}
 		s *= b.t.Dim(i)
 	}

@@ -356,7 +356,7 @@ func newEngine(ctx context.Context, p *codegen.Plan, be disk.Backend, opt Option
 		computes: !opt.DryRun || opt.Tracer != nil || opt.Pipeline,
 	}
 	if e.computes {
-		e.lower(p.Body)
+		e.lower(p.Body, nil)
 	}
 	if opt.Metrics != nil {
 		e.mFaults = opt.Metrics.Counter("exec.io.faults")

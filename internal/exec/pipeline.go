@@ -445,27 +445,26 @@ func (s *scheduler) compute(c *codegen.Compute) error {
 	k := e.kernels[c]
 	blk := k.blk
 	k.clip(blk, e)
-	outSlot := s.cur(c.Out)
 	after := 0.0
-	if outSlot != nil {
-		after = outSlot.free()
-		if !dryRun {
-			k.bind(blk, 0, e.base, outSlot.binding)
-		}
-	} else if !dryRun {
-		return fmt.Errorf("exec: compute into uninstantiated buffer %q at %s", c.Out.Name, e.pos())
-	}
-	for i, f := range c.Factors {
-		slot := s.cur(f)
+	for r := range k.slots {
+		slot := k.slot(s, r)
+		k.slots[r] = slot
 		if slot == nil {
-			if !dryRun {
-				return fmt.Errorf("exec: compute reads uninstantiated buffer %q at %s", f.Name, e.pos())
+			if dryRun {
+				continue
 			}
-			continue
+			if r == 0 {
+				return fmt.Errorf("exec: compute into uninstantiated buffer %q at %s", c.Out.Name, e.pos())
+			}
+			return fmt.Errorf("exec: compute reads uninstantiated buffer %q at %s", c.Factors[r-1].Name, e.pos())
 		}
-		after = max(after, slot.fillEnd)
+		if r == 0 {
+			after = slot.free()
+		} else {
+			after = max(after, slot.fillEnd)
+		}
 		if !dryRun {
-			k.bind(blk, i+1, e.base, slot.binding)
+			k.bind(blk, r, e, slot.binding)
 		}
 	}
 	end := s.place(true, after, e.computeSeconds(k, blk), "compute ", c.Out.Name)
@@ -473,15 +472,15 @@ func (s *scheduler) compute(c *codegen.Compute) error {
 		s.worked = true
 		k.con.Run(blk, e.opt.Workers)
 	}
-	for _, f := range c.Factors {
-		if slot := s.cur(f); slot != nil {
+	for _, slot := range k.slots[1:] {
+		if slot != nil {
 			slot.use(end)
 		}
 	}
-	if outSlot != nil {
+	if slot := k.slots[0]; slot != nil {
 		// The block mutates the output instance: it becomes the contents'
 		// producer.
-		outSlot.refill(end)
+		slot.refill(end)
 	}
 	return nil
 }
