@@ -370,6 +370,10 @@ type solver struct {
 	leastBadX []int64 // fallback when nothing is feasible
 	leastBad  float64 // total violation at leastBadX
 
+	// flips is DLM's record of the single-bit flips it scored, kept
+	// across restarts.
+	flips flipScores
+
 	// curMu aliases the multipliers of the strategy run in progress, so
 	// observer events can report their norm; nil outside multiplier
 	// strategies.
@@ -445,20 +449,28 @@ func (s *solver) bestSoFar() (float64, bool) {
 	return s.bestF, true
 }
 
-// eval computes f and g, charging the evaluation budget. g may be the
+// eval computes f and g at x and records them. g may be the
 // evaluator's buffer: callers use it before the next eval and never keep
 // it.
 func (s *solver) eval(x []int64) (float64, []float64) {
-	s.evals++
-	if s.mEvals != nil {
-		s.mEvals.Inc()
-	}
 	var f float64
 	var g []float64
 	if s.ev != nil {
 		f, g = s.ev.Eval(x)
 	} else {
 		f, g = s.p.Objective(x), s.p.Violations(x)
+	}
+	s.record(x, f, g)
+	return f, g
+}
+
+// record charges one evaluation of x, whose objective and violations
+// are f and g, to the budget: it counts it, keeps x if it is the best
+// feasible or least-infeasible point so far, and consults the gate.
+func (s *solver) record(x []int64, f float64, g []float64) {
+	s.evals++
+	if s.mEvals != nil {
+		s.mEvals.Inc()
 	}
 	total := 0.0
 	for _, v := range g {
@@ -483,7 +495,6 @@ func (s *solver) eval(x []int64) (float64, []float64) {
 			s.stopped = true
 		}
 	}
-	return f, g
 }
 
 func (s *solver) budgetLeft() bool {

@@ -1,6 +1,9 @@
 package dcs
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // dlmOnce runs discrete Lagrange-multiplier search from one start point:
 // greedy best-improvement descent on L(x,μ) over the single-variable
@@ -11,6 +14,9 @@ import "math"
 func (s *solver) dlmOnce(start []int64) {
 	x := append([]int64(nil), start...)
 	f, g := s.eval(x)
+	if s.flips.keep == nil {
+		s.flips.init(s, len(g))
+	}
 	mu := make([]float64, len(g))
 	s.curMu = mu
 	// Initialize multipliers on the objective's scale so that a unit
@@ -38,6 +44,9 @@ func (s *solver) dlmOnce(start []int64) {
 			for _, nv := range moveBuf {
 				x[i] = nv
 				nf, ng := s.eval(x)
+				if s.flips.keep[i] {
+					s.flips.put(i, nf, ng)
+				}
 				if l := lagrangian(nf, ng, mu); l < bestL-1e-12 {
 					bestL, bestVar, bestVal = l, i, nv
 				}
@@ -57,7 +66,12 @@ func (s *solver) dlmOnce(start []int64) {
 					continue
 				}
 				setGroupCode(grp, groupScratch, code)
-				nf, ng := s.eval(groupScratch)
+				nf, ng, ok := s.flips.lookup(grp, cur^code)
+				if ok {
+					s.record(groupScratch, nf, ng)
+				} else {
+					nf, ng = s.eval(groupScratch)
+				}
 				if l := lagrangian(nf, ng, mu); l < bestL-1e-12 {
 					bestL, bestVar = l, -1
 					bestGroup, bestCode = gi, code
@@ -109,6 +123,62 @@ func (s *solver) dlmOnce(start []int64) {
 		f, g = s.eval(x)
 		curL = lagrangian(f, g, mu)
 	}
+}
+
+// flipScores is DLM's record of the single-bit flips scored in the
+// current pass. Setting a binary group whose bits are all 0/1 variables
+// from code cur to cur^(1<<b) gives, element for element, the point of
+// the pass's flip of bit b, so the group scan records the kept score
+// instead of evaluating that point again. One-hot groups and groups
+// with a wider-ranged bit are always evaluated. The group scan runs
+// only after the single-variable scan has scored every variable (both
+// stop together when the budget runs out), so every kept score is from
+// the current pass.
+type flipScores struct {
+	// keep[i] marks a bit of a binary group whose bits all range over
+	// 0..1; only those flips are kept.
+	keep []bool
+	f    []float64
+	g    []float64 // g[i*m:][:m]: the violations of variable i's flip
+	m    int
+}
+
+// init sizes the buffers once per solve; m is the number of violations.
+func (fs *flipScores) init(s *solver, m int) {
+	n := s.p.Dim()
+	fs.keep = make([]bool, n)
+	fs.f = make([]float64, n)
+	fs.g = make([]float64, n*m)
+	fs.m = m
+	for _, grp := range s.groups {
+		ok := !grp.OneHot
+		for _, v := range s.vars[grp.Offset:][:grp.Len] {
+			ok = ok && v.lo == 0 && v.hi == 1
+		}
+		for b := 0; b < grp.Len; b++ {
+			fs.keep[grp.Offset+b] = ok
+		}
+	}
+}
+
+// put keeps the score of this pass's flip of variable i.
+func (fs *flipScores) put(i int, f float64, g []float64) {
+	fs.f[i] = f
+	copy(fs.g[i*fs.m:][:fs.m], g)
+}
+
+// lookup returns the kept score of the point a group move reaches when
+// the move, whose old and new codes differ in the bits of d, is a kept
+// flip.
+func (fs *flipScores) lookup(grp Group, d int64) (float64, []float64, bool) {
+	if d&(d-1) != 0 {
+		return 0, nil, false
+	}
+	i := grp.Offset + bits.TrailingZeros64(uint64(d))
+	if !fs.keep[i] {
+		return 0, nil, false
+	}
+	return fs.f[i], fs.g[i*fs.m:][:fs.m], true
 }
 
 // csaOnce runs constrained simulated annealing: random single-variable

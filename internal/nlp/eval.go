@@ -1,14 +1,19 @@
 package nlp
 
-import "repro/internal/dcs"
+import (
+	"math"
+
+	"repro/internal/dcs"
+)
 
 // This file is the problem's one evaluation routine. Every candidate is
 // flattened at Build into one slice of terms; Objective, MemoryUsage,
 // Violations and the Candidate* accessors walk those slices with every
 // term recomputed, and the per-solver evaluator walks the same slices
-// recomputing only the terms whose tile variables changed since its
-// previous call. Both sum in the same order with the same operations, so
-// their results are bitwise equal.
+// recomputing only the terms whose tile variables or choice changed
+// since its previous call and re-summing only from the first choice
+// whose contribution changed. Both sum in the same order with the same
+// operations, so their results are bitwise equal.
 
 // termKind says how a term's raw product becomes its contribution.
 type termKind uint8
@@ -125,88 +130,162 @@ func (p *Problem) code(ci int, x []int64) (k int, oneHot float64) {
 }
 
 // evaluator is one solver's incremental view of a Problem. It caches the
-// previous tile vector, its trip counts, each choice's selected
-// candidate and the value of each of that candidate's terms; Eval
-// recomputes only what the new point changes. It is not safe for
-// concurrent use: each solver (each portfolio lane) owns one.
+// previous point — its tile vector and trip counts, its λ bits, each
+// choice's selected candidate and the value of each of that candidate's
+// terms — and the running objective and memory totals before each
+// choice. Eval decodes only the choices whose bits changed, recomputes
+// only the terms whose tiles changed, and re-sums from the first choice
+// whose contribution changed. It is not safe for concurrent use: each
+// solver (each portfolio lane) owns one.
 type evaluator struct {
 	p *Problem
-	// tiles starts at 0, which no tile size takes, and sel at −1, so the
-	// first call recomputes everything.
+	// tiles starts at 0, which no tile size takes, sel at −1 and dirty
+	// at true, so the first call recomputes everything.
 	tiles []int64
 	trips []float64
-	sel   []int
-	vals  [][]float64 // vals[ci][j]: term j of choice ci's selected candidate
-	g     []float64
+	lam   []int64 // the λ bits of the previous point
+	// bitChoice[j] is the choice that owns λ bit j; dirty[ci] marks a
+	// choice whose bits changed since it was last decoded.
+	bitChoice []int
+	dirty     []bool
+	sel       []int
+	mask      []uint64    // mask[ci]: the tile mask of choice ci's selected candidate
+	oneHot    []float64   // oneHot[ci]: choice ci's exactly-one violation
+	vals      [][]float64 // vals[ci][j]: term j of choice ci's selected candidate
+	// fPre[ci] and memPre[ci] are the objective and memory totals of
+	// choices 0..ci−1; fPre[len(Choices)] is f.
+	fPre, memPre []float64
+	g            []float64
 }
 
 // NewEvaluator returns a fresh incremental evaluator over p
 // (dcs.EvaluatingProblem). Its results are bitwise equal to Objective
 // and Violations; the slice it returns is reused by its next call.
 func (p *Problem) NewEvaluator() dcs.Evaluator {
+	n := len(p.Choices)
 	e := &evaluator{
-		p:     p,
-		tiles: make([]int64, len(p.TileVars)),
-		trips: make([]float64, len(p.TileVars)),
-		sel:   make([]int, len(p.Choices)),
-		vals:  make([][]float64, len(p.Choices)),
-		g:     make([]float64, 1+len(p.Choices)),
+		p:         p,
+		tiles:     make([]int64, len(p.TileVars)),
+		trips:     make([]float64, len(p.TileVars)),
+		lam:       make([]int64, p.NumLambda),
+		bitChoice: make([]int, p.NumLambda),
+		dirty:     make([]bool, n),
+		sel:       make([]int, n),
+		mask:      make([]uint64, n),
+		oneHot:    make([]float64, n),
+		vals:      make([][]float64, n),
+		fPre:      make([]float64, n+1),
+		memPre:    make([]float64, n+1),
+		g:         make([]float64, 1+n),
+	}
+	for ci, ch := range p.Choices {
+		for b := 0; b < ch.Bits; b++ {
+			e.bitChoice[ch.BitOffset+b] = ci
+		}
 	}
 	for ci, cands := range p.cands {
 		e.sel[ci] = -1
-		n := 0
+		e.dirty[ci] = true
+		m := 0
 		for k := range cands {
-			n = max(n, len(cands[k].terms))
+			m = max(m, len(cands[k].terms))
 		}
-		e.vals[ci] = make([]float64, n)
+		e.vals[ci] = make([]float64, m)
 	}
 	return e
 }
 
 // Eval returns Objective(x) and Violations(x). The violation slice is
 // owned by the evaluator and valid until its next call.
+//
+// A choice's cost and memory contribution changed when its selection
+// changed or a recomputed cost or memory term differs in its bits from
+// the cached one. Choices before the first such choice add exactly what
+// they added last call, so their prefix totals stand and the fold
+// resumes from there with the same operations in the same order as
+// Objective and Violations.
 func (e *evaluator) Eval(x []int64) (float64, []float64) {
 	p := e.p
+	nt := len(e.tiles)
 	var changed uint64
-	for i, t := range x[:len(e.tiles)] {
+	for i, t := range x[:nt] {
 		if t != e.tiles[i] {
 			e.tiles[i] = t
 			e.trips[i] = float64((p.Ranges[i] + t - 1) / t)
 			changed |= 1 << (i & 63)
 		}
 	}
-	f, mem := 0.0, 0.0
+	for j, v := range x[nt:] {
+		if v != e.lam[j] {
+			e.lam[j] = v
+			e.dirty[e.bitChoice[j]] = true
+		}
+	}
+	// first is the first choice whose cost or memory contribution
+	// changed; from there on, f and mem are re-summed. Before it, a
+	// choice with unchanged bits and tiles has nothing to redo.
+	n := len(p.cands)
+	first, f, mem := n, 0.0, 0.0
 	for ci, cands := range p.cands {
-		k, oneHot := p.code(ci, x)
+		if first == n && !e.dirty[ci] && changed&e.mask[ci] == 0 {
+			continue
+		}
+		k, blocks := e.sel[ci], false
+		if e.dirty[ci] {
+			e.dirty[ci] = false
+			k, e.oneHot[ci] = p.code(ci, x)
+			blocks = true
+		}
 		c := &cands[k]
 		vals := e.vals[ci][:len(c.terms)]
+		fold := false
 		switch {
 		case k != e.sel[ci]:
-			e.sel[ci] = k
+			e.sel[ci], e.mask[ci] = k, c.mask
 			for j := range c.terms {
 				vals[j] = c.terms[j].value(x, e.trips)
 			}
+			fold = true
 		case changed&c.mask != 0:
 			for j := range c.terms {
-				if changed&c.terms[j].mask != 0 {
-					vals[j] = c.terms[j].value(x, e.trips)
+				if changed&c.terms[j].mask == 0 {
+					continue
+				}
+				if v := c.terms[j].value(x, e.trips); math.Float64bits(v) != math.Float64bits(vals[j]) {
+					vals[j] = v
+					if j < c.nCost+c.nMem {
+						fold = true
+					} else {
+						blocks = true
+					}
 				}
 			}
 		}
-		for _, v := range vals[:c.nCost] {
-			f += v
+		if fold && first == n {
+			first, f, mem = ci, e.fPre[ci], e.memPre[ci]
 		}
-		for _, v := range vals[c.nCost : c.nCost+c.nMem] {
-			mem += v
+		if first < n {
+			e.fPre[ci], e.memPre[ci] = f, mem
+			for _, v := range vals[:c.nCost] {
+				f += v
+			}
+			for _, v := range vals[c.nCost : c.nCost+c.nMem] {
+				mem += v
+			}
 		}
-		short := 0.0
-		for _, v := range vals[c.nCost+c.nMem:] {
-			short += v
+		if fold || blocks {
+			short := 0.0
+			for _, v := range vals[c.nCost+c.nMem:] {
+				short += v
+			}
+			e.g[1+ci] = short + e.oneHot[ci]
 		}
-		e.g[1+ci] = short + oneHot
 	}
-	e.g[0] = p.memOverrun(mem)
-	return f, e.g
+	if first < n {
+		e.fPre[n], e.memPre[n] = f, mem
+		e.g[0] = p.memOverrun(mem)
+	}
+	return e.fPre[n], e.g
 }
 
 // memOverrun is the memory-limit violation (relative overrun) of a total

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/loops"
@@ -23,7 +24,7 @@ type evalProblem struct {
 
 // evalProblems returns the paper's four-index problems at both sizes,
 // the 10-loop triples term, and 16 random programs.
-func evalProblems(t *testing.T) []evalProblem {
+func evalProblems(t testing.TB) []evalProblem {
 	t.Helper()
 	parsed, err := tce.Parse(tce.CCTriplesSpec(140, 120))
 	if err != nil {
@@ -46,7 +47,7 @@ func evalProblems(t *testing.T) []evalProblem {
 	return out
 }
 
-func (ep evalProblem) build(t *testing.T, enc Encoding) *Problem {
+func (ep evalProblem) build(t testing.TB, enc Encoding) *Problem {
 	t.Helper()
 	tree, err := tiling.Tile(ep.prog)
 	if err != nil {
@@ -151,6 +152,193 @@ func TestObjectiveViolationsAllocs(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
 			t.Errorf("%s: %v allocs/op, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// checkEval fails t unless the incremental result f, g equals Objective
+// and Violations at x to the bit.
+func checkEval(t *testing.T, what string, p *Problem, x []int64, f float64, g []float64) {
+	t.Helper()
+	wantF, wantG := p.Objective(x), p.Violations(x)
+	if math.Float64bits(f) != math.Float64bits(wantF) {
+		t.Fatalf("%s: f = %v, Objective = %v (x = %v)", what, f, wantF, x)
+	}
+	if len(g) != len(wantG) {
+		t.Fatalf("%s: %d violations, want %d", what, len(g), len(wantG))
+	}
+	for i := range g {
+		if math.Float64bits(g[i]) != math.Float64bits(wantG[i]) {
+			t.Fatalf("%s: g[%d] = %v, Violations = %v (x = %v)", what, i, g[i], wantG[i], x)
+		}
+	}
+}
+
+// TestEvaluatorSkipPathsMatchObjectiveBits drives the evaluator through
+// the moves after which it decodes, recomputes or re-sums little or
+// nothing: the same point twice, λ bits whose code clamps to the last
+// candidate (any bit pattern under one-hot encoding), a tile move within
+// one trip count, preferring a tile that no selected candidate's term
+// multiplies by directly, and a λ bit that changes the one-hot violation
+// but not the selection. Single-variable moves and jumps keep the
+// trajectory moving. Every result must equal Objective and Violations to
+// the bit.
+func TestEvaluatorSkipPathsMatchObjectiveBits(t *testing.T) {
+	steps := 1500
+	if testing.Short() {
+		steps = 300
+	}
+	untouched := 0 // tile moves that left every selected term's value as is
+	for _, ep := range evalProblems(t) {
+		for _, enc := range []Encoding{BinaryEncoding, OneHotEncoding} {
+			p := ep.build(t, enc)
+			rng := rand.New(rand.NewSource(int64(len(ep.name)) + 7*int64(enc)))
+			ev := p.NewEvaluator()
+			nt := len(p.TileVars)
+			x := make([]int64, p.Dim())
+			jump := func() {
+				for i := range x {
+					lo, hi := p.Bounds(i)
+					x[i] = lo + rng.Int63n(hi-lo+1)
+				}
+			}
+			jump()
+			for step := 0; step < steps; step++ {
+				what := fmt.Sprintf("%s enc %d step %d", ep.name, enc, step)
+				switch r := rng.Intn(12); {
+				case r < 2: // the same point again
+					f, g := ev.Eval(x)
+					checkEval(t, what+" (first of two)", p, x, f, g)
+				case r < 4 && len(p.Choices) > 0: // a code that clamps
+					ch := p.Choices[rng.Intn(len(p.Choices))]
+					bits := x[nt+ch.BitOffset:][:ch.Bits]
+					switch {
+					case enc == OneHotEncoding:
+						for b := range bits {
+							bits[b] = rng.Int63n(2)
+						}
+					case 1<<ch.Bits > ch.M:
+						code := ch.M + rng.Intn(1<<ch.Bits-ch.M)
+						for b := range bits {
+							bits[b] = int64(code >> b & 1)
+						}
+					}
+				case r < 6 && nt > 0: // a tile move within one trip count
+					i := rng.Intn(nt)
+					sel := p.Selected(x)
+					for j := 0; j < nt; j++ {
+						if !multipliesBy(p, sel, (i+j)%nt) {
+							i = (i + j) % nt
+							break
+						}
+					}
+					n, k := p.Ranges[i], (p.Ranges[i]+x[i]-1)/x[i]
+					lo, hi := (n+k-1)/k, n
+					if k > 1 {
+						hi = (n+k-2)/(k-1) - 1
+					}
+					if !multipliesBy(p, sel, i) && hi > lo {
+						untouched++
+					}
+					x[i] = lo + rng.Int63n(hi-lo+1)
+				case r < 8 && len(p.Choices) > 0: // one λ bit after the first set one
+					ch := p.Choices[rng.Intn(len(p.Choices))]
+					bits := x[nt+ch.BitOffset:][:ch.Bits]
+					first := 0
+					for first < len(bits) && bits[first] == 0 {
+						first++
+					}
+					if first+1 < len(bits) {
+						b := first + 1 + rng.Intn(len(bits)-first-1)
+						bits[b] ^= 1
+					}
+				case r < 11: // one variable: a tile size or a λ bit
+					i := rng.Intn(p.Dim())
+					lo, hi := p.Bounds(i)
+					x[i] = lo + rng.Int63n(hi-lo+1)
+				default:
+					jump()
+				}
+				f, g := ev.Eval(x)
+				checkEval(t, what, p, x, f, g)
+			}
+		}
+	}
+	if untouched == 0 {
+		t.Fatal("no tile move left every selected term unchanged; the test is vacuous")
+	}
+}
+
+// multipliesBy reports whether a term of a candidate selected by sel
+// multiplies by tile variable i directly, not only through its trip
+// count.
+func multipliesBy(p *Problem, sel []int, i int) bool {
+	for ci, k := range sel {
+		for _, tm := range p.cands[ci][k].terms {
+			for _, j := range tm.idx[:tm.nTiles] {
+				if j == i {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// BenchmarkEval times one incremental Eval after each kind of solver
+// move on the three paper problems: a tile size, a λ bit, a whole
+// choice's code, or nothing (the same point again). Each call moves one
+// step from the previous call's point, cycling over the variables or
+// choices from a fixed start.
+func BenchmarkEval(b *testing.B) {
+	for _, ep := range evalProblems(b)[:3] {
+		p := ep.build(b, BinaryEncoding)
+		nt := len(p.TileVars)
+		tiles, sel := map[string]int64{}, map[string]int{}
+		for i, v := range p.TileVars {
+			tiles[v] = max(1, p.Ranges[i]/5)
+		}
+		for ci, ch := range p.Choices {
+			sel[ch.Name] = ci % ch.M
+		}
+		x0 := p.Encode(tiles, sel)
+		// points returns x0, x0 after move 0, x0, x0 after move 1, …
+		points := func(moves int, move func(x []int64, m int)) [][]int64 {
+			var out [][]int64
+			for m := 0; m < moves; m++ {
+				x := append([]int64(nil), x0...)
+				move(x, m)
+				out = append(out, x0, x)
+			}
+			return out
+		}
+		kinds := []struct {
+			name string
+			pts  [][]int64
+		}{
+			{"tile", points(nt, func(x []int64, i int) {
+				if x[i] *= 2; x[i] > p.Ranges[i] {
+					x[i] = max(1, p.Ranges[i]/2)
+				}
+			})},
+			{"bit", points(p.NumLambda, func(x []int64, j int) { x[nt+j] ^= 1 })},
+			{"group", points(len(p.Choices), func(x []int64, ci int) {
+				ch := p.Choices[ci]
+				code := (ci%ch.M + 1) % ch.M
+				for b := 0; b < ch.Bits; b++ {
+					x[nt+ch.BitOffset+b] = int64(code >> b & 1)
+				}
+			})},
+			{"repeat", [][]int64{x0}},
+		}
+		for _, k := range kinds {
+			b.Run(strings.ReplaceAll(ep.name, " ", "-")+"/"+k.name, func(b *testing.B) {
+				ev := p.NewEvaluator()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ev.Eval(k.pts[i%len(k.pts)])
+				}
+			})
 		}
 	}
 }
