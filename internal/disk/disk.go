@@ -54,6 +54,13 @@ func (s Stats) String() string {
 }
 
 // Array is a disk-resident array accessed by sections.
+//
+// An implementation must not keep lo or shape after ReadSection or
+// WriteSection returns: the execution engine reuses one lo/shape pair
+// per plan step, rewriting it for the step's next section. Whatever
+// outlives the call takes a copy — NewIOError copies both into the
+// *IOError it builds, trace.Recorder appends their values to its log, and
+// Sim copies lo before poisoning a silently lost write.
 type Array interface {
 	// Name returns the array's identifier.
 	Name() string
@@ -61,8 +68,10 @@ type Array interface {
 	Dims() []int64
 	// ReadSection reads the hyper-rectangle [lo, lo+shape) into buf
 	// (row-major, length Π shape). buf may be nil for cost-only backends.
+	// lo and shape are only borrowed for the call.
 	ReadSection(lo, shape []int64, buf []float64) error
 	// WriteSection writes buf into the hyper-rectangle [lo, lo+shape).
+	// lo and shape are only borrowed for the call.
 	WriteSection(lo, shape []int64, buf []float64) error
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/codegen"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -21,39 +22,30 @@ type kernel struct {
 	// tile base the walker stood at when clip last ran.
 	rng, tile, at []int64
 	// pos is each intra index's enclosing loop on the walker's loop stack
-	// (-1: none; its base is then read from e.base), found at lowering: the
-	// plan's nesting is static.
+	// (-1: none; its base is then 0), found at lowering: the plan's nesting
+	// is static.
 	pos []int
 	// loop gives, per operand (the output, then the factors) and buffer
 	// dim, the position of the dim's index in c.Intra, -1 if it is not an
 	// intra index; outer gives a non-intra dim's enclosing loop as pos does.
 	loop, outer [][]int
-	// bufs is each operand's double-buffer state, looked up on the first
-	// block that finds it instantiated; slots holds the live instances of
-	// the block being computed.
+	// bufs is each operand's double-buffer state; slots holds the live
+	// instances of the block being computed.
 	bufs  []*pipeBuf
 	slots []*pslot
 	// blk is the block every compute step is described in and run from.
 	blk *tensor.Block
+	// span is the interned span name (0 without a tracer).
+	span obs.Key
 }
 
-// lower builds the kernels of every compute block under ns, whose
-// enclosing loops' indices are stack, outermost first.
-func (e *engine) lower(ns []codegen.Node, stack []string) {
-	for _, n := range ns {
-		switch n := n.(type) {
-		case *codegen.Loop:
-			e.lower(n.Body, append(stack, n.Index))
-		case *codegen.Compute:
-			e.kernels[n] = e.newKernel(n, stack)
-		}
-	}
-}
-
-func (e *engine) newKernel(c *codegen.Compute, stack []string) *kernel {
+// kernel lowers a compute block at the current position: its enclosing
+// loops are lw.names, outermost first.
+func (lw *lowering) kernel(c *codegen.Compute) *kernel {
+	e, stack := lw.e, lw.names
 	nd, refs := len(c.Intra), len(c.Factors)+1
 	k := &kernel{c: c, loop: make([][]int, refs), outer: make([][]int, refs),
-		bufs: make([]*pipeBuf, refs), slots: make([]*pslot, refs)}
+		bufs: make([]*pipeBuf, refs), slots: make([]*pslot, refs), span: e.sched.span("compute ", c.Out.Name)}
 	n := nd
 	for r := 0; r < refs; r++ {
 		n += 2 * len(k.operand(r).Dims)
@@ -71,6 +63,7 @@ func (e *engine) newKernel(c *codegen.Compute, stack []string) *kernel {
 		k.pos[j] = slices.Index(stack, x)
 	}
 	for r := 0; r < refs; r++ {
+		k.bufs[r] = lw.pipeBuf(k.operand(r))
 		dims := k.operand(r).Dims
 		loop, outer := carve(len(dims)), carve(len(dims))
 		for i, d := range dims {
@@ -97,31 +90,16 @@ func (k *kernel) operand(r int) *codegen.Buffer {
 }
 
 // slot returns operand r's live instance, nil before its first fill.
-func (k *kernel) slot(s *scheduler, r int) *pslot {
+func (k *kernel) slot(r int) *pslot {
 	pb := k.bufs[r]
-	if pb == nil {
-		if pb = s.bufs[k.operand(r)]; pb == nil {
-			return nil
-		}
-		k.bufs[r] = pb
-	}
 	return pb.slots[pb.cur]
-}
-
-// tileBase is the walker's tile base of index x, whose enclosing loop is
-// at position p of the loop stack (-1: none).
-func (e *engine) tileBase(p int, x string) int64 {
-	if p >= 0 {
-		return e.loopStack[p].base
-	}
-	return e.base[x]
 }
 
 // clip sets blk's extents to the intra-tile extents at the walker's tile
 // bases: the tile, cut at the end of the range.
 func (k *kernel) clip(blk *tensor.Block, e *engine) {
-	for j, x := range k.c.Intra {
-		k.at[j] = e.tileBase(k.pos[j], x)
+	for j := range k.c.Intra {
+		k.at[j] = e.tileBase(k.pos[j])
 		blk.Ext[j] = int(min(k.tile[j], k.rng[j]-k.at[j]))
 	}
 }
@@ -139,7 +117,7 @@ func (k *kernel) bind(blk *tensor.Block, r int, e *engine, b binding) {
 			strides[j] += s
 			start += int(k.at[j]-b.base[i]) * s
 		} else {
-			start += int(e.tileBase(k.outer[r][i], buf.Dims[i].Index)-b.base[i]) * s
+			start += int(e.tileBase(k.outer[r][i])-b.base[i]) * s
 		}
 		s *= b.t.Dim(i)
 	}

@@ -6,13 +6,16 @@
 // paper's array sizes and yields the "measured" disk I/O times of the
 // evaluation.
 //
-// There is one engine and one execution order: a walker (this file)
-// resolves loop bases, sections, dry-run pruning and error positions and
-// hands every step, as it is produced, to a scheduler (pipeline.go) that
-// binds, times and runs it on the calling goroutine, in program order,
-// stopping at the first failure. Options.Pipeline changes only the
-// modelled timeline: a second clock on which prefetch and write-behind
-// overlap compute.
+// There is one engine and one execution order. Each run first lowers the
+// plan to a step tree (this file): every I/O step knows, per buffer dim,
+// which enclosing loop its tile base comes from and owns its section's
+// lo/shape; every compute step holds its kernel (compute.go). A walker
+// then runs the tree on integers — loop bases on a stack, dry-run pruning,
+// error positions — and hands every step, as it is reached, to a
+// scheduler (pipeline.go) that binds, times and runs it on the calling
+// goroutine, in program order, stopping at the first failure.
+// Options.Pipeline changes only the modelled timeline: a second clock on
+// which prefetch and write-behind overlap compute.
 package exec
 
 import (
@@ -244,7 +247,6 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 		// Completed units never regress below the resume point.
 		e.lastCP = *opt.Resume
 	}
-	e.subtreeHasIO(p.Body)
 	if err := e.stage(inputs); err != nil {
 		return nil, e.failure(err)
 	}
@@ -257,7 +259,7 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 	}
 	e.staged = true
 	be.ResetStats()
-	stopped, err := e.execTop(p.Body)
+	stopped, err := e.execTop()
 	if err != nil {
 		return nil, e.failure(err)
 	}
@@ -292,32 +294,28 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 	return res, nil
 }
 
-// engine is one run's state: the plan walker, plus the retry, checkpoint
-// and staging bookkeeping around it.
+// engine is one run's state: the lowered plan and its walker, plus the
+// retry, checkpoint and staging bookkeeping around them.
 type engine struct {
 	plan *codegen.Plan
 	be   disk.Backend
 	opt  Options
 	//lint:ignore ctxfield the engine struct is per-Run scratch state, never retained past the call
 	ctx context.Context
-	// sched runs the steps the walker produces (pipeline.go).
+	// sched runs the steps the walker reaches (pipeline.go).
 	sched *scheduler
-	base  map[string]int64 // current tile base per loop index
+	// top is the plan body lowered for the run, one step per top-level
+	// item.
+	top []step
 	// loopStack holds the enclosing loops' indices and tile bases,
-	// outermost first, for error attribution (e.base alone has no
-	// deterministic order).
+	// outermost first: steps read their bases from it by depth, and
+	// errors name the position from it.
 	loopStack []loopPos
-	arrs      map[string]disk.Array
-	// hasIO caches, per loop node, whether its subtree performs disk I/O;
-	// dry runs do not iterate I/O-free subtrees (their iteration counts are
-	// unconstrained by the cost model and can be astronomical).
-	hasIO map[*codegen.Loop]bool
-	// kernels holds every compute block of the plan, lowered once for the
-	// run (compute.go).
-	kernels map[*codegen.Compute]*kernel
+	// arrs holds the staged arrays by name, for binding steps to them.
+	arrs map[string]disk.Array
 	// computes is false when a dry run's compute blocks — never executed —
-	// are not even timed (no tracer, no PipelineStats to fill): the walker
-	// then skips them, and with them every I/O-free loop.
+	// are not even timed (no tracer, no PipelineStats to fill): lowering
+	// then drops them, and the walker skips every I/O-free loop.
 	computes bool
 	// dryLoops is the stack of I/O-free loops the walker is currently
 	// descending once instead of iterating (dry-run only); their trip
@@ -341,22 +339,16 @@ type engine struct {
 	vRetries *obs.CounterVec
 }
 
-// newEngine sets up a run's state: the walker, the scheduler, and the
-// plan's compute blocks lowered to kernels.
+// newEngine sets up a run's state: the scheduler, and the plan lowered
+// to a step tree.
 func newEngine(ctx context.Context, p *codegen.Plan, be disk.Backend, opt Options) *engine {
 	e := &engine{
 		plan:     p,
 		be:       be,
 		opt:      opt,
 		ctx:      ctx,
-		base:     map[string]int64{},
 		arrs:     map[string]disk.Array{},
-		hasIO:    map[*codegen.Loop]bool{},
-		kernels:  map[*codegen.Compute]*kernel{},
 		computes: !opt.DryRun || opt.Tracer != nil || opt.Pipeline,
-	}
-	if e.computes {
-		e.lower(p.Body, nil)
 	}
 	if opt.Metrics != nil {
 		e.mFaults = opt.Metrics.Counter("exec.io.faults")
@@ -364,6 +356,8 @@ func newEngine(ctx context.Context, p *codegen.Plan, be disk.Backend, opt Option
 		e.vRetries = opt.Metrics.CounterVec("exec.io.retries.by_array", "array")
 	}
 	e.sched = newScheduler(e)
+	lw := &lowering{e: e, from: map[string]int{}, bufs: map[*codegen.Buffer]*pipeBuf{}}
+	e.top, _ = lw.body(p.Body)
 	return e
 }
 
@@ -410,18 +404,36 @@ func (e *engine) failure(err error) error {
 	return re
 }
 
-// retryOp runs one section-I/O operation under the run's retry policy:
+// ioTarget is a staged disk array and the retry policy its section
+// operations run under.
+type ioTarget struct {
+	name string
+	arr  disk.Array
+	pol  *disk.RetryPolicy
+}
+
+// target binds the named array; staging must have created or opened it.
+func (e *engine) target(name string) ioTarget {
+	return ioTarget{name: name, arr: e.arrs[name], pol: e.opt.Retry.ForArray(name)}
+}
+
+// retryOp runs one section read or write of t under its retry policy:
 // transient typed faults are retried with capped exponential backoff.
 // attemptDur is the modelled duration of one attempt; each retry charges
 // attemptDur plus its backoff delay to the modelled I/O clock at once
 // (scheduler.addIO) so the run still reconciles with the backend's
 // Stats.Time(). Persistent faults and retry-budget exhaustion return the
 // last error unchanged.
-func (e *engine) retryOp(array string, attemptDur float64, fn func() error) error {
-	pol := e.opt.Retry.ForArray(array)
+func (e *engine) retryOp(t *ioTarget, read bool, lo, shape []int64, data []float64, attemptDur float64) error {
+	array, pol := t.name, t.pol
 	attempts := pol.Attempts()
 	for attempt := 0; ; attempt++ {
-		err := fn()
+		var err error
+		if read {
+			err = t.arr.ReadSection(lo, shape, data)
+		} else {
+			err = t.arr.WriteSection(lo, shape, data)
+		}
 		if err == nil {
 			return nil
 		}
@@ -478,23 +490,6 @@ func (e *engine) noteRetry(seconds float64) {
 	}
 }
 
-// subtreeHasIO computes the dry-run pruning map.
-func (e *engine) subtreeHasIO(ns []codegen.Node) bool {
-	any := false
-	for _, n := range ns {
-		switch n := n.(type) {
-		case *codegen.Loop:
-			if e.subtreeHasIO(n.Body) {
-				e.hasIO[n] = true
-				any = true
-			}
-		case *codegen.IO, *codegen.InitPass:
-			any = true
-		}
-	}
-	return any
-}
-
 // stage creates all disk arrays and loads the inputs (or opens
 // pre-existing inputs under Options.OpenInputs; on Resume, everything is
 // opened since the interrupted run created it).
@@ -540,12 +535,8 @@ func (e *engine) stage(inputs map[string]*tensor.Tensor) error {
 		if int64(in.Size()) != size(da.Dims) {
 			return fmt.Errorf("exec: input %q has %d elements, want %d", da.Name, in.Size(), size(da.Dims))
 		}
-		lo := make([]int64, len(da.Dims))
-		data := in.Data()
-		err = e.retryOp(da.Name, 0, func() error {
-			return a.WriteSection(lo, da.Dims, data)
-		})
-		if err != nil {
+		t := e.target(da.Name)
+		if err := e.retryOp(&t, false, make([]int64, len(da.Dims)), da.Dims, in.Data(), 0); err != nil {
 			return fmt.Errorf("exec: stage input %q: %w", da.Name, err)
 		}
 	}
@@ -567,11 +558,8 @@ func (e *engine) fetch(da codegen.DiskArray) (*tensor.Tensor, error) {
 		dims[i] = int(d)
 	}
 	t := tensor.New(dims...)
-	lo := make([]int64, len(da.Dims))
-	err := e.retryOp(da.Name, 0, func() error {
-		return e.arrs[da.Name].ReadSection(lo, da.Dims, t.Data())
-	})
-	if err != nil {
+	tg := e.target(da.Name)
+	if err := e.retryOp(&tg, true, make([]int64, len(da.Dims)), da.Dims, t.Data(), 0); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -581,41 +569,41 @@ func (e *engine) fetch(da codegen.DiskArray) (*tensor.Tensor, error) {
 // StopAfter counts top-level loop iterations; Resume skips completed
 // items/iterations (re-executing top-level reads, which restore the
 // buffers later nests consume).
-func (e *engine) execTop(body []codegen.Node) (*Checkpoint, error) {
+func (e *engine) execTop() (*Checkpoint, error) {
 	var units int64
 	resume := e.opt.Resume
-	for i, n := range body {
+	for i, st := range e.top {
 		item := int64(i)
 		if err := e.ctxErr(); err != nil {
 			return nil, err
 		}
-		if l, ok := n.(*codegen.Loop); ok {
-			if e.opt.DryRun && !e.hasIO[l] {
+		if ls, ok := st.(*loopStep); ok {
+			if e.opt.DryRun && !ls.hasIO {
 				continue
 			}
+			l := ls.l
 			var it int64
-			e.loopStack = append(e.loopStack, loopPos{index: l.Index})
+			e.loopStack = append(e.loopStack[:0], loopPos{index: l.Index})
 			for b := int64(0); b < l.Range; b += l.Tile {
 				if resume != nil && (item < resume.Item || (item == resume.Item && it < resume.Iter)) {
 					it++
 					continue
 				}
-				e.setBase(l.Index, b)
-				if err := e.runUnit(l.Body); err != nil {
+				e.loopStack[0].base = b
+				if err := e.runUnit(ls.body); err != nil {
 					return nil, err
 				}
-				delete(e.base, l.Index)
 				it++
 				units++
 				if err := e.noteUnit(Checkpoint{Item: item, Iter: it}); err != nil {
 					return nil, err
 				}
 				if e.opt.StopAfter > 0 && units >= e.opt.StopAfter && b+l.Tile < l.Range {
-					e.loopStack = e.loopStack[:len(e.loopStack)-1]
+					e.loopStack = e.loopStack[:0]
 					return &Checkpoint{Item: item, Iter: it}, nil
 				}
 			}
-			e.loopStack = e.loopStack[:len(e.loopStack)-1]
+			e.loopStack = e.loopStack[:0]
 			if err := e.noteUnit(Checkpoint{Item: item + 1}); err != nil {
 				return nil, err
 			}
@@ -624,11 +612,11 @@ func (e *engine) execTop(body []codegen.Node) (*Checkpoint, error) {
 		// Non-loop top-level item. On resume: re-execute reads (restores
 		// read-only buffers); skip anything else already done.
 		if resume != nil && item < resume.Item {
-			if io, ok := n.(*codegen.IO); !ok || !io.Read {
+			if io, ok := st.(*ioStep); !ok || !io.n.Read {
 				continue
 			}
 		}
-		if err := e.runUnit(body[i : i+1]); err != nil {
+		if err := e.runUnit(e.top[i : i+1]); err != nil {
 			return nil, err
 		}
 		if err := e.noteUnit(Checkpoint{Item: item + 1}); err != nil {
@@ -641,8 +629,8 @@ func (e *engine) execTop(body []codegen.Node) (*Checkpoint, error) {
 // runUnit executes one top-level work unit — a single iteration of a
 // top-level loop, or a non-loop top-level item — and closes it with the
 // scheduler's barrier, where a pipelined run's two modelled clocks meet.
-func (e *engine) runUnit(ns []codegen.Node) error {
-	return e.sched.barrier(e.walk(ns))
+func (e *engine) runUnit(steps []step) error {
+	return e.sched.barrier(e.walk(steps))
 }
 
 // ctxErr reports context cancellation as a run error.
@@ -675,40 +663,39 @@ type loopPos struct {
 	base  int64
 }
 
-// setBase moves the innermost enclosing loop, over index, to tile base b.
-func (e *engine) setBase(index string, b int64) {
-	e.base[index] = b
-	e.loopStack[len(e.loopStack)-1].base = b
+// tileBase is the current tile base of the enclosing loop at depth d of
+// the loop stack; d < 0 stands for no loop, whose base is 0.
+func (e *engine) tileBase(d int) int64 {
+	if d < 0 {
+		return 0
+	}
+	return e.loopStack[d].base
 }
 
 // walk is the plan walker: it resolves loop bases and sections in program
 // order and hands each step to the scheduler as it is reached, stopping at
 // the first error the scheduler returns: nothing past a failed operation
 // is issued.
-func (e *engine) walk(ns []codegen.Node) error {
-	for _, n := range ns {
+func (e *engine) walk(steps []step) error {
+	for _, st := range steps {
 		var err error
-		switch n := n.(type) {
-		case *codegen.Loop:
-			err = e.walkLoop(n)
-		case *codegen.IO:
-			lo, shape := e.section(n.Buffer)
-			if n.Read {
-				err = e.sched.read(n, lo, shape)
+		switch st := st.(type) {
+		case *loopStep:
+			err = e.walkLoop(st)
+		case *ioStep:
+			st.at(e)
+			if st.n.Read {
+				err = e.sched.read(st)
 			} else {
-				err = e.sched.write(n, lo, shape)
+				err = e.sched.write(st)
 			}
-		case *codegen.ZeroBuf:
-			if !e.opt.DryRun {
-				lo, shape := e.section(n.Buffer)
-				err = e.sched.zero(n.Buffer, lo, shape)
-			}
-		case *codegen.InitPass:
-			err = e.sched.init(n.Array)
-		case *codegen.Compute:
-			if e.computes {
-				err = e.sched.compute(n)
-			}
+		case *zeroStep:
+			st.at(e)
+			err = e.sched.zero(st)
+		case *initStep:
+			err = e.sched.init(st)
+		case *kernel:
+			err = e.sched.compute(st)
 		}
 		if err != nil {
 			return err
@@ -722,16 +709,12 @@ func (e *engine) walk(ns []codegen.Node) error {
 // for a single iteration and folds the remaining trips into the compute
 // multiplier, so the modelled compute time covers the whole subtree
 // without enumerating its (cost-model-unconstrained) iteration space.
-func (e *engine) walkLoop(l *codegen.Loop) error {
-	pruned := e.opt.DryRun && !e.hasIO[l]
-	if pruned && !e.computes {
-		return nil
-	}
-	e.loopStack = append(e.loopStack, loopPos{index: l.Index})
-	if pruned {
-		e.base[l.Index] = 0
+func (e *engine) walkLoop(ls *loopStep) error {
+	l := ls.l
+	e.loopStack = append(e.loopStack[:ls.depth], loopPos{index: l.Index})
+	if e.opt.DryRun && !ls.hasIO {
 		e.dryLoops = append(e.dryLoops, l)
-		if err := e.walk(l.Body); err != nil {
+		if err := e.walk(ls.body); err != nil {
 			return err
 		}
 		e.dryLoops = e.dryLoops[:len(e.dryLoops)-1]
@@ -740,14 +723,13 @@ func (e *engine) walkLoop(l *codegen.Loop) error {
 			if err := e.ctxErr(); err != nil {
 				return err
 			}
-			e.setBase(l.Index, b)
-			if err := e.walk(l.Body); err != nil {
+			e.loopStack[ls.depth].base = b
+			if err := e.walk(ls.body); err != nil {
 				return err
 			}
 		}
 	}
-	e.loopStack = e.loopStack[:len(e.loopStack)-1]
-	delete(e.base, l.Index)
+	e.loopStack = e.loopStack[:ls.depth]
 	return nil
 }
 
@@ -760,31 +742,6 @@ func ioErr(read bool, array, pos string, err error) error {
 	return fmt.Errorf("exec: %s %q at %s: %w", verb, array, pos, err)
 }
 
-// section computes the disk section a buffer maps to at the current tile
-// bases: tile dims clip at the array boundary, full dims span the range.
-func (e *engine) section(buf *codegen.Buffer) (lo, shape []int64) {
-	r := len(buf.Dims)
-	lo = make([]int64, 2*r)
-	lo, shape = lo[:r:r], lo[r:]
-	for i, d := range buf.Dims {
-		n := e.plan.Prog.Ranges[d.Index]
-		switch d.Class {
-		case placement.ExtTile:
-			b := e.base[d.Index]
-			t := e.plan.Tiles[d.Index]
-			lo[i] = b
-			shape[i] = min(t, n-b)
-		case placement.ExtFull:
-			lo[i] = 0
-			shape[i] = n
-		default:
-			lo[i] = e.base[d.Index] // ExtOne: single current element
-			shape[i] = 1
-		}
-	}
-	return lo, shape
-}
-
 // ioDur is the modelled duration of one section operation of the given
 // shape — the same figure the backend charges to Stats.
 func (e *engine) ioDur(read bool, shape []int64) float64 {
@@ -795,65 +752,236 @@ func (e *engine) ioDur(read bool, shape []int64) float64 {
 	return e.plan.Cfg.Disk.WriteTime(bytes, 1)
 }
 
-// initTiles returns the named disk array and the tile extent per array
-// dim of its init pass (nil for an array the plan does not declare).
-func (e *engine) initTiles(name string) (*codegen.DiskArray, []int64) {
-	for a := range e.plan.DiskArrays {
-		if da := &e.plan.DiskArrays[a]; da.Name == name {
-			tiles := make([]int64, len(da.Dims))
-			for i, idx := range da.Indices {
-				tiles[i] = e.plan.Tiles[idx]
-			}
-			return da, tiles
-		}
-	}
-	return nil, nil
-}
-
-func dimsToInt64(dims []int) []int64 {
-	out := make([]int64, len(dims))
-	for i, d := range dims {
-		out[i] = int64(d)
-	}
-	return out
-}
-
 // initPass zero-fills a disk array tile by tile, charging the writes.
-func (e *engine) initPass(da *codegen.DiskArray, tiles []int64) error {
-	name := da.Name
-	arr := e.arrs[name]
-	lo := make([]int64, len(da.Dims))
-	shape := make([]int64, len(da.Dims))
-	var zero []float64
-	var walk func(d int) error
-	walk = func(d int) error {
-		if d == len(da.Dims) {
-			n := size(shape)
-			var buf []float64
-			if !e.opt.DryRun {
-				if int64(len(zero)) < n {
-					zero = make([]float64, n)
-				}
-				buf = zero[:n]
-			}
-			// lo/shape are mutated by the walk, but a retry fires
-			// before the walk advances, so the closure sees the
-			// tile it failed on.
-			if err := e.retryOp(name, e.ioDur(false, shape), func() error {
-				return arr.WriteSection(lo, shape, buf)
-			}); err != nil {
-				return fmt.Errorf("tile at lo=%v: %w", lo, err)
-			}
-			return nil
-		}
-		for b := int64(0); b < da.Dims[d]; b += tiles[d] {
-			lo[d] = b
-			shape[d] = min(tiles[d], da.Dims[d]-b)
-			if err := walk(d + 1); err != nil {
-				return err
-			}
-		}
+func (e *engine) initPass(st *initStep) error {
+	da, lo, shape := st.da, st.lo, st.shape
+	if size(da.Dims) == 0 {
 		return nil
 	}
-	return walk(0)
+	if st.arr == nil {
+		st.ioTarget = e.target(st.array)
+	}
+	for i := range lo {
+		lo[i], shape[i] = 0, min(st.tiles[i], da.Dims[i])
+	}
+	for {
+		var buf []float64
+		if !e.opt.DryRun {
+			n := size(shape)
+			if int64(len(st.zero)) < n {
+				st.zero = make([]float64, n)
+			}
+			buf = st.zero[:n]
+		}
+		if err := e.retryOp(&st.ioTarget, false, lo, shape, buf, e.ioDur(false, shape)); err != nil {
+			return fmt.Errorf("tile at lo=%v: %w", lo, err)
+		}
+		// Next tile, the last dim fastest.
+		d := len(lo) - 1
+		for ; d >= 0; d-- {
+			if lo[d] += st.tiles[d]; lo[d] < da.Dims[d] {
+				shape[d] = min(st.tiles[d], da.Dims[d]-lo[d])
+				break
+			}
+			lo[d], shape[d] = 0, min(st.tiles[d], da.Dims[d])
+		}
+		if d < 0 {
+			return nil
+		}
+	}
+}
+
+// step is one node of the plan lowered for the run: a *loopStep,
+// *ioStep, *zeroStep, *initStep or *kernel, or nil for a node the run
+// never reaches — a dry run's zero-fills, and, when nothing times them,
+// its compute blocks and the I/O-free loops below the top level.
+type step any
+
+// loopStep is a tiling loop at depth on the loop stack.
+type loopStep struct {
+	l     *codegen.Loop
+	depth int
+	// hasIO reports whether the subtree performs disk I/O (an InitPass
+	// counts); dry runs do not iterate I/O-free loops (their iteration
+	// counts are unconstrained by the cost model and can be astronomical).
+	hasIO bool
+	body  []step
+}
+
+// ioStep is a section read or write.
+type ioStep struct {
+	n *codegen.IO
+	sect
+	// ioTarget is bound on the step's first run (staging comes after
+	// lowering).
+	ioTarget
+	span obs.Key
+}
+
+// zeroStep zero-fills a buffer's next instance (data mode only).
+type zeroStep struct {
+	sect
+	span obs.Key
+}
+
+// initStep zero-fills a whole disk array tile by tile.
+type initStep struct {
+	array string
+	// da is the plan's declaration of the array (nil: none), tiles its
+	// init pass's tile extent per dim; lo and shape are the pass's
+	// scratch, zero its data-mode source tile.
+	da               *codegen.DiskArray
+	tiles, lo, shape []int64
+	zero             []float64
+	// ioTarget is bound on the step's first run.
+	ioTarget
+	span obs.Key
+}
+
+// sect is the disk section a step's buffer maps to, lowered: for each
+// buffer dim where its tile base comes from and how far it extends. lo
+// and shape are the step's own, refilled by at each time the step runs
+// (a disk.Array does not keep them); ext is shape as tensor dims.
+type sect struct {
+	pb        *pipeBuf
+	dims      []secDim
+	lo, shape []int64
+	ext       []int
+}
+
+// secDim is one dim of a sect: it starts at the tile base of the loop at
+// depth from (0 for from < 0) and extends ext, cut at the range rng when
+// clip (a tile dim).
+type secDim struct {
+	from     int
+	ext, rng int64
+	clip     bool
+}
+
+// at fills lo/shape with the section at the walker's current tile bases:
+// tile dims clip at the array boundary, full dims span the range.
+func (sc *sect) at(e *engine) {
+	for i, d := range sc.dims {
+		b := e.tileBase(d.from)
+		sc.lo[i], sc.shape[i] = b, d.ext
+		if d.clip {
+			sc.shape[i] = min(d.ext, d.rng-b)
+		}
+	}
+}
+
+// lowering is the state of lowering a plan to steps.
+type lowering struct {
+	e *engine
+	// names holds the enclosing loops' indices, outermost first.
+	names []string
+	// from gives, per index, the loop-stack depth whose base a section of
+	// that index starts at. It follows the walker's rule: a loop sets its
+	// index's entry, and closing it removes the entry — even when an
+	// enclosing loop over the same index is still open — so the index's
+	// sections start at 0 until that loop's next iteration.
+	from map[string]int
+	// bufs holds each plan buffer's double-buffer state, shared by every
+	// step that names the buffer.
+	bufs map[*codegen.Buffer]*pipeBuf
+}
+
+// body lowers ns, one step per node; hasIO reports whether any of them
+// performs disk I/O.
+func (lw *lowering) body(ns []codegen.Node) (steps []step, hasIO bool) {
+	e := lw.e
+	steps = make([]step, len(ns))
+	for i, n := range ns {
+		switch n := n.(type) {
+		case *codegen.Loop:
+			var io bool
+			steps[i], io = lw.loop(n)
+			hasIO = hasIO || io
+		case *codegen.IO:
+			steps[i], hasIO = &ioStep{n: n, sect: lw.sect(n.Buffer), span: e.sched.span(ioVerb(n.Read), n.Array)}, true
+		case *codegen.ZeroBuf:
+			if !e.opt.DryRun {
+				steps[i] = &zeroStep{sect: lw.sect(n.Buffer), span: e.sched.span("zero ", n.Buffer.Name)}
+			}
+		case *codegen.InitPass:
+			steps[i], hasIO = lw.initStep(n.Array), true
+		case *codegen.Compute:
+			if e.computes {
+				steps[i] = lw.kernel(n)
+			}
+		}
+	}
+	return steps, hasIO
+}
+
+// loop lowers a tiling loop, or drops it (nil) where the walker never
+// enters it: below the top level, an I/O-free loop of a dry run that
+// times no compute. Such a loop leaves its index's base alone.
+func (lw *lowering) loop(l *codegen.Loop) (step, bool) {
+	e, depth := lw.e, len(lw.names)
+	prev, had := lw.from[l.Index]
+	lw.from[l.Index] = depth
+	lw.names = append(lw.names, l.Index)
+	body, hasIO := lw.body(l.Body)
+	lw.names = lw.names[:depth]
+	delete(lw.from, l.Index)
+	if depth > 0 && e.opt.DryRun && !hasIO && !e.computes {
+		if had {
+			lw.from[l.Index] = prev
+		}
+		return nil, false
+	}
+	return &loopStep{l: l, depth: depth, hasIO: hasIO, body: body}, hasIO
+}
+
+// pipeBuf returns buf's double-buffer state.
+func (lw *lowering) pipeBuf(buf *codegen.Buffer) *pipeBuf {
+	pb := lw.bufs[buf]
+	if pb == nil {
+		pb = &pipeBuf{}
+		lw.bufs[buf] = pb
+	}
+	return pb
+}
+
+// sect lowers the section buf maps to at the current position.
+func (lw *lowering) sect(buf *codegen.Buffer) sect {
+	p, r := lw.e.plan, len(buf.Dims)
+	i64 := make([]int64, 2*r)
+	sc := sect{pb: lw.pipeBuf(buf), dims: make([]secDim, r), lo: i64[:r:r], shape: i64[r:], ext: make([]int, r)}
+	for i, d := range buf.Dims {
+		n := p.Prog.Ranges[d.Index]
+		from, ok := lw.from[d.Index]
+		if !ok {
+			from = -1
+		}
+		switch d.Class {
+		case placement.ExtTile:
+			sc.dims[i] = secDim{from: from, ext: p.Tiles[d.Index], rng: n, clip: true}
+		case placement.ExtFull:
+			sc.dims[i] = secDim{from: -1, ext: n}
+		default: // ExtOne: single current element
+			sc.dims[i] = secDim{from: from, ext: 1}
+		}
+	}
+	return sc
+}
+
+// initStep lowers the init pass over the named array: its tile extent per
+// array dim.
+func (lw *lowering) initStep(name string) *initStep {
+	p := lw.e.plan
+	st := &initStep{array: name, span: lw.e.sched.span("init ", name)}
+	for a := range p.DiskArrays {
+		if da := &p.DiskArrays[a]; da.Name == name {
+			r := len(da.Dims)
+			i64 := make([]int64, 3*r)
+			st.da, st.tiles, st.lo, st.shape = da, i64[:r:r], i64[r:2*r:2*r], i64[2*r:]
+			for i, idx := range da.Indices {
+				st.tiles[i] = p.Tiles[idx]
+			}
+			break
+		}
+	}
+	return st
 }

@@ -233,12 +233,16 @@ type blockSpec struct {
 	operands  []string // the output, then the factors
 }
 
-// blockFixture is a serial engine positioned at the last tile of every
-// loop (partial wherever the tile does not divide the range) with the
-// block's buffers bound to random data.
+// blockFixture is a serial engine running a plan that nests the block in
+// one loop per index, positioned at the last tile of every loop (partial
+// wherever the tile does not divide the range) with the block's buffers
+// bound to random data.
 type blockFixture struct {
 	e        *engine
 	c        *codegen.Compute
+	k        *kernel
+	order    []string         // the loop indices, outermost first
+	base     map[string]int64 // the loops' current tile bases
 	operands []binding
 	rng      *rand.Rand
 	shift    int
@@ -252,11 +256,12 @@ func newBlockFixture(tb testing.TB, spec blockSpec, workers, shift int) *blockFi
 	loop, outer, _ := strings.Cut(spec.intra, "/")
 	intra := strings.Fields(loop)
 	ranges, tiles, base := map[string]int64{}, map[string]int64{}, map[string]int64{}
-	for j, x := range append(strings.Fields(loop), strings.Fields(outer)...) {
+	order := append(strings.Fields(loop), strings.Fields(outer)...)
+	for j, x := range order {
 		ranges[x], tiles[x] = spec.rng[j], spec.tile[j]
 		base[x] = (spec.rng[j] - 1) / spec.tile[j] * spec.tile[j]
 	}
-	f := &blockFixture{c: &codegen.Compute{Intra: intra}, rng: rand.New(rand.NewSource(int64(len(spec.name)))), shift: shift}
+	f := &blockFixture{c: &codegen.Compute{Intra: intra}, order: order, rng: rand.New(rand.NewSource(int64(len(spec.name)))), shift: shift}
 	var bufs []*codegen.Buffer
 	for r, op := range spec.operands {
 		buf := &codegen.Buffer{Name: fmt.Sprintf("op%d", r)}
@@ -270,10 +275,20 @@ func newBlockFixture(tb testing.TB, spec blockSpec, workers, shift int) *blockFi
 		bufs = append(bufs, buf)
 	}
 	f.c.Out, f.c.Factors = bufs[0], bufs[1:]
-	plan := &codegen.Plan{Prog: loops.NewProgram(spec.name, ranges), Cfg: machine.Small(1 << 20), Tiles: tiles, Body: []codegen.Node{f.c}}
+	body := []codegen.Node{f.c}
+	for j := len(order) - 1; j >= 0; j-- {
+		x := order[j]
+		body = []codegen.Node{&codegen.Loop{Index: x, Range: ranges[x], Tile: tiles[x], Body: body}}
+	}
+	plan := &codegen.Plan{Prog: loops.NewProgram(spec.name, ranges), Cfg: machine.Small(1 << 20), Tiles: tiles, Body: body}
 	f.e = newEngine(context.Background(), plan, nil, Options{Workers: workers})
-	for _, buf := range bufs {
-		f.e.sched.bufs[buf] = &pipeBuf{slots: [2]*pslot{{}}}
+	st := f.e.top[0]
+	for ls, ok := st.(*loopStep); ok; ls, ok = st.(*loopStep) {
+		st = ls.body[0]
+	}
+	f.k = st.(*kernel)
+	for _, pb := range f.k.bufs {
+		pb.slots[0] = &pslot{}
 	}
 	f.moveTo(base)
 	return f
@@ -282,10 +297,14 @@ func newBlockFixture(tb testing.TB, spec blockSpec, workers, shift int) *blockFi
 // moveTo positions the walker at the given tile bases and binds every
 // buffer to a new instance of random data there.
 func (f *blockFixture) moveTo(base map[string]int64) {
-	f.e.base = base
+	f.base = base
+	f.e.loopStack = f.e.loopStack[:0]
+	for _, x := range f.order {
+		f.e.loopStack = append(f.e.loopStack, loopPos{index: x, base: base[x]})
+	}
 	f.operands = f.operands[:0]
 	p := f.e.plan
-	for _, buf := range append([]*codegen.Buffer{f.c.Out}, f.c.Factors...) {
+	for r, buf := range append([]*codegen.Buffer{f.c.Out}, f.c.Factors...) {
 		b := binding{}
 		var dims []int
 		n := 1
@@ -304,14 +323,14 @@ func (f *blockFixture) moveTo(base map[string]int64) {
 		}
 		b.t = tensor.FromData(data, dims...)
 		f.operands = append(f.operands, b)
-		f.e.sched.bufs[buf].slots[0].binding = b
+		f.k.bufs[r].slots[0].binding = b
 	}
 }
 
 // run executes the block once through the scheduler, as a plan's walker
 // would.
 func (f *blockFixture) run(tb testing.TB) {
-	if err := f.e.sched.compute(f.c); err != nil {
+	if err := f.e.sched.compute(f.k); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -324,7 +343,7 @@ func (f *blockFixture) reference(intra []string) *tensor.Tensor {
 		c.Intra = intra
 	}
 	out := binding{t: f.operands[0].t.Clone(), base: f.operands[0].base}
-	refBlock(&c, f.e.plan.Prog.Ranges, f.e.plan.Tiles, f.e.base, out, f.operands[1:])
+	refBlock(&c, f.e.plan.Prog.Ranges, f.e.plan.Tiles, f.base, out, f.operands[1:])
 	return out.t
 }
 
@@ -500,7 +519,7 @@ func BenchmarkComputeKernel(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/align+%d", spec.name, shift), func(b *testing.B) {
 				f := newBlockFixture(b, spec, 1, shift)
 				f.run(b)
-				points := f.e.kernels[f.c].blk.Points()
+				points := f.k.blk.Points()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

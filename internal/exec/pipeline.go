@@ -1,12 +1,12 @@
 package exec
 
 // This file is the engine's scheduler. The walker (exec.go) hands it one
-// step at a time, in program order with loop bases resolved; for each step
-// the scheduler binds buffer slots, places it on the modelled timeline,
-// emits its span and runs it on the calling goroutine. Every run executes
-// the same way: no goroutine is started, section I/O goes to the backend
-// in program order through the synchronous Array contract, and the walk
-// stops at the first failed operation.
+// lowered step at a time, in program order with its section resolved; for
+// each step the scheduler binds buffer slots, places it on the modelled
+// timeline, emits its span and runs it on the calling goroutine. Every
+// run executes the same way: no goroutine is started, section I/O goes to
+// the backend in program order through the synchronous Array contract,
+// and the walk stops at the first failed operation.
 //
 // What Options.Pipeline changes is the model, not the execution. A serial
 // run keeps one modelled clock, advanced by every span. A pipelined run
@@ -36,7 +36,6 @@ package exec
 import (
 	"fmt"
 
-	"repro/internal/codegen"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -80,7 +79,7 @@ func (s PipelineStats) String() string {
 }
 
 // binding is a buffer instance: its tensor (nil in dry-run mode) and the
-// tile base per buffer dim it was bound at.
+// tile base per buffer dim it was bound at, in the slot's own storage.
 type binding struct {
 	t    *tensor.Tensor
 	base []int64
@@ -113,8 +112,7 @@ type pipeBuf struct {
 
 // scheduler is the run's schedule state.
 type scheduler struct {
-	e    *engine
-	bufs map[*codegen.Buffer]*pipeBuf
+	e *engine
 	// void absorbs the fills of a serial dry run (see fillSlot).
 	void pslot
 	// curBytes/peakBytes track instantiated buffer memory; mBufBytes
@@ -142,36 +140,37 @@ type scheduler struct {
 	keys *traceKeys
 }
 
-// traceKeys are the tracer's keys for the scheduler's tracks, span names
-// and arguments, each interned once per run.
+// traceKeys are the tracer's keys for the scheduler's tracks and
+// arguments, each interned once per run; each step holds its span name's.
 type traceKeys struct {
 	tr                                                   *obs.Tracer
 	disk, compute, barrier, bytes, shadow, writes, stall obs.Key
-	// names holds the span names interned so far.
-	names map[spanName]obs.Key
 }
-
-// spanName is a span's name, verb + what, before interning.
-type spanName struct{ verb, what string }
 
 func newTraceKeys(tr *obs.Tracer) *traceKeys {
 	return &traceKeys{tr: tr, disk: tr.Key(obs.TrackDisk), compute: tr.Key(obs.TrackCompute),
 		barrier: tr.Key("barrier"), bytes: tr.Key("bytes"), shadow: tr.Key("shadow"),
-		writes: tr.Key("writes"), stall: tr.Key("stall_s"), names: map[spanName]obs.Key{}}
+		writes: tr.Key("writes"), stall: tr.Key("stall_s")}
 }
 
-// name returns the key of the span named verb + what.
-func (k *traceKeys) name(verb, what string) obs.Key {
-	key, ok := k.names[spanName{verb, what}]
-	if !ok {
-		key = k.tr.Key(verb + what)
-		k.names[spanName{verb, what}] = key
+// span interns the span name verb + what (0 without a tracer).
+func (s *scheduler) span(verb, what string) obs.Key {
+	if s.keys == nil {
+		return 0
 	}
-	return key
+	return s.keys.tr.Key(verb + what)
+}
+
+// ioVerb is a section operation's span-name prefix.
+func ioVerb(read bool) string {
+	if read {
+		return "R "
+	}
+	return "W "
 }
 
 func newScheduler(e *engine) *scheduler {
-	s := &scheduler{e: e, bufs: map[*codegen.Buffer]*pipeBuf{}}
+	s := &scheduler{e: e}
 	reg := e.opt.Metrics
 	if reg != nil {
 		s.mBufBytes = reg.Gauge("exec.buffer.bytes")
@@ -212,8 +211,8 @@ func (s *scheduler) addIO(seconds float64) {
 
 // place puts a step of modelled duration dur on the disk or compute
 // track's clock, no earlier than after, and with a tracer attached emits
-// it as a span named verb + what. It returns the step's modelled end.
-func (s *scheduler) place(compute bool, after, dur float64, verb, what string, args ...obs.Arg) float64 {
+// it as a span named name. It returns the step's modelled end.
+func (s *scheduler) place(compute bool, after, dur float64, name obs.Key, args ...obs.Arg) float64 {
 	clk, total := &s.clock[0], &s.stats.IOSeconds
 	if compute {
 		clk, total = &s.clock[s.comp], &s.stats.ComputeSeconds
@@ -227,7 +226,7 @@ func (s *scheduler) place(compute bool, after, dur float64, verb, what string, a
 		if compute {
 			track = k.compute
 		}
-		k.tr.Record(track, k.name(verb, what), start, dur, args...)
+		k.tr.Record(track, name, start, dur, args...)
 	}
 	return start + dur
 }
@@ -259,19 +258,15 @@ func (s *scheduler) barrier(walkErr error) error {
 // allows (so the fill need not wait for the previous instance's
 // consumers), otherwise the current slot in place. shadow reports whether
 // the fill flipped away from a live instance.
-func (s *scheduler) fillSlot(buf *codegen.Buffer, lo, shape []int64) (slot *pslot, shadow bool) {
+func (s *scheduler) fillSlot(sc *sect) (slot *pslot, shadow bool) {
 	if s.comp == 0 && s.e.opt.DryRun {
 		// No tensor to bind and no overlap to model: the buffer needs no
 		// instance (dry-run writes and compute blocks cope with buffers
 		// that have none).
 		return &s.void, false
 	}
-	pb := s.bufs[buf]
-	if pb == nil {
-		pb = &pipeBuf{}
-		s.bufs[buf] = pb
-	}
-	n := size(shape)
+	pb := sc.pb
+	n := size(sc.shape)
 	dryRun := s.e.opt.DryRun
 	want := 1 - pb.cur
 	if s.comp == 0 || pb.slots[pb.cur] == nil {
@@ -287,14 +282,13 @@ func (s *scheduler) fillSlot(buf *codegen.Buffer, lo, shape []int64) (slot *pslo
 	pb.cur = want
 	slot = pb.slots[want]
 	if slot == nil {
-		slot = &pslot{}
+		slot = &pslot{binding: binding{base: make([]int64, len(sc.lo))}}
 		pb.slots[want] = slot
 	}
-	slot.base = lo
+	copy(slot.base, sc.lo)
 	if !dryRun {
-		dims := make([]int, len(shape))
-		for i, x := range shape {
-			dims[i] = int(x)
+		for i, x := range sc.shape {
+			sc.ext[i] = int(x)
 		}
 		if slot.t == nil || slot.t.Size() != int(n) {
 			if slot.t != nil {
@@ -305,50 +299,36 @@ func (s *scheduler) fillSlot(buf *codegen.Buffer, lo, shape []int64) (slot *pslo
 			if s.mBufBytes != nil {
 				s.mBufBytes.Set(float64(s.curBytes))
 			}
-			slot.t = tensor.New(dims...)
+			slot.t = tensor.New(sc.ext...)
 		} else {
-			slot.t = slot.t.Reshape(dims...)
+			slot.t = slot.t.Reshape(sc.ext...)
 		}
 	}
 	return slot, shadow
 }
 
-// cur returns the buffer's live instance, nil before its first fill.
-func (s *scheduler) cur(b *codegen.Buffer) *pslot {
-	if pb := s.bufs[b]; pb != nil {
-		return pb.slots[pb.cur]
-	}
-	return nil
-}
-
-// sectionOp places one section operation on the disk track no earlier
-// than after and performs it — under the run's retry policy, its failure
-// attributed to array and plan position — the single place section I/O
-// leaves the engine. It returns the operation's modelled end.
-func (s *scheduler) sectionOp(read bool, array string, lo, shape []int64, data []float64, after float64, args ...obs.Arg) (float64, error) {
+// sectionOp places the step's section operation on lo/shape on the disk
+// track no earlier than after and performs it — under the array's retry
+// policy, its failure attributed to array and plan position — the single
+// place section I/O leaves the engine. It returns the operation's
+// modelled end.
+func (s *scheduler) sectionOp(st *ioStep, lo, shape []int64, data []float64, after float64, args ...obs.Arg) (float64, error) {
+	read := st.n.Read
 	dur := s.e.ioDur(read, shape)
-	verb := "W "
-	if read {
-		verb = "R "
-	}
-	end := s.place(false, after, dur, verb, array, args...)
+	end := s.place(false, after, dur, st.span, args...)
 	s.worked = true
-	arr := s.e.arrs[array]
-	err := s.e.retryOp(array, dur, func() error {
-		if read {
-			return arr.ReadSection(lo, shape, data)
-		}
-		return arr.WriteSection(lo, shape, data)
-	})
-	if err != nil {
-		return end, ioErr(read, array, s.e.pos(), err)
+	if st.arr == nil {
+		st.ioTarget = s.e.target(st.n.Array)
+	}
+	if err := s.e.retryOp(&st.ioTarget, read, lo, shape, data, dur); err != nil {
+		return end, ioErr(read, st.n.Array, s.e.pos(), err)
 	}
 	return end, nil
 }
 
 // read fills the buffer's next slot from the section.
-func (s *scheduler) read(n *codegen.IO, lo, shape []int64) error {
-	slot, shadow := s.fillSlot(n.Buffer, lo, shape)
+func (s *scheduler) read(st *ioStep) error {
+	slot, shadow := s.fillSlot(&st.sect)
 	if shadow {
 		s.stats.PrefetchedReads++
 		if s.mShadow != nil {
@@ -359,13 +339,13 @@ func (s *scheduler) read(n *codegen.IO, lo, shape []int64) error {
 	}
 	var args []obs.Arg
 	if k := s.keys; k != nil {
-		args = []obs.Arg{obs.Int(k.bytes, size(shape)*8), obs.Bool(k.shadow, shadow)}
+		args = []obs.Arg{obs.Int(k.bytes, size(st.shape)*8), obs.Bool(k.shadow, shadow)}
 	}
 	var data []float64
 	if slot.t != nil {
 		data = slot.t.Data()
 	}
-	end, err := s.sectionOp(true, n.Array, lo, shape, data, slot.free(), args...)
+	end, err := s.sectionOp(st, st.lo, st.shape, data, slot.free(), args...)
 	slot.refill(end)
 	return err
 }
@@ -374,17 +354,21 @@ func (s *scheduler) read(n *codegen.IO, lo, shape []int64) error {
 // bound at, not the walker's current one. Dry-run plans skip zero-fills,
 // so a dry-run write may target a buffer with no instance; the walker's
 // section stands in.
-func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
-	slot := s.cur(n.Buffer)
+func (s *scheduler) write(st *ioStep) error {
+	slot := st.pb.slots[st.pb.cur]
+	lo, shape := st.lo, st.shape
 	after := 0.0
 	var data []float64
 	if slot != nil {
 		if slot.t != nil {
-			lo, shape, data = slot.base, dimsToInt64(slot.t.Dims()), slot.t.Data()
+			for i := range shape {
+				shape[i] = int64(slot.t.Dim(i))
+			}
+			lo, data = slot.base, slot.t.Data()
 		}
 		after = slot.free()
 	} else if !s.e.opt.DryRun {
-		return ioErr(false, n.Array, s.e.pos(), fmt.Errorf("write of uninstantiated buffer %q", n.Buffer.Name))
+		return ioErr(false, st.n.Array, s.e.pos(), fmt.Errorf("write of uninstantiated buffer %q", st.n.Buffer.Name))
 	}
 	s.stats.WriteBehindWrites++
 	if s.mWriteBehind != nil {
@@ -394,7 +378,7 @@ func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
 	if k := s.keys; k != nil {
 		args = []obs.Arg{obs.Int(k.bytes, size(shape)*8)}
 	}
-	end, err := s.sectionOp(false, n.Array, lo, shape, data, after, args...)
+	end, err := s.sectionOp(st, lo, shape, data, after, args...)
 	if slot != nil {
 		slot.use(end)
 	}
@@ -402,9 +386,9 @@ func (s *scheduler) write(n *codegen.IO, lo, shape []int64) error {
 }
 
 // zero fills the buffer's next slot with zeros (data mode only).
-func (s *scheduler) zero(buf *codegen.Buffer, lo, shape []int64) error {
-	slot, _ := s.fillSlot(buf, lo, shape)
-	end := s.place(true, slot.free(), 0, "zero ", buf.Name)
+func (s *scheduler) zero(st *zeroStep) error {
+	slot, _ := s.fillSlot(&st.sect)
+	end := s.place(true, slot.free(), 0, st.span)
 	s.worked = true
 	slot.t.Zero()
 	slot.refill(end)
@@ -413,23 +397,23 @@ func (s *scheduler) zero(buf *codegen.Buffer, lo, shape []int64) error {
 
 // init zero-fills a whole disk array, tile by tile; its span is the closed
 // form of the writes the pass will charge.
-func (s *scheduler) init(array string) error {
-	da, tiles := s.e.initTiles(array)
+func (s *scheduler) init(st *initStep) error {
+	da := st.da
 	if da == nil {
-		return fmt.Errorf("exec: init pass over %q: exec: init pass for unknown disk array %q", array, array)
+		return fmt.Errorf("exec: init pass over unknown disk array %q", st.array)
 	}
 	bytes, writes := size(da.Dims)*8, int64(1)
-	for i, t := range tiles {
+	for i, t := range st.tiles {
 		writes *= (da.Dims[i] + t - 1) / t
 	}
 	var args []obs.Arg
 	if k := s.keys; k != nil {
 		args = []obs.Arg{obs.Int(k.bytes, bytes), obs.Int(k.writes, writes)}
 	}
-	s.place(false, 0, s.e.plan.Cfg.Disk.WriteTime(bytes, writes), "init ", array, args...)
+	s.place(false, 0, s.e.plan.Cfg.Disk.WriteTime(bytes, writes), st.span, args...)
 	s.worked = true
-	if err := s.e.initPass(da, tiles); err != nil {
-		return fmt.Errorf("exec: init pass over %q: %w", array, err)
+	if err := s.e.initPass(st); err != nil {
+		return fmt.Errorf("exec: init pass over %q: %w", st.array, err)
 	}
 	return nil
 }
@@ -439,15 +423,14 @@ func (s *scheduler) init(array string) error {
 // in the kernel's own Block, allocating nothing. In data mode a missing
 // instance is a plan error; in dry-run mode the block is timeline-only and
 // missing instances simply contribute no dependencies.
-func (s *scheduler) compute(c *codegen.Compute) error {
+func (s *scheduler) compute(k *kernel) error {
 	e := s.e
 	dryRun := e.opt.DryRun
-	k := e.kernels[c]
-	blk := k.blk
+	c, blk := k.c, k.blk
 	k.clip(blk, e)
 	after := 0.0
 	for r := range k.slots {
-		slot := k.slot(s, r)
+		slot := k.slot(r)
 		k.slots[r] = slot
 		if slot == nil {
 			if dryRun {
@@ -467,7 +450,7 @@ func (s *scheduler) compute(c *codegen.Compute) error {
 			k.bind(blk, r, e, slot.binding)
 		}
 	}
-	end := s.place(true, after, e.computeSeconds(k, blk), "compute ", c.Out.Name)
+	end := s.place(true, after, e.computeSeconds(k, blk), k.span)
 	if !dryRun {
 		s.worked = true
 		k.con.Run(blk, e.opt.Workers)
