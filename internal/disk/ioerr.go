@@ -15,7 +15,7 @@ import (
 // cause (an OS error, a validation error, or an injected fault), so
 // callers can use errors.As to recover the *IOError and errors.Is to
 // test for a specific cause. Never compare disk errors with == or by
-// matching message text; the ooclint "ioerr" analyzer flags both.
+// matching message text; the lint "ioerr" analyzer flags both.
 type IOError struct {
 	Op        string  // "read" or "write"
 	Array     string  // array name

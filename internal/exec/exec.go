@@ -66,12 +66,16 @@ type Options struct {
 	Resume *Checkpoint
 	// Pipeline models the double-buffered schedule: the run executes
 	// exactly as a serial one (same operations, same order, same bytes),
-	// but buffers may take a shadow instance within the memory limit and
-	// the modelled timeline keeps separate I/O and compute clocks, so disk
-	// reads are prefetched and writes retired behind compute blocks on the
-	// model. The clocks meet at every top-level work-unit boundary.
-	// Result.Pipeline reports the modelled serial vs overlapped
-	// critical-path times.
+	// but buffers may take a shadow instance and the modelled timeline
+	// keeps separate I/O and compute clocks, so disk reads are prefetched
+	// and writes retired behind compute blocks on the model. The clocks
+	// meet at every top-level work-unit boundary. Result.Pipeline reports
+	// the modelled serial vs overlapped critical-path times. The shadow
+	// instances do not keep to the memory limit: a data run checks it
+	// only when it first creates a buffer's shadow slot, which may then
+	// grow to a larger tile, so PeakBufferBytes can exceed the limit; a
+	// dry run never checks it and can model more prefetches than the data
+	// run of the same plan (pipeline.go).
 	Pipeline bool
 	// Metrics, if non-nil, receives engine instrumentation: prefetch and
 	// write-behind counters, barrier stalls, and buffer memory
@@ -916,19 +920,16 @@ func (lw *lowering) body(ns []codegen.Node) (steps []step, hasIO bool) {
 
 // loop lowers a tiling loop, or drops it (nil) where the walker never
 // enters it: below the top level, an I/O-free loop of a dry run that
-// times no compute. Such a loop leaves its index's base alone.
+// times no compute. A dropped loop clears its index's base like an
+// entered one, so every run issues the same sections.
 func (lw *lowering) loop(l *codegen.Loop) (step, bool) {
 	e, depth := lw.e, len(lw.names)
-	prev, had := lw.from[l.Index]
 	lw.from[l.Index] = depth
 	lw.names = append(lw.names, l.Index)
 	body, hasIO := lw.body(l.Body)
 	lw.names = lw.names[:depth]
 	delete(lw.from, l.Index)
 	if depth > 0 && e.opt.DryRun && !hasIO && !e.computes {
-		if had {
-			lw.from[l.Index] = prev
-		}
 		return nil, false
 	}
 	return &loopStep{l: l, depth: depth, hasIO: hasIO, body: body}, hasIO

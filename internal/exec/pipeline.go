@@ -17,10 +17,18 @@ package exec
 //
 //   - double-buffered slots: every plan buffer owns up to two instances,
 //     so the next tile's read fills the shadow slot and on the model only
-//     waits for that slot's earlier consumers, not the current one's. The
-//     shadow slot is only allocated while total buffer memory stays within
-//     the machine's limit; under memory pressure the fill reuses the slot
-//     in place and waits for everything still using it.
+//     waits for that slot's earlier consumers, not the current one's.
+//     The memory limit (the larger of the machine's and the plan's static
+//     footprint) gates only the creation of a shadow slot in a data run:
+//     if the new instance would take live buffer bytes over it, the fill
+//     reuses the current slot in place and waits for everything still
+//     using it. A shadow slot once created stays and is re-sized per tile
+//     without a check, so the data run's peak can pass the limit. A dry
+//     run binds no tensors and never checks, so every fill after a
+//     buffer's first flips slots and it can count more prefetches than
+//     the data run. Two-index 12/16 at tiles i4 j4 m6 n8 under
+//     machine.Small(1216), whose plan needs 1 216 B: the data run makes
+//     75 prefetches and peaks at 1 792 B, the dry run makes 92.
 //   - per-slot modelled ends: a slot records the end of the step that
 //     filled it and the latest end of the steps that used it since; a
 //     fill waits for both, a use for the fill.

@@ -1,13 +1,16 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/disk"
 	"repro/internal/loops"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -135,6 +138,54 @@ func TestWalkerTrafficGolden(t *testing.T) {
 	check("paper dry run", plan, cfg, nil)
 	plan, cfg = edgeRulePlan()
 	check("edge rule", plan, cfg, nil)
+}
+
+// sectionOps runs plan against a recording Sim and renders every section
+// operation it issues: array, direction, lo and shape, in order.
+func sectionOps(t *testing.T, plan *codegen.Plan, cfg machine.Config, inputs map[string]*tensor.Tensor, opt Options) []string {
+	t.Helper()
+	rec := trace.NewWithDisk(disk.NewSim(cfg.Disk, !opt.DryRun), cfg.Disk)
+	defer rec.Close()
+	if _, err := Run(plan, rec, inputs, opt); err != nil {
+		t.Fatalf("%+v: %v", opt, err)
+	}
+	var ops []string
+	for _, op := range rec.Ops() {
+		ops = append(ops, fmt.Sprintf("%s read=%v lo=%v shape=%v", op.Array, op.Read, op.Lo, op.Shape))
+	}
+	return ops
+}
+
+// TestDryRunIssuesDataRunSections requires every kind of dry run — bare,
+// traced and pipelined — to issue the data run's section operations. A
+// bare dry run drops the I/O-free loops a data run enters; edgeRulePlan
+// with an inner loop over i that only zero-fills bA is the case where
+// that once moved a section: the reads after the dropped loop started
+// at the outer loop's base instead of 0.
+func TestDryRunIssuesDataRunSections(t *testing.T) {
+	cases := progenCases(t)
+	plan, cfg := edgeRulePlan()
+	outer := plan.Body[1].(*codegen.Loop)
+	outer.Body[0].(*codegen.Loop).Body = []codegen.Node{&codegen.ZeroBuf{Buffer: plan.Buffers[0]}}
+	outer.Body = outer.Body[:2]
+	plan.Buffers, plan.DiskArrays = plan.Buffers[:1], plan.DiskArrays[:1]
+	cases = append(cases, schedCase{name: "edge rule, zero-filling inner loop", plan: plan, cfg: cfg, inputs: map[string]*tensor.Tensor{"A": tensor.New(10, 6)}})
+	for _, tc := range cases {
+		want := sectionOps(t, tc.plan, tc.cfg, tc.inputs, Options{NoFetch: true})
+		for _, dry := range []struct {
+			name string
+			opt  Options
+		}{
+			{"bare", Options{DryRun: true}},
+			{"traced", Options{DryRun: true, Tracer: obs.NewTracer()}},
+			{"pipelined", Options{DryRun: true, Pipeline: true}},
+		} {
+			got := sectionOps(t, tc.plan, tc.cfg, nil, dry.opt)
+			if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+				t.Errorf("%s: %s dry run issues\n%s\ndata run issues\n%s", tc.name, dry.name, g, w)
+			}
+		}
+	}
 }
 
 // TestInitPassUnknownArray checks that the error of an init pass over an

@@ -34,8 +34,7 @@ import (
 // Analyzers lists every repo analyzer in the order they run.
 var Analyzers = []*Analyzer{
 	DiskStats, CtxField, ErrPrefix, ObsNew, IOErr, ObsLog,
-	WallTime, MapOrder, RngSeed, GoLeak, LabelCard, DeprecatedUse,
-	MinMax,
+	WallTime, MapOrder, RngSeed, GoLeak, LabelCard,
 }
 
 // statsFields are the exported counters of disk.Stats.
@@ -129,7 +128,7 @@ var ErrPrefix = &Analyzer{
 		}
 		prefix := `"` + p.PkgName + `: `
 		for _, f := range p.Files {
-			if strings.HasSuffix(f.Fset.Position(f.AST.Pos()).Filename, "_test.go") {
+			if isTestFile(f) {
 				continue
 			}
 			for _, decl := range f.AST.Decls {
@@ -218,7 +217,7 @@ var IOErr = &Analyzer{
 			return ok && sel.Sel.Name == "Error"
 		}
 		for _, f := range p.Files {
-			if strings.HasSuffix(f.Fset.Position(f.AST.Pos()).Filename, "_test.go") {
+			if isTestFile(f) {
 				continue
 			}
 			ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -293,7 +292,7 @@ var ObsLog = &Analyzer{
 			return ok && id.Name == "os"
 		}
 		for _, f := range p.Files {
-			if strings.HasSuffix(f.Fset.Position(f.AST.Pos()).Filename, "_test.go") {
+			if isTestFile(f) {
 				continue
 			}
 			ast.Inspect(f.AST, func(n ast.Node) bool {

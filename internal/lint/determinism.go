@@ -27,11 +27,6 @@ var deterministicPkgs = map[string]bool{
 	"internal/nlp":       true,
 }
 
-// isTestFile reports whether a parsed file is a _test.go file.
-func isTestFile(f *File) bool {
-	return strings.HasSuffix(f.Fset.Position(f.AST.Pos()).Filename, "_test.go")
-}
-
 // relPkgPath strips the module path off a package's import path so it
 // can be compared with the module-relative paths analyzers use.
 func (f *Facts) relPkgPath(pkg *types.Package) string {

@@ -7,17 +7,13 @@ package lint
 // functions — so they stay valid across independent type-checker runs
 // (every analysis unit is checked separately from its dependencies).
 //
-// Two fact families exist today:
-//
-//   - wall-clock reachability: for every module function, whether a
-//     banned wall-clock call (time.Now, time.Since, timers, tickers)
-//     is reachable through the static call graph, and through which
-//     call chain. Edges into the sanctioned wall-clock layer (the
-//     telemetry packages: obs, trace, cliutil) do not propagate — the
-//     event log is allowed to stamp wall time; the solver is not
-//     allowed to read it.
-//   - deprecation index: every package-level object whose doc comment
-//     carries a "Deprecated:" paragraph, with the note text.
+// The one fact family is wall-clock reachability: for every module
+// function, whether a banned wall-clock call (time.Now, time.Since,
+// timers, tickers) is reachable through the static call graph, and
+// through which call chain. Edges into the sanctioned wall-clock layer
+// (the telemetry packages: obs, trace, cliutil) do not propagate — the
+// event log is allowed to stamp wall time; the solver is not allowed to
+// read it.
 
 import (
 	"go/ast"
@@ -71,33 +67,14 @@ type Facts struct {
 	// wall maps function key -> taint record for every module function
 	// from which a wall-clock call is reachable.
 	wall map[string]wallTaint
-	// deprecated maps object key -> the "Deprecated:" note text.
-	deprecated map[string]string
 	// funcs holds the call-graph slice per function key.
 	funcs map[string]*funcFacts
-}
-
-// emptyFacts is the fact base of a module that could not be loaded
-// (typeless fallback paths); lookups all miss.
-func emptyFacts() *Facts {
-	return &Facts{wall: map[string]wallTaint{}, deprecated: map[string]string{}, funcs: map[string]*funcFacts{}}
 }
 
 // funcKey returns the symbolic key of a function or method, stable
 // across type-checker instances ("repro/internal/dcs.Run",
 // "(*repro/internal/obs.CounterVec).With").
 func funcKey(fn *types.Func) string { return fn.FullName() }
-
-// objKey returns the symbolic key of any package-level object.
-func objKey(obj types.Object) string {
-	if fn, ok := obj.(*types.Func); ok {
-		return funcKey(fn)
-	}
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
 
 // callee resolves the static callee of a call expression, or nil for
 // dynamic calls (function values, interface methods without a static
@@ -121,8 +98,7 @@ func (m *Module) Facts() *Facts {
 	if m.facts != nil {
 		return m.facts
 	}
-	f := emptyFacts()
-	f.modPath = m.Path
+	f := &Facts{modPath: m.Path, wall: map[string]wallTaint{}, funcs: map[string]*funcFacts{}}
 	m.facts = f
 
 	// Load every module package as a dependency so the graph is
@@ -181,86 +157,44 @@ func (m *Module) Facts() *Facts {
 	return f
 }
 
-// factsFromFile collects one file's contribution: call edges, direct
-// wall-clock calls, and deprecated declarations.
+// factsFromFile collects one file's contribution: call edges and
+// direct wall-clock calls.
 func (m *Module) factsFromFile(f *Facts, dep *depPkg, file *File, direct map[string]wallTaint) {
 	for _, decl := range file.AST.Decls {
-		switch d := decl.(type) {
-		case *ast.GenDecl:
-			declNote := deprecationNote(d.Doc)
-			for _, spec := range d.Specs {
-				var names []*ast.Ident
-				var note string
-				switch s := spec.(type) {
-				case *ast.ValueSpec:
-					names, note = s.Names, deprecationNote(s.Doc)
-				case *ast.TypeSpec:
-					names, note = []*ast.Ident{s.Name}, deprecationNote(s.Doc)
-				}
-				if note == "" {
-					note = declNote
-				}
-				if note == "" {
-					continue
-				}
-				for _, name := range names {
-					if obj := dep.info.Defs[name]; obj != nil {
-						f.deprecated[objKey(obj)] = note
-					}
-				}
+		d, ok := decl.(*ast.FuncDecl)
+		if !ok || d.Body == nil {
+			continue
+		}
+		fn, _ := dep.info.Defs[d.Name].(*types.Func)
+		if fn == nil {
+			continue
+		}
+		key := funcKey(fn)
+		ff := &funcFacts{key: key, pkgPath: dep.path, edges: map[string]token.Position{}}
+		f.funcs[key] = ff
+		ast.Inspect(d.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		case *ast.FuncDecl:
-			fn, _ := dep.info.Defs[d.Name].(*types.Func)
-			if fn == nil {
-				continue
+			cf := callee(dep.info, call)
+			if cf == nil || cf.Pkg() == nil {
+				return true
 			}
-			key := funcKey(fn)
-			if note := deprecationNote(d.Doc); note != "" {
-				f.deprecated[key] = note
-			}
-			if d.Body == nil {
-				continue
-			}
-			ff := &funcFacts{key: key, pkgPath: dep.path, edges: map[string]token.Position{}}
-			f.funcs[key] = ff
-			ast.Inspect(d.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				cf := callee(dep.info, call)
-				if cf == nil || cf.Pkg() == nil {
-					return true
-				}
-				pos := m.Fset.Position(call.Pos())
-				if cf.Pkg().Path() == "time" && wallClockFns[cf.Name()] {
-					if _, ok := direct[key]; !ok && !wallClockAllowed[dep.path] {
-						direct[key] = wallTaint{callee: "time." + cf.Name(), pos: pos}
-					}
-					return true
-				}
-				ck := funcKey(cf)
-				if _, ok := ff.edges[ck]; !ok {
-					ff.edges[ck] = pos
+			pos := m.Fset.Position(call.Pos())
+			if cf.Pkg().Path() == "time" && wallClockFns[cf.Name()] {
+				if _, ok := direct[key]; !ok && !wallClockAllowed[dep.path] {
+					direct[key] = wallTaint{callee: "time." + cf.Name(), pos: pos}
 				}
 				return true
-			})
-		}
+			}
+			ck := funcKey(cf)
+			if _, ok := ff.edges[ck]; !ok {
+				ff.edges[ck] = pos
+			}
+			return true
+		})
 	}
-}
-
-// deprecationNote extracts the "Deprecated:" note from a doc comment
-// ("" when absent).
-func deprecationNote(doc *ast.CommentGroup) string {
-	if doc == nil {
-		return ""
-	}
-	for _, line := range strings.Split(doc.Text(), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "Deprecated:"); ok {
-			return strings.TrimSpace(rest)
-		}
-	}
-	return ""
 }
 
 // WallClock reports whether a wall-clock call is reachable from the
@@ -282,12 +216,6 @@ func (f *Facts) WallClock(key string) (chain string, pos token.Position, ok bool
 		t = next
 	}
 	return strings.Join(parts, " → "), pos, true
-}
-
-// Deprecated returns the deprecation note of the object key, if any.
-func (f *Facts) Deprecated(key string) (string, bool) {
-	note, ok := f.deprecated[key]
-	return note, ok
 }
 
 // trimKey shortens a function key for diagnostics by dropping the

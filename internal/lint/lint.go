@@ -3,15 +3,14 @@
 // API (analyzers with a Run func reporting position-tagged diagnostics)
 // on the standard library only — the environment this repo builds in
 // has no module network access, so golang.org/x/tools is deliberately
-// not depended on. cmd/ooclint drives these analyzers both standalone
-// and as a `go vet -vettool` plugin.
+// not depended on. The analyzers run in one place: TestCheckTreeOnRepo,
+// part of `go test ./...`, checks the whole module with CheckTree.
 //
 // Analysis is package-level, not per-file: every pass carries full
 // go/types information for its package (load.go), module-wide
-// call-graph and deprecation facts (facts.go), and a local tainted-path
-// engine (taint.go). Analyzers that only need syntax keep working when
-// type information is unavailable; analyzers that need types treat the
-// absence as "unknown" and stay silent rather than guess.
+// call-graph facts (facts.go), and a local tainted-path engine
+// (taint.go). Type checking tolerates errors; analyzers treat a missing
+// type as "unknown" and stay silent rather than guess.
 //
 // Findings can be suppressed with a directive on the line of (or the
 // line before) the offending node:
@@ -25,8 +24,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -50,6 +47,11 @@ type File struct {
 	Ignores map[int]map[string]bool
 }
 
+// isTestFile reports whether a parsed file is a _test.go file.
+func isTestFile(f *File) bool {
+	return strings.HasSuffix(f.Fset.Position(f.AST.Pos()).Filename, "_test.go")
+}
+
 // Pass is the per-package unit of work handed to each analyzer.
 type Pass struct {
 	// PkgName is the package's declared name ("exec").
@@ -59,14 +61,11 @@ type Pass struct {
 	PkgPath string
 	Files   []*File
 
-	// Pkg is the type-checked package; nil when type information is
-	// unavailable (typeless fallback paths).
-	Pkg *types.Package
-	// Info holds the package's type information. Never nil; the maps
-	// are empty on typeless paths, so lookups miss instead of panic.
+	// Info holds the package's type information: whatever resolved,
+	// since type checking tolerates errors.
 	Info *types.Info
 	// Facts is the module-wide fact base (call-graph wall-clock
-	// reachability, deprecation index). Never nil.
+	// reachability).
 	Facts *Facts
 
 	analyzer string
@@ -147,26 +146,23 @@ func ParseFile(fset *token.FileSet, path string, src []byte) (*File, error) {
 	return f, nil
 }
 
-// run executes the analyzers over one prepared pass skeleton.
-func run(p Pass, analyzers []*Analyzer) []Diagnostic {
+// CheckTree analyzes every package of the module rooted at root
+// (skipping testdata and hidden directories; test files included) with
+// full type information and module-wide facts.
+func CheckTree(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	m, err := LoadModule(root)
+	if err != nil {
+		return nil, err
+	}
 	var out []Diagnostic
-	if p.Info == nil {
-		p.Info = typeInfo()
+	for _, u := range m.Units() {
+		p := Pass{PkgName: u.PkgName, PkgPath: u.PkgPath, Files: u.Files, Info: m.Check(u), Facts: m.Facts(), out: &out}
+		for _, a := range analyzers {
+			pass := p
+			pass.analyzer = a.Name
+			a.Run(&pass)
+		}
 	}
-	if p.Facts == nil {
-		p.Facts = emptyFacts()
-	}
-	for _, a := range analyzers {
-		pass := p
-		pass.analyzer = a.Name
-		pass.out = &out
-		a.Run(&pass)
-	}
-	sortDiags(out)
-	return out
-}
-
-func sortDiags(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -180,93 +176,5 @@ func sortDiags(out []Diagnostic) {
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-}
-
-// CheckFiles runs the analyzers over one package's parsed files without
-// type information — the syntax-only entry point kept for unit tests of
-// the syntactic analyzers. Type-aware analyzers stay silent here.
-func CheckFiles(pkgName, pkgPath string, files []*File, analyzers []*Analyzer) []Diagnostic {
-	return run(Pass{PkgName: pkgName, PkgPath: pkgPath, Files: files}, analyzers)
-}
-
-// CheckUnit type-checks one analysis unit of a loaded module and runs
-// the analyzers with full type information and module facts.
-func CheckUnit(m *Module, u *Unit, analyzers []*Analyzer) []Diagnostic {
-	pkg, info := m.Check(u)
-	return run(Pass{
-		PkgName: u.PkgName,
-		PkgPath: u.PkgPath,
-		Files:   u.Files,
-		Pkg:     pkg,
-		Info:    info,
-		Facts:   m.Facts(),
-	}, analyzers)
-}
-
-// CheckPaths analyzes the named Go files as one package (grouping by
-// package clause, so a mixed list with an external test package yields
-// two units). pkgPath scopes path-sensitive analyzers; pass the package
-// directory relative to the module root. When the files sit under a
-// go.mod module, analysis is fully typed; otherwise it falls back to
-// syntax only.
-func CheckPaths(pkgPath string, goFiles []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if len(goFiles) == 0 {
-		return nil, nil
-	}
-	root, ok := FindModuleRoot(filepath.Dir(goFiles[0]))
-	if !ok {
-		return checkPathsTypeless(pkgPath, goFiles, analyzers)
-	}
-	m, err := LoadModule(root)
-	if err != nil {
-		return nil, err
-	}
-	units, err := m.parseUnits(pkgPath, goFiles)
-	if err != nil {
-		return nil, err
-	}
-	var out []Diagnostic
-	for _, u := range units {
-		out = append(out, CheckUnit(m, u, analyzers)...)
-	}
-	sortDiags(out)
-	return out, nil
-}
-
-// checkPathsTypeless is the no-module fallback of CheckPaths.
-func checkPathsTypeless(pkgPath string, goFiles []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	fset := token.NewFileSet()
-	var files []*File
-	pkgName := ""
-	for _, path := range goFiles {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		f, err := ParseFile(fset, path, src)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		if pkgName == "" {
-			pkgName = f.AST.Name.Name
-		}
-		files = append(files, f)
-	}
-	return CheckFiles(pkgName, pkgPath, files, analyzers), nil
-}
-
-// CheckTree analyzes every package of the module rooted at root
-// (skipping testdata and hidden directories; test files included) with
-// full type information and module-wide facts.
-func CheckTree(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	m, err := LoadModule(root)
-	if err != nil {
-		return nil, err
-	}
-	var out []Diagnostic
-	for _, u := range m.Units() {
-		out = append(out, CheckUnit(m, u, analyzers)...)
-	}
-	sortDiags(out)
 	return out, nil
 }

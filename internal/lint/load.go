@@ -9,7 +9,7 @@ package lint
 //
 //   - module packages ("repro/...") are type-checked from source under
 //     the module root, with function bodies, because the module-wide
-//     facts (call graph, deprecation index) need them;
+//     call-graph facts need them;
 //   - everything else resolves against GOROOT/src through
 //     go/build.ImportDir (which applies build constraints), checked
 //     without function bodies — only the exported shape matters.
@@ -81,25 +81,6 @@ func modulePath(gomod []byte) string {
 		}
 	}
 	return ""
-}
-
-// FindModuleRoot walks up from dir to the nearest directory holding a
-// go.mod.
-func FindModuleRoot(dir string) (string, bool) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", false
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, true
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", false
-		}
-		dir = parent
-	}
 }
 
 // LoadModule parses every package under root (skipping testdata,
@@ -203,10 +184,10 @@ func typeInfo() *types.Info {
 	}
 }
 
-// Check type-checks one unit, tolerating errors: the returned package
-// and info carry whatever resolved. Analyzers must treat absent type
-// info as unknown.
-func (m *Module) Check(u *Unit) (*types.Package, *types.Info) {
+// Check type-checks one unit, tolerating errors: the returned info
+// carries whatever resolved. Analyzers must treat absent type info as
+// unknown.
+func (m *Module) Check(u *Unit) *types.Info {
 	info := typeInfo()
 	conf := types.Config{
 		Importer:    importerFunc(m.importPath),
@@ -224,8 +205,8 @@ func (m *Module) Check(u *Unit) (*types.Package, *types.Info) {
 	if strings.HasSuffix(u.PkgName, "_test") {
 		importPath += "_test"
 	}
-	pkg, _ := conf.Check(importPath, m.Fset, asts, info)
-	return pkg, info
+	conf.Check(importPath, m.Fset, asts, info)
+	return info
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -21,9 +21,13 @@ func Step() float64 {
 
 // Stamp may ask the telemetry layer for a timestamp: obs is on the
 // wall-clock allowlist.
+//
+// ok: walltime
 func Stamp() int64 { return obs.StampMs() }
 
 // Paced carries a justified suppression.
+//
+// ok: walltime
 func Paced() {
 	//lint:ignore walltime fixture: justified exception
 	time.Sleep(time.Millisecond)

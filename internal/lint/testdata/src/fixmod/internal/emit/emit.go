@@ -23,6 +23,8 @@ func KeysBad(m map[string]int) []string {
 }
 
 // KeysGood collects, sorts, then returns — the sanctioned idiom.
+//
+// ok: maporder
 func KeysGood(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -33,6 +35,8 @@ func KeysGood(m map[string]int) []string {
 }
 
 // DumpGood emits in sorted key order.
+//
+// ok: maporder
 func DumpGood(w io.Writer, m map[string]int) {
 	for _, k := range KeysGood(m) {
 		fmt.Fprintf(w, "%s=%d\n", k, m[k])

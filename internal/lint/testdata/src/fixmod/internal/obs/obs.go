@@ -17,3 +17,11 @@ func (v *CounterVec) With(values ...string) *CounterVec { return v }
 
 // Inc bumps the child.
 func (v *CounterVec) Inc() {}
+
+// Counter is a registry-owned instrument.
+type Counter struct{}
+
+// NewCounter is the registry constructor: obs builds its own instruments.
+//
+// ok: obsnew
+func NewCounter() *Counter { return &Counter{} }

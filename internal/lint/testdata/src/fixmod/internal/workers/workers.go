@@ -15,6 +15,8 @@ func SpinBad(work func()) {
 }
 
 // SpinCtx stops when the context does.
+//
+// ok: goleak
 func SpinCtx(ctx context.Context, work func()) {
 	go func() {
 		for {
@@ -29,6 +31,8 @@ func SpinCtx(ctx context.Context, work func()) {
 }
 
 // Fan runs n workers under a waited WaitGroup.
+//
+// ok: goleak
 func Fan(n int, work func()) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -42,6 +46,8 @@ func Fan(n int, work func()) {
 }
 
 // Drain consumes jobs until the channel closes.
+//
+// ok: goleak
 func Drain(jobs chan func()) {
 	go func() {
 		for job := range jobs {
@@ -51,6 +57,8 @@ func Drain(jobs chan func()) {
 }
 
 // Notify signals completion by closing done, which Await receives.
+//
+// ok: goleak
 func Notify(done chan struct{}, work func()) {
 	go func() {
 		work()
@@ -63,6 +71,8 @@ func Await(done chan struct{}) { <-done }
 
 // Serve shows the one-level same-package resolution: the go statement
 // targets a named function whose body selects on the quit channel.
+//
+// ok: goleak
 func Serve(quit chan struct{}, work func()) {
 	go loop(quit, work)
 }

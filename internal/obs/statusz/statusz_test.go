@@ -148,7 +148,11 @@ func TestServerCtxCancelShutdown(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatalf("serve error after graceful shutdown: %v", err)
 	}
-	// The port is released: a fresh request must fail.
+	// The port is released: a fresh request must fail. Drop the client's
+	// pooled keep-alive connection from the pre-cancel request first:
+	// Done fires when the accept loop exits, while Shutdown may still be
+	// draining that connection, so reusing it would not reach the port.
+	http.DefaultClient.CloseIdleConnections()
 	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", s.Addr())); err == nil {
 		t.Fatal("listener still accepting after shutdown")
 	}
