@@ -78,7 +78,7 @@ func main() {
 	}
 	want := 0.0
 	for i := range arow {
-		want += arow[i] * bcol[i]
+		want += float64(arow[i] * bcol[i])
 	}
 	fmt.Printf("\nspot check C[7,11]: out-of-core %.6f vs direct %.6f\n", got[0], want)
 	if diff := got[0] - want; diff > 1e-9 || diff < -1e-9 {

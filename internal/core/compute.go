@@ -18,7 +18,7 @@ func Flops(p *loops.Program) float64 {
 		for _, l := range site.Path {
 			space *= float64(p.Ranges[l.Index])
 		}
-		total += space * float64(2*len(site.Stmt.Factors))
+		total += float64(space * float64(2*len(site.Stmt.Factors)))
 	}
 	return total
 }

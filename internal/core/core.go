@@ -411,7 +411,7 @@ func (s *Synthesis) Report() string {
 			secs += v / d.WriteBandwidth
 		}
 		for _, t := range append(c.ReadOps(), c.WriteOps()...) {
-			secs += t.Eval(tiles, ranges) * d.SeekTime
+			secs += float64(t.Eval(tiles, ranges) * d.SeekTime)
 		}
 		fmt.Fprintf(&b, "%-10s %-38s %14.0f %14.0f %14.0f %10.1f\n",
 			name, c.Label, buf, rd, wr, secs)

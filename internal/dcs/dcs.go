@@ -399,7 +399,7 @@ func (s *solver) emit(kind string, best float64, feasible bool, maxViol float64)
 	}
 	muNorm := 0.0
 	for _, m := range s.curMu {
-		muNorm += m * m
+		muNorm += float64(m * m)
 	}
 	e := Event{
 		Kind:         kind,
@@ -569,7 +569,7 @@ func (s *solver) randomValue(i int) int64 {
 		return lo + s.rng.Int63n(hi-lo+1)
 	}
 	// Log-uniform over [lo, hi] (tile sizes live on a multiplicative scale).
-	v := int64(math.Exp(r.llo+s.rng.Float64()*(r.lhi-r.llo))) - 1
+	v := int64(math.Exp(r.llo+float64(s.rng.Float64()*(r.lhi-r.llo)))) - 1
 	if v < lo {
 		v = lo
 	}
@@ -677,7 +677,7 @@ func setGroupCode(g Group, x []int64, code int64) {
 func lagrangian(f float64, g, mu []float64) float64 {
 	l := f
 	for i, v := range g {
-		l += mu[i] * v
+		l += float64(mu[i] * v)
 	}
 	return l
 }

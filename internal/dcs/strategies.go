@@ -104,7 +104,7 @@ func (s *solver) dlmOnce(start []int64) {
 			// Multiplier ascent on violated constraints.
 			for i, v := range g {
 				if v > 0 {
-					mu[i] += muGrowth * muBase * (1 + v)
+					mu[i] += float64(muGrowth * muBase * (1 + v))
 				}
 			}
 			stale++
@@ -206,7 +206,7 @@ func (s *solver) csaOnce(start []int64) {
 			f, g = s.eval(x)
 			for i, v := range g {
 				if v > 0 {
-					mu[i] += muGrowth * muBase * v
+					mu[i] += float64(muGrowth * muBase * v)
 				}
 			}
 			curL = lagrangian(f, g, mu)

@@ -3,6 +3,8 @@ package disk
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -137,6 +139,20 @@ type fileArray struct {
 func headerSize(rank int) int64  { return 8 + 8 + int64(rank)*8 }
 func headerSize2(rank int) int64 { return headerSize(rank) + 8 }
 
+// elements returns the element count of positive dims, and false when the
+// count, or the file of a header that long holding them, would overflow
+// an int64.
+func elements(dims []int64, header int64) (int64, bool) {
+	n := int64(1)
+	for _, d := range dims {
+		if d <= 0 || n > math.MaxInt64/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, n <= (math.MaxInt64-header)/8
+}
+
 // Create allocates a new zero-filled DRA2 array, failing if the array
 // already exists in this store or on disk. The data file, its checksum
 // sidecar, and the manifest entry are written in that order, so a crash
@@ -149,12 +165,14 @@ func (fs *FileStore) Create(name string, dims []int64) (Array, error) {
 	if _, err := os.Stat(path); err == nil {
 		return nil, fmt.Errorf("disk: array file %q already exists", path)
 	}
-	n := int64(1)
 	for _, d := range dims {
 		if d <= 0 {
 			return nil, fmt.Errorf("disk: non-positive dim %d for %q", d, name)
 		}
-		n *= d
+	}
+	n, ok := elements(dims, headerSize2(len(dims)))
+	if !ok {
+		return nil, fmt.Errorf("disk: dims %v of %q overflow an int64 file size", dims, name)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -222,7 +240,7 @@ func freshSums(n, blockElems int64) []uint32 {
 // parseHeader reads and validates a DRA header from f, returning the
 // dims, the checksum block granularity (0 for legacy DRA1 files, which
 // record none), and whether the file is legacy.
-func parseHeader(f *os.File, path string) (dims []int64, blockElems int64, legacy bool, err error) {
+func parseHeader(f io.ReaderAt, size int64, path string) (dims []int64, blockElems int64, legacy bool, err error) {
 	var magic [8]byte
 	if _, err := f.ReadAt(magic[:], 0); err != nil {
 		return nil, 0, false, fmt.Errorf("%q is not a DRA file", path)
@@ -263,7 +281,28 @@ func parseHeader(f *os.File, path string) (dims []int64, blockElems int64, legac
 			return nil, 0, false, fmt.Errorf("%q has non-positive checksum block size", path)
 		}
 	}
+	header := headerSize2(len(dims))
+	if legacy {
+		header = headerSize(len(dims))
+	}
+	// A wrapped element count would make an empty array of a huge one.
+	n, ok := elements(dims, header)
+	if !ok {
+		return nil, 0, false, fmt.Errorf("%q has dims %v that overflow an int64 file size", path, dims)
+	}
+	if header+n*8 > size {
+		return nil, 0, false, fmt.Errorf("%q holds %d bytes, fewer than the %d its dims %v need", path, size, header+n*8, dims)
+	}
 	return dims, blockElems, legacy, nil
+}
+
+// fileSize returns the size of an open file.
+func fileSize(f *os.File, path string) (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("stat %q: %w", path, err)
+	}
+	return st.Size(), nil
 }
 
 // readHeader opens path read-only and parses its DRA header — the
@@ -274,7 +313,11 @@ func readHeader(path string) (dims []int64, blockElems int64, legacy bool, err e
 		return nil, 0, false, fmt.Errorf("%q does not exist", path)
 	}
 	defer f.Close()
-	return parseHeader(f, path)
+	size, err := fileSize(f, path)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return parseHeader(f, size, path)
 }
 
 // Open returns an array created by this store, or re-opens a ".dra"
@@ -291,15 +334,17 @@ func (fs *FileStore) Open(name string) (Array, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk: array %q does not exist", name)
 	}
-	dims, blockElems, legacy, err := parseHeader(f, path)
+	size, err := fileSize(f, path)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("disk: %w", err)
+	}
+	dims, blockElems, legacy, err := parseHeader(f, size, path)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("disk: %s", err)
 	}
-	n := int64(1)
-	for _, d := range dims {
-		n *= d
-	}
+	n, _ := elements(dims, 0)
 	header := headerSize2(len(dims))
 	if legacy {
 		header = headerSize(len(dims))

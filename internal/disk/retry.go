@@ -84,7 +84,7 @@ func (p *RetryPolicy) Delay(attempt int, key uint64) float64 {
 			j = 1
 		}
 		frac := hashFrac(p.Seed ^ key ^ (uint64(attempt)+1)*0x9e3779b97f4a7c15)
-		d *= 1 - j*frac
+		d *= 1 - float64(j*frac)
 	}
 	return d
 }

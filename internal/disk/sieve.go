@@ -179,6 +179,9 @@ func (s *sieve) init(dims, lo, shape []int64) {
 			s.start.left *= shape[d]
 		}
 		s.start.shape, s.start.off, s.start.run = shape[:k], off, shape[k]
+		if s.start.run == 0 {
+			s.start.left = 0 // an empty section has no window
+		}
 	}
 	s.rewind()
 }

@@ -418,6 +418,14 @@ var kernelBlocks = append([]blockSpec{
 	{"leaf-single-dot", "k", []int64{10}, []int64{10}, []string{"", "k", "k"}},
 	// Neither innermost loop moves the output, and they do not merge.
 	{"leaf-two-contracted-held", "i k l", []int64{3, 6, 7}, []int64{3, 6, 7}, []string{"i", "k l", "i l k"}},
+	// A held unit-stride leaf runs the plain loop above it too (on amd64):
+	// a contracted k, with 11 columns (8 + a remainder of 3), held over l;
+	// the same with the factors swapped; a free i with 7 columns; and a
+	// free i clipped by its block loop (64 + 6 trips), 6 columns.
+	{"fold-contracted-level", "k l j", []int64{3, 5, 11}, []int64{3, 5, 11}, []string{"j", "k l j", "l k"}},
+	{"fold-first-contracted-level", "k l j", []int64{3, 5, 11}, []int64{3, 5, 11}, []string{"j", "l k", "k l j"}},
+	{"fold-free-level", "i l j", []int64{6, 5, 7}, []int64{6, 5, 7}, []string{"i j", "i l j", "l"}},
+	{"fold-under-block-loop", "i l j", []int64{70, 3, 6}, []int64{70, 3, 6}, []string{"i j", "i l j", "l"}},
 }, thinIOBlocks...)
 
 // TestKernelMatchesPointLoopOnBlocks is the block-level half of the

@@ -208,12 +208,12 @@ func (t *Tracker) Observe(shard int, now, ratio float64, ok bool) {
 	t.hist[b]++
 	t.histN++
 	a := t.cfg.Alpha
-	sh.ewmaRatio += a * (ratio - sh.ewmaRatio)
+	sh.ewmaRatio += float64(a * (ratio - sh.ewmaRatio))
 	f := 0.0
 	if !ok {
 		f = 1
 	}
-	sh.ewmaErr += a * (f - sh.ewmaErr)
+	sh.ewmaErr += float64(a * (f - sh.ewmaErr))
 	sh.obsN++
 	var trs []Transition
 	switch sh.state {

@@ -27,12 +27,12 @@ type Disk struct {
 
 // ReadTime returns the modelled time to read n bytes in ops operations.
 func (d Disk) ReadTime(n int64, ops int64) float64 {
-	return float64(ops)*d.SeekTime + float64(n)/d.ReadBandwidth
+	return float64(float64(ops)*d.SeekTime) + float64(n)/d.ReadBandwidth
 }
 
 // WriteTime returns the modelled time to write n bytes in ops operations.
 func (d Disk) WriteTime(n int64, ops int64) float64 {
-	return float64(ops)*d.SeekTime + float64(n)/d.WriteBandwidth
+	return float64(float64(ops)*d.SeekTime) + float64(n)/d.WriteBandwidth
 }
 
 // Config describes one node of the target machine.

@@ -199,10 +199,10 @@ func (c *Candidate) LowerBoundSeconds(ranges map[string]int64, cfg machine.Confi
 		total += t.LowerBound(ranges) / d.WriteBandwidth
 	}
 	for _, t := range c.ReadOps() {
-		total += t.LowerBound(ranges) * d.SeekTime
+		total += float64(t.LowerBound(ranges) * d.SeekTime)
 	}
 	for _, t := range c.WriteOps() {
-		total += t.LowerBound(ranges) * d.SeekTime
+		total += float64(t.LowerBound(ranges) * d.SeekTime)
 	}
 	return total
 }

@@ -527,7 +527,7 @@ func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, i
 	hspikes := hp.drain(hid)
 	hp.observe(hid, now, ratioOf(base, hspikes), herr == nil)
 	lPref := base + spikes
-	lHedge := thr*base + base + hspikes
+	lHedge := float64(thr*base) + base + hspikes
 	if herr == nil && lHedge < lPref {
 		copy(sbuf, tmp)
 		a.st.recordDemotion(id, DemoteHedgeLost)

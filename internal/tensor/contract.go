@@ -71,10 +71,17 @@ const gemmBlock = 64
 //     A leaf under a block loop, or alone, runs one trip of its outer loop,
 //     so a lone loop that leaves the output in place is a dot product in a
 //     register. Unit strides with the first or the second factor fixed have
-//     loops of their own. Outer loops advance the offsets incrementally.
+//     leaves of their own; on amd64 they are SSE2 kernels, two lanes per
+//     instruction, each lane rounding its product and adding it to its own
+//     output's accumulator as the Go loops do. A held one of these also
+//     runs the level above it when that level is a loop rather than a
+//     block loop, so one call covers three levels. Outer loops advance the
+//     offsets incrementally.
 //
 // A block whose extents and strides equal the previous block's reuses its
-// nest: full tiles repeat.
+// nest: full tiles repeat. Before it runs, a block is checked to lie inside
+// each operand's data; the output must not share storage with a factor,
+// and no two free points may address one output element.
 //
 // A Contraction holds the planned nest as scratch: it is not safe for
 // concurrent Runs.
@@ -85,8 +92,10 @@ type Contraction struct {
 	lv  []level // the planned nest, outermost first
 	st  []int   // backing of the levels' strides
 	off []int   // running offsets of the N-factor nest, one row per level
-	// leaf runs the two innermost levels of a two-factor nest.
+	// leaf runs the two innermost levels of a two-factor nest; fold, when
+	// not nil, runs them with the plain loop around them.
 	leaf leafFunc
+	fold foldFunc
 
 	// Planning scratch: the block's loops in nest order, the contracted ones
 	// in index-list order, the loops' strides, and per loop the position of
@@ -95,8 +104,10 @@ type Contraction struct {
 	loopSt     []int
 	at         []int
 	// ext and stride are the extents and strides lv was planned for (lv is
-	// empty until the first plan).
+	// empty until the first plan); lo and hi hold, per operand, the lowest
+	// and highest offset from its start that the nest reaches.
 	ext, stride []int
+	lo, hi      []int
 
 	// wk are the kernels of the workers a block is split across, made on
 	// the first split and kept.
@@ -155,7 +166,7 @@ func NewContraction(free []bool, factors int) *Contraction {
 	if refs != 3 {
 		off = levels * refs
 	}
-	ints, loops := make([]int, levels*refs+off+2*nd*refs+2*nd), make([]loop, 2*nd)
+	ints, loops := make([]int, levels*refs+off+2*nd*refs+2*nd+2*refs), make([]loop, 2*nd)
 	carve := func(n int) []int {
 		s := ints[:n:n]
 		ints = ints[n:]
@@ -173,6 +184,8 @@ func NewContraction(free []bool, factors int) *Contraction {
 		at:     carve(nd),
 		ext:    carve(nd),
 		stride: carve(nd * refs),
+		lo:     carve(refs),
+		hi:     carve(refs),
 	}
 }
 
@@ -240,12 +253,18 @@ func (w *worker) run(b *Block, wg *sync.WaitGroup) {
 }
 
 // run plans the nest for the given extents, unless the last block had the
-// same extents and strides, and executes it from the given origin.
+// same extents and strides, and executes it from the given origin. It
+// first checks that every element the nest reaches lies inside its
+// operand's data, which is what lets the leaves run without checks of
+// their own.
 func (c *Contraction) run(ext, start []int, b *Block) {
 	if len(c.lv) == 0 || !slices.Equal(ext, c.ext) || !slices.Equal(b.Stride, c.stride) {
 		c.plan(ext, b.Stride)
 		copy(c.ext, ext)
 		copy(c.stride, b.Stride)
+	}
+	for r, d := range b.Data[:c.refs] {
+		_, _ = d[start[r]+c.lo[r]], d[start[r]+c.hi[r]]
 	}
 	if c.refs == 3 {
 		o, x, y, out, fx, fy := start[0], start[1], start[2], b.Data[0], b.Data[1], b.Data[2]
@@ -267,6 +286,15 @@ func (c *Contraction) run(ext, start []int, b *Block) {
 // plan lays the nest out in c.lv (see the type's doc comment).
 func (c *Contraction) plan(ext, stride []int) {
 	nd, refs := len(ext), c.refs
+	for r := range refs {
+		c.lo[r], c.hi[r] = 0, 0
+		for d, n := range ext {
+			// A loop of extent 0 or 1 is dropped: the nest takes one trip.
+			x := max(n-1, 0) * stride[r*nd+d]
+			c.lo[r] += min(x, 0)
+			c.hi[r] += max(x, 0)
+		}
+	}
 	lastCon := -1
 	for d, n := range ext {
 		if n > 1 && !c.free[d] {
@@ -355,7 +383,7 @@ func (c *Contraction) plan(ext, stride []int) {
 		n := len(c.lv)
 		holds := n > 1 && c.lv[n-2].sub == 0 && c.lv[n-2].s[0] == 0
 		in := &c.lv[n-1]
-		c.leaf = leafFor(holds, in.s[0], in.s[1], in.s[2])
+		c.leaf, c.fold = leafFor(holds, in.s[0], in.s[1], in.s[2])
 	}
 }
 
@@ -456,6 +484,11 @@ func (c *Contraction) nest2(l, o, x, y int, out, fx, fy []float64) {
 	// The leaf's two levels. Block loops precede all loops, so with a
 	// level above them the outer one is a loop, never a block loop.
 	a, b := &c.lv[l+1], &c.lv[l+2]
+	if c.fold != nil && lv.sub == 0 {
+		// A plain loop clips nothing between its trips: the leaf runs them.
+		c.fold(lv.n, a.n, b.n, o, x, y, so, sx, sy, a.s[1], a.s[2], out, fx, fy)
+		return
+	}
 	leaf := c.leaf
 	ao, ax, ay, bo, bx, by := a.s[0], a.s[1], a.s[2], b.s[0], b.s[1], b.s[2]
 	for i := 0; i < lv.n; i++ {
@@ -485,33 +518,40 @@ func (c *Contraction) leaf2(o, x, y int, out, fx, fy []float64) {
 // (strides so, sx, sy).
 type leafFunc func(m, n, o, x, y, po, px, py, so, sx, sy int, out, fx, fy []float64)
 
+// foldFunc is a held leaf with unit strides that also runs the plain loop
+// around it: q trips (strides qo, qx, qy) of m trips of the loop that
+// leaves the output in place (strides 0, px, py), each n multiply-adds
+// along the innermost loop.
+type foldFunc func(q, m, n, o, x, y, qo, qx, qy, px, py int, out, fx, fy []float64)
+
 // leafFor returns the leaf for the innermost loop's strides, holds telling
 // whether the loop around it leaves the output in place over more than one
-// trip. When one of the two loops moves the output and the other leaves it
-// in place, outputs are taken four at a time and held in registers over the
-// loop that leaves them in place; when neither moves it, the one output is
-// held over both; otherwise each product updates its output in memory.
-// Unit strides with one factor fixed, the dgemm inner loop among them, have
-// loops of their own, free of the general loops' per-element index
-// arithmetic and bounds checks.
-func leafFor(holds bool, so, sx, sy int) leafFunc {
+// trip, and the leaf's fold, if it has one. When one of the two loops moves
+// the output and the other leaves it in place, outputs are taken four at a
+// time and held in registers over the loop that leaves them in place; when
+// neither moves it, the one output is held over both; otherwise each
+// product updates its output in memory. Unit strides with one factor
+// fixed, the dgemm inner loop among them, have leaves of their own, free of
+// the general loops' per-element index arithmetic and bounds checks; on
+// amd64 they run SSE2 kernels, and the held ones fold the loop above them.
+func leafFor(holds bool, so, sx, sy int) (leafFunc, foldFunc) {
 	switch {
 	case so == 0 && holds:
-		return sums
+		return sums, nil
 	case so == 0:
-		return dots
+		return dots, nil
 	case holds && so == 1 && sx == 0 && sy == 1:
-		return heldFirst
+		return heldFirst, heldFirstFold
 	case holds && so == 1 && sx == 1 && sy == 0:
-		return heldSecond
+		return heldSecond, heldSecondFold
 	case holds:
-		return held
+		return held, nil
 	case so == 1 && sx == 0 && sy == 1:
-		return axpyFirst
+		return axpyFirst, nil
 	case so == 1 && sx == 1 && sy == 0:
-		return axpySecond
+		return axpySecond, nil
 	}
-	return axpys
+	return axpys, nil
 }
 
 // axpys runs m·n multiply-adds along a loop that moves the output, each
@@ -522,32 +562,6 @@ func axpys(m, n, o, x, y, po, px, py, so, sx, sy int, out, fx, fy []float64) {
 		for k := 0; k < n; k++ {
 			out[oi] += float64(fx[xi] * fy[yi])
 			oi, xi, yi = oi+so, xi+sx, yi+sy
-		}
-		o, x, y = o+po, x+px, y+py
-	}
-}
-
-// axpyFirst runs m axpys along unit-stride output and second factor, the
-// first factor fixed (the dgemm inner loop).
-func axpyFirst(m, n, o, x, y, po, px, py, _, _, _ int, out, fx, fy []float64) {
-	for ; m > 0; m-- {
-		xv, dst := fx[x], out[o:o+n]
-		src := fy[y : y+len(dst)]
-		for k := range dst {
-			dst[k] += float64(xv * src[k])
-		}
-		o, x, y = o+po, x+px, y+py
-	}
-}
-
-// axpySecond runs m axpys along unit-stride output and first factor, the
-// second factor fixed.
-func axpySecond(m, n, o, x, y, po, px, py, _, _, _ int, out, fx, fy []float64) {
-	for ; m > 0; m-- {
-		yv, dst := fy[y], out[o:o+n]
-		src := fx[x : x+len(dst)]
-		for k := range dst {
-			dst[k] += float64(src[k] * yv)
 		}
 		o, x, y = o+po, x+px, y+py
 	}
@@ -605,50 +619,6 @@ func quads(nf, nc, o, x, y, fo, fsx, fsy, csx, csy int, out, fx, fy []float64) {
 		}
 		out[o] = acc
 		o, x, y = o+fo, x+fsx, y+fsy
-	}
-}
-
-// heldFirst is held with the output and the second factor at unit stride
-// along the innermost loop and the first factor fixed.
-func heldFirst(m, n, o, x, y, _, px, py, _, _, _ int, out, fx, fy []float64) {
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d := out[o+j : o+j+4 : o+j+4]
-		a0, a1, a2, a3 := d[0], d[1], d[2], d[3]
-		for i, xi, yi := 0, x, y+j; i < m; i++ {
-			xv, s := fx[xi], fy[yi:yi+4:yi+4]
-			a0 += float64(xv * s[0])
-			a1 += float64(xv * s[1])
-			a2 += float64(xv * s[2])
-			a3 += float64(xv * s[3])
-			xi, yi = xi+px, yi+py
-		}
-		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
-	}
-	if j < n {
-		quads(n-j, m, o+j, x, y+j, 1, 0, 1, px, py, out, fx, fy)
-	}
-}
-
-// heldSecond is held with the output and the first factor at unit stride
-// along the innermost loop and the second factor fixed.
-func heldSecond(m, n, o, x, y, _, px, py, _, _, _ int, out, fx, fy []float64) {
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d := out[o+j : o+j+4 : o+j+4]
-		a0, a1, a2, a3 := d[0], d[1], d[2], d[3]
-		for i, xi, yi := 0, x+j, y; i < m; i++ {
-			s, yv := fx[xi:xi+4:xi+4], fy[yi]
-			a0 += float64(s[0] * yv)
-			a1 += float64(s[1] * yv)
-			a2 += float64(s[2] * yv)
-			a3 += float64(s[3] * yv)
-			xi, yi = xi+px, yi+py
-		}
-		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
-	}
-	if j < n {
-		quads(n-j, m, o+j, x+j, y, 1, 1, 0, px, py, out, fx, fy)
 	}
 }
 

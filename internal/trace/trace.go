@@ -364,9 +364,9 @@ func RunAwareTime(ops []Op, dims map[string][]int64, d machine.Disk) float64 {
 		}
 		runs := Runs(ad, op.Shape)
 		if op.Read {
-			total += float64(runs)*d.SeekTime + float64(op.Bytes)/d.ReadBandwidth
+			total += float64(float64(runs)*d.SeekTime) + float64(op.Bytes)/d.ReadBandwidth
 		} else {
-			total += float64(runs)*d.SeekTime + float64(op.Bytes)/d.WriteBandwidth
+			total += float64(float64(runs)*d.SeekTime) + float64(op.Bytes)/d.WriteBandwidth
 		}
 	}
 	return total
