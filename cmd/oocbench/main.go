@@ -4,17 +4,13 @@
 //	oocbench -table 2   # one table
 //	oocbench -quick     # capped search budgets (seconds instead of minutes)
 //	oocbench -pipeline  # add the pipelined-engine study (serial vs overlapped)
-//	oocbench -faults 'seed=9,rate=0.02' -faults-out BENCH_recovery.json
-//	                    # add the fault-recovery study and save it as JSON
-//	oocbench -solver -solver-out BENCH_solver.json -solver-baseline BENCH_solver.json
-//	                    # run the solver study (cold vs portfolio vs warm sweep)
-//	                    # and gate it against the committed baseline
-//	oocbench -ring -ring-out BENCH_ring.json
-//	                    # run the ring study (parallel I/O scaling, replication
-//	                    # overhead, rebalance cost) and save it as JSON
-//	oocbench -gray -gray-out BENCH_gray.json
-//	                    # run the gray-failure study (one-shard brownout:
-//	                    # unmitigated vs health-plane tail) and save it as JSON
+//	oocbench -faults 'seed=9,rate=0.02'
+//	                    # add the fault-recovery study
+//	oocbench -solver    # add the solver study (cold vs portfolio vs warm sweep)
+//	oocbench -ring      # add the ring study (parallel I/O scaling, replication
+//	                    # overhead, rebalance cost)
+//	oocbench -gray      # add the gray-failure study (one-shard brownout:
+//	                    # unmitigated vs health-plane tail)
 //
 // Table 2 compares code generation time between the uniform-sampling
 // baseline (full logarithmic grid, brute force) and the DCS approach;
@@ -25,18 +21,12 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/cliutil"
-	"repro/internal/core"
-	"repro/internal/loops"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/tables"
 )
 
@@ -51,18 +41,9 @@ func main() {
 		scaling   = flag.Bool("scaling", false, "also run the higher-order coupled-cluster scaling study")
 		pipeline  = flag.Bool("pipeline", false, "also measure the pipelined schedule: serial vs overlapped I/O critical path")
 		faults    = flag.String("faults", "", "also run the fault-recovery study under this schedule, e.g. 'seed=9,rate=0.02,persistent=50'")
-		faultsOut = flag.String("faults-out", "", "write the fault-recovery study rows as JSON to this file")
-
 		ringStudy = flag.Bool("ring", false, "also run the ring study: parallel I/O scaling, replication overhead, and rebalance cost on the replicated data plane at P=8..64")
-		ringOut   = flag.String("ring-out", "", "write the ring study report as JSON to this file")
-
 		grayStudy = flag.Bool("gray", false, "also run the gray-failure study: a one-shard brownout on the R=2 ring, fault-free vs unmitigated vs health-plane-mitigated experienced read tail")
-		grayOut   = flag.String("gray-out", "", "write the gray-failure study report as JSON to this file")
-
-		solver         = flag.Bool("solver", false, "also run the solver study: cold vs portfolio vs warm-started sweep")
-		solverOut      = flag.String("solver-out", "", "write the solver study rows as JSON to this file")
-		solverBaseline = flag.String("solver-baseline", "", "gate the solver study against this committed baseline JSON; exit 1 on regression")
-		solverCurves   = flag.String("solver-curves", "", "write the portfolio's per-lane convergence events as JSON lines to this file")
+		solver    = flag.Bool("solver", false, "also run the solver study: cold vs portfolio vs warm-started sweep")
 	)
 	obsFlags := cliutil.RegisterObs()
 	showVersion := cliutil.VersionFlag()
@@ -149,16 +130,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(tables.FormatRecovery(rows, fcfg))
-		if *faultsOut != "" {
-			raw, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*faultsOut, raw, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("recovery study saved to %s\n", *faultsOut)
-		}
 	}
 
 	runRing := func() {
@@ -167,16 +138,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(tables.FormatRingStudy(rep))
-		if *ringOut != "" {
-			raw, err := rep.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*ringOut, raw, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("ring study saved to %s\n", *ringOut)
-		}
 	}
 
 	runGray := func() {
@@ -185,16 +146,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(tables.FormatGrayStudy(rep))
-		if *grayOut != "" {
-			raw, err := rep.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*grayOut, raw, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("gray-failure study saved to %s\n", *grayOut)
-		}
 	}
 
 	runSolver := func() {
@@ -203,39 +154,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(tables.FormatSolver(rows))
-		if *solverOut != "" {
-			raw, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*solverOut, raw, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("solver study saved to %s\n", *solverOut)
-		}
-		if *solverCurves != "" {
-			if err := writeLaneCurves(sizes[0], opt, *solverCurves); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("per-lane convergence curves saved to %s\n", *solverCurves)
-		}
-		if *solverBaseline != "" {
-			raw, err := os.ReadFile(*solverBaseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			var base []tables.SolverRow
-			if err := json.Unmarshal(raw, &base); err != nil {
-				log.Fatalf("parse %s: %v", *solverBaseline, err)
-			}
-			if bad := tables.SolverRegressions(rows, base, 0.25); len(bad) != 0 {
-				for _, msg := range bad {
-					log.Printf("REGRESSION: %s", msg)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("solver regression gate green against %s\n", *solverBaseline)
-		}
 	}
 
 	runScaling := func() {
@@ -276,42 +194,13 @@ func main() {
 	if *faults != "" {
 		runRecovery()
 	}
-	if *ringStudy || *ringOut != "" {
+	if *ringStudy {
 		runRing()
 	}
-	if *grayStudy || *grayOut != "" {
+	if *grayStudy {
 		runGray()
 	}
-	if *solver || *solverOut != "" || *solverBaseline != "" || *solverCurves != "" {
+	if *solver {
 		runSolver()
 	}
-}
-
-// writeLaneCurves reruns the portfolio synthesis of one size with the
-// convergence recorder attached and writes the event stream — each event
-// tagged with its lane — as JSON for the CI artifact.
-func writeLaneCurves(size tables.Size, opt tables.Options, path string) error {
-	var curve obs.Convergence
-	cfg := opt.Machine
-	if cfg.MemoryLimit == 0 {
-		cfg = machine.OSCItanium2()
-	}
-	_, err := core.SynthesizeOpts(context.Background(), loops.FourIndexAbstract(size.N, size.V),
-		core.WithMachine(cfg),
-		core.WithSeed(opt.Seed),
-		core.WithMaxEvals(opt.DCSEvals),
-		core.WithPortfolio(tables.SolverPortfolioLanes),
-		core.WithConvergence(&curve))
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := curve.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -35,7 +35,6 @@ type Obs struct {
 	MetricsOut string
 	CPUProfile string
 	MemProfile string
-	PprofAddr  string // deprecated alias for Listen
 
 	Listen       string
 	Linger       time.Duration
@@ -76,7 +75,6 @@ func RegisterObsOn(fs *flag.FlagSet) *Obs {
 	fs.StringVar(&o.LogLevel, "log-level", "info", "minimum event log level: debug, info, warn, or error")
 	fs.StringVar(&o.SampleOut, "sample-out", "", "write periodic metrics samples as JSON lines to this file")
 	fs.DurationVar(&o.SamplePeriod, "sample-period", time.Second, "interval between -sample-out rows")
-	fs.StringVar(&o.PprofAddr, "pprof", "", "deprecated alias for -listen")
 	return o
 }
 
@@ -121,9 +119,6 @@ func newRunID() string {
 // Start allocates the requested sinks, begins CPU profiling, starts
 // the sampler, and binds the status server. Call it after flag.Parse.
 func (o *Obs) Start() error {
-	if o.Listen == "" {
-		o.Listen = o.PprofAddr
-	}
 	level, err := obs.ParseLevel(o.LogLevel)
 	if err != nil {
 		return fmt.Errorf("cliutil: -log-level: %w", err)

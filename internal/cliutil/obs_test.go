@@ -150,33 +150,6 @@ func TestObsStartBadListen(t *testing.T) {
 	}
 }
 
-// TestObsPprofAlias keeps the deprecated -pprof flag meaning -listen.
-func TestObsPprofAlias(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	o := RegisterObsOn(fs)
-	if err := fs.Parse([]string{"-pprof", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	srv := o.Server()
-	if srv == nil {
-		t.Fatal("-pprof did not start the status server")
-	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/cmdline", srv.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof endpoint = %d", resp.StatusCode)
-	}
-	if err := o.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-}
-
 func TestObsBadLogLevel(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	o := RegisterObsOn(fs)

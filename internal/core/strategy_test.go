@@ -8,6 +8,7 @@ import (
 	"repro/internal/dcs"
 	"repro/internal/loops"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // TestStrategySpecsTotal pins the spec table as the single source of
@@ -77,6 +78,24 @@ func synthOpts(limit int64, extra ...Option) []Option {
 		WithSeed(1),
 		WithMaxEvals(60000),
 	}, extra...)
+}
+
+// TestPortfolioConvergenceLanes: the convergence curve of a portfolio
+// synthesis keeps each solver event's lane, so the four-index race at
+// the solver study's budget records events from several lanes.
+func TestPortfolioConvergenceLanes(t *testing.T) {
+	var curve obs.Convergence
+	if _, err := SynthesizeOpts(context.Background(), loops.FourIndexAbstract(140, 120),
+		synthOpts(machine.OSCItanium2().MemoryLimit, WithPortfolio(4), WithConvergence(&curve))...); err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[int]bool{}
+	for _, e := range curve.Events() {
+		lanes[e.Lane] = true
+	}
+	if len(lanes) < 2 {
+		t.Fatalf("curve holds events from lanes %v, want several", lanes)
+	}
 }
 
 // TestPortfolioSynthesisDeterministic: a portfolio synthesis must be

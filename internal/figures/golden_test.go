@@ -1,13 +1,11 @@
 package figures
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden figure files")
+	"repro/internal/golden"
+)
 
 // TestGoldenFigures snapshots every figure against testdata/*.golden;
 // regenerate with `go test ./internal/figures -run Golden -update`.
@@ -28,22 +26,6 @@ func TestGoldenFigures(t *testing.T) {
 		"fig5.golden": Figure5(),
 	}
 	for name, got := range cases {
-		path := filepath.Join("testdata", name)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run with -update to create)", name, err)
-		}
-		if string(want) != got {
-			t.Errorf("%s: output drifted from golden file; run with -update if intentional\n--- got ---\n%s", name, got)
-		}
+		golden.Check(t, filepath.Join("testdata", name), []byte(got))
 	}
 }

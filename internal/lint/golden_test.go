@@ -1,16 +1,14 @@
 package lint
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"repro/internal/golden"
+)
 
 // fixtureRoot is the fixture module: one package per path scope the
 // analyzers match (internal/exec, internal/disk, cmd/oocrun, ...).
@@ -42,22 +40,7 @@ func fixtureDiags(t *testing.T) ([]Diagnostic, string) {
 // golden file with: go test ./internal/lint/ -run TestFixtureModule -update
 func TestFixtureModule(t *testing.T) {
 	_, got := fixtureDiags(t)
-	golden := filepath.Join("testdata", "golden", "fixmod.txt")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden file missing (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("diagnostics diverge from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden", "fixmod.txt"), []byte(got))
 }
 
 // TestFixtureCoversNewAnalyzers guards against an analyzer going inert

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"sync"
@@ -12,44 +10,21 @@ import (
 // SolveEvent is one point of a solver convergence curve. Kinds mirror the
 // DCS solver's observer events: "restart" (a new start point begins),
 // "improvement" (a new best feasible point), "final" (the search ended).
-// Best is +Inf until a feasible point exists; the JSON export encodes
-// non-finite values as null.
+// Best is +Inf until a feasible point exists.
 type SolveEvent struct {
-	Kind string `json:"kind"`
+	Kind string
 	// Lane is the portfolio lane the event comes from (0 for a
 	// single-lane solve).
-	Lane         int     `json:"lane"`
-	Restart      int     `json:"restart"`
-	Evals        int     `json:"evals"`
-	Best         float64 `json:"best"`
-	Feasible     bool    `json:"feasible"`
-	MaxViolation float64 `json:"max_violation"`
-	MuNorm       float64 `json:"mu_norm"`
+	Lane         int
+	Restart      int
+	Evals        int
+	Best         float64
+	Feasible     bool
+	MaxViolation float64
+	MuNorm       float64
 }
 
-// MarshalJSON encodes non-finite floats as null (encoding/json rejects
-// them otherwise, and +Inf "no feasible point yet" events are routine).
-func (e SolveEvent) MarshalJSON() ([]byte, error) {
-	type shadow struct {
-		Kind         string   `json:"kind"`
-		Lane         int      `json:"lane"`
-		Restart      int      `json:"restart"`
-		Evals        int      `json:"evals"`
-		Best         *float64 `json:"best"`
-		Feasible     bool     `json:"feasible"`
-		MaxViolation float64  `json:"max_violation"`
-		MuNorm       float64  `json:"mu_norm"`
-	}
-	s := shadow{Kind: e.Kind, Lane: e.Lane, Restart: e.Restart, Evals: e.Evals,
-		Feasible: e.Feasible, MaxViolation: e.MaxViolation, MuNorm: e.MuNorm}
-	if !math.IsInf(e.Best, 0) && !math.IsNaN(e.Best) {
-		best := e.Best
-		s.Best = &best
-	}
-	return json.Marshal(s)
-}
-
-// Convergence records a solver's event stream into an exportable curve —
+// Convergence records a solver's event stream into a curve —
 // the per-iteration view behind a Table-2-style solver comparison.
 // A nil *Convergence is safe: Record no-ops.
 type Convergence struct {
@@ -111,13 +86,6 @@ func (c *Convergence) Reset() {
 	c.mu.Lock()
 	c.events = nil
 	c.mu.Unlock()
-}
-
-// WriteJSON writes the curve as an indented JSON array.
-func (c *Convergence) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.Events())
 }
 
 // String renders a compact text view of the curve: one line per event.

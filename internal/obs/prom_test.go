@@ -2,16 +2,14 @@ package obs
 
 import (
 	"bytes"
-	"flag"
 	"math"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden exposition file")
+	"repro/internal/golden"
+)
 
 // goldenRegistry builds one registry exercising every instrument kind,
 // labeled and unlabeled, including the exposition edge cases: label
@@ -43,19 +41,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := goldenRegistry().WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	golden := filepath.Join("testdata", "metrics.prom")
-	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to regenerate): %v", err)
-	}
-	if got := buf.String(); got != string(want) {
-		t.Errorf("exposition differs from %s (re-run with -update if intended)\n--- got ---\n%s--- want ---\n%s", golden, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "metrics.prom"), buf.Bytes())
 }
 
 func TestWritePrometheusInvariants(t *testing.T) {

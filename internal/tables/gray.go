@@ -14,13 +14,12 @@ package tables
 //	    race it open.
 //
 // The figure of merit is the tail ratio — experienced front-door read
-// seconds over the charged single-disk-equivalent figure — which CI
-// bounds at 1.25× for the mitigated run while requiring the unmitigated
-// run to exceed it. Rows serialize to JSON for the benchmark artifact
-// (BENCH_gray.json) and render as text via FormatGrayStudy.
+// seconds over the charged single-disk-equivalent figure — which
+// TestGrayStudyShapeHolds bounds at 1.25× for the mitigated run while
+// requiring the unmitigated run to exceed it. Rows render as text via
+// FormatGrayStudy.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -42,43 +41,38 @@ const (
 
 // GrayStudyRow is one scenario's measurements.
 type GrayStudyRow struct {
-	Scenario string `json:"scenario"`
+	Scenario string
 	// ChargedReadSeconds is the front door's single-disk-equivalent read
 	// time; ExperiencedReadSeconds adds the tail actually waited out
 	// (spikes paid, net of hedge rescues). TailRatio is their quotient —
-	// the gray-chaos acceptance figure.
-	ChargedReadSeconds     float64 `json:"charged_read_seconds"`
-	TailReadSeconds        float64 `json:"tail_read_seconds"`
-	ExperiencedReadSeconds float64 `json:"experienced_read_seconds"`
-	TailRatio              float64 `json:"tail_ratio"`
+	// the study's acceptance figure.
+	ChargedReadSeconds     float64
+	TailReadSeconds        float64
+	ExperiencedReadSeconds float64
+	TailRatio              float64
 	// TailWriteSeconds is the write-side tail (spikes paid by writes;
 	// writes are never hedged or breaker-gated, so nothing rescues it).
-	TailWriteSeconds float64 `json:"tail_write_seconds"`
+	TailWriteSeconds float64
 	// LatencySpikes / SpikeSeconds account what the injector inflicted.
-	LatencySpikes int64   `json:"latency_spikes"`
-	SpikeSeconds  float64 `json:"spike_seconds"`
+	LatencySpikes int64
+	SpikeSeconds  float64
 	// Hedge and breaker tallies from the health plane.
-	HedgesIssued    int64 `json:"hedges_issued"`
-	HedgesWon       int64 `json:"hedges_won"`
-	HedgesCancelled int64 `json:"hedges_cancelled"`
-	BreakerOpens    int64 `json:"breaker_opens"`
-	BreakerHalfOpen int64 `json:"breaker_half_opens"`
-	BreakerCloses   int64 `json:"breaker_closes"`
+	HedgesIssued    int64
+	HedgesWon       int64
+	HedgesCancelled int64
+	BreakerOpens    int64
+	BreakerHalfOpen int64
+	BreakerCloses   int64
 	// ScrubArrays is the scheduled scrub pass's coverage.
-	ScrubArrays int `json:"scrub_arrays"`
+	ScrubArrays int
 }
 
 // GrayStudyReport is the full study outcome.
 type GrayStudyReport struct {
-	Size Size `json:"size"`
+	Size Size
 	// Brownout is the derived fault schedule the faulted scenarios share.
-	Brownout string         `json:"brownout"`
-	Rows     []GrayStudyRow `json:"rows"`
-}
-
-// JSON renders the report as indented JSON (the CI artifact format).
-func (r *GrayStudyReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	Brownout string
+	Rows     []GrayStudyRow
 }
 
 // graySizing carries the fault-free run's op counts, which the study

@@ -1,7 +1,6 @@
 package tables
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -71,18 +70,7 @@ func TestGrayStudyShapeHolds(t *testing.T) {
 		}
 	}
 
-	// The artifact serializes and the text table renders every scenario.
-	blob, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back GrayStudyReport
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Rows) != 3 {
-		t.Fatalf("artifact rows = %d", len(back.Rows))
-	}
+	// The text table renders every scenario.
 	text := FormatGrayStudy(rep)
 	for _, r := range rep.Rows {
 		if !strings.Contains(text, r.Scenario) {

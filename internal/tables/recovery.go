@@ -12,31 +12,30 @@ import (
 
 // RecoveryRow is one row of the fault-recovery study: the modelled cost
 // of running the synthesized code under a seeded fault schedule with
-// retries and checkpoint recovery enabled, against the clean run. The
-// JSON form is the BENCH_recovery.json CI artifact.
+// retries and checkpoint recovery enabled, against the clean run.
 type RecoveryRow struct {
-	Size Size `json:"size"`
+	Size Size
 	// CleanSeconds is the modelled serial I/O time without faults.
-	CleanSeconds float64 `json:"clean_seconds"`
+	CleanSeconds float64
 	// FaultySeconds is the modelled I/O time accumulated across every
 	// attempt of the fault-injected run, retries and restarts included.
-	FaultySeconds float64 `json:"faulty_seconds"`
+	FaultySeconds float64
 	// OverheadPct is the relative cost of surviving the schedule.
-	OverheadPct float64 `json:"overhead_pct"`
+	OverheadPct float64
 	// FaultsInjected counts what the injector fired (all kinds).
-	FaultsInjected int64 `json:"faults_injected"`
+	FaultsInjected int64
 	// Retries and Restarts count the recovery machinery's responses.
-	Retries  int64 `json:"retries"`
-	Restarts int64 `json:"restarts"`
+	Retries  int64
+	Restarts int64
 	// WastedSeconds is modelled work repeated after rollbacks.
-	WastedSeconds float64 `json:"wasted_seconds"`
+	WastedSeconds float64
 	// SilentInjected counts corruptions the injector planted without an
 	// error (bit flips, lost writes, torn-returning-success); detection is
 	// the checksum layer's job. IntegrityDetected/IntegrityHealed count the
 	// verified-read failures recovery saw and resolved.
-	SilentInjected    int64 `json:"silent_injected,omitempty"`
-	IntegrityDetected int64 `json:"integrity_detected,omitempty"`
-	IntegrityHealed   int64 `json:"integrity_healed,omitempty"`
+	SilentInjected    int64
+	IntegrityDetected int64
+	IntegrityHealed   int64
 }
 
 // RecoveryStudy synthesizes each size with DCS and measures the generated

@@ -13,11 +13,10 @@ package tables
 //	(c) the modelled cost of rebalancing when a shard is added to or
 //	    drained from the R=2 ring.
 //
-// The rows serialize to JSON for the benchmark artifact
-// (BENCH_ring.json in CI) and render as text via FormatRingStudy.
+// The rows render as text via FormatRingStudy; TestRingStudyShapeHolds
+// holds them to these claims.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -29,17 +28,17 @@ import (
 
 // RingStudyRow is one shard count's measurements.
 type RingStudyRow struct {
-	Procs       int   `json:"procs"`
-	TotalMemory int64 `json:"total_memory"`
+	Procs       int
+	TotalMemory int64
 	// Replica1/2/3Seconds are the ring's modelled parallel I/O times for
 	// the DCS-synthesized plan at replication factors 1, 2, and 3.
-	Replica1Seconds float64 `json:"r1_seconds"`
-	Replica2Seconds float64 `json:"r2_seconds"`
-	Replica3Seconds float64 `json:"r3_seconds"`
+	Replica1Seconds float64
+	Replica2Seconds float64
+	Replica3Seconds float64
 	// Add and Drain account the rebalancing data movement of growing the
 	// R=2 ring by one shard and draining one of the original shards.
-	Add   *ring.RebalanceReport `json:"add,omitempty"`
-	Drain *ring.RebalanceReport `json:"drain,omitempty"`
+	Add   *ring.RebalanceReport
+	Drain *ring.RebalanceReport
 }
 
 // ReplicaOverhead returns the R-replica I/O time relative to R=1.
@@ -58,13 +57,8 @@ func (r RingStudyRow) ReplicaOverhead(replicas int) float64 {
 
 // RingStudyReport is the full study outcome.
 type RingStudyReport struct {
-	Size Size           `json:"size"`
-	Rows []RingStudyRow `json:"rows"`
-}
-
-// JSON renders the report as indented JSON (the CI artifact format).
-func (r *RingStudyReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	Size Size
+	Rows []RingStudyRow
 }
 
 // RingStudy synthesizes the four-index transform with DCS for the

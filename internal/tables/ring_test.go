@@ -1,7 +1,6 @@
 package tables
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -82,25 +81,20 @@ func TestRingStudyShapeHolds(t *testing.T) {
 		}
 	}
 
+	// Membership changes move about 1/P of the data: from P=8 to P=64
+	// each of add and drain moves at most a quarter as much.
+	first, last := rep.Rows[0], rep.Rows[len(rep.Rows)-1]
+	if 4*last.Add.BytesMoved > first.Add.BytesMoved || 4*last.Drain.BytesMoved > first.Drain.BytesMoved {
+		t.Fatalf("add/drain relocation does not shrink like 1/P: P=%d moved %d/%d bytes, P=%d %d/%d",
+			first.Procs, first.Add.BytesMoved, first.Drain.BytesMoved,
+			last.Procs, last.Add.BytesMoved, last.Drain.BytesMoved)
+	}
+
 	out := FormatRingStudy(rep)
 	for _, want := range []string{"Ring study", "Shards", "R2/R1", "drain move"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("format missing %q:\n%s", want, out)
 		}
-	}
-
-	// The report round-trips through its JSON artifact form.
-	raw, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back RingStudyReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Rows) != len(rep.Rows) || back.Rows[0].Replica2Seconds != rep.Rows[0].Replica2Seconds ||
-		back.Rows[0].Drain.BytesMoved != rep.Rows[0].Drain.BytesMoved {
-		t.Fatalf("JSON round trip lost data: %+v", back.Rows)
 	}
 
 	// Balance through the study's add and drain: the new shard becomes a

@@ -1,99 +1,66 @@
 package tables
 
 import (
+	"encoding/json"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/golden"
 )
 
-func solverStudyOnce(t *testing.T) []SolverRow {
+// quickSolverStudy runs the study at both paper sizes under oocbench's
+// -quick budget (capped: 60 000 evaluations per solve).
+func quickSolverStudy(t *testing.T) []SolverRow {
 	t.Helper()
-	rows, err := SolverStudy([]Size{{140, 120}}, Options{Seed: 1, DCSEvals: 40000})
+	rows, err := SolverStudy(PaperSizes, capped())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rows
 }
 
-// TestSolverStudyInvariants checks the properties the committed baseline
-// promises: the portfolio races the full lane count on fewer evaluations
-// than the cold solve, and the warm sweep beats the cold sweep on
-// evaluations while staying feasible.
+// TestSolverStudyInvariants checks what the study is for: the portfolio
+// races the full lane count on fewer evaluations than the cold solve, and
+// the warm sweep beats the cold sweep on evaluations while staying
+// feasible.
 func TestSolverStudyInvariants(t *testing.T) {
-	rows := solverStudyOnce(t)
-	if len(rows) != 1 {
+	rows := quickSolverStudy(t)
+	if len(rows) != len(PaperSizes) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	r := rows[0]
-	if r.Scenario != "four-index-140x120" {
-		t.Fatalf("scenario = %q", r.Scenario)
+	if rows[0].Scenario != "four-index-140x120" {
+		t.Fatalf("scenario = %q", rows[0].Scenario)
 	}
-	if r.PortfolioLanes != SolverPortfolioLanes {
-		t.Fatalf("lanes = %d, want %d", r.PortfolioLanes, SolverPortfolioLanes)
-	}
-	if r.PortfolioEvals >= r.ColdEvals {
-		t.Fatalf("portfolio spent %d evals, cold %d — race saved nothing",
-			r.PortfolioEvals, r.ColdEvals)
-	}
-	if r.WarmSweepEvals >= r.ColdSweepEvals {
-		t.Fatalf("warm sweep evals %d not below cold %d", r.WarmSweepEvals, r.ColdSweepEvals)
-	}
-	if r.WinnerStrategy == "" || r.WinnerLane < 0 || r.WinnerLane >= SolverPortfolioLanes {
-		t.Fatalf("winner not recorded: lane %d strategy %q", r.WinnerLane, r.WinnerStrategy)
-	}
-	if r.ColdObjective <= 0 || r.PortfolioObjective <= 0 {
-		t.Fatalf("objectives missing: cold %g portfolio %g", r.ColdObjective, r.PortfolioObjective)
-	}
-}
-
-// TestSolverStudyDeterministicEvals: the gate relies on eval counts being
-// reproducible run to run.
-func TestSolverStudyDeterministicEvals(t *testing.T) {
-	a, b := solverStudyOnce(t), solverStudyOnce(t)
-	if a[0].ColdEvals != b[0].ColdEvals ||
-		a[0].PortfolioEvals != b[0].PortfolioEvals ||
-		a[0].WarmSweepEvals != b[0].WarmSweepEvals ||
-		a[0].WinnerLane != b[0].WinnerLane ||
-		a[0].WinnerSeed != b[0].WinnerSeed {
-		t.Fatalf("study not deterministic:\n%+v\n%+v", a[0], b[0])
-	}
-}
-
-// TestSolverRegressions exercises the gate's pass and fail paths.
-func TestSolverRegressions(t *testing.T) {
-	base := SolverRow{
-		Scenario: "s", ColdWallS: 10, ColdEvals: 1000,
-		PortfolioWallS: 5, PortfolioEvals: 900,
-		ColdSweepWallS: 30, ColdSweepEvals: 3000,
-		WarmSweepWallS: 12, WarmSweepEvals: 1200,
-	}
-	if bad := SolverRegressions([]SolverRow{base}, []SolverRow{base}, 0.25); len(bad) != 0 {
-		t.Fatalf("identical run flagged: %v", bad)
-	}
-
-	// Wall-clock scaled uniformly (slower machine): ratios unchanged, no
-	// regression.
-	slow := base
-	slow.ColdWallS, slow.PortfolioWallS = 40, 20
-	slow.ColdSweepWallS, slow.WarmSweepWallS = 120, 48
-	if bad := SolverRegressions([]SolverRow{slow}, []SolverRow{base}, 0.25); len(bad) != 0 {
-		t.Fatalf("uniform slowdown flagged: %v", bad)
-	}
-
-	cases := []struct {
-		name   string
-		mutate func(*SolverRow)
-	}{
-		{"eval drift", func(r *SolverRow) { r.ColdEvals = 2000 }},
-		{"portfolio evals not below cold", func(r *SolverRow) { r.PortfolioEvals = 1000 }},
-		{"warm sweep no saving", func(r *SolverRow) { r.WarmSweepEvals = 3000 }},
-		{"portfolio ratio regressed", func(r *SolverRow) { r.PortfolioWallS = 9 }},
-		{"warm ratio regressed", func(r *SolverRow) { r.WarmSweepWallS = 29 }},
-		{"missing baseline", func(r *SolverRow) { r.Scenario = "other" }},
-	}
-	for _, tc := range cases {
-		cur := base
-		tc.mutate(&cur)
-		if bad := SolverRegressions([]SolverRow{cur}, []SolverRow{base}, 0.25); len(bad) == 0 {
-			t.Errorf("%s: not flagged", tc.name)
+	for _, r := range rows {
+		if r.PortfolioLanes != solverPortfolioLanes {
+			t.Fatalf("%s: lanes = %d, want %d", r.Scenario, r.PortfolioLanes, solverPortfolioLanes)
+		}
+		if r.PortfolioEvals >= r.ColdEvals {
+			t.Fatalf("%s: portfolio spent %d evals, cold %d — race saved nothing",
+				r.Scenario, r.PortfolioEvals, r.ColdEvals)
+		}
+		if r.WarmSweepEvals >= r.ColdSweepEvals {
+			t.Fatalf("%s: warm sweep evals %d not below cold %d", r.Scenario, r.WarmSweepEvals, r.ColdSweepEvals)
+		}
+		if r.WinnerStrategy == "" || r.WinnerLane < 0 || r.WinnerLane >= solverPortfolioLanes {
+			t.Fatalf("%s: winner not recorded: lane %d strategy %q", r.Scenario, r.WinnerLane, r.WinnerStrategy)
+		}
+		if r.ColdObjective <= 0 || r.PortfolioObjective <= 0 {
+			t.Fatalf("%s: objectives missing: cold %g portfolio %g", r.Scenario, r.ColdObjective, r.PortfolioObjective)
 		}
 	}
+}
+
+// TestSolverStudyGolden pins every deterministic column of the quick
+// study — eval counts, objectives, lanes, the race's winner lane, seed
+// and strategy, candidates pruned — to testdata/solver_quick.json,
+// exactly: the JSON form leaves the walls out and prints each float in
+// its shortest round-trip form. A change that moves a column must say
+// why and re-record with -update.
+func TestSolverStudyGolden(t *testing.T) {
+	got, err := json.MarshalIndent(quickSolverStudy(t), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, filepath.Join("testdata", "solver_quick.json"), append(got, '\n'))
 }

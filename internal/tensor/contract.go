@@ -79,9 +79,10 @@ const gemmBlock = 64
 //     offsets incrementally.
 //
 // A block whose extents and strides equal the previous block's reuses its
-// nest: full tiles repeat. Before it runs, a block is checked to lie inside
-// each operand's data; the output must not share storage with a factor,
-// and no two free points may address one output element.
+// nest: full tiles repeat. A block with an extent of 0 has no points, and
+// Run does nothing with it. Before it runs, any other block is checked to
+// lie inside each operand's data; the output must not share storage with
+// a factor, and no two free points may address one output element.
 //
 // A Contraction holds the planned nest as scratch: it is not safe for
 // concurrent Runs.
@@ -108,6 +109,8 @@ type Contraction struct {
 	// and highest offset from its start that the nest reaches.
 	ext, stride []int
 	lo, hi      []int
+	// empty marks an extent below 1 in ext: the block has no points.
+	empty bool
 
 	// wk are the kernels of the workers a block is split across, made on
 	// the first split and kept.
@@ -263,6 +266,9 @@ func (c *Contraction) run(ext, start []int, b *Block) {
 		copy(c.ext, ext)
 		copy(c.stride, b.Stride)
 	}
+	if c.empty {
+		return
+	}
 	for r, d := range b.Data[:c.refs] {
 		_, _ = d[start[r]+c.lo[r]], d[start[r]+c.hi[r]]
 	}
@@ -286,10 +292,13 @@ func (c *Contraction) run(ext, start []int, b *Block) {
 // plan lays the nest out in c.lv (see the type's doc comment).
 func (c *Contraction) plan(ext, stride []int) {
 	nd, refs := len(ext), c.refs
+	c.empty = slices.ContainsFunc(ext, func(n int) bool { return n < 1 })
 	for r := range refs {
 		c.lo[r], c.hi[r] = 0, 0
 		for d, n := range ext {
-			// A loop of extent 0 or 1 is dropped: the nest takes one trip.
+			// A loop of extent 1 is dropped: the nest takes one trip. A
+			// block with an extent of 0 runs nothing, so its bounds go
+			// unchecked.
 			x := max(n-1, 0) * stride[r*nd+d]
 			c.lo[r] += min(x, 0)
 			c.hi[r] += max(x, 0)

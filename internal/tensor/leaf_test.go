@@ -215,3 +215,45 @@ func TestContractionChecksBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestContractionZeroExtentIsNoOp runs blocks with an extent of 0: they
+// have no points, so Run must leave the output as it is, on one worker
+// and split, in the two-factor nest and in the N-factor one.
+func TestContractionZeroExtentIsNoOp(t *testing.T) {
+	blocks := []struct {
+		name    string
+		free    []bool
+		factors int
+		ext     []int
+		stride  []int // operand-major
+	}{
+		// out[i] += x[i,k]·y[k]
+		{"contracted", []bool{true, false}, 2, []int{3, 0}, []int{1, 0, 2, 1, 0, 1}},
+		{"free", []bool{true, false}, 2, []int{0, 2}, []int{1, 0, 2, 1, 0, 1}},
+		// out[i] += x[i,k]
+		{"one-factor", []bool{true, false}, 1, []int{3, 0}, []int{1, 0, 2, 1}},
+	}
+	for _, bc := range blocks {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers%d", bc.name, workers), func(t *testing.T) {
+				c := NewContraction(bc.free, bc.factors)
+				b := c.NewBlock()
+				copy(b.Ext, bc.ext)
+				copy(b.Stride, bc.stride)
+				if b.Points() != 0 {
+					t.Fatalf("Points() = %d, want 0", b.Points())
+				}
+				b.Data[0] = make([]float64, 3)
+				for r := 1; r < len(b.Data); r++ {
+					b.Data[r] = []float64{1, 1, 1, 1, 1, 1, 1, 1}
+				}
+				c.Run(b, workers)
+				for i, v := range b.Data[0] {
+					if v != 0 {
+						t.Fatalf("out[%d] = %v: a block with no points wrote its output", i, v)
+					}
+				}
+			})
+		}
+	}
+}
