@@ -58,8 +58,12 @@ const (
 // that failed verification (on any error the buffer's contents are
 // unspecified). A write verifies every window before its first mutation,
 // then overlays, re-indexes from memory and writes each window with one
-// WriteAt. Section calls may run concurrently (ReadAt/WriteAt are safe on
-// one *os.File; each array's lock orders them against its index).
+// WriteAt; once a write has put a full window's bytes in the file, the
+// kernel starts writing them back, so Sync's fsync finds less left to do.
+// On little-endian hosts the elements move between a window and the
+// caller's buffer with one copy. Section calls may run concurrently
+// (ReadAt/WriteAt are safe on one *os.File; each array's lock orders them
+// against its index).
 type FileStore struct {
 	dir        string
 	sl         Ledger
@@ -124,16 +128,18 @@ type fileArray struct {
 	n          int64 // total elements
 	blockElems int64
 	f          *os.File
-	header     int64 // bytes before the first element
-	legacy     bool  // adopted DRA1 file
+	fd         uintptr // f's descriptor, taken once for startWriteback
+	header     int64   // bytes before the first element
+	legacy     bool    // adopted DRA1 file
 
 	// mu orders section I/O against the checksum index: writers update
 	// data and sums together under the write lock, readers verify and
 	// read under the read lock, so a read never observes data and index
 	// from different moments.
-	mu    sync.RWMutex
-	sums  []uint32 // CRC32C per block; authoritative while open
-	dirty bool     // sums changed since the last persisted sidecar
+	mu         sync.RWMutex
+	sums       []uint32 // CRC32C per block; authoritative while open
+	dirty      bool     // sums changed since the last persisted sidecar
+	writebacks int64    // spans store has started writing back
 }
 
 func headerSize(rank int) int64  { return 8 + 8 + int64(rank)*8 }
@@ -201,6 +207,7 @@ func (fs *FileStore) Create(name string, dims []int64) (Array, error) {
 		n:          n,
 		blockElems: fs.blockElems,
 		f:          f,
+		fd:         f.Fd(),
 		header:     int64(len(hdr)),
 		sums:       freshSums(n, fs.blockElems),
 	}
@@ -360,6 +367,7 @@ func (fs *FileStore) Open(name string) (Array, error) {
 		n:          n,
 		blockElems: blockElems,
 		f:          f,
+		fd:         f.Fd(),
 		header:     header,
 		legacy:     legacy,
 	}

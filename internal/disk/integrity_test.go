@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -351,6 +352,77 @@ func TestDirtyEpochCrashRecovery(t *testing.T) {
 	}
 	if err := a2.ReadSection([]int64{0, 0}, []int64{4, 8}, make([]float64, 32)); err != nil {
 		t.Fatalf("post-crash read tripped on stale index: %v", err)
+	}
+	rep, err := Scrub(fs2, ScrubOptions{})
+	if err != nil || !rep.OK() {
+		t.Fatalf("post-crash scrub: %+v, %v", rep, err)
+	}
+}
+
+// TestDirtyEpochCrashRecoveryAfterWriteback is TestDirtyEpochCrashRecovery
+// on the writeback path: the abandoned epoch's write spans full windows of
+// one-element blocks, so store starts writing them back before the
+// "crash". Early writeback must not make the dirty marker redundant: the
+// reopened store still rebuilds the index from the file, every read
+// verifies and returns the last write, and the scrub is clean.
+func TestDirtyEpochCrashRecoveryAfterWriteback(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir, testDisk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.SetBlockElems(1)
+	a, _ := fs.Create("A", []int64{4, 24})
+	if err := a.WriteSection([]int64{0, 0}, []int64{4, 24}, seqFloats(96)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := seqFloats(96)
+	epoch := make([]float64, 48)
+	for i := range epoch {
+		epoch[i] = -float64(i)
+	}
+	copy(want[24:], epoch)
+	fa := a.(*fileArray)
+	before := fa.writebacks
+	if err := a.WriteSection([]int64{1, 0}, []int64{2, 24}, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if fa.writebacks == before {
+		t.Fatal("a 48-element write over one-element blocks started no writeback")
+	}
+	// The process "dies" here: no Sync, no Close.
+	raw, err := os.ReadFile(filepath.Join(dir, "A.sum"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, dirty, err := decodeSums(raw, 96); err != nil || !dirty {
+		t.Fatalf("sidecar after the abandoned epoch: dirty %v, err %v; want a dirty marker", dirty, err)
+	}
+
+	fs2, err := NewFileStore(dir, testDisk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	a2, err := fs2.Open("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a2.(*fileArray).dirty {
+		t.Fatal("reopened store trusted the dirty-marked index instead of rebuilding it")
+	}
+	got := make([]float64, 96)
+	if err := a2.ReadSection([]int64{0, 0}, []int64{4, 24}, got); err != nil {
+		t.Fatalf("post-crash read tripped on stale index: %v", err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("post-crash read: got %v, want %v", got, want)
+	}
+	if v := fs2.Integrity().VerifiedBlocks; v != 96 {
+		t.Fatalf("post-crash read verified %d blocks, want 96", v)
 	}
 	rep, err := Scrub(fs2, ScrubOptions{})
 	if err != nil || !rep.OK() {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // This file is the windowed reader behind every FileStore data path
@@ -16,7 +17,13 @@ import (
 // buffer. The checksum check, the decode into the caller's buffer, the
 // overlay of a write and its re-index all work on those same bytes, where
 // the run-at-a-time path paid one syscall per run plus a separate read of
-// every covering block.
+// every covering block. On a little-endian host the bytes move between a
+// window and the caller's float64s with one copy (see encode).
+//
+// A write that has put at least one full window's bytes in the file
+// starts the kernel's writeback of them at once (startWriteback), so the
+// fsync in Sync or Close waits only for what is left. Smaller writes,
+// which plans rewrite, stay in the page cache.
 
 // sieveBlocks caps a window at 32 checksum blocks: 1 MiB of scratch at
 // DefaultBlockElems. A window never spans a block the section does not
@@ -291,9 +298,13 @@ func (s *sieve) settle(op string, lo, shape []int64, err error) error {
 // uncovered and loaded does not say raw already holds it), the section's
 // bytes overlaid, one WriteAt, and every block of the window re-indexed
 // from memory. Only the first keep packed elements reach the file; the
-// index advances as if all had. The caller holds a.mu.
+// index advances as if all had. Each time the bytes written since the
+// last writeback reach a full window, the span they lie in starts its
+// writeback. The caller holds a.mu.
 func (s *sieve) store(buf []float64, keep int64, loaded bool) error {
 	a := s.a
+	full := a.windowBytes()
+	var from, to, pending int64 // file span and bytes written since the last writeback
 	for s.next() {
 		if !loaded && s.covered < s.hi-s.lo {
 			if err := s.load(); err != nil {
@@ -309,8 +320,18 @@ func (s *sieve) store(buf []float64, keep int64, loaded bool) error {
 			}
 		}
 		if persist > 0 {
-			if _, err := a.f.WriteAt(s.raw[:persist*8], a.header+s.lo*8); err != nil {
+			off := a.header + s.lo*8
+			if _, err := a.f.WriteAt(s.raw[:persist*8], off); err != nil {
 				return err
+			}
+			if pending == 0 {
+				from = off
+			}
+			to, pending = off+persist*8, pending+persist*8
+			if pending >= full {
+				startWriteback(a.fd, from, to-from)
+				a.writebacks++
+				pending = 0
 			}
 		}
 		for b := s.b0; b < s.b1; b++ {
@@ -320,17 +341,56 @@ func (s *sieve) store(buf []float64, keep int64, loaded bool) error {
 	return nil
 }
 
+// windowBytes returns the bytes of a full window of a's blocks: the
+// write-back threshold of store. A header's outsized block size saturates
+// it rather than overflowing.
+func (a *fileArray) windowBytes() int64 {
+	if a.blockElems > math.MaxInt64/(sieveBlocks*8) {
+		return math.MaxInt64
+	}
+	return sieveBlocks * a.blockElems * 8
+}
+
+// littleEndian reports whether this host lays out a float64 in memory as
+// the file format does, so a window's bytes are the caller's float64s.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // decode unpacks little-endian float64s from src into dst.
 func decode(dst []float64, src []byte) {
 	src = src[:len(dst)*8]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+	if littleEndian {
+		copy(bytesOf(dst), src)
+		return
 	}
+	decodeLoop(dst, src)
 }
 
 // encode packs src into dst as little-endian float64s.
 func encode(dst []byte, src []float64) {
 	dst = dst[:len(src)*8]
+	if littleEndian {
+		copy(dst, bytesOf(src))
+		return
+	}
+	encodeLoop(dst, src)
+}
+
+// bytesOf views v's float64s as the bytes they occupy in memory.
+func bytesOf(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
+}
+
+// decodeLoop is decode element by element: the big-endian path, and the
+// tests' oracle for the copy.
+func decodeLoop(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+	}
+}
+
+// encodeLoop is encode element by element: the big-endian path, and the
+// tests' oracle for the copy.
+func encodeLoop(dst []byte, src []float64) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
 	}

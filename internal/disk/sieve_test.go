@@ -396,11 +396,62 @@ func FuzzFileStoreSection(f *testing.F) {
 	})
 }
 
-// BenchmarkFileStoreSection measures the two section shapes the file
+// TestWritebackSpanRule pins when a write starts writeback: each time the
+// bytes it has put in the file since its last writeback reach a full window
+// (sieveBlocks one-element blocks here), never for less. A strided section
+// counts the bytes its windows write, and a silent write counts only the
+// part that reaches the file.
+func TestWritebackSpanRule(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir(), testDisk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	fs.SetBlockElems(1)
+	a, err := fs.Create("A", []int64{80, 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := a.(*fileArray)
+	const w = sieveBlocks
+	for _, tc := range []struct {
+		name      string
+		lo, shape []int64
+		silent    bool
+		mode      SilentMode
+		want      int64
+	}{
+		{"one element short", []int64{0, 0}, []int64{1, w - 1}, false, 0, 0},
+		{"one full window", []int64{1, 0}, []int64{1, w}, false, 0, 1},
+		{"two windows and two short tails", []int64{2, 0}, []int64{2, w + 4}, false, 0, 2},
+		{"strided column, one block per window", []int64{0, 5}, []int64{w, 1}, false, 0, 1},
+		{"strided column one element short", []int64{0, 5}, []int64{w - 1, 1}, false, 0, 0},
+		{"silently lost", []int64{40, 0}, []int64{2, w}, true, SilentLost, 0},
+		{"silently torn, one row persists", []int64{40, 0}, []int64{2, w}, true, SilentTorn, 1},
+	} {
+		n, _ := checkSection(fa.dims, tc.lo, tc.shape)
+		before := fa.writebacks
+		if tc.silent {
+			err = fa.WriteSectionSilent(tc.lo, tc.shape, seqFloats(int(n)), tc.mode)
+		} else {
+			err = a.WriteSection(tc.lo, tc.shape, seqFloats(int(n)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fa.writebacks - before; got != tc.want {
+			t.Errorf("%s (%d elements): %d writebacks, want %d", tc.name, n, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkFileStoreSection measures the section shapes the file
 // workloads lean on: a strided read of 32-byte runs (the reduce-strided
-// A tiles) and a contiguous multi-MB write (the thin-write output).
+// A tiles), a contiguous multi-MB write (the thin-write output), and that
+// write made durable by Sync, where the writeback store starts as full
+// windows land shortens the fsync.
 func BenchmarkFileStoreSection(b *testing.B) {
-	run := func(b *testing.B, dims, lo, shape []int64, write bool) {
+	run := func(b *testing.B, dims, lo, shape []int64, write, sync bool) {
 		fs, err := NewFileStore(b.TempDir(), testDisk())
 		if err != nil {
 			b.Fatal(err)
@@ -422,15 +473,21 @@ func BenchmarkFileStoreSection(b *testing.B) {
 			} else {
 				err = a.ReadSection(lo, shape, buf)
 			}
+			if err == nil && sync {
+				err = fs.Sync()
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("strided-read-32B-runs", func(b *testing.B) {
-		run(b, []int64{200, 200, 8}, []int64{50, 50, 4}, []int64{100, 100, 4}, false)
+		run(b, []int64{200, 200, 8}, []int64{50, 50, 4}, []int64{100, 100, 4}, false, false)
 	})
 	b.Run("contiguous-write-4MB", func(b *testing.B) {
-		run(b, []int64{1024, 1024}, []int64{100, 0}, []int64{512, 1024}, true)
+		run(b, []int64{1024, 1024}, []int64{100, 0}, []int64{512, 1024}, true, false)
+	})
+	b.Run("contiguous-write-sync-10MB", func(b *testing.B) {
+		run(b, []int64{1280, 1024}, []int64{0, 0}, []int64{1280, 1024}, true, true)
 	})
 }
