@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -111,7 +112,7 @@ type Synthesis struct {
 	// WithWarmStart).
 	CandidatesPruned int
 	// Pipeline models the double-buffered schedule in
-	// MeasureSim/RunSim/RunFiles (set via WithPipeline; see
+	// MeasureSim/RunSim (set via WithPipeline; see
 	// exec.Options.Pipeline).
 	Pipeline bool
 	// Metrics and Tracer, when non-nil (set via WithMetrics/WithTracer),
@@ -127,24 +128,6 @@ type Synthesis struct {
 	// otherwise). A synthesis only returns with a clean report — a finding
 	// fails the run — so it carries the verified schedule-walk statistics.
 	Verify *verify.Report
-}
-
-// solverObserver composes the user observer and the convergence curve
-// into the single callback the solver accepts (nil when neither is set).
-func (c *config) solverObserver() dcs.Observer {
-	if c.observer == nil && c.curve == nil {
-		return nil
-	}
-	return func(e dcs.Event) {
-		c.curve.Record(obs.SolveEvent{
-			Kind: e.Kind, Lane: e.Lane, Restart: e.Restart, Evals: e.Evals,
-			Best: e.Best, Feasible: e.Feasible,
-			MaxViolation: e.MaxViolation, MuNorm: e.MuNorm,
-		})
-		if c.observer != nil {
-			c.observer(e)
-		}
-	}
 }
 
 // synthesize is the synthesis pipeline behind SynthesizeOpts: fuse, tile,
@@ -207,22 +190,21 @@ func synthesize(ctx context.Context, prog *loops.Program, c *config) (*Synthesis
 			dcs.WithStrategy(sp.solver),
 			dcs.WithSeed(c.seed),
 			dcs.WithBudget(c.maxEvals),
-			dcs.WithMaxTime(c.maxTime),
 			dcs.WithStart(solveStart),
 			dcs.WithPatience(c.patience),
 			dcs.WithPortfolio(c.portfolio),
-			dcs.WithObserver(c.solverObserver()),
+			dcs.WithObserver(c.observer),
 			dcs.WithMetrics(c.metrics),
 			dcs.WithLog(c.log),
 		)
 		if err != nil {
 			return nil, err
 		}
-		// The solver treats ctx expiry as a budget signal; the caller's
-		// own cancellation must surface as an error, not a silent
-		// truncated search.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: synthesis cancelled: %w", err)
+		// The solver treats ctx expiry as a budget signal. A deadline
+		// keeps that meaning here, but the caller's own cancellation must
+		// surface as an error, not a silent truncated search.
+		if errors.Is(ctx.Err(), context.Canceled) {
+			return nil, fmt.Errorf("core: synthesis cancelled: %w", ctx.Err())
 		}
 		if !res.Feasible {
 			return nil, fmt.Errorf("core: %v found no feasible configuration (memory limit %d too tight?)", c.strategy, c.machine.MemoryLimit)
@@ -235,8 +217,8 @@ func synthesize(ctx context.Context, prog *loops.Program, c *config) (*Synthesis
 		if err != nil {
 			return nil, err
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: synthesis cancelled: %w", err)
+		if errors.Is(ctx.Err(), context.Canceled) {
+			return nil, fmt.Errorf("core: synthesis cancelled: %w", ctx.Err())
 		}
 		x = res.X
 		evals = res.Combos
@@ -351,21 +333,6 @@ func (s *Synthesis) MeasureSimFull() (*exec.Result, error) {
 // (test-scale) problems only.
 func (s *Synthesis) RunSim(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, disk.Stats, error) {
 	be := disk.NewSim(s.Model.Cfg.Disk, true)
-	defer be.Close()
-	s.attachObs(be)
-	res, err := exec.Run(s.Plan, be, inputs, s.execOptions(exec.Options{}))
-	if err != nil {
-		return nil, disk.Stats{}, err
-	}
-	return res.Outputs, res.Stats, nil
-}
-
-// RunFiles executes the plan against real files under dir.
-func (s *Synthesis) RunFiles(dir string, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, disk.Stats, error) {
-	be, err := disk.NewFileStore(dir, s.Model.Cfg.Disk)
-	if err != nil {
-		return nil, disk.Stats{}, err
-	}
 	defer be.Close()
 	s.attachObs(be)
 	res, err := exec.Run(s.Plan, be, inputs, s.execOptions(exec.Options{}))

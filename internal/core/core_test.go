@@ -128,28 +128,6 @@ func TestSynthesizedCodeComputesCorrectResult(t *testing.T) {
 	}
 }
 
-func TestRunFiles(t *testing.T) {
-	nmn, nij := int64(10), int64(10)
-	prog := loops.TwoIndexFused(nmn, nij)
-	inputs := expr.RandomInputs(expr.TwoIndexTransform(nmn, nij), 6)
-	want, err := loops.Interpret(prog, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := SynthesizeOpts(context.Background(), prog.Clone(),
-		WithMachine(machine.Small(4<<10)), WithSeed(3), WithMaxEvals(20000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := s.RunFiles(t.TempDir(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(got["B"], want["B"]); d > 1e-9 {
-		t.Fatalf("file-backed run differs by %g", d)
-	}
-}
-
 func TestFourIndexSynthesis(t *testing.T) {
 	// The paper's experimental workload at (140,120): T1 must spill to
 	// disk; the synthesis must be feasible under 2 GB.

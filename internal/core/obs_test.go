@@ -11,37 +11,38 @@ import (
 )
 
 // TestSynthesizeOptsObservability checks the observability options:
-// WithConvergence records the solver curve, WithObserver streams the same
-// events, WithMetrics collects solver counters during synthesis and disk
-// counters during the execution helpers.
+// WithObserver streams the solver's events, WithMetrics collects solver
+// counters during synthesis and disk counters during the execution
+// helpers.
 func TestSynthesizeOptsObservability(t *testing.T) {
 	prog := loops.TwoIndexFused(40, 60)
 	cfg := machine.Small(256 << 10)
 
-	curve := &obs.Convergence{}
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
 	var seen []dcs.Event
 	s, err := SynthesizeOpts(context.Background(), prog,
 		WithMachine(cfg), WithSeed(7), WithMaxEvals(4000),
-		WithConvergence(curve),
 		WithObserver(func(e dcs.Event) { seen = append(seen, e) }),
 		WithMetrics(reg), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The curve and the observer both received the full stream, ending in
-	// a final event whose objective is the synthesized plan's prediction.
-	final, ok := curve.Final()
-	if !ok {
-		t.Fatal("no final solver event recorded")
+	// The observer received the full stream, ending in a final event
+	// whose objective is the synthesized plan's prediction.
+	if len(seen) == 0 {
+		t.Fatal("no solver event recorded")
+	}
+	final := seen[len(seen)-1]
+	if final.Kind != "final" {
+		t.Fatalf("last event kind = %q, want final", final.Kind)
 	}
 	if final.Best != s.Predicted() {
 		t.Fatalf("final best %g != predicted %g", final.Best, s.Predicted())
 	}
-	if len(seen) != len(curve.Events()) {
-		t.Fatalf("observer saw %d events, curve recorded %d", len(seen), len(curve.Events()))
+	if final.Evals != int(s.SolverEvals) {
+		t.Fatalf("final event evals %d != SolverEvals %d", final.Evals, s.SolverEvals)
 	}
 	if got := reg.Counter("dcs.evals").Value(); got != s.SolverEvals {
 		t.Fatalf("dcs.evals counter %d != SolverEvals %d", got, s.SolverEvals)

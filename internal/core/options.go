@@ -6,7 +6,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/dcs"
 	"repro/internal/loops"
@@ -23,14 +22,12 @@ type config struct {
 	strategy Strategy
 	seed     int64
 	maxEvals int
-	maxTime  time.Duration
 	sampling sampling.Options
 	autoFuse bool
 
 	observer dcs.Observer
 	metrics  *obs.Registry
 	log      *obs.Log
-	curve    *obs.Convergence
 	verify   bool
 	// portfolio races k solver lanes; patience stops a search once the
 	// best feasible point stalls; warm seeds the solver from a previous
@@ -68,13 +65,6 @@ func WithMaxEvals(n int) Option {
 	return func(c *config) { c.maxEvals = n }
 }
 
-// WithMaxTime bounds the solver wall clock; it is layered on the caller's
-// context as a deadline, so expiry returns the best point found rather
-// than an error.
-func WithMaxTime(d time.Duration) Option {
-	return func(c *config) { c.maxTime = d }
-}
-
 // WithSampling configures the uniform-sampling strategy.
 func WithSampling(o sampling.Options) Option {
 	return func(c *config) { c.sampling = o }
@@ -87,7 +77,7 @@ func WithAutoFuse() Option {
 	return func(c *config) { c.autoFuse = true }
 }
 
-// WithPipeline makes MeasureSim/RunSim/RunFiles model the double-buffered
+// WithPipeline makes MeasureSim/RunSim model the double-buffered
 // schedule (exec.Options.Pipeline): execution and results are the serial
 // run's, and Result.Pipeline reports the modelled serial vs overlapped
 // timeline, with reads prefetched and writes retired behind compute.
@@ -105,14 +95,14 @@ func WithObserver(o Observer) Option {
 // WithMetrics publishes solver counters (dcs.evals, dcs.restarts,
 // dcs.improvements) into the registry during synthesis and attaches the
 // registry to the execution helpers' disk backends and engine, so
-// MeasureSim/RunSim/RunFiles report I/O and pipeline instrumentation into
+// MeasureSim/RunSim report I/O and pipeline instrumentation into
 // the same snapshot.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(c *config) { c.metrics = reg }
 }
 
 // WithTracer records the execution helpers' modelled timelines
-// (MeasureSim/RunSim/RunFiles) as obs spans for Chrome-trace export.
+// (MeasureSim/RunSim) as obs spans for Chrome-trace export.
 func WithTracer(tr *obs.Tracer) Option {
 	return func(c *config) { c.tracer = tr }
 }
@@ -165,18 +155,11 @@ func WithVerify() Option {
 	return func(c *config) { c.verify = true }
 }
 
-// WithConvergence records the solver's convergence curve (restart,
-// improvement, and final events) into curve for later export. It composes
-// with WithObserver: both receive every event.
-func WithConvergence(curve *obs.Convergence) Option {
-	return func(c *config) { c.curve = curve }
-}
-
 // SynthesizeOpts runs the full synthesis pipeline for a program under a
-// context, configured by functional options. Cancellation during the
-// solve aborts the synthesis with the context's error; the solver itself
-// treats the context as a budget signal (WithMaxTime is layered on the
-// context as a deadline and still returns the best point found).
+// context, configured by functional options. Cancelling ctx aborts the
+// synthesis with the context's error. A deadline on ctx is a solver
+// budget instead: when it expires, the plan is built from the best point
+// found so far.
 func SynthesizeOpts(ctx context.Context, prog *loops.Program, opts ...Option) (*Synthesis, error) {
 	c := config{machine: machine.OSCItanium2()}
 	for _, o := range opts {

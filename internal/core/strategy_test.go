@@ -8,7 +8,6 @@ import (
 	"repro/internal/dcs"
 	"repro/internal/loops"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // TestStrategySpecsTotal pins the spec table as the single source of
@@ -80,21 +79,22 @@ func synthOpts(limit int64, extra ...Option) []Option {
 	}, extra...)
 }
 
-// TestPortfolioConvergenceLanes: the convergence curve of a portfolio
-// synthesis keeps each solver event's lane, so the four-index race at
-// the solver study's budget records events from several lanes.
+// TestPortfolioConvergenceLanes: the observer of a portfolio synthesis
+// sees each solver event's lane, so the four-index race at the solver
+// study's budget streams events from several lanes.
 func TestPortfolioConvergenceLanes(t *testing.T) {
-	var curve obs.Convergence
+	var events []dcs.Event
 	if _, err := SynthesizeOpts(context.Background(), loops.FourIndexAbstract(140, 120),
-		synthOpts(machine.OSCItanium2().MemoryLimit, WithPortfolio(4), WithConvergence(&curve))...); err != nil {
+		synthOpts(machine.OSCItanium2().MemoryLimit, WithPortfolio(4),
+			WithObserver(func(e dcs.Event) { events = append(events, e) }))...); err != nil {
 		t.Fatal(err)
 	}
 	lanes := map[int]bool{}
-	for _, e := range curve.Events() {
+	for _, e := range events {
 		lanes[e.Lane] = true
 	}
 	if len(lanes) < 2 {
-		t.Fatalf("curve holds events from lanes %v, want several", lanes)
+		t.Fatalf("observer saw events from lanes %v, want several", lanes)
 	}
 }
 

@@ -16,8 +16,8 @@ func TestSolveContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSolveContextDeadlineGraceful checks that a context deadline behaves
-// like MaxTime: the solve stops early but still returns its best point.
+// TestSolveContextDeadlineGraceful checks that a context deadline is a
+// budget: the solve stops early but still returns its best point.
 func TestSolveContextDeadlineGraceful(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -143,11 +142,6 @@ type options struct {
 	// MaxEvals bounds the number of objective/constraint evaluations
 	// (default 200000).
 	MaxEvals int
-	// MaxTime bounds the wall-clock solve time (0: unbounded). It is
-	// implemented as a context deadline layered over the caller's context;
-	// the evaluation budget still applies, and whichever
-	// is hit first stops the search.
-	MaxTime time.Duration
 	// Restarts is the number of independent starts (default 8).
 	Restarts int
 	// Start, if non-nil, seeds the first restart.
@@ -235,7 +229,6 @@ type Result struct {
 // solve minimizes the problem under a context. Cancellation and deadline
 // expiry stop the search gracefully: the best point found so far is
 // returned, never an error — a budget signal, exactly like MaxEvals.
-// The MaxTime option is layered on the context as a deadline.
 func solve(ctx context.Context, p Problem, opt options) (Result, error) {
 	opt = opt.withDefaults()
 	if p.Dim() == 0 {
@@ -243,12 +236,6 @@ func solve(ctx context.Context, p Problem, opt options) (Result, error) {
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opt.MaxTime > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.MaxTime)
-		defer cancel()
-		opt.MaxTime = 0 // the deadline is on ctx now
 	}
 	if opt.Strategy < DLM || opt.Strategy > RandomSearch {
 		return Result{}, fmt.Errorf("dcs: unknown strategy %v", opt.Strategy)

@@ -15,19 +15,13 @@ import (
 func TestObserverConvergence(t *testing.T) {
 	for _, strat := range []Strategy{DLM, CSA, RandomSearch} {
 		t.Run(strat.String(), func(t *testing.T) {
-			var curve obs.Convergence
+			var events []Event
 			reg := obs.NewRegistry()
 			res, err := Run(context.Background(), quadProblem{},
 				WithStrategy(strat),
 				WithSeed(7),
 				WithBudget(20000),
-				WithObserver(func(e Event) {
-					curve.Record(obs.SolveEvent{
-						Kind: e.Kind, Lane: e.Lane, Restart: e.Restart, Evals: e.Evals,
-						Best: e.Best, Feasible: e.Feasible,
-						MaxViolation: e.MaxViolation, MuNorm: e.MuNorm,
-					})
-				}),
+				WithObserver(func(e Event) { events = append(events, e) }),
 				WithMetrics(reg),
 			)
 			if err != nil {
@@ -37,10 +31,10 @@ func TestObserverConvergence(t *testing.T) {
 				t.Fatal("no feasible point found")
 			}
 
-			fin, ok := curve.Final()
-			if !ok {
+			if len(events) == 0 {
 				t.Fatal("no events recorded")
 			}
+			fin := events[len(events)-1]
 			if fin.Kind != "final" {
 				t.Fatalf("last event kind = %q, want final", fin.Kind)
 			}
@@ -54,7 +48,12 @@ func TestObserverConvergence(t *testing.T) {
 				t.Fatalf("final event evals = %d, Result.Evals = %d", fin.Evals, res.Evals)
 			}
 
-			imps := curve.Improvements()
+			var imps []Event
+			for _, e := range events {
+				if e.Kind == "improvement" {
+					imps = append(imps, e)
+				}
+			}
 			if len(imps) == 0 {
 				t.Fatal("no improvement events")
 			}
@@ -78,7 +77,7 @@ func TestObserverConvergence(t *testing.T) {
 
 			// Restart events precede their run's improvements and count up.
 			restarts := 0
-			for _, e := range curve.Events() {
+			for _, e := range events {
 				if e.Kind == "restart" {
 					restarts++
 					if e.Restart != restarts {

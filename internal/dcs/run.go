@@ -6,7 +6,6 @@ package dcs
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -34,12 +33,6 @@ func WithBudget(maxEvals int) RunOption {
 			o.MaxEvals = maxEvals
 		}
 	}
-}
-
-// WithMaxTime bounds the wall-clock solve time, layered on the caller's
-// context as a deadline (0: unbounded).
-func WithMaxTime(d time.Duration) RunOption {
-	return func(o *options) { o.MaxTime = d }
 }
 
 // WithRestarts sets the number of independent starts per lane

@@ -109,7 +109,7 @@ func TestTransientOSClassifier(t *testing.T) {
 
 func TestRetryPolicyDelays(t *testing.T) {
 	var p *RetryPolicy
-	if p.Attempts() != 1 || p.ForArray("A") != nil || p.Delay(0, 1) != 0 {
+	if p.Attempts() != 1 || p.Delay(0, 1) != 0 {
 		t.Fatal("nil policy should mean a single attempt with no delay")
 	}
 	p = &RetryPolicy{MaxAttempts: 5, BaseDelay: 1e-3, MaxDelay: 3e-3, Seed: 7}
@@ -134,16 +134,5 @@ func TestRetryPolicyDelays(t *testing.T) {
 		if d < 3e-3*0.5-1e-12 || d > 3e-3+1e-12 {
 			t.Fatalf("jittered delay %g outside [d/2, d]", d)
 		}
-	}
-}
-
-func TestRetryPolicyPerArray(t *testing.T) {
-	over := &RetryPolicy{MaxAttempts: 9}
-	p := &RetryPolicy{MaxAttempts: 2, PerArray: map[string]*RetryPolicy{"B": over}}
-	if p.ForArray("A").Attempts() != 2 {
-		t.Fatal("default policy not used for unlisted array")
-	}
-	if p.ForArray("B").Attempts() != 9 {
-		t.Fatal("per-array override ignored")
 	}
 }

@@ -1,17 +1,11 @@
 package disk
 
-import (
-	"context"
-	"math"
-	"time"
-)
+import "math"
 
 // RetryPolicy controls how the executor retries transient section-I/O
 // faults: capped exponential backoff with deterministic jitter. Delays
 // are expressed in modelled seconds so retried I/O reconciles with
-// Stats.Time() and the trace timeline; set WallClock to additionally
-// sleep for real (useful against genuinely flaky storage, pointless
-// against the simulator).
+// Stats.Time() and the trace timeline.
 //
 // The zero value is not useful; use DefaultRetryPolicy() or fill the
 // fields explicitly. A nil *RetryPolicy means "no retries".
@@ -31,30 +25,12 @@ type RetryPolicy struct {
 	Jitter float64
 	// Seed makes jitter reproducible across runs.
 	Seed uint64
-	// WallClock additionally sleeps for the modelled delay in real
-	// time, honouring context cancellation.
-	WallClock bool
-	// PerArray overrides the policy for specific arrays by name.
-	// An override applies wholesale (no field merging).
-	PerArray map[string]*RetryPolicy
 }
 
 // DefaultRetryPolicy is tuned for transient-fault injection: four
 // attempts with 1ms modelled base delay capped at 50ms.
 func DefaultRetryPolicy() *RetryPolicy {
 	return &RetryPolicy{MaxAttempts: 4, BaseDelay: 1e-3, MaxDelay: 5e-2, Jitter: 0.5}
-}
-
-// ForArray resolves the effective policy for the named array. Safe on
-// a nil receiver (returns nil: no retries).
-func (p *RetryPolicy) ForArray(name string) *RetryPolicy {
-	if p == nil {
-		return nil
-	}
-	if o, ok := p.PerArray[name]; ok {
-		return o
-	}
-	return p
 }
 
 // Attempts returns the total tries allowed per operation, at least 1.
@@ -87,23 +63,6 @@ func (p *RetryPolicy) Delay(attempt int, key uint64) float64 {
 		d *= 1 - float64(j*frac)
 	}
 	return d
-}
-
-// Sleep waits the given modelled delay in wall-clock time, returning
-// early with the context's error if it is cancelled. Only called when
-// WallClock is set.
-func (p *RetryPolicy) Sleep(ctx context.Context, delay float64) error {
-	if delay <= 0 {
-		return nil
-	}
-	t := time.NewTimer(time.Duration(delay * float64(time.Second)))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // hashFrac maps x to a uniform float64 in [0,1) via splitmix64.

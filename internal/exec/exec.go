@@ -408,20 +408,18 @@ func (e *engine) failure(err error) error {
 	return re
 }
 
-// ioTarget is a staged disk array and the retry policy its section
-// operations run under.
+// ioTarget is a staged disk array, bound by name once per step.
 type ioTarget struct {
 	name string
 	arr  disk.Array
-	pol  *disk.RetryPolicy
 }
 
 // target binds the named array; staging must have created or opened it.
 func (e *engine) target(name string) ioTarget {
-	return ioTarget{name: name, arr: e.arrs[name], pol: e.opt.Retry.ForArray(name)}
+	return ioTarget{name: name, arr: e.arrs[name]}
 }
 
-// retryOp runs one section read or write of t under its retry policy:
+// retryOp runs one section read or write of t under the retry policy:
 // transient typed faults are retried with capped exponential backoff.
 // attemptDur is the modelled duration of one attempt; each retry charges
 // attemptDur plus its backoff delay to the modelled I/O clock at once
@@ -429,7 +427,7 @@ func (e *engine) target(name string) ioTarget {
 // Stats.Time(). Persistent faults and retry-budget exhaustion return the
 // last error unchanged.
 func (e *engine) retryOp(t *ioTarget, read bool, lo, shape []int64, data []float64, attemptDur float64) error {
-	array, pol := t.name, t.pol
+	array, pol := t.name, e.opt.Retry
 	attempts := pol.Attempts()
 	for attempt := 0; ; attempt++ {
 		var err error
@@ -470,12 +468,6 @@ func (e *engine) retryOp(t *ioTarget, read bool, lo, shape []int64, data []float
 				obs.F("error", err))
 		}
 		e.sched.addIO(delay + attemptDur)
-		if pol.WallClock {
-			//lint:ignore walltime opt-in wall-clock pacing: the modelled timeline already advanced above; Sleep runs only when the caller sets RetryPolicy.WallClock.
-			if serr := pol.Sleep(e.ctx, delay); serr != nil {
-				return err
-			}
-		}
 	}
 }
 

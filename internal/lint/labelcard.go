@@ -18,7 +18,7 @@ import (
 // vecTypes are the obs vector families whose With method mints labeled
 // children.
 var vecTypes = map[string]bool{
-	"CounterVec": true, "GaugeVec": true, "HistogramVec": true,
+	"CounterVec": true, "GaugeVec": true,
 }
 
 // labelTaintOrigin names the offending origin for the diagnostic.

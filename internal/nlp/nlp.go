@@ -164,9 +164,6 @@ func (p *Problem) Bounds(i int) (lo, hi int64) {
 	return 0, 1
 }
 
-// IsBinary reports whether variable i is a λ placement bit.
-func (p *Problem) IsBinary(i int) bool { return i >= len(p.TileVars) }
-
 // Selected returns the candidate index chosen by x for each choice. Under
 // one-hot encoding the first set bit wins (candidate 0 if none is set);
 // under binary encoding codes ≥ M clamp to the last candidate.
@@ -300,12 +297,6 @@ func (p *Problem) SelectionObjective(x []int64, sel []int) float64 {
 		total += p.CandidateCost(ci, k, x)
 	}
 	return total
-}
-
-// TileVector builds a decision-vector prefix holding the given tile sizes
-// (λ bits zero); usable with the per-candidate evaluators.
-func (p *Problem) TileVector(tiles map[string]int64) []int64 {
-	return p.Encode(tiles, nil)
 }
 
 // Assignment unpacks a decision vector into named tile sizes and the

@@ -47,9 +47,6 @@ func TestProblemLayout(t *testing.T) {
 	if lo != 0 || hi != 1 {
 		t.Fatalf("lambda bounds = [%d,%d]", lo, hi)
 	}
-	if p.IsBinary(0) || !p.IsBinary(p.Dim()-1) {
-		t.Fatal("IsBinary misclassifies variables")
-	}
 }
 
 func TestSelectedDecoding(t *testing.T) {

@@ -184,24 +184,22 @@ func (h *Histogram) snapshot() HistogramValue {
 // Instruments are created on first use and live for the registry's
 // lifetime, so callers may cache the returned pointers on hot paths.
 type Registry struct {
-	mu            sync.RWMutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	histograms    map[string]*Histogram
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
+	mu          sync.RWMutex
+	counters    map[string]*Counter
+	gauges      map[string]*Gauge
+	histograms  map[string]*Histogram
+	counterVecs map[string]*CounterVec
+	gaugeVecs   map[string]*GaugeVec
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:      map[string]*Counter{},
-		gauges:        map[string]*Gauge{},
-		histograms:    map[string]*Histogram{},
-		counterVecs:   map[string]*CounterVec{},
-		gaugeVecs:     map[string]*GaugeVec{},
-		histogramVecs: map[string]*HistogramVec{},
+		counters:    map[string]*Counter{},
+		gauges:      map[string]*Gauge{},
+		histograms:  map[string]*Histogram{},
+		counterVecs: map[string]*CounterVec{},
+		gaugeVecs:   map[string]*GaugeVec{},
 	}
 }
 
@@ -309,11 +307,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Gauges[name+"{"+series+"}"] = GaugeValue{Value: g.Value(), Max: g.Max()}
 		})
 	}
-	for name, v := range r.histogramVecs {
-		v.core.each(func(series string, h *Histogram) {
-			s.Histograms[name+"{"+series+"}"] = h.snapshot()
-		})
-	}
 	return s
 }
 
@@ -335,9 +328,6 @@ func (r *Registry) Names() []string {
 		names = append(names, n)
 	}
 	for n := range r.gaugeVecs {
-		names = append(names, n)
-	}
-	for n := range r.histogramVecs {
 		names = append(names, n)
 	}
 	sort.Strings(names)

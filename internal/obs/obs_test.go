@@ -166,28 +166,6 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.Reset()
 }
 
-func TestConvergenceCurve(t *testing.T) {
-	var c Convergence
-	c.Record(SolveEvent{Kind: "restart", Restart: 1, Best: math.Inf(1)})
-	c.Record(SolveEvent{Kind: "improvement", Restart: 1, Evals: 10, Best: 5, Feasible: true})
-	c.Record(SolveEvent{Kind: "improvement", Restart: 1, Evals: 20, Best: 3, Feasible: true})
-	c.Record(SolveEvent{Kind: "final", Restart: 1, Evals: 30, Best: 3, Feasible: true})
-
-	if got := len(c.Improvements()); got != 2 {
-		t.Fatalf("improvements = %d, want 2", got)
-	}
-	fin, ok := c.Final()
-	if !ok || fin.Kind != "final" || fin.Best != 3 {
-		t.Fatalf("final = %+v, ok=%v", fin, ok)
-	}
-
-	var nilCurve *Convergence
-	nilCurve.Record(SolveEvent{})
-	if _, ok := nilCurve.Final(); ok {
-		t.Fatal("nil curve must be empty")
-	}
-}
-
 func TestHistogramUnderflowBucket(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h")

@@ -127,28 +127,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fams.add(pn+"_max", "gauge", series, promFloat(g.Max()))
 		})
 	}
-	histogram := func(name, series string, h *Histogram) {
+	for name, h := range r.histograms {
+		pn := promName(name)
 		bounds, cumulative, count, sum := h.promBuckets()
-		sep := ""
-		if series != "" {
-			sep = ","
-		}
 		for i, b := range bounds {
 			le := fmt.Sprintf(`le="%s"`, promFloat(b))
-			fams.add(name+"_bucket", "histogram", series+sep+le, strconv.FormatInt(cumulative[i], 10))
+			fams.add(pn+"_bucket", "histogram", le, strconv.FormatInt(cumulative[i], 10))
 		}
-		fams.add(name+"_bucket", "histogram", series+sep+`le="+Inf"`, strconv.FormatInt(count, 10))
-		fams.add(name+"_sum", "histogram", series, promFloat(sum))
-		fams.add(name+"_count", "histogram", series, strconv.FormatInt(count, 10))
-	}
-	for name, h := range r.histograms {
-		histogram(promName(name), "", h)
-	}
-	for name, v := range r.histogramVecs {
-		pn := promName(name)
-		v.core.each(func(series string, h *Histogram) {
-			histogram(pn, series, h)
-		})
+		fams.add(pn+"_bucket", "histogram", `le="+Inf"`, strconv.FormatInt(count, 10))
+		fams.add(pn+"_sum", "histogram", "", promFloat(sum))
+		fams.add(pn+"_count", "histogram", "", strconv.FormatInt(count, 10))
 	}
 	r.mu.RUnlock()
 

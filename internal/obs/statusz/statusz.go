@@ -33,8 +33,6 @@ type Options struct {
 	Version string
 	// RingTail caps the events shown on /statusz (default 64).
 	RingTail int
-	// Healthy, when set, gates /healthz: false yields 503.
-	Healthy func() bool
 }
 
 // Server is a live status server bound to one listener.
@@ -156,10 +154,6 @@ func (s *Server) Phase() string {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.opt.Healthy != nil && !s.opt.Healthy() {
-		http.Error(w, "unhealthy", http.StatusServiceUnavailable)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }

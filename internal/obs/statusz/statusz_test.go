@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,28 +93,6 @@ func TestServerEndpoints(t *testing.T) {
 	defer gcancel()
 	if err := s.Shutdown(grace); err != nil {
 		t.Fatalf("Shutdown: %v", err)
-	}
-}
-
-func TestServerHealthyGate(t *testing.T) {
-	var healthy atomic.Bool
-	s, err := Start(context.Background(), "127.0.0.1:0", Options{
-		Healthy: healthy.Load,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		grace, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = s.Shutdown(grace)
-	}()
-	if code, _, _ := get(t, s, "/healthz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz while unhealthy = %d, want 503", code)
-	}
-	healthy.Store(true)
-	if code, _, _ := get(t, s, "/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz while healthy = %d, want 200", code)
 	}
 }
 

@@ -40,7 +40,7 @@ func labelKey(keys, values []string) string {
 	return b.String()
 }
 
-// vecCore is the shared child management of the three vec kinds.
+// vecCore is the shared child management of the two vec kinds.
 type vecCore[T any] struct {
 	name     string
 	keys     []string
@@ -126,28 +126,12 @@ type CounterVec struct{ core vecCore[Counter] }
 // the order the labels were registered).
 func (v *CounterVec) With(values ...string) *Counter { return v.core.with(values) }
 
-// Labels returns the family's label names in registration order.
-func (v *CounterVec) Labels() []string { return append([]string(nil), v.core.keys...) }
-
 // GaugeVec is a family of gauges keyed by label values.
 type GaugeVec struct{ core vecCore[Gauge] }
 
 // With returns the gauge for the given label values (positional, in
 // the order the labels were registered).
 func (v *GaugeVec) With(values ...string) *Gauge { return v.core.with(values) }
-
-// Labels returns the family's label names in registration order.
-func (v *GaugeVec) Labels() []string { return append([]string(nil), v.core.keys...) }
-
-// HistogramVec is a family of histograms keyed by label values.
-type HistogramVec struct{ core vecCore[Histogram] }
-
-// With returns the histogram for the given label values (positional,
-// in the order the labels were registered).
-func (v *HistogramVec) With(values ...string) *Histogram { return v.core.with(values) }
-
-// Labels returns the family's label names in registration order.
-func (v *HistogramVec) Labels() []string { return append([]string(nil), v.core.keys...) }
 
 // CounterVec returns the named counter family, creating it on first
 // use. The label set is fixed by the first registration; later calls
@@ -182,24 +166,6 @@ func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
 	if v = r.gaugeVecs[name]; v == nil {
 		v = &GaugeVec{core: newVecCore[Gauge](name, append([]string(nil), labels...))}
 		r.gaugeVecs[name] = v
-	}
-	return v
-}
-
-// HistogramVec returns the named histogram family, creating it on
-// first use. The label set is fixed by the first registration.
-func (r *Registry) HistogramVec(name string, labels ...string) *HistogramVec {
-	r.mu.RLock()
-	v := r.histogramVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.histogramVecs[name]; v == nil {
-		v = &HistogramVec{core: newVecCore[Histogram](name, append([]string(nil), labels...))}
-		r.histogramVecs[name] = v
 	}
 	return v
 }

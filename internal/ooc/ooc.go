@@ -35,8 +35,6 @@ type Options struct {
 	Portfolio int
 	// Workers parallelizes in-memory compute.
 	Workers int
-	// KeepUnfused disables the greedy fusion pass.
-	KeepUnfused bool
 	// Pipeline models the double-buffered schedule (exec.Options.Pipeline):
 	// the contraction executes exactly as a serial one, and
 	// Result.Pipeline reports the modelled serial vs overlapped timeline.
@@ -140,9 +138,7 @@ func Contract(be disk.Backend, spec string, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !opt.KeepUnfused {
-		prog = loops.FuseGreedy(prog)
-	}
+	prog = loops.FuseGreedy(prog)
 	copts := []core.Option{
 		core.WithMachine(opt.Machine),
 		core.WithStrategy(core.DCS),

@@ -154,21 +154,6 @@ func TestContractPipelineSameResult(t *testing.T) {
 	}
 }
 
-func TestContractUnfusedOption(t *testing.T) {
-	be := disk.NewSim(machine.Small(4<<10).Disk, true)
-	defer be.Close()
-	stage(t, be, "A", 8, 8)
-	stage(t, be, "B", 8, 8)
-	opt := smallOpt()
-	opt.KeepUnfused = true
-	if _, err := MatMul(be, "C", "A", "B", opt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := be.DumpArray("C"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestContractErrors(t *testing.T) {
 	be := disk.NewSim(machine.Small(4<<10).Disk, true)
 	defer be.Close()

@@ -589,7 +589,7 @@ func (a *Array) shard(id int) *shard {
 // shard that served them). The final error is returned unchanged for the
 // failover layer to classify.
 func (s *Store) attempt(la disk.Array, read bool, lo, shape []int64, buf []float64) error {
-	pol := s.opt.Retry.ForArray(la.Name())
+	pol := s.opt.Retry
 	attempts := pol.Attempts()
 	for att := 0; ; att++ {
 		var err error

@@ -211,9 +211,6 @@ func (s *Store) Live() int {
 	return s.liveCount()
 }
 
-// Replicas returns the replication factor.
-func (s *Store) Replicas() int { return s.opt.Replicas }
-
 // ShardBackend returns shard i's backend (the fault-injecting view when
 // the shard is wrapped); tests use it to reach the underlying store.
 func (s *Store) ShardBackend(i int) disk.Backend {

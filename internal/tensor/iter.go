@@ -54,48 +54,3 @@ func (it *Iterator) Index() []int { return it.idx }
 
 // Offset returns the row-major flat offset of the current index.
 func (it *Iterator) Offset() int { return it.offset }
-
-// Reset rewinds the iterator to the beginning.
-func (it *Iterator) Reset() {
-	for i := range it.idx {
-		it.idx[i] = 0
-	}
-	it.offset = 0
-	it.started = false
-	it.done = false
-	for _, d := range it.dims {
-		if d <= 0 {
-			it.done = true
-		}
-	}
-}
-
-// Card returns the cardinality of the iteration space.
-func (it *Iterator) Card() int {
-	n := 1
-	for _, d := range it.dims {
-		n *= d
-	}
-	return n
-}
-
-// TileStarts returns the starting offsets of tiles of size tile covering
-// [0,n): 0, tile, 2*tile, ... The final tile may be partial.
-func TileStarts(n, tile int) []int {
-	if tile <= 0 {
-		panic("tensor: non-positive tile size")
-	}
-	starts := make([]int, 0, (n+tile-1)/tile)
-	for s := 0; s < n; s += tile {
-		starts = append(starts, s)
-	}
-	return starts
-}
-
-// CeilDiv returns ceil(a/b) for positive b.
-func CeilDiv(a, b int) int {
-	if b <= 0 {
-		panic("tensor: non-positive divisor")
-	}
-	return (a + b - 1) / b
-}

@@ -110,13 +110,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.dims...)
@@ -171,52 +164,19 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 	return m
 }
 
-// Permute returns a new tensor whose axes are reordered so that result
-// dimension i is t's dimension perm[i]. perm must be a permutation of
-// 0..rank-1.
-func (t *Tensor) Permute(perm ...int) *Tensor {
-	if len(perm) != len(t.dims) {
-		panic("tensor: permutation rank mismatch")
-	}
-	seen := make([]bool, len(perm))
-	outDims := make([]int, len(perm))
-	for i, p := range perm {
-		if p < 0 || p >= len(perm) || seen[p] {
-			panic(fmt.Sprintf("tensor: invalid permutation %v", perm))
-		}
-		seen[p] = true
-		outDims[i] = t.dims[p]
-	}
-	out := New(outDims...)
-	srcIdx := make([]int, len(perm))
-	it := NewIterator(outDims)
-	for it.Next() {
-		for i, p := range perm {
-			srcIdx[p] = it.Index()[i]
-		}
-		out.data[it.Offset()] = t.data[t.offset(srcIdx)]
-	}
-	return out
-}
-
 // ExtractBlock copies the hyper-rectangular block starting at lo with the
 // given shape into a freshly allocated tensor. The block is clipped against
 // t's bounds; the returned tensor has the clipped shape.
 func (t *Tensor) ExtractBlock(lo, shape []int) *Tensor {
 	clipped := clipShape(t.dims, lo, shape)
 	out := New(clipped...)
-	t.copyBlock(out, lo, clipped, true, false)
+	t.copyBlock(out, lo, clipped, true)
 	return out
 }
 
 // InsertBlock copies block into t at offset lo, overwriting.
 func (t *Tensor) InsertBlock(block *Tensor, lo []int) {
-	t.copyBlock(block, lo, block.dims, false, false)
-}
-
-// AccumulateBlock adds block into t at offset lo.
-func (t *Tensor) AccumulateBlock(block *Tensor, lo []int) {
-	t.copyBlock(block, lo, block.dims, false, true)
+	t.copyBlock(block, lo, block.dims, false)
 }
 
 func clipShape(dims, lo, shape []int) []int {
@@ -235,8 +195,8 @@ func clipShape(dims, lo, shape []int) []int {
 }
 
 // copyBlock moves data between t and block; extract=true copies t→block,
-// otherwise block→t (accumulating when acc is set).
-func (t *Tensor) copyBlock(block *Tensor, lo, shape []int, extract, acc bool) {
+// otherwise block→t.
+func (t *Tensor) copyBlock(block *Tensor, lo, shape []int, extract bool) {
 	if len(lo) != len(t.dims) || len(shape) != len(t.dims) {
 		panic("tensor: block rank mismatch")
 	}
@@ -247,12 +207,9 @@ func (t *Tensor) copyBlock(block *Tensor, lo, shape []int, extract, acc bool) {
 			srcIdx[i] = lo[i] + it.Index()[i]
 		}
 		toff := t.offset(srcIdx)
-		switch {
-		case extract:
+		if extract {
 			block.data[it.Offset()] = t.data[toff]
-		case acc:
-			t.data[toff] += block.data[it.Offset()]
-		default:
+		} else {
 			t.data[toff] = block.data[it.Offset()]
 		}
 	}

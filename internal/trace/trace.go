@@ -1,7 +1,7 @@
 // Package trace provides I/O observability for out-of-core executions: a
 // recording wrapper around any disk backend that logs every section
-// read/write with its modelled timing, plus per-array aggregation and a
-// text timeline — the tooling used to understand where a synthesized
+// read/write with its modelled timing, plus per-array aggregation — the
+// tooling used to understand where a synthesized
 // program's I/O time goes and to cross-check the cost model's per-array
 // predictions.
 //
@@ -311,27 +311,6 @@ func FormatSummary(sums []ArraySummary) string {
 	return b.String()
 }
 
-// Timeline renders the first n operations (all if n <= 0) as a compact
-// event log.
-func Timeline(ops []Op, n int) string {
-	if n <= 0 || n > len(ops) {
-		n = len(ops)
-	}
-	var b strings.Builder
-	for _, op := range ops[:n] {
-		dir := "W"
-		if op.Read {
-			dir = "R"
-		}
-		fmt.Fprintf(&b, "[%10.3fs] #%-5d %s %-8s lo=%v shape=%v %d B (%.3fs)\n",
-			op.Start, op.Seq, dir, op.Array, op.Lo, op.Shape, op.Bytes, op.Duration)
-	}
-	if n < len(ops) {
-		fmt.Fprintf(&b, "... %d more operations\n", len(ops)-n)
-	}
-	return b.String()
-}
-
 // Runs returns the number of physically contiguous runs a section
 // occupies in a row-major array of the given dims: trailing dimensions
 // covered in full merge into longer runs.
@@ -370,29 +349,4 @@ func RunAwareTime(ops []Op, dims map[string][]int64, d machine.Disk) float64 {
 		}
 	}
 	return total
-}
-
-// Phases splits the trace into contiguous runs touching the same array
-// and direction — the coarse I/O phases of the generated code.
-type Phase struct {
-	Array   string
-	Read    bool
-	Ops     int64
-	Bytes   int64
-	Seconds float64
-}
-
-// SplitPhases computes the phase sequence of a trace.
-func SplitPhases(ops []Op) []Phase {
-	var out []Phase
-	for _, op := range ops {
-		if n := len(out); n > 0 && out[n-1].Array == op.Array && out[n-1].Read == op.Read {
-			out[n-1].Ops++
-			out[n-1].Bytes += op.Bytes
-			out[n-1].Seconds += op.Duration
-			continue
-		}
-		out = append(out, Phase{Array: op.Array, Read: op.Read, Ops: 1, Bytes: op.Bytes, Seconds: op.Duration})
-	}
-	return out
 }
