@@ -273,7 +273,7 @@ func benchSamplingDensity(b *testing.B, factor int64) {
 	b.ResetTimer()
 	var obj float64
 	for i := 0; i < b.N; i++ {
-		res, err := sampling.Search(p, sampling.Options{GridFactor: factor})
+		res, err := sampling.Search(context.Background(), p, sampling.Options{GridFactor: factor})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -197,14 +197,14 @@ func synthesize(ctx context.Context, prog *loops.Program, c *config) (*Synthesis
 			dcs.WithMetrics(c.metrics),
 			dcs.WithLog(c.log),
 		)
-		if err != nil {
-			return nil, err
-		}
 		// The solver treats ctx expiry as a budget signal. A deadline
 		// keeps that meaning here, but the caller's own cancellation must
 		// surface as an error, not a silent truncated search.
 		if errors.Is(ctx.Err(), context.Canceled) {
 			return nil, fmt.Errorf("core: synthesis cancelled: %w", ctx.Err())
+		}
+		if err != nil {
+			return nil, err
 		}
 		if !res.Feasible {
 			return nil, fmt.Errorf("core: %v found no feasible configuration (memory limit %d too tight?)", c.strategy, c.machine.MemoryLimit)
@@ -213,12 +213,13 @@ func synthesize(ctx context.Context, prog *loops.Program, c *config) (*Synthesis
 		evals = int64(res.Evals)
 		race = res
 	} else {
-		res, err := sampling.Search(prob, c.sampling)
-		if err != nil {
-			return nil, err
-		}
+		// The search stops on ctx like the solver, under the same rule.
+		res, err := sampling.Search(ctx, prob, c.sampling)
 		if errors.Is(ctx.Err(), context.Canceled) {
 			return nil, fmt.Errorf("core: synthesis cancelled: %w", ctx.Err())
+		}
+		if err != nil {
+			return nil, err
 		}
 		x = res.X
 		evals = res.Combos

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,13 +78,16 @@ func TestSynthesizeOptsPipelineBitIdentical(t *testing.T) {
 }
 
 // TestSynthesizeContextCancelled checks caller cancellation aborts the
-// synthesis with an error (unlike a deadline, which degrades gracefully).
+// synthesis with an error (unlike a deadline, which degrades gracefully),
+// under the solver and under the sampling search alike.
 func TestSynthesizeContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SynthesizeOpts(ctx, loops.TwoIndexFused(40, 60), WithMachine(machine.Small(256<<10)))
-	if err == nil {
-		t.Fatal("cancelled synthesis must fail")
+	for _, strat := range []Strategy{DCS, UniformSampling} {
+		_, err := SynthesizeOpts(ctx, loops.TwoIndexFused(40, 60), WithMachine(machine.Small(256<<10)), WithStrategy(strat))
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "synthesis cancelled") {
+			t.Errorf("%v: cancelled synthesis returned %v, want the synthesis-cancelled error", strat, err)
+		}
 	}
 }
 

@@ -4,10 +4,15 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"repro/internal/leaktest"
 )
 
+// runPortfolio races k lanes and checks that every lane goroutine is
+// gone once Run returns.
 func runPortfolio(t *testing.T, k int, opts ...RunOption) Result {
 	t.Helper()
+	defer leaktest.Check(t)()
 	res, err := Run(context.Background(), quadProblem{},
 		append([]RunOption{WithSeed(21), WithBudget(40000), WithPortfolio(k)}, opts...)...)
 	if err != nil {
@@ -131,9 +136,11 @@ func TestPortfolioInfeasibleDeterministic(t *testing.T) {
 func TestPortfolioPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	noLeak := leaktest.Check(t)
 	if _, err := Run(ctx, quadProblem{}, WithSeed(1), WithPortfolio(4)); err == nil {
 		t.Fatal("pre-cancelled race should report it evaluated nothing")
 	}
+	noLeak()
 }
 
 // TestPatienceStopsEarly: with a feasible point found immediately (warm

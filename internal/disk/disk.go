@@ -136,7 +136,8 @@ const (
 // backend's arrays, optionally mirrored charge by charge into an attached
 // metrics registry. Decorating backends that present their own front-door
 // account (ring.Store) hold a Ledger too, so the counters are only ever
-// mutated here (the diskstats analyzer polices that).
+// mutated here: the tallies are unexported, and every Stats a backend
+// reports is a Snapshot value.
 //
 // Modelled times are not accumulated: the cost model is linear in
 // operations and bytes, so Snapshot derives them from the tallies. Stats

@@ -145,7 +145,7 @@ var RngSeed = &Analyzer{
 						fl = newFlow(p.Info, fd.Body)
 					}
 					for _, arg := range call.Args {
-						if t := fl.sources(arg); t&taintNondet != 0 {
+						if fl.nondet(arg) {
 							p.Reportf(f, arg.Pos(),
 								"RNG seed derives from the wall clock or an entropy source; thread an explicit seed parameter instead")
 						}

@@ -8,7 +8,7 @@
 //
 // Analysis is package-level, not per-file: every pass carries full
 // go/types information for its package (load.go), module-wide
-// call-graph facts (facts.go), and a local tainted-path engine
+// call-graph facts (facts.go), and a local seed-origin dataflow
 // (taint.go). Type checking tolerates errors; analyzers treat a missing
 // type as "unknown" and stay silent rather than guess.
 //
@@ -86,30 +86,6 @@ func (p *Pass) Reportf(f *File, pos token.Pos, format string, args ...interface{
 		Analyzer: p.analyzer,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// TypeOf returns the type of an expression, or nil when unknown.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if tv, ok := p.Info.Types[e]; ok {
-		return tv.Type
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := p.Info.Uses[id]; obj != nil {
-			return obj.Type()
-		}
-		if obj := p.Info.Defs[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
-// ObjectOf resolves an identifier to its object, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if obj := p.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return p.Info.Defs[id]
 }
 
 // Analyzer is one named check.

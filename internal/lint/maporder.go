@@ -67,7 +67,7 @@ func checkFuncMapOrder(p *Pass, f *File, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		t := p.TypeOf(rng.X)
+		t := p.Info.TypeOf(rng.X)
 		if t == nil {
 			return true
 		}
@@ -101,7 +101,7 @@ func checkMapRange(p *Pass, f *File, body *ast.BlockStmt, rng *ast.RangeStmt) {
 				if !ok {
 					continue
 				}
-				if obj := p.ObjectOf(id); obj != nil {
+				if obj := p.Info.ObjectOf(id); obj != nil {
 					if _, seen := appended[obj]; !seen {
 						appended[obj] = call.Pos()
 					}
@@ -145,7 +145,7 @@ func isBuiltinAppend(p *Pass, call *ast.CallExpr) bool {
 	if !ok || id.Name != "append" {
 		return false
 	}
-	obj := p.ObjectOf(id)
+	obj := p.Info.ObjectOf(id)
 	if obj == nil {
 		// No type info: trust the name.
 		return true
@@ -240,7 +240,7 @@ func escapesUnsorted(p *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, obj types
 func mentionsObj(p *Pass, e ast.Expr, obj types.Object) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && p.ObjectOf(id) == obj {
+		if id, ok := n.(*ast.Ident); ok && p.Info.ObjectOf(id) == obj {
 			found = true
 		}
 		return !found
@@ -252,5 +252,5 @@ func mentionsObj(p *Pass, e ast.Expr, obj types.Object) bool {
 // obj (modulo parens).
 func identIs(p *Pass, e ast.Expr, obj types.Object) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && p.ObjectOf(id) == obj
+	return ok && p.Info.ObjectOf(id) == obj
 }

@@ -1,53 +1,23 @@
 package lint
 
-// The tainted-path engine: an intraprocedural backward dataflow over
-// one function body. Analyzers ask where the value of an expression
-// can come from — a wall clock, a Sprintf, an error message, a
-// parameter, a constant — and decide from the union of sources whether
-// an invariant holds (a rand seed must not be clock-derived; a metric
-// label value must not be a free-form string).
+// The seed-origin engine behind rngseed: an intraprocedural backward
+// dataflow over one function body that answers one question — can the
+// value of an expression come from the wall clock (time.Now and
+// friends) or an entropy source (crypto/rand)? Such a value differs
+// from run to run by construction, so it must never seed a RNG.
 //
 // The engine is deliberately conservative and local: it follows
 // assignments to named variables inside one body, looks through
-// conversions, parens, and arithmetic, and stops at calls it cannot
-// classify (reported as taintOpaque). Interprocedural reasoning lives
-// in the facts layer, not here.
+// conversions, parens, arithmetic and method receivers
+// (time.Now().UnixNano() is clock-derived through its receiver), and
+// treats every other call, field and parameter as a clean value handed
+// in from elsewhere. Interprocedural reasoning lives in the facts
+// layer, not here.
 
 import (
 	"go/ast"
 	"go/types"
 )
-
-// taint is a bit set of value origins.
-type taint uint
-
-const (
-	// taintConst: literal or typed/untyped constant.
-	taintConst taint = 1 << iota
-	// taintParam: parameter, receiver, field, captured or package
-	// variable — a value handed in by the caller or the environment
-	// of the function, not fabricated inside it.
-	taintParam
-	// taintNondet: derived from the wall clock (time.Now and friends)
-	// or an entropy source (crypto/rand) — nondeterministic across
-	// runs by construction.
-	taintNondet
-	// taintSprintf: built by fmt.Sprint/Sprintf/Sprintln.
-	taintSprintf
-	// taintErrText: an error's Error() text.
-	taintErrText
-	// taintStrconv: rendered from a runtime number/value by strconv.
-	taintStrconv
-	// taintConcat: a string concatenation with a non-constant operand.
-	taintConcat
-	// taintOpaque: produced by a call or construct the engine cannot
-	// see through.
-	taintOpaque
-)
-
-// freeString is the union of origins that make a string value
-// unbounded for labeling purposes.
-const freeString = taintSprintf | taintErrText | taintStrconv | taintConcat | taintNondet
 
 // flow is the per-function dataflow state.
 type flow struct {
@@ -59,196 +29,99 @@ type flow struct {
 // newFlow indexes the assignments of one function body.
 func newFlow(info *types.Info, body ast.Node) *flow {
 	fl := &flow{info: info, defs: map[types.Object][]ast.Expr{}}
-	if body == nil {
-		return fl
-	}
 	record := func(id *ast.Ident, rhs ast.Expr) {
-		if id == nil || id.Name == "_" || rhs == nil {
+		if id.Name == "_" {
 			return
 		}
 		obj := info.Defs[id]
 		if obj == nil {
 			obj = info.Uses[id]
 		}
-		if obj == nil {
-			return
+		if obj != nil {
+			fl.defs[obj] = append(fl.defs[obj], rhs)
 		}
-		fl.defs[obj] = append(fl.defs[obj], rhs)
+	}
+	// A multi-value assignment derives every lhs from the one call.
+	pair := func(ids []ast.Expr, vals []ast.Expr) {
+		for i, lhs := range ids {
+			id, ok := lhs.(*ast.Ident)
+			switch {
+			case !ok:
+			case len(vals) == len(ids):
+				record(id, vals[i])
+			case len(vals) == 1:
+				record(id, vals[0])
+			}
+		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if len(n.Rhs) == len(n.Lhs) {
-					record(id, n.Rhs[i])
-				} else if len(n.Rhs) == 1 {
-					// Multi-value: every lhs derives from the one call.
-					record(id, n.Rhs[0])
-				}
-			}
+			pair(n.Lhs, n.Rhs)
 		case *ast.ValueSpec:
+			ids := make([]ast.Expr, len(n.Names))
 			for i, id := range n.Names {
-				if len(n.Values) == len(n.Names) {
-					record(id, n.Values[i])
-				} else if len(n.Values) == 1 {
-					record(id, n.Values[0])
-				}
+				ids[i] = id
 			}
-		case *ast.RangeStmt:
-			// Key and value derive from the ranged collection.
-			if id, ok := n.Key.(*ast.Ident); ok {
-				record(id, n.X)
-			}
-			if id, ok := n.Value.(*ast.Ident); ok {
-				record(id, n.X)
-			}
+			pair(ids, n.Values)
 		}
 		return true
 	})
 	return fl
 }
 
-// sources computes the taint set of an expression.
-func (fl *flow) sources(e ast.Expr) taint {
+// nondet reports whether the value of e can derive from the wall clock
+// or an entropy source.
+func (fl *flow) nondet(e ast.Expr) bool {
 	return fl.trace(e, map[types.Object]bool{})
 }
 
-func (fl *flow) trace(e ast.Expr, visiting map[types.Object]bool) taint {
-	if e == nil {
-		return 0
-	}
-	// Anything the type checker evaluated to a constant is bounded.
-	if tv, ok := fl.info.Types[e]; ok && tv.Value != nil {
-		return taintConst
-	}
+func (fl *flow) trace(e ast.Expr, visiting map[types.Object]bool) bool {
 	switch e := e.(type) {
-	case *ast.BasicLit:
-		return taintConst
 	case *ast.ParenExpr:
 		return fl.trace(e.X, visiting)
 	case *ast.StarExpr:
 		return fl.trace(e.X, visiting)
 	case *ast.UnaryExpr:
 		return fl.trace(e.X, visiting)
-	case *ast.Ident:
-		return fl.traceIdent(e, visiting)
-	case *ast.SelectorExpr:
-		if obj := fl.info.Uses[e.Sel]; obj != nil {
-			if _, isConst := obj.(*types.Const); isConst {
-				return taintConst
-			}
-		}
-		// Field read or qualified package variable.
-		return taintParam
-	case *ast.IndexExpr:
-		return taintParam | fl.trace(e.X, visiting)
 	case *ast.BinaryExpr:
-		t := fl.trace(e.X, visiting) | fl.trace(e.Y, visiting)
-		if isStringExpr(fl.info, e) && t&taintConst != t {
-			t |= taintConcat
-		}
-		return t
-	case *ast.CallExpr:
-		return fl.traceCall(e, visiting)
+		return fl.trace(e.X, visiting) || fl.trace(e.Y, visiting)
+	case *ast.IndexExpr:
+		return fl.trace(e.X, visiting)
 	case *ast.TypeAssertExpr:
 		return fl.trace(e.X, visiting)
-	case *ast.CompositeLit, *ast.FuncLit:
-		return taintOpaque
-	}
-	return taintOpaque
-}
-
-func (fl *flow) traceIdent(id *ast.Ident, visiting map[types.Object]bool) taint {
-	obj := fl.info.Uses[id]
-	if obj == nil {
-		obj = fl.info.Defs[id]
-	}
-	if obj == nil {
-		return taintOpaque
-	}
-	if _, isConst := obj.(*types.Const); isConst {
-		return taintConst
-	}
-	if visiting[obj] {
-		return 0
-	}
-	rhss := fl.defs[obj]
-	if len(rhss) == 0 {
-		// Parameter, receiver, captured or package variable.
-		return taintParam
-	}
-	visiting[obj] = true
-	var t taint
-	for _, rhs := range rhss {
-		t |= fl.trace(rhs, visiting)
-	}
-	delete(visiting, obj)
-	return t
-}
-
-// traceCall classifies the origin of a call's result.
-func (fl *flow) traceCall(call *ast.CallExpr, visiting map[types.Object]bool) taint {
-	// A conversion passes its operand through.
-	if tv, ok := fl.info.Types[ast.Unparen(call.Fun)]; ok && tv.IsType() && len(call.Args) == 1 {
-		return fl.trace(call.Args[0], visiting)
-	}
-	fn := callee(fl.info, call)
-	if fn == nil {
-		return taintOpaque
-	}
-	if pkg := fn.Pkg(); pkg != nil {
-		switch pkg.Path() {
-		case "time":
-			if wallClockFns[fn.Name()] {
-				return taintNondet
+	case *ast.Ident:
+		obj := fl.info.Uses[e]
+		if obj == nil || visiting[obj] {
+			return false
+		}
+		// Parameters, receivers, captured and package variables have no
+		// assignment here: they are handed in, not fabricated.
+		visiting[obj] = true
+		defer delete(visiting, obj)
+		for _, rhs := range fl.defs[obj] {
+			if fl.trace(rhs, visiting) {
+				return true
 			}
-		case "crypto/rand":
-			return taintNondet
-		case "fmt":
-			switch fn.Name() {
-			case "Sprint", "Sprintf", "Sprintln", "Appendf", "Append", "Appendln":
-				return taintSprintf
+		}
+	case *ast.CallExpr:
+		// A conversion passes its operand through.
+		if tv, ok := fl.info.Types[ast.Unparen(e.Fun)]; ok && tv.IsType() && len(e.Args) == 1 {
+			return fl.trace(e.Args[0], visiting)
+		}
+		fn := callee(fl.info, e)
+		if fn == nil {
+			return false
+		}
+		if pkg := fn.Pkg(); pkg != nil && (pkg.Path() == "crypto/rand" || pkg.Path() == "time" && wallClockFns[fn.Name()]) {
+			return true
+		}
+		// A method result carries its receiver's origin.
+		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
+			if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
+				return fl.trace(sel.X, visiting)
 			}
-		case "strconv":
-			return taintStrconv
 		}
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		recv := fl.trace(sel.X, visiting)
-		// err.Error() — the message text of an error value.
-		if fn.Name() == "Error" && len(call.Args) == 0 && isErrorRecv(fl.info, sel.X) {
-			return taintErrText | recv
-		}
-		// A method result carries its receiver's nondeterminism:
-		// time.Now().UnixNano() is clock-derived through the method.
-		return taintOpaque | (recv & taintNondet)
-	}
-	return taintOpaque
+	return false
 }
-
-// isStringExpr reports whether the expression has string type.
-func isStringExpr(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	basic, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && basic.Info()&types.IsString != 0
-}
-
-// isErrorRecv reports whether the expression's type implements error.
-func isErrorRecv(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	return types.Implements(tv.Type, errorInterface) ||
-		types.Implements(types.NewPointer(tv.Type), errorInterface)
-}
-
-// errorInterface is the universe error type.
-var errorInterface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)

@@ -31,6 +31,6 @@ type anyName struct {
 
 // otherName's directive names another analyzer, so ctxfield still fires.
 type otherName struct {
-	//lint:ignore diskstats a directive for a different analyzer
+	//lint:ignore obslog a directive for a different analyzer
 	ctx context.Context
 }

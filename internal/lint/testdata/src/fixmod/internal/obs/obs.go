@@ -1,6 +1,5 @@
 // Package obs mirrors the shape of the real telemetry layer: it is on
-// the wall-clock allowlist, and it declares the labeled vector family
-// whose With method the labelcard analyzer guards.
+// the wall-clock allowlist, and it owns the registry instruments.
 package obs
 
 import "time"
@@ -8,15 +7,6 @@ import "time"
 // StampMs returns a wall-clock timestamp; obs is sanctioned to read
 // real time, and calls into it do not taint callers.
 func StampMs() int64 { return time.Now().UnixMilli() }
-
-// CounterVec is a mini labeled counter family.
-type CounterVec struct{}
-
-// With returns the child counter for the label values.
-func (v *CounterVec) With(values ...string) *CounterVec { return v }
-
-// Inc bumps the child.
-func (v *CounterVec) Inc() {}
 
 // Counter is a registry-owned instrument.
 type Counter struct{}

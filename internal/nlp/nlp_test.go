@@ -49,6 +49,16 @@ func TestProblemLayout(t *testing.T) {
 	}
 }
 
+// TestBitsFor pins the paper's ⌈log2(m)⌉ λ bits per array of the binary
+// encoding.
+func TestBitsFor(t *testing.T) {
+	for m, want := range map[int]int{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4} {
+		if got := bitsFor(m); got != want {
+			t.Errorf("bitsFor(%d) = %d, want %d", m, got, want)
+		}
+	}
+}
+
 func TestSelectedDecoding(t *testing.T) {
 	p := fig4Problem(t)
 	x := p.Encode(map[string]int64{"i": 10, "j": 10, "m": 10, "n": 10}, map[string]int{"A": 1, "T": 0})

@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/leaktest"
 )
 
 // decodeSamples parses the sampler's JSONL output.
@@ -69,29 +71,40 @@ func TestSamplerDeltas(t *testing.T) {
 	}
 }
 
+// TestSamplerStartStop stops a running sampler both ways, by Stop and by
+// cancelling its context: either ends the sampling goroutine after one
+// final row.
 func TestSamplerStartStop(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Inc()
-	var buf bytes.Buffer
-	s := NewSampler(r, &buf, 10*time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.Start(ctx)
-	time.Sleep(35 * time.Millisecond)
-	if err := s.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
-	if err := s.Stop(); err != nil { // idempotent
-		t.Fatalf("second Stop: %v", err)
-	}
-	rows := decodeSamples(t, &buf)
-	// At least one ticker row plus the final row.
-	if len(rows) < 2 {
-		t.Fatalf("got %d rows, want >= 2", len(rows))
-	}
-	for i, row := range rows {
-		if row.Seq != int64(i) {
-			t.Fatalf("row %d has seq %d", i, row.Seq)
+	for _, byCancel := range []bool{false, true} {
+		r := NewRegistry()
+		r.Counter("a").Inc()
+		var buf bytes.Buffer
+		s := NewSampler(r, &buf, 10*time.Millisecond)
+		ctx, cancel := context.WithCancel(context.Background())
+		noLeak := leaktest.Check(t)
+		s.Start(ctx)
+		time.Sleep(35 * time.Millisecond)
+		if byCancel {
+			cancel()
+			noLeak()
+		}
+		if err := s.Stop(); err != nil {
+			t.Fatalf("Stop: %v", err)
+		}
+		if err := s.Stop(); err != nil { // idempotent
+			t.Fatalf("second Stop: %v", err)
+		}
+		noLeak()
+		cancel()
+		rows := decodeSamples(t, &buf)
+		// At least one ticker row plus the final row.
+		if len(rows) < 2 {
+			t.Fatalf("cancel %v: got %d rows, want >= 2", byCancel, len(rows))
+		}
+		for i, row := range rows {
+			if row.Seq != int64(i) {
+				t.Fatalf("cancel %v: row %d has seq %d", byCancel, i, row.Seq)
+			}
 		}
 	}
 }

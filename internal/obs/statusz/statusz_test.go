@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leaktest"
 	"repro/internal/obs"
 )
 
@@ -38,6 +39,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	noLeak := leaktest.Check(t)
 	s, err := Start(ctx, "127.0.0.1:0", Options{
 		Registry: reg,
 		Ring:     ring,
@@ -94,6 +96,9 @@ func TestServerEndpoints(t *testing.T) {
 	if err := s.Shutdown(grace); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	// Shutdown, not a cancel, stopped the server: its serve loop and its
+	// context watcher are both gone.
+	noLeak()
 }
 
 func TestServerBadAddr(t *testing.T) {
@@ -109,6 +114,7 @@ func TestServerBadAddr(t *testing.T) {
 // and the serve goroutine exits — with no leaked accept loop.
 func TestServerCtxCancelShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	noLeak := leaktest.Check(t)
 	s, err := Start(ctx, "127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +123,9 @@ func TestServerCtxCancelShutdown(t *testing.T) {
 		t.Fatalf("pre-cancel /healthz = %d", code)
 	}
 	cancel()
+	// Every goroutine the server started, and the client connection of
+	// the request above, ends without a Shutdown call.
+	noLeak()
 	select {
 	case <-s.Done():
 	case <-time.After(5 * time.Second):

@@ -40,6 +40,13 @@ func labelKey(keys, values []string) string {
 	return b.String()
 }
 
+// maxVecChildren caps the children of one family. Every distinct label
+// tuple is a series that lives for the registry's lifetime, so a label
+// value drawn from an unbounded set (an error message, a Sprintf) would
+// grow the registry without limit. Real families are keyed by plan
+// arrays, ring shards (at most 64) and fault kinds: far below the cap.
+const maxVecChildren = 4096
+
 // vecCore is the shared child management of the two vec kinds.
 type vecCore[T any] struct {
 	name     string
@@ -79,7 +86,9 @@ func validLabelName(k string) bool {
 
 // with returns the child for the given label values (positional, in
 // registration order), creating it on first use. Children live for the
-// registry's lifetime, so hot paths may cache the returned pointer.
+// registry's lifetime, so hot paths may cache the returned pointer. A
+// new child past maxVecChildren panics: label values must come from a
+// bounded set.
 func (v *vecCore[T]) with(values []string) *T {
 	if len(values) != len(v.keys) {
 		panic(fmt.Sprintf("obs: %s wants %d label values %v, got %d", v.name, len(v.keys), v.keys, len(values)))
@@ -94,6 +103,9 @@ func (v *vecCore[T]) with(values []string) *T {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if c = v.children[k]; c == nil {
+		if len(v.children) >= maxVecChildren {
+			panic(fmt.Sprintf("obs: %s exceeds %d label combinations at %s; label values must come from a bounded set", v.name, maxVecChildren, k))
+		}
 		c = new(T)
 		v.children[k] = c
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -64,6 +65,36 @@ func TestVecArityPanics(t *testing.T) {
 		}
 	}()
 	v.With("only-one")
+}
+
+// TestVecCardinalityCap pins the per-family child cap: children up to
+// the cap, and lookups of existing ones past it, are fine; one more new
+// label value panics naming the family, and both vec kinds share it.
+func TestVecCardinalityCap(t *testing.T) {
+	r := NewRegistry()
+	cv, gv := r.CounterVec("exec.io.retries.by_array", "array"), r.GaugeVec("ring.shard.health", "shard")
+	for i := 0; i < maxVecChildren; i++ {
+		cv.With(fmt.Sprint(i)).Inc()
+		gv.With(fmt.Sprint(i)).Set(1)
+	}
+	cv.With("0").Inc()
+	if got := cv.With("0").Value(); got != 2 {
+		t.Fatalf("existing child = %d after the cap, want 2", got)
+	}
+	for name, with := range map[string]func(){
+		"exec.io.retries.by_array": func() { cv.With("one-too-many") },
+		"ring.shard.health":        func() { gv.With("one-too-many") },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, name) || !strings.Contains(msg, fmt.Sprint(maxVecChildren)) {
+					t.Errorf("child %d of %s: panic %q, want one naming the family and the cap", maxVecChildren+1, name, msg)
+				}
+			}()
+			with()
+		}()
+	}
 }
 
 func TestVecConcurrent(t *testing.T) {

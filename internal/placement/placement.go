@@ -313,27 +313,6 @@ func Enumerate(tree *tiling.Tree, cfg machine.Config, opt Options) (*Model, erro
 	return m, nil
 }
 
-// PlacementVarCount returns the total number of binary λ variables needed
-// for the model with the paper's ⌈log2(m)⌉-per-array encoding.
-func (m *Model) PlacementVarCount() int {
-	n := 0
-	for _, ch := range m.Choices {
-		n += lambdaBits(len(ch.Candidates))
-	}
-	return n
-}
-
-func lambdaBits(m int) int {
-	if m <= 1 {
-		return 0
-	}
-	bits := 0
-	for (1 << bits) < m {
-		bits++
-	}
-	return bits
-}
-
 // String renders the model in the style of Fig. 4(a).
 func (m *Model) String() string {
 	var b strings.Builder

@@ -157,17 +157,6 @@ func TestIntermediateDiskCandidatesStayInsideLCA(t *testing.T) {
 	}
 }
 
-func TestPlacementVarCount(t *testing.T) {
-	m := fig4Model(t)
-	// A, C1, C2, B have 2 candidates each → 1 bit each. T has ≥2 → ≥1 bit.
-	if got := m.PlacementVarCount(); got < 5 {
-		t.Fatalf("PlacementVarCount = %d, want ≥ 5", got)
-	}
-	if lambdaBits(1) != 0 || lambdaBits(2) != 1 || lambdaBits(3) != 2 || lambdaBits(5) != 3 {
-		t.Fatal("lambdaBits wrong")
-	}
-}
-
 func TestFourIndexEnumerates(t *testing.T) {
 	p := loops.FourIndexAbstract(140, 120)
 	tree, err := tiling.Tile(p)

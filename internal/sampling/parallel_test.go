@@ -1,9 +1,11 @@
 package sampling
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"repro/internal/leaktest"
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/nlp"
@@ -24,12 +26,14 @@ func TestParallelSearchIdenticalToSerial(t *testing.T) {
 	}
 	p := nlp.Build(m)
 
-	serial, err := Search(p, Options{})
+	serial, err := Search(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		par, err := Search(p, Options{Workers: workers})
+		noLeak := leaktest.Check(t)
+		par, err := Search(context.Background(), p, Options{Workers: workers})
+		noLeak()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +68,7 @@ func TestParallelSearchFourIndexSpeedAndEquality(t *testing.T) {
 	opts := Options{MaxCombos: 400000}
 
 	t0 := time.Now()
-	serial, err := Search(p, opts)
+	serial, err := Search(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func TestParallelSearchFourIndexSpeedAndEquality(t *testing.T) {
 
 	opts.Workers = 4
 	t0 = time.Now()
-	par, err := Search(p, opts)
+	par, err := Search(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

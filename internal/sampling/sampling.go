@@ -9,6 +9,7 @@
 package sampling
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -46,9 +47,15 @@ type Result struct {
 	GridFactor int64
 }
 
+// ctxEvery is how many combinations a search range evaluates between
+// two looks at its context.
+const ctxEvery = 4096
+
 // Search explores the sampled tile grid and returns the best
-// configuration.
-func Search(p *nlp.Problem, opt Options) (Result, error) {
+// configuration. Once ctx is done every worker stops within ctxEvery
+// combinations, and Search returns the best feasible configuration
+// found so far, or an error wrapping ctx.Err() if there is none.
+func Search(ctx context.Context, p *nlp.Problem, opt Options) (Result, error) {
 	if opt.GridFactor < 2 {
 		opt.GridFactor = 2
 	}
@@ -76,7 +83,7 @@ func Search(p *nlp.Problem, opt Options) (Result, error) {
 
 	var res Result
 	if workers == 1 {
-		res = searchRange(p, grids, prio, 0, total)
+		res = searchRange(ctx, p, grids, prio, 0, total)
 	} else {
 		parts := make([]Result, workers)
 		var wg sync.WaitGroup
@@ -86,7 +93,7 @@ func Search(p *nlp.Problem, opt Options) (Result, error) {
 			wg.Add(1)
 			go func(w int, lo, hi int64) {
 				defer wg.Done()
-				parts[w] = searchRange(p, grids, prio, lo, hi)
+				parts[w] = searchRange(ctx, p, grids, prio, lo, hi)
 			}(w, lo, hi)
 		}
 		wg.Wait()
@@ -105,6 +112,9 @@ func Search(p *nlp.Problem, opt Options) (Result, error) {
 	}
 	res.GridFactor = factor
 	if res.Objective < 0 {
+		if err := ctx.Err(); err != nil {
+			return res, fmt.Errorf("sampling: search stopped before a feasible configuration: %w", err)
+		}
 		return res, fmt.Errorf("sampling: no feasible configuration in the sampled grid")
 	}
 	// Write the selection into the λ bits so res.X is a complete decision
@@ -123,8 +133,8 @@ func Search(p *nlp.Problem, opt Options) (Result, error) {
 
 // searchRange explores grid combinations [lo, hi) (combination c decodes
 // mixed-radix with dimension 0 least significant) and returns the local
-// best.
-func searchRange(p *nlp.Problem, grids [][]int64, prio [][]int, lo, hi int64) Result {
+// best, stopping early once ctx is done.
+func searchRange(ctx context.Context, p *nlp.Problem, grids [][]int64, prio [][]int, lo, hi int64) Result {
 	nv := len(grids)
 	x := make([]int64, p.Dim())
 	sel := make([]int, p.NumChoices())
@@ -138,6 +148,9 @@ func searchRange(p *nlp.Problem, grids [][]int64, prio [][]int, lo, hi int64) Re
 		c /= int64(len(grids[d]))
 	}
 	for n := lo; n < hi; n++ {
+		if (n-lo)%ctxEvery == 0 && ctx.Err() != nil {
+			break
+		}
 		for i := 0; i < nv; i++ {
 			x[i] = grids[i][idx[i]]
 		}

@@ -2,9 +2,12 @@ package sampling
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/dcs"
+	"repro/internal/leaktest"
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/nlp"
@@ -33,7 +36,7 @@ func fig4Problem(t *testing.T) *nlp.Problem {
 
 func TestSearchFindsFeasible(t *testing.T) {
 	p := fig4Problem(t)
-	res, err := Search(p, Options{})
+	res, err := Search(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestSearchFindsFeasible(t *testing.T) {
 
 func TestSearchObjectiveMatchesSelection(t *testing.T) {
 	p := fig4Problem(t)
-	res, err := Search(p, Options{})
+	res, err := Search(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +65,11 @@ func TestSearchObjectiveMatchesSelection(t *testing.T) {
 
 func TestMaxCombosWidensGrid(t *testing.T) {
 	p := fig4Problem(t)
-	full, err := Search(p, Options{})
+	full, err := Search(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Search(p, Options{MaxCombos: 500})
+	capped, err := Search(context.Background(), p, Options{MaxCombos: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestDCSBeatsOrMatchesSampling(t *testing.T) {
 	// the uniform-sampling code (it explores placements jointly and tiles
 	// off-grid).
 	p := fig4Problem(t)
-	samp, err := Search(p, Options{})
+	samp, err := Search(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +113,14 @@ func TestSearchInfeasibleModel(t *testing.T) {
 	cfg.Disk.MinReadBlock = 1 << 40
 	cfg.Disk.MinWriteBlock = 1 << 40
 	p := buildProblem(t, loops.TwoIndexFused(64, 64), cfg)
-	if _, err := Search(p, Options{}); err == nil {
+	if _, err := Search(context.Background(), p, Options{}); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
 }
 
 func TestDescribe(t *testing.T) {
 	p := fig4Problem(t)
-	res, err := Search(p, Options{})
+	res, err := Search(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,5 +145,50 @@ func TestGridCoversFullRange(t *testing.T) {
 				t.Fatalf("grid %d not increasing: %v", i, g)
 			}
 		}
+	}
+}
+
+// expiring is a context whose deadline passes after its first n looks.
+type expiring struct{ n int64 }
+
+func (*expiring) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (*expiring) Done() <-chan struct{}       { return nil }
+func (*expiring) Value(any) any               { return nil }
+
+func (c *expiring) Err() error {
+	if c.n == 0 {
+		return context.DeadlineExceeded
+	}
+	c.n--
+	return nil
+}
+
+// TestSearchHonoursContext: a search whose context is already cancelled
+// returns at once with an error wrapping context.Canceled and leaves no
+// worker goroutine behind; a deadline that passes mid-search returns the
+// best feasible point of the part searched.
+func TestSearchHonoursContext(t *testing.T) {
+	p := buildProblem(t, loops.FourIndexAbstract(140, 120), machine.OSCItanium2())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	noLeak := leaktest.Check(t)
+	start := time.Now()
+	res, err := Search(ctx, p, Options{GridFactor: 4, Workers: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled search: err = %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > time.Second || res.Combos != 0 {
+		t.Fatalf("pre-cancelled search evaluated %d combinations in %v", res.Combos, took)
+	}
+	noLeak()
+
+	// The deadline passes at the fifth look: 4·ctxEvery of the 65 536
+	// combinations of the ×8 grid are searched.
+	cut, err := Search(&expiring{n: 4}, p, Options{GridFactor: 8})
+	if err != nil {
+		t.Fatalf("deadline mid-search: %v", err)
+	}
+	if cut.Combos != 4*ctxEvery || !p.Feasible(cut.X) || cut.Objective <= 0 {
+		t.Fatalf("deadline mid-search: %d combinations, objective %g, feasible %v", cut.Combos, cut.Objective, p.Feasible(cut.X))
 	}
 }

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -95,7 +96,7 @@ func TestSamplingGridSpacingInsensitive(t *testing.T) {
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, factor := range []int64{4, 8, 16} {
-		res, err := sampling.Search(p, sampling.Options{GridFactor: factor})
+		res, err := sampling.Search(context.Background(), p, sampling.Options{GridFactor: factor})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/leaktest"
 )
 
 func TestNewZeroFilled(t *testing.T) {
@@ -247,7 +249,8 @@ func TestMatMulAccParallelMatchesSerial(t *testing.T) {
 
 // TestContractionMatchesEinsum runs a three-factor nest with two contracted
 // loops (the second longer than the blocking factor) through Contraction,
-// serially and split across workers, against the reference einsum.
+// serially and split across workers, against the reference einsum; no
+// worker goroutine outlives Run.
 func TestContractionMatchesEinsum(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const ni, nk, nl, nj = 5, 3, 70, 6
@@ -266,7 +269,9 @@ func TestContractionMatchesEinsum(t *testing.T) {
 		})
 		out := New(ni, nj)
 		blk.Data[0], blk.Data[1], blk.Data[2], blk.Data[3] = out.data, a.data, b.data, v.data
+		noLeak := leaktest.Check(t)
 		con.Run(blk, workers)
+		noLeak()
 		if d := MaxAbsDiff(out, want); d > 1e-9 {
 			t.Fatalf("workers %d: contraction differs from einsum by %g", workers, d)
 		}
