@@ -143,12 +143,9 @@ func Generate(prob *nlp.Problem, x []int64) (*Plan, error) {
 	}
 	// Predicted byte totals for reports.
 	for _, sc := range g.selected {
-		for _, t := range sc.cand.ReadBytes() {
-			g.plan.PredictedReadBytes += t.Eval(a.Tiles, m.Prog.Ranges)
-		}
-		for _, t := range sc.cand.WriteBytes() {
-			g.plan.PredictedWriteBytes += t.Eval(a.Tiles, m.Prog.Ranges)
-		}
+		read, write := sc.cand.Moved(x, m.Ranges)
+		g.plan.PredictedReadBytes += read
+		g.plan.PredictedWriteBytes += write
 	}
 	// The memory invariant only holds for feasible assignments; structural
 	// invariants must hold regardless. Check structure always, memory only

@@ -347,42 +347,14 @@ func (s *Synthesis) RunSim(inputs map[string]*tensor.Tensor) (map[string]*tensor
 // placement, buffer size, predicted bytes moved and I/O time.
 func (s *Synthesis) Report() string {
 	var b strings.Builder
-	ranges := s.Model.Prog.Ranges
-	tiles := s.Assign.Tiles
-	d := s.Model.Cfg.Disk
 	fmt.Fprintf(&b, "%-10s %-38s %14s %14s %14s %10s\n",
 		"array", "placement", "buffer bytes", "read bytes", "write bytes", "io secs")
-	names := make([]string, 0, len(s.Model.Choices))
-	byName := map[string]*placement.Candidate{}
-	for i := range s.Model.Choices {
-		name := s.Model.Choices[i].Name
-		names = append(names, name)
-		byName[name] = s.Assign.Selected[name]
-	}
-	for _, name := range names {
-		c := byName[name]
-		if c == nil {
-			continue
-		}
-		buf, rd, wr, secs := 0.0, 0.0, 0.0, 0.0
-		for _, t := range c.MemBytes() {
-			buf += t.Eval(tiles, ranges)
-		}
-		for _, t := range c.ReadBytes() {
-			v := t.Eval(tiles, ranges)
-			rd += v
-			secs += v / d.ReadBandwidth
-		}
-		for _, t := range c.WriteBytes() {
-			v := t.Eval(tiles, ranges)
-			wr += v
-			secs += v / d.WriteBandwidth
-		}
-		for _, t := range append(c.ReadOps(), c.WriteOps()...) {
-			secs += float64(t.Eval(tiles, ranges) * d.SeekTime)
-		}
-		fmt.Fprintf(&b, "%-10s %-38s %14.0f %14.0f %14.0f %10.1f\n",
-			name, c.Label, buf, rd, wr, secs)
+	for ci, k := range s.Problem.Selected(s.X) {
+		ch := &s.Model.Choices[ci]
+		c := &ch.Candidates[k]
+		rd, wr := c.Moved(s.X, s.Model.Ranges)
+		fmt.Fprintf(&b, "%-10s %-38s %14.0f %14.0f %14.0f %10.1f\n", ch.Name, c.Label,
+			s.Problem.CandidateMemory(ci, k, s.X), rd, wr, s.Problem.CandidateCost(ci, k, s.X))
 	}
 	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/dcs"
+	"repro/internal/placement"
 )
 
 // This file is the problem's one evaluation routine. Every candidate is
@@ -15,21 +16,11 @@ import (
 // whose contribution changed. Both sum in the same order with the same
 // operations, so their results are bitwise equal.
 
-// termKind says how a term's raw product becomes its contribution.
-type termKind uint8
-
-const (
-	costDiv  termKind = iota // transferred bytes ÷ bandwidth (seconds)
-	costMul                  // I/O operations × seek time (seconds)
-	memBytes                 // buffer bytes, as is
-	blockBuf                 // relative shortfall of a buffer below the minimum block
-)
-
-// term is a placement.Term flattened for evaluation.
+// term is a placement.Priced flattened for evaluation.
 type term struct {
 	coeff float64 // includes the product of all full-range factors
-	scale float64 // bandwidth (costDiv), seek time (costMul) or minimum block bytes (blockBuf)
-	kind  termKind
+	scale float64 // placement.Priced.Scale
+	kind  placement.Kind
 	// idx[:nTiles] multiply by x[i], idx[nTiles:] by ceil(Ranges[i]/x[i]).
 	idx    []int
 	nTiles int
@@ -46,18 +37,7 @@ func (t *term) value(x []int64, trips []float64) float64 {
 	for _, i := range t.idx[t.nTiles:] {
 		v *= trips[i]
 	}
-	switch t.kind {
-	case costDiv:
-		return v / t.scale
-	case costMul:
-		return v * t.scale
-	case blockBuf:
-		if short := t.scale - v; short > 0 {
-			return short / t.scale
-		}
-		return 0
-	}
-	return v
+	return t.kind.Price(v, t.scale)
 }
 
 // candidate is one placement candidate's flattened terms: the cost terms

@@ -9,6 +9,7 @@ package nlp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dcs"
@@ -31,18 +32,18 @@ const (
 // len(TileVars) integer entries (tile sizes, in TileVars order) followed
 // by NumLambda binary entries (0/1).
 type Problem struct {
-	Model    *placement.Model
+	Model *placement.Model
+	// TileVars and Ranges are the model's: Ranges[i] is the full range
+	// of TileVars[i] (its upper bound).
 	TileVars []string
-	// Ranges[i] is the full range of TileVars[i] (its upper bound).
-	Ranges []int64
+	Ranges   []int64
 	// ChoiceEnc describes the λ encoding of each array choice.
 	Choices   []ChoiceEnc
 	NumLambda int
 	// Enc is the λ encoding in use.
 	Enc Encoding
 
-	tileIdx map[string]int
-	cands   [][]candidate
+	cands [][]candidate
 }
 
 // ChoiceEnc is the binary encoding of one array choice: Bits λ variables
@@ -60,16 +61,15 @@ type ChoiceEnc struct {
 func Build(m *placement.Model) *Problem { return BuildEncoded(m, BinaryEncoding) }
 
 // BuildEncoded compiles a placement model with an explicit λ encoding.
+// Each candidate's priced terms (placement.Candidate.Terms) are copied
+// into its evaluator terms, with the full-range factors folded into the
+// coefficient.
 func BuildEncoded(m *placement.Model, enc Encoding) *Problem {
 	p := &Problem{
 		Model:    m,
-		TileVars: append([]string(nil), m.TileVars...),
-		tileIdx:  map[string]int{},
+		TileVars: m.TileVars,
+		Ranges:   m.Ranges,
 		Enc:      enc,
-	}
-	for i, x := range p.TileVars {
-		p.tileIdx[x] = i
-		p.Ranges = append(p.Ranges, m.Prog.Ranges[x])
 	}
 	off := 0
 	for _, ch := range m.Choices {
@@ -80,39 +80,26 @@ func BuildEncoded(m *placement.Model, enc Encoding) *Problem {
 		p.Choices = append(p.Choices, ChoiceEnc{Name: ch.Name, BitOffset: off, Bits: bits, M: len(ch.Candidates)})
 		off += bits
 
-		var cc []candidate
+		cc := make([]candidate, len(ch.Candidates))
 		for i := range ch.Candidates {
-			c := &ch.Candidates[i]
-			var k candidate
-			d := m.Cfg.Disk
-			k.add(p, c.ReadBytes(), costDiv, d.ReadBandwidth)
-			k.add(p, c.WriteBytes(), costDiv, d.WriteBandwidth)
-			k.add(p, c.ReadOps(), costMul, d.SeekTime)
-			k.add(p, c.WriteOps(), costMul, d.SeekTime)
-			k.nCost = len(k.terms)
-			k.add(p, c.MemBytes(), memBytes, 0)
-			k.nMem = len(k.terms) - k.nCost
-			// The minimum block size amortizes seek time over block
-			// accesses; an array smaller than the minimum block is simply
-			// read or written whole, so the requirement clamps to the
-			// array's total size.
-			arrBytes := float64(m.Cfg.ElemSize)
-			for _, idx := range m.Prog.Arrays[c.Array].OrigIndices {
-				arrBytes *= float64(m.Prog.Ranges[idx])
+			k := &cc[i]
+			for _, t := range ch.Candidates[i].Terms {
+				ft := term{coeff: t.Coeff, scale: t.Scale, kind: t.Kind, idx: slices.Concat(t.Tiles, t.Trips), nTiles: len(t.Tiles)}
+				for _, x := range t.Fulls {
+					ft.coeff *= float64(p.Ranges[x])
+				}
+				for _, x := range ft.idx {
+					ft.mask |= 1 << (x & 63)
+				}
+				k.mask |= ft.mask
+				switch {
+				case t.Kind < placement.Memory:
+					k.nCost++
+				case t.Kind == placement.Memory:
+					k.nMem++
+				}
+				k.terms = append(k.terms, ft)
 			}
-			for _, b := range c.BlockConstraints() {
-				minBytes := float64(d.MinWriteBlock)
-				if b.IsRead {
-					minBytes = float64(d.MinReadBlock)
-				}
-				if minBytes > arrBytes {
-					minBytes = arrBytes
-				}
-				if minBytes > 0 {
-					k.add(p, []placement.Term{b.Buf}, blockBuf, minBytes)
-				}
-			}
-			cc = append(cc, k)
 		}
 		p.cands = append(p.cands, cc)
 	}
@@ -129,28 +116,6 @@ func bitsFor(m int) int {
 		b++
 	}
 	return b
-}
-
-// add appends the flattened terms ts of one kind to the candidate.
-func (c *candidate) add(p *Problem, ts []placement.Term, kind termKind, scale float64) {
-	for _, t := range ts {
-		ft := term{coeff: t.Coeff, scale: scale, kind: kind}
-		for _, x := range t.Fulls {
-			ft.coeff *= float64(p.Model.Prog.Ranges[x])
-		}
-		for _, x := range t.Tiles {
-			ft.idx = append(ft.idx, p.tileIdx[x])
-		}
-		ft.nTiles = len(ft.idx)
-		for _, x := range t.Trips {
-			ft.idx = append(ft.idx, p.tileIdx[x])
-		}
-		for _, i := range ft.idx {
-			ft.mask |= 1 << (i & 63)
-		}
-		c.mask |= ft.mask
-		c.terms = append(c.terms, ft)
-	}
 }
 
 // Dim returns the length of the decision vector.

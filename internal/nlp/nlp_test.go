@@ -208,9 +208,21 @@ func TestWriteAMPL(t *testing.T) {
 		"* (1 - lam_", // binary constraint λ(1-λ)=0
 		"ceil(N_n / T_n)",
 		"MinReadBlock",
+		"param ReadBandwidth := ",
+		"param WriteBandwidth := ",
+		"param SeekTime := ",
 	} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("AMPL output missing %q:\n%s", want, s)
+		}
+	}
+	// The objective is Objective's: seconds, each byte count divided by
+	// its bandwidth and each operation count charged the seek time.
+	_, obj, _ := strings.Cut(s, "minimize disk_io_cost:")
+	obj, _, _ = strings.Cut(obj, "subject to memory_limit")
+	for _, want := range []string{"/ ReadBandwidth", "/ WriteBandwidth", "* SeekTime"} {
+		if !strings.Contains(obj, want) {
+			t.Fatalf("AMPL objective does not price by %q:\n%s", want, obj)
 		}
 	}
 }

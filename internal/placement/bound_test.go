@@ -9,43 +9,37 @@ import (
 )
 
 // candidateCostAt evaluates a candidate's true modelled I/O time at one
-// tile assignment (the same formula as nlp's objective contribution).
-func candidateCostAt(c *Candidate, tiles, ranges map[string]int64, cfg machine.Config) float64 {
-	d := cfg.Disk
+// tile assignment, pricing its disk terms from the machine directly.
+func candidateCostAt(c *Candidate, tiles, ranges []int64, d machine.Disk) float64 {
 	total := 0.0
-	for _, tm := range c.ReadBytes() {
-		total += tm.Eval(tiles, ranges) / d.ReadBandwidth
-	}
-	for _, tm := range c.WriteBytes() {
-		total += tm.Eval(tiles, ranges) / d.WriteBandwidth
-	}
-	for _, tm := range append(c.ReadOps(), c.WriteOps()...) {
-		total += tm.Eval(tiles, ranges) * d.SeekTime
+	for _, tm := range c.Terms {
+		v := tm.Eval(tiles, ranges)
+		switch tm.Kind {
+		case ReadBytes:
+			total += v / d.ReadBandwidth
+		case WriteBytes:
+			total += v / d.WriteBandwidth
+		case ReadOps, WriteOps:
+			total += v * d.SeekTime
+		}
 	}
 	return total
 }
 
 // tileSamples builds a deterministic set of tile assignments covering the
 // corners (all 1, all N) and log-uniform random interior points.
-func tileSamples(ranges map[string]int64, n int) []map[string]int64 {
+func tileSamples(ranges []int64, n int) [][]int64 {
 	rng := rand.New(rand.NewSource(7))
-	ones, full := map[string]int64{}, map[string]int64{}
-	for x, nx := range ranges {
+	ones, full := make([]int64, len(ranges)), append([]int64(nil), ranges...)
+	for x := range ones {
 		ones[x] = 1
-		full[x] = nx
 	}
-	out := []map[string]int64{ones, full}
+	out := [][]int64{ones, full}
 	for i := 0; i < n; i++ {
-		tiles := map[string]int64{}
+		tiles := make([]int64, len(ranges))
 		for x, nx := range ranges {
 			v := int64(math.Exp(rng.Float64() * math.Log(float64(nx))))
-			if v < 1 {
-				v = 1
-			}
-			if v > nx {
-				v = nx
-			}
-			tiles[x] = v
+			tiles[x] = min(max(v, 1), nx)
 		}
 		out = append(out, tiles)
 	}
@@ -58,15 +52,15 @@ func tileSamples(ranges map[string]int64, n int) []map[string]int64 {
 // behind incumbent pruning.
 func TestLowerBoundBelowTrueCost(t *testing.T) {
 	m := fig4Model(t)
-	ranges := m.Prog.Ranges
+	ranges := m.Ranges
 	samples := tileSamples(ranges, 25)
 	checked := 0
 	for _, ch := range m.Choices {
 		for i := range ch.Candidates {
 			c := &ch.Candidates[i]
-			lb := c.LowerBoundSeconds(ranges, m.Cfg)
+			lb := c.LowerBoundSeconds(ranges)
 			for _, tiles := range samples {
-				cost := candidateCostAt(c, tiles, ranges, m.Cfg)
+				cost := candidateCostAt(c, tiles, ranges, m.Cfg.Disk)
 				if lb > cost*(1+1e-9) {
 					t.Fatalf("%s %q: lower bound %g exceeds true cost %g at tiles %v",
 						ch.Name, c.Label, lb, cost, tiles)
@@ -82,25 +76,26 @@ func TestLowerBoundBelowTrueCost(t *testing.T) {
 
 // TestTermLowerBound checks the per-term bound on hand-built terms.
 func TestTermLowerBound(t *testing.T) {
-	ranges := map[string]int64{"i": 100, "j": 40}
+	const i, j = 0, 1
+	ranges := []int64{i: 100, j: 40}
 	// T_i · ceil(N_i/T_i) ≥ N_i: the paired factors bound to the range.
-	paired := Term{Coeff: 2, Tiles: []string{"i"}, Trips: []string{"i"}}
+	paired := Term{Coeff: 2, Tiles: []int{i}, Trips: []int{i}}
 	if got := paired.LowerBound(ranges); got != 200 {
 		t.Fatalf("paired bound = %g, want 200", got)
 	}
 	// Unpaired tile or trip factors only guarantee ≥ 1.
-	lone := Term{Coeff: 3, Tiles: []string{"i"}, Trips: []string{"j"}}
+	lone := Term{Coeff: 3, Tiles: []int{i}, Trips: []int{j}}
 	if got := lone.LowerBound(ranges); got != 3 {
 		t.Fatalf("unpaired bound = %g, want 3", got)
 	}
 	// Full-range factors multiply in exactly.
-	fullT := Term{Coeff: 1, Fulls: []string{"i", "j"}}
+	fullT := Term{Coeff: 1, Fulls: []int{i, j}}
 	if got := fullT.LowerBound(ranges); got != 4000 {
 		t.Fatalf("fulls bound = %g, want 4000", got)
 	}
 	// The bound never exceeds the evaluation anywhere.
 	for _, tm := range []Term{paired, lone, fullT,
-		{Coeff: 5, Fulls: []string{"j"}, Tiles: []string{"i", "i"}, Trips: []string{"i"}}} {
+		{Coeff: 5, Fulls: []int{j}, Tiles: []int{i, i}, Trips: []int{i}}} {
 		lb := tm.LowerBound(ranges)
 		for _, tiles := range tileSamples(ranges, 30) {
 			if v := tm.Eval(tiles, ranges); lb > v*(1+1e-9) {
@@ -155,12 +150,12 @@ func TestBoundFilterInvariants(t *testing.T) {
 	// A mid-range incumbent: every pruned candidate's bound must exceed
 	// it, every kept candidate's bound must not (or be the choice's
 	// cheapest).
-	ranges := base.Prog.Ranges
+	ranges := base.Ranges
 	mid := 0.0
 	for _, ch := range base.Choices {
 		min := math.MaxFloat64
 		for i := range ch.Candidates {
-			if lb := ch.Candidates[i].LowerBoundSeconds(ranges, base.Cfg); lb < min {
+			if lb := ch.Candidates[i].LowerBoundSeconds(ranges); lb < min {
 				min = lb
 			}
 		}
@@ -173,13 +168,13 @@ func TestBoundFilterInvariants(t *testing.T) {
 		minLB := math.MaxFloat64
 		for i := range ch.Candidates {
 			keptLabels[ch.Candidates[i].Label] = true
-			if lb := ch.Candidates[i].LowerBoundSeconds(ranges, base.Cfg); lb < minLB {
+			if lb := ch.Candidates[i].LowerBoundSeconds(ranges); lb < minLB {
 				minLB = lb
 			}
 		}
 		for i := range base.Choices[ci].Candidates {
 			c := &base.Choices[ci].Candidates[i]
-			lb := c.LowerBoundSeconds(ranges, base.Cfg)
+			lb := c.LowerBoundSeconds(ranges)
 			if keptLabels[c.Label] {
 				if lb > mid && len(ch.Candidates) > 1 {
 					t.Fatalf("%s %q: kept with bound %g > incumbent %g", ch.Name, c.Label, lb, mid)

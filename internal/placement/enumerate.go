@@ -13,6 +13,10 @@ type enumerator struct {
 	p   *loops.Program
 	cfg machine.Config
 	opt Options
+	// pos maps a loop index to its position in Model.TileVars; ranges
+	// is Model.Ranges.
+	pos    map[string]int
+	ranges []int64
 }
 
 // bufferIndices returns the index labels over which an array's buffers are
@@ -85,9 +89,9 @@ func (e *enumerator) rawPositions(site tiling.LeafSite, bufIdx []string, minDept
 		if nonUnit < min(2, len(bufIdx)) {
 			continue
 		}
-		buf := bufferTerm(dims, e.cfg.ElemSize)
+		buf := e.bufferTerm(dims)
 		// Rule 3: feasibility probe at tile size one.
-		if buf.EvalTileOne(e.p.Ranges) > float64(e.cfg.MemoryLimit) {
+		if buf.EvalTileOne(e.ranges) > float64(e.cfg.MemoryLimit) {
 			break
 		}
 		// Rule 2: skip positions immediately surrounded by a redundant loop
@@ -100,9 +104,9 @@ func (e *enumerator) rawPositions(site tiling.LeafSite, bufIdx []string, minDept
 		for j := 0; j < k; j++ {
 			en := ep[j]
 			if en.Intra {
-				ops.Tiles = append(ops.Tiles, en.Index)
+				ops.Tiles = append(ops.Tiles, e.pos[en.Index])
 			} else {
-				ops.Trips = append(ops.Trips, en.Index)
+				ops.Trips = append(ops.Trips, e.pos[en.Index])
 			}
 			if !idxSet[en.Index] {
 				redundant = append(redundant, en)
@@ -120,14 +124,14 @@ func (e *enumerator) rawPositions(site tiling.LeafSite, bufIdx []string, minDept
 }
 
 // bufferTerm builds the symbolic byte size of a buffer.
-func bufferTerm(dims []BufDim, elemSize int64) Term {
-	t := Term{Coeff: float64(elemSize)}
+func (e *enumerator) bufferTerm(dims []BufDim) Term {
+	t := Term{Coeff: float64(e.cfg.ElemSize)}
 	for _, d := range dims {
 		switch d.Class {
 		case ExtTile:
-			t.Tiles = append(t.Tiles, d.Index)
+			t.Tiles = append(t.Tiles, e.pos[d.Index])
 		case ExtFull:
-			t.Fulls = append(t.Fulls, d.Index)
+			t.Fulls = append(t.Fulls, e.pos[d.Index])
 		}
 	}
 	return t
@@ -178,6 +182,82 @@ func (e *enumerator) pruneDominated(ps []IOPlacement) []IOPlacement {
 	return out
 }
 
+// price states the cost model of c once, in c.Terms: the read bytes,
+// write bytes, read ops and write ops (the objective), then the buffer
+// bytes (the memory constraint), then the minimum-block terms. A
+// read-modify-write reads back what the write writes, through the
+// write's buffer; the zero-init pass only writes. The minimum block
+// size amortizes seek time over block accesses; an array smaller than
+// the minimum block is simply read or written whole, so the requirement
+// clamps to the array's total size.
+func (e *enumerator) price(c *Candidate, arr *loops.Array) {
+	d := e.cfg.Disk
+	arrBytes := float64(e.cfg.ElemSize)
+	for _, x := range arr.OrigIndices {
+		arrBytes *= float64(e.p.Ranges[x])
+	}
+	var reads, writes []*IOPlacement
+	if c.Read != nil {
+		reads = append(reads, c.Read)
+	}
+	if c.RMWRead {
+		reads = append(reads, c.Write)
+	}
+	if c.Write != nil {
+		writes = append(writes, c.Write)
+	}
+	if c.InitZero != nil {
+		writes = append(writes, c.InitZero)
+	}
+	add := func(k Kind, scale float64, t Term) {
+		c.Terms = append(c.Terms, Priced{Term: t, Kind: k, Scale: scale})
+	}
+	for _, io := range reads {
+		add(ReadBytes, d.ReadBandwidth, io.Bytes)
+	}
+	for _, io := range writes {
+		add(WriteBytes, d.WriteBandwidth, io.Bytes)
+	}
+	for _, io := range reads {
+		add(ReadOps, d.SeekTime, io.Ops)
+	}
+	for _, io := range writes {
+		add(WriteOps, d.SeekTime, io.Ops)
+	}
+	if c.MemBuf != nil {
+		add(Memory, 0, c.MemBuf.Bytes)
+	}
+	if c.Read != nil {
+		add(Memory, 0, c.Read.Buf.Bytes)
+	}
+	if c.Write != nil {
+		add(Memory, 0, c.Write.Buf.Bytes) // shared with the RMW read
+	}
+	block := func(buf Term, minBlock int64) {
+		if b := min(float64(minBlock), arrBytes); b > 0 {
+			add(Block, b, buf)
+		}
+	}
+	if c.Read != nil {
+		block(c.Read.Buf.Bytes, d.MinReadBlock)
+	}
+	if c.Write != nil {
+		block(c.Write.Buf.Bytes, d.MinWriteBlock)
+		if c.RMWRead {
+			block(c.Write.Buf.Bytes, d.MinReadBlock)
+		}
+	}
+}
+
+// add prices the candidates of ch and appends ch, through the
+// incumbent filter, to m.
+func (e *enumerator) add(m *Model, ch Choice) {
+	for i := range ch.Candidates {
+		e.price(&ch.Candidates[i], ch.Array)
+	}
+	m.Choices = append(m.Choices, e.boundFilter(ch, &m.BoundPruned))
+}
+
 // boundFilter drops candidates whose analytic cost lower bound exceeds
 // the incumbent objective (Options.BoundIncumbent): no selection
 // containing such a candidate can beat the incumbent, since the objective
@@ -193,7 +273,7 @@ func (e *enumerator) boundFilter(ch Choice, pruned *int) Choice {
 	bounds := make([]float64, len(ch.Candidates))
 	minIdx := 0
 	for i := range ch.Candidates {
-		bounds[i] = ch.Candidates[i].LowerBoundSeconds(e.p.Ranges, e.cfg)
+		bounds[i] = ch.Candidates[i].LowerBoundSeconds(e.ranges)
 		if bounds[i] < bounds[minIdx] {
 			minIdx = i
 		}
@@ -272,9 +352,9 @@ func (e *enumerator) initZeroPass(arr *loops.Array) *IOPlacement {
 	bytes := Term{Coeff: float64(e.cfg.ElemSize)}
 	ops := One()
 	for _, x := range bufferIndices(arr) {
-		bytes.Tiles = append(bytes.Tiles, x)
-		bytes.Trips = append(bytes.Trips, x)
-		ops.Trips = append(ops.Trips, x)
+		bytes.Tiles = append(bytes.Tiles, e.pos[x])
+		bytes.Trips = append(bytes.Trips, e.pos[x])
+		ops.Trips = append(ops.Trips, e.pos[x])
 	}
 	return &IOPlacement{
 		Pos:   Position{Label: "init pass"},
@@ -305,8 +385,8 @@ func (e *enumerator) intermediateChoice(name string, arr *loops.Array, prod, con
 		}
 		memDims = append(memDims, BufDim{Index: x, Class: cls})
 	}
-	memBuf := BufferSpec{Dims: memDims, Bytes: bufferTerm(memDims, e.cfg.ElemSize)}
-	if memBuf.Bytes.EvalTileOne(e.p.Ranges) <= float64(e.cfg.MemoryLimit) {
+	memBuf := BufferSpec{Dims: memDims, Bytes: e.bufferTerm(memDims)}
+	if memBuf.Bytes.EvalTileOne(e.ranges) <= float64(e.cfg.MemoryLimit) {
 		ch.Candidates = append(ch.Candidates, Candidate{
 			Array:    arr.Name,
 			InMemory: true,

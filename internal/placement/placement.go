@@ -95,114 +95,76 @@ type Candidate struct {
 	// computation (needed with RMWRead); holds the cost of that pass.
 	InitZero *IOPlacement
 	Label    string
+	// Terms is the candidate's cost model, priced once at enumeration
+	// and read by the solver, the lower bound, code generation, reports
+	// and the AMPL export. Disk terms come first, in Kind order, then
+	// the Memory terms, then the Block terms.
+	Terms []Priced
 }
 
-// ReadBytes returns the symbolic byte counts of all reads this candidate
-// performs.
-func (c *Candidate) ReadBytes() []Term {
-	var out []Term
-	if c.Read != nil {
-		out = append(out, c.Read.Bytes)
-	}
-	if c.RMWRead {
-		out = append(out, c.Write.Bytes)
-	}
-	return out
+// Kind says what a priced term counts and how Kind.Price turns its raw
+// product into its contribution.
+type Kind uint8
+
+const (
+	ReadBytes  Kind = iota // bytes read ÷ read bandwidth (seconds)
+	WriteBytes             // bytes written ÷ write bandwidth (seconds)
+	ReadOps                // read operations × seek time (seconds)
+	WriteOps               // write operations × seek time (seconds)
+	Memory                 // buffer bytes, as is
+	Block                  // relative shortfall of a buffer below the minimum block
+)
+
+// Priced is one term of a candidate's cost model with the scale its kind
+// prices it by: a bandwidth, the seek time, or the minimum block bytes
+// clamped to the array's size (0 for Memory).
+type Priced struct {
+	Term
+	Kind  Kind
+	Scale float64
 }
 
-// WriteBytes returns the symbolic byte counts of all writes.
-func (c *Candidate) WriteBytes() []Term {
-	var out []Term
-	if c.Write != nil {
-		out = append(out, c.Write.Bytes)
+// Price returns the contribution of a term of kind k whose raw product
+// is v: I/O seconds for the four disk kinds, bytes for Memory, and for
+// Block the relative shortfall of v below the minimum block scale.
+func (k Kind) Price(v, scale float64) float64 {
+	switch k {
+	case ReadBytes, WriteBytes:
+		return v / scale
+	case ReadOps, WriteOps:
+		return float64(v * scale) // never fused into a caller's sum
+	case Block:
+		return max(scale-v, 0) / scale
 	}
-	if c.InitZero != nil {
-		out = append(out, c.InitZero.Bytes)
-	}
-	return out
+	return v
 }
 
-// ReadOps and WriteOps return the symbolic operation counts.
-func (c *Candidate) ReadOps() []Term {
-	var out []Term
-	if c.Read != nil {
-		out = append(out, c.Read.Ops)
-	}
-	if c.RMWRead {
-		out = append(out, c.Write.Ops)
-	}
-	return out
-}
-
-func (c *Candidate) WriteOps() []Term {
-	var out []Term
-	if c.Write != nil {
-		out = append(out, c.Write.Ops)
-	}
-	if c.InitZero != nil {
-		out = append(out, c.InitZero.Ops)
-	}
-	return out
-}
-
-// MemBytes returns the symbolic sizes of all buffers the candidate
-// allocates (the static memory model sums them over all arrays).
-func (c *Candidate) MemBytes() []Term {
-	var out []Term
-	if c.MemBuf != nil {
-		out = append(out, c.MemBuf.Bytes)
-	}
-	if c.Read != nil {
-		out = append(out, c.Read.Buf.Bytes)
-	}
-	if c.Write != nil {
-		out = append(out, c.Write.Buf.Bytes) // shared with the RMW read
-	}
-	return out
-}
-
-// BlockConstraints returns (buffer, isRead) pairs that must satisfy the
-// machine's minimum I/O block sizes when this candidate is selected.
-func (c *Candidate) BlockConstraints() []BlockConstraint {
-	var out []BlockConstraint
-	if c.Read != nil {
-		out = append(out, BlockConstraint{Buf: c.Read.Buf.Bytes, IsRead: true})
-	}
-	if c.Write != nil {
-		out = append(out, BlockConstraint{Buf: c.Write.Buf.Bytes, IsRead: false})
-		if c.RMWRead {
-			out = append(out, BlockConstraint{Buf: c.Write.Buf.Bytes, IsRead: true})
+// Moved returns the bytes the candidate reads and writes at the tile
+// sizes tiles (both tiles and ranges indexed by tile-variable position,
+// so a decision vector of nlp, tile sizes first, serves as tiles).
+func (c *Candidate) Moved(tiles, ranges []int64) (read, write float64) {
+	for _, t := range c.Terms {
+		switch t.Kind {
+		case ReadBytes:
+			read += t.Eval(tiles, ranges)
+		case WriteBytes:
+			write += t.Eval(tiles, ranges)
 		}
 	}
-	return out
-}
-
-// BlockConstraint requires a buffer to be at least the minimum read or
-// write block size.
-type BlockConstraint struct {
-	Buf    Term
-	IsRead bool
+	return read, write
 }
 
 // LowerBoundSeconds returns an analytic lower bound on the candidate's
-// modelled I/O time over all tile assignments (Term.LowerBound applied to
-// every cost term). A candidate whose bound exceeds a known solution's
-// total objective can never appear in a better solution: the objective is
-// a sum of non-negative per-choice costs.
-func (c *Candidate) LowerBoundSeconds(ranges map[string]int64, cfg machine.Config) float64 {
-	d := cfg.Disk
+// modelled I/O time over all tile assignments (Term.LowerBound priced
+// for every disk term). A candidate whose bound exceeds a known
+// solution's total objective can never appear in a better solution: the
+// objective is a sum of non-negative per-choice costs.
+func (c *Candidate) LowerBoundSeconds(ranges []int64) float64 {
 	total := 0.0
-	for _, t := range c.ReadBytes() {
-		total += t.LowerBound(ranges) / d.ReadBandwidth
-	}
-	for _, t := range c.WriteBytes() {
-		total += t.LowerBound(ranges) / d.WriteBandwidth
-	}
-	for _, t := range c.ReadOps() {
-		total += float64(t.LowerBound(ranges) * d.SeekTime)
-	}
-	for _, t := range c.WriteOps() {
-		total += float64(t.LowerBound(ranges) * d.SeekTime)
+	for _, t := range c.Terms {
+		if t.Kind < Memory {
+			total += t.Kind.Price(t.LowerBound(ranges), t.Scale)
+		}
 	}
 	return total
 }
@@ -219,11 +181,14 @@ type Choice struct {
 
 // Model is the fully enumerated placement space of a tiled program.
 type Model struct {
-	Prog     *loops.Program
-	Tree     *tiling.Tree
-	Cfg      machine.Config
-	Choices  []Choice
-	TileVars []string // sorted distinct loop indices
+	Prog    *loops.Program
+	Tree    *tiling.Tree
+	Cfg     machine.Config
+	Choices []Choice
+	// TileVars are the sorted distinct loop indices; a Term's factors
+	// are positions in it. Ranges[i] is the full range of TileVars[i].
+	TileVars []string
+	Ranges   []int64
 	// BoundPruned counts candidates discarded by the incumbent lower-bound
 	// filter (Options.BoundIncumbent).
 	BoundPruned int
@@ -251,6 +216,12 @@ func Enumerate(tree *tiling.Tree, cfg machine.Config, opt Options) (*Model, erro
 	}
 	p := tree.Prog
 	m := &Model{Prog: p, Tree: tree, Cfg: cfg, TileVars: p.SortedIndices()}
+	e := enumerator{p: p, cfg: cfg, opt: opt, pos: map[string]int{}}
+	for i, x := range m.TileVars {
+		e.pos[x] = i
+		m.Ranges = append(m.Ranges, p.Ranges[x])
+	}
+	e.ranges = m.Ranges
 	leaves := tree.Leaves()
 
 	producers := map[string][]tiling.LeafSite{}
@@ -266,7 +237,6 @@ func Enumerate(tree *tiling.Tree, cfg machine.Config, opt Options) (*Model, erro
 		}
 	}
 
-	e := enumerator{p: p, cfg: cfg, opt: opt}
 	for _, name := range p.Order {
 		arr := p.Arrays[name]
 		switch arr.Kind {
@@ -280,7 +250,7 @@ func Enumerate(tree *tiling.Tree, cfg machine.Config, opt Options) (*Model, erro
 				if err != nil {
 					return nil, err
 				}
-				m.Choices = append(m.Choices, e.boundFilter(ch, &m.BoundPruned))
+				e.add(m, ch)
 			}
 		case loops.Output:
 			if len(producers[name]) == 0 {
@@ -297,7 +267,7 @@ func Enumerate(tree *tiling.Tree, cfg machine.Config, opt Options) (*Model, erro
 					return nil, err
 				}
 				ch.Name = cname
-				m.Choices = append(m.Choices, e.boundFilter(ch, &m.BoundPruned))
+				e.add(m, ch)
 			}
 		case loops.Intermediate:
 			if len(producers[name]) != 1 || len(consumers[name]) != 1 {
@@ -307,7 +277,7 @@ func Enumerate(tree *tiling.Tree, cfg machine.Config, opt Options) (*Model, erro
 			if err != nil {
 				return nil, err
 			}
-			m.Choices = append(m.Choices, e.boundFilter(ch, &m.BoundPruned))
+			e.add(m, ch)
 		}
 	}
 	return m, nil
@@ -319,16 +289,17 @@ func (m *Model) String() string {
 	for _, ch := range m.Choices {
 		fmt.Fprintf(&b, "%s (%s):\n", ch.Name, ch.Array.Kind)
 		for i, c := range ch.Candidates {
-			fmt.Fprintf(&b, "  [%d] %s\n", i, c.Describe())
+			fmt.Fprintf(&b, "  [%d] %s\n", i, c.Describe(m.TileVars))
 		}
 	}
 	return b.String()
 }
 
-// Describe renders one candidate compactly.
-func (c *Candidate) Describe() string {
+// Describe renders one candidate compactly, vars naming the tile
+// variables.
+func (c *Candidate) Describe(vars []string) string {
 	if c.InMemory {
-		return fmt.Sprintf("in memory, buffer %s%s = %s", c.Array, c.MemBuf, c.MemBuf.Bytes)
+		return fmt.Sprintf("in memory, buffer %s%s = %s", c.Array, c.MemBuf, c.MemBuf.Bytes.String(vars))
 	}
 	var parts []string
 	if c.Read != nil {

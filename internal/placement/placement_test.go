@@ -57,8 +57,13 @@ func TestFig4CandidateCounts(t *testing.T) {
 	}
 }
 
-func evalTerm(tm Term, tiles map[string]int64, ranges map[string]int64) float64 {
-	return tm.Eval(tiles, ranges)
+// evalTerm evaluates tm of model m at named tile sizes.
+func evalTerm(m *Model, tm Term, tiles map[string]int64) float64 {
+	x := make([]int64, len(m.TileVars))
+	for i, v := range m.TileVars {
+		x[i] = tiles[v]
+	}
+	return tm.Eval(x, m.Ranges)
 }
 
 func TestFig4CostExpressionsForA(t *testing.T) {
@@ -86,12 +91,12 @@ func TestFig4CostExpressionsForA(t *testing.T) {
 
 	// Leaf: cost = ceil(Nn/Tn) × padded Size_A; with dividing tiles this is
 	// exactly (Nn/Tn) × Size_A.
-	got := evalTerm(leaf.Read.Bytes, tiles, ranges)
+	got := evalTerm(m, leaf.Read.Bytes, tiles)
 	want := float64(ranges["n"]/tiles["n"]) * sizeA
 	if math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("leaf read cost = %g, want %g", got, want)
 	}
-	gotMem := evalTerm(leaf.Read.Buf.Bytes, tiles, ranges)
+	gotMem := evalTerm(m, leaf.Read.Buf.Bytes, tiles)
 	wantMem := float64(tiles["i"]*tiles["j"]) * 8
 	if gotMem != wantMem {
 		t.Errorf("leaf buffer = %g, want TiTj = %g", gotMem, wantMem)
@@ -101,11 +106,11 @@ func TestFig4CostExpressionsForA(t *testing.T) {
 	if upper.Read.Pos.Label != "above nT" {
 		t.Errorf("upper placement label = %q, want 'above nT'", upper.Read.Pos.Label)
 	}
-	got = evalTerm(upper.Read.Bytes, tiles, ranges)
+	got = evalTerm(m, upper.Read.Bytes, tiles)
 	if math.Abs(got-sizeA)/sizeA > 1e-12 {
 		t.Errorf("upper read cost = %g, want Size_A = %g", got, sizeA)
 	}
-	gotMem = evalTerm(upper.Read.Buf.Bytes, tiles, ranges)
+	gotMem = evalTerm(m, upper.Read.Buf.Bytes, tiles)
 	wantMem = float64(tiles["i"]*ranges["j"]) * 8
 	if gotMem != wantMem {
 		t.Errorf("upper buffer = %g, want Ti×Nj = %g", gotMem, wantMem)
@@ -137,7 +142,7 @@ func TestFig4TInMemoryBufferIsTileSized(t *testing.T) {
 		t.Fatal("first T candidate not in-memory")
 	}
 	tiles := map[string]int64{"i": 100, "j": 200, "m": 50, "n": 70}
-	got := evalTerm(mem.MemBuf.Bytes, tiles, m.Prog.Ranges)
+	got := evalTerm(m, mem.MemBuf.Bytes, tiles)
 	want := float64(tiles["n"]*tiles["i"]) * 8
 	if got != want {
 		t.Fatalf("T in-memory buffer = %g, want Tn×Ti = %g (dims %s)", got, want, mem.MemBuf)
@@ -266,9 +271,10 @@ func TestModelStringMentionsPlacements(t *testing.T) {
 }
 
 func TestTermEvalAndString(t *testing.T) {
-	ranges := map[string]int64{"i": 10, "j": 7}
-	tiles := map[string]int64{"i": 3, "j": 2}
-	tm := Term{Coeff: 8, Fulls: []string{"j"}, Tiles: []string{"i"}, Trips: []string{"i"}}
+	const i, j = 0, 1
+	ranges := []int64{i: 10, j: 7}
+	tiles := []int64{i: 3, j: 2}
+	tm := Term{Coeff: 8, Fulls: []int{j}, Tiles: []int{i}, Trips: []int{i}}
 	// 8 × N_j × T_i × ceil(10/3) = 8×7×3×4 = 672
 	if got := tm.Eval(tiles, ranges); got != 672 {
 		t.Fatalf("Eval = %g, want 672", got)
@@ -277,33 +283,28 @@ func TestTermEvalAndString(t *testing.T) {
 	if got := tm.EvalTileOne(ranges); got != 560 {
 		t.Fatalf("EvalTileOne = %g, want 560", got)
 	}
-	s := tm.String()
-	for _, want := range []string{"8", "Nj", "Ti", "ceil(Ni/Ti)"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Term string missing %q: %s", want, s)
-		}
+	if got, want := tm.String([]string{"i", "j"}), "8 * Nj * Ti * ceil(Ni/Ti)"; got != want {
+		t.Fatalf("Term string = %q, want %q", got, want)
 	}
 }
 
-func TestTermMulAndScale(t *testing.T) {
-	a := Term{Coeff: 2, Tiles: []string{"i"}}
-	b := Term{Coeff: 3, Trips: []string{"j"}}
+func TestTermMul(t *testing.T) {
+	a := Term{Coeff: 2, Tiles: []int{0}}
+	b := Term{Coeff: 3, Trips: []int{1}}
 	c := a.Mul(b)
 	if c.Coeff != 6 || len(c.Tiles) != 1 || len(c.Trips) != 1 {
 		t.Fatalf("Mul wrong: %+v", c)
 	}
-	if got := a.Scale(5).Coeff; got != 10 {
-		t.Fatalf("Scale = %g", got)
-	}
-	if !Zero().IsZero() || One().IsZero() {
-		t.Fatal("Zero/One identities wrong")
+	if d := One().Mul(a); d.Coeff != 2 || len(d.Tiles) != 1 || len(d.Trips) != 0 {
+		t.Fatalf("One is not the identity: %+v", d)
 	}
 }
 
 func TestDividesLE(t *testing.T) {
+	const i, j = 0, 1
 	// T_i ≤ N_i.
-	a := Term{Coeff: 8, Tiles: []string{"i"}}
-	b := Term{Coeff: 8, Fulls: []string{"i"}}
+	a := Term{Coeff: 8, Tiles: []int{i}}
+	b := Term{Coeff: 8, Fulls: []int{i}}
 	if !DividesLE(a, b) {
 		t.Error("T_i should be ≤ N_i")
 	}
@@ -311,7 +312,7 @@ func TestDividesLE(t *testing.T) {
 		t.Error("N_i is not guaranteed ≤ T_i")
 	}
 	// ceil(N_i/T_i) ≤ N_i.
-	c := Term{Coeff: 8, Trips: []string{"i"}}
+	c := Term{Coeff: 8, Trips: []int{i}}
 	if !DividesLE(c, b) {
 		t.Error("ceil(N/T) should be ≤ N")
 	}
@@ -320,12 +321,12 @@ func TestDividesLE(t *testing.T) {
 		t.Error("a ≤ a must hold")
 	}
 	// Coefficients matter.
-	big := Term{Coeff: 9, Tiles: []string{"i"}}
+	big := Term{Coeff: 9, Tiles: []int{i}}
 	if DividesLE(big, a) {
 		t.Error("9Ti is not ≤ 8Ti")
 	}
 	// Extra factor on a's side → not comparable.
-	d := Term{Coeff: 8, Tiles: []string{"i", "j"}}
+	d := Term{Coeff: 8, Tiles: []int{i, j}}
 	if DividesLE(d, a) {
 		t.Error("TiTj vs Ti must not be comparable")
 	}
@@ -340,27 +341,40 @@ func TestBufferSpecString(t *testing.T) {
 
 func TestCandidateTermAccessors(t *testing.T) {
 	m := fig4Model(t)
+	kinds := func(c Candidate) map[Kind]int {
+		n := map[Kind]int{}
+		for _, tm := range c.Terms {
+			n[tm.Kind]++
+		}
+		return n
+	}
 	b := choiceByName(t, m, "B")
 	for _, c := range b.Candidates {
-		if len(c.WriteBytes()) != 2 { // write + init pass
-			t.Fatalf("B candidate %q WriteBytes = %d terms, want 2", c.Label, len(c.WriteBytes()))
+		n := kinds(c)
+		if n[WriteBytes] != 2 { // write + init pass
+			t.Fatalf("B candidate %q has %d write-byte terms, want 2", c.Label, n[WriteBytes])
 		}
-		if len(c.ReadBytes()) != 1 { // RMW read
-			t.Fatalf("B candidate %q ReadBytes = %d terms, want 1", c.Label, len(c.ReadBytes()))
+		if n[ReadBytes] != 1 { // RMW read
+			t.Fatalf("B candidate %q has %d read-byte terms, want 1", c.Label, n[ReadBytes])
 		}
-		if len(c.MemBytes()) != 1 {
-			t.Fatalf("B candidate %q MemBytes = %d terms, want 1", c.Label, len(c.MemBytes()))
+		if n[Memory] != 1 {
+			t.Fatalf("B candidate %q has %d memory terms, want 1", c.Label, n[Memory])
 		}
-		if len(c.BlockConstraints()) != 2 { // write block + RMW read block
-			t.Fatalf("B candidate %q has %d block constraints, want 2", c.Label, len(c.BlockConstraints()))
+		if n[Block] != 2 { // write block + RMW read block
+			t.Fatalf("B candidate %q has %d block terms, want 2", c.Label, n[Block])
 		}
-		if len(c.ReadOps()) != 1 || len(c.WriteOps()) != 2 {
+		if n[ReadOps] != 1 || n[WriteOps] != 2 {
 			t.Fatalf("B candidate %q op-count terms wrong", c.Label)
+		}
+		for i := 1; i < len(c.Terms); i++ {
+			if c.Terms[i].Kind < c.Terms[i-1].Kind {
+				t.Fatalf("B candidate %q terms out of kind order", c.Label)
+			}
 		}
 	}
 	a := choiceByName(t, m, "A")
 	for _, c := range a.Candidates {
-		if len(c.WriteBytes()) != 0 || len(c.ReadBytes()) != 1 {
+		if n := kinds(c); n[WriteBytes] != 0 || n[ReadBytes] != 1 {
 			t.Fatalf("input A candidate %q has wrong byte terms", c.Label)
 		}
 	}

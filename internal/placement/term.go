@@ -8,7 +8,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -16,51 +15,34 @@ import (
 //
 //	Coeff × Π_{x∈Fulls} N_x × Π_{x∈Tiles} T_x × Π_{x∈Trips} ceil(N_x/T_x)
 //
-// All disk-cost, op-count, and memory-cost expressions of the model are
-// single Terms; the objective and the memory constraint are sums of
-// λ-selected Terms. Factors may repeat (multiset semantics).
+// Factors are positions in Model.TileVars, kept in insertion order, and
+// may repeat. All disk-cost, op-count and memory-cost expressions of the
+// model are single Terms; the objective and the memory constraint are
+// sums of λ-selected Terms. T_x·ceil(N_x/T_x) stays two factors: it is
+// the padded range, not N_x.
 type Term struct {
 	Coeff float64
-	Fulls []string
-	Tiles []string
-	Trips []string
+	Fulls []int
+	Tiles []int
+	Trips []int
 }
 
 // One is the multiplicative identity term.
 func One() Term { return Term{Coeff: 1} }
 
-// Zero is the additive identity term.
-func Zero() Term { return Term{Coeff: 0} }
-
-// IsZero reports whether the term is identically zero.
-func (t Term) IsZero() bool { return t.Coeff == 0 }
-
 // Mul returns the product of two terms.
 func (t Term) Mul(u Term) Term {
 	return Term{
 		Coeff: t.Coeff * u.Coeff,
-		Fulls: concat(t.Fulls, u.Fulls),
-		Tiles: concat(t.Tiles, u.Tiles),
-		Trips: concat(t.Trips, u.Trips),
+		Fulls: append(append([]int(nil), t.Fulls...), u.Fulls...),
+		Tiles: append(append([]int(nil), t.Tiles...), u.Tiles...),
+		Trips: append(append([]int(nil), t.Trips...), u.Trips...),
 	}
 }
 
-// Scale returns the term multiplied by a constant.
-func (t Term) Scale(c float64) Term {
-	t.Coeff *= c
-	return t
-}
-
-func concat(a, b []string) []string {
-	if len(a) == 0 {
-		return append([]string(nil), b...)
-	}
-	out := append([]string(nil), a...)
-	return append(out, b...)
-}
-
-// Eval evaluates the term at the given tile sizes.
-func (t Term) Eval(tiles map[string]int64, ranges map[string]int64) float64 {
+// Eval evaluates the term at the tile sizes tiles, both tiles and ranges
+// indexed by tile-variable position.
+func (t Term) Eval(tiles, ranges []int64) float64 {
 	v := t.Coeff
 	for _, x := range t.Fulls {
 		v *= float64(ranges[x])
@@ -69,15 +51,14 @@ func (t Term) Eval(tiles map[string]int64, ranges map[string]int64) float64 {
 		v *= float64(tiles[x])
 	}
 	for _, x := range t.Trips {
-		n, tl := ranges[x], tiles[x]
-		v *= float64((n + tl - 1) / tl)
+		v *= float64((ranges[x] + tiles[x] - 1) / tiles[x])
 	}
 	return v
 }
 
 // EvalTileOne evaluates the term with every tile size set to 1 (the
 // feasibility probe of the enumeration: tiles contribute 1, trips N_x).
-func (t Term) EvalTileOne(ranges map[string]int64) float64 {
+func (t Term) EvalTileOne(ranges []int64) float64 {
 	v := t.Coeff
 	for _, x := range t.Fulls {
 		v *= float64(ranges[x])
@@ -95,44 +76,36 @@ func (t Term) EvalTileOne(ranges map[string]int64) float64 {
 // Dinh & Demmel applied to the product form); unpaired Tile or Trip
 // factors are only known to be ≥ 1. Requires Coeff ≥ 0 (all cost terms
 // are).
-func (t Term) LowerBound(ranges map[string]int64) float64 {
+func (t Term) LowerBound(ranges []int64) float64 {
 	v := t.Coeff
 	for _, x := range t.Fulls {
 		v *= float64(ranges[x])
 	}
-	tiles := multiset(t.Tiles)
-	for x, n := range multiset(t.Trips) {
-		for i := 0; i < min(n, tiles[x]); i++ {
+	tiles, trips := count(t.Tiles, len(ranges)), count(t.Trips, len(ranges))
+	for x, n := range trips {
+		for range min(n, tiles[x]) {
 			v *= float64(ranges[x])
 		}
 	}
 	return v
 }
 
-// String renders the term for model dumps: "8 * Nn/Tn * Ti * Tj".
-func (t Term) String() string {
-	parts := []string{trimFloat(t.Coeff)}
-	for _, x := range sorted(t.Fulls) {
-		parts = append(parts, "N"+x)
-	}
-	for _, x := range sorted(t.Tiles) {
-		parts = append(parts, "T"+x)
-	}
-	for _, x := range sorted(t.Trips) {
-		parts = append(parts, fmt.Sprintf("ceil(N%s/T%s)", x, x))
+// String renders the term for model dumps, vars naming the positions:
+// "8 * Nn * Ti * ceil(Nj/Tj)". Factors print in position order, which
+// is name order, as Model.TileVars is sorted.
+func (t Term) String(vars []string) string {
+	parts := []string{fmt.Sprintf("%g", t.Coeff)}
+	for _, f := range []struct {
+		xs     []int
+		format string
+	}{{t.Fulls, "N%[1]s"}, {t.Tiles, "T%[1]s"}, {t.Trips, "ceil(N%[1]s/T%[1]s)"}} {
+		for x, n := range count(f.xs, len(vars)) {
+			for range n {
+				parts = append(parts, fmt.Sprintf(f.format, vars[x]))
+			}
+		}
 	}
 	return strings.Join(parts, " * ")
-}
-
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
-}
-
-func sorted(xs []string) []string {
-	out := append([]string(nil), xs...)
-	sort.Strings(out)
-	return out
 }
 
 // DividesLE reports whether a ≤ b is guaranteed for every tile assignment,
@@ -144,51 +117,36 @@ func DividesLE(a, b Term) bool {
 	if a.Coeff <= 0 || b.Coeff <= 0 {
 		return false
 	}
-	af, bf := multiset(a.Fulls), multiset(b.Fulls)
-	at, bt := multiset(a.Tiles), multiset(b.Tiles)
-	ac, bc := multiset(a.Trips), multiset(b.Trips)
-	cancel(af, bf)
-	cancel(at, bt)
-	cancel(ac, bc)
-	// a's leftover tiles/trips may cancel against b's leftover fulls.
-	for x, n := range at {
-		take := min(n, bf[x])
-		at[x] -= take
-		bf[x] -= take
+	n := 0
+	for _, xs := range [][]int{a.Fulls, a.Tiles, a.Trips, b.Fulls, b.Tiles, b.Trips} {
+		for _, x := range xs {
+			n = max(n, x+1)
+		}
 	}
-	for x, n := range ac {
-		take := min(n, bf[x])
-		ac[x] -= take
-		bf[x] -= take
-	}
-	// Any remaining factor on a's side could exceed b; reject.
-	if total(af)+total(at)+total(ac) > 0 {
-		return false
+	af, at, ac := count(a.Fulls, n), count(a.Tiles, n), count(a.Trips, n)
+	bf, bt, bc := count(b.Fulls, n), count(b.Tiles, n), count(b.Trips, n)
+	for x := range n {
+		// Identical factors cancel; a's leftover tiles, then trips, may
+		// cancel against b's leftover fulls.
+		fulls := min(af[x], bf[x])
+		spare := bf[x] - fulls
+		tiles := at[x] - min(at[x], bt[x])
+		take := min(tiles, spare)
+		trips := ac[x] - min(ac[x], bc[x])
+		// Any remaining factor on a's side could exceed b; reject.
+		if af[x]-fulls+tiles-take+trips-min(trips, spare-take) > 0 {
+			return false
+		}
 	}
 	// Remaining factors on b's side are all ≥ 1, so b only grows.
 	return a.Coeff <= b.Coeff
 }
 
-func multiset(xs []string) map[string]int {
-	m := map[string]int{}
+// count returns how often each position 0..n−1 occurs in xs.
+func count(xs []int, n int) []int {
+	c := make([]int, n)
 	for _, x := range xs {
-		m[x]++
+		c[x]++
 	}
-	return m
-}
-
-func cancel(a, b map[string]int) {
-	for x, n := range a {
-		take := min(n, b[x])
-		a[x] -= take
-		b[x] -= take
-	}
-}
-
-func total(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
-	}
-	return n
+	return c
 }

@@ -8,14 +8,15 @@ import (
 	"testing/quick"
 )
 
-// randomTerm draws a term over a small fixed index universe.
+// randomTerm draws a term over a small fixed universe of quickVars tile
+// variables.
 type randomTerm Term
 
-var quickIndices = []string{"i", "j", "k", "m"}
+const quickVars = 4
 
 func (randomTerm) Generate(r *rand.Rand, _ int) reflect.Value {
 	t := Term{Coeff: float64(1 + r.Intn(16))}
-	for _, x := range quickIndices {
+	for x := range quickVars {
 		for r.Intn(3) == 0 {
 			switch r.Intn(3) {
 			case 0:
@@ -30,11 +31,10 @@ func (randomTerm) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(randomTerm(t))
 }
 
-func quickEnv(seed int64) (map[string]int64, map[string]int64) {
+func quickEnv(seed int64) (ranges, tiles []int64) {
 	r := rand.New(rand.NewSource(seed))
-	ranges := map[string]int64{}
-	tiles := map[string]int64{}
-	for _, x := range quickIndices {
+	ranges, tiles = make([]int64, quickVars), make([]int64, quickVars)
+	for x := range quickVars {
 		ranges[x] = 2 + r.Int63n(60)
 		tiles[x] = 1 + r.Int63n(ranges[x])
 	}
@@ -93,10 +93,7 @@ func TestQuickDividesLESound(t *testing.T) {
 func TestQuickEvalTileOneConsistent(t *testing.T) {
 	f := func(a randomTerm, seed int64) bool {
 		ranges, _ := quickEnv(seed)
-		ones := map[string]int64{}
-		for _, x := range quickIndices {
-			ones[x] = 1
-		}
+		ones := []int64{1, 1, 1, 1}
 		ta := Term(a)
 		return ta.EvalTileOne(ranges) == ta.Eval(ones, ranges)
 	}
@@ -112,8 +109,8 @@ func TestQuickEvalTileOneConsistent(t *testing.T) {
 func TestQuickPaddedSizeAtLeastExact(t *testing.T) {
 	f := func(seed int64) bool {
 		ranges, tiles := quickEnv(seed)
-		for _, x := range quickIndices {
-			padded := Term{Coeff: 1, Tiles: []string{x}, Trips: []string{x}}.Eval(tiles, ranges)
+		for x := range quickVars {
+			padded := Term{Coeff: 1, Tiles: []int{x}, Trips: []int{x}}.Eval(tiles, ranges)
 			if padded < float64(ranges[x]) {
 				return false
 			}

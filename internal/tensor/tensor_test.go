@@ -271,9 +271,44 @@ func TestContractionMatchesEinsum(t *testing.T) {
 		blk.Data[0], blk.Data[1], blk.Data[2], blk.Data[3] = out.data, a.data, b.data, v.data
 		noLeak := leaktest.Check(t)
 		con.Run(blk, workers)
+		// Read the output before noLeak, which waits for stray workers:
+		// a Run that returns before its workers finish shows here.
+		d := MaxAbsDiff(out, want)
 		noLeak()
-		if d := MaxAbsDiff(out, want); d > 1e-9 {
+		if d > 1e-9 {
 			t.Fatalf("workers %d: contraction differs from einsum by %g", workers, d)
+		}
+	}
+
+	// A block big enough that three workers are still running when a Run
+	// without its join would return: out[i,j] = Σ_l x[i,l]·y[l,j] split
+	// over them must equal the serial result bit for bit.
+	const n, nm = 192, 96
+	x, y := randomTensor(rng, n, nm), randomTensor(rng, nm, n)
+	var serial []float64
+	for _, workers := range []int{1, 3} {
+		con := NewContraction([]bool{true, false, true}, 2) // i l j
+		blk := con.NewBlock()
+		copy(blk.Ext, []int{n, nm, n})
+		copy(blk.Stride, []int{
+			n, 0, 1, // out[i,j]
+			nm, 1, 0, // x[i,l]
+			0, n, 1, // y[l,j]
+		})
+		out := New(n, n)
+		blk.Data[0], blk.Data[1], blk.Data[2] = out.data, x.data, y.data
+		noLeak := leaktest.Check(t)
+		con.Run(blk, workers)
+		got := append([]float64(nil), out.data...)
+		noLeak()
+		if serial == nil {
+			serial = got
+			continue
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(serial[i]) {
+				t.Fatalf("workers %d: element %d is %g after Run, serial %g", workers, i, got[i], serial[i])
+			}
 		}
 	}
 }
