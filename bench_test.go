@@ -239,33 +239,6 @@ func benchDominance(b *testing.B, disable bool) {
 func BenchmarkPlacementAblation_Pruned(b *testing.B)   { benchDominance(b, false) }
 func BenchmarkPlacementAblation_Unpruned(b *testing.B) { benchDominance(b, true) }
 
-// Encoding ablation: the paper's ⌈log2 M⌉ binary λ encoding vs a one-hot
-// encoding with an exactly-one-set constraint.
-func benchEncoding(b *testing.B, enc nlp.Encoding) {
-	tree, err := tiling.Tile(loops.FourIndexAbstract(140, 120))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := placement.Enumerate(tree, machine.OSCItanium2(), placement.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := nlp.BuildEncoded(m, enc)
-	b.ResetTimer()
-	var obj float64
-	for i := 0; i < b.N; i++ {
-		res, err := dcs.Run(context.Background(), p, dcs.WithSeed(1), dcs.WithBudget(100000))
-		if err != nil || !res.Feasible {
-			b.Fatalf("solve failed: %v", err)
-		}
-		obj = res.Objective
-	}
-	b.ReportMetric(obj, "predicted-io-s")
-}
-
-func BenchmarkEncodingAblation_Binary(b *testing.B) { benchEncoding(b, nlp.BinaryEncoding) }
-func BenchmarkEncodingAblation_OneHot(b *testing.B) { benchEncoding(b, nlp.OneHotEncoding) }
-
 // Sampling-density ablation: the baseline's grid factor trades search time
 // against solution quality.
 func benchSamplingDensity(b *testing.B, factor int64) {

@@ -38,7 +38,7 @@ func TestStrategySpecsTotal(t *testing.T) {
 			// The solver must accept the configured strategy: a drifted
 			// enum value would error out of a 1-eval run.
 			if _, err := dcs.Run(context.Background(), tinyProblem{},
-				dcs.WithStrategy(sp.solver), dcs.WithBudget(10), dcs.WithRestarts(1)); err != nil {
+				dcs.WithStrategy(sp.solver), dcs.WithBudget(10)); err != nil {
 				t.Fatalf("spec of %v configures a solver strategy the solver rejects: %v", s, err)
 			}
 		}

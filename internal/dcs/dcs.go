@@ -67,13 +67,11 @@ type Problem interface {
 
 // Group describes a block of binary variables x[Offset:Offset+Len] that
 // jointly encode one categorical choice with codes 0..Codes-1: bit b of
-// the code stored at x[Offset+b] (binary encoding), or exactly bit `code`
-// set (one-hot encoding).
+// the code stored at x[Offset+b].
 type Group struct {
 	Offset int
 	Len    int
 	Codes  int64
-	OneHot bool
 }
 
 // GroupedProblem optionally exposes categorical variable groups; the
@@ -142,7 +140,8 @@ type options struct {
 	// MaxEvals bounds the number of objective/constraint evaluations
 	// (default 200000).
 	MaxEvals int
-	// Restarts is the number of independent starts (default 8).
+	// Restarts is the number of independent starts: 8, halved per
+	// portfolio lane.
 	Restarts int
 	// Start, if non-nil, seeds the first restart.
 	Start []int64
@@ -628,14 +627,6 @@ func (s *solver) moves(i int, v int64, buf []int64) []int64 {
 
 // groupCode reads the code stored in a group's bits.
 func groupCode(g Group, x []int64) int64 {
-	if g.OneHot {
-		for b := 0; b < g.Len; b++ {
-			if x[g.Offset+b] != 0 {
-				return int64(b)
-			}
-		}
-		return 0
-	}
 	var code int64
 	for b := 0; b < g.Len; b++ {
 		if x[g.Offset+b] != 0 {
@@ -648,15 +639,7 @@ func groupCode(g Group, x []int64) int64 {
 // setGroupCode writes a code into a group's bits.
 func setGroupCode(g Group, x []int64, code int64) {
 	for b := 0; b < g.Len; b++ {
-		var v int64
-		if g.OneHot {
-			if int64(b) == code {
-				v = 1
-			}
-		} else if code&(1<<b) != 0 {
-			v = 1
-		}
-		x[g.Offset+b] = v
+		x[g.Offset+b] = code >> b & 1
 	}
 }
 

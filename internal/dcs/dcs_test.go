@@ -242,11 +242,12 @@ func (emptyProblem) Bounds(int) (int64, int64)    { return 0, 0 }
 func (emptyProblem) Objective([]int64) float64    { return 0 }
 func (emptyProblem) Violations([]int64) []float64 { return nil }
 
-// groupedProblem: choose one of 5 options (one-hot over 5 bits) plus an
-// integer t ∈ [1,100]; cost = optionCost[k] · ceil(100/t); constraint:
-// t ≤ caps[k]. The optimum couples the categorical and integer variables,
-// exercising the solver's group moves.
-type groupedProblem struct{ oneHot bool }
+// groupedProblem: choose one of 5 options (a binary code in x[1:4],
+// codes ≥ 4 selecting option 4; x[4:6] are bits the problem ignores)
+// plus an integer t ∈ [1,100]; cost = optionCost[k] · ceil(100/t);
+// constraint: t ≤ caps[k]. The optimum couples the categorical and
+// integer variables, exercising the solver's group moves.
+type groupedProblem struct{}
 
 var gpCosts = []float64{5, 3, 1, 4, 2}
 var gpCaps = []int64{100, 40, 10, 80, 25}
@@ -259,14 +260,6 @@ func (g groupedProblem) Bounds(i int) (int64, int64) {
 	return 0, 1
 }
 func (g groupedProblem) selected(x []int64) int {
-	if g.oneHot {
-		for b := 0; b < 5; b++ {
-			if x[1+b] != 0 {
-				return b
-			}
-		}
-		return 0
-	}
 	code := 0
 	for b := 0; b < 3; b++ {
 		if x[1+b] != 0 {
@@ -291,27 +284,21 @@ func (g groupedProblem) Violations(x []int64) []float64 {
 	return []float64{0}
 }
 func (g groupedProblem) Groups() []Group {
-	bits := 3
-	if g.oneHot {
-		bits = 5
-	}
-	return []Group{{Offset: 1, Len: bits, Codes: 5, OneHot: g.oneHot}}
+	return []Group{{Offset: 1, Len: 3, Codes: 5}}
 }
 
 func TestGroupMovesFindCoupledOptimum(t *testing.T) {
 	// Brute-force optimum: min over k of cost[k]·ceil(100/caps[k]):
 	// k=0: 5·1=5, k=1: 3·3=9, k=2: 1·10=10, k=3: 4·2=8, k=4: 2·4=8 → 5.
-	for _, oneHot := range []bool{false, true} {
-		res, err := Run(context.Background(), groupedProblem{oneHot: oneHot}, WithSeed(11), WithBudget(30000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Feasible {
-			t.Fatalf("oneHot=%v: infeasible", oneHot)
-		}
-		if res.Objective != 5 {
-			t.Fatalf("oneHot=%v: objective %g at %v, want 5", oneHot, res.Objective, res.X)
-		}
+	res, err := Run(context.Background(), groupedProblem{}, WithSeed(11), WithBudget(30000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Feasible {
+		t.Fatal("infeasible")
+	}
+	if res.Objective != 5 {
+		t.Fatalf("objective %g at %v, want 5", res.Objective, res.X)
 	}
 }
 
@@ -332,22 +319,6 @@ func TestGroupCodeRoundTrip(t *testing.T) {
 		setGroupCode(bin, x, code)
 		if got := groupCode(bin, x); got != code {
 			t.Fatalf("binary code %d round-tripped to %d", code, got)
-		}
-	}
-	oh := Group{Offset: 1, Len: 5, Codes: 5, OneHot: true}
-	for code := int64(0); code < 5; code++ {
-		setGroupCode(oh, x, code)
-		set := 0
-		for b := 0; b < 5; b++ {
-			if x[1+b] != 0 {
-				set++
-			}
-		}
-		if set != 1 {
-			t.Fatalf("one-hot code %d set %d bits", code, set)
-		}
-		if got := groupCode(oh, x); got != code {
-			t.Fatalf("one-hot code %d round-tripped to %d", code, got)
 		}
 	}
 }

@@ -153,13 +153,13 @@ func TestSolverTrajectoryGolden(t *testing.T) {
 }
 
 // mixedGroups is a grouped problem whose λ groups take every path of the
-// DLM group scan: x[0], x[1] are tiles in 1..64; x[2:5] a one-hot group
-// of 3 codes; x[5:7] a binary group of 4 codes whose bits range over
-// 0..2, so a bit's single-variable moves are not flips; x[7:9], when
-// plainBits is set, a binary 0/1 group of 3 codes. The objective reads
-// the raw bit values, so a group code written over a bit holding 2 is a
-// different point from any single-variable move. It counts its
-// Objective calls.
+// DLM group scan: x[0], x[1] are tiles in 1..64; x[2:4] a binary group
+// of 3 codes whose high bit ranges over 0..2; x[4:6] a binary group of 4
+// codes whose bits both range over 0..2, so a bit's single-variable
+// moves are not flips; x[6:8], when plainBits is set, a binary 0/1 group
+// of 3 codes. The objective and the second constraint read the raw bit
+// values, so a group code written over a bit holding 2 is a different
+// point from any single-variable move. It counts its Objective calls.
 type mixedGroups struct {
 	plainBits bool
 	calls     *int
@@ -167,16 +167,16 @@ type mixedGroups struct {
 
 func (m mixedGroups) Dim() int {
 	if m.plainBits {
-		return 9
+		return 8
 	}
-	return 7
+	return 6
 }
 
 func (m mixedGroups) Bounds(i int) (int64, int64) {
 	switch {
 	case i < 2:
 		return 1, 64
-	case i == 5 || i == 6:
+	case i >= 3 && i <= 5:
 		return 0, 2
 	}
 	return 0, 1
@@ -186,12 +186,10 @@ func (m mixedGroups) Objective(x []int64) float64 {
 	*m.calls++
 	t0, t1 := float64(x[0]), float64(x[1])
 	f := (t0-20)*(t0-20)/10 + (t1-7)*(t1-7) + 300/(t0*t1)
-	for b, w := range []float64{5, 2, 9} {
-		f += w * float64(x[2+b])
-	}
-	f += 11 - 4*float64(x[5]) + 3*float64(x[6])*float64(x[5]) + 0.5*float64(x[6])*t1
+	f += 5*float64(x[2]) + 2*float64(x[3])
+	f += 11 - 4*float64(x[4]) + 3*float64(x[5])*float64(x[4]) + 0.5*float64(x[5])*t1
 	if m.plainBits {
-		f += []float64{6, 1, 4, 0.5}[x[7]+2*x[8]] * (1 + t0/64)
+		f += []float64{6, 1, 4, 0.5}[x[6]+2*x[7]] * (1 + t0/64)
 	}
 	return f
 }
@@ -201,28 +199,28 @@ func (m mixedGroups) Violations(x []int64) []float64 {
 	if p := x[0] * x[1]; p > 300 {
 		g[0] = float64(p-300) / 300
 	}
-	set := x[2] + x[3] + x[4]
-	g[1] = math.Abs(float64(set - 1))
+	g[1] = math.Abs(float64(x[2] + x[3] - 1))
 	return g
 }
 
 func (m mixedGroups) Groups() []dcs.Group {
-	gs := []dcs.Group{{Offset: 2, Len: 3, Codes: 3, OneHot: true}, {Offset: 5, Len: 2, Codes: 4}}
+	gs := []dcs.Group{{Offset: 2, Len: 2, Codes: 3}, {Offset: 4, Len: 2, Codes: 4}}
 	if m.plainBits {
-		gs = append(gs, dcs.Group{Offset: 7, Len: 2, Codes: 3})
+		gs = append(gs, dcs.Group{Offset: 6, Len: 2, Codes: 3})
 	}
 	return gs
 }
 
 // mixedGroupsGolden holds the digests of TestDLMGroupScanTrajectory's
-// solves, recorded while DLM still evaluated every point it scored.
+// solves, recorded with DLM's flip re-use switched off, so that DLM
+// evaluated every point it scored.
 var mixedGroupsGolden = map[string]string{
-	"plainBits=false/seed 1": "d88ea19d47e7570e",
-	"plainBits=false/seed 2": "da5bb92f7a683e0c",
-	"plainBits=false/seed 3": "c357d1b758abe06d",
-	"plainBits=true/seed 1":  "d037b0d1c8f2b289",
-	"plainBits=true/seed 2":  "9d8639b9d6d39224",
-	"plainBits=true/seed 3":  "807a5deefa23489f",
+	"plainBits=false/seed 1": "277b44f1a9fd4ec9",
+	"plainBits=false/seed 2": "d7b5fbd9fbbe8dff",
+	"plainBits=false/seed 3": "f545fc35bf7207e1",
+	"plainBits=true/seed 1":  "b4646b627791fd43",
+	"plainBits=true/seed 2":  "1553445197f8fddd",
+	"plainBits=true/seed 3":  "282271c17dd9f5d5",
 }
 
 // TestDLMGroupScanTrajectory solves mixedGroups with DLM and compares the

@@ -143,12 +143,17 @@ func TestPortfolioPreCancelled(t *testing.T) {
 	noLeak()
 }
 
+// withRestarts sets the number of starts, which Run fixes at 8.
+func withRestarts(n int) RunOption {
+	return func(o *options) { o.Restarts = n }
+}
+
 // TestPatienceStopsEarly: with a feasible point found immediately (warm
 // start at the optimum), a small patience must terminate the search far
 // under budget, and the warm start must be kept.
 func TestPatienceStopsEarly(t *testing.T) {
 	res, err := Run(context.Background(), quadProblem{},
-		WithSeed(2), WithBudget(200000), WithRestarts(1),
+		WithSeed(2), WithBudget(200000), withRestarts(1),
 		WithStart([]int64{6, 2}), WithPatience(500))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +166,7 @@ func TestPatienceStopsEarly(t *testing.T) {
 	}
 	// Without patience the same search burns its whole budget.
 	full, err := Run(context.Background(), quadProblem{},
-		WithSeed(2), WithBudget(20000), WithRestarts(1),
+		WithSeed(2), WithBudget(20000), withRestarts(1),
 		WithStart([]int64{6, 2}))
 	if err != nil {
 		t.Fatal(err)

@@ -35,16 +35,6 @@ func WithBudget(maxEvals int) RunOption {
 	}
 }
 
-// WithRestarts sets the number of independent starts per lane
-// (non-positive keeps the default of 8).
-func WithRestarts(n int) RunOption {
-	return func(o *options) {
-		if n > 0 {
-			o.Restarts = n
-		}
-	}
-}
-
 // WithStart warm-starts the search: x seeds the first restart (of lane 0
 // under a portfolio). The solver clamps it to the problem bounds; a nil
 // start is ignored.

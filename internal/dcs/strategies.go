@@ -129,11 +129,11 @@ func (s *solver) dlmOnce(start []int64) {
 // current pass. Setting a binary group whose bits are all 0/1 variables
 // from code cur to cur^(1<<b) gives, element for element, the point of
 // the pass's flip of bit b, so the group scan records the kept score
-// instead of evaluating that point again. One-hot groups and groups
-// with a wider-ranged bit are always evaluated. The group scan runs
-// only after the single-variable scan has scored every variable (both
-// stop together when the budget runs out), so every kept score is from
-// the current pass.
+// instead of evaluating that point again. Groups with a wider-ranged bit
+// are always evaluated. The group scan runs only after the
+// single-variable scan has scored every variable (both stop together
+// when the budget runs out), so every kept score is from the current
+// pass.
 type flipScores struct {
 	// keep[i] marks a bit of a binary group whose bits all range over
 	// 0..1; only those flips are kept.
@@ -151,7 +151,7 @@ func (fs *flipScores) init(s *solver, m int) {
 	fs.g = make([]float64, n*m)
 	fs.m = m
 	for _, grp := range s.groups {
-		ok := !grp.OneHot
+		ok := true
 		for _, v := range s.vars[grp.Offset:][:grp.Len] {
 			ok = ok && v.lo == 0 && v.hi == 1
 		}

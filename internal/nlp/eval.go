@@ -73,40 +73,17 @@ func (p *Problem) tripsOf(x []int64, buf []float64) []float64 {
 	return buf
 }
 
-// code decodes the candidate choice ci selects in x: under one-hot
-// encoding the first set bit wins (candidate 0 if none is set) and
-// oneHot is the exactly-one violation |set−1|; under binary encoding
-// codes ≥ M clamp to the last candidate and oneHot is 0.
-func (p *Problem) code(ci int, x []int64) (k int, oneHot float64) {
+// code decodes the candidate choice ci selects in x: the binary code of
+// its λ bits, with codes ≥ M clamped to the last candidate.
+func (p *Problem) code(ci int, x []int64) int {
 	ch := &p.Choices[ci]
-	bits := x[len(p.TileVars)+ch.BitOffset:][:ch.Bits]
-	if p.Enc == OneHotEncoding {
-		set, first := 0, -1
-		for b, v := range bits {
-			if v != 0 {
-				set++
-				if first < 0 {
-					first = b
-				}
-			}
-		}
-		if first > 0 {
-			k = first
-		}
-		if ch.Bits > 0 && set != 1 {
-			oneHot = float64(abs(set - 1))
-		}
-		return k, oneHot
-	}
-	for b, v := range bits {
+	k := 0
+	for b, v := range x[len(p.TileVars)+ch.BitOffset:][:ch.Bits] {
 		if v != 0 {
 			k |= 1 << b
 		}
 	}
-	if k >= ch.M {
-		k = ch.M - 1
-	}
-	return k, 0
+	return min(k, ch.M-1)
 }
 
 // evaluator is one solver's incremental view of a Problem. It caches the
@@ -130,7 +107,6 @@ type evaluator struct {
 	dirty     []bool
 	sel       []int
 	mask      []uint64    // mask[ci]: the tile mask of choice ci's selected candidate
-	oneHot    []float64   // oneHot[ci]: choice ci's exactly-one violation
 	vals      [][]float64 // vals[ci][j]: term j of choice ci's selected candidate
 	// fPre[ci] and memPre[ci] are the objective and memory totals of
 	// choices 0..ci−1; fPre[len(Choices)] is f.
@@ -152,7 +128,6 @@ func (p *Problem) NewEvaluator() dcs.Evaluator {
 		dirty:     make([]bool, n),
 		sel:       make([]int, n),
 		mask:      make([]uint64, n),
-		oneHot:    make([]float64, n),
 		vals:      make([][]float64, n),
 		fPre:      make([]float64, n+1),
 		memPre:    make([]float64, n+1),
@@ -213,8 +188,7 @@ func (e *evaluator) Eval(x []int64) (float64, []float64) {
 		k, blocks := e.sel[ci], false
 		if e.dirty[ci] {
 			e.dirty[ci] = false
-			k, e.oneHot[ci] = p.code(ci, x)
-			blocks = true
+			k = p.code(ci, x)
 		}
 		c := &cands[k]
 		vals := e.vals[ci][:len(c.terms)]
@@ -258,7 +232,7 @@ func (e *evaluator) Eval(x []int64) (float64, []float64) {
 			for _, v := range vals[c.nCost+c.nMem:] {
 				short += v
 			}
-			e.g[1+ci] = short + e.oneHot[ci]
+			e.g[1+ci] = short
 		}
 	}
 	if first < n {

@@ -47,7 +47,7 @@ func evalProblems(t testing.TB) []evalProblem {
 	return out
 }
 
-func (ep evalProblem) build(t testing.TB, enc Encoding) *Problem {
+func (ep evalProblem) build(t testing.TB) *Problem {
 	t.Helper()
 	tree, err := tiling.Tile(ep.prog)
 	if err != nil {
@@ -57,7 +57,7 @@ func (ep evalProblem) build(t testing.TB, enc Encoding) *Problem {
 	if err != nil {
 		t.Fatalf("%s: %v", ep.name, err)
 	}
-	return BuildEncoded(m, enc)
+	return Build(m)
 }
 
 // TestEvaluatorMatchesObjectiveBits walks random trajectories of the
@@ -71,63 +71,40 @@ func TestEvaluatorMatchesObjectiveBits(t *testing.T) {
 		steps = 300
 	}
 	for _, ep := range evalProblems(t) {
-		for _, enc := range []Encoding{BinaryEncoding, OneHotEncoding} {
-			p := ep.build(t, enc)
-			rng := rand.New(rand.NewSource(int64(len(ep.name)) + int64(enc)))
-			ev := p.NewEvaluator()
-			nt := len(p.TileVars)
-			jump := func(x []int64) {
-				for i := range x {
-					lo, hi := p.Bounds(i)
-					x[i] = lo + rng.Int63n(hi-lo+1)
-				}
+		p := ep.build(t)
+		rng := rand.New(rand.NewSource(int64(len(ep.name))))
+		ev := p.NewEvaluator()
+		nt := len(p.TileVars)
+		jump := func(x []int64) {
+			for i := range x {
+				lo, hi := p.Bounds(i)
+				x[i] = lo + rng.Int63n(hi-lo+1)
 			}
-			x := make([]int64, p.Dim())
-			jump(x)
-			prev := append([]int64(nil), x...)
-			for step := 0; step < steps; step++ {
-				before := append([]int64(nil), x...)
-				switch r := rng.Intn(10); {
-				case r < 5: // one variable: a tile size or a λ bit
-					i := rng.Intn(p.Dim())
-					lo, hi := p.Bounds(i)
-					x[i] = lo + rng.Int63n(hi-lo+1)
-				case r < 7 && len(p.Choices) > 0: // reassign one choice
-					ch := p.Choices[rng.Intn(len(p.Choices))]
-					code := rng.Intn(1 << ch.Bits) // may exceed M−1: clamps
-					if enc == OneHotEncoding {
-						code = rng.Intn(ch.M)
-					}
-					for b := 0; b < ch.Bits; b++ {
-						set := code&(1<<b) != 0
-						if enc == OneHotEncoding {
-							set = b == code
-						}
-						x[nt+ch.BitOffset+b] = 0
-						if set {
-							x[nt+ch.BitOffset+b] = 1
-						}
-					}
-				case r < 9: // restore the previous point
-					copy(x, prev)
-				default:
-					jump(x)
+		}
+		x := make([]int64, p.Dim())
+		jump(x)
+		prev := append([]int64(nil), x...)
+		for step := 0; step < steps; step++ {
+			before := append([]int64(nil), x...)
+			switch r := rng.Intn(10); {
+			case r < 5: // one variable: a tile size or a λ bit
+				i := rng.Intn(p.Dim())
+				lo, hi := p.Bounds(i)
+				x[i] = lo + rng.Int63n(hi-lo+1)
+			case r < 7 && len(p.Choices) > 0: // reassign one choice
+				ch := p.Choices[rng.Intn(len(p.Choices))]
+				code := rng.Intn(1 << ch.Bits) // may exceed M−1: clamps
+				for b := 0; b < ch.Bits; b++ {
+					x[nt+ch.BitOffset+b] = int64(code >> b & 1)
 				}
-				prev = before
-				f, g := ev.Eval(x)
-				wantF, wantG := p.Objective(x), p.Violations(x)
-				if math.Float64bits(f) != math.Float64bits(wantF) {
-					t.Fatalf("%s enc %d step %d: f = %v, Objective = %v (x = %v)", ep.name, enc, step, f, wantF, x)
-				}
-				if len(g) != len(wantG) {
-					t.Fatalf("%s enc %d: %d violations, want %d", ep.name, enc, len(g), len(wantG))
-				}
-				for i := range g {
-					if math.Float64bits(g[i]) != math.Float64bits(wantG[i]) {
-						t.Fatalf("%s enc %d step %d: g[%d] = %v, Violations = %v (x = %v)", ep.name, enc, step, i, g[i], wantG[i], x)
-					}
-				}
+			case r < 9: // restore the previous point
+				copy(x, prev)
+			default:
+				jump(x)
 			}
+			prev = before
+			f, g := ev.Eval(x)
+			checkEval(t, fmt.Sprintf("%s step %d", ep.name, step), p, x, f, g)
 		}
 	}
 }
@@ -137,7 +114,7 @@ func TestEvaluatorMatchesObjectiveBits(t *testing.T) {
 // Violations, and zero per incremental Eval.
 func TestObjectiveViolationsAllocs(t *testing.T) {
 	ep := evalProblem{"four-index 190x180", loops.FourIndexAbstract(190, 180), machine.OSCItanium2()}
-	p := ep.build(t, BinaryEncoding)
+	p := ep.build(t)
 	x := p.Encode(map[string]int64{"a": 40, "b": 30}, nil)
 	ev := p.NewEvaluator()
 	for _, c := range []struct {
@@ -177,12 +154,11 @@ func checkEval(t *testing.T, what string, p *Problem, x []int64, f float64, g []
 // TestEvaluatorSkipPathsMatchObjectiveBits drives the evaluator through
 // the moves after which it decodes, recomputes or re-sums little or
 // nothing: the same point twice, λ bits whose code clamps to the last
-// candidate (any bit pattern under one-hot encoding), a tile move within
-// one trip count, preferring a tile that no selected candidate's term
-// multiplies by directly, and a λ bit that changes the one-hot violation
-// but not the selection. Single-variable moves and jumps keep the
-// trajectory moving. Every result must equal Objective and Violations to
-// the bit.
+// candidate, a tile move within one trip count, preferring a tile that
+// no selected candidate's term multiplies by directly, and a flip of a
+// λ bit above a choice's lowest set bit. Single-variable moves and jumps
+// keep the trajectory moving. Every result must equal Objective and
+// Violations to the bit.
 func TestEvaluatorSkipPathsMatchObjectiveBits(t *testing.T) {
 	steps := 1500
 	if testing.Short() {
@@ -190,78 +166,70 @@ func TestEvaluatorSkipPathsMatchObjectiveBits(t *testing.T) {
 	}
 	untouched := 0 // tile moves that left every selected term's value as is
 	for _, ep := range evalProblems(t) {
-		for _, enc := range []Encoding{BinaryEncoding, OneHotEncoding} {
-			p := ep.build(t, enc)
-			rng := rand.New(rand.NewSource(int64(len(ep.name)) + 7*int64(enc)))
-			ev := p.NewEvaluator()
-			nt := len(p.TileVars)
-			x := make([]int64, p.Dim())
-			jump := func() {
-				for i := range x {
-					lo, hi := p.Bounds(i)
-					x[i] = lo + rng.Int63n(hi-lo+1)
-				}
+		p := ep.build(t)
+		rng := rand.New(rand.NewSource(int64(len(ep.name))))
+		ev := p.NewEvaluator()
+		nt := len(p.TileVars)
+		x := make([]int64, p.Dim())
+		jump := func() {
+			for i := range x {
+				lo, hi := p.Bounds(i)
+				x[i] = lo + rng.Int63n(hi-lo+1)
 			}
-			jump()
-			for step := 0; step < steps; step++ {
-				what := fmt.Sprintf("%s enc %d step %d", ep.name, enc, step)
-				switch r := rng.Intn(12); {
-				case r < 2: // the same point again
-					f, g := ev.Eval(x)
-					checkEval(t, what+" (first of two)", p, x, f, g)
-				case r < 4 && len(p.Choices) > 0: // a code that clamps
-					ch := p.Choices[rng.Intn(len(p.Choices))]
-					bits := x[nt+ch.BitOffset:][:ch.Bits]
-					switch {
-					case enc == OneHotEncoding:
-						for b := range bits {
-							bits[b] = rng.Int63n(2)
-						}
-					case 1<<ch.Bits > ch.M:
-						code := ch.M + rng.Intn(1<<ch.Bits-ch.M)
-						for b := range bits {
-							bits[b] = int64(code >> b & 1)
-						}
-					}
-				case r < 6 && nt > 0: // a tile move within one trip count
-					i := rng.Intn(nt)
-					sel := p.Selected(x)
-					for j := 0; j < nt; j++ {
-						if !multipliesBy(p, sel, (i+j)%nt) {
-							i = (i + j) % nt
-							break
-						}
-					}
-					n, k := p.Ranges[i], (p.Ranges[i]+x[i]-1)/x[i]
-					lo, hi := (n+k-1)/k, n
-					if k > 1 {
-						hi = (n+k-2)/(k-1) - 1
-					}
-					if !multipliesBy(p, sel, i) && hi > lo {
-						untouched++
-					}
-					x[i] = lo + rng.Int63n(hi-lo+1)
-				case r < 8 && len(p.Choices) > 0: // one λ bit after the first set one
-					ch := p.Choices[rng.Intn(len(p.Choices))]
-					bits := x[nt+ch.BitOffset:][:ch.Bits]
-					first := 0
-					for first < len(bits) && bits[first] == 0 {
-						first++
-					}
-					if first+1 < len(bits) {
-						b := first + 1 + rng.Intn(len(bits)-first-1)
-						bits[b] ^= 1
-					}
-				case r < 11: // one variable: a tile size or a λ bit
-					i := rng.Intn(p.Dim())
-					lo, hi := p.Bounds(i)
-					x[i] = lo + rng.Int63n(hi-lo+1)
-				default:
-					jump()
-				}
+		}
+		jump()
+		for step := 0; step < steps; step++ {
+			what := fmt.Sprintf("%s step %d", ep.name, step)
+			switch r := rng.Intn(12); {
+			case r < 2: // the same point again
 				f, g := ev.Eval(x)
-				checkEval(t, what, p, x, f, g)
+				checkEval(t, what+" (first of two)", p, x, f, g)
+			case r < 4 && len(p.Choices) > 0: // a code that clamps
+				ch := p.Choices[rng.Intn(len(p.Choices))]
+				if bits := x[nt+ch.BitOffset:][:ch.Bits]; 1<<ch.Bits > ch.M {
+					code := ch.M + rng.Intn(1<<ch.Bits-ch.M)
+					for b := range bits {
+						bits[b] = int64(code >> b & 1)
+					}
+				}
+			case r < 6 && nt > 0: // a tile move within one trip count
+				i := rng.Intn(nt)
+				sel := p.Selected(x)
+				for j := 0; j < nt; j++ {
+					if !multipliesBy(p, sel, (i+j)%nt) {
+						i = (i + j) % nt
+						break
+					}
+				}
+				n, k := p.Ranges[i], (p.Ranges[i]+x[i]-1)/x[i]
+				lo, hi := (n+k-1)/k, n
+				if k > 1 {
+					hi = (n+k-2)/(k-1) - 1
+				}
+				if !multipliesBy(p, sel, i) && hi > lo {
+					untouched++
+				}
+				x[i] = lo + rng.Int63n(hi-lo+1)
+			case r < 8 && len(p.Choices) > 0: // one λ bit above the lowest set one
+				ch := p.Choices[rng.Intn(len(p.Choices))]
+				bits := x[nt+ch.BitOffset:][:ch.Bits]
+				first := 0
+				for first < len(bits) && bits[first] == 0 {
+					first++
+				}
+				if first+1 < len(bits) {
+					b := first + 1 + rng.Intn(len(bits)-first-1)
+					bits[b] ^= 1
+				}
+			case r < 11: // one variable: a tile size or a λ bit
+				i := rng.Intn(p.Dim())
+				lo, hi := p.Bounds(i)
+				x[i] = lo + rng.Int63n(hi-lo+1)
+			default:
+				jump()
 			}
+			f, g := ev.Eval(x)
+			checkEval(t, what, p, x, f, g)
 		}
 	}
 	if untouched == 0 {
@@ -292,7 +260,7 @@ func multipliesBy(p *Problem, sel []int, i int) bool {
 // choices from a fixed start.
 func BenchmarkEval(b *testing.B) {
 	for _, ep := range evalProblems(b)[:3] {
-		p := ep.build(b, BinaryEncoding)
+		p := ep.build(b)
 		nt := len(p.TileVars)
 		tiles, sel := map[string]int64{}, map[string]int{}
 		for i, v := range p.TileVars {

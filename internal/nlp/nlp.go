@@ -16,18 +16,6 @@ import (
 	"repro/internal/placement"
 )
 
-// Encoding selects how λ bits encode candidate choices.
-type Encoding int
-
-const (
-	// BinaryEncoding uses ⌈log2 M⌉ bits per choice (the paper's
-	// formulation).
-	BinaryEncoding Encoding = iota
-	// OneHotEncoding uses M bits per choice with an exactly-one-set
-	// constraint; the ablation alternative.
-	OneHotEncoding
-)
-
 // Problem is the compiled optimization problem. The decision vector x has
 // len(TileVars) integer entries (tile sizes, in TileVars order) followed
 // by NumLambda binary entries (0/1).
@@ -40,8 +28,6 @@ type Problem struct {
 	// ChoiceEnc describes the λ encoding of each array choice.
 	Choices   []ChoiceEnc
 	NumLambda int
-	// Enc is the λ encoding in use.
-	Enc Encoding
 
 	cands [][]candidate
 }
@@ -57,26 +43,18 @@ type ChoiceEnc struct {
 }
 
 // Build compiles a placement model into an optimization problem with the
-// paper's binary λ encoding.
-func Build(m *placement.Model) *Problem { return BuildEncoded(m, BinaryEncoding) }
-
-// BuildEncoded compiles a placement model with an explicit λ encoding.
-// Each candidate's priced terms (placement.Candidate.Terms) are copied
-// into its evaluator terms, with the full-range factors folded into the
-// coefficient.
-func BuildEncoded(m *placement.Model, enc Encoding) *Problem {
+// paper's binary λ encoding. Each candidate's priced terms
+// (placement.Candidate.Terms) are copied into its evaluator terms, with
+// the full-range factors folded into the coefficient.
+func Build(m *placement.Model) *Problem {
 	p := &Problem{
 		Model:    m,
 		TileVars: m.TileVars,
 		Ranges:   m.Ranges,
-		Enc:      enc,
 	}
 	off := 0
 	for _, ch := range m.Choices {
 		bits := bitsFor(len(ch.Candidates))
-		if enc == OneHotEncoding && len(ch.Candidates) > 1 {
-			bits = len(ch.Candidates)
-		}
 		p.Choices = append(p.Choices, ChoiceEnc{Name: ch.Name, BitOffset: off, Bits: bits, M: len(ch.Candidates)})
 		off += bits
 
@@ -129,13 +107,12 @@ func (p *Problem) Bounds(i int) (lo, hi int64) {
 	return 0, 1
 }
 
-// Selected returns the candidate index chosen by x for each choice. Under
-// one-hot encoding the first set bit wins (candidate 0 if none is set);
-// under binary encoding codes ≥ M clamp to the last candidate.
+// Selected returns the candidate index chosen by x for each choice
+// (codes ≥ M clamp to the last candidate).
 func (p *Problem) Selected(x []int64) []int {
 	out := make([]int, len(p.Choices))
 	for ci := range out {
-		out[ci], _ = p.code(ci, x)
+		out[ci] = p.code(ci, x)
 	}
 	return out
 }
@@ -148,7 +125,7 @@ func (p *Problem) Objective(x []int64) float64 {
 	trips := p.tripsOf(x, buf[:0])
 	total := 0.0
 	for ci, cands := range p.cands {
-		k, _ := p.code(ci, x)
+		k := p.code(ci, x)
 		total = accumulate(total, cands[k].cost(), x, trips)
 	}
 	return total
@@ -160,7 +137,7 @@ func (p *Problem) MemoryUsage(x []int64) float64 {
 	trips := p.tripsOf(x, buf[:0])
 	total := 0.0
 	for ci, cands := range p.cands {
-		k, _ := p.code(ci, x)
+		k := p.code(ci, x)
 		total = accumulate(total, cands[k].mem(), x, trips)
 	}
 	return total
@@ -169,27 +146,19 @@ func (p *Problem) MemoryUsage(x []int64) float64 {
 // Violations returns the constraint violations of x, each ≥ 0 with 0
 // meaning satisfied: [0] the memory limit (relative overrun), then one
 // entry per choice aggregating its minimum-block-size violations
-// (relative shortfall) and, under one-hot encoding, the violation of its
-// exactly-one-bit constraint.
+// (relative shortfall).
 func (p *Problem) Violations(x []int64) []float64 {
 	var buf [maxStackTiles]float64
 	trips := p.tripsOf(x, buf[:0])
 	out := make([]float64, 1+len(p.Choices))
 	mem := 0.0
 	for ci, cands := range p.cands {
-		k, oneHot := p.code(ci, x)
+		k := p.code(ci, x)
 		mem = accumulate(mem, cands[k].mem(), x, trips)
-		out[1+ci] = accumulate(0, cands[k].blocks(), x, trips) + oneHot
+		out[1+ci] = accumulate(0, cands[k].blocks(), x, trips)
 	}
 	out[0] = p.memOverrun(mem)
 	return out
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Feasible reports whether x satisfies all constraints.
@@ -215,7 +184,6 @@ func (p *Problem) Groups() []dcs.Group {
 			Offset: len(p.TileVars) + ch.BitOffset,
 			Len:    ch.Bits,
 			Codes:  int64(ch.M),
-			OneHot: p.Enc == OneHotEncoding,
 		})
 	}
 	return out
@@ -316,13 +284,7 @@ func (p *Problem) Encode(tiles map[string]int64, selected map[string]int) []int6
 			code = ch.M - 1
 		}
 		for b := 0; b < ch.Bits; b++ {
-			set := code&(1<<b) != 0
-			if p.Enc == OneHotEncoding {
-				set = b == code
-			}
-			if set {
-				x[len(p.TileVars)+ch.BitOffset+b] = 1
-			}
+			x[len(p.TileVars)+ch.BitOffset+b] = int64(code >> b & 1)
 		}
 	}
 	return x

@@ -1,6 +1,7 @@
 package nlp
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -225,6 +226,90 @@ func TestWriteAMPL(t *testing.T) {
 			t.Fatalf("AMPL objective does not price by %q:\n%s", want, obj)
 		}
 	}
+}
+
+// TestAMPLSelectorsMatchDecoding checks the AMPL model's λ selectors
+// against the solver's decoding on fig. 4's two-index model and the
+// four-index transform at 140/120: for every choice and every λ code,
+// clamped codes ≥ M included, exactly one candidate's selector
+// evaluates to 1, and it is the candidate Selected decodes.
+func TestAMPLSelectorsMatchDecoding(t *testing.T) {
+	fourIndex := evalProblem{"four-index 140x120", loops.FourIndexAbstract(140, 120), machine.OSCItanium2()}
+	for _, p := range []*Problem{fig4Problem(t), fourIndex.build(t)} {
+		nt := len(p.TileVars)
+		x := p.Encode(nil, nil)
+		for ci, ch := range p.Choices {
+			for code := 0; code < 1<<ch.Bits; code++ {
+				lam := map[string]int64{}
+				for b := 0; b < ch.Bits; b++ {
+					x[nt+ch.BitOffset+b] = int64(code >> b & 1)
+					lam[fmt.Sprintf("lam_%s_%d", sanitize(ch.Name), b)] = int64(code >> b & 1)
+				}
+				want := p.Selected(x)[ci]
+				for k := 0; k < ch.M; k++ {
+					expr := selectorExpr(ch, k)
+					v := evalSelector(t, expr, lam)
+					if v != 0 && v != 1 || (v == 1) != (k == want) {
+						t.Fatalf("%s choice %s code %d: selector of candidate %d (%s) = %d, Selected decodes candidate %d",
+							p.Model.Prog.Name, ch.Name, code, k, expr, v, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// evalSelector evaluates an AMPL selector expression — sums, differences
+// and products of 1, parentheses and λ variables — at the λ values in
+// lam.
+func evalSelector(t *testing.T, expr string, lam map[string]int64) int64 {
+	t.Helper()
+	toks := strings.Fields(strings.NewReplacer("(", " ( ", ")", " ) ").Replace(expr))
+	pos := 0
+	var sum func() int64
+	factor := func() int64 {
+		tok := toks[pos]
+		pos++
+		switch tok {
+		case "(":
+			v := sum()
+			pos++ // ")"
+			return v
+		case "1":
+			return 1
+		}
+		v, ok := lam[tok]
+		if !ok {
+			t.Fatalf("selector %q: unknown term %q", expr, tok)
+		}
+		return v
+	}
+	product := func() int64 {
+		v := factor()
+		for pos < len(toks) && toks[pos] == "*" {
+			pos++
+			v *= factor()
+		}
+		return v
+	}
+	sum = func() int64 {
+		v := product()
+		for pos < len(toks) && (toks[pos] == "+" || toks[pos] == "-") {
+			op := toks[pos]
+			pos++
+			if w := product(); op == "+" {
+				v += w
+			} else {
+				v -= w
+			}
+		}
+		return v
+	}
+	v := sum()
+	if pos != len(toks) {
+		t.Fatalf("selector %q: trailing %q", expr, toks[pos:])
+	}
+	return v
 }
 
 func TestEncodeClampsTiles(t *testing.T) {

@@ -8,18 +8,10 @@ import (
 )
 
 // Property: Encode followed by Selected/Decode recovers the selection and
-// (clamped) tiles, for random selections and tiles, under both encodings.
+// (clamped) tiles, for random selections and tiles.
 func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
-	problems := map[Encoding]*Problem{
-		BinaryEncoding: buildEncoded(t, BinaryEncoding),
-		OneHotEncoding: buildEncoded(t, OneHotEncoding),
-	}
-	f := func(seed int64, encBit bool) bool {
-		enc := BinaryEncoding
-		if encBit {
-			enc = OneHotEncoding
-		}
-		p := problems[enc]
+	p := fig4Problem(t)
+	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tiles := map[string]int64{}
 		for i, v := range p.TileVars {
@@ -52,7 +44,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 // Property: the objective equals the sum of the selected candidates'
 // costs, for random assignments, up to rounding.
 func TestQuickObjectiveIsSelectionSum(t *testing.T) {
-	p := buildEncoded(t, BinaryEncoding)
+	p := fig4Problem(t)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tiles := map[string]int64{}

@@ -1,10 +1,10 @@
 // Package obs is the unified observability layer of the synthesis
 // system: a dependency-free metrics registry (counters, gauges,
-// histograms with exact sums), a model-timeline span tracer exportable
-// as Chrome Trace Event JSON (loadable in Perfetto or chrome://tracing),
-// and a solver convergence recorder. The disk backends, both execution
-// engines, and the DCS solver publish into these primitives; the
-// command-line tools export them via -metrics-out and -trace-out.
+// histograms with exact sums, labeled families), a model-timeline span
+// tracer exportable as Chrome Trace Event JSON (loadable in Perfetto or
+// chrome://tracing), and a structured event log. The disk backends, the
+// execution engine, and the DCS solver publish into these primitives;
+// the command-line tools export them via -metrics-out and -trace-out.
 //
 // The package deliberately depends on nothing but the standard library,
 // so every other layer (disk, exec, dcs, core, trace, cliutil) can

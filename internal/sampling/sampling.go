@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/nlp"
 )
@@ -26,10 +25,6 @@ type Options struct {
 	// unlimited). When the full grid exceeds the cap, the grid spacing is
 	// widened until it fits, preserving uniform logarithmic coverage.
 	MaxCombos int64
-	// Workers splits the grid across goroutines (≤1: serial). Results are
-	// identical to the serial search: ties between equally good
-	// configurations break toward the lowest grid position.
-	Workers int
 }
 
 // Result is the outcome of the brute-force search.
@@ -47,12 +42,12 @@ type Result struct {
 	GridFactor int64
 }
 
-// ctxEvery is how many combinations a search range evaluates between
-// two looks at its context.
+// ctxEvery is how many combinations the search evaluates between two
+// looks at its context.
 const ctxEvery = 4096
 
 // Search explores the sampled tile grid and returns the best
-// configuration. Once ctx is done every worker stops within ctxEvery
+// configuration. Once ctx is done the search stops within ctxEvery
 // combinations, and Search returns the best feasible configuration
 // found so far, or an error wrapping ctx.Err() if there is none.
 func Search(ctx context.Context, p *nlp.Problem, opt Options) (Result, error) {
@@ -71,45 +66,7 @@ func Search(ctx context.Context, p *nlp.Problem, opt Options) (Result, error) {
 		}
 	}
 
-	prio := candidatePriorities(p)
-	total := combos(grids)
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if int64(workers) > total {
-		workers = int(total)
-	}
-
-	var res Result
-	if workers == 1 {
-		res = searchRange(ctx, p, grids, prio, 0, total)
-	} else {
-		parts := make([]Result, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := total * int64(w) / int64(workers)
-			hi := total * int64(w+1) / int64(workers)
-			wg.Add(1)
-			go func(w int, lo, hi int64) {
-				defer wg.Done()
-				parts[w] = searchRange(ctx, p, grids, prio, lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		res = Result{Objective: -1}
-		for _, part := range parts {
-			res.Combos += part.Combos
-			res.FeasibleCombos += part.FeasibleCombos
-			// Strict less-than keeps the earliest grid position on ties,
-			// matching the serial search exactly.
-			if part.Objective >= 0 && (res.Objective < 0 || part.Objective < res.Objective) {
-				res.Objective = part.Objective
-				res.X = part.X
-				res.Selected = part.Selected
-			}
-		}
-	}
+	res := searchGrid(ctx, p, grids, candidatePriorities(p))
 	res.GridFactor = factor
 	if res.Objective < 0 {
 		if err := ctx.Err(); err != nil {
@@ -131,24 +88,17 @@ func Search(ctx context.Context, p *nlp.Problem, opt Options) (Result, error) {
 	return res, nil
 }
 
-// searchRange explores grid combinations [lo, hi) (combination c decodes
-// mixed-radix with dimension 0 least significant) and returns the local
-// best, stopping early once ctx is done.
-func searchRange(ctx context.Context, p *nlp.Problem, grids [][]int64, prio [][]int, lo, hi int64) Result {
+// searchGrid explores every grid combination in odometer order
+// (dimension 0 least significant) and returns the best, the earliest on
+// ties, stopping early once ctx is done.
+func searchGrid(ctx context.Context, p *nlp.Problem, grids [][]int64, prio [][]int) Result {
 	nv := len(grids)
 	x := make([]int64, p.Dim())
 	sel := make([]int, p.NumChoices())
 	res := Result{Objective: -1}
-
-	// Decode the starting combination.
 	idx := make([]int, nv)
-	c := lo
-	for d := 0; d < nv; d++ {
-		idx[d] = int(c % int64(len(grids[d])))
-		c /= int64(len(grids[d]))
-	}
-	for n := lo; n < hi; n++ {
-		if (n-lo)%ctxEvery == 0 && ctx.Err() != nil {
+	for n, total := int64(0), combos(grids); n < total; n++ {
+		if n%ctxEvery == 0 && ctx.Err() != nil {
 			break
 		}
 		for i := 0; i < nv; i++ {
