@@ -13,12 +13,10 @@ package repro
 
 import (
 	"context"
-	"strconv"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dcs"
-	"repro/internal/disk"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/figures"
@@ -32,7 +30,6 @@ import (
 	"repro/internal/tce"
 	"repro/internal/tensor"
 	"repro/internal/tiling"
-	"repro/internal/transpose"
 )
 
 // fourIndexProblem builds the NLP for the paper's workload.
@@ -324,25 +321,6 @@ func BenchmarkNaivePagingBaseline(b *testing.B) {
 	b.ReportMetric(naive, "naive-paging-io-s")
 }
 
-// Spatial-locality alignment: run-aware disk time of scattered vs aligned
-// tiles (the trace-level refined model).
-func BenchmarkOutOfCoreTranspose(b *testing.B) {
-	d := machine.OSCItanium2().Disk
-	be := disk.NewSim(d, false)
-	defer be.Close()
-	if _, err := be.Create("M", []int64{6000, 6000}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := "Mt" + strconv.Itoa(i)
-		if _, err := transpose.Transpose(be, "M", dst, 64*machine.MB); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(be.Stats().Time(), "modelled-io-s")
-}
-
 // ---- Kernel micro-benchmarks ----
 
 // gemmOperands returns 256×256 factors without a single zero (the kernel
@@ -362,15 +340,6 @@ func BenchmarkGEMM256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.MatMulAcc(c, x, y)
-	}
-}
-
-func BenchmarkGEMM256Parallel(b *testing.B) {
-	c, x, y := gemmOperands()
-	b.SetBytes(256 * 256 * 8 * 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulAccParallel(c, x, y, 0)
 	}
 }
 

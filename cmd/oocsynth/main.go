@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cachetile"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -54,7 +53,6 @@ func main() {
 		fuse       = flag.Bool("fuse", false, "apply greedy loop fusion before synthesis")
 		report     = flag.Bool("report", false, "print the per-array cost breakdown")
 		jsonOut    = flag.Bool("json", false, "print the synthesis result as JSON and exit")
-		cache      = flag.Bool("cache", false, "also optimize memory→cache tiling of each compute block (Itanium-2 L3 model)")
 	)
 	obsFlags := cliutil.RegisterObs()
 	showVersion := cliutil.VersionFlag()
@@ -137,19 +135,6 @@ func main() {
 	}
 	fmt.Println("\n== concrete code ==")
 	fmt.Print(s.Plan.String())
-	if *cache {
-		results, err := cachetile.OptimizePlan(s.Plan, cachetile.ItaniumL3(), *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("\n== memory→cache tiling of compute blocks ==")
-		for _, r := range results {
-			fmt.Printf("block %s: cache tiles %v, memory traffic %.4f s/instance\n",
-				r.Statement, r.Tiles, r.TrafficSeconds)
-		}
-		fmt.Println("\n== modelled time per memory-hierarchy level ==")
-		fmt.Print(cachetile.Breakdown(s, results))
-	}
 	if *measure {
 		obsFlags.SetPhase("measure")
 		st, err := s.MeasureSim()

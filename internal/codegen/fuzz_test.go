@@ -39,7 +39,7 @@ func FuzzUnmarshalPlan(f *testing.F) {
 		// disk intermediate for the two-index transform).
 		sels := []map[string]int{{}}
 		for ci := 0; ci < p.NumChoices(); ci++ {
-			sels = append(sels, map[string]int{p.Choices[ci].Name: p.NumCandidates(ci) - 1})
+			sels = append(sels, map[string]int{p.Choices[ci].Name: p.Choices[ci].M - 1})
 		}
 		for _, sel := range sels {
 			plan, err := codegen.Generate(p, p.Encode(seed.tiles, sel))

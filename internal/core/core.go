@@ -193,7 +193,6 @@ func synthesize(ctx context.Context, prog *loops.Program, c *config) (*Synthesis
 			dcs.WithStart(solveStart),
 			dcs.WithPatience(c.patience),
 			dcs.WithPortfolio(c.portfolio),
-			dcs.WithObserver(c.observer),
 			dcs.WithMetrics(c.metrics),
 			dcs.WithLog(c.log),
 		)

@@ -2,16 +2,16 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
-	"repro/internal/dcs"
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
 
 // TestSynthesizeOptsObservability checks the observability options:
-// WithObserver streams the solver's events, WithMetrics collects solver
+// WithLog streams the solver's events, WithMetrics collects solver
 // counters during synthesis and disk counters during the execution
 // helpers.
 func TestSynthesizeOptsObservability(t *testing.T) {
@@ -20,29 +20,31 @@ func TestSynthesizeOptsObservability(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
-	var seen []dcs.Event
+	ring := obs.NewRing(1 << 12)
 	s, err := SynthesizeOpts(context.Background(), prog,
 		WithMachine(cfg), WithSeed(7), WithMaxEvals(4000),
-		WithObserver(func(e dcs.Event) { seen = append(seen, e) }),
+		WithLog(obs.NewLog(obs.LevelInfo, ring)),
 		WithMetrics(reg), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The observer received the full stream, ending in a final event
+	// The log received the solver's stream, ending in a final event
 	// whose objective is the synthesized plan's prediction.
-	if len(seen) == 0 {
-		t.Fatal("no solver event recorded")
+	var final obs.Event
+	for _, e := range ring.Events() {
+		if e.System == "dcs" && strings.HasPrefix(e.Name, "solve.") {
+			final = e
+		}
 	}
-	final := seen[len(seen)-1]
-	if final.Kind != "final" {
-		t.Fatalf("last event kind = %q, want final", final.Kind)
+	if final.Name != "solve.final" {
+		t.Fatalf("last solver event = %q, want solve.final", final.Name)
 	}
-	if final.Best != s.Predicted() {
-		t.Fatalf("final best %g != predicted %g", final.Best, s.Predicted())
+	if final.Fields["best"] != s.Predicted() {
+		t.Fatalf("final best %v != predicted %g", final.Fields["best"], s.Predicted())
 	}
-	if final.Evals != int(s.SolverEvals) {
-		t.Fatalf("final event evals %d != SolverEvals %d", final.Evals, s.SolverEvals)
+	if final.Fields["evals"] != int(s.SolverEvals) {
+		t.Fatalf("final event evals %v != SolverEvals %d", final.Fields["evals"], s.SolverEvals)
 	}
 	if got := reg.Counter("dcs.evals").Value(); got != s.SolverEvals {
 		t.Fatalf("dcs.evals counter %d != SolverEvals %d", got, s.SolverEvals)

@@ -7,7 +7,6 @@ package core
 import (
 	"context"
 
-	"repro/internal/dcs"
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -25,10 +24,9 @@ type config struct {
 	sampling sampling.Options
 	autoFuse bool
 
-	observer dcs.Observer
-	metrics  *obs.Registry
-	log      *obs.Log
-	verify   bool
+	metrics *obs.Registry
+	log     *obs.Log
+	verify  bool
 	// portfolio races k solver lanes; patience stops a search once the
 	// best feasible point stalls; warm seeds the solver from a previous
 	// synthesis (and prunes candidates against its objective as an
@@ -83,13 +81,6 @@ func WithAutoFuse() Option {
 // timeline, with reads prefetched and writes retired behind compute.
 func WithPipeline() Option {
 	return func(c *config) { c.pipeline = true }
-}
-
-// WithObserver streams solver convergence events (per-restart and
-// per-improvement telemetry) to the callback during solver-based
-// synthesis. The observer is invoked synchronously from the solver loop.
-func WithObserver(o Observer) Option {
-	return func(c *config) { c.observer = o }
 }
 
 // WithMetrics publishes solver counters (dcs.evals, dcs.restarts,
@@ -167,8 +158,3 @@ func SynthesizeOpts(ctx context.Context, prog *loops.Program, opts ...Option) (*
 	}
 	return synthesize(ctx, prog, &c)
 }
-
-// Observer receives solver convergence events during synthesis (the
-// solver package's event stream, re-exported so call sites need only
-// core).
-type Observer = dcs.Observer

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dcs"
 	"repro/internal/loops"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // TestStrategySpecsTotal pins the spec table as the single source of
@@ -79,22 +80,24 @@ func synthOpts(limit int64, extra ...Option) []Option {
 	}, extra...)
 }
 
-// TestPortfolioConvergenceLanes: the observer of a portfolio synthesis
-// sees each solver event's lane, so the four-index race at the solver
-// study's budget streams events from several lanes.
+// TestPortfolioConvergenceLanes: the log of a portfolio synthesis sees
+// each solver event's lane, so the four-index race at the solver study's
+// budget streams events from several lanes.
 func TestPortfolioConvergenceLanes(t *testing.T) {
-	var events []dcs.Event
+	ring := obs.NewRing(1 << 16)
 	if _, err := SynthesizeOpts(context.Background(), loops.FourIndexAbstract(140, 120),
 		synthOpts(machine.OSCItanium2().MemoryLimit, WithPortfolio(4),
-			WithObserver(func(e dcs.Event) { events = append(events, e) }))...); err != nil {
+			WithLog(obs.NewLog(obs.LevelInfo, ring)))...); err != nil {
 		t.Fatal(err)
 	}
-	lanes := map[int]bool{}
-	for _, e := range events {
-		lanes[e.Lane] = true
+	lanes := map[any]bool{}
+	for _, e := range ring.Events() {
+		if e.System == "dcs" {
+			lanes[e.Fields["lane"]] = true
+		}
 	}
 	if len(lanes) < 2 {
-		t.Fatalf("observer saw events from lanes %v, want several", lanes)
+		t.Fatalf("log saw solver events from lanes %v, want several", lanes)
 	}
 }
 

@@ -15,15 +15,10 @@ import (
 	"repro/internal/obs"
 )
 
-// draMagic identifies a legacy DRA1 array file: the magic followed by
-// the rank and the dims, all little-endian int64, then the raw elements.
-// DRA1 files carry no integrity metadata; the store adopts them in place
-// by building a checksum index from their current contents.
-var draMagic = [8]byte{'D', 'R', 'A', '1', 0, 0, 0, 0}
-
-// draMagic2 identifies the native DRA2 format: the DRA1 header plus a
-// trailing block-granularity field, with a per-block CRC32C index kept
-// in an atomically-replaced ".sum" sidecar next to the data file.
+// draMagic2 identifies the DRA2 array format: the magic followed by the
+// rank, the dims and the checksum block granularity, all little-endian
+// int64, then the raw elements, with a per-block CRC32C index kept in an
+// atomically-replaced ".sum" sidecar next to the data file.
 var draMagic2 = [8]byte{'D', 'R', 'A', '2', 0, 0, 0, 0}
 
 // sumMagic identifies a DRA2 checksum sidecar: magic, flags, block
@@ -37,11 +32,8 @@ var sumMagic = [8]byte{'D', 'R', 'S', '2', 0, 0, 0, 0}
 // rebuilds such an index from the file contents (see fileArray.open).
 const sumFlagDirty = 1
 
-// Manifest format tags.
-const (
-	formatDRA1 = "dra1"
-	formatDRA2 = "dra2"
-)
+// formatDRA2 is the manifest's format tag for an array.
+const formatDRA2 = "dra2"
 
 // FileStore is a real file-backed array store: each array is one ".dra"
 // file under the store's directory — a self-describing header (magic,
@@ -130,7 +122,6 @@ type fileArray struct {
 	f          *os.File
 	fd         uintptr // f's descriptor, taken once for startWriteback
 	header     int64   // bytes before the first element
-	legacy     bool    // adopted DRA1 file
 
 	// mu orders section I/O against the checksum index: writers update
 	// data and sums together under the write lock, readers verify and
@@ -142,8 +133,9 @@ type fileArray struct {
 	writebacks int64    // spans store has started writing back
 }
 
-func headerSize(rank int) int64  { return 8 + 8 + int64(rank)*8 }
-func headerSize2(rank int) int64 { return headerSize(rank) + 8 }
+// headerSize2 is the length of a DRA2 header: magic, rank, dims and
+// block granularity.
+func headerSize2(rank int) int64 { return 8 + 8 + int64(rank)*8 + 8 }
 
 // elements returns the element count of positive dims, and false when the
 // count, or the file of a header that long holding them, would overflow
@@ -244,63 +236,50 @@ func freshSums(n, blockElems int64) []uint32 {
 	return sums
 }
 
-// parseHeader reads and validates a DRA header from f, returning the
-// dims, the checksum block granularity (0 for legacy DRA1 files, which
-// record none), and whether the file is legacy.
-func parseHeader(f io.ReaderAt, size int64, path string) (dims []int64, blockElems int64, legacy bool, err error) {
+// parseHeader reads and validates a DRA2 header from f, returning the
+// dims and the checksum block granularity.
+func parseHeader(f io.ReaderAt, size int64, path string) (dims []int64, blockElems int64, err error) {
 	var magic [8]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		return nil, 0, false, fmt.Errorf("%q is not a DRA file", path)
-	}
-	switch magic {
-	case draMagic:
-		legacy = true
-	case draMagic2:
-	default:
-		return nil, 0, false, fmt.Errorf("%q is not a DRA file", path)
+	if _, err := f.ReadAt(magic[:], 0); err != nil || magic != draMagic2 {
+		return nil, 0, fmt.Errorf("%q is not a DRA file", path)
 	}
 	var rankBuf [8]byte
 	if _, err := f.ReadAt(rankBuf[:], 8); err != nil {
-		return nil, 0, false, fmt.Errorf("%q has a truncated header", path)
+		return nil, 0, fmt.Errorf("%q has a truncated header", path)
 	}
 	rank := int64(binary.LittleEndian.Uint64(rankBuf[:]))
 	if rank < 0 || rank > 16 {
-		return nil, 0, false, fmt.Errorf("%q has implausible rank %d", path, rank)
+		return nil, 0, fmt.Errorf("%q has implausible rank %d", path, rank)
 	}
 	dimBuf := make([]byte, rank*8)
 	if _, err := f.ReadAt(dimBuf, 16); err != nil {
-		return nil, 0, false, fmt.Errorf("%q has a truncated header", path)
+		return nil, 0, fmt.Errorf("%q has a truncated header", path)
 	}
 	dims = make([]int64, rank)
 	for i := range dims {
 		dims[i] = int64(binary.LittleEndian.Uint64(dimBuf[i*8:]))
 		if dims[i] <= 0 {
-			return nil, 0, false, fmt.Errorf("%q has non-positive dim", path)
+			return nil, 0, fmt.Errorf("%q has non-positive dim", path)
 		}
 	}
-	if !legacy {
-		var beBuf [8]byte
-		if _, err := f.ReadAt(beBuf[:], 16+rank*8); err != nil {
-			return nil, 0, false, fmt.Errorf("%q has a truncated header", path)
-		}
-		blockElems = int64(binary.LittleEndian.Uint64(beBuf[:]))
-		if blockElems <= 0 {
-			return nil, 0, false, fmt.Errorf("%q has non-positive checksum block size", path)
-		}
+	var beBuf [8]byte
+	if _, err := f.ReadAt(beBuf[:], 16+rank*8); err != nil {
+		return nil, 0, fmt.Errorf("%q has a truncated header", path)
+	}
+	blockElems = int64(binary.LittleEndian.Uint64(beBuf[:]))
+	if blockElems <= 0 {
+		return nil, 0, fmt.Errorf("%q has non-positive checksum block size", path)
 	}
 	header := headerSize2(len(dims))
-	if legacy {
-		header = headerSize(len(dims))
-	}
 	// A wrapped element count would make an empty array of a huge one.
 	n, ok := elements(dims, header)
 	if !ok {
-		return nil, 0, false, fmt.Errorf("%q has dims %v that overflow an int64 file size", path, dims)
+		return nil, 0, fmt.Errorf("%q has dims %v that overflow an int64 file size", path, dims)
 	}
 	if header+n*8 > size {
-		return nil, 0, false, fmt.Errorf("%q holds %d bytes, fewer than the %d its dims %v need", path, size, header+n*8, dims)
+		return nil, 0, fmt.Errorf("%q holds %d bytes, fewer than the %d its dims %v need", path, size, header+n*8, dims)
 	}
-	return dims, blockElems, legacy, nil
+	return dims, blockElems, nil
 }
 
 // fileSize returns the size of an open file.
@@ -314,24 +293,25 @@ func fileSize(f *os.File, path string) (int64, error) {
 
 // readHeader opens path read-only and parses its DRA header — the
 // manifest validator's view of a file it does not want to keep open.
-func readHeader(path string) (dims []int64, blockElems int64, legacy bool, err error) {
+func readHeader(path string) (dims []int64, blockElems int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("%q does not exist", path)
+		return nil, 0, fmt.Errorf("%q does not exist", path)
 	}
 	defer f.Close()
 	size, err := fileSize(f, path)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	return parseHeader(f, size, path)
 }
 
-// Open returns an array created by this store, or re-opens a ".dra"
-// file left by a previous store instance. Native DRA2 files load their
-// checksum sidecar (rebuilding it from the data after an unclean
-// shutdown); legacy DRA1 files are adopted in place with an index built
-// from their current contents.
+// Open returns an array created by this store, or opens a ".dra" file
+// left by a previous store instance or written outside the store. The
+// array loads its checksum sidecar, or rebuilds the index from the data
+// when the sidecar is missing or marked dirty by an unclean shutdown. An
+// array the manifest does not list is adopted: the next Sync lists it, so
+// Reopen validates it.
 func (fs *FileStore) Open(name string) (Array, error) {
 	if a, ok := fs.arrays[name]; ok {
 		return a, nil
@@ -346,20 +326,12 @@ func (fs *FileStore) Open(name string) (Array, error) {
 		f.Close()
 		return nil, fmt.Errorf("disk: %w", err)
 	}
-	dims, blockElems, legacy, err := parseHeader(f, size, path)
+	dims, blockElems, err := parseHeader(f, size, path)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("disk: %s", err)
 	}
 	n, _ := elements(dims, 0)
-	header := headerSize2(len(dims))
-	if legacy {
-		header = headerSize(len(dims))
-		blockElems = fs.blockElems
-		if ent, ok := fs.man.Arrays[name]; ok && ent.BlockElems > 0 {
-			blockElems = ent.BlockElems
-		}
-	}
 	a := &fileArray{
 		fs:         fs,
 		name:       name,
@@ -368,21 +340,14 @@ func (fs *FileStore) Open(name string) (Array, error) {
 		blockElems: blockElems,
 		f:          f,
 		fd:         f.Fd(),
-		header:     header,
-		legacy:     legacy,
+		header:     headerSize2(len(dims)),
 	}
-	if legacy {
-		// No sidecar to trust: adopt the file by checksumming what is
-		// there now. dirty makes the next Sync persist the new index
-		// and list the array in the manifest.
-		if err := a.rebuildLocked(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		a.dirty = true
-	} else if err := a.loadSums(); err != nil {
+	if err := a.loadSums(); err != nil {
 		f.Close()
 		return nil, err
+	}
+	if _, listed := fs.man.Arrays[name]; !listed {
+		a.dirty = true // the next Sync lists the adopted array
 	}
 	fs.arrays[name] = a
 	return a, nil
@@ -449,13 +414,12 @@ func (a *fileArray) syncLocked() error {
 	if err := a.writeSums(0); err != nil {
 		return err
 	}
-	if a.legacy {
-		// Adopting a legacy array: list it so Reopen validates it and
-		// remembers its checksum granularity.
+	if _, listed := a.fs.man.Arrays[a.name]; !listed {
+		// Open adopted the array: list it so Reopen validates it.
 		a.fs.man.Arrays[a.name] = manifestEntry{
 			Dims:       append([]int64(nil), a.dims...),
 			BlockElems: a.blockElems,
-			Format:     formatDRA1,
+			Format:     formatDRA2,
 		}
 	}
 	a.dirty = false

@@ -5,26 +5,19 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
-// draHeader encodes a DRA header: DRA1 when blockElems is 0, DRA2
-// otherwise.
+// draHeader encodes a DRA2 header.
 func draHeader(dims []int64, blockElems int64) []byte {
-	magic := draMagic2
-	if blockElems == 0 {
-		magic = draMagic
-	}
-	hdr := append(magic[:0:0], magic[:]...)
+	hdr := append(draMagic2[:0:0], draMagic2[:]...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(dims)))
 	for _, d := range dims {
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(d))
 	}
-	if blockElems != 0 {
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(blockElems))
-	}
-	return hdr
+	return binary.LittleEndian.AppendUint64(hdr, uint64(blockElems))
 }
 
 // overflowingDims are headers whose element count wraps an int64 (the
@@ -38,8 +31,8 @@ var overflowingDims = [][]int64{
 
 // FuzzParseHeader throws arbitrary bytes at the DRA header parser as a
 // whole file and checks that whatever it accepts is a header the file can
-// back: a rank of at most 16, positive dims, a positive block size for
-// DRA2, and a data region that fits in an int64 and in the file.
+// back: a rank of at most 16, positive dims, a positive block size, and
+// a data region that fits in an int64 and in the file.
 func FuzzParseHeader(f *testing.F) {
 	f.Add(append(draHeader([]int64{3, 2}, 4), make([]byte, 48)...))
 	f.Add(append(draHeader([]int64{5}, 0), make([]byte, 40)...))
@@ -47,23 +40,20 @@ func FuzzParseHeader(f *testing.F) {
 	f.Add([]byte("DRA2 but truncated"))
 	for _, dims := range overflowingDims {
 		f.Add(draHeader(dims, DefaultBlockElems))
-		f.Add(draHeader(dims, 0))
+		f.Add(append(draHeader(dims, 1), make([]byte, 64)...))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		dims, blockElems, legacy, err := parseHeader(bytes.NewReader(raw), int64(len(raw)), "fuzz.dra")
+		dims, blockElems, err := parseHeader(bytes.NewReader(raw), int64(len(raw)), "fuzz.dra")
 		if err != nil {
 			return
 		}
 		if len(dims) > 16 {
 			t.Fatalf("accepted rank %d", len(dims))
 		}
-		header := headerSize(len(dims))
-		if !legacy {
-			header = headerSize2(len(dims))
-			if blockElems <= 0 {
-				t.Fatalf("accepted block size %d", blockElems)
-			}
+		if blockElems <= 0 {
+			t.Fatalf("accepted block size %d", blockElems)
 		}
+		header := headerSize2(len(dims))
 		n, ok := elements(dims, header)
 		if !ok || header+8*n > int64(len(raw)) {
 			t.Fatalf("accepted dims %v in a %d-byte file", dims, len(raw))
@@ -76,11 +66,11 @@ func FuzzParseHeader(f *testing.F) {
 
 // TestOpenRejectsOverflowingDims is the regression test for headers whose
 // element count wraps: Open used to spin forever rebuilding the checksum
-// index of what it took for an empty array. Every header, DRA1 or DRA2
-// without a sidecar (both rebuild the index on open), must now fail fast.
+// index of what it took for an empty array. Every such header without a
+// sidecar (Open rebuilds the index from the data) must now fail fast.
 func TestOpenRejectsOverflowingDims(t *testing.T) {
 	for _, dims := range overflowingDims {
-		for _, blockElems := range []int64{0, DefaultBlockElems} {
+		for _, blockElems := range []int64{1, DefaultBlockElems} {
 			dir := t.TempDir()
 			hdr := append(draHeader(dims, blockElems), make([]byte, 64)...)
 			if err := os.WriteFile(filepath.Join(dir, "A.dra"), hdr, 0o644); err != nil {
@@ -105,6 +95,32 @@ func TestOpenRejectsOverflowingDims(t *testing.T) {
 			}
 			fs.Close()
 		}
+	}
+}
+
+// TestParseHeaderRejectsDRA1: the pre-checksum DRA1 format (magic, rank
+// and dims, no block granularity) is not read; a DRA1 file, whole or cut
+// after its magic, is "not a DRA file", in a store as in the parser.
+func TestParseHeaderRejectsDRA1(t *testing.T) {
+	dra1 := append([]byte{'D', 'R', 'A', '1', 0, 0, 0, 0}, draHeader([]int64{5}, 0)[8:24]...)
+	dra1 = append(dra1, make([]byte, 40)...)
+	for _, raw := range [][]byte{dra1, dra1[:8]} {
+		_, _, err := parseHeader(bytes.NewReader(raw), int64(len(raw)), "old.dra")
+		if err == nil || !strings.Contains(err.Error(), "not a DRA file") {
+			t.Errorf("%d-byte DRA1 file: err = %v, want \"not a DRA file\"", len(raw), err)
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "A.dra"), dra1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewFileStore(dir, testDisk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if _, err := fs.Open("A"); err == nil || !strings.Contains(err.Error(), "not a DRA file") {
+		t.Fatalf("Open of a DRA1 file: err = %v, want \"not a DRA file\"", err)
 	}
 }
 

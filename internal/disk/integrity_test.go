@@ -1,7 +1,9 @@
 package disk
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -189,89 +191,82 @@ func TestScrubDetectAndRepair(t *testing.T) {
 	}
 }
 
-// writeLegacyDRA1 handcrafts a pre-checksum DRA1 file with zero data.
-func writeLegacyDRA1(t *testing.T, dir, name string, dims []int64) {
+// writeExternalDRA2 handcrafts a DRA2 file holding data, as a program
+// other than the store would write it: no checksum sidecar, no manifest
+// entry.
+func writeExternalDRA2(t *testing.T, dir, name string, dims []int64, blockElems int64, data []float64) {
 	t.Helper()
-	rank := len(dims)
-	n := int64(1)
-	hdr := make([]byte, headerSize(rank))
-	copy(hdr, draMagic[:])
-	putLE(hdr[8:], int64(rank))
-	for i, d := range dims {
-		putLE(hdr[16+i*8:], d)
-		n *= d
+	raw := draHeader(dims, blockElems)
+	for _, v := range data {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
 	}
-	raw := append(hdr, make([]byte, n*8)...)
 	if err := os.WriteFile(filepath.Join(dir, name+".dra"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func putLE(b []byte, v int64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(v) >> (8 * i))
-	}
-}
-
-func TestDRA1Migration(t *testing.T) {
+// TestSidecarlessDRA2Adoption: a DRA2 file written outside the store
+// (no sidecar, no manifest) is adopted. Open indexes it from its data,
+// verified reads return what was written, the first Sync persists the
+// index and lists the array, and Reopen validates it: a bit flipped in
+// the data afterwards is detected.
+func TestSidecarlessDRA2Adoption(t *testing.T) {
 	dir := t.TempDir()
-	writeLegacyDRA1(t, dir, "L", []int64{6, 4})
+	want := seqFloats(24)
+	writeExternalDRA2(t, dir, "L", []int64{6, 4}, smallBlocks, want)
 
 	fs, err := NewFileStore(dir, testDisk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.SetBlockElems(smallBlocks)
 	a, err := fs.Open("L")
 	if err != nil {
-		t.Fatalf("open legacy: %v", err)
+		t.Fatalf("open sidecar-less array: %v", err)
 	}
-	// Reads verify against the index rebuilt from the legacy contents.
-	if err := a.ReadSection([]int64{0, 0}, []int64{6, 4}, make([]float64, 24)); err != nil {
-		t.Fatalf("legacy read: %v", err)
+	got := make([]float64, 24)
+	if err := a.ReadSection([]int64{0, 0}, []int64{6, 4}, got); err != nil {
+		t.Fatalf("verified read: %v", err)
 	}
-	// Writes work in place; the file keeps its DRA1 header, checksums
-	// live in the sidecar, and Sync adopts it into the manifest.
-	if err := a.WriteSection([]int64{1, 0}, []int64{2, 4}, seqFloats(8)); err != nil {
-		t.Fatalf("legacy write: %v", err)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("element %d = %v, want %v", i, got[i], want[i])
+		}
 	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
+	if v := fs.Integrity().VerifiedBlocks; v != 3 {
+		t.Fatalf("read verified %d blocks, want 3", v)
 	}
 
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "L.sum")); err != nil {
+		t.Fatalf("Sync wrote no sidecar: %v", err)
+	}
 	m, err := loadManifest(dir)
 	if err != nil || m == nil {
-		t.Fatalf("manifest after migration: %v", err)
+		t.Fatalf("manifest after Sync: %v", err)
 	}
-	if ent, ok := m.Arrays["L"]; !ok || ent.Format != formatDRA1 {
-		t.Fatalf("legacy array not adopted: %+v", m.Arrays)
+	ent, ok := m.Arrays["L"]
+	if !ok || ent.Format != formatDRA2 || ent.BlockElems != smallBlocks || len(ent.Dims) != 2 || ent.Dims[0] != 6 || ent.Dims[1] != 4 {
+		t.Fatalf("adopted array not listed: %+v", m.Arrays)
 	}
 
-	fs2, err := NewFileStore(dir, testDisk())
-	if err != nil {
+	// The flip lands after the sync, beneath the persisted index.
+	if err := a.(*fileArray).FlipBit(5, 3); err != nil {
 		t.Fatal(err)
 	}
+	be, err := fs.Reopen()
+	if err != nil {
+		t.Fatalf("reopen with the adopted array listed: %v", err)
+	}
+	fs2 := be.(*FileStore)
 	defer fs2.Close()
 	a2, err := fs2.Open("L")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]float64, 8)
-	if err := a2.ReadSection([]int64{1, 0}, []int64{2, 4}, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0.5 {
-		t.Fatalf("legacy data lost: %v", got)
-	}
-	// Corruption in a migrated file is detected like any other.
-	corrupt := filepath.Join(dir, "L.dra")
-	raw, _ := os.ReadFile(corrupt)
-	raw[headerSize(2)+5*8] ^= 1
-	if err := os.WriteFile(corrupt, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := a2.ReadSection([]int64{0, 0}, []int64{6, 4}, make([]float64, 24)); !IsIntegrity(err) {
-		t.Fatalf("legacy corruption not detected: %v", err)
+	if err := a2.ReadSection([]int64{0, 0}, []int64{6, 4}, got); !IsIntegrity(err) {
+		t.Fatalf("bit flipped after the sync not detected: %v", err)
 	}
 }
 
@@ -439,13 +434,16 @@ func TestManifestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Manifest disagreeing with the file's self-describing header: the
-	// listed DRA2 array has been replaced by a legacy DRA1 file.
-	if err := os.Remove(filepath.Join(dir, "A.dra")); err != nil {
-		t.Fatal(err)
-	}
-	writeLegacyDRA1(t, dir, "A", []int64{4, 4})
-	if _, err := NewFileStore(dir, testDisk()); err == nil {
-		t.Fatal("format disagreement not caught")
+	// listed array has been replaced by a DRA2 file with other dims, then
+	// by one with another checksum block size.
+	for _, c := range []struct {
+		dims       []int64
+		blockElems int64
+	}{{[]int64{2, 8}, smallBlocks}, {[]int64{4, 4}, 2 * smallBlocks}} {
+		writeExternalDRA2(t, dir, "A", c.dims, c.blockElems, make([]float64, 16))
+		if _, err := NewFileStore(dir, testDisk()); err == nil {
+			t.Fatalf("header %v / %d-element blocks: disagreement not caught", c.dims, c.blockElems)
+		}
 	}
 	// A listed file deleted out-of-band is array removal, not corruption:
 	// the store opens, prunes the entry, and the name is free to

@@ -31,13 +31,13 @@ type manifest struct {
 type manifestEntry struct {
 	Dims       []int64 `json:"dims"`
 	BlockElems int64   `json:"block_elems"`
-	// Format is "dra2" for the checksummed native format, "dra1" for a
-	// legacy file adopted in place (checksums live only in the sidecar).
+	// Format is always "dra2", the one array format.
 	Format string `json:"format"`
 }
 
 // loadManifest reads the store manifest, returning (nil, nil) when the
-// directory has none (a legacy or brand-new store).
+// directory has none (a brand-new store, or one whose arrays were all
+// written outside it).
 func loadManifest(dir string) (*manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
@@ -106,7 +106,7 @@ func atomicWrite(path string, data []byte) error {
 // A file that exists but whose self-describing header disagrees with
 // the catalogue is an error — that mismatch is the corruption this
 // check exists to catch. Files not listed in the manifest are ignored
-// (a legacy store mixes in adopted DRA1 files).
+// until Open adopts them.
 func validateManifest(dir string, m *manifest) (pruned bool, err error) {
 	names := make([]string, 0, len(m.Arrays))
 	for name := range m.Arrays {
@@ -122,12 +122,9 @@ func validateManifest(dir string, m *manifest) (pruned bool, err error) {
 			pruned = true
 			continue
 		}
-		dims, blockElems, legacy, err := readHeader(path)
+		dims, blockElems, err := readHeader(path)
 		if err != nil {
 			return false, fmt.Errorf("disk: store manifest lists %q but %w", name, err)
-		}
-		if legacy != (ent.Format == formatDRA1) {
-			return false, fmt.Errorf("disk: store manifest says %q is %s but the file disagrees", name, ent.Format)
 		}
 		if len(dims) != len(ent.Dims) {
 			return false, fmt.Errorf("disk: store manifest says %q has rank %d but the file has rank %d", name, len(ent.Dims), len(dims))
@@ -137,7 +134,7 @@ func validateManifest(dir string, m *manifest) (pruned bool, err error) {
 				return false, fmt.Errorf("disk: store manifest says %q has dims %v but the file has %v", name, ent.Dims, dims)
 			}
 		}
-		if !legacy && blockElems != ent.BlockElems {
+		if blockElems != ent.BlockElems {
 			return false, fmt.Errorf("disk: store manifest says %q uses %d-element blocks but the file says %d", name, ent.BlockElems, blockElems)
 		}
 	}

@@ -75,7 +75,7 @@ func TestAllPlacementCombinationsTwoIndex(t *testing.T) {
 	// Enumerate the full cross product of candidate selections.
 	nCombos := 1
 	for ci := 0; ci < p.NumChoices(); ci++ {
-		nCombos *= p.NumCandidates(ci)
+		nCombos *= p.Choices[ci].M
 	}
 	if nCombos < 8 {
 		t.Fatalf("expected a nontrivial selection space, got %d", nCombos)
@@ -85,7 +85,7 @@ func TestAllPlacementCombinationsTwoIndex(t *testing.T) {
 			sel := map[string]int{}
 			rest := combo
 			for ci := 0; ci < p.NumChoices(); ci++ {
-				m := p.NumCandidates(ci)
+				m := p.Choices[ci].M
 				sel[p.Choices[ci].Name] = rest % m
 				rest /= m
 			}
@@ -144,7 +144,7 @@ func TestFourIndexDiskIntermediates(t *testing.T) {
 		name := p.Choices[ci].Name
 		// Select the last candidate everywhere: for intermediates that is
 		// always a disk strategy; for I/O arrays an outer placement.
-		sel[name] = p.NumCandidates(ci) - 1
+		sel[name] = p.Choices[ci].M - 1
 	}
 	x := p.Encode(tiles, sel)
 	got, stats := runPlan(t, p, x, inputs)

@@ -153,14 +153,14 @@ func TestPipelineObservedAllPlacements(t *testing.T) {
 	}
 	nCombos := 1
 	for ci := 0; ci < p.NumChoices(); ci++ {
-		nCombos *= p.NumCandidates(ci)
+		nCombos *= p.Choices[ci].M
 	}
 	for _, tiles := range tileSets {
 		for combo := 0; combo < nCombos; combo++ {
 			sel := map[string]int{}
 			rest := combo
 			for ci := 0; ci < p.NumChoices(); ci++ {
-				m := p.NumCandidates(ci)
+				m := p.Choices[ci].M
 				sel[p.Choices[ci].Name] = rest % m
 				rest /= m
 			}

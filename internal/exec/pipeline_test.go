@@ -84,7 +84,7 @@ func twoIndexCases(t *testing.T) []schedCase {
 	}
 	nCombos := 1
 	for ci := 0; ci < p.NumChoices(); ci++ {
-		nCombos *= p.NumCandidates(ci)
+		nCombos *= p.Choices[ci].M
 	}
 	var cases []schedCase
 	for ti, tiles := range tileSets {
@@ -92,7 +92,7 @@ func twoIndexCases(t *testing.T) []schedCase {
 			sel := map[string]int{}
 			rest := combo
 			for ci := 0; ci < p.NumChoices(); ci++ {
-				m := p.NumCandidates(ci)
+				m := p.Choices[ci].M
 				sel[p.Choices[ci].Name] = rest % m
 				rest /= m
 			}
@@ -130,7 +130,7 @@ func progenCases(t *testing.T) []schedCase {
 		}
 		mixed := map[string]int{}
 		for ci := 0; ci < p.NumChoices(); ci++ {
-			mixed[p.Choices[ci].Name] = int(seed+int64(ci)) % p.NumCandidates(ci)
+			mixed[p.Choices[ci].Name] = int(seed+int64(ci)) % p.Choices[ci].M
 		}
 		for si, sel := range []map[string]int{nil, mixed} {
 			plan, err := codegen.Generate(p, p.Encode(tiles, sel))

@@ -192,9 +192,6 @@ func (p *Problem) Groups() []dcs.Group {
 // NumChoices returns the number of array choices.
 func (p *Problem) NumChoices() int { return len(p.Choices) }
 
-// NumCandidates returns the number of candidates of choice ci.
-func (p *Problem) NumCandidates(ci int) int { return len(p.cands[ci]) }
-
 // CandidateCost returns the modelled I/O time (seconds) of candidate k of
 // choice ci at the tile sizes in x (the λ portion of x is ignored).
 func (p *Problem) CandidateCost(ci, k int, x []int64) float64 {

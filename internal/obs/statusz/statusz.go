@@ -31,9 +31,10 @@ type Options struct {
 	Ring *obs.Ring
 	// Version is reported on /statusz (e.g. cliutil.VersionString()).
 	Version string
-	// RingTail caps the events shown on /statusz (default 64).
-	RingTail int
 }
+
+// ringTail caps the events shown on /statusz.
+const ringTail = 64
 
 // Server is a live status server bound to one listener.
 type Server struct {
@@ -54,9 +55,6 @@ type Server struct {
 // cancelled (graceful shutdown) or Shutdown is called. The bind is
 // synchronous: a bad address fails here, not in a background goroutine.
 func Start(ctx context.Context, addr string, opt Options) (*Server, error) {
-	if opt.RingTail <= 0 {
-		opt.RingTail = 64
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("statusz: listen %s: %w", addr, err)
@@ -193,8 +191,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.opt.Ring != nil {
 		ev := s.opt.Ring.Events()
-		if len(ev) > s.opt.RingTail {
-			ev = ev[len(ev)-s.opt.RingTail:]
+		if len(ev) > ringTail {
+			ev = ev[len(ev)-ringTail:]
 		}
 		p.Events = ev
 	}

@@ -51,9 +51,6 @@ type Options struct {
 	// progress during synthesis, retries and recovery during execution,
 	// and scrub findings afterwards.
 	Log *obs.Log
-	// Observer, if non-nil, streams solver convergence events during the
-	// synthesis step.
-	Observer core.Observer
 	// Verify runs the static plan verifier over the synthesized plan
 	// before execution; a verification finding fails the contraction. The
 	// report is available as Result.Synthesis.Verify.
@@ -147,9 +144,6 @@ func Contract(be disk.Backend, spec string, opt Options) (*Result, error) {
 	}
 	if opt.Metrics != nil {
 		copts = append(copts, core.WithMetrics(opt.Metrics))
-	}
-	if opt.Observer != nil {
-		copts = append(copts, core.WithObserver(opt.Observer))
 	}
 	if opt.Portfolio > 1 {
 		copts = append(copts, core.WithPortfolio(opt.Portfolio))

@@ -55,11 +55,11 @@ func (s Series) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Options configure the sweeps.
+// Options configure the sweeps. Every point models machine.OSCItanium2
+// per node, with the swept quantity overridden.
 type Options struct {
-	Machine machine.Config // per-node; zero value = OSCItanium2
-	Seed    int64
-	Evals   int
+	Seed  int64
+	Evals int
 	// Metrics, if non-nil, accumulates the solver and disk counters of
 	// every synthesis and measurement in the sweep.
 	Metrics *obs.Registry
@@ -84,13 +84,6 @@ type Options struct {
 	// Portfolio races that many solver lanes per synthesis (≤ 1: single
 	// lane).
 	Portfolio int
-}
-
-func (o Options) machine() machine.Config {
-	if o.Machine.MemoryLimit == 0 {
-		return machine.OSCItanium2()
-	}
-	return o.Machine
 }
 
 // synthesize runs one DCS synthesis with the sweep's observability sinks
@@ -136,7 +129,7 @@ func MemoryLimit(build func() *loops.Program, limits []int64, opt Options) (Seri
 	s := Series{Name: "io-time-vs-memory", XLabel: "memory_bytes", Columns: []string{"predicted_s", "measured_s", "solver_evals"}}
 	var prev *core.Synthesis
 	for _, limit := range limits {
-		cfg := opt.machine()
+		cfg := machine.OSCItanium2()
 		cfg.MemoryLimit = limit
 		var warm *core.Synthesis
 		if opt.Warm {
@@ -169,7 +162,7 @@ func MemoryLimit(build func() *loops.Program, limits []int64, opt Options) (Seri
 // Table 4 mechanism as a curve).
 func Processors(n, v int64, procCounts []int, opt Options) (Series, error) {
 	s := Series{Name: "io-time-vs-procs", XLabel: "processors", Columns: []string{"wallclock_s", "volume_gb"}}
-	perNode := opt.machine()
+	perNode := machine.OSCItanium2()
 	for _, p := range procCounts {
 		cfg := perNode
 		cfg.MemoryLimit = perNode.MemoryLimit * int64(p)
@@ -208,7 +201,7 @@ func ProblemSize(ns []int64, vScale float64, opt Options) (Series, error) {
 		if v < 2 {
 			v = 2
 		}
-		syn, err := opt.synthesize(loops.FourIndexAbstract(n, v), opt.machine(), nil)
+		syn, err := opt.synthesize(loops.FourIndexAbstract(n, v), machine.OSCItanium2(), nil)
 		if err != nil {
 			return s, err
 		}

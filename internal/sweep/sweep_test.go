@@ -136,7 +136,7 @@ func TestProcessorsSweep(t *testing.T) {
 		if v := s.Points[i].Values; v["wallclock_s"] != pin.wall || v["volume_gb"] != pin.volume {
 			t.Fatalf("P=%d: point %v, want wallclock %v volume %v", pin.procs, v, pin.wall, pin.volume)
 		}
-		cfg := o.machine()
+		cfg := machine.OSCItanium2()
 		cfg.MemoryLimit *= int64(pin.procs)
 		syn, err := o.synthesize(loops.FourIndexAbstract(140, 120), cfg, nil)
 		if err != nil {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/health"
+	"repro/internal/machine"
 	"repro/internal/ring"
 )
 
@@ -92,7 +93,7 @@ func grayRun(scenario string, s *core.Synthesis, opt Options, faults *fault.Conf
 	st, err := ring.New(ring.Options{
 		Shards:   grayShards,
 		Replicas: grayReplicas,
-		Disk:     opt.Machine.Disk,
+		Disk:     machine.OSCItanium2().Disk,
 		Faults:   faults,
 		Retry:    disk.DefaultRetryPolicy(),
 		Health:   &hcfg,
@@ -150,8 +151,7 @@ func grayRun(scenario string, s *core.Synthesis, opt Options, faults *fault.Conf
 // sixteenth of it (at least eight ops), leaving the rest of the run for
 // the breaker to probe its way closed.
 func GrayStudy(size Size, opt Options) (*GrayStudyReport, error) {
-	opt = opt.withDefaults()
-	s, err := synthesize(core.DCS, size, opt, opt.Machine.MemoryLimit)
+	s, err := synthesize(core.DCS, size, opt, machine.OSCItanium2().MemoryLimit)
 	if err != nil {
 		return nil, fmt.Errorf("tables: DCS for gray study: %w", err)
 	}

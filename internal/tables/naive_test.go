@@ -2,6 +2,7 @@ package tables
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -9,19 +10,33 @@ import (
 	"repro/internal/machine"
 )
 
+// TestNaivePagingFarWorseThanSynthesis pins the demand-paging strawman
+// at both paper sizes (deterministic: the model objective at unit tiles)
+// and checks it sits orders of magnitude above the synthesized code.
 func TestNaivePagingFarWorseThanSynthesis(t *testing.T) {
-	prog := loops.FourIndexAbstract(140, 120)
 	cfg := machine.OSCItanium2()
-	naive, err := NaivePagingCost(prog.Clone(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	pins := []struct {
+		size Size
+		want float64
+	}{
+		{Size{140, 120}, 46787.138688},
+		{Size{190, 180}, 259149.785472},
 	}
-	s, err := core.SynthesizeOpts(context.Background(), prog,
+	for _, pin := range pins {
+		naive, err := NaivePagingCost(loops.FourIndexAbstract(pin.size.N, pin.size.V), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(naive-pin.want) > 1e-12*pin.want {
+			t.Fatalf("%v: naive paging %.6f s, want %.6f s", pin.size, naive, pin.want)
+		}
+	}
+	s, err := core.SynthesizeOpts(context.Background(), loops.FourIndexAbstract(140, 120),
 		core.WithMachine(cfg), core.WithSeed(1), core.WithMaxEvals(60000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if naive < s.Predicted()*50 {
+	if naive := pins[0].want; naive < s.Predicted()*50 {
 		t.Fatalf("naive paging %.0f s should be orders of magnitude above synthesized %.0f s",
 			naive, s.Predicted())
 	}
@@ -57,6 +72,22 @@ func TestBalanceClassification(t *testing.T) {
 	// bound: ~10 GB of traffic vs ~0.1 Tflop of compute.
 	if !b.IOBound {
 		t.Fatalf("expected I/O-bound: %s", b)
+	}
+}
+
+// TestBalanceTwoIndexComputeBound: the two-index transform at Fig. 4's
+// scale (two GEMMs, O(N³) flops over O(N²) data) sits on the other side
+// of the balance from the four-index transform.
+func TestBalanceTwoIndexComputeBound(t *testing.T) {
+	cfg := machine.OSCItanium2()
+	cfg.MemoryLimit = machine.GB
+	s, err := core.SynthesizeOpts(context.Background(), loops.TwoIndexFused(35000, 40000),
+		core.WithMachine(cfg), core.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := s.Balance(); b.IOBound {
+		t.Fatalf("expected compute-bound: %s", b)
 	}
 }
 

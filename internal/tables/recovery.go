@@ -8,6 +8,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/exec"
 	"repro/internal/fault"
+	"repro/internal/machine"
 )
 
 // RecoveryRow is one row of the fault-recovery study: the modelled cost
@@ -44,7 +45,6 @@ type RecoveryRow struct {
 // checkpoint recovery). Persistent-fault windows are dropped for plans
 // that are not checkpointable — there is no boundary to restart from.
 func RecoveryStudy(sizes []Size, fcfg fault.Config, opt Options) ([]RecoveryRow, error) {
-	opt = opt.withDefaults()
 	var rows []RecoveryRow
 	for _, sz := range sizes {
 		ds, err := synthesize(core.DCS, sz, opt, 0)
@@ -60,7 +60,7 @@ func RecoveryStudy(sizes []Size, fcfg fault.Config, opt Options) ([]RecoveryRow,
 		if cfg.PersistentAfter > 0 && !exec.Checkpointable(ds.Plan) {
 			cfg.PersistentAfter = 0
 		}
-		be := disk.NewSim(opt.Machine.Disk, false)
+		be := disk.NewSim(machine.OSCItanium2().Disk, false)
 		inj := fault.Wrap(be, cfg)
 		_, rep, err := exec.RunResilient(nil, ds.Plan, inj, nil, exec.Options{
 			DryRun:   true,

@@ -66,13 +66,12 @@ type RingStudyReport struct {
 // on cost-only rings at replication factors 1..3, then measures one
 // add/drain rebalance on the R=2 ring.
 func RingStudy(size Size, procCounts []int, opt Options) (*RingStudyReport, error) {
-	opt = opt.withDefaults()
 	rep := &RingStudyReport{Size: size}
 	for _, p := range procCounts {
 		if p < 3 {
 			return nil, fmt.Errorf("tables: ring study needs at least 3 shards, got %d", p)
 		}
-		total := opt.Machine.MemoryLimit * int64(p)
+		total := machine.OSCItanium2().MemoryLimit * int64(p)
 		row := RingStudyRow{Procs: p, TotalMemory: total}
 		s, err := synthesize(core.DCS, size, opt, total)
 		if err != nil {
@@ -82,7 +81,7 @@ func RingStudy(size Size, procCounts []int, opt Options) (*RingStudyReport, erro
 			st, err := ring.New(ring.Options{
 				Shards:   p,
 				Replicas: replicas,
-				Disk:     opt.Machine.Disk,
+				Disk:     machine.OSCItanium2().Disk,
 				Metrics:  opt.Metrics,
 			})
 			if err != nil {

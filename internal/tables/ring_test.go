@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/machine"
 	"repro/internal/ring"
 )
 
@@ -100,13 +101,13 @@ func TestRingStudyShapeHolds(t *testing.T) {
 	// Balance through the study's add and drain: the new shard becomes a
 	// primary of every array long enough to give it a row, and no shard
 	// is primary for more than twice its fair share of any array.
-	opt := capped().withDefaults()
+	opt := capped()
 	for _, p := range []int{8, 16, 32, 64} {
-		s, err := synthesize(core.DCS, Size{140, 120}, opt, opt.Machine.MemoryLimit*int64(p))
+		s, err := synthesize(core.DCS, Size{140, 120}, opt, machine.OSCItanium2().MemoryLimit*int64(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := ring.New(ring.Options{Shards: p, Replicas: 2, Disk: opt.Machine.Disk})
+		st, err := ring.New(ring.Options{Shards: p, Replicas: 2, Disk: machine.OSCItanium2().Disk})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/loops"
+	"repro/internal/machine"
 	"repro/internal/tce"
 )
 
@@ -60,7 +61,6 @@ func ScalingWorkloads() ([]ScalingWorkload, error) {
 // ScalingStudy runs DCS on each workload and computes (without running
 // it) the full-grid size the uniform-sampling baseline would need.
 func ScalingStudy(workloads []ScalingWorkload, opt Options) ([]ScalingRow, error) {
-	opt = opt.withDefaults()
 	var rows []ScalingRow
 	for _, w := range workloads {
 		row := ScalingRow{Name: w.Name, Arrays: len(w.Prog.Order)}
@@ -76,7 +76,7 @@ func ScalingStudy(workloads []ScalingWorkload, opt Options) ([]ScalingRow, error
 			row.GridSize *= points
 		}
 		s, err := core.SynthesizeOpts(context.Background(), w.Prog,
-			append(opt.coreOptions(), core.WithMachine(opt.Machine))...)
+			append(opt.coreOptions(), core.WithMachine(machine.OSCItanium2()))...)
 		if err != nil {
 			// Record the failure rather than aborting the study.
 			rows = append(rows, row)

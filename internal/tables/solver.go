@@ -58,7 +58,6 @@ var solverSweepLimits = []int64{1, 2, 4, 8}
 
 // SolverStudy runs the study over the given sizes (nil: PaperSizes).
 func SolverStudy(sizes []Size, opt Options) ([]SolverRow, error) {
-	opt = opt.withDefaults()
 	if sizes == nil {
 		sizes = PaperSizes
 	}
@@ -71,7 +70,7 @@ func SolverStudy(sizes []Size, opt Options) ([]SolverRow, error) {
 			SweepLimitsGB: solverSweepLimits,
 		}
 		prog := func() *loops.Program { return loops.FourIndexAbstract(sz.N, sz.V) }
-		base := append(opt.coreOptions(), core.WithMachine(opt.Machine))
+		base := append(opt.coreOptions(), core.WithMachine(machine.OSCItanium2()))
 
 		cold, err := core.SynthesizeOpts(context.Background(), prog(), base...)
 		if err != nil {
@@ -100,7 +99,7 @@ func SolverStudy(sizes []Size, opt Options) ([]SolverRow, error) {
 		for _, warm := range []bool{false, true} {
 			var prev *core.Synthesis
 			for _, gb := range solverSweepLimits {
-				cfg := opt.Machine
+				cfg := machine.OSCItanium2()
 				cfg.MemoryLimit = gb * machine.GB
 				pointOpts := append(opt.coreOptions(), core.WithMachine(cfg))
 				if warm && prev != nil {

@@ -33,10 +33,9 @@ type Size struct {
 // PaperSizes are the two configurations of Tables 2 and 3.
 var PaperSizes = []Size{{140, 120}, {190, 180}}
 
-// Options control the experiment runs.
+// Options control the experiment runs. Every run models the paper's node,
+// machine.OSCItanium2 (per processor where a table scales processors).
 type Options struct {
-	// Machine is the per-node model (defaults to OSCItanium2).
-	Machine machine.Config
 	// Seed for the DCS solver.
 	Seed int64
 	// DCSEvals bounds the DCS budget (0: solver default).
@@ -56,16 +55,9 @@ type Options struct {
 	Log *obs.Log
 }
 
-func (o Options) withDefaults() Options {
-	if o.Machine.MemoryLimit == 0 {
-		o.Machine = machine.OSCItanium2()
-	}
-	return o
-}
-
 // synthesize runs one approach on one size.
 func synthesize(strategy core.Strategy, size Size, opt Options, memLimit int64) (*core.Synthesis, error) {
-	cfg := opt.Machine
+	cfg := machine.OSCItanium2()
 	if memLimit > 0 {
 		cfg.MemoryLimit = memLimit
 	}
@@ -103,7 +95,6 @@ type Table2Row struct {
 
 // Table2 measures code generation time for both approaches.
 func Table2(sizes []Size, opt Options) ([]Table2Row, error) {
-	opt = opt.withDefaults()
 	var rows []Table2Row
 	for _, sz := range sizes {
 		us, err := synthesize(core.UniformSampling, sz, opt, 0)
@@ -150,7 +141,6 @@ type Table3Row struct {
 // Table3 synthesizes with both approaches and measures the generated code
 // on the simulated disk at full array scale.
 func Table3(sizes []Size, opt Options) ([]Table3Row, error) {
-	opt = opt.withDefaults()
 	var rows []Table3Row
 	for _, sz := range sizes {
 		row := Table3Row{Size: sz}
@@ -227,7 +217,6 @@ func (r TablePipelineRow) Speedup() float64 {
 // run moves exactly the same bytes in the same operations; only the
 // modelled critical path changes.
 func TablePipeline(sizes []Size, opt Options) ([]TablePipelineRow, error) {
-	opt = opt.withDefaults()
 	var rows []TablePipelineRow
 	for _, sz := range sizes {
 		ds, err := synthesize(core.DCS, sz, opt, 0)
@@ -309,17 +298,16 @@ type Table4Row struct {
 // executes the generated code on an R=1 ring, the GA/DRA block
 // distribution over one local disk per processor.
 func Table4(size Size, procCounts []int, opt Options) ([]Table4Row, error) {
-	opt = opt.withDefaults()
 	var rows []Table4Row
 	for _, p := range procCounts {
-		total := opt.Machine.MemoryLimit * int64(p)
+		total := machine.OSCItanium2().MemoryLimit * int64(p)
 		row := Table4Row{Procs: p, TotalMemory: total}
 		for _, strat := range []core.Strategy{core.UniformSampling, core.DCS} {
 			s, err := synthesize(strat, size, opt, total)
 			if err != nil {
 				return nil, err
 			}
-			st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Disk: opt.Machine.Disk})
+			st, err := ring.New(ring.Options{Shards: p, Replicas: 1, Disk: machine.OSCItanium2().Disk})
 			if err != nil {
 				return nil, err
 			}

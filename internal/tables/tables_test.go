@@ -90,7 +90,7 @@ func TestSamplingGridSpacingInsensitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := nlp.Build(m)
-	dcs, err := synthesize(core.DCS, size, capped().withDefaults(), 0)
+	dcs, err := synthesize(core.DCS, size, capped(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestTable4ScalingShapeHolds(t *testing.T) {
 		four.UniformMeasured != 25.797088000000002 || four.DCSMeasured != 25.797088000000002 {
 		t.Fatalf("Table 4 times moved: %+v", rows)
 	}
-	opt := capped().withDefaults()
+	opt := capped()
 	each := func(n int, v int64) []int64 {
 		out := make([]int64, n)
 		for i := range out {
@@ -212,11 +212,11 @@ func TestTable4ScalingShapeHolds(t *testing.T) {
 		{8, core.DCS, 13.148102399999999, each(8, 5), each(8, 1)},
 		{16, core.DCS, 6.7768512, each(16, 5), each(16, 1)},
 	} {
-		s, err := synthesize(pin.strat, Size{140, 120}, opt, opt.Machine.MemoryLimit*int64(pin.procs))
+		s, err := synthesize(pin.strat, Size{140, 120}, opt, machine.OSCItanium2().MemoryLimit*int64(pin.procs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := ring.New(ring.Options{Shards: pin.procs, Replicas: 1, Disk: opt.Machine.Disk})
+		st, err := ring.New(ring.Options{Shards: pin.procs, Replicas: 1, Disk: machine.OSCItanium2().Disk})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,24 +1,12 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // MatMulAcc computes C += A × B for 2-D tensors with compatible shapes
 // (A: m×k, B: k×n, C: m×n): the three-index nest (i, k, j) of the shared
-// Contraction kernel.
+// Contraction kernel, run on the calling goroutine.
 func MatMulAcc(c, a, b *Tensor) {
-	MatMulAccParallel(c, a, b, 1)
-}
-
-// MatMulAccParallel is MatMulAcc with a free loop of the nest split across
-// workers goroutines (workers<=0 uses GOMAXPROCS).
-func MatMulAccParallel(c, a, b *Tensor, workers int) {
 	m, k, n := checkGemmShapes(c, a, b)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	con := NewContraction([]bool{true, false, true}, 2)
 	blk := con.NewBlock()
 	copy(blk.Ext, []int{m, k, n})
@@ -28,7 +16,7 @@ func MatMulAccParallel(c, a, b *Tensor, workers int) {
 		0, n, 1, // B[k,j]
 	})
 	blk.Data[0], blk.Data[1], blk.Data[2] = c.data, a.data, b.data
-	con.Run(blk, workers)
+	con.Run(blk, 1)
 }
 
 func checkGemmShapes(c, a, b *Tensor) (m, k, n int) {

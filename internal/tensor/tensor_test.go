@@ -234,19 +234,6 @@ func TestMatMulAccAccumulates(t *testing.T) {
 	}
 }
 
-func TestMatMulAccParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randomTensor(rng, 97, 53)
-	b := randomTensor(rng, 53, 71)
-	c1 := New(97, 71)
-	c2 := New(97, 71)
-	MatMulAcc(c1, a, b)
-	MatMulAccParallel(c2, a, b, 4)
-	if MaxAbsDiff(c1, c2) > 1e-9 {
-		t.Fatal("parallel matmul differs from serial")
-	}
-}
-
 // TestContractionMatchesEinsum runs a three-factor nest with two contracted
 // loops (the second longer than the blocking factor) through Contraction,
 // serially and split across workers, against the reference einsum; no

@@ -327,26 +327,3 @@ func Runs(dims, shape []int64) int64 {
 	}
 	return runs
 }
-
-// RunAwareTime recomputes the modelled I/O time of a trace charging one
-// seek per *contiguous run* instead of one per section — the refined disk
-// model under which scattered sections (small tiles along an array's
-// fastest-varying dimension) pay for their seeks. dims maps array names to
-// extents. The spatial-locality tile adjustment of the synthesis lineage
-// exists exactly to keep this quantity close to the per-section model.
-func RunAwareTime(ops []Op, dims map[string][]int64, d machine.Disk) float64 {
-	total := 0.0
-	for _, op := range ops {
-		ad, ok := dims[op.Array]
-		if !ok {
-			continue
-		}
-		runs := Runs(ad, op.Shape)
-		if op.Read {
-			total += float64(float64(runs)*d.SeekTime) + float64(op.Bytes)/d.ReadBandwidth
-		} else {
-			total += float64(float64(runs)*d.SeekTime) + float64(op.Bytes)/d.WriteBandwidth
-		}
-	}
-	return total
-}

@@ -18,7 +18,7 @@ package verify
 // — the first offending write S3 names, the coverage fragments and their
 // count against MaxEvents — identical to a scan of the whole list.
 //
-// The walk is bounded by Options.MaxSteps / MaxEvents: a plan whose tiling
+// The walk is bounded by maxSteps and Options.MaxEvents: a plan whose tiling
 // implies astronomical trip counts marks the report Truncated instead of
 // iterating forever, and the caller can tell a partially-checked schedule
 // from a verified one.
@@ -503,7 +503,7 @@ func (c *checker) schedule() {
 
 func (s *scheduler) tick() bool {
 	s.steps++
-	if s.steps > s.c.opt.MaxSteps {
+	if s.steps > maxSteps {
 		s.done = true
 	}
 	return !s.done

@@ -188,7 +188,7 @@ func (c *checker) refSchedule() {
 
 func (s *refScheduler) tick() bool {
 	s.steps++
-	if s.steps > s.c.opt.MaxSteps {
+	if s.steps > maxSteps {
 		s.done = true
 	}
 	return !s.done
@@ -384,7 +384,7 @@ func randomPlan(t *testing.T, rng *rand.Rand, p *nlp.Problem) *codegen.Plan {
 	}
 	sel := map[string]int{}
 	for ci := 0; ci < p.NumChoices(); ci++ {
-		sel[p.Choices[ci].Name] = rng.Intn(p.NumCandidates(ci))
+		sel[p.Choices[ci].Name] = rng.Intn(p.Choices[ci].M)
 	}
 	plan, err := codegen.Generate(p, p.Encode(tiles, sel))
 	if err != nil {

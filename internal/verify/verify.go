@@ -113,7 +113,7 @@ type Report struct {
 	// reads), the property StopAfter/Resume and the S1 unit model rely on.
 	Checkpointable bool
 	// Steps counts the flattened schedule operations examined; Truncated
-	// reports that the walk hit Options.MaxSteps (or an event cap) and the
+	// reports that the walk hit its step cap (or an event cap) and the
 	// schedule rules were only partially checked.
 	Steps     int
 	Truncated bool
@@ -161,10 +161,6 @@ func (r *Report) String() string {
 
 // Options tune Check.
 type Options struct {
-	// MaxSteps caps the flattened schedule walk (S2/S3); beyond it the
-	// report is marked Truncated instead of running forever on plans whose
-	// tiling implies astronomical trip counts. 0 means the default.
-	MaxSteps int
 	// MaxEvents caps the per-array I/O event and coverage-fragment lists
 	// of the schedule walk. 0 means the default.
 	MaxEvents int
@@ -175,7 +171,10 @@ type Options struct {
 }
 
 const (
-	defaultMaxSteps  = 200000
+	// maxSteps caps the flattened schedule walk (S2/S3); beyond it the
+	// report is marked Truncated instead of running forever on plans whose
+	// tiling implies astronomical trip counts.
+	maxSteps         = 200000
 	defaultMaxEvents = 4096
 )
 
@@ -198,9 +197,6 @@ func CheckOpts(p *codegen.Plan, opt Options) *Report {
 // newChecker applies the option defaults and indexes the plan's disk
 // arrays.
 func newChecker(p *codegen.Plan, opt Options) *checker {
-	if opt.MaxSteps <= 0 {
-		opt.MaxSteps = defaultMaxSteps
-	}
 	if opt.MaxEvents <= 0 {
 		opt.MaxEvents = defaultMaxEvents
 	}

@@ -32,13 +32,13 @@ func forEachCombo(t *testing.T, p *nlp.Problem, tiles map[string]int64, fn func(
 	t.Helper()
 	nCombos := 1
 	for ci := 0; ci < p.NumChoices(); ci++ {
-		nCombos *= p.NumCandidates(ci)
+		nCombos *= p.Choices[ci].M
 	}
 	for combo := 0; combo < nCombos; combo++ {
 		sel := map[string]int{}
 		rest := combo
 		for ci := 0; ci < p.NumChoices(); ci++ {
-			m := p.NumCandidates(ci)
+			m := p.Choices[ci].M
 			sel[p.Choices[ci].Name] = rest % m
 			rest /= m
 		}
@@ -116,7 +116,7 @@ func TestVerifyAllPlacementsFourIndex(t *testing.T) {
 	for _, tiles := range tileSets {
 		// Full candidate coverage: every candidate of every choice.
 		for ci := 0; ci < p.NumChoices(); ci++ {
-			for cand := 0; cand < p.NumCandidates(ci); cand++ {
+			for cand := 0; cand < p.Choices[ci].M; cand++ {
 				check(tiles, map[string]int{p.Choices[ci].Name: cand})
 				checked++
 			}
@@ -128,7 +128,7 @@ func TestVerifyAllPlacementsFourIndex(t *testing.T) {
 			sel := map[string]int{}
 			for ci := 0; ci < p.NumChoices(); ci++ {
 				state = state*6364136223846793005 + 1442695040888963407
-				sel[p.Choices[ci].Name] = int(state>>33) % p.NumCandidates(ci)
+				sel[p.Choices[ci].Name] = int(state>>33) % p.Choices[ci].M
 			}
 			check(tiles, sel)
 			checked++
