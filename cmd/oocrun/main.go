@@ -280,7 +280,7 @@ func main() {
 		printPipeline(res.Pipeline)
 		printResilience(res.Retry, res.Recovery)
 		printRing()
-		fmt.Print(trace.FormatSummary(trace.Summarize(rec.Ops())))
+		fmt.Print(trace.FormatSummary(rec.Summary()))
 		if sched != nil {
 			if err := sched.Drain(); err != nil {
 				obsFlags.Fatal(err)
@@ -355,7 +355,7 @@ func main() {
 	printResilience(res.Retry, res.Recovery)
 	printRing()
 	fmt.Println("\n== per-array I/O ==")
-	fmt.Print(trace.FormatSummary(trace.Summarize(rec.Ops())))
+	fmt.Print(trace.FormatSummary(rec.Summary()))
 	if res.Scrub != nil {
 		printScrub(res.Scrub)
 		if !res.Scrub.OK() && !*scrubRepair {

@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("\npredicted %.2f s, measured (modelled) %.2f s\n",
 		res.Synthesis.Predicted(), res.Stats.Time())
 	fmt.Println("\nper-array I/O:")
-	fmt.Print(trace.FormatSummary(trace.Summarize(rec.Ops())))
+	fmt.Print(trace.FormatSummary(rec.Summary()))
 
 	// Spot-check one element against a directly computed dot product.
 	c, err := fs.Open("C")

@@ -221,18 +221,24 @@ func (g *generator) run() error {
 	return nil
 }
 
-// newBuffer registers a buffer for a choice occurrence.
-func (g *generator) newBuffer(name, array string, dims []placement.BufDim) *Buffer {
-	maxElems := int64(1)
+// maxElems returns a buffer's element capacity: a tile along each
+// ExtTile dimension, the full range along each ExtFull one.
+func maxElems(dims []placement.BufDim, tiles, ranges map[string]int64) int64 {
+	n := int64(1)
 	for _, d := range dims {
 		switch d.Class {
 		case placement.ExtTile:
-			maxElems *= g.tiles[d.Index]
+			n *= tiles[d.Index]
 		case placement.ExtFull:
-			maxElems *= g.m.Prog.Ranges[d.Index]
+			n *= ranges[d.Index]
 		}
 	}
-	b := &Buffer{Name: name, Array: array, Dims: dims, MaxElems: maxElems}
+	return n
+}
+
+// newBuffer registers a buffer for a choice occurrence.
+func (g *generator) newBuffer(name, array string, dims []placement.BufDim) *Buffer {
+	b := &Buffer{Name: name, Array: array, Dims: dims, MaxElems: maxElems(dims, g.tiles, g.m.Prog.Ranges)}
 	g.plan.Buffers = append(g.plan.Buffers, b)
 	g.bufs[name] = b
 	return b

@@ -183,18 +183,10 @@ func UnmarshalPlan(data []byte) (*Plan, error) {
 		if len(bj.Dims) != len(bj.Class) {
 			return nil, fmt.Errorf("codegen: buffer %q dims/classes mismatch", bj.Name)
 		}
-		maxElems := int64(1)
 		for i, idx := range bj.Dims {
-			cls := placement.ExtentClass(bj.Class[i])
-			b.Dims = append(b.Dims, placement.BufDim{Index: idx, Class: cls})
-			switch cls {
-			case placement.ExtTile:
-				maxElems *= in.Tiles[idx]
-			case placement.ExtFull:
-				maxElems *= in.Ranges[idx]
-			}
+			b.Dims = append(b.Dims, placement.BufDim{Index: idx, Class: placement.ExtentClass(bj.Class[i])})
 		}
-		b.MaxElems = maxElems
+		b.MaxElems = maxElems(b.Dims, in.Tiles, in.Ranges)
 		p.Buffers = append(p.Buffers, b)
 	}
 	var err error

@@ -59,8 +59,8 @@ func (s Stats) String() string {
 // WriteSection returns: the execution engine reuses one lo/shape pair
 // per plan step, rewriting it for the step's next section. Whatever
 // outlives the call takes a copy — NewIOError copies both into the
-// *IOError it builds, trace.Recorder appends their values to its log, and
-// Sim copies lo before poisoning a silently lost write.
+// *IOError it builds, and Sim copies lo before poisoning a silently lost
+// write.
 type Array interface {
 	// Name returns the array's identifier.
 	Name() string
@@ -87,9 +87,10 @@ type Backend interface {
 	Close() error
 }
 
-// checkSection validates a section against array dims and returns the
-// element count.
-func checkSection(dims, lo, shape []int64) (int64, error) {
+// CheckSection validates a section against array dims and returns the
+// element count. It is the one section rule: every backend and the ring's
+// front door apply it.
+func CheckSection(dims, lo, shape []int64) (int64, error) {
 	if len(lo) != len(dims) || len(shape) != len(dims) {
 		return 0, fmt.Errorf("disk: section rank %d/%d does not match array rank %d", len(lo), len(shape), len(dims))
 	}

@@ -222,7 +222,7 @@ func TestFileSectionAllocsIndependentOfRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := func(a Array, lo, shape []int64) (read, write float64) {
-		n, _ := checkSection(a.Dims(), lo, shape)
+		n, _ := CheckSection(a.Dims(), lo, shape)
 		buf := make([]float64, n)
 		write = testing.AllocsPerRun(10, func() {
 			if err := a.WriteSection(lo, shape, buf); err != nil {

@@ -519,7 +519,7 @@ func (a *fileArray) Name() string  { return a.name }
 func (a *fileArray) Dims() []int64 { return append([]int64(nil), a.dims...) }
 
 func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
-	n, err := checkSection(a.dims, lo, shape)
+	n, err := CheckSection(a.dims, lo, shape)
 	if err != nil {
 		return wrapIO("read", a.name, lo, shape, false, err)
 	}
@@ -547,7 +547,7 @@ func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 }
 
 func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
-	n, err := checkSection(a.dims, lo, shape)
+	n, err := CheckSection(a.dims, lo, shape)
 	if err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}
@@ -681,7 +681,7 @@ func (a *fileArray) FlipBit(elem int64, bit uint) error {
 // (SilentTorn). The next verified read over the damage detects the
 // mismatch.
 func (a *fileArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode SilentMode) error {
-	n, err := checkSection(a.dims, lo, shape)
+	n, err := CheckSection(a.dims, lo, shape)
 	if err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}

@@ -86,24 +86,34 @@ type Reopener interface {
 }
 
 // InnerBackend is implemented by wrapping backends (fault.Injector,
-// trace.Recorder) to expose the backend they decorate, so integrity
-// probes reach the real store through any wrapper chain.
+// trace.Recorder) to expose the backend they decorate, so Find's probes
+// reach the real store through any wrapper chain.
 type InnerBackend interface {
 	Inner() Backend
+}
+
+// Find returns the first backend along be's wrapper chain (be, then each
+// InnerBackend's Inner) that implements T.
+func Find[T any](be Backend) (T, bool) {
+	for be != nil {
+		if t, ok := be.(T); ok {
+			return t, true
+		}
+		ib, ok := be.(InnerBackend)
+		if !ok {
+			break
+		}
+		be = ib.Inner()
+	}
+	var zero T
+	return zero, false
 }
 
 // SyncBackend flushes the first Syncer found along be's wrapper chain.
 // Backends without durable state are a successful no-op.
 func SyncBackend(be Backend) error {
-	for be != nil {
-		if s, ok := be.(Syncer); ok {
-			return s.Sync()
-		}
-		ib, ok := be.(InnerBackend)
-		if !ok {
-			return nil
-		}
-		be = ib.Inner()
+	if s, ok := Find[Syncer](be); ok {
+		return s.Sync()
 	}
 	return nil
 }
@@ -250,8 +260,8 @@ type IntegrityStore interface {
 // With opt.Repair the defective indices are rebuilt (and, when the store
 // is a Syncer, persisted).
 func Scrub(be Backend, opt ScrubOptions) (*ScrubReport, error) {
-	st := findIntegrityStore(be)
-	if st == nil {
+	st, ok := Find[IntegrityStore](be)
+	if !ok {
 		return nil, fmt.Errorf("disk: backend does not maintain integrity metadata; nothing to scrub")
 	}
 	rep := &ScrubReport{}
@@ -280,7 +290,7 @@ func Scrub(be Backend, opt ScrubOptions) (*ScrubReport, error) {
 			// blocks no replica can restore fall through to the blessing
 			// below (and, at the execution layer, to recompute).
 			healed := false
-			if h := AsReplicaHealer(be); h != nil {
+			if h, ok := Find[ReplicaHealer](be); ok {
 				copied, unhealedBlocks, err := h.HealArray(name)
 				if err != nil {
 					return nil, fmt.Errorf("disk: scrub heal %q: %w", name, err)
@@ -314,11 +324,6 @@ func Scrub(be Backend, opt ScrubOptions) (*ScrubReport, error) {
 	return rep, nil
 }
 
-// AsIntegrityStore returns the first IntegrityStore along be's wrapper
-// chain, or nil when nothing on the chain keeps integrity metadata — the
-// probe exec's heal path and the scrub CLI share.
-func AsIntegrityStore(be Backend) IntegrityStore { return findIntegrityStore(be) }
-
 // ReplicaHealer is implemented by backends that keep redundant copies of
 // their arrays (ring.Store) and can rebuild a defective copy from a
 // healthy peer. It is the repair-before-recompute hook: Scrub and the
@@ -329,37 +334,6 @@ type ReplicaHealer interface {
 	// a healthy peer. copied counts copies rebuilt; unhealed counts
 	// blocks left defective because no healthy replica existed.
 	HealArray(name string) (copied, unhealed int64, err error)
-}
-
-// AsReplicaHealer returns the first ReplicaHealer along be's wrapper
-// chain, or nil when the backend keeps no redundant copies.
-func AsReplicaHealer(be Backend) ReplicaHealer {
-	for be != nil {
-		if h, ok := be.(ReplicaHealer); ok {
-			return h
-		}
-		ib, ok := be.(InnerBackend)
-		if !ok {
-			return nil
-		}
-		be = ib.Inner()
-	}
-	return nil
-}
-
-// findIntegrityStore unwraps be until an IntegrityStore is found.
-func findIntegrityStore(be Backend) IntegrityStore {
-	for be != nil {
-		if st, ok := be.(IntegrityStore); ok {
-			return st
-		}
-		ib, ok := be.(InnerBackend)
-		if !ok {
-			return nil
-		}
-		be = ib.Inner()
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

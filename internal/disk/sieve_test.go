@@ -40,7 +40,7 @@ func sectionElem(dims, lo, shape []int64, k int64) int64 {
 // touchedBlocks counts, element by element, the distinct checksum blocks
 // a section touches.
 func touchedBlocks(dims, lo, shape []int64, blockElems int64) int64 {
-	n, _ := checkSection(dims, lo, shape)
+	n, _ := CheckSection(dims, lo, shape)
 	seen := map[int64]bool{}
 	for k := int64(0); k < n; k++ {
 		seen[sectionElem(dims, lo, shape, k)/blockElems] = true
@@ -99,7 +99,7 @@ func checkSectionsMatch(t *testing.T, rng *rand.Rand, fs *FileStore, sim *Sim, f
 	dims := fa.Dims()
 	for op := 0; op < 16; op++ {
 		lo, shape := randomSection(rng, dims)
-		n, _ := checkSection(dims, lo, shape)
+		n, _ := CheckSection(dims, lo, shape)
 		fBefore, sBefore := fs.Integrity(), sim.Integrity()
 		if op%2 == 0 {
 			buf := randomFloats(rng, n)
@@ -145,7 +145,7 @@ func checkRotCaught(t *testing.T, rng *rand.Rand, fs *FileStore, sim *Sim, fa *f
 	dims := fa.Dims()
 	for trial := 0; trial < 6; trial++ {
 		lo, shape := randomSection(rng, dims)
-		n, _ := checkSection(dims, lo, shape)
+		n, _ := CheckSection(dims, lo, shape)
 		elem := sectionElem(dims, lo, shape, rng.Int63n(n))
 		bit := uint(rng.Intn(64))
 		flip := func() {
@@ -203,7 +203,7 @@ func checkSilentMatches(t *testing.T, rng *rand.Rand, fs *FileStore, sim *Sim, f
 	dims := fa.Dims()
 	for _, mode := range []SilentMode{SilentLost, SilentTorn, SilentTorn} {
 		lo, shape := randomSection(rng, dims)
-		n, _ := checkSection(dims, lo, shape)
+		n, _ := CheckSection(dims, lo, shape)
 		buf := randomFloats(rng, n)
 		if err := fa.WriteSectionSilent(lo, shape, buf, mode); err != nil {
 			t.Fatal(err)
@@ -292,7 +292,7 @@ func TestFileStoreConcurrentSections(t *testing.T) {
 		errs := make([]error, len(sections))
 		var wg sync.WaitGroup
 		for i, sec := range sections {
-			n, _ := checkSection(dims, sec[0], sec[1])
+			n, _ := CheckSection(dims, sec[0], sec[1])
 			bufs[i] = make([]float64, n)
 			wg.Add(1)
 			go func() {
@@ -356,7 +356,7 @@ func FuzzFileStoreSection(f *testing.F) {
 		ref := make([]float64, n)
 		for op := 0; op < 8; op++ {
 			lo, shape := randomSection(rng, dims)
-			k, _ := checkSection(dims, lo, shape)
+			k, _ := CheckSection(dims, lo, shape)
 			if rng.Intn(2) == 0 {
 				buf := randomFloats(rng, k)
 				if err := a.WriteSection(lo, shape, buf); err != nil {
@@ -429,7 +429,7 @@ func TestWritebackSpanRule(t *testing.T) {
 		{"silently lost", []int64{40, 0}, []int64{2, w}, true, SilentLost, 0},
 		{"silently torn, one row persists", []int64{40, 0}, []int64{2, w}, true, SilentTorn, 1},
 	} {
-		n, _ := checkSection(fa.dims, tc.lo, tc.shape)
+		n, _ := CheckSection(fa.dims, tc.lo, tc.shape)
 		before := fa.writebacks
 		if tc.silent {
 			err = fa.WriteSectionSilent(tc.lo, tc.shape, seqFloats(int(n)), tc.mode)
@@ -461,7 +461,7 @@ func BenchmarkFileStoreSection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n, _ := checkSection(dims, lo, shape)
+		n, _ := CheckSection(dims, lo, shape)
 		buf := randomFloats(rand.New(rand.NewSource(1)), n)
 		b.SetBytes(n * 8)
 		b.ReportAllocs()

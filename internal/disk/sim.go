@@ -228,7 +228,7 @@ func (a *simArray) reindexLocked(lo, shape []int64) {
 }
 
 func (a *simArray) ReadSection(lo, shape []int64, buf []float64) error {
-	n, err := checkSection(a.dims, lo, shape)
+	n, err := CheckSection(a.dims, lo, shape)
 	if err != nil {
 		return wrapIO("read", a.name, lo, shape, false, err)
 	}
@@ -250,7 +250,7 @@ func (a *simArray) ReadSection(lo, shape []int64, buf []float64) error {
 }
 
 func (a *simArray) WriteSection(lo, shape []int64, buf []float64) error {
-	n, err := checkSection(a.dims, lo, shape)
+	n, err := CheckSection(a.dims, lo, shape)
 	if err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}
@@ -298,7 +298,7 @@ func (a *simArray) FlipBit(elem int64, bit uint) error {
 // or everything past the leading half of the rows (SilentTorn). In
 // cost-only mode the blocks covering the reverted region are poisoned.
 func (a *simArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode SilentMode) error {
-	n, err := checkSection(a.dims, lo, shape)
+	n, err := CheckSection(a.dims, lo, shape)
 	if err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}

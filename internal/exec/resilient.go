@@ -309,7 +309,7 @@ func healIntegrity(p *codegen.Plan, be disk.Backend, inputs map[string]*tensor.T
 	// data already exists, no rollback or re-staging needed. Only when
 	// some block has no healthy replica left does the single-backend
 	// bless-then-regenerate path below take over.
-	if h := disk.AsReplicaHealer(be); h != nil {
+	if h, ok := disk.Find[disk.ReplicaHealer](be); ok {
 		if _, unhealed, err := h.HealArray(ie.Array); err == nil && unhealed == 0 {
 			if err := disk.SyncBackend(be); err != nil {
 				return HealAction{}, fmt.Errorf("sync healed replicas: %w", err)
@@ -319,8 +319,8 @@ func healIntegrity(p *codegen.Plan, be disk.Backend, inputs map[string]*tensor.T
 		// Heal error or unhealed blocks: whatever copies did converge
 		// stay converged; the rest needs the regeneration path below.
 	}
-	st := disk.AsIntegrityStore(be)
-	if st == nil {
+	st, ok := disk.Find[disk.IntegrityStore](be)
+	if !ok {
 		return HealAction{}, fmt.Errorf("backend keeps no integrity metadata")
 	}
 	if err := st.RebuildChecksums(ie.Array); err != nil {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"bytes"
-	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -12,30 +10,10 @@ import (
 )
 
 // telemetryExport is TestTracedDryRunExportIdentity's record of the
-// paper-scale dry run's telemetry, per schedule: FNV-64a digests of the
-// engine tracer's Chrome export, of the recorder's Chrome export without
-// its wall-clock lines, and of every recorded op but its wall clocks.
-// Recorded before the telemetry logs moved to the chunked store; the
-// export must not move by a byte.
-var telemetryExport = map[bool]struct{ engine, recorder, ops uint64 }{
-	false: {engine: 0x6d9840233e971c8e, recorder: 0xeb734a1101952eeb, ops: 0xe3df2e8f682b636a},
-	true:  {engine: 0x90b9f5506681dae7, recorder: 0xeb734a1101952eeb, ops: 0xe3df2e8f682b636a},
-}
-
-// withoutWallClock drops the "Issued" and "Completed" lines of an indented
-// JSON export: the recorder's ops carry wall-clock seconds that no two
-// runs share.
-func withoutWallClock(raw []byte) []byte {
-	var out []byte
-	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
-		field := bytes.TrimLeft(line, " ")
-		if bytes.HasPrefix(field, []byte(`"Issued":`)) || bytes.HasPrefix(field, []byte(`"Completed":`)) {
-			continue
-		}
-		out = append(out, line...)
-	}
-	return out
-}
+// paper-scale dry run's telemetry, per schedule: the FNV-64a digest of the
+// engine tracer's Chrome export. Recorded before the telemetry log moved
+// to the chunked store; the export must not move by a byte.
+var telemetryExport = map[bool]uint64{false: 0x6d9840233e971c8e, true: 0x90b9f5506681dae7}
 
 func fnvBytes(b []byte) uint64 {
 	h := fnv.New64a()
@@ -43,10 +21,9 @@ func fnvBytes(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// TestTracedDryRunExportIdentity pins what a fully traced paper-scale dry
-// run exports under both schedules: the engine tracer's Chrome trace, the
-// recorder's Chrome trace and the recorder's op log, each to the byte
-// (wall clocks aside).
+// TestTracedDryRunExportIdentity pins what a paper-scale dry run through
+// a trace.Recorder exports under both schedules: the engine tracer's
+// Chrome trace, to the byte.
 func TestTracedDryRunExportIdentity(t *testing.T) {
 	plan, cfg := paperDryRunPlan(t)
 	for _, pipelined := range []bool{false, true} {
@@ -59,20 +36,52 @@ func TestTracedDryRunExportIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recRaw, err := rec.Tracer().ChromeTrace()
-		if err != nil {
-			t.Fatal(err)
+		if got := fnvBytes(raw); got != telemetryExport[pipelined] {
+			t.Errorf("pipeline=%v: export digest %#x, recorded %#x", pipelined, got, telemetryExport[pipelined])
 		}
-		d := newDigest()
-		for _, op := range rec.Ops() {
-			d.str(fmt.Sprint(op.Seq, op.Array, op.Read, op.Lo, op.Shape, op.Bytes))
-			d.float(op.Start)
-			d.float(op.Duration)
-		}
-		got := telemetryExport[pipelined]
-		got.engine, got.recorder, got.ops = fnvBytes(raw), fnvBytes(withoutWallClock(recRaw)), d.h.Sum64()
-		if got != telemetryExport[pipelined] {
-			t.Errorf("pipeline=%v: export digests %#x, recorded %#x", pipelined, got, telemetryExport[pipelined])
+	}
+}
+
+// TestRecorderSummaryMatchesLedger checks the recorder's per-array account
+// against the backend's own accounting, on the paper-scale dry run and a
+// generated data run under both schedules: each array's Summary row
+// equals the per-array counters the backend mirrors into an attached
+// registry, and the rows add up to the backend's final Stats.
+func TestRecorderSummaryMatchesLedger(t *testing.T) {
+	plan, cfg := paperDryRunPlan(t)
+	gen := progenCases(t)[1]
+	for _, tc := range []schedCase{{name: "paper dry run", plan: plan, cfg: cfg}, gen} {
+		for _, pipelined := range []bool{false, true} {
+			rec := trace.NewWithDisk(disk.NewSim(tc.cfg.Disk, tc.inputs != nil), tc.cfg.Disk)
+			reg := obs.NewRegistry()
+			disk.AttachMetrics(rec, reg)
+			if _, err := Run(tc.plan, rec, tc.inputs, Options{DryRun: tc.inputs == nil, Pipeline: pipelined}); err != nil {
+				t.Fatal(err)
+			}
+			sums := rec.Summary()
+			if len(sums) == 0 {
+				t.Fatalf("%s, pipeline=%v: empty summary", tc.name, pipelined)
+			}
+			c := reg.Snapshot().Counters
+			var tot disk.Stats
+			for _, s := range sums {
+				ledger := trace.ArraySummary{Array: s.Array, Seconds: s.Seconds,
+					ReadOps: c[disk.MetricReadOps+"/"+s.Array], BytesRead: c[disk.MetricReadBytes+"/"+s.Array],
+					WriteOps: c[disk.MetricWriteOps+"/"+s.Array], BytesWrite: c[disk.MetricWriteBytes+"/"+s.Array]}
+				if s != ledger {
+					t.Errorf("%s, pipeline=%v: summary row %+v, ledger counters %+v", tc.name, pipelined, s, ledger)
+				}
+				tot.ReadOps += s.ReadOps
+				tot.WriteOps += s.WriteOps
+				tot.BytesRead += s.BytesRead
+				tot.BytesWritten += s.BytesWrite
+			}
+			final := rec.Stats()
+			final.ReadTime, final.WriteTime = 0, 0
+			if tot != final {
+				t.Errorf("%s, pipeline=%v: summary totals %+v, backend Stats %+v", tc.name, pipelined, tot, final)
+			}
+			rec.Close()
 		}
 	}
 }

@@ -3,7 +3,9 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/codegen"
@@ -13,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // walkerTraffic holds, per plan, the FNV-64a digest of every section
@@ -54,25 +55,25 @@ func trafficDigest(t *testing.T, d digest, plan *codegen.Plan, cfg machine.Confi
 			continue
 		}
 		for _, pipe := range []bool{false, true} {
-			rec := trace.NewWithDisk(disk.NewSim(cfg.Disk, !dry), cfg.Disk)
+			rec := &opLog{Backend: disk.NewSim(cfg.Disk, !dry)}
 			res, err := Run(plan, rec, inputs, Options{DryRun: dry, Pipeline: pipe})
 			if err != nil {
 				t.Fatalf("dry run %v, pipeline %v: %v", dry, pipe, err)
 			}
-			ops := rec.Ops()
+			ops := rec.ops
 			rec.Close()
 			d.word(uint64(len(ops)))
 			for _, op := range ops {
-				d.str(op.Array)
-				if op.Read {
+				d.str(op.array)
+				if op.read {
 					d.word(1)
 				} else {
 					d.word(0)
 				}
-				d.word(uint64(len(op.Lo)))
-				for i := range op.Lo {
-					d.word(uint64(op.Lo[i]))
-					d.word(uint64(op.Shape[i]))
+				d.word(uint64(len(op.lo)))
+				for i := range op.lo {
+					d.word(uint64(op.lo[i]))
+					d.word(uint64(op.shape[i]))
 				}
 			}
 			s := res.Stats
@@ -144,16 +145,78 @@ func TestWalkerTrafficGolden(t *testing.T) {
 // operation it issues: array, direction, lo and shape, in order.
 func sectionOps(t *testing.T, plan *codegen.Plan, cfg machine.Config, inputs map[string]*tensor.Tensor, opt Options) []string {
 	t.Helper()
-	rec := trace.NewWithDisk(disk.NewSim(cfg.Disk, !opt.DryRun), cfg.Disk)
+	rec := &opLog{Backend: disk.NewSim(cfg.Disk, !opt.DryRun)}
 	defer rec.Close()
 	if _, err := Run(plan, rec, inputs, opt); err != nil {
 		t.Fatalf("%+v: %v", opt, err)
 	}
 	var ops []string
-	for _, op := range rec.Ops() {
-		ops = append(ops, fmt.Sprintf("%s read=%v lo=%v shape=%v", op.Array, op.Read, op.Lo, op.Shape))
+	for _, op := range rec.ops {
+		ops = append(ops, fmt.Sprintf("%s read=%v lo=%v shape=%v", op.array, op.read, op.lo, op.shape))
 	}
 	return ops
+}
+
+// opLog is a pass-through backend that logs every successful section
+// operation, in completion order, for the tests that pin the walker's
+// traffic. ResetStats clears the log, so it leaves out input staging as
+// Result.Stats does.
+type opLog struct {
+	disk.Backend
+	mu  sync.Mutex
+	ops []sectionOp
+}
+
+// sectionOp is one logged operation, its section copied.
+type sectionOp struct {
+	array     string
+	read      bool
+	lo, shape []int64
+}
+
+func (l *opLog) ResetStats() {
+	l.Backend.ResetStats()
+	l.mu.Lock()
+	l.ops = nil
+	l.mu.Unlock()
+}
+
+func (l *opLog) Create(name string, dims []int64) (disk.Array, error) {
+	a, err := l.Backend.Create(name, dims)
+	if err != nil {
+		return nil, err
+	}
+	return loggedArray{a, l}, nil
+}
+
+func (l *opLog) Open(name string) (disk.Array, error) {
+	a, err := l.Backend.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return loggedArray{a, l}, nil
+}
+
+type loggedArray struct {
+	disk.Array
+	log *opLog
+}
+
+func (a loggedArray) ReadSection(lo, shape []int64, buf []float64) error {
+	return a.record(a.Array.ReadSection(lo, shape, buf), true, lo, shape)
+}
+
+func (a loggedArray) WriteSection(lo, shape []int64, buf []float64) error {
+	return a.record(a.Array.WriteSection(lo, shape, buf), false, lo, shape)
+}
+
+func (a loggedArray) record(err error, read bool, lo, shape []int64) error {
+	if err == nil {
+		a.log.mu.Lock()
+		a.log.ops = append(a.log.ops, sectionOp{a.Name(), read, slices.Clone(lo), slices.Clone(shape)})
+		a.log.mu.Unlock()
+	}
+	return err
 }
 
 // TestDryRunIssuesDataRunSections requires every kind of dry run — bare,

@@ -75,32 +75,17 @@ type ScrubScheduler struct {
 // NewScrubScheduler builds a scheduler over be, which must carry an
 // IntegrityStore somewhere on its wrapper chain.
 func NewScrubScheduler(be disk.Backend, opt SchedOptions) (*ScrubScheduler, error) {
-	st := disk.AsIntegrityStore(be)
-	if st == nil {
+	st, ok := disk.Find[disk.IntegrityStore](be)
+	if !ok {
 		return nil, fmt.Errorf("health: backend does not maintain integrity metadata; nothing to scrub")
 	}
 	if opt.Interval <= 0 {
 		opt.Interval = 4
 	}
 	if opt.Prioritizer == nil {
-		opt.Prioritizer = findPrioritizer(be)
+		opt.Prioritizer, _ = disk.Find[Prioritizer](be)
 	}
 	return &ScrubScheduler{be: be, st: st, opt: opt, done: make(map[string]bool)}, nil
-}
-
-// findPrioritizer unwraps be until a Prioritizer is found.
-func findPrioritizer(be disk.Backend) Prioritizer {
-	for be != nil {
-		if p, ok := be.(Prioritizer); ok {
-			return p
-		}
-		ib, ok := be.(disk.InnerBackend)
-		if !ok {
-			return nil
-		}
-		be = ib.Inner()
-	}
-	return nil
 }
 
 // Tick is the unit-barrier hook (exec.Options.OnUnit): every Interval
@@ -186,7 +171,7 @@ func (s *ScrubScheduler) scrubArray(name string) error {
 	repaired := int64(0)
 	if s.opt.Repair && len(defects) > 0 {
 		healed := false
-		if h := disk.AsReplicaHealer(s.be); h != nil {
+		if h, ok := disk.Find[disk.ReplicaHealer](s.be); ok {
 			copied, unhealed, err := h.HealArray(name)
 			if err != nil {
 				return fmt.Errorf("health: scheduled scrub heal %q: %w", name, err)

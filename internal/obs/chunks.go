@@ -1,20 +1,20 @@
 package obs
 
-// chunkBits sets the records per chunk of a Chunks (1 << chunkBits).
+// chunkBits sets the records per chunk of a chunkLog (1 << chunkBits).
 const chunkBits = 10
 
-// Chunks is an append-only sequence of records in fixed-size chunks, the
-// store of both telemetry logs (Tracer and trace.Recorder): an append
-// never copies what is stored, and a pointer-free T keeps the chunks out
-// of the garbage collector's scan. The zero value is ready to use; it is
-// not safe for concurrent use.
-type Chunks[T any] struct {
+// chunkLog is an append-only sequence of records in fixed-size chunks,
+// the store of Tracer's event log: an append never copies what is
+// stored, and a pointer-free T keeps the chunks out of the garbage
+// collector's scan. The zero value is ready to use; it is not safe for
+// concurrent use.
+type chunkLog[T any] struct {
 	chunks [][]T
 	n      int
 }
 
 // Append stores v at index Len().
-func (c *Chunks[T]) Append(v T) {
+func (c *chunkLog[T]) Append(v T) {
 	if c.n>>chunkBits == len(c.chunks) {
 		c.chunks = append(c.chunks, make([]T, 1<<chunkBits))
 	}
@@ -23,27 +23,27 @@ func (c *Chunks[T]) Append(v T) {
 }
 
 // At returns the record at index i < Len().
-func (c *Chunks[T]) At(i int) T { return c.chunks[i>>chunkBits][i&(1<<chunkBits-1)] }
+func (c *chunkLog[T]) At(i int) T { return c.chunks[i>>chunkBits][i&(1<<chunkBits-1)] }
 
 // Len returns the number of records.
-func (c *Chunks[T]) Len() int { return c.n }
+func (c *chunkLog[T]) Len() int { return c.n }
 
 // Reset empties the sequence, keeping its chunks for the next records.
-func (c *Chunks[T]) Reset() { c.n = 0 }
+func (c *chunkLog[T]) Reset() { c.n = 0 }
 
 // Key is an interned string; 0 is the empty string.
 type Key uint32
 
-// Strings interns strings as Keys, so that pointer-free records can name
-// them. The zero value is ready to use; it is not safe for concurrent
-// use.
-type Strings struct {
+// interner interns strings as Keys, so that pointer-free records can
+// name them. The zero value is ready to use; it is not safe for
+// concurrent use.
+type interner struct {
 	ids  map[string]Key
 	strs []string
 }
 
 // Key returns str's key, interning str on first use.
-func (s *Strings) Key(str string) Key {
+func (s *interner) Key(str string) Key {
 	if s.strs == nil {
 		s.ids, s.strs = map[string]Key{"": 0}, []string{""}
 	}
@@ -57,4 +57,4 @@ func (s *Strings) Key(str string) Key {
 }
 
 // String returns the string a key from Key stands for.
-func (s *Strings) String(k Key) string { return s.strs[k] }
+func (s *interner) String(k Key) string { return s.strs[k] }

@@ -83,13 +83,13 @@ type event struct {
 // usable; construct with NewTracer. A nil *Tracer is safe to pass around:
 // every recording method no-ops on nil, so call sites need no guards.
 //
-// The recording is a Chunks log of events: a span recorded with Record
+// The recording is a chunkLog of events: a span recorded with Record
 // or Mark under keys from Key allocates nothing beyond an occasional
 // chunk. Spans, Instants and ChromeTrace build their values on read.
 type Tracer struct {
 	mu       sync.Mutex
-	strs     Strings
-	events   Chunks[event]
+	strs     interner
+	events   chunkLog[event]
 	verbatim []map[string]any
 }
 

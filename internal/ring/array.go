@@ -333,9 +333,9 @@ func (a *Array) collective(lo, shape []int64, buf []float64, read bool) error {
 	if read {
 		op = "read"
 	}
-	n, err := a.checkSection(lo, shape)
+	n, err := disk.CheckSection(a.dims, lo, shape)
 	if err != nil {
-		return disk.NewIOError(op, a.name, lo, shape, false, err)
+		return disk.NewIOError(op, a.name, lo, shape, false, fmt.Errorf("ring: %w", err))
 	}
 	// Front door: one single-disk-equivalent charge per section call,
 	// the figure the execution engine's spans and metrics reconcile
@@ -368,21 +368,6 @@ func (a *Array) collective(lo, shape []int64, buf []float64, read bool) error {
 		return a.readRuns(sc, lo, shape, buf, now)
 	}
 	return a.writeRuns(sc, lo, shape, buf, now)
-}
-
-// checkSection validates the section against the array extents.
-func (a *Array) checkSection(lo, shape []int64) (int64, error) {
-	if len(lo) != len(a.dims) || len(shape) != len(a.dims) {
-		return 0, fmt.Errorf("ring: section rank %d/%d does not match array rank %d", len(lo), len(shape), len(a.dims))
-	}
-	n := int64(1)
-	for i := range a.dims {
-		if lo[i] < 0 || shape[i] <= 0 || lo[i]+shape[i] > a.dims[i] {
-			return 0, fmt.Errorf("ring: section lo=%v shape=%v out of bounds for dims %v", lo, shape, a.dims)
-		}
-		n *= shape[i]
-	}
-	return n, nil
 }
 
 // readRuns serves each run from its first reachable replica, one run

@@ -76,8 +76,8 @@ func (s *Store) VerifyArray(name string) ([]disk.ScrubDefect, int64, error) {
 		blocks  int64
 	)
 	for _, sh := range shards {
-		ist := disk.AsIntegrityStore(sh.be)
-		if ist == nil {
+		ist, ok := disk.Find[disk.IntegrityStore](sh.be)
+		if !ok {
 			return nil, 0, fmt.Errorf("ring: shard %d does not maintain integrity metadata", sh.id)
 		}
 		d, b, err := ist.VerifyArray(name)
@@ -118,8 +118,8 @@ func (s *Store) RebuildChecksums(name string) error {
 		return fmt.Errorf("ring: array %q does not exist", name)
 	}
 	for _, sh := range shards {
-		ist := disk.AsIntegrityStore(sh.be)
-		if ist == nil {
+		ist, ok := disk.Find[disk.IntegrityStore](sh.be)
+		if !ok {
 			return fmt.Errorf("ring: shard %d does not maintain integrity metadata", sh.id)
 		}
 		if err := ist.RebuildChecksums(name); err != nil {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -22,8 +24,26 @@ func testDisk() machine.Disk {
 	return machine.Disk{SeekTime: 0.01, ReadBandwidth: 1000, WriteBandwidth: 500}
 }
 
+// closeRel reports whether a and b agree to a relative 1e-9: sums of the
+// same per-op seconds taken in another order.
+func closeRel(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+
+// total folds every array's account into one.
+func total(sums []ArraySummary) ArraySummary {
+	var t ArraySummary
+	for _, s := range sums {
+		t.ReadOps += s.ReadOps
+		t.WriteOps += s.WriteOps
+		t.BytesRead += s.BytesRead
+		t.BytesWrite += s.BytesWrite
+		t.Seconds += s.Seconds
+	}
+	return t
+}
+
 func TestRecorderRecordsOps(t *testing.T) {
-	r := NewWithDisk(disk.NewSim(testDisk(), false), testDisk())
+	d := testDisk()
+	r := NewWithDisk(disk.NewSim(d, false), d)
 	defer r.Close()
 	a, err := r.Create("X", []int64{10, 10})
 	if err != nil {
@@ -35,29 +55,25 @@ func TestRecorderRecordsOps(t *testing.T) {
 	if err := a.WriteSection([]int64{5, 5}, []int64{5, 5}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ops := r.Ops()
-	if len(ops) != 2 {
-		t.Fatalf("recorded %d ops, want 2", len(ops))
-	}
-	if !ops[0].Read || ops[1].Read {
-		t.Fatal("directions wrong")
-	}
-	if ops[0].Bytes != 25*8 || ops[1].Bytes != 25*8 {
-		t.Fatalf("bytes wrong: %+v", ops)
-	}
-	if ops[0].Seq != 0 || ops[1].Seq != 1 {
-		t.Fatal("sequence numbers wrong")
-	}
-	if ops[1].Start <= ops[0].Start {
-		t.Fatal("clock must advance")
+	want := []ArraySummary{{Array: "X", ReadOps: 1, WriteOps: 1, BytesRead: 25 * 8, BytesWrite: 25 * 8,
+		Seconds: d.ReadTime(25*8, 1) + d.WriteTime(25*8, 1)}}
+	if got := r.Summary(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("summary %+v, want %+v", got, want)
 	}
 	// Stats pass through the wrapper.
 	if r.Stats().ReadOps != 1 || r.Stats().WriteOps != 1 {
 		t.Fatalf("stats wrong: %+v", r.Stats())
 	}
 	r.ResetStats()
-	if len(r.Ops()) != 0 || r.Stats().ReadOps != 0 {
-		t.Fatal("ResetStats must clear trace and stats")
+	if len(r.Summary()) != 0 || r.Stats().ReadOps != 0 {
+		t.Fatal("ResetStats must clear the account and the stats")
+	}
+	if err := a.WriteSection([]int64{0, 0}, []int64{1, 10}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want = []ArraySummary{{Array: "X", WriteOps: 1, BytesWrite: 80, Seconds: d.WriteTime(80, 1)}}
+	if got := r.Summary(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("summary after reset %+v, want %+v", got, want)
 	}
 }
 
@@ -77,8 +93,8 @@ func TestRecorderOpenWrapsToo(t *testing.T) {
 	if err := a.ReadSection([]int64{0}, []int64{4}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Ops()) != 1 {
-		t.Fatal("opened array not traced")
+	if s := r.Summary(); len(s) != 1 || s[0].Array != "X" || s[0].ReadOps != 1 {
+		t.Fatalf("opened array not traced: %+v", s)
 	}
 	if _, err := r.Open("missing"); err == nil {
 		t.Fatal("open of missing array must fail")
@@ -86,15 +102,14 @@ func TestRecorderOpenWrapsToo(t *testing.T) {
 	if err := a.ReadSection([]int64{0}, []int64{99}, nil); err == nil {
 		t.Fatal("errors must propagate and not be recorded")
 	}
-	if len(r.Ops()) != 1 {
+	if s := r.Summary(); s[0].ReadOps != 1 {
 		t.Fatal("failed op must not be recorded")
 	}
 }
 
 // TestRecorderAsyncPassthrough checks the recorder under overlapping
-// callers, as the pipelined engine's issuers drive it: every operation is
-// recorded once, with the bytes of its own section and the disk model's
-// duration, however the calls interleave.
+// callers: every operation is accounted once, with the bytes of its own
+// section and the disk model's seconds, however the calls interleave.
 func TestRecorderAsyncPassthrough(t *testing.T) {
 	d := testDisk()
 	r := NewWithDisk(disk.NewSim(d, true), d)
@@ -106,12 +121,15 @@ func TestRecorderAsyncPassthrough(t *testing.T) {
 	const callers, rounds = 4, 50
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
+	want := ArraySummary{Array: "X", ReadOps: callers * rounds, WriteOps: callers * rounds}
 	for c := range callers {
+		// Caller c owns rows [16c, 16c+16) and moves c+1 of them per op.
+		rows := int64(c + 1)
+		want.BytesRead += rounds * rows * 8 * 8
+		want.Seconds += rounds * (d.ReadTime(rows*8*8, 1) + d.WriteTime(rows*8*8, 1))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Caller c owns rows [16c, 16c+16) and moves c+1 of them per op.
-			rows := int64(c + 1)
 			buf := make([]float64, rows*8)
 			for i := range buf {
 				buf[i] = float64(c) + 0.5
@@ -140,35 +158,27 @@ func TestRecorderAsyncPassthrough(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	ops := r.Ops()
-	if len(ops) != 2*callers*rounds {
-		t.Fatalf("recorded %d ops, want %d", len(ops), 2*callers*rounds)
+	want.BytesWrite = want.BytesRead
+	sums := r.Summary()
+	if len(sums) != 1 {
+		t.Fatalf("summary %+v, want one array", sums)
 	}
-	var bytes int64
-	for i, op := range ops {
-		if op.Seq != int64(i) {
-			t.Fatalf("op %d has seq %d", i, op.Seq)
-		}
-		if want := op.Shape[0] * op.Shape[1] * 8; op.Bytes != want {
-			t.Fatalf("op %d: %d bytes, its section holds %d", i, op.Bytes, want)
-		}
-		want := d.WriteTime(op.Bytes, 1)
-		if op.Read {
-			want = d.ReadTime(op.Bytes, 1)
-		}
-		if op.Duration != want {
-			t.Fatalf("op %d: duration %v, model says %v", i, op.Duration, want)
-		}
-		bytes += op.Bytes
+	got := sums[0]
+	if !closeRel(got.Seconds, want.Seconds) {
+		t.Fatalf("seconds %v, model says %v", got.Seconds, want.Seconds)
 	}
-	if st := r.Stats(); bytes != st.BytesRead+st.BytesWritten {
-		t.Fatalf("traced bytes %d != backend stats %d", bytes, st.BytesRead+st.BytesWritten)
+	got.Seconds = want.Seconds
+	if got != want {
+		t.Fatalf("account %+v, want %+v", got, want)
+	}
+	if st := r.Stats(); got.BytesRead+got.BytesWrite != st.BytesRead+st.BytesWritten {
+		t.Fatalf("traced bytes %d != backend stats %d", got.BytesRead+got.BytesWrite, st.BytesRead+st.BytesWritten)
 	}
 	// Failed operations propagate and are not recorded.
 	if err := a.ReadSection([]int64{0, 0}, []int64{99, 99}, nil); err == nil {
 		t.Fatal("out-of-bounds read must fail")
 	}
-	if len(r.Ops()) != len(ops) {
+	if r.Summary()[0].ReadOps != want.ReadOps {
 		t.Fatal("failed op must not be recorded")
 	}
 }
@@ -199,25 +209,24 @@ func TestSummarize(t *testing.T) {
 	}
 
 	// The engine reads outputs back after its stats snapshot; that final
-	// fetch (one read of B) is traced but not counted in res.Stats.
-	ops := rec.Ops()
-	if int64(len(ops)) != res.Stats.ReadOps+res.Stats.WriteOps+1 {
-		t.Fatalf("trace has %d ops, stats say %d (+1 output fetch)", len(ops), res.Stats.ReadOps+res.Stats.WriteOps)
+	// fetch (one read of B) is traced but not counted in res.Stats. The
+	// backend's live Stats count it too.
+	sums := rec.Summary()
+	tot, final := total(sums), rec.Stats()
+	if tot.ReadOps != res.Stats.ReadOps+1 || tot.WriteOps != res.Stats.WriteOps {
+		t.Fatalf("summary has %d/%d ops, stats say %d/%d (+1 output fetch)",
+			tot.ReadOps, tot.WriteOps, res.Stats.ReadOps, res.Stats.WriteOps)
 	}
-	fetch := ops[len(ops)-1]
-	if !fetch.Read || fetch.Array != "B" {
-		t.Fatalf("last traced op should be the output fetch, got %+v", fetch)
+	if tot.ReadOps != final.ReadOps || tot.WriteOps != final.WriteOps ||
+		tot.BytesRead != final.BytesRead || tot.BytesWrite != final.BytesWritten {
+		t.Fatalf("summary totals %+v != backend stats %+v", tot, final)
 	}
-	ops = ops[:len(ops)-1]
-	sums := Summarize(ops)
-	var totalBytes int64
+	if !closeRel(tot.Seconds, final.Time()) {
+		t.Fatalf("summary seconds %v != modelled %v", tot.Seconds, final.Time())
+	}
 	seen := map[string]bool{}
 	for _, s := range sums {
-		totalBytes += s.BytesRead + s.BytesWrite
 		seen[s.Array] = true
-	}
-	if totalBytes != res.Stats.BytesRead+res.Stats.BytesWritten {
-		t.Fatalf("summary bytes %d != stats %d", totalBytes, res.Stats.BytesRead+res.Stats.BytesWritten)
 	}
 	for _, name := range []string{"A", "C1", "C2", "B"} {
 		if !seen[name] {
@@ -299,22 +308,19 @@ func TestTracedPipelinedExecutionUnchanged(t *testing.T) {
 	if b.Pipeline == nil {
 		t.Fatal("pipelined run must report PipelineStats through the recorder")
 	}
-	// Same operations and bytes as the serial run (the final output fetch
-	// happens after the stats snapshot and adds one traced read).
-	ops := rec.Ops()
-	if int64(len(ops)) != a.Stats.ReadOps+a.Stats.WriteOps+1 {
-		t.Fatalf("trace has %d ops, serial stats say %d (+1 fetch)", len(ops), a.Stats.ReadOps+a.Stats.WriteOps)
+	// Same operations and bytes as the serial run, plus the final output
+	// fetch, which happens after the stats snapshot and adds one read of B.
+	fetch := int64(8 * len(b.Outputs["B"].Data()))
+	tot := total(rec.Summary())
+	if tot.ReadOps != a.Stats.ReadOps+1 || tot.WriteOps != a.Stats.WriteOps {
+		t.Fatalf("summary has %d/%d ops, serial stats say %d/%d (+1 fetch)",
+			tot.ReadOps, tot.WriteOps, a.Stats.ReadOps, a.Stats.WriteOps)
 	}
-	var bytes int64
-	var secs float64
-	for _, op := range ops[:len(ops)-1] {
-		bytes += op.Bytes
-		secs += op.Duration
+	if tot.BytesRead+tot.BytesWrite != a.Stats.BytesRead+a.Stats.BytesWritten+fetch {
+		t.Fatalf("traced bytes %d != serial stats %d (+%d fetched)",
+			tot.BytesRead+tot.BytesWrite, a.Stats.BytesRead+a.Stats.BytesWritten, fetch)
 	}
-	if bytes != a.Stats.BytesRead+a.Stats.BytesWritten {
-		t.Fatalf("traced bytes %d != serial stats %d", bytes, a.Stats.BytesRead+a.Stats.BytesWritten)
-	}
-	if want := a.Stats.Time(); secs < want*(1-1e-9) || secs > want*(1+1e-9) {
-		t.Fatalf("traced seconds %v != modelled %v", secs, want)
+	if want := a.Stats.Time() + cfg.Disk.ReadTime(fetch, 1); !closeRel(tot.Seconds, want) {
+		t.Fatalf("traced seconds %v != modelled %v", tot.Seconds, want)
 	}
 }
