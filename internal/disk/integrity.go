@@ -266,43 +266,15 @@ func Scrub(be Backend, opt ScrubOptions) (*ScrubReport, error) {
 	}
 	rep := &ScrubReport{}
 	for _, name := range st.ArrayNames() {
-		defects, blocks, err := st.VerifyArray(name)
+		defects, blocks, healed, err := ScrubArray(be, st, name, opt)
 		if err != nil {
-			return nil, fmt.Errorf("disk: scrub %q: %w", name, err)
+			return nil, err
 		}
 		rep.Arrays++
 		rep.Blocks += blocks
 		rep.Defects = append(rep.Defects, defects...)
-		for _, d := range defects {
-			opt.Log.Warn("disk", "scrub.defect",
-				obs.F("array", d.Array),
-				obs.F("block", d.Block),
-				obs.F("stored", fmt.Sprintf("%08x", d.Stored)),
-				obs.F("computed", fmt.Sprintf("%08x", d.Computed)))
-		}
-		if opt.Metrics != nil && len(defects) > 0 {
-			opt.Metrics.CounterVec(MetricScrubDefectsByArray, "array").
-				With(name).Add(int64(len(defects)))
-		}
-		if opt.Repair && len(defects) > 0 {
-			// Repair-before-recompute ordering: a replicated backend
-			// first restores defective copies from a healthy peer; only
-			// blocks no replica can restore fall through to the blessing
-			// below (and, at the execution layer, to recompute).
-			healed := false
-			if h, ok := Find[ReplicaHealer](be); ok {
-				copied, unhealedBlocks, err := h.HealArray(name)
-				if err != nil {
-					return nil, fmt.Errorf("disk: scrub heal %q: %w", name, err)
-				}
-				rep.HealedFromReplica += copied
-				healed = unhealedBlocks == 0
-			}
-			if !healed {
-				if err := st.RebuildChecksums(name); err != nil {
-					return nil, fmt.Errorf("disk: scrub repair %q: %w", name, err)
-				}
-			}
+		rep.HealedFromReplica += healed
+		if opt.Repair {
 			rep.Repaired += int64(len(defects))
 		}
 	}
@@ -322,6 +294,48 @@ func Scrub(be Backend, opt ScrubOptions) (*ScrubReport, error) {
 		obs.F("defects", len(rep.Defects)),
 		obs.F("repaired", rep.Repaired))
 	return rep, nil
+}
+
+// ScrubArray is one array's scrub, run by Scrub and by health's scheduled
+// scrub: it verifies every block checksum of name in st, the
+// IntegrityStore along be's chain, and reports each defect to opt.Log and
+// opt.Metrics. With opt.Repair it then repairs before anything recomputes:
+// a replicated backend (a ReplicaHealer along the chain) first restores
+// defective copies from a healthy peer, and only if a block is left that
+// no replica restored are the checksums rebuilt over the contents as they
+// are. It returns the defects, the blocks scanned and the block copies
+// restored from replicas; syncing the repair is the caller's.
+func ScrubArray(be Backend, st IntegrityStore, name string, opt ScrubOptions) (defects []ScrubDefect, blocks, healed int64, err error) {
+	defects, blocks, err = st.VerifyArray(name)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("disk: scrub %q: %w", name, err)
+	}
+	for _, d := range defects {
+		opt.Log.Warn("disk", "scrub.defect",
+			obs.F("array", d.Array),
+			obs.F("block", d.Block),
+			obs.F("stored", fmt.Sprintf("%08x", d.Stored)),
+			obs.F("computed", fmt.Sprintf("%08x", d.Computed)))
+	}
+	if opt.Metrics != nil && len(defects) > 0 {
+		opt.Metrics.CounterVec(MetricScrubDefectsByArray, "array").
+			With(name).Add(int64(len(defects)))
+	}
+	if !opt.Repair || len(defects) == 0 {
+		return defects, blocks, 0, nil
+	}
+	unhealed := int64(1)
+	if h, ok := Find[ReplicaHealer](be); ok {
+		if healed, unhealed, err = h.HealArray(name); err != nil {
+			return nil, 0, 0, fmt.Errorf("disk: scrub heal %q: %w", name, err)
+		}
+	}
+	if unhealed > 0 {
+		if err := st.RebuildChecksums(name); err != nil {
+			return nil, 0, 0, fmt.Errorf("disk: scrub repair %q: %w", name, err)
+		}
+	}
+	return defects, blocks, healed, nil
 }
 
 // ReplicaHealer is implemented by backends that keep redundant copies of

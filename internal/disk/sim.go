@@ -227,10 +227,24 @@ func (a *simArray) reindexLocked(lo, shape []int64) {
 	})
 }
 
+// checkBuf rejects, before anything is charged, a buffer that cannot hold
+// a section of n elements of an array that stores data (a cost-only array
+// ignores its buffers).
+func (a *simArray) checkBuf(op string, lo, shape []int64, buf []float64, n int64) error {
+	if a.data == nil || buf == nil || int64(len(buf)) == n {
+		return nil
+	}
+	return NewIOError(op, a.name, lo, shape, false,
+		fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
+}
+
 func (a *simArray) ReadSection(lo, shape []int64, buf []float64) error {
 	n, err := CheckSection(a.dims, lo, shape)
 	if err != nil {
 		return wrapIO("read", a.name, lo, shape, false, err)
+	}
+	if err := a.checkBuf("read", lo, shape, buf, n); err != nil {
+		return err
 	}
 	a.sim.sl.ChargeRead(a.name, n*8)
 	a.mu.RLock()
@@ -241,10 +255,6 @@ func (a *simArray) ReadSection(lo, shape []int64, buf []float64) error {
 	if a.data == nil || buf == nil {
 		return nil
 	}
-	if int64(len(buf)) != n {
-		return NewIOError("read", a.name, lo, shape, false,
-			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
-	}
 	copySection(a.data, a.dims, lo, shape, buf, false)
 	return nil
 }
@@ -253,6 +263,9 @@ func (a *simArray) WriteSection(lo, shape []int64, buf []float64) error {
 	n, err := CheckSection(a.dims, lo, shape)
 	if err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
+	}
+	if err := a.checkBuf("write", lo, shape, buf, n); err != nil {
+		return err
 	}
 	a.sim.sl.ChargeWrite(a.name, n*8)
 	a.mu.Lock()
@@ -265,10 +278,6 @@ func (a *simArray) WriteSection(lo, shape []int64, buf []float64) error {
 	}
 	if a.data == nil || buf == nil {
 		return nil
-	}
-	if int64(len(buf)) != n {
-		return NewIOError("write", a.name, lo, shape, false,
-			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
 	}
 	copySection(a.data, a.dims, lo, shape, buf, true)
 	a.reindexLocked(lo, shape)
@@ -302,6 +311,9 @@ func (a *simArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode Sil
 	if err != nil {
 		return wrapIO("write", a.name, lo, shape, false, err)
 	}
+	if err := a.checkBuf("write", lo, shape, buf, n); err != nil {
+		return err
+	}
 	a.sim.sl.ChargeWrite(a.name, n*8)
 	keep := int64(0) // packed elements that genuinely persist
 	if mode == SilentTorn {
@@ -328,10 +340,6 @@ func (a *simArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode Sil
 	}
 	if buf == nil {
 		return nil
-	}
-	if int64(len(buf)) != n {
-		return NewIOError("write", a.name, lo, shape, false,
-			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
 	}
 	old := make([]float64, n)
 	copySection(a.data, a.dims, lo, shape, old, false)

@@ -6,10 +6,10 @@
 // paper's array sizes and yields the "measured" disk I/O times of the
 // evaluation.
 //
-// There is one engine and one execution order. Each run first lowers the
-// plan to a step tree (this file): every I/O step knows, per buffer dim,
-// which enclosing loop its tile base comes from and owns its section's
-// lo/shape; every compute step holds its kernel (compute.go). A walker
+// There is one engine and one execution order. Each run first builds a
+// step tree from the plan's lowering (codegen.Lower, the section rule the
+// plan verifier checks too): every I/O step holds its codegen.Section and
+// owns its lo/shape; every compute step holds its kernel (compute.go). A walker
 // then runs the tree on integers — loop bases on a stack, dry-run pruning,
 // error positions — and hands every step, as it is reached, to a
 // scheduler (pipeline.go) that binds, times and runs it on the calling
@@ -28,7 +28,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/loops"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/tensor"
 )
 
@@ -311,10 +310,11 @@ type engine struct {
 	// top is the plan body lowered for the run, one step per top-level
 	// item.
 	top []step
-	// loopStack holds the enclosing loops' indices and tile bases,
-	// outermost first: steps read their bases from it by depth, and
-	// errors name the position from it.
-	loopStack []loopPos
+	// bases and names hold the enclosing loops' tile bases and indices,
+	// outermost first: steps read their bases by depth, and errors name
+	// the position from both.
+	bases []int64
+	names []string
 	// arrs holds the staged arrays by name, for binding steps to them.
 	arrs map[string]disk.Array
 	// computes is false when a dry run's compute blocks — never executed —
@@ -360,8 +360,8 @@ func newEngine(ctx context.Context, p *codegen.Plan, be disk.Backend, opt Option
 		e.vRetries = opt.Metrics.CounterVec("exec.io.retries.by_array", "array")
 	}
 	e.sched = newScheduler(e)
-	lw := &lowering{e: e, from: map[string]int{}, bufs: map[*codegen.Buffer]*pipeBuf{}}
-	e.top, _ = lw.body(p.Body)
+	lw := &lowering{e: e, bufs: map[*codegen.Buffer]*pipeBuf{}}
+	e.top = lw.body(codegen.Lower(p))
 	return e
 }
 
@@ -579,13 +579,13 @@ func (e *engine) execTop() (*Checkpoint, error) {
 			}
 			l := ls.l
 			var it int64
-			e.loopStack = append(e.loopStack[:0], loopPos{index: l.Index})
+			e.bases, e.names = append(e.bases[:0], 0), append(e.names[:0], l.Index)
 			for b := int64(0); b < l.Range; b += l.Tile {
 				if resume != nil && (item < resume.Item || (item == resume.Item && it < resume.Iter)) {
 					it++
 					continue
 				}
-				e.loopStack[0].base = b
+				e.bases[0] = b
 				if err := e.runUnit(ls.body); err != nil {
 					return nil, err
 				}
@@ -595,11 +595,11 @@ func (e *engine) execTop() (*Checkpoint, error) {
 					return nil, err
 				}
 				if e.opt.StopAfter > 0 && units >= e.opt.StopAfter && b+l.Tile < l.Range {
-					e.loopStack = e.loopStack[:0]
+					e.bases, e.names = e.bases[:0], e.names[:0]
 					return &Checkpoint{Item: item, Iter: it}, nil
 				}
 			}
-			e.loopStack = e.loopStack[:0]
+			e.bases, e.names = e.bases[:0], e.names[:0]
 			if err := e.noteUnit(Checkpoint{Item: item + 1}); err != nil {
 				return nil, err
 			}
@@ -640,23 +640,17 @@ func (e *engine) ctxErr() error {
 // pos describes the current loop position ("i=0,j=128") for error
 // attribution.
 func (e *engine) pos() string {
-	if len(e.loopStack) == 0 {
+	if len(e.names) == 0 {
 		return "top level"
 	}
 	var b strings.Builder
-	for i, p := range e.loopStack {
+	for i, idx := range e.names {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%d", p.index, p.base)
+		fmt.Fprintf(&b, "%s=%d", idx, e.bases[i])
 	}
 	return b.String()
-}
-
-// loopPos is one enclosing loop's index and its current tile base.
-type loopPos struct {
-	index string
-	base  int64
 }
 
 // tileBase is the current tile base of the enclosing loop at depth d of
@@ -665,7 +659,7 @@ func (e *engine) tileBase(d int) int64 {
 	if d < 0 {
 		return 0
 	}
-	return e.loopStack[d].base
+	return e.bases[d]
 }
 
 // walk is the plan walker: it resolves loop bases and sections in program
@@ -679,14 +673,14 @@ func (e *engine) walk(steps []step) error {
 		case *loopStep:
 			err = e.walkLoop(st)
 		case *ioStep:
-			st.at(e)
+			st.At(e.bases, st.lo, st.shape)
 			if st.n.Read {
 				err = e.sched.read(st)
 			} else {
 				err = e.sched.write(st)
 			}
 		case *zeroStep:
-			st.at(e)
+			st.At(e.bases, st.lo, st.shape)
 			err = e.sched.zero(st)
 		case *initStep:
 			err = e.sched.init(st)
@@ -707,7 +701,7 @@ func (e *engine) walk(steps []step) error {
 // without enumerating its (cost-model-unconstrained) iteration space.
 func (e *engine) walkLoop(ls *loopStep) error {
 	l := ls.l
-	e.loopStack = append(e.loopStack[:ls.depth], loopPos{index: l.Index})
+	e.bases, e.names = append(e.bases[:ls.depth], 0), append(e.names[:ls.depth], l.Index)
 	if e.opt.DryRun && !ls.hasIO {
 		e.dryLoops = append(e.dryLoops, l)
 		if err := e.walk(ls.body); err != nil {
@@ -719,13 +713,13 @@ func (e *engine) walkLoop(ls *loopStep) error {
 			if err := e.ctxErr(); err != nil {
 				return err
 			}
-			e.loopStack[ls.depth].base = b
+			e.bases[ls.depth] = b
 			if err := e.walk(ls.body); err != nil {
 				return err
 			}
 		}
 	}
-	e.loopStack = e.loopStack[:ls.depth]
+	e.bases, e.names = e.bases[:ls.depth], e.names[:ls.depth]
 	return nil
 }
 
@@ -834,97 +828,60 @@ type initStep struct {
 	span obs.Key
 }
 
-// sect is the disk section a step's buffer maps to, lowered: for each
-// buffer dim where its tile base comes from and how far it extends. lo
-// and shape are the step's own, refilled by at each time the step runs
-// (a disk.Array does not keep them); ext is shape as tensor dims.
+// sect is the disk section a step's buffer maps to: the plan lowering's
+// rule, the buffer's double-buffer state, and lo and shape, the step's
+// own, refilled by At each time the step runs (a disk.Array does not keep
+// them); ext is shape as tensor dims.
 type sect struct {
+	codegen.Section
 	pb        *pipeBuf
-	dims      []secDim
 	lo, shape []int64
 	ext       []int
 }
 
-// secDim is one dim of a sect: it starts at the tile base of the loop at
-// depth from (0 for from < 0) and extends ext, cut at the range rng when
-// clip (a tile dim).
-type secDim struct {
-	from     int
-	ext, rng int64
-	clip     bool
-}
-
-// at fills lo/shape with the section at the walker's current tile bases:
-// tile dims clip at the array boundary, full dims span the range.
-func (sc *sect) at(e *engine) {
-	for i, d := range sc.dims {
-		b := e.tileBase(d.from)
-		sc.lo[i], sc.shape[i] = b, d.ext
-		if d.clip {
-			sc.shape[i] = min(d.ext, d.rng-b)
-		}
-	}
-}
-
-// lowering is the state of lowering a plan to steps.
+// lowering is the state of building a run's steps from the plan's
+// lowering.
 type lowering struct {
 	e *engine
 	// names holds the enclosing loops' indices, outermost first.
 	names []string
-	// from gives, per index, the loop-stack depth whose base a section of
-	// that index starts at. It follows the walker's rule: a loop sets its
-	// index's entry, and closing it removes the entry — even when an
-	// enclosing loop over the same index is still open — so the index's
-	// sections start at 0 until that loop's next iteration.
-	from map[string]int
 	// bufs holds each plan buffer's double-buffer state, shared by every
 	// step that names the buffer.
 	bufs map[*codegen.Buffer]*pipeBuf
 }
 
-// body lowers ns, one step per node; hasIO reports whether any of them
-// performs disk I/O.
-func (lw *lowering) body(ns []codegen.Node) (steps []step, hasIO bool) {
+// body builds one step per lowered node. Below the top level, a dry run
+// that times no compute drops (nil) each I/O-free loop: the walker never
+// enters it, and the lowering has already forgotten its index for the
+// sections after it, as if it had run.
+func (lw *lowering) body(ls []codegen.Lowered) []step {
 	e := lw.e
-	steps = make([]step, len(ns))
-	for i, n := range ns {
-		switch n := n.(type) {
+	steps := make([]step, len(ls))
+	for i := range ls {
+		l := &ls[i]
+		switch n := l.Node.(type) {
 		case *codegen.Loop:
-			var io bool
-			steps[i], io = lw.loop(n)
-			hasIO = hasIO || io
+			lw.names = append(lw.names, n.Index)
+			body := lw.body(l.Body)
+			lw.names = lw.names[:l.Depth]
+			if l.Depth == 0 || !e.opt.DryRun || l.HasIO || e.computes {
+				steps[i] = &loopStep{l: n, depth: l.Depth, hasIO: l.HasIO, body: body}
+			}
 		case *codegen.IO:
-			steps[i], hasIO = &ioStep{n: n, sect: lw.sect(n.Buffer), span: e.sched.span(ioVerb(n.Read), n.Array)}, true
+			steps[i] = &ioStep{n: n, sect: newSect(l.Sect, lw.pipeBuf(n.Buffer)), span: e.sched.span(ioVerb(n.Read), n.Array)}
 		case *codegen.ZeroBuf:
 			if !e.opt.DryRun {
-				steps[i] = &zeroStep{sect: lw.sect(n.Buffer), span: e.sched.span("zero ", n.Buffer.Name)}
+				steps[i] = &zeroStep{sect: newSect(l.Sect, lw.pipeBuf(n.Buffer)), span: e.sched.span("zero ", n.Buffer.Name)}
 			}
 		case *codegen.InitPass:
-			steps[i], hasIO = lw.initStep(n.Array), true
+			steps[i] = lw.initStep(n.Array)
 		case *codegen.Compute:
 			if e.computes {
 				steps[i] = lw.kernel(n)
 			}
 		}
 	}
-	return steps, hasIO
-}
-
-// loop lowers a tiling loop, or drops it (nil) where the walker never
-// enters it: below the top level, an I/O-free loop of a dry run that
-// times no compute. A dropped loop clears its index's base like an
-// entered one, so every run issues the same sections.
-func (lw *lowering) loop(l *codegen.Loop) (step, bool) {
-	e, depth := lw.e, len(lw.names)
-	lw.from[l.Index] = depth
-	lw.names = append(lw.names, l.Index)
-	body, hasIO := lw.body(l.Body)
-	lw.names = lw.names[:depth]
-	delete(lw.from, l.Index)
-	if depth > 0 && e.opt.DryRun && !hasIO && !e.computes {
-		return nil, false
-	}
-	return &loopStep{l: l, depth: depth, hasIO: hasIO, body: body}, hasIO
+	return steps
 }
 
 // pipeBuf returns buf's double-buffer state.
@@ -937,27 +894,12 @@ func (lw *lowering) pipeBuf(buf *codegen.Buffer) *pipeBuf {
 	return pb
 }
 
-// sect lowers the section buf maps to at the current position.
-func (lw *lowering) sect(buf *codegen.Buffer) sect {
-	p, r := lw.e.plan, len(buf.Dims)
+// newSect gives a step the lowered section s of a buffer with
+// double-buffer state pb, and its own scratch.
+func newSect(s codegen.Section, pb *pipeBuf) sect {
+	r := len(s)
 	i64 := make([]int64, 2*r)
-	sc := sect{pb: lw.pipeBuf(buf), dims: make([]secDim, r), lo: i64[:r:r], shape: i64[r:], ext: make([]int, r)}
-	for i, d := range buf.Dims {
-		n := p.Prog.Ranges[d.Index]
-		from, ok := lw.from[d.Index]
-		if !ok {
-			from = -1
-		}
-		switch d.Class {
-		case placement.ExtTile:
-			sc.dims[i] = secDim{from: from, ext: p.Tiles[d.Index], rng: n, clip: true}
-		case placement.ExtFull:
-			sc.dims[i] = secDim{from: -1, ext: n}
-		default: // ExtOne: single current element
-			sc.dims[i] = secDim{from: from, ext: 1}
-		}
-	}
-	return sc
+	return sect{Section: s, pb: pb, lo: i64[:r:r], shape: i64[r:], ext: make([]int, r)}
 }
 
 // initStep lowers the init pass over the named array: its tile extent per

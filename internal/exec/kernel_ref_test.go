@@ -298,9 +298,9 @@ func newBlockFixture(tb testing.TB, spec blockSpec, workers, shift int) *blockFi
 // buffer to a new instance of random data there.
 func (f *blockFixture) moveTo(base map[string]int64) {
 	f.base = base
-	f.e.loopStack = f.e.loopStack[:0]
+	f.e.bases, f.e.names = f.e.bases[:0], f.e.names[:0]
 	for _, x := range f.order {
-		f.e.loopStack = append(f.e.loopStack, loopPos{index: x, base: base[x]})
+		f.e.bases, f.e.names = append(f.e.bases, base[x]), append(f.e.names, x)
 	}
 	f.operands = f.operands[:0]
 	p := f.e.plan

@@ -121,8 +121,7 @@ func RecoverySafe(p *codegen.Plan) bool {
 		return false
 	}
 	for _, n := range p.Body {
-		reads, writes := map[string]bool{}, map[string]bool{}
-		collectIO(n, reads, writes)
+		reads, writes := codegen.UnitIO(n)
 		for a := range writes {
 			if reads[a] {
 				return false
@@ -140,31 +139,11 @@ func RecoverySafe(p *codegen.Plan) bool {
 // such a producer at or before its first reader.
 func ProducerUnit(p *codegen.Plan, array string) (int64, bool) {
 	for i, n := range p.Body {
-		reads, writes := map[string]bool{}, map[string]bool{}
-		collectIO(n, reads, writes)
-		if writes[array] {
+		if _, writes := codegen.UnitIO(n); writes[array] {
 			return int64(i), true
 		}
 	}
 	return 0, false
-}
-
-// collectIO gathers the disk arrays a subtree reads and writes.
-func collectIO(n codegen.Node, reads, writes map[string]bool) {
-	switch n := n.(type) {
-	case *codegen.Loop:
-		for _, c := range n.Body {
-			collectIO(c, reads, writes)
-		}
-	case *codegen.IO:
-		if n.Read {
-			reads[n.Array] = true
-		} else {
-			writes[n.Array] = true
-		}
-	case *codegen.InitPass:
-		writes[n.Array] = true
-	}
 }
 
 // RunResilient executes the plan with checkpoint-based crash recovery:

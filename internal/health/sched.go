@@ -159,31 +159,15 @@ func (s *ScrubScheduler) next() (string, bool) {
 	return best, found
 }
 
-// scrubArray runs one verification (and repair) slice, mirroring
-// disk.Scrub's per-array body: heal from a replica first, bless
-// checksums only for blocks no replica could restore.
+// scrubArray runs one verification (and repair) slice through
+// disk.ScrubArray, syncing a repair at once.
 func (s *ScrubScheduler) scrubArray(name string) error {
-	defects, blocks, err := s.st.VerifyArray(name)
+	defects, blocks, healedCopies, err := disk.ScrubArray(s.be, s.st, name, disk.ScrubOptions{Repair: s.opt.Repair})
 	if err != nil {
-		return fmt.Errorf("health: scheduled scrub %q: %w", name, err)
+		return fmt.Errorf("health: scheduled scrub: %w", err)
 	}
-	var healedCopies int64
 	repaired := int64(0)
 	if s.opt.Repair && len(defects) > 0 {
-		healed := false
-		if h, ok := disk.Find[disk.ReplicaHealer](s.be); ok {
-			copied, unhealed, err := h.HealArray(name)
-			if err != nil {
-				return fmt.Errorf("health: scheduled scrub heal %q: %w", name, err)
-			}
-			healedCopies = copied
-			healed = unhealed == 0
-		}
-		if !healed {
-			if err := s.st.RebuildChecksums(name); err != nil {
-				return fmt.Errorf("health: scheduled scrub repair %q: %w", name, err)
-			}
-		}
 		repaired = int64(len(defects))
 		if err := disk.SyncBackend(s.be); err != nil {
 			return fmt.Errorf("health: scheduled scrub sync: %w", err)

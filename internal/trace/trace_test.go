@@ -15,6 +15,7 @@ import (
 	"repro/internal/loops"
 	"repro/internal/machine"
 	"repro/internal/nlp"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/tensor"
 	"repro/internal/tiling"
@@ -104,6 +105,50 @@ func TestRecorderOpenWrapsToo(t *testing.T) {
 	}
 	if s := r.Summary(); s[0].ReadOps != 1 {
 		t.Fatal("failed op must not be recorded")
+	}
+}
+
+// TestWrongLengthBufferChargesNothing checks that a data-holding Sim
+// rejects a buffer of the wrong length before it charges the operation: a
+// failed read and write leave Stats and the registry's op counters as they
+// were, and Stats still add up to the recorder's account, which charges
+// only successful operations.
+func TestWrongLengthBufferChargesNothing(t *testing.T) {
+	d := testDisk()
+	r := NewWithDisk(disk.NewSim(d, true), d)
+	defer r.Close()
+	reg := obs.NewRegistry()
+	disk.AttachMetrics(r, reg)
+	a, err := r.Create("X", []int64{4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, shape := []int64{0, 0}, []int64{2, 2}
+	if err := a.WriteSection(lo, shape, make([]float64, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ReadSection(lo, shape, make([]float64, 4)); err != nil {
+		t.Fatal(err)
+	}
+	stats, counters := r.Stats(), reg.Snapshot().Counters
+	if err := a.ReadSection(lo, shape, make([]float64, 3)); err == nil {
+		t.Fatal("read into a 3-element buffer of a 4-element section succeeded")
+	}
+	if err := a.WriteSection(lo, shape, make([]float64, 5)); err == nil {
+		t.Fatal("write from a 5-element buffer to a 4-element section succeeded")
+	}
+	if got := r.Stats(); got != stats {
+		t.Errorf("failed operations moved Stats from %+v to %+v", stats, got)
+	}
+	after := reg.Snapshot().Counters
+	for _, m := range []string{disk.MetricReadOps, disk.MetricWriteOps} {
+		if after[m] != counters[m] || after[m] != 1 {
+			t.Errorf("%s: %d before the failed operations, %d after; want 1 both times", m, counters[m], after[m])
+		}
+	}
+	tot, s := total(r.Summary()), r.Stats()
+	if tot.ReadOps != s.ReadOps || tot.WriteOps != s.WriteOps || tot.BytesRead != s.BytesRead || tot.BytesWrite != s.BytesWritten {
+		t.Errorf("summary totals %+v, Stats %+v", tot, s)
 	}
 }
 

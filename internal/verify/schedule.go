@@ -7,8 +7,13 @@ package verify
 // earlier writes (or the input staging / a zero-init pass), S3 requires
 // overlapping writes to be separated by a read-back into the writing
 // buffer (otherwise the later write clobbers accumulated data). The walk
-// is an independent model of the program order the execution engine
-// runs, under either schedule.
+// iterates the plan's lowering (codegen.Lower), the section rule the
+// execution engine runs under either schedule too, so the sections
+// checked are the sections issued; the hazard rules, the step count and
+// the caps are the verifier's own. Independence lives in the tests:
+// schedule_ref_test.go's map-keyed walk resolves every section again by
+// itself, and the indexed walk's reports and exec's issued sections are
+// both held to it.
 //
 // Each array's write events, read events and coverage fragments are
 // bucketed on a grid whose cell is, per dimension, the largest extent any
@@ -31,7 +36,6 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/loops"
-	"repro/internal/placement"
 )
 
 // sbox is a half-open rectangular section [lo, hi) of a disk array.
@@ -333,127 +337,50 @@ func (as *arraySched) readBack(buf *codegen.Buffer, w *ioEvent, box sbox) bool {
 	return qualifies(g.cells[g.key(g.at)]) || qualifies(g.wide)
 }
 
-// sdim is a buffer dimension resolved against the plan.
-type sdim struct {
-	index       string
-	class       placement.ExtentClass
-	tile, width int64 // plan tile and loop range of the index
-}
-
 type scheduler struct {
-	c      *checker
-	stack  []string // open loop indices, outermost first
-	bases  []int64  // tile base of each open loop
-	state  map[string]*arraySched
-	dims   map[*codegen.Buffer][]sdim
-	steps  int
-	done   bool    // step cap hit
-	lo, hi []int64 // scratch section
-	mem    []int64 // backing store of kept boxes
-}
-
-// base returns the tile base of loop index idx: that of the innermost open
-// loop over idx, 0 when none is open.
-func (s *scheduler) base(idx string) int64 {
-	for d := len(s.stack) - 1; d >= 0; d-- {
-		if s.stack[d] == idx {
-			return s.bases[d]
-		}
-	}
-	return 0
+	c     *checker
+	names []string // open loop indices, outermost first
+	bases []int64  // tile base of each open loop
+	state map[string]*arraySched
+	steps int
+	done  bool    // step cap hit
+	mem   []int64 // backing store of event boxes
 }
 
 // pos renders the concrete loop position ("a=2,q=0").
 func (s *scheduler) pos() string {
-	if len(s.stack) == 0 {
+	if len(s.names) == 0 {
 		return "top"
 	}
-	parts := make([]string, len(s.stack))
-	for i, idx := range s.stack {
-		parts[i] = fmt.Sprintf("%s=%d", idx, s.base(idx))
+	parts := make([]string, len(s.names))
+	for i, idx := range s.names {
+		parts[i] = fmt.Sprintf("%s=%d", idx, s.bases[i])
 	}
 	return strings.Join(parts, ",")
 }
 
-// bufDims resolves (once per buffer) each dimension's tile and range.
-func (s *scheduler) bufDims(b *codegen.Buffer) []sdim {
-	if ds, ok := s.dims[b]; ok {
-		return ds
-	}
-	ds := make([]sdim, len(b.Dims))
-	for i, d := range b.Dims {
-		ds[i] = sdim{index: d.Index, class: d.Class, tile: s.c.p.Tiles[d.Index], width: s.c.p.Prog.Ranges[d.Index]}
-	}
-	s.dims[b] = ds
-	return ds
-}
-
-// section resolves a buffer to the concrete disk box it moves at the
-// current loop bases, re-deriving the extent per dimension class (tile
-// dims move one tile clipped at the boundary, full dims the whole range,
-// unit dims the single current element). The box is scratch; keep copies
-// it.
-func (s *scheduler) section(b *codegen.Buffer) sbox {
-	ds := s.bufDims(b)
-	lo, hi := s.lo[:0], s.hi[:0]
-	for _, d := range ds {
-		switch d.class {
-		case placement.ExtTile:
-			base := s.base(d.index)
-			lo = append(lo, base)
-			hi = append(hi, base+min(d.tile, d.width-base))
-		case placement.ExtFull:
-			lo = append(lo, 0)
-			hi = append(hi, d.width)
-		default: // ExtOne
-			base := s.base(d.index)
-			lo = append(lo, base)
-			hi = append(hi, base+1)
-		}
-	}
-	s.lo, s.hi = lo, hi
-	return sbox{lo: lo, hi: hi}
-}
-
-// keep copies a box into the walk's backing store.
-func (s *scheduler) keep(b sbox) sbox {
-	r := len(b.lo)
+// boxAt resolves a lowered section at the current loop bases to the disk
+// box it moves, held in the walk's backing store: every box resolved is
+// kept as an event.
+func (s *scheduler) boxAt(sect codegen.Section) sbox {
+	r := len(sect)
 	if cap(s.mem)-len(s.mem) < 2*r {
 		s.mem = make([]int64, 0, max(4096, 2*r))
 	}
 	off := len(s.mem)
-	s.mem = append(append(s.mem, b.lo...), b.hi...)
-	return sbox{lo: s.mem[off : off+r : off+r], hi: s.mem[off+r : off+2*r : off+2*r]}
+	s.mem = s.mem[:off+2*r]
+	lo, hi := s.mem[off:off+r:off+r], s.mem[off+r:off+2*r:off+2*r]
+	sect.At(s.bases, lo, hi)
+	for i := range hi {
+		hi[i] += lo[i]
+	}
+	return sbox{lo: lo, hi: hi}
 }
 
 // cells returns each array's grid cell: per dimension, the largest extent
 // any well-formed I/O of the array moves (at least 1).
-func (c *checker) cells() map[string][]int64 {
+func (c *checker) cells(body []codegen.Lowered) map[string][]int64 {
 	out := map[string][]int64{}
-	var walk func(ns []codegen.Node)
-	walk = func(ns []codegen.Node) {
-		for _, n := range ns {
-			switch n := n.(type) {
-			case *codegen.Loop:
-				walk(n.Body)
-			case *codegen.IO:
-				cell, ok := out[n.Array]
-				if !ok || c.badIO[n] {
-					continue
-				}
-				for i, d := range n.Buffer.Dims {
-					ext := int64(1)
-					switch d.Class {
-					case placement.ExtTile:
-						ext = c.p.Tiles[d.Index]
-					case placement.ExtFull:
-						ext = c.p.Prog.Ranges[d.Index]
-					}
-					cell[i] = max(cell[i], ext)
-				}
-			}
-		}
-	}
 	for name, da := range c.arrays {
 		cell := make([]int64, len(da.Dims))
 		for i := range cell {
@@ -461,18 +388,30 @@ func (c *checker) cells() map[string][]int64 {
 		}
 		out[name] = cell
 	}
-	walk(c.p.Body)
+	var walk func(ls []codegen.Lowered)
+	walk = func(ls []codegen.Lowered) {
+		for i := range ls {
+			switch n := ls[i].Node.(type) {
+			case *codegen.Loop:
+				walk(ls[i].Body)
+			case *codegen.IO:
+				if cell, ok := out[n.Array]; ok && !c.badIO[n] {
+					for d, sd := range ls[i].Sect {
+						cell[d] = max(cell[d], sd.Ext)
+					}
+				}
+			}
+		}
+	}
+	walk(body)
 	return out
 }
 
 // schedule runs the flattened walk (S2/S3).
 func (c *checker) schedule() {
-	s := &scheduler{
-		c:     c,
-		state: map[string]*arraySched{},
-		dims:  map[*codegen.Buffer][]sdim{},
-	}
-	cells := c.cells()
+	s := &scheduler{c: c, state: map[string]*arraySched{}}
+	body := codegen.Lower(c.p)
+	cells := c.cells(body)
 	// Deterministic array order for initialization (map ranges are not).
 	names := make([]string, 0, len(c.arrays))
 	for name := range c.arrays {
@@ -494,7 +433,7 @@ func (c *checker) schedule() {
 		}
 		s.state[name] = as
 	}
-	s.walk(c.p.Body)
+	s.walk(body)
 	c.rep.Steps = s.steps
 	if s.done {
 		c.rep.Truncated = true
@@ -509,34 +448,27 @@ func (s *scheduler) tick() bool {
 	return !s.done
 }
 
-func (s *scheduler) walk(ns []codegen.Node) {
-	for _, n := range ns {
+func (s *scheduler) walk(ls []codegen.Lowered) {
+	for i := range ls {
 		if s.done {
 			return
 		}
-		switch n := n.(type) {
+		l := &ls[i]
+		switch n := l.Node.(type) {
 		case *codegen.Loop:
 			if n.Tile < 1 {
 				continue // R4 already reported; avoid an infinite loop here
 			}
-			d := len(s.stack)
-			s.stack = append(s.stack, n.Index)
-			s.bases = append(s.bases, 0)
+			d := l.Depth
+			s.names, s.bases = append(s.names[:d], n.Index), append(s.bases[:d], 0)
 			for b := int64(0); b < n.Range; b += n.Tile {
 				if !s.tick() {
 					break
 				}
 				s.bases[d] = b
-				s.walk(n.Body)
+				s.walk(l.Body)
 			}
-			s.stack, s.bases = s.stack[:d], s.bases[:d]
-			// Closing a loop unbinds its index: an enclosing loop over the
-			// same index (R4 reported it) reads base 0 until it advances.
-			for i, idx := range s.stack {
-				if idx == n.Index {
-					s.bases[i] = 0
-				}
-			}
+			s.names, s.bases = s.names[:d], s.bases[:d]
 		case *codegen.IO:
 			if !s.tick() {
 				return
@@ -545,7 +477,7 @@ func (s *scheduler) walk(ns []codegen.Node) {
 			if !ok || as.skip || s.c.badIO[n] {
 				continue
 			}
-			box := s.section(n.Buffer)
+			box := s.boxAt(l.Sect)
 			if n.Read {
 				s.read(as, n, box)
 			} else {
@@ -574,7 +506,7 @@ func (s *scheduler) read(as *arraySched, n *codegen.IO, box sbox) {
 		s.c.diag("S2", n.Array, s.pos(),
 			"read of %s from %q is not covered by any earlier write or init", box, n.Array)
 	}
-	as.reads.add(ioEvent{box: s.keep(box), step: s.steps, buf: n.Buffer})
+	as.reads.add(ioEvent{box: box, step: s.steps, buf: n.Buffer})
 	if len(as.reads.list) > s.c.opt.MaxEvents {
 		as.skip = true
 		s.c.rep.Truncated = true
@@ -586,7 +518,6 @@ func (s *scheduler) read(as *arraySched, n *codegen.IO, box sbox) {
 // buffer after that earlier write, otherwise it clobbers accumulated data
 // — and extends the array's coverage.
 func (s *scheduler) write(as *arraySched, n *codegen.IO, box sbox) {
-	box = s.keep(box)
 	for _, id := range as.writes.index.query(box) {
 		w := &as.writes.list[id]
 		if !overlaps(box, w.box) {

@@ -225,8 +225,7 @@ func (c *checker) producers() {
 	firstRead := map[string]int{}
 	firstWrite := map[string]int{}
 	for i, n := range c.p.Body {
-		reads, writes := map[string]bool{}, map[string]bool{}
-		collectUnitIO(n, reads, writes)
+		reads, writes := codegen.UnitIO(n)
 		for a := range reads {
 			if _, ok := firstRead[a]; !ok {
 				firstRead[a] = i
@@ -259,26 +258,6 @@ func (c *checker) producers() {
 			c.diag("S5", a, fmt.Sprintf("item=%d", r),
 				"first read by top-level item %d precedes its producer unit (item %d); integrity recovery cannot roll back to a unit that has not run", r, w)
 		}
-	}
-}
-
-// collectUnitIO gathers the disk arrays a top-level item's subtree reads
-// and writes (the same collection exec's recovery uses to pick a
-// producer unit).
-func collectUnitIO(n codegen.Node, reads, writes map[string]bool) {
-	switch n := n.(type) {
-	case *codegen.Loop:
-		for _, ch := range n.Body {
-			collectUnitIO(ch, reads, writes)
-		}
-	case *codegen.IO:
-		if n.Read {
-			reads[n.Array] = true
-		} else {
-			writes[n.Array] = true
-		}
-	case *codegen.InitPass:
-		writes[n.Array] = true
 	}
 }
 

@@ -572,11 +572,7 @@ func TestVerifyProducerOrdering(t *testing.T) {
 	cfg := machine.Small(1 << 20)
 	p := buildProblem(t, prog, cfg)
 	tiles := map[string]int64{"i": 3, "j": 5, "m": 4, "n": 5}
-	unitIO := func(n codegen.Node) (reads, writes map[string]bool) {
-		reads, writes = map[string]bool{}, map[string]bool{}
-		collectUnitIO(n, reads, writes)
-		return
-	}
+	unitIO := codegen.UnitIO
 	plan := planWith(t, p, tiles, func(plan *codegen.Plan) bool {
 		prodAt, readAt := -1, -1
 		for i, n := range plan.Body {
