@@ -40,16 +40,8 @@ func main() {
 
 	// Figure 4 is the only figure that runs the solver; the shared obs
 	// flags (-metrics-out, -trace-out, pprof) observe that synthesis.
-	var copts []core.Option
-	if reg := obsFlags.Registry(); reg != nil {
-		copts = append(copts, core.WithMetrics(reg))
-	}
-	if tr := obsFlags.Tracer(); tr != nil {
-		copts = append(copts, core.WithTracer(tr))
-	}
-	if l := obsFlags.Log(); l != nil {
-		copts = append(copts, core.WithLog(l))
-	}
+	copts := []core.Option{core.WithMetrics(obsFlags.Registry()),
+		core.WithTracer(obsFlags.Tracer()), core.WithLog(obsFlags.Log())}
 
 	print := func(n int) {
 		switch n {

@@ -151,14 +151,11 @@ func main() {
 			store = inj
 		}
 	}
-	// runScrub sweeps the store's checksum index, printing the report and
-	// each defective block. Unrepaired defects exit nonzero so scripted
-	// scrubs (CI, cron) can alarm on them.
-	runScrub := func(be disk.Backend) {
-		obsFlags.SetPhase("scrub")
-		rep, err := disk.Scrub(be, disk.ScrubOptions{Repair: *scrubRepair, Metrics: obsFlags.Registry(), Log: elog})
-		if err != nil {
-			obsFlags.Fatal(err)
+	// checkScrub prints a run's scrub report; unrepaired defects exit
+	// nonzero.
+	checkScrub := func(rep *disk.ScrubReport) {
+		if rep == nil {
+			return
 		}
 		printScrub(rep)
 		if !rep.OK() && !*scrubRepair {
@@ -212,6 +209,21 @@ func main() {
 		}
 	}
 
+	// xopt is the run's execution half, shared by saved-plan runs and
+	// contractions (which add the synthesis fields).
+	xopt := ooc.Options{
+		Workers:       *workers,
+		Pipeline:      *pipeline,
+		Metrics:       obsFlags.Registry(),
+		Tracer:        obsFlags.Tracer(),
+		Log:           elog,
+		Retry:         retry,
+		Recovery:      recovery,
+		Scrub:         *scrub && !*scrubRepair,
+		ScrubRepair:   *scrubRepair,
+		ScrubSchedule: *scrubEvery,
+	}
+
 	if *random != "" {
 		// Staging goes to the store beneath any fault injector so the
 		// ground-truth inputs land intact; on a ring the replicated write
@@ -246,32 +258,8 @@ func main() {
 			fmt.Println(rep)
 		}
 		rec := trace.NewWithDisk(store, cfg.Disk)
-		if reg := obsFlags.Registry(); reg != nil {
-			disk.AttachMetrics(rec, reg)
-		}
-		xopt := exec.Options{
-			OpenInputs: true, NoFetch: true, Workers: *workers, Pipeline: *pipeline,
-			Metrics: obsFlags.Registry(), Tracer: obsFlags.Tracer(), Retry: retry,
-			Log: elog,
-		}
-		var sched *health.ScrubScheduler
-		if *scrubEvery > 0 {
-			sched, err = health.NewScrubScheduler(store, health.SchedOptions{
-				Interval: *scrubEvery, Repair: *scrubRepair,
-				Metrics: obsFlags.Registry(), Log: elog,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			xopt.OnUnit = sched.Tick
-		}
 		obsFlags.SetPhase("execute")
-		var res *exec.Result
-		if recovery != nil {
-			res, _, err = exec.RunResilient(nil, plan, rec, nil, xopt, *recovery)
-		} else {
-			res, err = exec.Run(plan, rec, nil, xopt)
-		}
+		res, err := ooc.Execute(rec, plan, xopt)
 		if err != nil {
 			obsFlags.Fatal(err)
 		}
@@ -281,24 +269,20 @@ func main() {
 		printResilience(res.Retry, res.Recovery)
 		printRing()
 		fmt.Print(trace.FormatSummary(rec.Summary()))
-		if sched != nil {
-			if err := sched.Drain(); err != nil {
-				obsFlags.Fatal(err)
-			}
-			rep := sched.Report()
-			printScrub(rep)
-			if !rep.OK() && !*scrubRepair {
-				os.Exit(1)
-			}
-		} else if *scrub || *scrubRepair {
-			runScrub(store)
-		}
+		checkScrub(res.Scrub)
 		return
 	}
 	if *spec == "" {
 		if *scrub || *scrubRepair {
-			// Standalone maintenance scrub over the store directory.
-			runScrub(store)
+			// Standalone maintenance scrub over the store directory:
+			// unrepaired defects exit nonzero so scripted scrubs (CI,
+			// cron) can alarm on them.
+			obsFlags.SetPhase("scrub")
+			rep, err := disk.Scrub(store, disk.ScrubOptions{Repair: *scrubRepair, Metrics: obsFlags.Registry(), Log: elog})
+			if err != nil {
+				obsFlags.Fatal(err)
+			}
+			checkScrub(rep)
 			return
 		}
 		if *random == "" {
@@ -309,23 +293,8 @@ func main() {
 
 	rec := trace.NewWithDisk(store, cfg.Disk)
 	obsFlags.SetPhase("contract")
-	res, err := ooc.Contract(rec, *spec, ooc.Options{
-		Machine:       cfg,
-		Seed:          *seed,
-		Portfolio:     *portfolio,
-		Workers:       *workers,
-		MaxEvals:      0,
-		Pipeline:      *pipeline,
-		Metrics:       obsFlags.Registry(),
-		Tracer:        obsFlags.Tracer(),
-		Log:           elog,
-		Verify:        *verifyP,
-		Retry:         retry,
-		Recovery:      recovery,
-		Scrub:         *scrub && !*scrubRepair,
-		ScrubRepair:   *scrubRepair,
-		ScrubSchedule: *scrubEvery,
-	})
+	xopt.Machine, xopt.Seed, xopt.Portfolio, xopt.Verify = cfg, *seed, *portfolio, *verifyP
+	res, err := ooc.Contract(rec, *spec, xopt)
 	if err != nil {
 		obsFlags.Fatal(err)
 	}
@@ -356,12 +325,7 @@ func main() {
 	printRing()
 	fmt.Println("\n== per-array I/O ==")
 	fmt.Print(trace.FormatSummary(rec.Summary()))
-	if res.Scrub != nil {
-		printScrub(res.Scrub)
-		if !res.Scrub.OK() && !*scrubRepair {
-			os.Exit(1)
-		}
-	}
+	checkScrub(res.Scrub)
 }
 
 // printSolver reports how the synthesis search went: evaluation count

@@ -7,7 +7,8 @@ import "repro/internal/placement"
 // execution engine runs and the plan verifier checks: a loop knows its
 // depth on the stack of enclosing loops and whether its subtree moves
 // data; an I/O or zero-fill knows, per buffer dim, which enclosing loop
-// its tile base comes from and how far it extends.
+// its tile base comes from and how far it extends; a compute block knows
+// the same of its intra indices and of every buffer it touches.
 type Lowered struct {
 	Node Node
 	// Depth is a loop's number of enclosing loops.
@@ -19,6 +20,12 @@ type Lowered struct {
 	Body []Lowered
 	// Sect is the section an I/O or zero-fill moves.
 	Sect Section
+	// IntraFrom gives, per intra index of a compute block, the depth of
+	// the enclosing loop its tile base comes from (-1: none, base 0).
+	IntraFrom []int
+	// Operands are the sections of a compute block's buffers at its
+	// position: the output's, then the factors'.
+	Operands []Section
 }
 
 // Section is the disk section a buffer maps to, one SectionDim per
@@ -50,12 +57,13 @@ func (s Section) At(bases, lo, shape []int64) {
 	}
 }
 
-// Lower lowers the plan body, one Lowered per node. A tile or unit dim
-// starts at the base of the innermost loop over its index that encloses
-// the node, at 0 when none does. Closing a loop forgets its index even
-// where an enclosing loop over the same index is still open, so the nodes
-// after it in that loop's body start at 0; only plans that nest a loop in
-// one over the same index, which verify's R4 rejects, see the difference.
+// Lower lowers the plan body, one Lowered per node. A tile or unit dim,
+// and a compute block's intra index, starts at the base of the innermost
+// loop over its index that encloses the node, at 0 when none does.
+// Closing a loop forgets its index even where an enclosing loop over the
+// same index is still open, so the nodes after it in that loop's body
+// start at 0; only plans that nest a loop in one over the same index,
+// which verify's R4 rejects, see the difference.
 func Lower(p *Plan) []Lowered {
 	lw := lowering{p: p, from: map[string]int{}}
 	body, _ := lw.body(p.Body, 0)
@@ -71,6 +79,8 @@ type lowering struct {
 	from  map[string]int
 	nodes []Lowered
 	dims  []SectionDim
+	secs  []Section
+	ints  []int
 }
 
 // carve cuts the next n elements from *slab, starting a new slab when it
@@ -104,6 +114,16 @@ func (lw *lowering) body(ns []Node, depth int) (out []Lowered, hasIO bool) {
 			l.Sect = lw.section(n.Buffer)
 		case *InitPass:
 			hasIO = true
+		case *Compute:
+			l.IntraFrom = carve(&lw.ints, len(n.Intra))
+			for j, x := range n.Intra {
+				l.IntraFrom[j] = lw.depthOf(x)
+			}
+			l.Operands = carve(&lw.secs, len(n.Factors)+1)
+			l.Operands[0] = lw.section(n.Out)
+			for r, f := range n.Factors {
+				l.Operands[r+1] = lw.section(f)
+			}
 		}
 	}
 	return out, hasIO
@@ -113,11 +133,7 @@ func (lw *lowering) body(ns []Node, depth int) (out []Lowered, hasIO bool) {
 func (lw *lowering) section(buf *Buffer) Section {
 	s := Section(carve(&lw.dims, len(buf.Dims)))
 	for i, d := range buf.Dims {
-		from, ok := lw.from[d.Index]
-		if !ok {
-			from = -1
-		}
-		n := lw.p.Prog.Ranges[d.Index]
+		from, n := lw.depthOf(d.Index), lw.p.Prog.Ranges[d.Index]
 		switch d.Class {
 		case placement.ExtTile:
 			s[i] = SectionDim{From: from, Ext: lw.p.Tiles[d.Index], Range: n, Clip: true}
@@ -128,6 +144,15 @@ func (lw *lowering) section(buf *Buffer) Section {
 		}
 	}
 	return s
+}
+
+// depthOf is the depth of the innermost open loop over index x, -1 when
+// none is open.
+func (lw *lowering) depthOf(x string) int {
+	if d, ok := lw.from[x]; ok {
+		return d
+	}
+	return -1
 }
 
 // UnitIO returns the disk arrays the subtree of n reads and writes (an

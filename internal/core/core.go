@@ -224,16 +224,14 @@ func synthesize(ctx context.Context, prog *loops.Program, c *config) (*Synthesis
 		evals = res.Combos
 	}
 	genTime := time.Since(start)
-	if c.metrics != nil {
-		// Self-describing BENCH rows: the snapshot carries the solve's
-		// wall clock, eval count, and race outcome alongside the counters.
-		c.metrics.Gauge("core.gen_seconds").Set(genTime.Seconds())
-		c.metrics.Gauge("dcs.result.evals").Set(float64(evals))
-		if sp.solverBased {
-			c.metrics.Gauge("dcs.portfolio.lanes").Set(float64(race.Lanes))
-			c.metrics.Gauge("dcs.portfolio.winner_lane").Set(float64(race.WinnerLane))
-			c.metrics.Gauge("dcs.portfolio.winner_seed").Set(float64(race.WinnerSeed))
-		}
+	// Self-describing BENCH rows: the snapshot carries the solve's wall
+	// clock, eval count, and race outcome alongside the counters.
+	c.metrics.Gauge("core.gen_seconds").Set(genTime.Seconds())
+	c.metrics.Gauge("dcs.result.evals").Set(float64(evals))
+	if sp.solverBased {
+		c.metrics.Gauge("dcs.portfolio.lanes").Set(float64(race.Lanes))
+		c.metrics.Gauge("dcs.portfolio.winner_lane").Set(float64(race.WinnerLane))
+		c.metrics.Gauge("dcs.portfolio.winner_seed").Set(float64(race.WinnerSeed))
 	}
 
 	plan, err := codegen.Generate(prob, x)

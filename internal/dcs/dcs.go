@@ -298,12 +298,10 @@ func newSolver(ctx context.Context, p Problem, opt options) *solver {
 		v.lo, v.hi = p.Bounds(i)
 		v.llo, v.lhi = math.Log(float64(v.lo)+1), math.Log(float64(v.hi)+1)
 	}
-	if opt.Metrics != nil {
-		// Cache the instrument pointers: eval() is the solver's hot path.
-		s.mEvals = opt.Metrics.Counter("dcs.evals")
-		s.mRestarts = opt.Metrics.Counter("dcs.restarts")
-		s.mImprovements = opt.Metrics.Counter("dcs.improvements")
-	}
+	// Cache the instrument pointers: eval() is the solver's hot path.
+	s.mEvals = opt.Metrics.Counter("dcs.evals")
+	s.mRestarts = opt.Metrics.Counter("dcs.restarts")
+	s.mImprovements = opt.Metrics.Counter("dcs.improvements")
 	return s
 }
 
@@ -455,9 +453,7 @@ func (s *solver) eval(x []int64) (float64, []float64) {
 // feasible or least-infeasible point so far, and consults the gate.
 func (s *solver) record(x []int64, f float64, g []float64) {
 	s.evals++
-	if s.mEvals != nil {
-		s.mEvals.Inc()
-	}
+	s.mEvals.Inc()
 	total := 0.0
 	for _, v := range g {
 		total += v
@@ -467,9 +463,7 @@ func (s *solver) record(x []int64, f float64, g []float64) {
 			s.best = append([]int64(nil), x...)
 			s.bestF = f
 			s.lastImprove = s.evals
-			if s.mImprovements != nil {
-				s.mImprovements.Inc()
-			}
+			s.mImprovements.Inc()
 			s.emit("improvement", f, true, 0)
 		}
 	} else if s.leastBadX == nil || total < s.leastBad {
@@ -502,9 +496,7 @@ func (s *solver) budgetLeft() bool {
 func (s *solver) run(once func(start []int64)) {
 	for r := 0; r < s.opt.Restarts && s.budgetLeft(); r++ {
 		s.restarts++
-		if s.mRestarts != nil {
-			s.mRestarts.Inc()
-		}
+		s.mRestarts.Inc()
 		s.curMu = nil
 		best, feasible := s.bestSoFar()
 		s.emit("restart", best, feasible, maxViolOf(s))

@@ -125,7 +125,9 @@ func solvePortfolio(ctx context.Context, p Problem, opt options) (Result, error)
 		cont[i] = make(chan bool)
 	}
 
-	var wg sync.WaitGroup
+	// Each lane's last act is an unbuffered send on exited: the
+	// coordinator joins the race by receiving it from every lane.
+	exited := make(chan struct{})
 	for i := 0; i < k; i++ {
 		i := i
 		lo := lanes[i]
@@ -133,14 +135,13 @@ func solvePortfolio(ctx context.Context, p Problem, opt options) (Result, error)
 			reports <- laneMsg{lane: i, snap: snap}
 			return <-cont[i]
 		}
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			s := newSolver(raceCtx, p, lo)
 			s.search()
 			if !s.stopped {
 				reports <- laneMsg{lane: i, snap: s.snapshot(), done: true}
 			}
+			exited <- struct{}{}
 		}()
 	}
 
@@ -213,7 +214,9 @@ func solvePortfolio(ctx context.Context, p Problem, opt options) (Result, error)
 		}
 	}
 	cancel()
-	wg.Wait()
+	for i := 0; i < k; i++ {
+		<-exited
+	}
 	flushLogs()
 
 	totalEvals, totalRestarts := 0, 0

@@ -254,9 +254,7 @@ func (s *solver) csaOnce(start []int64) {
 // eval bookkeeping in eval() records it).
 func (s *solver) randomSearch() {
 	s.restarts = 1
-	if s.mRestarts != nil {
-		s.mRestarts.Inc()
-	}
+	s.mRestarts.Inc()
 	s.emit("restart", math.Inf(1), false, 0)
 	n := s.p.Dim()
 	x := make([]int64, n)

@@ -174,9 +174,7 @@ var ledgerMetrics = [2][2]string{{MetricReadOps, MetricReadBytes}, {MetricWriteO
 
 func (c *ledgerCounters) reset() {
 	for _, m := range [...]*obs.Counter{c.ops[0], c.ops[1], c.bytes[0], c.bytes[1]} {
-		if m != nil {
-			m.Reset()
-		}
+		m.Reset()
 	}
 }
 
@@ -277,10 +275,8 @@ func (l *Ledger) chargeDetect(array string, blocks int64) {
 	l.integ.Detected += blocks
 	reg := l.reg
 	l.mu.Unlock()
-	if reg != nil {
-		reg.Counter(MetricIntegrityDetected).Add(blocks)
-		reg.Counter(MetricIntegrityDetected + "/" + array).Add(blocks)
-	}
+	reg.Counter(MetricIntegrityDetected).Add(blocks)
+	reg.Counter(MetricIntegrityDetected + "/" + array).Add(blocks)
 }
 
 // integSnapshot copies the integrity tallies.

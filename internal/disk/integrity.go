@@ -283,11 +283,9 @@ func Scrub(be Backend, opt ScrubOptions) (*ScrubReport, error) {
 			return nil, fmt.Errorf("disk: scrub repair sync: %w", err)
 		}
 	}
-	if opt.Metrics != nil {
-		opt.Metrics.Counter(MetricScrubBlocks).Add(rep.Blocks)
-		opt.Metrics.Counter(MetricScrubDefects).Add(int64(len(rep.Defects)))
-		opt.Metrics.Counter(MetricScrubRepaired).Add(rep.Repaired)
-	}
+	opt.Metrics.Counter(MetricScrubBlocks).Add(rep.Blocks)
+	opt.Metrics.Counter(MetricScrubDefects).Add(int64(len(rep.Defects)))
+	opt.Metrics.Counter(MetricScrubRepaired).Add(rep.Repaired)
 	opt.Log.Info("disk", "scrub.done",
 		obs.F("arrays", rep.Arrays),
 		obs.F("blocks", rep.Blocks),
@@ -317,7 +315,7 @@ func ScrubArray(be Backend, st IntegrityStore, name string, opt ScrubOptions) (d
 			obs.F("stored", fmt.Sprintf("%08x", d.Stored)),
 			obs.F("computed", fmt.Sprintf("%08x", d.Computed)))
 	}
-	if opt.Metrics != nil && len(defects) > 0 {
+	if len(defects) > 0 {
 		opt.Metrics.CounterVec(MetricScrubDefectsByArray, "array").
 			With(name).Add(int64(len(defects)))
 	}

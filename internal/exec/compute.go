@@ -22,13 +22,15 @@ type kernel struct {
 	// tile base the walker stood at when clip last ran.
 	rng, tile, at []int64
 	// pos is each intra index's enclosing loop on the walker's loop stack
-	// (-1: none; its base is then 0), found at lowering: the plan's nesting
-	// is static.
+	// (-1: none; its base is then 0), from the plan's lowering: the plan's
+	// nesting is static.
 	pos []int
 	// loop gives, per operand (the output, then the factors) and buffer
 	// dim, the position of the dim's index in c.Intra, -1 if it is not an
-	// intra index; outer gives a non-intra dim's enclosing loop as pos does.
-	loop, outer [][]int
+	// intra index; secs are the operands' lowered sections, whose From
+	// gives a non-intra dim's enclosing loop as pos does.
+	loop [][]int
+	secs []codegen.Section
 	// bufs is each operand's double-buffer state; slots holds the live
 	// instances of the block being computed.
 	bufs  []*pipeBuf
@@ -39,42 +41,34 @@ type kernel struct {
 	span obs.Key
 }
 
-// kernel lowers a compute block at the current position: its enclosing
-// loops are lw.names, outermost first.
-func (lw *lowering) kernel(c *codegen.Compute) *kernel {
-	e, stack := lw.e, lw.names
+// kernel builds a compute block's kernel from its lowering l.
+func (lw *lowering) kernel(c *codegen.Compute, l *codegen.Lowered) *kernel {
+	e := lw.e
 	nd, refs := len(c.Intra), len(c.Factors)+1
-	k := &kernel{c: c, loop: make([][]int, refs), outer: make([][]int, refs),
+	k := &kernel{c: c, pos: l.IntraFrom, loop: make([][]int, refs), secs: l.Operands,
 		bufs: make([]*pipeBuf, refs), slots: make([]*pslot, refs), span: e.sched.span("compute ", c.Out.Name)}
-	n := nd
+	n := 0
 	for r := 0; r < refs; r++ {
-		n += 2 * len(k.operand(r).Dims)
+		n += len(k.operand(r).Dims)
 	}
 	i64, ints := make([]int64, 3*nd), make([]int, n)
-	carve := func(n int) []int {
-		s := ints[:n:n]
-		ints = ints[n:]
-		return s
-	}
-	k.rng, k.tile, k.at, k.pos = i64[:nd:nd], i64[nd:2*nd:2*nd], i64[2*nd:], carve(nd)
+	k.rng, k.tile, k.at = i64[:nd:nd], i64[nd:2*nd:2*nd], i64[2*nd:]
 	free := make([]bool, nd)
 	for j, x := range c.Intra {
 		k.rng[j], k.tile[j] = e.plan.Prog.Ranges[x], e.plan.Tiles[x]
-		k.pos[j] = slices.Index(stack, x)
 	}
 	for r := 0; r < refs; r++ {
 		k.bufs[r] = lw.pipeBuf(k.operand(r))
 		dims := k.operand(r).Dims
-		loop, outer := carve(len(dims)), carve(len(dims))
+		loop := ints[:len(dims):len(dims)]
+		ints = ints[len(dims):]
 		for i, d := range dims {
-			loop[i], outer[i] = slices.Index(c.Intra, d.Index), -1
-			if loop[i] < 0 {
-				outer[i] = slices.Index(stack, d.Index)
-			} else if r == 0 {
+			loop[i] = slices.Index(c.Intra, d.Index)
+			if loop[i] >= 0 && r == 0 {
 				free[loop[i]] = true
 			}
 		}
-		k.loop[r], k.outer[r] = loop, outer
+		k.loop[r] = loop
 	}
 	k.con = tensor.NewContraction(free, len(c.Factors))
 	k.blk = k.con.NewBlock()
@@ -117,7 +111,7 @@ func (k *kernel) bind(blk *tensor.Block, r int, e *engine, b binding) {
 			strides[j] += s
 			start += int(k.at[j]-b.base[i]) * s
 		} else {
-			start += int(e.tileBase(k.outer[r][i])-b.base[i]) * s
+			start += int(e.tileBase(k.secs[r][i].From)-b.base[i]) * s
 		}
 		s *= b.t.Dim(i)
 	}

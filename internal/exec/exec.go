@@ -266,9 +266,7 @@ func RunContext(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs ma
 	if err != nil {
 		return nil, e.failure(err)
 	}
-	if opt.Metrics != nil {
-		opt.Metrics.Gauge("exec.buffer.peak_bytes").Set(float64(e.sched.peakBytes))
-	}
+	opt.Metrics.Gauge("exec.buffer.peak_bytes").Set(float64(e.sched.peakBytes))
 	res := &Result{Stats: be.Stats(), PeakBufferBytes: e.sched.peakBytes, Stopped: stopped, Retry: e.retryStats}
 	if opt.Pipeline {
 		res.Pipeline = e.sched.snapshot()
@@ -353,11 +351,9 @@ func newEngine(ctx context.Context, p *codegen.Plan, be disk.Backend, opt Option
 		ctx:      ctx,
 		arrs:     map[string]disk.Array{},
 		computes: !opt.DryRun || opt.Tracer != nil || opt.Pipeline,
-	}
-	if opt.Metrics != nil {
-		e.mFaults = opt.Metrics.Counter("exec.io.faults")
-		e.mRetries = opt.Metrics.Counter("exec.io.retries")
-		e.vRetries = opt.Metrics.CounterVec("exec.io.retries.by_array", "array")
+		mFaults:  opt.Metrics.Counter("exec.io.faults"),
+		mRetries: opt.Metrics.Counter("exec.io.retries"),
+		vRetries: opt.Metrics.CounterVec("exec.io.retries.by_array", "array"),
 	}
 	e.sched = newScheduler(e)
 	lw := &lowering{e: e, bufs: map[*codegen.Buffer]*pipeBuf{}}
@@ -456,9 +452,7 @@ func (e *engine) retryOp(t *ioTarget, read bool, lo, shape []int64, data []float
 		e.retryKey++
 		delay := pol.Delay(attempt, e.retryKey)
 		e.noteRetry(delay + attemptDur)
-		if e.vRetries != nil {
-			e.vRetries.With(array).Inc()
-		}
+		e.vRetries.With(array).Inc()
 		if e.opt.Log.Enabled(obs.LevelWarn) {
 			e.opt.Log.Warn("exec", "io.retry",
 				obs.F("array", array),
@@ -473,17 +467,13 @@ func (e *engine) retryOp(t *ioTarget, read bool, lo, shape []int64, data []float
 
 func (e *engine) noteFault() {
 	e.retryStats.FaultsSeen++
-	if e.mFaults != nil {
-		e.mFaults.Inc()
-	}
+	e.mFaults.Inc()
 }
 
 func (e *engine) noteRetry(seconds float64) {
 	e.retryStats.Retries++
 	e.retryStats.RetrySeconds += seconds
-	if e.mRetries != nil {
-		e.mRetries.Inc()
-	}
+	e.mRetries.Inc()
 }
 
 // stage creates all disk arrays and loads the inputs (or opens
@@ -843,8 +833,6 @@ type sect struct {
 // lowering.
 type lowering struct {
 	e *engine
-	// names holds the enclosing loops' indices, outermost first.
-	names []string
 	// bufs holds each plan buffer's double-buffer state, shared by every
 	// step that names the buffer.
 	bufs map[*codegen.Buffer]*pipeBuf
@@ -861,9 +849,7 @@ func (lw *lowering) body(ls []codegen.Lowered) []step {
 		l := &ls[i]
 		switch n := l.Node.(type) {
 		case *codegen.Loop:
-			lw.names = append(lw.names, n.Index)
 			body := lw.body(l.Body)
-			lw.names = lw.names[:l.Depth]
 			if l.Depth == 0 || !e.opt.DryRun || l.HasIO || e.computes {
 				steps[i] = &loopStep{l: n, depth: l.Depth, hasIO: l.HasIO, body: body}
 			}
@@ -877,7 +863,7 @@ func (lw *lowering) body(ls []codegen.Lowered) []step {
 			steps[i] = lw.initStep(n.Array)
 		case *codegen.Compute:
 			if e.computes {
-				steps[i] = lw.kernel(n)
+				steps[i] = lw.kernel(n, l)
 			}
 		}
 	}

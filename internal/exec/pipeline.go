@@ -178,11 +178,8 @@ func ioVerb(read bool) string {
 }
 
 func newScheduler(e *engine) *scheduler {
-	s := &scheduler{e: e}
 	reg := e.opt.Metrics
-	if reg != nil {
-		s.mBufBytes = reg.Gauge("exec.buffer.bytes")
-	}
+	s := &scheduler{e: e, mBufBytes: reg.Gauge("exec.buffer.bytes")}
 	if tr := e.opt.Tracer; tr != nil {
 		s.keys = newTraceKeys(tr)
 	}
@@ -190,13 +187,11 @@ func newScheduler(e *engine) *scheduler {
 		return s
 	}
 	s.comp = 1
-	if reg != nil {
-		s.mShadow = reg.Counter("exec.pipeline.prefetch.shadow")
-		s.mInplace = reg.Counter("exec.pipeline.prefetch.inplace")
-		s.mWriteBehind = reg.Counter("exec.pipeline.writebehind")
-		s.mBarriers = reg.Counter("exec.pipeline.barriers")
-		s.mStall = reg.Histogram("exec.pipeline.barrier.stall_seconds")
-	}
+	s.mShadow = reg.Counter("exec.pipeline.prefetch.shadow")
+	s.mInplace = reg.Counter("exec.pipeline.prefetch.inplace")
+	s.mWriteBehind = reg.Counter("exec.pipeline.writebehind")
+	s.mBarriers = reg.Counter("exec.pipeline.barriers")
+	s.mStall = reg.Histogram("exec.pipeline.barrier.stall_seconds")
 	return s
 }
 
@@ -251,10 +246,8 @@ func (s *scheduler) barrier(walkErr error) error {
 	stall := max(io-comp, comp-io)
 	s.clock[0], s.clock[1] = max(io, comp), max(io, comp)
 	s.stats.Barriers++
-	if s.mBarriers != nil {
-		s.mBarriers.Inc()
-		s.mStall.Observe(stall)
-	}
+	s.mBarriers.Inc()
+	s.mStall.Observe(stall)
 	if k := s.keys; k != nil {
 		k.tr.Mark(k.disk, k.barrier, s.clock[0], obs.Float(k.stall, stall))
 	}
@@ -304,9 +297,7 @@ func (s *scheduler) fillSlot(sc *sect) (slot *pslot, shadow bool) {
 			}
 			s.curBytes += n * 8
 			s.peakBytes = max(s.peakBytes, s.curBytes)
-			if s.mBufBytes != nil {
-				s.mBufBytes.Set(float64(s.curBytes))
-			}
+			s.mBufBytes.Set(float64(s.curBytes))
 			slot.t = tensor.New(sc.ext...)
 		} else {
 			slot.t = slot.t.Reshape(sc.ext...)
@@ -339,10 +330,8 @@ func (s *scheduler) read(st *ioStep) error {
 	slot, shadow := s.fillSlot(&st.sect)
 	if shadow {
 		s.stats.PrefetchedReads++
-		if s.mShadow != nil {
-			s.mShadow.Inc()
-		}
-	} else if s.mInplace != nil {
+		s.mShadow.Inc()
+	} else {
 		s.mInplace.Inc()
 	}
 	var args []obs.Arg
@@ -379,9 +368,7 @@ func (s *scheduler) write(st *ioStep) error {
 		return ioErr(false, st.n.Array, s.e.pos(), fmt.Errorf("write of uninstantiated buffer %q", st.n.Buffer.Name))
 	}
 	s.stats.WriteBehindWrites++
-	if s.mWriteBehind != nil {
-		s.mWriteBehind.Inc()
-	}
+	s.mWriteBehind.Inc()
 	var args []obs.Arg
 	if k := s.keys; k != nil {
 		args = []obs.Arg{obs.Int(k.bytes, size(shape)*8)}

@@ -215,9 +215,7 @@ func RunResilient(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs 
 		var ie *disk.IntegrityError
 		if errors.As(err, &ie) {
 			rep.IntegrityDetected++
-			if opt.Metrics != nil {
-				opt.Metrics.Counter("exec.integrity.detected").Add(1)
-			}
+			opt.Metrics.Counter("exec.integrity.detected").Add(1)
 			opt.Log.Warn("exec", "integrity.detected",
 				obs.F("array", ie.Array),
 				obs.F("error", err))
@@ -230,9 +228,7 @@ func RunResilient(ctx context.Context, p *codegen.Plan, be disk.Backend, inputs 
 			}
 			rep.IntegrityHealed++
 			rep.Heals = append(rep.Heals, heal)
-			if opt.Metrics != nil {
-				opt.Metrics.Counter("exec.integrity.healed").Add(1)
-			}
+			opt.Metrics.Counter("exec.integrity.healed").Add(1)
 			opt.Log.Info("exec", "integrity.healed",
 				obs.F("array", heal.Array),
 				obs.F("method", heal.Method),

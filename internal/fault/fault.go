@@ -306,26 +306,16 @@ func (in *Injector) Reopen() (disk.Backend, error) {
 // the registry to the inner backend when it supports metrics.
 func (in *Injector) SetMetrics(reg *obs.Registry) {
 	in.mu.Lock()
-	if reg == nil {
-		in.mInjected, in.mTransient, in.mPersistent = nil, nil, nil
-		in.mTorn, in.mSpikes, in.hLatency = nil, nil, nil
-		in.mBitFlip, in.mLost, in.mSilentTorn = nil, nil, nil
-	} else {
-		in.mInjected = reg.Counter("fault.injected")
-		in.mTransient = reg.Counter("fault.injected.transient")
-		in.mPersistent = reg.Counter("fault.injected.persistent")
-		in.mTorn = reg.Counter("fault.injected.torn")
-		in.mSpikes = reg.Counter("fault.latency.spikes")
-		in.hLatency = reg.Histogram("fault.latency.seconds")
-		in.mBitFlip = reg.Counter("fault.injected.bitflip")
-		in.mLost = reg.Counter("fault.injected.lost")
-		in.mSilentTorn = reg.Counter("fault.injected.silenttorn")
-	}
-	if reg == nil {
-		in.vInjected = nil
-	} else {
-		in.vInjected = reg.CounterVec("fault.injected.by_kind", "kind")
-	}
+	in.mInjected = reg.Counter("fault.injected")
+	in.mTransient = reg.Counter("fault.injected.transient")
+	in.mPersistent = reg.Counter("fault.injected.persistent")
+	in.mTorn = reg.Counter("fault.injected.torn")
+	in.mSpikes = reg.Counter("fault.latency.spikes")
+	in.hLatency = reg.Histogram("fault.latency.seconds")
+	in.mBitFlip = reg.Counter("fault.injected.bitflip")
+	in.mLost = reg.Counter("fault.injected.lost")
+	in.mSilentTorn = reg.Counter("fault.injected.silenttorn")
+	in.vInjected = reg.CounterVec("fault.injected.by_kind", "kind")
 	in.mu.Unlock()
 	disk.AttachMetrics(in.Inner(), reg)
 }
@@ -367,13 +357,6 @@ func kindName(kind int) string {
 		return "silenttorn"
 	}
 	return ""
-}
-
-// vinc bumps the per-kind labeled counter. Callers hold in.mu.
-func (in *Injector) vinc(kind int) {
-	if in.vInjected != nil {
-		in.vInjected.With(kindName(kind)).Inc()
-	}
 }
 
 // logInject emits the injection event for an errored fault kind;
@@ -448,9 +431,9 @@ func (in *Injector) decideLocked(write bool) (int, int64, float64) {
 		ord >= in.cfg.PersistentAfter &&
 		ord < in.cfg.PersistentAfter+in.cfg.persistentOps() {
 		in.counts.Persistent++
-		in.inc(in.mInjected)
-		in.inc(in.mPersistent)
-		in.vinc(fPersistent)
+		in.mInjected.Inc()
+		in.mPersistent.Inc()
+		in.vInjected.With(kindName(fPersistent)).Inc()
 		in.streak = 0
 		return fPersistent, ord, 0
 	}
@@ -467,10 +450,8 @@ func (in *Injector) decideLocked(write bool) (int, int64, float64) {
 	if spike > 0 {
 		in.counts.LatencySpikes++
 		in.counts.LatencySeconds += spike
-		in.inc(in.mSpikes)
-		if in.hLatency != nil {
-			in.hLatency.Observe(spike)
-		}
+		in.mSpikes.Inc()
+		in.hLatency.Observe(spike)
 		// A spike delays the operation but does not fail it; fall
 		// through so the same ordinal can still fault.
 	}
@@ -491,17 +472,17 @@ func (in *Injector) decideLocked(write bool) (int, int64, float64) {
 	}
 	if write && in.cfg.TornRate > 0 && in.frac(ord, saltTorn) < in.cfg.TornRate {
 		in.counts.Torn++
-		in.inc(in.mInjected)
-		in.inc(in.mTorn)
-		in.vinc(fTorn)
+		in.mInjected.Inc()
+		in.mTorn.Inc()
+		in.vInjected.With(kindName(fTorn)).Inc()
 		in.streak++
 		return fTorn, ord, spike
 	}
 	if in.cfg.Rate > 0 && in.frac(ord, saltTransient) < in.cfg.Rate {
 		in.counts.Transient++
-		in.inc(in.mInjected)
-		in.inc(in.mTransient)
-		in.vinc(fTransient)
+		in.mInjected.Inc()
+		in.mTransient.Inc()
+		in.vInjected.With(kindName(fTransient)).Inc()
 		in.streak++
 		return fTransient, ord, spike
 	}
@@ -515,25 +496,19 @@ func (in *Injector) recordSilent(kind int, array string) {
 	switch kind {
 	case fBitFlip:
 		in.counts.BitFlips++
-		in.inc(in.mBitFlip)
+		in.mBitFlip.Inc()
 	case fLost:
 		in.counts.LostWrites++
-		in.inc(in.mLost)
+		in.mLost.Inc()
 	case fSilentTorn:
 		in.counts.SilentTorn++
-		in.inc(in.mSilentTorn)
+		in.mSilentTorn.Inc()
 	}
-	in.vinc(kind)
+	in.vInjected.With(kindName(kind)).Inc()
 	l := in.log
 	in.mu.Unlock()
 	if l.Enabled(obs.LevelInfo) {
 		l.Info("fault", "inject."+kindName(kind), obs.F("array", array))
-	}
-}
-
-func (in *Injector) inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
 	}
 }
 

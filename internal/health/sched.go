@@ -95,9 +95,7 @@ func (s *ScrubScheduler) Tick() error {
 	s.barriers++
 	due := s.barriers%int64(s.opt.Interval) == 0
 	s.mu.Unlock()
-	if s.opt.Metrics != nil {
-		s.opt.Metrics.Counter(MetricSchedTicks).Inc()
-	}
+	s.opt.Metrics.Counter(MetricSchedTicks).Inc()
 	if !due {
 		return nil
 	}
@@ -180,12 +178,10 @@ func (s *ScrubScheduler) scrubArray(name string) error {
 	s.rep.Repaired += repaired
 	s.rep.HealedFromReplica += healedCopies
 	s.mu.Unlock()
-	if s.opt.Metrics != nil {
-		s.opt.Metrics.Counter(MetricSchedArrays).Inc()
-		s.opt.Metrics.Counter(MetricSchedBlocks).Add(blocks)
-		s.opt.Metrics.Counter(MetricSchedDefects).Add(int64(len(defects)))
-		s.opt.Metrics.Counter(MetricSchedHealed).Add(healedCopies)
-	}
+	s.opt.Metrics.Counter(MetricSchedArrays).Inc()
+	s.opt.Metrics.Counter(MetricSchedBlocks).Add(blocks)
+	s.opt.Metrics.Counter(MetricSchedDefects).Add(int64(len(defects)))
+	s.opt.Metrics.Counter(MetricSchedHealed).Add(healedCopies)
 	if s.opt.Log != nil && s.opt.Log.Enabled(obs.LevelInfo) {
 		susp := 0.0
 		if s.opt.Prioritizer != nil {

@@ -9,6 +9,14 @@
 // The package deliberately depends on nothing but the standard library,
 // so every other layer (disk, exec, dcs, core, trace, cliutil) can
 // import it without cycles.
+//
+// All three primitives treat nil as "absent": a nil *Log logs nothing, a
+// nil *Tracer records nothing, and a nil *Registry hands out nil
+// instruments and families, whose producer methods (Counter.Add, Inc and
+// Reset, Gauge.Set and Add, Histogram.Observe, and the families' With) do
+// nothing. A producer therefore caches its instruments
+// from whatever registry it was given and calls them unconditionally;
+// only the readers (Value, Snapshot, the exports) need a real registry.
 package obs
 
 import (
@@ -28,16 +36,28 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
+func (c *Counter) Reset() {
+	if c != nil {
+		c.v.Store(0)
+	}
+}
 
 // Gauge is an instantaneous float metric that also tracks its high-water
 // mark since the last reset (queue depths, buffer bytes).
@@ -50,6 +70,9 @@ type Gauge struct {
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) {
+	if g == nil {
+		return
+	}
 	g.mu.Lock()
 	g.v = v
 	if !g.seen || v > g.max {
@@ -60,6 +83,9 @@ func (g *Gauge) Set(v float64) {
 
 // Add shifts the gauge's value by d and returns the new value.
 func (g *Gauge) Add(d float64) float64 {
+	if g == nil {
+		return 0
+	}
 	g.mu.Lock()
 	g.v += d
 	if !g.seen || g.v > g.max {
@@ -106,6 +132,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -205,53 +234,43 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return instrument(&r.mu, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return instrument(&r.mu, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = &Histogram{}
-		r.histograms[name] = h
+	return instrument(&r.mu, r.histograms, name, func() *Histogram { return &Histogram{} })
+}
+
+// instrument returns m[name], creating it with mk under mu on first use.
+func instrument[T any](mu *sync.RWMutex, m map[string]*T, name string, mk func() *T) *T {
+	mu.RLock()
+	x := m[name]
+	mu.RUnlock()
+	if x != nil {
+		return x
 	}
-	return h
+	mu.Lock()
+	defer mu.Unlock()
+	if x = m[name]; x == nil {
+		x = mk()
+		m[name] = x
+	}
+	return x
 }
 
 // GaugeValue is an exported gauge state.

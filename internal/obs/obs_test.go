@@ -236,3 +236,33 @@ func TestTracerTypedArgsOverflow(t *testing.T) {
 		t.Fatal("track seconds wrong")
 	}
 }
+
+// TestNilRegistrySafe pins the metrics half of the nil rule the log and
+// the tracer already keep: a nil registry hands out nil instruments, and
+// every producer-facing method on a nil instrument or family is a no-op
+// that returns nil or zero, so producers need no "is a registry
+// attached?" guard of their own.
+func TestNilRegistrySafe(t *testing.T) {
+	var r *Registry
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")
+	cv, gv := r.CounterVec("cv", "k"), r.GaugeVec("gv", "k")
+	if c != nil || g != nil || h != nil || cv != nil || gv != nil {
+		t.Fatalf("nil registry handed out %v %v %v %v %v, want all nil", c, g, h, cv, gv)
+	}
+	c.Add(3)
+	c.Inc()
+	c.Reset()
+	g.Set(1)
+	if v := g.Add(2); v != 0 {
+		t.Fatalf("nil Gauge.Add = %v, want 0", v)
+	}
+	h.Observe(1)
+	if got := cv.With("a"); got != nil {
+		t.Fatalf("nil CounterVec.With = %v, want nil", got)
+	}
+	if got := gv.With("a"); got != nil {
+		t.Fatalf("nil GaugeVec.With = %v, want nil", got)
+	}
+	cv.With("a").Inc()
+	gv.With("a").Set(1)
+}

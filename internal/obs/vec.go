@@ -136,48 +136,44 @@ type CounterVec struct{ core vecCore[Counter] }
 
 // With returns the counter for the given label values (positional, in
 // the order the labels were registered).
-func (v *CounterVec) With(values ...string) *Counter { return v.core.with(values) }
+func (v *CounterVec) With(values ...string) *Counter {
+	if v == nil {
+		return nil
+	}
+	return v.core.with(values)
+}
 
 // GaugeVec is a family of gauges keyed by label values.
 type GaugeVec struct{ core vecCore[Gauge] }
 
 // With returns the gauge for the given label values (positional, in
 // the order the labels were registered).
-func (v *GaugeVec) With(values ...string) *Gauge { return v.core.with(values) }
+func (v *GaugeVec) With(values ...string) *Gauge {
+	if v == nil {
+		return nil
+	}
+	return v.core.with(values)
+}
 
 // CounterVec returns the named counter family, creating it on first
 // use. The label set is fixed by the first registration; later calls
 // return the existing family regardless of the labels argument.
 func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
-	r.mu.RLock()
-	v := r.counterVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.counterVecs[name]; v == nil {
-		v = &CounterVec{core: newVecCore[Counter](name, append([]string(nil), labels...))}
-		r.counterVecs[name] = v
-	}
-	return v
+	return instrument(&r.mu, r.counterVecs, name, func() *CounterVec {
+		return &CounterVec{core: newVecCore[Counter](name, append([]string(nil), labels...))}
+	})
 }
 
 // GaugeVec returns the named gauge family, creating it on first use.
 // The label set is fixed by the first registration.
 func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	r.mu.RLock()
-	v := r.gaugeVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.gaugeVecs[name]; v == nil {
-		v = &GaugeVec{core: newVecCore[Gauge](name, append([]string(nil), labels...))}
-		r.gaugeVecs[name] = v
-	}
-	return v
+	return instrument(&r.mu, r.gaugeVecs, name, func() *GaugeVec {
+		return &GaugeVec{core: newVecCore[Gauge](name, append([]string(nil), labels...))}
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/exec"
@@ -141,23 +142,32 @@ func Contract(be disk.Backend, spec string, opt Options) (*Result, error) {
 		core.WithStrategy(core.DCS),
 		core.WithSeed(opt.Seed),
 		core.WithMaxEvals(opt.MaxEvals),
-	}
-	if opt.Metrics != nil {
-		copts = append(copts, core.WithMetrics(opt.Metrics))
-	}
-	if opt.Portfolio > 1 {
-		copts = append(copts, core.WithPortfolio(opt.Portfolio))
+		core.WithMetrics(opt.Metrics),
+		core.WithPortfolio(opt.Portfolio),
+		core.WithLog(opt.Log),
 	}
 	if opt.Verify {
 		copts = append(copts, core.WithVerify())
-	}
-	if opt.Log != nil {
-		copts = append(copts, core.WithLog(opt.Log))
 	}
 	s, err := core.SynthesizeOpts(context.Background(), prog, copts...)
 	if err != nil {
 		return nil, err
 	}
+	out, err := Execute(be, s.Plan, opt)
+	if err != nil {
+		return nil, err
+	}
+	out.Synthesis = s
+	return out, nil
+}
+
+// Execute runs a synthesized plan over arrays resident on the backend,
+// the execution half of Contract: the inputs must already exist and the
+// outputs are created. It honours opt's execution fields (Workers,
+// Pipeline, Metrics, Tracer, Log, Retry, Recovery and the scrub options)
+// and ignores the synthesis ones; Result.Synthesis is nil.
+func Execute(be disk.Backend, plan *codegen.Plan, opt Options) (*Result, error) {
+	// Attaching nil would detach a registry the caller attached.
 	if opt.Metrics != nil {
 		disk.AttachMetrics(be, opt.Metrics)
 	}
@@ -172,6 +182,7 @@ func Contract(be disk.Backend, spec string, opt Options) (*Result, error) {
 		Retry:      opt.Retry,
 	}
 	var sched *health.ScrubScheduler
+	var err error
 	if opt.ScrubSchedule > 0 {
 		sched, err = health.NewScrubScheduler(be, health.SchedOptions{
 			Interval: opt.ScrubSchedule,
@@ -186,15 +197,14 @@ func Contract(be disk.Backend, spec string, opt Options) (*Result, error) {
 	}
 	var res *exec.Result
 	if opt.Recovery != nil {
-		res, _, err = exec.RunResilient(context.Background(), s.Plan, be, nil, xopt, *opt.Recovery)
+		res, _, err = exec.RunResilient(context.Background(), plan, be, nil, xopt, *opt.Recovery)
 	} else {
-		res, err = exec.Run(s.Plan, be, nil, xopt)
+		res, err = exec.Run(plan, be, nil, xopt)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Synthesis: s, Stats: res.Stats, Pipeline: res.Pipeline,
-		Retry: res.Retry, Recovery: res.Recovery}
+	out := &Result{Stats: res.Stats, Pipeline: res.Pipeline, Retry: res.Retry, Recovery: res.Recovery}
 	switch {
 	case sched != nil:
 		if err := sched.Drain(); err != nil {

@@ -87,50 +87,20 @@ func (a *Array) candidates(b int64) []int {
 	return a.cands[b]
 }
 
-// readOrder returns the replicas of block b a read may use, in ring
-// order with stale copies moved out: healthy replicas first, stale ones
-// appended as a last resort (a block whose every copy is stale is served
-// best-effort rather than refused — the checksum layer still catches
-// rot, and the scrub path re-converges the copies). Every stale copy
-// that lost its position to a healthy one is tallied as a DemoteStale
-// demotion in the per-shard tier report.
-func (a *Array) readOrder(b int64) []int {
-	a.amu.Lock()
-	cands := a.cands[b]
-	st := a.stale[b]
-	if len(st) == 0 {
-		a.amu.Unlock()
-		return cands
-	}
-	healthy := make([]int, 0, len(cands))
-	var stl []int
-	for _, id := range cands {
-		if st[id] {
-			stl = append(stl, id)
-		} else {
-			healthy = append(healthy, id)
-		}
-	}
-	a.amu.Unlock()
-	if len(healthy) > 0 {
-		for _, id := range stl {
-			a.st.recordDemotion(id, DemoteStale)
-		}
-	}
-	return append(healthy, stl...)
-}
-
-// readOrderAt is readOrder with the health plane consulted: replicas
-// whose breaker is open at modelled time now are demoted behind the
-// healthy candidates but ahead of stale ones — an open shard is slow
-// yet its copy is current, a stale copy is not. Half-open shards keep
-// their natural position: their reads are the breaker's probes. When
+// readOrderAt returns the replicas of block b a read may use at
+// modelled time now, in ring order with two kinds of replica moved out:
+// replicas whose breaker is open are demoted behind the healthy
+// candidates, and stale copies (that missed a write) behind those — an
+// open shard is slow yet its copy is current, a stale copy is not. A
+// block whose every copy is stale is served best-effort rather than
+// refused (the checksum layer still catches rot, and the scrub path
+// re-converges the copies). Half-open shards keep their natural
+// position: their reads are the breaker's probes. Every replica that
+// lost its position to a better one is tallied as a demotion in the
+// per-shard tier report. Without a health plane no breaker trips. When
 // every candidate is healthy it returns the cached list itself.
 func (a *Array) readOrderAt(b int64, now float64) []int {
 	hp := a.st.hp
-	if hp == nil {
-		return a.readOrder(b)
-	}
 	a.amu.Lock()
 	cands := a.cands[b]
 	var staleOf map[int]bool
@@ -352,10 +322,7 @@ func (a *Array) collective(lo, shape []int64, buf []float64, read bool) error {
 	// One modelled "now" per section keeps the replica order (and hence
 	// run coalescing) consistent across the section's blocks, and stamps
 	// every health observation the section makes.
-	var now float64
-	if a.st.hp != nil {
-		now = a.st.hp.now()
-	}
+	now := a.st.hp.now()
 	sc := a.getScratch()
 	defer a.putScratch(sc)
 	a.sliceRuns(sc, lo0, n0, read, now)
@@ -403,14 +370,10 @@ func (a *Array) readRun(sc *scratch, lo, shape []int64, buf []float64, r run, no
 			finals = append(finals, fmt.Errorf("ring: shard %d holds no copy of %q", id, a.name))
 			continue
 		}
-		if hp != nil {
-			hp.drain(id) // shed spikes not attributable to this op
-		}
+		hp.drain(id) // shed spikes not attributable to this op
 		err := a.st.attempt(la, true, slo, sshape, sbuf)
 		if err == nil {
-			if hp != nil {
-				a.hedgeAfterRead(slo, sshape, sbuf, r, ci, id, now)
-			}
+			a.hedgeAfterRead(slo, sshape, sbuf, r, ci, id, now)
 			if ci > 0 && a.st.log.Enabled(obs.LevelInfo) {
 				a.st.log.Info("ring", "replica.recovered",
 					obs.F("array", a.name),
@@ -419,10 +382,8 @@ func (a *Array) readRun(sc *scratch, lo, shape []int64, buf []float64, r run, no
 			}
 			return nil
 		}
-		if hp != nil {
-			hp.drain(id)
-			hp.observe(id, now, 1, false)
-		}
+		hp.drain(id)
+		hp.observe(id, now, 1, false)
 		finals = append(finals, err)
 		a.st.noteFailover(sh, a.name, r.firstBlock, err)
 	}
@@ -465,18 +426,7 @@ func (a *Array) writeRuns(sc *scratch, lo, shape []int64, buf []float64, now flo
 			} else {
 				err = a.st.attempt(la, false, slo, sshape, sbuf)
 			}
-			if hp != nil {
-				// Writes are observed (they feed scoring and heal the
-				// injector's windows) but never breaker-gated: a write
-				// always fans out to every replica for durability.
-				spikes := hp.drain(id)
-				n := int64(1)
-				for _, d := range sshape {
-					n *= d
-				}
-				hp.observe(id, now, ratioOf(a.st.opt.Disk.WriteTime(n*8, 1), spikes), err == nil)
-				hp.addTailWrite(spikes)
-			}
+			hp.observeWrite(id, now, sshape, err == nil)
 			if err == nil {
 				written = true
 				if !fullRows {

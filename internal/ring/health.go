@@ -97,12 +97,7 @@ func (s *Store) ShardReport(i int) TierReport {
 	live := sh.live
 	st := sh.be.Stats()
 	s.mu.Unlock()
-	rep := TierReport{Shard: i, Live: live, Stats: st}
-	if s.hp != nil {
-		rep.Health = s.hp.tr.Snapshot(i)
-	} else {
-		rep.Health.Ratio = 1
-	}
+	rep := TierReport{Shard: i, Live: live, Stats: st, Health: s.hp.snapshot(i)}
 	s.dmu.Lock()
 	if counts := s.demotions[i]; counts != nil {
 		for r, n := range counts {
@@ -147,35 +142,16 @@ func (s *Store) resetDemotions() {
 
 // Health returns the health tracker, nil when Options.Health was nil.
 // Tests and operator tooling use it to inspect or force breaker state.
-func (s *Store) Health() *health.Tracker {
-	if s.hp == nil {
-		return nil
-	}
-	return s.hp.tr
-}
+func (s *Store) Health() *health.Tracker { return s.hp.tracker() }
 
 // TailReadSeconds returns the experienced read tail: modelled seconds
 // reads actually waited beyond the front door's single-disk figure —
 // injected spikes paid by winning preferred reads, plus the hedge
 // detour cost when a hedge won. Zero without a health plane.
-func (s *Store) TailReadSeconds() float64 {
-	if s.hp == nil {
-		return 0
-	}
-	s.hp.mu.Lock()
-	defer s.hp.mu.Unlock()
-	return s.hp.tailRead
-}
+func (s *Store) TailReadSeconds() float64 { return s.hp.accounts().tailRead }
 
 // TailWriteSeconds is the write-side tail account.
-func (s *Store) TailWriteSeconds() float64 {
-	if s.hp == nil {
-		return 0
-	}
-	s.hp.mu.Lock()
-	defer s.hp.mu.Unlock()
-	return s.hp.tailWrite
-}
+func (s *Store) TailWriteSeconds() float64 { return s.hp.accounts().tailWrite }
 
 // FrontReadSeconds is the experienced front-door read time: the
 // modelled single-disk-equivalent read seconds plus the read tail. This
@@ -186,24 +162,16 @@ func (s *Store) FrontReadSeconds() float64 {
 
 // HedgeCounts returns the hedged-read tallies since the last ResetStats.
 func (s *Store) HedgeCounts() (issued, won, cancelled int64) {
-	if s.hp == nil {
-		return 0, 0, 0
-	}
-	s.hp.mu.Lock()
-	defer s.hp.mu.Unlock()
-	return s.hp.hedgeIssued, s.hp.hedgeWon, s.hp.hedgeCancelled
+	a := s.hp.accounts()
+	return a.hedgeIssued, a.hedgeWon, a.hedgeCancelled
 }
 
 // BreakerTransitions returns how many breaker transitions entered each
 // state since the store was built (opens, half-opens, closes). Breaker
 // state is health state, not accounting, so ResetStats keeps it.
 func (s *Store) BreakerTransitions() (opens, halfOpens, closes int64) {
-	if s.hp == nil {
-		return 0, 0, 0
-	}
-	s.hp.mu.Lock()
-	defer s.hp.mu.Unlock()
-	return s.hp.opens, s.hp.halfOpens, s.hp.closes
+	a := s.hp.accounts()
+	return a.opens, a.halfOpens, a.closes
 }
 
 // Suspicion scores an array for the scrub scheduler
@@ -213,7 +181,6 @@ func (s *Store) BreakerTransitions() (opens, halfOpens, closes int64) {
 func (s *Store) Suspicion(name string) float64 {
 	s.mu.Lock()
 	a := s.arrays[name]
-	hp := s.hp
 	s.mu.Unlock()
 	if a == nil {
 		return 0
@@ -223,33 +190,21 @@ func (s *Store) Suspicion(name string) float64 {
 	for _, set := range a.stale {
 		susp += float64(len(set))
 	}
-	var per map[int]int
+	per := map[int]int{}
+	for _, order := range a.cands {
+		for _, id := range order {
+			per[id]++
+		}
+	}
 	blocks := float64(len(a.cands))
-	if hp != nil && blocks > 0 {
-		per = map[int]int{}
-		for _, order := range a.cands {
-			for _, id := range order {
-				per[id]++
-			}
-		}
-	}
 	a.amu.Unlock()
-	if per != nil {
-		// Sorted shard order keeps the float sum deterministic.
-		ids := make([]int, 0, len(per))
-		for id := range per {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			susp += hp.tr.Score(id) * float64(per[id]) / blocks
-		}
-	}
-	return susp
+	return s.hp.addScores(susp, per, blocks)
 }
 
-// healthPlane is the store's health-plane state, present only when
-// Options.Health is set.
+// healthPlane is the store's health-plane state. A store without one
+// (Options.Health nil) holds a nil *healthPlane, and every method below
+// treats nil as the absent plane: no clock, no spikes, no breaker ever
+// tripped, zero accounts. The read path therefore has one shape.
 //
 // Lock discipline: hp.mu is a leaf — never held while calling into the
 // tracker (whose transition callback takes hp.mu) or the store.
@@ -258,22 +213,24 @@ type healthPlane struct {
 	tr *health.Tracker
 
 	mu    sync.Mutex
-	names map[int]string // shard id → bounded metric label (from newShard)
+	names map[int]string // shard id → bounded metric label (from attach)
 	// pending accumulates injected spike seconds per shard between the
 	// injector's sink callback and the op-completion drain.
-	pending             map[int]float64
-	tailRead, tailWrite float64
-	hedgeIssued         int64
-	hedgeWon            int64
-	hedgeCancelled      int64
-	opens               int64
-	halfOpens           int64
-	closes              int64
+	pending map[int]float64
+	acct    planeAccounts
 
 	gState     *obs.GaugeVec
 	cIssued    *obs.Counter
 	cWon       *obs.Counter
 	cCancelled *obs.Counter
+}
+
+// planeAccounts are the plane's tallies: the tail and hedge accounts,
+// which ResetStats zeroes, and the breaker transitions, which it keeps.
+type planeAccounts struct {
+	tailRead, tailWrite                   float64
+	hedgeIssued, hedgeWon, hedgeCancelled int64
+	opens, halfOpens, closes              int64
 }
 
 func newHealthPlane(st *Store, cfg health.Config) *healthPlane {
@@ -287,6 +244,50 @@ func newHealthPlane(st *Store, cfg health.Config) *healthPlane {
 	return hp
 }
 
+// tracker returns the plane's tracker (nil without a plane).
+func (hp *healthPlane) tracker() *health.Tracker {
+	if hp == nil {
+		return nil
+	}
+	return hp.tr
+}
+
+// snapshot returns shard id's health (a neutral ratio without a plane).
+func (hp *healthPlane) snapshot(id int) health.ShardHealth {
+	if hp == nil {
+		return health.ShardHealth{Ratio: 1}
+	}
+	return hp.tr.Snapshot(id)
+}
+
+// accounts returns a copy of the plane's tallies (zero without a plane).
+func (hp *healthPlane) accounts() planeAccounts {
+	if hp == nil {
+		return planeAccounts{}
+	}
+	hp.mu.Lock()
+	defer hp.mu.Unlock()
+	return hp.acct
+}
+
+// addScores adds to susp the health scores of the shards in per, each
+// weighted by its share of blocks (nothing without a plane).
+func (hp *healthPlane) addScores(susp float64, per map[int]int, blocks float64) float64 {
+	if hp == nil || blocks == 0 {
+		return susp
+	}
+	// Sorted shard order keeps the float sum deterministic.
+	ids := make([]int, 0, len(per))
+	for id := range per {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		susp += hp.tr.Score(id) * float64(per[id]) / blocks
+	}
+	return susp
+}
+
 // noteTransition is the tracker's breaker-transition callback: it
 // updates the state gauge, tallies the traversal counters, and emits
 // one health event per transition.
@@ -296,14 +297,14 @@ func (hp *healthPlane) noteTransition(tr health.Transition) {
 	g := hp.gState
 	switch tr.To {
 	case health.Open:
-		hp.opens++
+		hp.acct.opens++
 	case health.HalfOpen:
-		hp.halfOpens++
+		hp.acct.halfOpens++
 	case health.Closed:
-		hp.closes++
+		hp.acct.closes++
 	}
 	hp.mu.Unlock()
-	if g != nil && name != "" {
+	if name != "" {
 		g.With(name).Set(float64(tr.To))
 	}
 	if hp.st.log.Enabled(obs.LevelInfo) {
@@ -314,25 +315,29 @@ func (hp *healthPlane) noteTransition(tr health.Transition) {
 	}
 }
 
-// registerShard records the shard's bounded metric label and publishes
-// its initial breaker state.
-func (hp *healthPlane) registerShard(id int, name string) {
+// attach records the shard's bounded metric label, publishes its
+// initial breaker state, and attributes the shard's injected latency
+// spikes to it, so the plane can score and hedge on them.
+func (hp *healthPlane) attach(sh *shard) {
+	if hp == nil {
+		return
+	}
 	hp.mu.Lock()
-	hp.names[id] = name
+	hp.names[sh.id] = sh.name
 	g := hp.gState
 	hp.mu.Unlock()
-	if g != nil {
-		g.With(name).Set(float64(health.Closed))
+	g.With(sh.name).Set(float64(health.Closed))
+	if sh.inj != nil {
+		id := sh.id
+		sh.inj.SetLatencySink(func(sec float64) { hp.addPending(id, sec) })
 	}
 }
 
 func (hp *healthPlane) setMetrics(reg *obs.Registry) {
-	hp.mu.Lock()
-	if reg == nil {
-		hp.gState, hp.cIssued, hp.cWon, hp.cCancelled = nil, nil, nil, nil
-		hp.mu.Unlock()
+	if hp == nil {
 		return
 	}
+	hp.mu.Lock()
 	hp.gState = reg.GaugeVec(MetricBreakerState, "shard")
 	hp.cIssued = reg.Counter(MetricHedgeIssued)
 	hp.cWon = reg.Counter(MetricHedgeWon)
@@ -350,8 +355,12 @@ func (hp *healthPlane) setMetrics(reg *obs.Registry) {
 }
 
 // now is the modelled clock the health plane runs on: the front door's
-// accumulated modelled time. Deterministic for a given plan.
+// accumulated modelled time. Deterministic for a given plan. Without a
+// plane nothing reads the clock, so it stays at 0.
 func (hp *healthPlane) now() float64 {
+	if hp == nil {
+		return 0
+	}
 	return hp.st.front.Snapshot().Time()
 }
 
@@ -367,8 +376,11 @@ func (hp *healthPlane) addPending(id int, sec float64) {
 // fires synchronously on the op's goroutine, and a collective runs its
 // sub-operations one at a time on its caller's goroutine, so draining
 // right after an op yields exactly that op's spikes (retried attempts
-// lump together).
+// lump together). Without a plane no sink is installed: 0.
 func (hp *healthPlane) drain(id int) float64 {
+	if hp == nil {
+		return 0
+	}
 	hp.mu.Lock()
 	v := hp.pending[id]
 	if v != 0 {
@@ -379,40 +391,61 @@ func (hp *healthPlane) drain(id int) float64 {
 }
 
 func (hp *healthPlane) resetAccounts() {
+	if hp == nil {
+		return
+	}
 	hp.mu.Lock()
 	hp.pending = map[int]float64{}
-	hp.tailRead, hp.tailWrite = 0, 0
-	hp.hedgeIssued, hp.hedgeWon, hp.hedgeCancelled = 0, 0, 0
+	hp.acct.tailRead, hp.acct.tailWrite = 0, 0
+	hp.acct.hedgeIssued, hp.acct.hedgeWon, hp.acct.hedgeCancelled = 0, 0, 0
 	hp.mu.Unlock()
 }
 
 // observe feeds one op into the tracker. ratio is observed/baseline
 // modelled seconds.
 func (hp *healthPlane) observe(id int, now, ratio float64, ok bool) {
-	hp.tr.Observe(id, now, ratio, ok)
+	if hp != nil {
+		hp.tr.Observe(id, now, ratio, ok)
+	}
+}
+
+// observeWrite feeds one replica write into the tracker and the spikes
+// it paid into the write tail. Writes are observed (they feed scoring
+// and heal the injector's windows) but never breaker-gated: a write
+// always fans out to every replica for durability.
+func (hp *healthPlane) observeWrite(id int, now float64, shape []int64, ok bool) {
+	if hp == nil {
+		return
+	}
+	spikes := hp.drain(id)
+	n := int64(1)
+	for _, d := range shape {
+		n *= d
+	}
+	hp.observe(id, now, ratioOf(hp.st.opt.Disk.WriteTime(n*8, 1), spikes), ok)
+	hp.addTail(&hp.acct.tailWrite, spikes)
 }
 
 // tripped reports whether the shard's breaker is open at modelled time
-// now (performing the lazy open → half-open transition).
+// now (performing the lazy open → half-open transition); never without
+// a plane.
 func (hp *healthPlane) tripped(id int, now float64) bool {
-	return hp.tr.State(id, now) == health.Open
+	return hp != nil && hp.tr.State(id, now) == health.Open
 }
 
-func (hp *healthPlane) addTailRead(sec float64) {
+// openAt is tripped without the lazy transition, safe under the store's
+// lock: a shard past its cooldown reads half-open.
+func (hp *healthPlane) openAt(id int, now float64) bool {
+	return hp != nil && hp.tr.StateAt(id, now) == health.Open
+}
+
+// addTail adds paid spike seconds to one of the plane's tail accounts.
+func (hp *healthPlane) addTail(acct *float64, sec float64) {
 	if sec <= 0 {
 		return
 	}
 	hp.mu.Lock()
-	hp.tailRead += sec
-	hp.mu.Unlock()
-}
-
-func (hp *healthPlane) addTailWrite(sec float64) {
-	if sec <= 0 {
-		return
-	}
-	hp.mu.Lock()
-	hp.tailWrite += sec
+	*acct += sec
 	hp.mu.Unlock()
 }
 
@@ -425,13 +458,12 @@ func ratioOf(base, spikes float64) float64 {
 	return 1 + spikes/base
 }
 
-func (hp *healthPlane) noteHedge(event, array string, block int64, from, to int, c *obs.Counter, n *int64) {
+func (hp *healthPlane) noteHedge(event, array string, block int64, from, to int, c **obs.Counter, n *int64) {
 	hp.mu.Lock()
 	*n++
+	cnt := *c
 	hp.mu.Unlock()
-	if c != nil {
-		c.Inc()
-	}
+	cnt.Inc()
 	if hp.st.log.Enabled(obs.LevelInfo) {
 		hp.st.log.Info("health", event,
 			obs.F("array", array),
@@ -439,27 +471,6 @@ func (hp *healthPlane) noteHedge(event, array string, block int64, from, to int,
 			obs.F("shard", from),
 			obs.F("hedge_shard", to))
 	}
-}
-
-func (hp *healthPlane) noteHedgeIssued(array string, block int64, from, to int) {
-	hp.mu.Lock()
-	c := hp.cIssued
-	hp.mu.Unlock()
-	hp.noteHedge("hedge.issued", array, block, from, to, c, &hp.hedgeIssued)
-}
-
-func (hp *healthPlane) noteHedgeWon(array string, block int64, from, to int) {
-	hp.mu.Lock()
-	c := hp.cWon
-	hp.mu.Unlock()
-	hp.noteHedge("hedge.won", array, block, from, to, c, &hp.hedgeWon)
-}
-
-func (hp *healthPlane) noteHedgeCancelled(array string, block int64, from, to int) {
-	hp.mu.Lock()
-	c := hp.cCancelled
-	hp.mu.Unlock()
-	hp.noteHedge("hedge.cancelled", array, block, from, to, c, &hp.hedgeCancelled)
 }
 
 // hedgeAfterRead scores a successful preferred-replica read and, when
@@ -481,19 +492,22 @@ func (hp *healthPlane) noteHedgeCancelled(array string, block int64, from, to in
 func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, id int, now float64) {
 	hp := a.st.hp
 	spikes := hp.drain(id)
+	if spikes <= 0 {
+		hp.observe(id, now, 1, true)
+		return
+	}
+	// Spikes only reach a shard through the plane's latency sink, so the
+	// plane is present from here on.
 	n := int64(1)
 	for _, d := range sshape {
 		n *= d
 	}
 	base := a.st.opt.Disk.ReadTime(n*8, 1)
-	hp.observe(id, now, ratioOf(base, spikes), true)
-	if spikes <= 0 {
-		return
-	}
 	ratio := ratioOf(base, spikes)
+	hp.observe(id, now, ratio, true)
 	thr := hp.tr.HedgeRatio()
 	if ratio < thr {
-		hp.addTailRead(spikes)
+		hp.addTail(&hp.acct.tailRead, spikes)
 		return
 	}
 	// Hedge target: the next replica in preference order with a live
@@ -512,10 +526,10 @@ func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, i
 		}
 	}
 	if hid < 0 {
-		hp.addTailRead(spikes)
+		hp.addTail(&hp.acct.tailRead, spikes)
 		return
 	}
-	hp.noteHedgeIssued(a.name, r.firstBlock, id, hid)
+	hp.noteHedge("hedge.issued", a.name, r.firstBlock, id, hid, &hp.cIssued, &hp.acct.hedgeIssued)
 	// Hedge into a private buffer: a failed hedge read may poison its
 	// buffer (the injector performs, then fails), and sbuf already holds
 	// good data from the preferred replica.
@@ -531,10 +545,10 @@ func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, i
 	if herr == nil && lHedge < lPref {
 		copy(sbuf, tmp)
 		a.st.recordDemotion(id, DemoteHedgeLost)
-		hp.noteHedgeWon(a.name, r.firstBlock, id, hid)
-		hp.addTailRead(lHedge - base)
+		hp.noteHedge("hedge.won", a.name, r.firstBlock, id, hid, &hp.cWon, &hp.acct.hedgeWon)
+		hp.addTail(&hp.acct.tailRead, lHedge-base)
 	} else {
-		hp.noteHedgeCancelled(a.name, r.firstBlock, id, hid)
-		hp.addTailRead(spikes)
+		hp.noteHedge("hedge.cancelled", a.name, r.firstBlock, id, hid, &hp.cCancelled, &hp.acct.hedgeCancelled)
+		hp.addTail(&hp.acct.tailRead, spikes)
 	}
 }

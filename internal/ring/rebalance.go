@@ -26,7 +26,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/health"
 	"repro/internal/obs"
 )
 
@@ -269,7 +268,6 @@ func (s *Store) copyRowsLocked(a *Array, b, lo, hi int64, srcs []int, to int, re
 	// behind it. StateAt has no side effects, so it is safe under s.mu; a
 	// shard past its cooldown reads half-open and is admitted as a probe.
 	now := s.front.Snapshot().Time()
-	open := func(id int) bool { return s.hp != nil && s.hp.tr.StateAt(id, now) == health.Open }
 	sec, shape := a.rowSection(lo, hi)
 	n := (hi - lo) * a.rowSize
 	var buf []float64
@@ -278,12 +276,12 @@ func (s *Store) copyRowsLocked(a *Array, b, lo, hi int64, srcs []int, to int, re
 	}
 	read := false
 	for _, sid := range srcs {
-		if a.isStale(b, sid) || open(sid) {
+		if a.isStale(b, sid) || s.hp.openAt(sid, now) {
 			continue
 		}
-		arr, err := baseBackend(s.shards[sid].be).Open(a.name)
+		arr, _, err := openBase(s.shards[sid], a.name)
 		if err != nil {
-			return false, fmt.Errorf("ring: shard %d: %w", sid, err)
+			return false, err
 		}
 		if arr.ReadSection(sec, shape, buf) == nil {
 			read = true
@@ -292,9 +290,9 @@ func (s *Store) copyRowsLocked(a *Array, b, lo, hi int64, srcs []int, to int, re
 	}
 	var werr error
 	if read {
-		arr, err := baseBackend(s.shards[to].be).Open(a.name)
+		arr, _, err := openBase(s.shards[to], a.name)
 		if err != nil {
-			return false, fmt.Errorf("ring: shard %d: %w", to, err)
+			return false, err
 		}
 		werr = arr.WriteSection(sec, shape, buf)
 	}

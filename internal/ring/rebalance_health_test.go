@@ -3,6 +3,7 @@ package ring
 import (
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/health"
 )
 
@@ -32,7 +33,8 @@ func rebalanceReadDeltas(t *testing.T, openShards ...int) (map[int]int64, *Rebal
 	}
 	before := map[int]int64{}
 	for i := 0; i < 3; i++ {
-		before[i] = baseBackend(s.ShardBackend(i)).Stats().ReadOps
+		base, _ := disk.Find[*disk.Sim](s.ShardBackend(i))
+		before[i] = base.Stats().ReadOps
 	}
 	rep, err := s.AddShard()
 	if err != nil {
@@ -40,7 +42,8 @@ func rebalanceReadDeltas(t *testing.T, openShards ...int) (map[int]int64, *Rebal
 	}
 	delta := map[int]int64{}
 	for i := 0; i < 3; i++ {
-		delta[i] = baseBackend(s.ShardBackend(i)).Stats().ReadOps - before[i]
+		base, _ := disk.Find[*disk.Sim](s.ShardBackend(i))
+		delta[i] = base.Stats().ReadOps - before[i]
 	}
 	return delta, rep, s
 }

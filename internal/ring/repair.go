@@ -37,15 +37,25 @@ import (
 	"repro/internal/obs"
 )
 
-// baseBackend unwraps be to the bottom of its wrapper chain.
-func baseBackend(be disk.Backend) disk.Backend {
-	for {
-		ib, ok := be.(disk.InnerBackend)
-		if !ok {
-			return be
-		}
-		be = ib.Inner()
+// shardStore is a shard's base store, beneath any fault injector: the
+// first backend along the shard's wrapper chain that keeps integrity
+// metadata.
+type shardStore interface {
+	disk.Backend
+	disk.IntegrityStore
+}
+
+// openBase opens the shard's copy of the array on its base store.
+func openBase(sh *shard, name string) (disk.Array, shardStore, error) {
+	base, ok := disk.Find[shardStore](sh.be)
+	if !ok {
+		return nil, nil, fmt.Errorf("ring: shard %d does not maintain integrity metadata", sh.id)
 	}
+	arr, err := base.Open(name)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ring: shard %d: %w", sh.id, err)
+	}
+	return arr, base, nil
 }
 
 // ArrayNames lists the ring's arrays in sorted order.
@@ -172,14 +182,9 @@ func (s *Store) HealArray(name string) (copied, unhealed int64, err error) {
 	bases := map[int]disk.Array{}
 	ists := map[int]disk.IntegrityStore{}
 	for _, sh := range shards {
-		base := baseBackend(sh.be)
-		ist, ok := base.(disk.IntegrityStore)
-		if !ok {
-			return 0, 0, fmt.Errorf("ring: shard %d does not maintain integrity metadata", sh.id)
-		}
-		arr, err := base.Open(name)
+		arr, ist, err := openBase(sh, name)
 		if err != nil {
-			return 0, 0, fmt.Errorf("ring: shard %d: %w", sh.id, err)
+			return 0, 0, err
 		}
 		bases[sh.id] = arr
 		ists[sh.id] = ist
@@ -312,9 +317,7 @@ func (s *Store) noteRepairCopied(array string, block int64, from, to int) {
 	s.fmu.Lock()
 	c := s.mRepairCopied
 	s.fmu.Unlock()
-	if c != nil {
-		c.Inc()
-	}
+	c.Inc()
 	if s.log.Enabled(obs.LevelInfo) {
 		s.log.Info("ring", "repair.copied",
 			obs.F("array", array),
@@ -329,9 +332,7 @@ func (s *Store) noteRepairUnhealed(array string, block int64, cands []int) {
 	s.fmu.Lock()
 	c := s.mRepairRecompute
 	s.fmu.Unlock()
-	if c != nil {
-		c.Inc()
-	}
+	c.Inc()
 	if s.log.Enabled(obs.LevelWarn) {
 		s.log.Warn("ring", "repair.unhealed",
 			obs.F("array", array),

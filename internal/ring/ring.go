@@ -94,7 +94,8 @@ type Options struct {
 	// shards out of preferred read position, and hedged reads against
 	// replicas whose observed latency crosses the quantile-derived hedge
 	// threshold (see internal/health). The zero Config selects the
-	// defaults. nil keeps the pre-health read path bit-for-bit.
+	// defaults. nil means no plane: reads take the same one read-order
+	// function, in which no breaker ever trips and no read hedges.
 	Health *health.Config
 	// Metrics, if non-nil, receives the ring health families and the
 	// front-door I/O counters.
@@ -134,7 +135,8 @@ type Store struct {
 
 	log *obs.Log
 
-	// hp is the shard-health plane, nil unless Options.Health is set.
+	// hp is the shard-health plane; nil (no plane) unless Options.Health
+	// is set, which its methods treat as the absent plane.
 	hp *healthPlane
 	// dmu guards the demotion ledger, which exists with or without a
 	// health plane (stale demotions predate it).
@@ -181,15 +183,7 @@ func (s *Store) newShard(i int) *shard {
 		sh.inj = fault.Wrap(be, c)
 		sh.be = sh.inj
 	}
-	if s.hp != nil {
-		s.hp.registerShard(sh.id, sh.name)
-		if sh.inj != nil {
-			// Attribute injected latency spikes to the shard that pays
-			// them, so the health plane can score and hedge on them.
-			id := sh.id
-			sh.inj.SetLatencySink(func(sec float64) { s.hp.addPending(id, sec) })
-		}
-	}
+	s.hp.attach(sh)
 	return sh
 }
 
@@ -372,9 +366,7 @@ func (s *Store) ResetStats() {
 	s.failoverSeconds = 0
 	s.fmu.Unlock()
 	s.resetDemotions()
-	if s.hp != nil {
-		s.hp.resetAccounts()
-	}
+	s.hp.resetAccounts()
 }
 
 // SetMetrics attaches reg (nil detaches): the front-door I/O counters
@@ -383,18 +375,9 @@ func (s *Store) ResetStats() {
 // ring.degraded.blocks).
 func (s *Store) SetMetrics(reg *obs.Registry) {
 	s.front.SetMetrics(reg)
-	if s.hp != nil {
-		s.hp.setMetrics(reg)
-	}
+	s.hp.setMetrics(reg)
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
-	if reg == nil {
-		s.vFailover = nil
-		s.mRepairCopied = nil
-		s.mRepairRecompute = nil
-		s.gDegraded = nil
-		return
-	}
 	s.vFailover = reg.CounterVec(MetricFailover, "shard")
 	s.mRepairCopied = reg.Counter(MetricRepairCopied)
 	s.mRepairRecompute = reg.Counter(MetricRepairRecomputed)
@@ -451,9 +434,7 @@ func (s *Store) noteFailover(sh *shard, array string, block int64, err error) {
 	s.fmu.Lock()
 	v := s.vFailover
 	s.fmu.Unlock()
-	if v != nil {
-		v.With(sh.name).Inc()
-	}
+	v.With(sh.name).Inc()
 	if s.log.Enabled(obs.LevelWarn) {
 		s.log.Warn("ring", "replica.failover",
 			obs.F("array", array),
@@ -480,9 +461,7 @@ func (s *Store) setDegraded(n int64) {
 	s.degradedBlocks = n
 	g := s.gDegraded
 	s.fmu.Unlock()
-	if g != nil {
-		g.Set(float64(n))
-	}
+	g.Set(float64(n))
 }
 
 // recountDegraded recounts (array, block) pairs with a stale copy

@@ -40,7 +40,8 @@ func newTestStore(t *testing.T, shards, replicas int, opt Options) *Store {
 // baseArray opens shard id's local copy beneath any injector.
 func baseArray(t *testing.T, s *Store, id int, name string) disk.Array {
 	t.Helper()
-	arr, err := baseBackend(s.ShardBackend(id)).Open(name)
+	base, _ := disk.Find[*disk.Sim](s.ShardBackend(id))
+	arr, err := base.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +497,7 @@ func TestDegradedWriteMarksStaleAndRecovers(t *testing.T) {
 		if !ra.isStale(b, victim) {
 			continue
 		}
-		ord := ra.readOrder(b)
+		ord := ra.readOrderAt(b, 0)
 		if ord[len(ord)-1] != victim {
 			t.Fatalf("block %d read order %v does not demote stale shard %d", b, ord, victim)
 		}

@@ -94,15 +94,10 @@ func (o Options) synthesize(prog *loops.Program, cfg machine.Config, prev *core.
 		core.WithStrategy(core.DCS),
 		core.WithSeed(o.Seed),
 		core.WithMaxEvals(o.Evals),
-	}
-	if o.Metrics != nil {
-		opts = append(opts, core.WithMetrics(o.Metrics))
-	}
-	if o.Tracer != nil {
-		opts = append(opts, core.WithTracer(o.Tracer))
-	}
-	if o.Log != nil {
-		opts = append(opts, core.WithLog(o.Log))
+		core.WithMetrics(o.Metrics),
+		core.WithTracer(o.Tracer),
+		core.WithLog(o.Log),
+		core.WithPortfolio(o.Portfolio),
 	}
 	if prev != nil {
 		opts = append(opts, core.WithWarmStart(prev))
@@ -111,9 +106,6 @@ func (o Options) synthesize(prog *loops.Program, cfg machine.Config, prev *core.
 		if o.Patience > 0 {
 			opts = append(opts, core.WithPatience(o.Patience))
 		}
-	}
-	if o.Portfolio > 1 {
-		opts = append(opts, core.WithPortfolio(o.Portfolio))
 	}
 	return core.SynthesizeOpts(context.Background(), prog, opts...)
 }

@@ -71,17 +71,8 @@ func synthesize(strategy core.Strategy, size Size, opt Options, memLimit int64) 
 // coreOptions maps the experiment options onto the synthesis options
 // every run shares (machine and strategy are per-call).
 func (o Options) coreOptions() []core.Option {
-	opts := []core.Option{core.WithSeed(o.Seed), core.WithMaxEvals(o.DCSEvals)}
-	if o.Metrics != nil {
-		opts = append(opts, core.WithMetrics(o.Metrics))
-	}
-	if o.Tracer != nil {
-		opts = append(opts, core.WithTracer(o.Tracer))
-	}
-	if o.Log != nil {
-		opts = append(opts, core.WithLog(o.Log))
-	}
-	return opts
+	return []core.Option{core.WithSeed(o.Seed), core.WithMaxEvals(o.DCSEvals),
+		core.WithMetrics(o.Metrics), core.WithTracer(o.Tracer), core.WithLog(o.Log)}
 }
 
 // Table2Row is one row of Table 2: code generation time per approach.
