@@ -140,6 +140,13 @@ const (
 // mutated here: the tallies are unexported, and every Stats a backend
 // reports is a Snapshot value.
 //
+// A section operation takes the mutex once: Charge books the operation,
+// its bytes and the checksum blocks it verified in one call, and
+// ChargeClock also hands back the modelled clock after the charge, so
+// neither a backend nor a front door that runs on that clock locks the
+// ledger twice per op. Only a checksum mismatch adds a second, rare,
+// charge (detected blocks).
+//
 // Modelled times are not accumulated: the cost model is linear in
 // operations and bytes, so Snapshot derives them from the tallies. Stats
 // therefore do not depend on the order in which concurrently issued
@@ -163,7 +170,7 @@ type Ledger struct {
 }
 
 // ledgerCounters are one account's op and byte counters by direction,
-// and its verified-blocks counter (a lifetime mirror, see chargeVerify).
+// and its verified-blocks counter (a lifetime mirror, see Charge).
 type ledgerCounters struct {
 	ops, bytes [2]*obs.Counter
 	verified   *obs.Counter
@@ -189,28 +196,54 @@ func (l *Ledger) SetMetrics(reg *obs.Registry) {
 	l.mu.Unlock()
 }
 
-// ChargeRead accounts one section read of the named array.
-func (l *Ledger) ChargeRead(array string, bytes int64) {
+// Charge accounts one section operation of the named array — a read,
+// or a write when write is set, moving bytes — together with the
+// checksum blocks the operation verified, under one lock.
+//
+// Verified blocks are lifetime tallies: unlike the I/O charges they
+// survive Reset, because recovery restarts ResetStats per attempt but
+// corruption accounting must span the whole resilient run. For the same
+// reason their registry mirrors are not ledger-owned instruments.
+func (l *Ledger) Charge(array string, write bool, bytes, verified int64) {
 	l.mu.Lock()
-	l.s.ReadOps++
-	l.s.BytesRead += bytes
-	l.mirrorLocked(array, 0, bytes)
+	l.chargeLocked(array, write, bytes, verified)
 	l.mu.Unlock()
 }
 
-// ChargeWrite accounts one section write of the named array.
-func (l *Ledger) ChargeWrite(array string, bytes int64) {
+// ChargeClock is Charge for a front door that verifies nothing and runs
+// on the ledger's modelled clock (the ring's health plane): it also
+// returns the time the ledger stands at after the charge,
+// Snapshot().Time(), read under the same lock. Backends that do not read
+// the clock call Charge and skip pricing it.
+func (l *Ledger) ChargeClock(array string, write bool, bytes int64) float64 {
 	l.mu.Lock()
-	l.s.WriteOps++
-	l.s.BytesWritten += bytes
-	l.mirrorLocked(array, 1, bytes)
+	l.chargeLocked(array, write, bytes, 0)
+	s := l.s
 	l.mu.Unlock()
+	return l.timed(s).Time()
 }
 
-// mirrorLocked adds one operation moving bytes in direction dir to the
-// attached registry's totals and the array's own counters. Callers hold
-// l.mu.
-func (l *Ledger) mirrorLocked(array string, dir int, bytes int64) {
+// chargeLocked is Charge's accounting. Callers hold l.mu.
+func (l *Ledger) chargeLocked(array string, write bool, bytes, verified int64) {
+	dir := 0
+	if write {
+		dir = 1
+		l.s.WriteOps++
+		l.s.BytesWritten += bytes
+	} else {
+		l.s.ReadOps++
+		l.s.BytesRead += bytes
+	}
+	if verified > 0 {
+		l.integ.VerifiedBlocks += verified
+	}
+	l.mirrorLocked(array, dir, bytes, verified)
+}
+
+// mirrorLocked adds one operation moving bytes in direction dir, and
+// the blocks it verified, to the attached registry's totals and the
+// array's own counters. Callers hold l.mu.
+func (l *Ledger) mirrorLocked(array string, dir int, bytes, verified int64) {
 	if l.reg == nil {
 		return
 	}
@@ -227,6 +260,17 @@ func (l *Ledger) mirrorLocked(array string, dir int, bytes int64) {
 		c.ops[dir].Inc()
 		c.bytes[dir].Add(bytes)
 	}
+	if verified <= 0 {
+		return
+	}
+	if c.verified == nil {
+		c.verified = l.reg.Counter(MetricIntegrityBlocks + "/" + array)
+	}
+	if l.total.verified == nil {
+		l.total.verified = l.reg.Counter(MetricIntegrityBlocks)
+	}
+	l.total.verified.Add(verified)
+	c.verified.Add(verified)
 }
 
 // arrayLocked returns the array's counters. Callers hold l.mu.
@@ -239,34 +283,8 @@ func (l *Ledger) arrayLocked(array string) *ledgerCounters {
 	return c
 }
 
-// chargeVerify accounts block checksum verifications on a section read.
-// Integrity tallies are lifetime counters: unlike the I/O charges they
-// survive Reset, because recovery restarts ResetStats per attempt but
-// corruption accounting must span the whole resilient run. For the same
-// reason the registry mirrors are not ledger-owned instruments.
-func (l *Ledger) chargeVerify(array string, blocks int64) {
-	if blocks <= 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.integ.VerifiedBlocks += blocks
-	if l.reg == nil {
-		return
-	}
-	c := l.arrayLocked(array)
-	if c.verified == nil {
-		c.verified = l.reg.Counter(MetricIntegrityBlocks + "/" + array)
-	}
-	if l.total.verified == nil {
-		l.total.verified = l.reg.Counter(MetricIntegrityBlocks)
-	}
-	l.total.verified.Add(blocks)
-	c.verified.Add(blocks)
-}
-
 // chargeDetect accounts blocks that failed checksum verification; like
-// chargeVerify it survives Reset.
+// the verified tally it survives Reset.
 func (l *Ledger) chargeDetect(array string, blocks int64) {
 	if blocks <= 0 {
 		return
@@ -286,13 +304,18 @@ func (l *Ledger) integSnapshot() IntegrityCounts {
 	return l.integ
 }
 
-// Snapshot returns the tallies with the modelled times they imply. An
-// idle direction reports zero time whatever the disk model (an unset
-// bandwidth must not turn 0 bytes into NaN).
+// Snapshot returns the tallies with the modelled times they imply.
 func (l *Ledger) Snapshot() Stats {
 	l.mu.Lock()
 	s := l.s
 	l.mu.Unlock()
+	return l.timed(s)
+}
+
+// timed fills in the modelled times tallies s imply. An idle direction
+// reports zero time whatever the disk model (an unset bandwidth must not
+// turn 0 bytes into NaN).
+func (l *Ledger) timed(s Stats) Stats {
 	if s.ReadOps > 0 {
 		s.ReadTime = l.d.ReadTime(s.BytesRead, s.ReadOps)
 	}

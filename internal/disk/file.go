@@ -527,14 +527,13 @@ func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 		return NewIOError("read", a.name, lo, shape, false,
 			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
 	}
-	a.fs.sl.ChargeRead(a.name, n*8)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	s := a.section(lo, shape)
 	defer a.fs.sieves.put(s)
 	for s.next() {
 		if err := s.load(); err != nil {
-			return s.settle("read", lo, shape, err)
+			return s.settle("read", lo, shape, n, err)
 		}
 		if s.verify(); s.ie != nil {
 			continue // keep tallying the remaining windows; buf is unspecified
@@ -543,7 +542,7 @@ func (a *fileArray) ReadSection(lo, shape []int64, buf []float64) error {
 			decode(buf[bufOff:bufOff+k], s.raw[at*8:])
 		}
 	}
-	return s.settle("read", lo, shape, nil)
+	return s.settle("read", lo, shape, n, nil)
 }
 
 func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
@@ -555,7 +554,6 @@ func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
 		return NewIOError("write", a.name, lo, shape, false,
 			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
 	}
-	a.fs.sl.ChargeWrite(a.name, n*8)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	s := a.section(lo, shape)
@@ -571,7 +569,7 @@ func (a *fileArray) WriteSection(lo, shape []int64, buf []float64) error {
 			s.verify()
 		}
 	}
-	if err := s.settle("write", lo, shape, err); err != nil {
+	if err := s.settle("write", lo, shape, n, err); err != nil {
 		return err
 	}
 	if err := a.markDirtyLocked(); err != nil {
@@ -689,7 +687,7 @@ func (a *fileArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode Si
 		return NewIOError("write", a.name, lo, shape, false,
 			fmt.Errorf("disk: buffer length %d does not match section size %d", len(buf), n))
 	}
-	a.fs.sl.ChargeWrite(a.name, n*8)
+	a.fs.sl.Charge(a.name, true, n*8, 0)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := a.markDirtyLocked(); err != nil {

@@ -104,12 +104,12 @@ func TestLedgerChargeAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	l.SetMetrics(reg)
 	for _, name := range []string{"A", "B"} {
-		l.ChargeRead(name, 8)
-		l.ChargeWrite(name, 8)
+		l.Charge(name, false, 8, 1)
+		l.Charge(name, true, 8, 1)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		l.ChargeRead("A", 64)
-		l.ChargeWrite("B", 64)
+		l.Charge("A", false, 64, 1)
+		l.Charge("B", true, 64, 1)
 	}); n != 0 {
 		t.Fatalf("%v allocations per read+write charge, want 0", n)
 	}

@@ -277,12 +277,13 @@ func (s *sieve) verify() {
 	}
 }
 
-// settle charges the verification tallies and returns the section's
-// error: err, an I/O failure retryable when transient, else the checksum
-// mismatch, never retryable because rotten data re-reads identically.
-func (s *sieve) settle(op string, lo, shape []int64, err error) error {
+// settle charges the section operation of n elements and the blocks it
+// verified in one ledger call, and returns the section's error: err, an
+// I/O failure retryable when transient, else the checksum mismatch,
+// never retryable because rotten data re-reads identically.
+func (s *sieve) settle(op string, lo, shape []int64, n int64, err error) error {
 	a := s.a
-	a.fs.sl.chargeVerify(a.name, s.checked)
+	a.fs.sl.Charge(a.name, op == "write", n*8, s.checked)
 	if err != nil {
 		return wrapIO(op, a.name, lo, shape, transientOS(err), err)
 	}

@@ -157,9 +157,10 @@ func (a *simArray) verifyRangeLocked(off, run int64, last, checked *int64, ie **
 	}
 }
 
-// verifySectionLocked verifies the blocks a section covers, charging
-// the verification tallies and returning the wrapped integrity error on
-// a mismatch. op is "read" or "write". The caller holds a.mu.
+// settleLocked verifies the blocks a section of nSec elements covers,
+// charges the operation and the blocks it verified in one ledger call,
+// and returns the wrapped integrity error on a mismatch. op is "read"
+// or "write". The caller holds a.mu.
 //
 // Data mode is exact (and count-identical to FileStore). Cost-only mode
 // has no bytes to hash, so it approximates: the verified-block tally is
@@ -167,7 +168,7 @@ func (a *simArray) verifyRangeLocked(off, run int64, last, checked *int64, ie **
 // poisoned blocks against the section's flat-offset hull — conservative
 // (it may over-detect between the hull's rows), which only means a
 // spurious heal in cost-only chaos studies, never a miss.
-func (a *simArray) verifySectionLocked(op string, lo, shape []int64, nSec int64) error {
+func (a *simArray) settleLocked(op string, lo, shape []int64, nSec int64) error {
 	var (
 		checked int64
 		ie      *IntegrityError
@@ -197,7 +198,7 @@ func (a *simArray) verifySectionLocked(op string, lo, shape []int64, nSec int64)
 			}
 		}
 	}
-	a.sim.sl.chargeVerify(a.name, checked)
+	a.sim.sl.Charge(a.name, op == "write", nSec*8, checked)
 	if ie != nil {
 		a.sim.sl.chargeDetect(a.name, ie.Blocks)
 		// Rotten data re-reads identically: never retryable in place.
@@ -246,10 +247,9 @@ func (a *simArray) ReadSection(lo, shape []int64, buf []float64) error {
 	if err := a.checkBuf("read", lo, shape, buf, n); err != nil {
 		return err
 	}
-	a.sim.sl.ChargeRead(a.name, n*8)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if err := a.verifySectionLocked("read", lo, shape, n); err != nil {
+	if err := a.settleLocked("read", lo, shape, n); err != nil {
 		return err
 	}
 	if a.data == nil || buf == nil {
@@ -267,13 +267,12 @@ func (a *simArray) WriteSection(lo, shape []int64, buf []float64) error {
 	if err := a.checkBuf("write", lo, shape, buf, n); err != nil {
 		return err
 	}
-	a.sim.sl.ChargeWrite(a.name, n*8)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// Read-modify-verify: a block is only partially covered by this
 	// section, so its surviving bytes feed the new checksum — verify
 	// them first rather than silently blessing rot into the index.
-	if err := a.verifySectionLocked("write", lo, shape, n); err != nil {
+	if err := a.settleLocked("write", lo, shape, n); err != nil {
 		return err
 	}
 	if a.data == nil || buf == nil {
@@ -314,7 +313,7 @@ func (a *simArray) WriteSectionSilent(lo, shape []int64, buf []float64, mode Sil
 	if err := a.checkBuf("write", lo, shape, buf, n); err != nil {
 		return err
 	}
-	a.sim.sl.ChargeWrite(a.name, n*8)
+	a.sim.sl.Charge(a.name, true, n*8, 0)
 	keep := int64(0) // packed elements that genuinely persist
 	if mode == SilentTorn {
 		keep = silentPrefixElems(shape)

@@ -146,12 +146,13 @@ type shardState struct {
 }
 
 // Tracker scores shards and drives their breakers. All methods are
-// safe for concurrent use.
+// safe for concurrent use. Shard ids are small non-negative integers
+// (a ring's shard indices): the state lives in a slice indexed by id.
 type Tracker struct {
 	cfg Config
 
 	mu     sync.Mutex
-	shards map[int]*shardState
+	shards []shardState
 	hist   [len(ratioBounds) + 1]int64
 	histN  int64
 	onTr   func(Transition)
@@ -159,7 +160,7 @@ type Tracker struct {
 
 // NewTracker builds a tracker with cfg's missing fields defaulted.
 func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), shards: make(map[int]*shardState)}
+	return &Tracker{cfg: cfg.withDefaults()}
 }
 
 // OnTransition installs the breaker transition callback. It is invoked
@@ -172,13 +173,14 @@ func (t *Tracker) OnTransition(fn func(Transition)) {
 	t.mu.Unlock()
 }
 
+// shardLocked returns shard id's state, growing the table with fresh
+// (closed, at-baseline) shards up to id. The pointer is valid until the
+// table next grows; callers hold t.mu and use it before releasing.
 func (t *Tracker) shardLocked(id int) *shardState {
-	sh := t.shards[id]
-	if sh == nil {
-		sh = &shardState{ewmaRatio: 1}
-		t.shards[id] = sh
+	for len(t.shards) <= id {
+		t.shards = append(t.shards, shardState{ewmaRatio: 1})
 	}
-	return sh
+	return &t.shards[id]
 }
 
 func (t *Tracker) setStateLocked(id int, sh *shardState, to State, now float64) Transition {
@@ -246,13 +248,26 @@ func (t *Tracker) Observe(shard int, now, ratio float64, ok bool) {
 // performing the lazy open → half-open transition once the cooldown has
 // elapsed (and firing the transition callback when it does).
 func (t *Tracker) State(shard int, now float64) State {
-	t.mu.Lock()
-	sh := t.shardLocked(shard)
+	var st [1]State
+	t.States([]int{shard}, now, st[:])
+	return st[0]
+}
+
+// States writes into out[i] the breaker state of shards[i] at modelled
+// time now, exactly as State called on each shard in order would, under
+// one lock: lazy open → half-open transitions happen in that order, and
+// their callbacks fire in that order once the lock is released. A read
+// that routes over several replicas asks their breakers in one call.
+func (t *Tracker) States(shards []int, now float64, out []State) {
 	var trs []Transition
-	if sh.state == Open && now >= sh.openedAt+t.cfg.CooldownSeconds {
-		trs = append(trs, t.setStateLocked(shard, sh, HalfOpen, now))
+	t.mu.Lock()
+	for i, id := range shards {
+		sh := t.shardLocked(id)
+		if sh.state == Open && now >= sh.openedAt+t.cfg.CooldownSeconds {
+			trs = append(trs, t.setStateLocked(id, sh, HalfOpen, now))
+		}
+		out[i] = sh.state
 	}
-	st := sh.state
 	fn := t.onTr
 	t.mu.Unlock()
 	if fn != nil {
@@ -260,7 +275,6 @@ func (t *Tracker) State(shard int, now float64) State {
 			fn(tr)
 		}
 	}
-	return st
 }
 
 // StateAt reports the state without side effects: an open breaker past

@@ -9,41 +9,56 @@ package ring
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/disk"
+	"repro/internal/health"
 	"repro/internal/obs"
 )
 
 // Array is one replicated disk-resident array.
+//
+// Locking: a healthy section op takes amu once, to snapshot the routing
+// state (route), and nothing else of the array's: the scratch comes
+// from an atomic slot. The routing state is written only under amu, and
+// bounds, cands and reps are replaced, never edited in place, so the
+// headers an op took under amu stay valid without it for the rest of
+// the op. Stale flags are edited in place; an op copies the ones its
+// blocks carry.
 type Array struct {
 	st      *Store
 	name    string
 	dims    []int64
 	rowSize int64 // elements per leading-dimension row
+
+	// amu guards the routing state: placement, stale flags and replicas.
+	// A membership change rewrites bounds, blocks, cands and stale
+	// together under amu, and must not overlap section I/O on the array.
+	amu sync.Mutex
 	// bounds are the placement-block boundaries: block b holds rows
-	// [bounds[b], bounds[b+1]). Set at Create; a membership change
-	// rewrites bounds, blocks, cands and stale together under amu, and
-	// must not overlap section I/O on the array.
+	// [bounds[b], bounds[b+1]). Set at Create.
 	bounds []int64
 	blocks int64 // len(bounds) - 1
-
-	// locals maps shard id → that shard's full-extent local copy.
-	locals map[int]disk.Array
-
-	// amu guards the degraded-write state and the placement.
-	amu sync.Mutex
+	// cands is each block's replica list in ring order, primary first.
+	cands [][]int
 	// stale marks replica copies that missed a write or failed a repair:
 	// block → set of shard ids whose copy must not serve reads.
 	stale map[int64]map[int]bool
-	// cands is each block's replica list in ring order, primary first.
-	cands [][]int
+	// reps is indexed by shard id: the live shard and its full-extent
+	// local copy. Written only through setLocal.
+	reps []replica
 
-	// smu guards free, the collective scratch kept for reuse.
-	smu  sync.Mutex
-	free []*scratch
+	// slot holds a finished collective's scratch for the next to reuse.
+	slot atomic.Pointer[scratch]
+}
+
+// replica is one shard's stake in an array. The zero value is a shard
+// that holds no copy: never had one, or drained.
+type replica struct {
+	sh *shard     // the live shard (its fixed id and name, and its spikes)
+	la disk.Array // its local copy
 }
 
 // BlockError is the typed, attributed error for a block none of whose
@@ -87,61 +102,6 @@ func (a *Array) candidates(b int64) []int {
 	return a.cands[b]
 }
 
-// readOrderAt returns the replicas of block b a read may use at
-// modelled time now, in ring order with two kinds of replica moved out:
-// replicas whose breaker is open are demoted behind the healthy
-// candidates, and stale copies (that missed a write) behind those — an
-// open shard is slow yet its copy is current, a stale copy is not. A
-// block whose every copy is stale is served best-effort rather than
-// refused (the checksum layer still catches rot, and the scrub path
-// re-converges the copies). Half-open shards keep their natural
-// position: their reads are the breaker's probes. Every replica that
-// lost its position to a better one is tallied as a demotion in the
-// per-shard tier report. Without a health plane no breaker trips. When
-// every candidate is healthy it returns the cached list itself.
-func (a *Array) readOrderAt(b int64, now float64) []int {
-	hp := a.st.hp
-	a.amu.Lock()
-	cands := a.cands[b]
-	var staleOf map[int]bool
-	if st := a.stale[b]; len(st) > 0 {
-		staleOf = maps.Clone(st)
-	}
-	a.amu.Unlock()
-	k := 0 // cands[:k] are healthy
-	for k < len(cands) && !staleOf[cands[k]] && !hp.tripped(cands[k], now) {
-		k++
-	}
-	if k == len(cands) {
-		return cands
-	}
-	// tripped is idempotent at a fixed now, so cands[k] may be asked again.
-	healthy := append(make([]int, 0, len(cands)), cands[:k]...)
-	var tripped, stl []int
-	for _, id := range cands[k:] {
-		switch {
-		case staleOf[id]:
-			stl = append(stl, id)
-		case hp.tripped(id, now):
-			tripped = append(tripped, id)
-		default:
-			healthy = append(healthy, id)
-		}
-	}
-	if len(healthy) > 0 {
-		for _, id := range tripped {
-			a.st.recordDemotion(id, DemoteBreakerOpen)
-		}
-	}
-	if len(healthy)+len(tripped) > 0 {
-		for _, id := range stl {
-			a.st.recordDemotion(id, DemoteStale)
-		}
-	}
-	out := append(healthy, tripped...)
-	return append(out, stl...)
-}
-
 // markStale records that shard id's copy of block b missed a write.
 // Reports whether the flag is new.
 func (a *Array) markStale(b int64, id int) bool {
@@ -171,18 +131,27 @@ func (a *Array) clearStale(b int64, id int) {
 	}
 }
 
-// local returns shard id's local copy of the array (nil if absent).
-func (a *Array) local(id int) disk.Array {
-	a.amu.Lock()
-	defer a.amu.Unlock()
-	return a.locals[id]
-}
-
 // isStale reports whether shard id's copy of block b is stale.
 func (a *Array) isStale(b int64, id int) bool {
 	a.amu.Lock()
 	defer a.amu.Unlock()
 	return a.stale[b][id]
+}
+
+// setLocal makes la shard sh's local copy of the array; a nil la drops
+// the shard from the array's replicas (it drained). Creation, membership
+// changes and tests swap copies through it. It publishes a new reps
+// slice, so a section op in flight keeps the one it routed with.
+func (a *Array) setLocal(sh *shard, la disk.Array) {
+	a.amu.Lock()
+	defer a.amu.Unlock()
+	reps := make([]replica, max(len(a.reps), sh.id+1))
+	copy(reps, a.reps)
+	reps[sh.id] = replica{}
+	if la != nil {
+		reps[sh.id] = replica{sh: sh, la: la}
+	}
+	a.reps = reps
 }
 
 // run is one contiguous row range of a section sharing a replica
@@ -194,63 +163,97 @@ type run struct {
 	order      []int // replica shards in preference order
 }
 
-// scratch is one collective's working memory: its runs and the
-// sub-section of the run in hand. Arrays lend it from a bounded free
-// list, so a section call allocates nothing per run or per block.
+// scratch is one collective's working memory: its runs, the
+// sub-section of the run in hand, and the op's routing snapshot. An
+// array keeps one in its slot, so a section call allocates nothing per
+// run or per block; a collective that finds the slot empty (another is
+// in flight) makes its own.
 type scratch struct {
 	runs        []run
 	slo, sshape []int64
+
+	// The routing snapshot (see route).
+	bounds []int64
+	reps   []replica
+	b0     int64  // first block of the section
+	r      int    // replicas per block
+	stale  []bool // stale[(b-b0)*r+i]: cands[b][i]'s copy is stale; empty when no flag is set
+	ask    []int  // shards whose breakers the read asks, first appearance first
+	state  []health.State
+	asked  []int // by shard id: 1 + index into ask, 0 when not asked
 }
 
-// scratchFree bounds an array's free list: a few concurrent collectives
-// (the store takes concurrent section calls) reuse theirs, more allocate.
-const scratchFree = 4
-
 func (a *Array) getScratch() *scratch {
-	var sc *scratch
-	a.smu.Lock()
-	if k := len(a.free); k > 0 {
-		sc, a.free = a.free[k-1], a.free[:k-1]
+	if sc := a.slot.Swap(nil); sc != nil {
+		return sc
 	}
-	a.smu.Unlock()
-	if sc == nil {
-		sc = &scratch{slo: make([]int64, len(a.dims)), sshape: make([]int64, len(a.dims))}
-	}
-	return sc
+	return &scratch{slo: make([]int64, len(a.dims)), sshape: make([]int64, len(a.dims))}
 }
 
 func (a *Array) putScratch(sc *scratch) {
 	clear(sc.runs) // drop the replica lists a rebalance may replace
 	sc.runs = sc.runs[:0]
-	a.smu.Lock()
-	if len(a.free) < scratchFree {
-		a.free = append(a.free, sc)
-	}
-	a.smu.Unlock()
+	sc.bounds, sc.reps = nil, nil
+	a.slot.Store(sc)
 }
 
-// sliceRuns splits section rows [lo0, lo0+n0) into sc.runs, coalescing
-// consecutive blocks with an identical replica order (so a single-shard
-// ring issues a single sub-operation per section and the sub-operation
-// count stays near the shard count, not the block count). Reads order
-// each block's replicas by readOrderAt at modelled time now, writes take
-// the placement's; either way each block is asked once, in ascending
-// order.
-func (a *Array) sliceRuns(sc *scratch, lo0, n0 int64, read bool, now float64) {
-	runs := sc.runs[:0]
-	row := lo0
+// staleAt reports whether, in the op's snapshot, the copy at position
+// pos of block b's replica list is stale.
+func (sc *scratch) staleAt(b int64, pos int) bool {
+	return len(sc.stale) > 0 && sc.stale[int(b-sc.b0)*sc.r+pos]
+}
+
+// tripped reports whether the op's snapshot saw shard id's breaker open
+// (see healthPlane.askBreakers).
+func (sc *scratch) tripped(id int) bool {
+	return id < len(sc.asked) && sc.asked[id] > 0 && sc.state[sc.asked[id]-1] == health.Open
+}
+
+// route splits section rows [lo0, lo0+n0) into sc.runs from one
+// snapshot of the array's routing state: amu is held once, for the
+// headers of bounds, cands and reps and a copy of the section's stale
+// flags. Consecutive blocks with an identical replica order coalesce
+// into one run (so a single-shard ring issues a single sub-operation
+// per section and the sub-operation count stays near the shard count,
+// not the block count). Writes take the placement's order. Reads order
+// each block's replicas as readOrder does, asking the breakers of the
+// section's non-stale candidates once each, in one tracker call, at
+// modelled time now; a breaker's answer is idempotent at a fixed now,
+// so that is the answer a per-block ask would get.
+func (a *Array) route(sc *scratch, lo0, n0 int64, read bool, now float64) {
 	end := lo0 + n0
-	b, ok := slices.BinarySearch(a.bounds, row)
+	a.amu.Lock()
+	bounds, cands := a.bounds, a.cands
+	sc.bounds, sc.reps = bounds, a.reps
+	b0, ok := slices.BinarySearch(bounds, lo0)
 	if !ok {
-		b-- // row lies inside block b-1
+		b0-- // row lies inside block b0-1
 	}
-	for ; row < end; b++ {
-		rhi := min(end, a.bounds[b+1])
-		var order []int
+	b1 := b0 + 1 // blocks [b0, b1) hold the section
+	for bounds[b1] < end {
+		b1++
+	}
+	sc.b0, sc.r = int64(b0), a.st.opt.Replicas
+	sc.stale = sc.stale[:0]
+	if len(a.stale) > 0 {
+		for b := b0; b < b1; b++ {
+			set := a.stale[int64(b)]
+			for _, id := range cands[b] {
+				sc.stale = append(sc.stale, set[id])
+			}
+		}
+	}
+	a.amu.Unlock()
+
+	if read {
+		a.st.hp.askBreakers(sc, cands, b0, b1, now)
+	}
+	runs := sc.runs[:0]
+	for b, row := b0, lo0; b < b1; b++ {
+		rhi := min(end, bounds[b+1])
+		order := cands[b]
 		if read {
-			order = a.readOrderAt(int64(b), now)
-		} else {
-			order = a.candidates(int64(b))
+			order = a.readOrder(sc, int64(b), order)
 		}
 		if len(runs) > 0 && slices.Equal(runs[len(runs)-1].order, order) {
 			last := &runs[len(runs)-1]
@@ -262,6 +265,57 @@ func (a *Array) sliceRuns(sc *scratch, lo0, n0 int64, read bool, now float64) {
 		row = rhi
 	}
 	sc.runs = runs
+	for _, id := range sc.ask {
+		sc.asked[id] = 0
+	}
+	sc.ask = sc.ask[:0]
+}
+
+// readOrder returns the replicas of block b, whose placement lists
+// cands, that a read may use, in ring order with two kinds of replica
+// moved out: replicas whose breaker the op's snapshot saw open are
+// demoted behind the healthy candidates, and stale copies (that missed
+// a write) behind those — an open shard is slow yet its copy is
+// current, a stale copy is not. A block whose every copy is stale is
+// served best-effort rather than refused (the checksum layer still
+// catches rot, and the scrub path re-converges the copies). Half-open
+// shards keep their natural position: their reads are the breaker's
+// probes. Every replica that lost its position to a better one is
+// tallied as a demotion in the per-shard tier report. Without a health
+// plane no breaker trips. When every candidate is healthy it returns
+// cands itself.
+func (a *Array) readOrder(sc *scratch, b int64, cands []int) []int {
+	k := 0 // cands[:k] are healthy
+	for k < len(cands) && !sc.staleAt(b, k) && !sc.tripped(cands[k]) {
+		k++
+	}
+	if k == len(cands) {
+		return cands
+	}
+	healthy := append(make([]int, 0, len(cands)), cands[:k]...)
+	var tripped, stl []int
+	for i, id := range cands[k:] {
+		switch {
+		case sc.staleAt(b, k+i):
+			stl = append(stl, id)
+		case sc.tripped(id):
+			tripped = append(tripped, id)
+		default:
+			healthy = append(healthy, id)
+		}
+	}
+	if len(healthy) > 0 {
+		for _, id := range tripped {
+			a.st.recordDemotion(id, DemoteBreakerOpen)
+		}
+	}
+	if len(healthy)+len(tripped) > 0 {
+		for _, id := range stl {
+			a.st.recordDemotion(id, DemoteStale)
+		}
+	}
+	out := append(healthy, tripped...)
+	return append(out, stl...)
 }
 
 // subSection returns the lo/shape/buffer triple of a run's slice of the
@@ -310,22 +364,18 @@ func (a *Array) collective(lo, shape []int64, buf []float64, read bool) error {
 	// Front door: one single-disk-equivalent charge per section call,
 	// the figure the execution engine's spans and metrics reconcile
 	// against (failed attempts and replication live in the shard stats).
-	if read {
-		a.st.front.ChargeRead(a.name, n*8)
-	} else {
-		a.st.front.ChargeWrite(a.name, n*8)
-	}
+	// The clock after the charge is the health plane's modelled "now":
+	// one per section keeps the replica order (and hence run coalescing)
+	// consistent across the section's blocks, and stamps every health
+	// observation the section makes.
+	now := a.st.front.ChargeClock(a.name, !read, n*8)
 	lo0, n0 := int64(0), int64(1)
 	if len(shape) > 0 {
 		lo0, n0 = lo[0], shape[0]
 	}
-	// One modelled "now" per section keeps the replica order (and hence
-	// run coalescing) consistent across the section's blocks, and stamps
-	// every health observation the section makes.
-	now := a.st.hp.now()
 	sc := a.getScratch()
 	defer a.putScratch(sc)
-	a.sliceRuns(sc, lo0, n0, read, now)
+	a.route(sc, lo0, n0, read, now)
 	for _, r := range sc.runs {
 		if len(r.order) == 0 {
 			return disk.NewIOError(op, a.name, lo, shape, false, &BlockError{Array: a.name, Block: r.firstBlock})
@@ -360,20 +410,19 @@ func (a *Array) readRun(sc *scratch, lo, shape []int64, buf []float64, r run, no
 	hp := a.st.hp
 	var finals []error
 	for ci, id := range r.order {
-		sh := a.shard(id)
-		if sh == nil {
+		rep := sc.reps[id]
+		if rep.sh == nil {
 			finals = append(finals, fmt.Errorf("ring: shard %d drained", id))
 			continue
 		}
-		la := a.local(id)
-		if la == nil {
+		if rep.la == nil {
 			finals = append(finals, fmt.Errorf("ring: shard %d holds no copy of %q", id, a.name))
 			continue
 		}
-		hp.drain(id) // shed spikes not attributable to this op
-		err := a.st.attempt(la, true, slo, sshape, sbuf)
+		hp.drain(rep.sh) // shed spikes not attributable to this op
+		err := a.st.attempt(rep.la, true, slo, sshape, sbuf)
 		if err == nil {
-			a.hedgeAfterRead(slo, sshape, sbuf, r, ci, id, now)
+			a.hedgeAfterRead(sc, slo, sshape, sbuf, r, ci, rep.sh, now)
 			if ci > 0 && a.st.log.Enabled(obs.LevelInfo) {
 				a.st.log.Info("ring", "replica.recovered",
 					obs.F("array", a.name),
@@ -382,10 +431,10 @@ func (a *Array) readRun(sc *scratch, lo, shape []int64, buf []float64, r run, no
 			}
 			return nil
 		}
-		hp.drain(id)
+		hp.drain(rep.sh)
 		hp.observe(id, now, 1, false)
 		finals = append(finals, err)
-		a.st.noteFailover(sh, a.name, r.firstBlock, err)
+		a.st.noteFailover(rep.sh, a.name, r.firstBlock, err)
 	}
 	return a.runError("read", slo, sshape, r, finals)
 }
@@ -418,22 +467,24 @@ func (a *Array) writeRuns(sc *scratch, lo, shape []int64, buf []float64, now flo
 		slo, sshape, sbuf := a.subSection(sc, lo, shape, buf, r)
 		written := false
 		var finals []error
-		for _, id := range r.order {
-			la := a.local(id)
+		for ci, id := range r.order {
+			rep := sc.reps[id]
 			var err error
-			if la == nil {
+			if rep.la == nil {
 				err = fmt.Errorf("ring: shard %d holds no copy of %q", id, a.name)
 			} else {
-				err = a.st.attempt(la, false, slo, sshape, sbuf)
+				err = a.st.attempt(rep.la, false, slo, sshape, sbuf)
 			}
-			hp.observeWrite(id, now, sshape, err == nil)
+			hp.observeWrite(rep.sh, id, now, sshape, err == nil)
 			if err == nil {
 				written = true
 				if !fullRows {
 					continue
 				}
+				// Each (block, replica) pair is visited once per op, so the
+				// snapshot's flag is the current one.
 				for b := r.firstBlock; b < r.firstBlock+r.nBlocks; b++ {
-					if a.blockCoveredBy(b, r.rlo, r.rhi) && a.isStale(b, id) {
+					if sc.staleAt(b, ci) && r.rlo <= sc.bounds[b] && sc.bounds[b+1] <= r.rhi {
 						a.clearStale(b, id)
 						degraded = true
 					}
@@ -483,12 +534,6 @@ func (a *Array) blockBuf() []float64 {
 	return make([]float64, rows*a.rowSize)
 }
 
-// blockCoveredBy reports whether rows [rlo, rhi) include all of block b.
-func (a *Array) blockCoveredBy(b, rlo, rhi int64) bool {
-	blo, bhi := a.blockRange(b)
-	return rlo <= blo && bhi <= rhi
-}
-
 // blockSection returns the full-extent section of placement block b.
 func (a *Array) blockSection(b int64) (lo, shape []int64) {
 	return a.rowSection(a.blockRange(b))
@@ -504,16 +549,6 @@ func (a *Array) rowSection(rlo, rhi int64) (lo, shape []int64) {
 	lo[0] = rlo
 	shape[0] = rhi - rlo
 	return lo, shape
-}
-
-// shard returns the live shard with the given id, nil if drained.
-func (a *Array) shard(id int) *shard {
-	a.st.mu.Lock()
-	defer a.st.mu.Unlock()
-	if id < 0 || id >= len(a.st.shards) || !a.st.shards[id].live {
-		return nil
-	}
-	return a.st.shards[id]
 }
 
 // attempt runs one sub-operation — a read or write of la's section

@@ -19,6 +19,7 @@ package ring
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"sync"
 
@@ -203,8 +204,15 @@ func (s *Store) Suspicion(name string) float64 {
 
 // healthPlane is the store's health-plane state. A store without one
 // (Options.Health nil) holds a nil *healthPlane, and every method below
-// treats nil as the absent plane: no clock, no spikes, no breaker ever
-// tripped, zero accounts. The read path therefore has one shape.
+// treats nil as the absent plane: no spikes drained, no breaker asked or
+// tripped, observations dropped, zero accounts. The read path therefore
+// has one shape. The plane's clock is the front door's: the modelled
+// time the section's charge returns.
+//
+// Injected spike seconds wait for their op on the shard that paid them
+// (shard.spikes, one atomic each), not here, so attributing and draining
+// them takes no lock. A healthy read locks the tracker twice (one
+// breaker ask for the section, one observation) and hp.mu never.
 //
 // Lock discipline: hp.mu is a leaf — never held while calling into the
 // tracker (whose transition callback takes hp.mu) or the store.
@@ -214,10 +222,7 @@ type healthPlane struct {
 
 	mu    sync.Mutex
 	names map[int]string // shard id → bounded metric label (from attach)
-	// pending accumulates injected spike seconds per shard between the
-	// injector's sink callback and the op-completion drain.
-	pending map[int]float64
-	acct    planeAccounts
+	acct  planeAccounts
 
 	gState     *obs.GaugeVec
 	cIssued    *obs.Counter
@@ -235,10 +240,9 @@ type planeAccounts struct {
 
 func newHealthPlane(st *Store, cfg health.Config) *healthPlane {
 	hp := &healthPlane{
-		st:      st,
-		tr:      health.NewTracker(cfg),
-		names:   map[int]string{},
-		pending: map[int]float64{},
+		st:    st,
+		tr:    health.NewTracker(cfg),
+		names: map[int]string{},
 	}
 	hp.tr.OnTransition(hp.noteTransition)
 	return hp
@@ -328,8 +332,7 @@ func (hp *healthPlane) attach(sh *shard) {
 	hp.mu.Unlock()
 	g.With(sh.name).Set(float64(health.Closed))
 	if sh.inj != nil {
-		id := sh.id
-		sh.inj.SetLatencySink(func(sec float64) { hp.addPending(id, sec) })
+		sh.inj.SetLatencySink(sh.addSpike)
 	}
 }
 
@@ -354,40 +357,17 @@ func (hp *healthPlane) setMetrics(reg *obs.Registry) {
 	}
 }
 
-// now is the modelled clock the health plane runs on: the front door's
-// accumulated modelled time. Deterministic for a given plan. Without a
-// plane nothing reads the clock, so it stays at 0.
-func (hp *healthPlane) now() float64 {
+// drain takes the shard's accumulated spike seconds (see
+// shard.takeSpikes). The injector sink fires synchronously on the op's
+// goroutine, and a collective runs its sub-operations one at a time on
+// its caller's goroutine, so draining right after an op yields exactly
+// that op's spikes (retried attempts lump together). Without a plane no
+// sink is installed: 0, and the shard's account is not touched.
+func (hp *healthPlane) drain(sh *shard) float64 {
 	if hp == nil {
 		return 0
 	}
-	return hp.st.front.Snapshot().Time()
-}
-
-// addPending is the injector latency sink: spike seconds accumulate per
-// shard until the op that paid them drains its account.
-func (hp *healthPlane) addPending(id int, sec float64) {
-	hp.mu.Lock()
-	hp.pending[id] += sec
-	hp.mu.Unlock()
-}
-
-// drain takes the shard's accumulated spike seconds. The injector sink
-// fires synchronously on the op's goroutine, and a collective runs its
-// sub-operations one at a time on its caller's goroutine, so draining
-// right after an op yields exactly that op's spikes (retried attempts
-// lump together). Without a plane no sink is installed: 0.
-func (hp *healthPlane) drain(id int) float64 {
-	if hp == nil {
-		return 0
-	}
-	hp.mu.Lock()
-	v := hp.pending[id]
-	if v != 0 {
-		hp.pending[id] = 0
-	}
-	hp.mu.Unlock()
-	return v
+	return sh.takeSpikes()
 }
 
 func (hp *healthPlane) resetAccounts() {
@@ -395,7 +375,6 @@ func (hp *healthPlane) resetAccounts() {
 		return
 	}
 	hp.mu.Lock()
-	hp.pending = map[int]float64{}
 	hp.acct.tailRead, hp.acct.tailWrite = 0, 0
 	hp.acct.hedgeIssued, hp.acct.hedgeWon, hp.acct.hedgeCancelled = 0, 0, 0
 	hp.mu.Unlock()
@@ -409,15 +388,16 @@ func (hp *healthPlane) observe(id int, now, ratio float64, ok bool) {
 	}
 }
 
-// observeWrite feeds one replica write into the tracker and the spikes
-// it paid into the write tail. Writes are observed (they feed scoring
-// and heal the injector's windows) but never breaker-gated: a write
-// always fans out to every replica for durability.
-func (hp *healthPlane) observeWrite(id int, now float64, shape []int64, ok bool) {
+// observeWrite feeds one replica write to shard sh (id) into the
+// tracker and the spikes it paid into the write tail. Writes are
+// observed (they feed scoring and heal the injector's windows) but never
+// breaker-gated: a write always fans out to every replica for
+// durability.
+func (hp *healthPlane) observeWrite(sh *shard, id int, now float64, shape []int64, ok bool) {
 	if hp == nil {
 		return
 	}
-	spikes := hp.drain(id)
+	spikes := sh.takeSpikes()
 	n := int64(1)
 	for _, d := range shape {
 		n *= d
@@ -426,15 +406,38 @@ func (hp *healthPlane) observeWrite(id int, now float64, shape []int64, ok bool)
 	hp.addTail(&hp.acct.tailWrite, spikes)
 }
 
-// tripped reports whether the shard's breaker is open at modelled time
-// now (performing the lazy open → half-open transition); never without
-// a plane.
-func (hp *healthPlane) tripped(id int, now float64) bool {
-	return hp != nil && hp.tr.State(id, now) == health.Open
+// askBreakers asks, in one tracker call at modelled time now, the
+// breakers of the non-stale candidates of blocks [b0, b1) (cands is the
+// placement), each shard once, in order of first appearance — the order
+// in which per-block asks would have made their lazy open → half-open
+// transitions. It records the answers in sc for scratch.tripped.
+// Without a plane it asks nothing, and no breaker trips.
+func (hp *healthPlane) askBreakers(sc *scratch, cands [][]int, b0, b1 int, now float64) {
+	if hp == nil {
+		return
+	}
+	if len(sc.asked) < len(sc.reps) {
+		sc.asked = make([]int, len(sc.reps))
+	}
+	for b := b0; b < b1; b++ {
+		for i, id := range cands[b] {
+			if !sc.staleAt(int64(b), i) && sc.asked[id] == 0 {
+				sc.ask = append(sc.ask, id)
+				sc.asked[id] = len(sc.ask)
+			}
+		}
+	}
+	if len(sc.ask) == 0 {
+		return
+	}
+	sc.state = slices.Grow(sc.state[:0], len(sc.ask))[:len(sc.ask)]
+	hp.tr.States(sc.ask, now, sc.state)
 }
 
-// openAt is tripped without the lazy transition, safe under the store's
-// lock: a shard past its cooldown reads half-open.
+// openAt reports whether the shard's breaker is open at modelled time
+// now without the lazy transition, so it is safe under the store's
+// lock: a shard past its cooldown reads half-open. Never without a
+// plane.
 func (hp *healthPlane) openAt(id int, now float64) bool {
 	return hp != nil && hp.tr.StateAt(id, now) == health.Open
 }
@@ -489,9 +492,10 @@ func (hp *healthPlane) noteHedge(event, array string, block int64, from, to int,
 // (stale copies are excluded from hedge targets by construction — a
 // stale shard is ordered last and a read served by it has no further
 // candidates), so taking the hedge copy never changes result bytes.
-func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, id int, now float64) {
+func (a *Array) hedgeAfterRead(sc *scratch, slo, sshape []int64, sbuf []float64, r run, ci int, sh *shard, now float64) {
 	hp := a.st.hp
-	spikes := hp.drain(id)
+	id := sh.id
+	spikes := hp.drain(sh)
 	if spikes <= 0 {
 		hp.observe(id, now, 1, true)
 		return
@@ -514,21 +518,18 @@ func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, i
 	// shard and a local copy. Stale replicas never get here — they sort
 	// after every healthy candidate, and a read they served has no
 	// further candidates to hedge to.
-	hid := -1
-	var hla disk.Array
+	var hrep replica
 	for _, cand := range r.order[ci+1:] {
-		if a.shard(cand) == nil {
-			continue
-		}
-		if la := a.local(cand); la != nil {
-			hid, hla = cand, la
+		if rep := sc.reps[cand]; rep.sh != nil && rep.la != nil {
+			hrep = rep
 			break
 		}
 	}
-	if hid < 0 {
+	if hrep.sh == nil {
 		hp.addTail(&hp.acct.tailRead, spikes)
 		return
 	}
+	hid := hrep.sh.id
 	hp.noteHedge("hedge.issued", a.name, r.firstBlock, id, hid, &hp.cIssued, &hp.acct.hedgeIssued)
 	// Hedge into a private buffer: a failed hedge read may poison its
 	// buffer (the injector performs, then fails), and sbuf already holds
@@ -537,8 +538,8 @@ func (a *Array) hedgeAfterRead(slo, sshape []int64, sbuf []float64, r run, ci, i
 	if sbuf != nil {
 		tmp = make([]float64, len(sbuf))
 	}
-	herr := hla.ReadSection(slo, sshape, tmp)
-	hspikes := hp.drain(hid)
+	herr := hrep.la.ReadSection(slo, sshape, tmp)
+	hspikes := hp.drain(hrep.sh)
 	hp.observe(hid, now, ratioOf(base, hspikes), herr == nil)
 	lPref := base + spikes
 	lHedge := float64(thr*base) + base + hspikes

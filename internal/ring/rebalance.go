@@ -71,9 +71,7 @@ func (s *Store) AddShard() (*RebalanceReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ring: shard %d: %w", id, err)
 		}
-		a.amu.Lock()
-		a.locals[id] = la
-		a.amu.Unlock()
+		a.setLocal(sh, la)
 	}
 
 	rep := &RebalanceReport{}
@@ -125,8 +123,8 @@ func (s *Store) DrainShard(id int) (*RebalanceReport, error) {
 	sh.live = false
 	for _, name := range names {
 		a := s.arrays[name]
+		a.setLocal(sh, nil)
 		a.amu.Lock()
-		delete(a.locals, id)
 		for b, set := range a.stale {
 			delete(set, id)
 			if len(set) == 0 {

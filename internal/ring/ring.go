@@ -40,7 +40,9 @@ package ring
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/disk"
 	"repro/internal/fault"
@@ -112,6 +114,30 @@ type shard struct {
 	be   disk.Backend
 	live bool
 	inj  *fault.Injector // non-nil when Faults targets this shard
+	// spikes holds the float64 bits of the injected latency seconds the
+	// shard's injector reported (addSpike, its latency sink under a
+	// health plane) and no op has drained yet (takeSpikes).
+	spikes atomic.Uint64
+}
+
+// addSpike accumulates one injected latency spike.
+func (sh *shard) addSpike(sec float64) {
+	for {
+		old := sh.spikes.Load()
+		if sh.spikes.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sec)) {
+			return
+		}
+	}
+}
+
+// takeSpikes drains the shard's accumulated spike seconds: 0 for a nil
+// shard (a replica that drained) or when nothing is pending, which
+// costs one atomic load.
+func (sh *shard) takeSpikes() float64 {
+	if sh == nil || sh.spikes.Load() == 0 {
+		return 0
+	}
+	return math.Float64frombits(sh.spikes.Swap(0))
 }
 
 // Store is the replicated sharded backend.
@@ -226,11 +252,10 @@ func (s *Store) Create(name string, dims []int64) (disk.Array, error) {
 		return nil, fmt.Errorf("ring: array %q already exists", name)
 	}
 	a := &Array{
-		st:     s,
-		name:   name,
-		dims:   append([]int64(nil), dims...),
-		locals: make(map[int]disk.Array),
-		stale:  map[int64]map[int]bool{},
+		st:    s,
+		name:  name,
+		dims:  append([]int64(nil), dims...),
+		stale: map[int64]map[int]bool{},
 	}
 	a.rowSize = 1
 	if len(dims) > 1 {
@@ -246,7 +271,7 @@ func (s *Store) Create(name string, dims []int64) (disk.Array, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ring: shard %d: %w", sh.id, err)
 		}
-		a.locals[sh.id] = la
+		a.setLocal(sh, la)
 	}
 	s.splitLocked(a)
 	s.arrays[name] = a
@@ -357,6 +382,7 @@ func (s *Store) ResetStats() {
 	s.front.Reset()
 	s.mu.Lock()
 	for _, sh := range s.shards {
+		sh.spikes.Store(0)
 		if sh.live {
 			sh.be.ResetStats()
 		}

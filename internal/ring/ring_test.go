@@ -9,13 +9,16 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/health"
+	"repro/internal/leaktest"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 func testDisk() machine.Disk {
@@ -466,10 +469,8 @@ func TestDegradedWriteMarksStaleAndRecovers(t *testing.T) {
 	}
 
 	// Break the victim's local copy: writes degrade instead of failing.
-	ra.amu.Lock()
-	good := ra.locals[victim]
-	ra.locals[victim] = failWrites{Array: good}
-	ra.amu.Unlock()
+	good := ra.reps[victim].la
+	ra.setLocal(s.shards[victim], failWrites{Array: good})
 
 	for i := range buf {
 		buf[i] = float64(i) + 100
@@ -539,9 +540,7 @@ func TestDegradedWriteMarksStaleAndRecovers(t *testing.T) {
 	}
 
 	// Shard recovers: a full-cover write clears the stale flags.
-	ra.amu.Lock()
-	ra.locals[victim] = good
-	ra.amu.Unlock()
+	ra.setLocal(s.shards[victim], good)
 	if err := a.WriteSection([]int64{0, 0}, []int64{8, 2}, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -555,6 +554,45 @@ func TestDegradedWriteMarksStaleAndRecovers(t *testing.T) {
 	}
 }
 
+// TestReadAsksOnlyCurrentCopiesBreakers pins which breakers a read
+// asks: its non-stale candidates', whose lazy open → half-open
+// transition the ask performs, and never a stale copy's, which the read
+// demotes without asking — an ask would move the breaker to half-open,
+// and the next write to the shard would then count as its probe.
+func TestReadAsksOnlyCurrentCopiesBreakers(t *testing.T) {
+	s := newTestStore(t, 4, 2, Options{Health: &health.Config{CooldownSeconds: 1e-9}})
+	a, _ := s.Create("X", []int64{8, 2})
+	ra := a.(*Array)
+	cands := ra.candidates(0)
+	pref, victim := cands[0], cands[1]
+	buf := make([]float64, 16)
+	if err := a.WriteSection([]int64{0, 0}, []int64{8, 2}, buf); err != nil {
+		t.Fatal(err)
+	}
+	good := ra.reps[victim].la
+	ra.setLocal(s.shards[victim], failWrites{Array: good})
+	if err := a.WriteSection([]int64{0, 0}, []int64{8, 2}, buf); err != nil {
+		t.Fatal(err)
+	}
+	ra.setLocal(s.shards[victim], good)
+	if !ra.isStale(0, victim) {
+		t.Fatal("the failed write left block 0's copy on the victim current")
+	}
+	tr := s.Health()
+	tr.ForceState(pref, health.Open, 0)
+	tr.ForceState(victim, health.Open, 0)
+	lo, hi := ra.blockRange(0)
+	if err := a.ReadSection([]int64{lo, 0}, []int64{hi - lo, 2}, make([]float64, 2*(hi-lo))); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Snapshot(pref).State; st == health.Open {
+		t.Fatalf("current copy's shard %d breaker still open past its cooldown: the read did not ask it", pref)
+	}
+	if st := tr.Snapshot(victim).State; st != health.Open {
+		t.Fatalf("stale copy's shard %d breaker went %v: the read asked it", victim, st)
+	}
+}
+
 func TestHealArrayRepairsStaleCopies(t *testing.T) {
 	s := newTestStore(t, 4, 2, Options{})
 	a, _ := s.Create("X", []int64{8, 2})
@@ -565,16 +603,12 @@ func TestHealArrayRepairsStaleCopies(t *testing.T) {
 	for i := range buf {
 		buf[i] = float64(i) + 7
 	}
-	ra.amu.Lock()
-	good := ra.locals[victim]
-	ra.locals[victim] = failWrites{Array: good}
-	ra.amu.Unlock()
+	good := ra.reps[victim].la
+	ra.setLocal(s.shards[victim], failWrites{Array: good})
 	if err := a.WriteSection([]int64{0, 0}, []int64{8, 2}, buf); err != nil {
 		t.Fatal(err)
 	}
-	ra.amu.Lock()
-	ra.locals[victim] = good
-	ra.amu.Unlock()
+	ra.setLocal(s.shards[victim], good)
 
 	copied, unhealed, err := s.HealArray("X")
 	if err != nil {
@@ -786,6 +820,118 @@ func TestSectionAllocsIndependentOfBlocks(t *testing.T) {
 	}
 }
 
+// TestSectionAllocsFullStack pins the full decorator stack the
+// stack-dryrun benchmark runs — a trace.Recorder in front of a cost-only
+// ring(4,2) with a health plane, a zero-rate fault schedule on every
+// shard and a metrics registry — to zero allocations per healthy section
+// read and per R=2 section write, once each array's counters exist.
+func TestSectionAllocsFullStack(t *testing.T) {
+	s, err := New(Options{Shards: 4, Replicas: 2, Disk: testDisk(),
+		Health: &health.Config{}, Faults: &fault.Config{Seed: 1}, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, err := trace.NewWithDisk(s, testDisk()).Create("X", []int64{64, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows [12, 20) straddle the first two 16-row blocks: two runs.
+	for _, sec := range [][2][]int64{{{16, 0}, {8, 8}}, {{12, 0}, {8, 8}}} {
+		lo, shape := sec[0], sec[1]
+		if n := testing.AllocsPerRun(50, func() {
+			if err := a.WriteSection(lo, shape, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("section write at %v: %v allocations per op, want 0", lo, n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if err := a.ReadSection(lo, shape, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("section read at %v: %v allocations per op, want 0", lo, n)
+		}
+	}
+}
+
+// TestConcurrentCollectivesWithHealth runs section writes and reads on
+// one array from four goroutines at once — a data-mode ring(4,2) with a
+// health plane and latency spikes on every shard, so the scratch slot,
+// the routing snapshot, the breaker asks and the spike accounts are all
+// shared — while the test goroutine reads ShardStats, Suspicion and the
+// tier reports. Each goroutine owns rows that straddle a block boundary
+// and checks it reads back what it wrote. Run it under -race.
+func TestConcurrentCollectivesWithHealth(t *testing.T) {
+	defer leaktest.Check(t)()
+	s := newTestStore(t, 4, 2, Options{
+		Health: &health.Config{},
+		Faults: &fault.Config{Seed: 3, LatencyRate: 0.2, LatencySeconds: 0.5},
+	})
+	const workers, rows, cols = 4, 6, 3
+	a, err := s.Create("X", []int64{32, cols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var finished atomic.Int32
+	errs := make([]error, workers)
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer finished.Add(1)
+			// Rows [6g+1, 6g+7) cross the 8-row block boundaries.
+			lo, shape := []int64{int64(rows*g + 1), 0}, []int64{rows, cols}
+			buf, got := make([]float64, rows*cols), make([]float64, rows*cols)
+			for it := range 50 {
+				for i := range buf {
+					buf[i] = float64(g*1000000 + it*1000 + i)
+				}
+				if err := a.WriteSection(lo, shape, buf); err != nil {
+					errs[g] = err
+					return
+				}
+				if err := a.ReadSection(lo, shape, got); err != nil {
+					errs[g] = err
+					return
+				}
+				if !slices.Equal(got, buf) {
+					errs[g] = fmt.Errorf("goroutine %d iteration %d read %v, wrote %v", g, it, got, buf)
+					return
+				}
+			}
+		}()
+	}
+	for finished.Load() < workers {
+		for i := range 4 {
+			_ = s.ShardStats(i)
+			_ = s.ShardReport(i)
+		}
+		_ = s.Suspicion("X")
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	// Every section op charged the front door once.
+	if st := s.Stats(); st.ReadOps != workers*50 || st.WriteOps != workers*50 {
+		t.Fatalf("front door charged %d reads and %d writes, want %d each", st.ReadOps, st.WriteOps, workers*50)
+	}
+}
+
+// readOrderAt routes a read of block b alone at modelled time now and
+// returns its replica order: the order a section read confined to the
+// block takes, its demotions tallied.
+func (a *Array) readOrderAt(b int64, now float64) []int {
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	lo, hi := a.blockRange(b)
+	a.route(sc, lo, hi-lo, true, now)
+	return sc.runs[0].order
+}
+
 // checkStaleFlags requires every stale flag to name a current candidate
 // of its block: a copy out of the placement is out of the read path.
 func checkStaleFlags(t *testing.T, ra *Array) {
@@ -838,12 +984,12 @@ func TestRebalanceAddShard(t *testing.T) {
 		for i := range buf {
 			buf[i] = float64(i) * 2
 		}
-		good := ra.locals[0]
-		ra.locals[0] = failWrites{Array: good}
+		good := ra.reps[0].la
+		ra.setLocal(s.shards[0], failWrites{Array: good})
 		if err := a.WriteSection([]int64{0, 0}, []int64{48, 2}, buf); err != nil {
 			t.Fatal(err)
 		}
-		ra.locals[0] = good
+		ra.setLocal(s.shards[0], good)
 
 		rep, err := s.AddShard()
 		if err != nil {
